@@ -71,7 +71,7 @@ func TestAppDemandValidateClassCores(t *testing.T) {
 		func(d *AppDemand) { d.ClassCores[workload.Class(42)] = 0 },
 		func(d *AppDemand) { d.ClassCores[workload.Batch] = math.NaN() },
 		func(d *AppDemand) { d.ClassCores[workload.Batch] = -1 },
-		func(d *AppDemand) { d.ClassCores[workload.Batch] = 5 },   // firm != StableCores
+		func(d *AppDemand) { d.ClassCores[workload.Batch] = 5 },      // firm != StableCores
 		func(d *AppDemand) { d.ClassCores[workload.Degradable] = 7 }, // total != Cores
 	}
 	for i, mutate := range bad {

@@ -92,11 +92,6 @@ type Config struct {
 	// bit-identical runs should rely on solver-pressure node derating
 	// (SetSolverPressure) instead.
 	SolveDeadline time.Duration
-	// SolverReference routes placements through the legacy solver stack
-	// (row-branching branch and bound over the dense Bland simplex) instead
-	// of the warm-started revised simplex. It exists for differential
-	// testing; production runs should leave it false.
-	SolverReference bool
 	// SolverWorkers >= 1 evaluates branch-and-bound nodes concurrently with
 	// that many workers; the result is bit-identical for any worker count.
 	// Zero keeps the serial solver loop.

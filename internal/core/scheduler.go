@@ -86,9 +86,10 @@ type warmEntry struct {
 	tick int64
 }
 
-// warmCap bounds the warm-state cache; each entry holds an m×m basis
-// inverse, so the cache is worth bounding on long multi-app runs. Eviction
-// is by smallest tick, which is deterministic (ticks are unique).
+// warmCap bounds the warm-state cache; each entry holds a compiled LP
+// instance with its basis factorization and scratch arrays, so the cache is
+// worth bounding on long multi-app runs. Eviction is by smallest tick,
+// which is deterministic (ticks are unique).
 const warmCap = 32
 
 // NewScheduler creates a scheduler for a group of numSites sites and a
@@ -513,10 +514,10 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		reg.Emit(obs.Event{Type: obs.MIPSolveStart, Step: nowStep, App: app.ID, Site: -1, Dst: -1, Cores: demand})
 	}
 	ws := s.warmState(app.ID)
-	sol, err := mip.Solve(prob, mip.Options{MaxNodes: maxNodes, Warm: ws, Reference: s.cfg.SolverReference,
+	sol, err := mip.Solve(prob, mip.Options{MaxNodes: maxNodes, Warm: ws,
 		Workers: s.cfg.SolverWorkers, Deadline: s.cfg.SolveDeadline})
 	warmth := "cold"
-	if ws != nil && sol.WarmHit {
+	if sol.WarmHit {
 		warmth = "warm"
 	}
 	if reg != nil {
@@ -529,12 +530,10 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		if s.cfg.SolverWorkers >= 1 {
 			reg.Add("mip.nodes.parallel", float64(sol.Nodes))
 		}
-		if ws != nil {
-			if sol.WarmHit {
-				reg.Inc("mip.warmstart.hits")
-			} else {
-				reg.Inc("mip.warmstart.misses")
-			}
+		if sol.WarmHit {
+			reg.Inc("mip.warmstart.hits")
+		} else {
+			reg.Inc("mip.warmstart.misses")
 		}
 		appLabel := s.vecs.app(app.ID)
 		s.vecs.solve.Observe(d.Seconds(), s.vecs.policy, appLabel)
@@ -562,7 +561,7 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 	// surfaces as a placement error: it degrades, and the degradation is
 	// recorded (scheduler.fallback.count, SchedulerFallback events).
 	if err != nil || sol.Status != lp.Optimal {
-		rsol, rerr := mip.SolveRelaxationRounded(prob, mip.Options{Reference: s.cfg.SolverReference})
+		rsol, rerr := mip.SolveRelaxationRounded(prob)
 		if rerr == nil && rsol.Status == lp.Optimal {
 			s.recordFallback(app, nowStep, "rounded-lp")
 			if reg != nil {
@@ -598,13 +597,10 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 	return plan, nil
 }
 
-// warmState returns (creating if needed) the app's carried solver state,
-// or nil when the legacy reference stack is selected. The cache is bounded
-// by warmCap with deterministic least-recently-used eviction.
+// warmState returns (creating if needed) the app's carried solver state.
+// The cache is bounded by warmCap with deterministic least-recently-used
+// eviction.
 func (s *Scheduler) warmState(appID int) *mip.WarmState {
-	if s.cfg.SolverReference {
-		return nil
-	}
 	if s.warm == nil {
 		s.warm = make(map[int]*warmEntry)
 	}

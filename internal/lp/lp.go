@@ -5,10 +5,13 @@
 //
 // Problems are stated over bounded variables (default x >= 0) with linear
 // constraints of any sense. Solve uses the bounded revised simplex in
-// revised.go (Dantzig pricing with a Bland anti-cycling fallback, warm-
-// startable via Instance); SolveReference in reference.go keeps the original
-// dense two-phase Bland tableau as an independent oracle for differential
-// tests.
+// revised.go over a sparse LU basis factorization (sparselu.go), with
+// Dantzig pricing, a Bland anti-cycling fallback, and warm starts via
+// Instance. SolveReference in reference.go keeps the original dense
+// two-phase Bland tableau as an independent oracle for differential tests
+// and benchmarks; no production path calls it. It stays exported here
+// because the oracle must be importable from internal/mip's tests, which a
+// _test.go file cannot provide.
 package lp
 
 import (

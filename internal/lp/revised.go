@@ -8,12 +8,12 @@ import (
 
 // This file implements the bounded revised simplex that backs Solve and the
 // branch-and-bound in internal/mip. Unlike the dense two-phase tableau in
-// reference.go it works on the original sparse columns plus a maintained
-// basis inverse, supports native per-variable bounds (so integer branching
-// tightens a bound instead of appending a row), and keeps its factorization
-// and scratch memory alive between solves: re-solving after a bound or RHS
-// change warm-starts from the previous optimal basis, usually skipping
-// phase 1 entirely.
+// reference.go it works on the original sparse columns plus a sparse LU
+// factorization of the basis (sparselu.go), supports native per-variable
+// bounds (so integer branching tightens a bound instead of appending a row),
+// and keeps its factorization and scratch memory alive between solves:
+// re-solving after a bound or RHS change warm-starts from the previous
+// optimal basis, usually skipping phase 1 entirely.
 //
 // Pivoting is Dantzig (most negative reduced cost) for speed, with an
 // automatic switch to Bland's rule after a run of degenerate steps, which
@@ -74,12 +74,12 @@ type Instance struct {
 
 	// Mutable solver state, preserved between solves for warm starting.
 	lo, hi []float64
-	basis  []int32    // basis[i] = variable basic in row i
-	vstat  []int8     // len n
-	fac    factorizer // basis representation (sparse LU by default)
-	facBad bool       // a mid-iteration refactorization failed; abort phase
-	xB     []float64  // len m, values of basic variables
-	ready  bool       // basis state is valid (false before first solve)
+	basis  []int32   // basis[i] = variable basic in row i
+	vstat  []int8    // len n
+	fac    *sparseLU // basis factorization
+	facBad bool      // a mid-iteration refactorization failed; abort phase
+	xB     []float64 // len m, values of basic variables
+	ready  bool      // basis state is valid (false before first solve)
 
 	// Scratch (reused every iteration).
 	accum      []float64 // m
@@ -190,19 +190,6 @@ func NewInstance(p Problem) (*Instance, error) {
 		_ = i
 	}
 	in.loadData(p)
-	return in, nil
-}
-
-// NewInstanceDense compiles p like NewInstance but installs the legacy
-// dense product-form basis inverse instead of the sparse LU. It exists for
-// differential testing, fleet-scale baseline benchmarks, and restoring
-// snapshots written by pre-sparse builds onto their original arithmetic.
-func NewInstanceDense(p Problem) (*Instance, error) {
-	in, err := NewInstance(p)
-	if err != nil {
-		return nil, err
-	}
-	in.fac = newDenseFactor(in.m)
 	return in, nil
 }
 
@@ -382,11 +369,10 @@ func (in *Instance) SolveCurrent() (Status, error) {
 		}
 		// Any conclusion — optimal, infeasible, or unbounded — is trusted
 		// only while the factored basis still reproduces the rows: a
-		// drifted product-form inverse manufactures phantom infeasibility
-		// just as readily as a wrong optimum. On a bad residual (or an
-		// internal dead end) rebuild the inverse from the basis, falling
-		// back to the all-slack crash basis when it has gone singular, and
-		// re-solve.
+		// drifted factorization manufactures phantom infeasibility just as
+		// readily as a wrong optimum. On a bad residual (or an internal
+		// dead end) refactorize from the basis, falling back to the
+		// all-slack crash basis when it has gone singular, and re-solve.
 		if err == nil && in.residualOK() {
 			return st, nil
 		}
@@ -527,7 +513,7 @@ func (in *Instance) phase1() (Status, error) {
 			return Infeasible, nil
 		}
 		in.ftran(enter)
-		t, leave, toUpper, flip := in.ratioPhase1(enter, dir, bland)
+		t, leave, toUpper, flip := in.ratioTest(enter, dir, true, bland)
 		if leave < 0 && !flip {
 			return Optimal, fmt.Errorf("lp: phase-1 ratio test found no blocking bound (m=%d n=%d)", in.m, in.n)
 		}
@@ -583,12 +569,15 @@ func (in *Instance) priceFromY(bland bool) (enter, dir int) {
 	return
 }
 
-// ratioPhase1 runs the phase-1 ratio test: infeasible basics block when
-// they reach the bound they violate (becoming feasible), feasible basics
-// block at their own bounds, and the entering variable may flip across its
-// range. Returns the step, the leaving row (-1 for a bound flip), which
-// bound the leaver hits, and whether the step is a flip.
-func (in *Instance) ratioPhase1(enter, dir int, bland bool) (t float64, leave int, toUpper, flip bool) {
+// ratioTest runs the bounded-variable ratio test for entering variable
+// enter moving in direction dir: every basic variable blocks at its own
+// bounds, and the entering variable may flip across its range. In phase 1
+// an infeasible basic blocks only at the bound it violates (becoming
+// feasible), never while moving further away from it. Returns the step,
+// the leaving row (-1 for a bound flip), which bound the leaver hits, and
+// whether the step is a flip; leave < 0 with flip false means nothing
+// blocks.
+func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, leave int, toUpper, flip bool) {
 	minT := math.Inf(1)
 	if r := in.hi[enter] - in.lo[enter]; in.vstat[enter] != vsFree && !math.IsInf(r, 1) {
 		minT = r
@@ -605,9 +594,9 @@ func (in *Instance) ratioPhase1(enter, dir int, bland bool) (t float64, leave in
 		var target float64
 		if delta > 0 {
 			switch {
-			case in.xB[i] < in.lo[j]-feasTol:
+			case phase1 && in.xB[i] < in.lo[j]-feasTol:
 				target = in.lo[j] // becomes feasible at its lower bound
-			case in.xB[i] > in.hi[j]+feasTol:
+			case phase1 && in.xB[i] > in.hi[j]+feasTol:
 				continue // moving further above upper: never blocks
 			default:
 				target = in.hi[j]
@@ -617,9 +606,9 @@ func (in *Instance) ratioPhase1(enter, dir int, bland bool) (t float64, leave in
 			}
 		} else {
 			switch {
-			case in.xB[i] > in.hi[j]+feasTol:
+			case phase1 && in.xB[i] > in.hi[j]+feasTol:
 				target = in.hi[j]
-			case in.xB[i] < in.lo[j]-feasTol:
+			case phase1 && in.xB[i] < in.lo[j]-feasTol:
 				continue // moving further below lower: never blocks
 			default:
 				target = in.lo[j]
@@ -641,7 +630,7 @@ func (in *Instance) ratioPhase1(enter, dir int, bland bool) (t float64, leave in
 		return 0, -1, false, false
 	}
 	if !flip {
-		leave, toUpper = in.pickLeaving(dir, minT, true, bland)
+		leave, toUpper = in.pickLeaving(dir, minT, phase1, bland)
 		if leave < 0 {
 			// Numerical fallback: accept the flip if one exists.
 			if r := in.hi[enter] - in.lo[enter]; in.vstat[enter] != vsFree && !math.IsInf(r, 1) {
@@ -740,12 +729,11 @@ func (in *Instance) applyStep(enter, dir int, t float64, leave int, toUpper, fli
 	if trackD {
 		in.updateD(leave, enter, int(out))
 	}
+	// The leaving variable's value is henceforth implied by its status.
 	if toUpper {
 		in.vstat[out] = vsUpper
-		in.xBSnap(leave, in.hi[out])
 	} else {
 		in.vstat[out] = vsLower
-		in.xBSnap(leave, in.lo[out])
 	}
 	in.basis[leave] = int32(enter)
 	in.vstat[enter] = vsBasic
@@ -761,10 +749,6 @@ func (in *Instance) applyStep(enter, dir int, t float64, leave int, toUpper, fli
 	in.xB[leave] = v
 	in.pivots++
 }
-
-// xBSnap is a no-op hook documenting that the leaving variable's value is
-// snapped exactly to its bound (its value is henceforth implied by vstat).
-func (in *Instance) xBSnap(row int, bound float64) { _ = row; _ = bound }
 
 // updateD maintains the phase-2 reduced costs across the pivot on row
 // `leave` with entering column `enter`: d'_j = d_j - (d_q/w_r)·α_rj where
@@ -863,8 +847,8 @@ func (in *Instance) phase2() (Status, error) {
 			return Optimal, nil
 		}
 		in.ftran(enter)
-		t, leave, toUpper, flip, unbounded := in.ratioPhase2(enter, dir, bland)
-		if unbounded {
+		t, leave, toUpper, flip := in.ratioTest(enter, dir, false, bland)
+		if leave < 0 && !flip {
 			return Unbounded, nil
 		}
 		in.applyStep(enter, dir, t, leave, toUpper, flip, true)
@@ -883,58 +867,6 @@ func (in *Instance) phase2() (Status, error) {
 		}
 	}
 	return Optimal, fmt.Errorf("lp: phase-2 iteration limit exceeded (m=%d n=%d)", in.m, in.n)
-}
-
-// ratioPhase2 is the standard bounded-variable ratio test: every basic
-// variable blocks at its own bound, and the entering variable may flip.
-func (in *Instance) ratioPhase2(enter, dir int, bland bool) (t float64, leave int, toUpper, flip, unbounded bool) {
-	minT := math.Inf(1)
-	if r := in.hi[enter] - in.lo[enter]; in.vstat[enter] != vsFree && !math.IsInf(r, 1) {
-		minT = r
-		flip = true
-	}
-	leave = -1
-	for i := 0; i < in.m; i++ {
-		wi := in.w[i]
-		if wi < pivotTol && wi > -pivotTol {
-			continue
-		}
-		delta := -float64(dir) * wi
-		j := in.basis[i]
-		var target float64
-		if delta > 0 {
-			target = in.hi[j]
-			if math.IsInf(target, 1) {
-				continue
-			}
-		} else {
-			target = in.lo[j]
-			if math.IsInf(target, -1) {
-				continue
-			}
-		}
-		ti := (target - in.xB[i]) / delta
-		if ti < 0 {
-			ti = 0
-		}
-		if ti < minT {
-			minT = ti
-			flip = false
-		}
-	}
-	if math.IsInf(minT, 1) {
-		return 0, -1, false, false, true
-	}
-	if !flip {
-		leave, toUpper = in.pickLeaving(dir, minT, false, bland)
-		if leave < 0 {
-			if r := in.hi[enter] - in.lo[enter]; in.vstat[enter] != vsFree && !math.IsInf(r, 1) {
-				return r, -1, false, true, false
-			}
-			return 0, -1, false, false, true
-		}
-	}
-	return minT, leave, toUpper, flip, false
 }
 
 // residualOK verifies Ax + s = b actually holds at the claimed optimum,
@@ -966,13 +898,6 @@ func (in *Instance) refactorize() bool {
 // solves (explicit rebuilds plus eta-chain-triggered ones).
 func (in *Instance) Refactors() int64 { return in.refactors }
 
-// EtaChainLen returns the current length of the factorization's update
-// chain (always 0 for the dense representation).
+// EtaChainLen returns the current length of the factorization's eta
+// chain: the updates applied since the last refactorization.
 func (in *Instance) EtaChainLen() int { return in.fac.etaLen() }
-
-// DenseBasis reports whether the instance carries the legacy dense
-// product-form inverse rather than the sparse LU.
-func (in *Instance) DenseBasis() bool {
-	_, ok := in.fac.(*denseFactor)
-	return ok
-}

@@ -2,19 +2,23 @@ package lp
 
 import "math"
 
-// sparseLU is the default basis representation: a sparse LU factorization
-// of the basis with Markowitz-style pivot selection, updated in place by
-// product-form eta transforms (the Forrest–Tomlin update family) on each
-// simplex pivot. FTRAN/BTRAN apply the LU triangles and then the eta chain,
-// so their cost is O(nnz(L)+nnz(U)+nnz(etas)) instead of the dense path's
-// O(m²) — the difference between the paper's 3-site toy and a 200-site
-// fleet, where m runs to thousands and the basis stays extremely sparse.
+// sparseLU is the revised simplex's basis representation: a sparse LU
+// factorization of the basis with Markowitz-style pivot selection, updated
+// in place by product-form eta transforms (the Forrest–Tomlin update
+// family) on each simplex pivot. FTRAN/BTRAN apply the LU triangles and then
+// the eta chain, so their cost is O(nnz(L)+nnz(U)+nnz(etas)) instead of an
+// explicit inverse's O(m²) — the difference between the paper's 3-site toy
+// and a 200-site fleet, where m runs to thousands and the basis stays
+// extremely sparse.
 //
 // The eta chain is bounded three ways: chain length (etaChainCap), stored
 // nonzeros (a multiple of m), and pivot magnitude (etaPivTol). When update
 // refuses, the simplex refactorizes from the current basis — and the
-// trust-but-verify residual gate in SolveCurrent still guards every exit,
-// exactly as it did for the dense inverse.
+// trust-but-verify residual gate in SolveCurrent still guards every exit.
+//
+// All vectors are dense []float64 of length m. "Row space" indexes
+// constraint rows; "position space" indexes basis positions (w[i] pairs
+// with basis[i] and xB[i]).
 const (
 	// etaPivTol is the smallest |w_r| an eta update will absorb; anything
 	// smaller forces a refactorization instead of amplifying roundoff.
@@ -64,8 +68,7 @@ type sparseLU struct {
 	// them into capacity-capped views (three-index slices, so an append
 	// overflowing its region reallocates instead of bleeding into a
 	// neighbor). A fresh factorization is two large allocations instead of
-	// ~20 small ones — the dense path's single m×m inverse kept the alloc
-	// gates tight and the sparse path must not blow them.
+	// ~20 small ones, which keeps the allocs/op gates tight.
 	i32buf  []int32
 	f64buf  []float64
 	boolbuf []bool
@@ -121,6 +124,8 @@ func resizeBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
+// reset installs the exact identity factorization (all-slack crash basis)
+// for an m-row instance.
 func (f *sparseLU) reset(m int) {
 	f.m = m
 	cc := etaChainCap
@@ -193,6 +198,8 @@ func (f *sparseLU) clearEtas() {
 	f.etaPtr = append(f.etaPtr[:0], 0)
 }
 
+// etaLen reports the length of the update chain since the last
+// refactorization.
 func (f *sparseLU) etaLen() int { return len(f.etaRow) }
 
 // update appends one eta transform for the pivot on basis position r with
@@ -290,6 +297,8 @@ func (f *sparseLU) btran(y []float64) {
 	copy(y, f.work[:m])
 }
 
+// ftranCol computes w = B⁻¹·A_q for entering column q, exploiting the
+// column's sparsity.
 func (f *sparseLU) ftranCol(in *Instance, q int, w []float64) {
 	clear(w)
 	if q >= in.nStruct {
@@ -302,13 +311,15 @@ func (f *sparseLU) ftranCol(in *Instance, q int, w []float64) {
 	f.ftran(w)
 }
 
+// rowOfInverse writes row r of B⁻¹ (a row-space vector) into dst.
 func (f *sparseLU) rowOfInverse(r int, dst []float64) {
 	clear(dst)
 	dst[r] = 1
 	f.btran(dst)
 }
 
-func (f *sparseLU) clone() factorizer {
+// clone returns a deep copy sharing no memory with the receiver.
+func (f *sparseLU) clone() *sparseLU {
 	g := &sparseLU{m: f.m, trivial: f.trivial}
 	g.pivRow = append([]int32(nil), f.pivRow...)
 	g.pivCol = append([]int32(nil), f.pivCol...)
@@ -328,8 +339,9 @@ func (f *sparseLU) clone() factorizer {
 	return g
 }
 
-func (f *sparseLU) copyFrom(src factorizer) {
-	s := src.(*sparseLU)
+// copyFrom overwrites the receiver's state with s's (clones of one
+// instance, so the dimensions match).
+func (f *sparseLU) copyFrom(s *sparseLU) {
 	f.m = s.m
 	f.trivial = s.trivial
 	f.pivRow = append(f.pivRow[:0], s.pivRow...)
@@ -354,7 +366,9 @@ func (f *sparseLU) copyFrom(src factorizer) {
 // Markowitz-style: the sparsest live column first, then within it the
 // sparsest live row whose entry passes a threshold test against the
 // column's largest magnitude. Every tie breaks on the lowest index, so the
-// factorization is a deterministic function of the basis.
+// factorization is a deterministic function of the basis. It returns false
+// when the basis is numerically singular; the factorization is then
+// undefined until reset or a successful refactor.
 func (f *sparseLU) refactor(in *Instance) bool {
 	m := in.m
 	f.m = m

@@ -18,15 +18,18 @@ import (
 // would. Gob encodes float64 by bit pattern, so the round trip is exact,
 // infinities included.
 //
-// Compatibility: Mode selects the basis representation. Snapshots written
-// before the sparse LU kernel carry no Mode field, which gob decodes as the
-// zero value — modeDense — so old payloads restore onto the retained dense
-// product-form path and replay the exact arithmetic of the process that
-// wrote them. Sparse-mode snapshots (modeSparseLU) carry the full LU and
-// eta chain bit-exactly.
+// Compatibility: Mode names the basis representation a payload carries,
+// and GobEncode writes only modeSparseLU, whose full LU and eta chain
+// round-trip bit-exactly. Payloads written before the sparse LU kernel carry
+// no Mode field, which gob decodes as the zero value (modeLegacy), plus a
+// dense inverse this decoder no longer reads (gob skips stream fields the
+// struct lacks). They restore by refactorizing the saved basis into a
+// sparse LU, or onto the all-slack crash basis when the saved basis is
+// singular: the restored instance re-solves to the same objectives, though
+// not necessarily along the writer's pivot path.
 
 const (
-	modeDense    int8 = 0 // legacy dense product-form inverse (gob zero value)
+	modeLegacy   int8 = 0 // pre-sparse payload: basis only, refactorized on decode
 	modeSparseLU int8 = 1
 )
 
@@ -57,12 +60,9 @@ type instanceState struct {
 	Pivots    int64
 	Refactors int64
 
-	// Mode 0 (dense): Binv/BinvIdent. Old snapshots have only these.
-	Mode      int8
-	Binv      []float64
-	BinvIdent bool
-
-	// Mode 1 (sparse LU): factorization plus eta chain.
+	// Mode tags the basis representation (see the compatibility note);
+	// the fields after it are mode 1's LU factorization and eta chain.
+	Mode               int8
 	LuPivRow, LuPivCol []int32
 	LuLPtr, LuLIdx     []int32
 	LuLVal             []float64
@@ -89,22 +89,15 @@ func (in *Instance) GobEncode() ([]byte, error) {
 		XB: in.xB, Ready: in.ready,
 		D: in.d, DExact: in.dExact,
 		Pivots: in.pivots, Refactors: in.refactors,
+		Mode: modeSparseLU,
 	}
-	switch f := in.fac.(type) {
-	case *denseFactor:
-		st.Mode = modeDense
-		st.Binv, st.BinvIdent = f.binv, f.ident
-	case *sparseLU:
-		st.Mode = modeSparseLU
-		st.LuPivRow, st.LuPivCol = f.pivRow, f.pivCol
-		st.LuLPtr, st.LuLIdx, st.LuLVal = f.lPtr, f.lIdx, f.lVal
-		st.LuUPtr, st.LuUIdx, st.LuUVal = f.uPtr, f.uIdx, f.uVal
-		st.LuDiag, st.LuTrivial = f.diag, f.trivial
-		st.EtaRow, st.EtaPiv = f.etaRow, f.etaPiv
-		st.EtaPtr, st.EtaIdx, st.EtaVal = f.etaPtr, f.etaIdx, f.etaVal
-	default:
-		return nil, fmt.Errorf("lp: encoding instance: unknown basis representation %T", in.fac)
-	}
+	f := in.fac
+	st.LuPivRow, st.LuPivCol = f.pivRow, f.pivCol
+	st.LuLPtr, st.LuLIdx, st.LuLVal = f.lPtr, f.lIdx, f.lVal
+	st.LuUPtr, st.LuUIdx, st.LuUVal = f.uPtr, f.uIdx, f.uVal
+	st.LuDiag, st.LuTrivial = f.diag, f.trivial
+	st.EtaRow, st.EtaPiv = f.etaRow, f.etaPiv
+	st.EtaPtr, st.EtaIdx, st.EtaVal = f.etaPtr, f.etaIdx, f.etaVal
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("lp: encoding instance: %w", err)
@@ -114,7 +107,11 @@ func (in *Instance) GobEncode() ([]byte, error) {
 
 // GobDecode restores an instance serialized by GobEncode. The decoded
 // instance solves exactly as the original would have: same warm basis,
-// same factorization, same reduced costs, hence the same pivot path.
+// same factorization, same reduced costs, hence the same pivot path. A
+// pre-sparse payload restores onto a fresh factorization of its basis (see
+// the compatibility note above). Every index the solver will dereference is
+// range-checked first, so a corrupt payload fails here rather than panicking
+// in a later solve.
 func (in *Instance) GobDecode(b []byte) error {
 	var st instanceState
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
@@ -125,24 +122,32 @@ func (in *Instance) GobDecode(b []byte) error {
 	if m < 0 || ns <= 0 {
 		return fmt.Errorf("lp: decoded instance has %d rows, %d vars", m, ns)
 	}
-	for _, c := range []struct {
-		name string
-		got  int
-		want int
-	}{
+	if st.Mode != modeLegacy && st.Mode != modeSparseLU {
+		return fmt.Errorf("lp: decoded instance has unknown basis mode %d", st.Mode)
+	}
+	if err := checkLens([]lenCheck{
 		{"cmin", len(st.Cmin), n}, {"b", len(st.B), m}, {"senses", len(st.Senses), m},
 		{"baseLo", len(st.BaseLo), n}, {"baseHi", len(st.BaseHi), n},
 		{"colPtr", len(st.ColPtr), ns + 1}, {"rowPtr", len(st.RowPtr), m + 1},
+		{"colVal", len(st.ColVal), len(st.ColRow)}, {"rowVal", len(st.RowVal), len(st.RowCol)},
 		{"lo", len(st.Lo), n}, {"hi", len(st.Hi), n},
 		{"basis", len(st.Basis), m}, {"vstat", len(st.Vstat), n},
 		{"xB", len(st.XB), m}, {"d", len(st.D), n},
-	} {
-		if c.got != c.want {
-			return fmt.Errorf("lp: decoded instance %s has %d entries, want %d", c.name, c.got, c.want)
+	}); err != nil {
+		return err
+	}
+	for i, s := range st.Senses {
+		if s != LE && s != GE && s != EQ {
+			return fmt.Errorf("lp: decoded instance row %d has unknown sense %d", i, int(s))
 		}
 	}
-	fac, err := decodeFactor(&st, m)
-	if err != nil {
+	if err := checkSparse("columns", st.ColPtr, st.ColRow, m); err != nil {
+		return err
+	}
+	if err := checkSparse("rows", st.RowPtr, st.RowCol, ns); err != nil {
+		return err
+	}
+	if err := checkBasis(&st, n); err != nil {
 		return err
 	}
 	*in = Instance{
@@ -153,8 +158,7 @@ func (in *Instance) GobDecode(b []byte) error {
 		rowPtr: st.RowPtr, rowCol: st.RowCol, rowVal: st.RowVal,
 		lo: st.Lo, hi: st.Hi,
 		basis: st.Basis, vstat: st.Vstat,
-		fac: fac,
-		xB:  st.XB, ready: st.Ready,
+		xB: st.XB, ready: st.Ready,
 		d: st.D, dExact: st.DExact,
 		pivots: st.Pivots, refactors: st.Refactors,
 		accum:      make([]float64, m),
@@ -164,23 +168,104 @@ func (in *Instance) GobDecode(b []byte) error {
 		valScratch: make([]float64, n),
 		cb1:        make([]int8, m),
 	}
+	if st.Mode == modeSparseLU {
+		fac, err := decodeLU(&st, m)
+		if err != nil {
+			return err
+		}
+		in.fac = fac
+		return nil
+	}
+	in.fac = newSparseLU(m)
+	if in.ready && !in.refactorize() {
+		in.crash()
+	}
 	return nil
 }
 
-// decodeFactor validates and rebuilds the basis representation for the
-// snapshot's Mode. Gob omits empty slices, so canonical empty forms (ptr
-// arrays with a leading zero) are re-normalized here before validation —
-// a freshly decoded factor must re-encode to the same bytes.
-func decodeFactor(st *instanceState, m int) (factorizer, error) {
-	if st.Mode == modeDense {
-		if len(st.Binv) != m*m {
-			return nil, fmt.Errorf("lp: decoded instance binv has %d entries, want %d", len(st.Binv), m*m)
+// lenCheck is one expected slice length of a decoded payload.
+type lenCheck struct {
+	name      string
+	got, want int
+}
+
+func checkLens(cs []lenCheck) error {
+	for _, c := range cs {
+		if c.got != c.want {
+			return fmt.Errorf("lp: decoded instance %s has %d entries, want %d", c.name, c.got, c.want)
 		}
-		return &denseFactor{m: m, binv: st.Binv, ident: st.BinvIdent, tmp: make([]float64, m)}, nil
 	}
-	if st.Mode != modeSparseLU {
-		return nil, fmt.Errorf("lp: decoded instance has unknown basis mode %d", st.Mode)
+	return nil
+}
+
+// checkSparse validates a compressed sparse index: ptr starts at zero, never
+// decreases, and ends at len(idx), and every index lies in [0, bound).
+func checkSparse(name string, ptr, idx []int32, bound int) error {
+	if ptr[0] != 0 {
+		return fmt.Errorf("lp: decoded instance %s pointers start at %d, want 0", name, ptr[0])
 	}
+	for k := 1; k < len(ptr); k++ {
+		if ptr[k] < ptr[k-1] {
+			return fmt.Errorf("lp: decoded instance %s pointer %d decreases (%d after %d)", name, k, ptr[k], ptr[k-1])
+		}
+	}
+	if last := ptr[len(ptr)-1]; int(last) != len(idx) {
+		return fmt.Errorf("lp: decoded instance %s pointers end at %d, index array has %d entries", name, last, len(idx))
+	}
+	return checkIdx(name, idx, bound)
+}
+
+func checkIdx(name string, idx []int32, bound int) error {
+	for _, r := range idx {
+		if r < 0 || int(r) >= bound {
+			return fmt.Errorf("lp: decoded instance %s index %d out of range [0,%d)", name, r, bound)
+		}
+	}
+	return nil
+}
+
+// checkBasis validates the basis and variable statuses. Every basis entry
+// must name a variable; once the instance has solved (Ready), the entries
+// must also be distinct and be exactly the variables marked basic. A
+// never-solved instance keeps its zeroed basis until the first solve
+// installs the crash basis, so repeats are allowed there.
+func checkBasis(st *instanceState, n int) error {
+	if err := checkIdx("basis", st.Basis, n); err != nil {
+		return err
+	}
+	nBasic := 0
+	for j, v := range st.Vstat {
+		if v < vsLower || v > vsBasic {
+			return fmt.Errorf("lp: decoded instance variable %d has unknown status %d", j, v)
+		}
+		if v == vsBasic {
+			nBasic++
+		}
+	}
+	if !st.Ready {
+		return nil
+	}
+	seen := make([]bool, n)
+	for i, j := range st.Basis {
+		if seen[j] {
+			return fmt.Errorf("lp: decoded instance basis repeats variable %d (row %d)", j, i)
+		}
+		seen[j] = true
+		if st.Vstat[j] != vsBasic {
+			return fmt.Errorf("lp: decoded instance basis variable %d (row %d) has nonbasic status %d", j, i, st.Vstat[j])
+		}
+	}
+	if nBasic != len(st.Basis) {
+		return fmt.Errorf("lp: decoded instance marks %d variables basic, basis has %d", nBasic, len(st.Basis))
+	}
+	return nil
+}
+
+// decodeLU validates and rebuilds a mode-1 factorization. Gob omits empty
+// slices, so canonical empty forms (ptr arrays with a leading zero) are
+// re-normalized here before validation — a freshly decoded factor must
+// re-encode to the same bytes.
+func decodeLU(st *instanceState, m int) (*sparseLU, error) {
 	if len(st.LuLPtr) == 0 {
 		st.LuLPtr = []int32{0}
 	}
@@ -191,48 +276,33 @@ func decodeFactor(st *instanceState, m int) (factorizer, error) {
 		st.EtaPtr = []int32{0}
 	}
 	ne := len(st.EtaRow)
-	for _, c := range []struct {
-		name string
-		got  int
-		want int
-	}{
+	if err := checkLens([]lenCheck{
 		{"lu pivRow", len(st.LuPivRow), m}, {"lu pivCol", len(st.LuPivCol), m},
 		{"lu diag", len(st.LuDiag), m},
 		{"lu lPtr", len(st.LuLPtr), m + 1}, {"lu uPtr", len(st.LuUPtr), m + 1},
 		{"lu lVal", len(st.LuLVal), len(st.LuLIdx)}, {"lu uVal", len(st.LuUVal), len(st.LuUIdx)},
 		{"eta piv", len(st.EtaPiv), ne}, {"eta ptr", len(st.EtaPtr), ne + 1},
 		{"eta val", len(st.EtaVal), len(st.EtaIdx)},
+	}); err != nil {
+		return nil, err
+	}
+	for _, c := range []struct {
+		name     string
+		ptr, idx []int32
+	}{
+		{"lu L", st.LuLPtr, st.LuLIdx}, {"lu U", st.LuUPtr, st.LuUIdx}, {"eta", st.EtaPtr, st.EtaIdx},
 	} {
-		if c.got != c.want {
-			return nil, fmt.Errorf("lp: decoded instance %s has %d entries, want %d", c.name, c.got, c.want)
+		if err := checkSparse(c.name, c.ptr, c.idx, m); err != nil {
+			return nil, err
 		}
-	}
-	if m > 0 && (int(st.LuLPtr[m]) != len(st.LuLIdx) || int(st.LuUPtr[m]) != len(st.LuUIdx)) {
-		return nil, fmt.Errorf("lp: decoded instance LU pointers inconsistent with index arrays")
-	}
-	if m == 0 && (len(st.LuLIdx) != 0 || len(st.LuUIdx) != 0) {
-		return nil, fmt.Errorf("lp: decoded instance LU pointers inconsistent with index arrays")
-	}
-	if int(st.EtaPtr[ne]) != len(st.EtaIdx) {
-		return nil, fmt.Errorf("lp: decoded instance eta pointers inconsistent with index arrays")
-	}
-	checkIdx := func(name string, idx []int32) error {
-		for _, r := range idx {
-			if r < 0 || int(r) >= m {
-				return fmt.Errorf("lp: decoded instance %s index %d out of range [0,%d)", name, r, m)
-			}
-		}
-		return nil
 	}
 	for _, c := range []struct {
 		name string
 		idx  []int32
 	}{
-		{"lu pivRow", st.LuPivRow}, {"lu pivCol", st.LuPivCol},
-		{"lu L", st.LuLIdx}, {"lu U", st.LuUIdx},
-		{"eta row", st.EtaRow}, {"eta", st.EtaIdx},
+		{"lu pivRow", st.LuPivRow}, {"lu pivCol", st.LuPivCol}, {"eta row", st.EtaRow},
 	} {
-		if err := checkIdx(c.name, c.idx); err != nil {
+		if err := checkIdx(c.name, c.idx, m); err != nil {
 			return nil, err
 		}
 	}

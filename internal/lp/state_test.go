@@ -3,113 +3,106 @@ package lp
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 )
 
-// TestInstanceStateRoundTrip pins the crash-recovery contract for both
-// basis representations: after a solve, an encode/decode cycle reproduces
-// the instance bit-exactly (a restored instance even re-encodes to the
-// same bytes), and a refreshed re-solve from the decoded instance pivots
-// to exactly the same solution as the original would.
+// TestInstanceStateRoundTrip pins the crash-recovery contract: after a
+// solve, an encode/decode cycle reproduces the instance bit-exactly (a
+// restored instance even re-encodes to the same bytes), and a refreshed
+// re-solve from the decoded instance pivots to exactly the same solution as
+// the original would.
 func TestInstanceStateRoundTrip(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		mk   func(Problem) (*Instance, error)
-	}{
-		{"sparse", NewInstance},
-		{"dense", NewInstanceDense},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			rng := rand.New(rand.NewPCG(7, 11))
-			for trial := 0; trial < 50; trial++ {
-				p := randomStateProblem(rng)
-				orig, err := mode.mk(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := orig.SolveCurrent(); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("sparse", func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(7, 11))
+		for trial := 0; trial < 50; trial++ {
+			p := randomStateProblem(rng)
+			orig, err := NewInstance(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := orig.SolveCurrent(); err != nil {
+				t.Fatal(err)
+			}
 
-				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(orig); err != nil {
-					t.Fatal(err)
-				}
-				restored := new(Instance)
-				if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(restored); err != nil {
-					t.Fatal(err)
-				}
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(orig); err != nil {
+				t.Fatal(err)
+			}
+			restored := new(Instance)
+			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(restored); err != nil {
+				t.Fatal(err)
+			}
 
-				// Bit-exact persistent state.
-				for _, c := range []struct {
-					name string
-					a, b interface{}
-				}{
-					{"basis", orig.basis, restored.basis},
-					{"vstat", orig.vstat, restored.vstat},
-					{"xB", orig.xB, restored.xB},
-					{"d", orig.d, restored.d},
-					{"lo", orig.lo, restored.lo},
-					{"hi", orig.hi, restored.hi},
-					{"cmin", orig.cmin, restored.cmin},
-				} {
-					if !reflect.DeepEqual(c.a, c.b) {
-						t.Fatalf("trial %d: %s differs after round trip", trial, c.name)
-					}
-				}
-				if orig.ready != restored.ready || orig.dExact != restored.dExact ||
-					orig.pivots != restored.pivots || orig.refactors != restored.refactors {
-					t.Fatalf("trial %d: flags differ after round trip", trial)
-				}
-				if orig.DenseBasis() != restored.DenseBasis() ||
-					orig.EtaChainLen() != restored.EtaChainLen() {
-					t.Fatalf("trial %d: basis representation differs after round trip", trial)
-				}
-				// The factorization itself round-trips bit-exactly: a restored
-				// instance re-encodes to the identical byte stream.
-				rawA, err := orig.GobEncode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				rawB, err := restored.GobEncode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(rawA, rawB) {
-					t.Fatalf("trial %d: re-encoded snapshot differs from original", trial)
-				}
-
-				// A perturbed re-solve follows the identical pivot path on both.
-				q := p
-				q.Objective = append([]float64(nil), p.Objective...)
-				for i := range q.Objective {
-					q.Objective[i] *= 1.1
-				}
-				if !orig.Refresh(q) || !restored.Refresh(q) {
-					t.Fatalf("trial %d: refresh failed", trial)
-				}
-				stA, errA := orig.SolveCurrent()
-				stB, errB := restored.SolveCurrent()
-				if (errA == nil) != (errB == nil) || stA != stB {
-					t.Fatalf("trial %d: statuses diverge: %v/%v vs %v/%v", trial, stA, errA, stB, errB)
-				}
-				if stA == Optimal {
-					xa := orig.Values(nil)
-					xb := restored.Values(nil)
-					for i := range xa {
-						if xa[i] != xb[i] {
-							t.Fatalf("trial %d: x[%d] = %v vs %v (must be bit-identical)", trial, i, xa[i], xb[i])
-						}
-					}
-					if orig.pivots != restored.pivots {
-						t.Fatalf("trial %d: pivot counts diverge: %d vs %d", trial, orig.pivots, restored.pivots)
-					}
+			// Bit-exact persistent state.
+			for _, c := range []struct {
+				name string
+				a, b interface{}
+			}{
+				{"basis", orig.basis, restored.basis},
+				{"vstat", orig.vstat, restored.vstat},
+				{"xB", orig.xB, restored.xB},
+				{"d", orig.d, restored.d},
+				{"lo", orig.lo, restored.lo},
+				{"hi", orig.hi, restored.hi},
+				{"cmin", orig.cmin, restored.cmin},
+			} {
+				if !reflect.DeepEqual(c.a, c.b) {
+					t.Fatalf("trial %d: %s differs after round trip", trial, c.name)
 				}
 			}
-		})
-	}
+			if orig.ready != restored.ready || orig.dExact != restored.dExact ||
+				orig.pivots != restored.pivots || orig.refactors != restored.refactors {
+				t.Fatalf("trial %d: flags differ after round trip", trial)
+			}
+			if orig.EtaChainLen() != restored.EtaChainLen() {
+				t.Fatalf("trial %d: eta chain differs after round trip", trial)
+			}
+			// The factorization itself round-trips bit-exactly: a restored
+			// instance re-encodes to the identical byte stream.
+			rawA, err := orig.GobEncode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rawB, err := restored.GobEncode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rawA, rawB) {
+				t.Fatalf("trial %d: re-encoded snapshot differs from original", trial)
+			}
+
+			// A perturbed re-solve follows the identical pivot path on both.
+			q := p
+			q.Objective = append([]float64(nil), p.Objective...)
+			for i := range q.Objective {
+				q.Objective[i] *= 1.1
+			}
+			if !orig.Refresh(q) || !restored.Refresh(q) {
+				t.Fatalf("trial %d: refresh failed", trial)
+			}
+			stA, errA := orig.SolveCurrent()
+			stB, errB := restored.SolveCurrent()
+			if (errA == nil) != (errB == nil) || stA != stB {
+				t.Fatalf("trial %d: statuses diverge: %v/%v vs %v/%v", trial, stA, errA, stB, errB)
+			}
+			if stA == Optimal {
+				xa := orig.Values(nil)
+				xb := restored.Values(nil)
+				for i := range xa {
+					if xa[i] != xb[i] {
+						t.Fatalf("trial %d: x[%d] = %v vs %v (must be bit-identical)", trial, i, xa[i], xb[i])
+					}
+				}
+				if orig.pivots != restored.pivots {
+					t.Fatalf("trial %d: pivot counts diverge: %d vs %d", trial, orig.pivots, restored.pivots)
+				}
+			}
+		}
+	})
 }
 
 // legacyInstanceState is the pre-sparse-LU snapshot layout (no Mode field,
@@ -141,88 +134,163 @@ type legacyInstanceState struct {
 	Pivots int64
 }
 
-// TestInstanceDecodeLegacySnapshot pins the documented compatibility
-// choice: a snapshot written before the sparse kernel (no Mode field)
-// restores onto the retained dense product-form path and replays the
-// writer's exact arithmetic — it is not rejected and not converted.
+// legacyPayload encodes in's state in the pre-sparse layout, with binv as
+// the stored dense inverse.
+func legacyPayload(t *testing.T, in *Instance, binv []float64, ident bool) []byte {
+	t.Helper()
+	legacy := legacyInstanceState{
+		M: in.m, NStruct: in.nStruct, Maximize: in.maximize,
+		Cmin: in.cmin, B: in.b, Senses: in.senses,
+		BaseLo: in.baseLo, BaseHi: in.baseHi,
+		ColPtr: in.colPtr, ColRow: in.colRow, ColVal: in.colVal,
+		RowPtr: in.rowPtr, RowCol: in.rowCol, RowVal: in.rowVal,
+		Lo: in.lo, Hi: in.hi,
+		Basis: in.basis, Vstat: in.vstat,
+		Binv: binv, BinvIdent: ident,
+		XB: in.xB, Ready: in.ready,
+		D: in.d, DExact: in.dExact,
+		Pivots: in.pivots,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// basisInverse returns in's basis inverse as the row-major m×m matrix a
+// pre-sparse writer stored: column r of B⁻¹ is B⁻¹·e_r.
+func basisInverse(in *Instance) []float64 {
+	m := in.m
+	binv := make([]float64, m*m)
+	col := make([]float64, m)
+	for r := 0; r < m; r++ {
+		clear(col)
+		col[r] = 1
+		in.fac.ftran(col)
+		for i := 0; i < m; i++ {
+			binv[i*m+r] = col[i]
+		}
+	}
+	return binv
+}
+
+// checkLegacyResolve refreshes the restored instance with q and requires
+// the status of a cold solve of q and an objective within 1e-9 relative.
+func checkLegacyResolve(t *testing.T, name string, restored *Instance, q Problem) {
+	t.Helper()
+	cold, err := Solve(q)
+	if err != nil {
+		t.Fatalf("%s: cold solve: %v", name, err)
+	}
+	if !restored.Refresh(q) {
+		t.Fatalf("%s: refresh failed", name)
+	}
+	st, err := restored.SolveCurrent()
+	if err != nil {
+		t.Fatalf("%s: restored solve: %v", name, err)
+	}
+	if st != cold.Status {
+		t.Fatalf("%s: restored status %v, cold %v", name, st, cold.Status)
+	}
+	if st == Optimal {
+		got := restored.ObjectiveValue()
+		if math.Abs(got-cold.Objective) > 1e-9*math.Max(1, math.Abs(cold.Objective)) {
+			t.Fatalf("%s: restored objective %.12g, cold %.12g", name, got, cold.Objective)
+		}
+	}
+	// The restored instance writes the current format and reads it back.
+	raw, err := restored.GobEncode()
+	if err != nil {
+		t.Fatalf("%s: re-encode: %v", name, err)
+	}
+	if err := new(Instance).GobDecode(raw); err != nil {
+		t.Fatalf("%s: re-encoded snapshot rejected: %v", name, err)
+	}
+}
+
+// TestInstanceDecodeLegacySnapshot pins the compatibility policy for
+// snapshots written before the sparse kernel (no Mode field, dense inverse
+// only): they restore by refactorizing the saved basis into a sparse LU, or
+// onto the all-slack crash basis when that basis is singular, and then
+// re-solve to the same status and objective as a cold solve.
 func TestInstanceDecodeLegacySnapshot(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	for trial := 0; trial < 20; trial++ {
 		p := randomStateProblem(rng)
-		orig, err := NewInstanceDense(p)
+		orig, err := NewInstance(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := orig.SolveCurrent(); err != nil {
 			t.Fatal(err)
 		}
-		df := orig.fac.(*denseFactor)
-		legacy := legacyInstanceState{
-			M: orig.m, NStruct: orig.nStruct, Maximize: orig.maximize,
-			Cmin: orig.cmin, B: orig.b, Senses: orig.senses,
-			BaseLo: orig.baseLo, BaseHi: orig.baseHi,
-			ColPtr: orig.colPtr, ColRow: orig.colRow, ColVal: orig.colVal,
-			RowPtr: orig.rowPtr, RowCol: orig.rowCol, RowVal: orig.rowVal,
-			Lo: orig.lo, Hi: orig.hi,
-			Basis: orig.basis, Vstat: orig.vstat,
-			Binv: df.binv, BinvIdent: df.ident,
-			XB: orig.xB, Ready: orig.ready,
-			D: orig.d, DExact: orig.dExact,
-			Pivots: orig.pivots,
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-			t.Fatal(err)
-		}
+		raw := legacyPayload(t, orig, basisInverse(orig), orig.fac.trivial && orig.fac.etaLen() == 0)
 		restored := new(Instance)
-		if err := restored.GobDecode(buf.Bytes()); err != nil {
+		if err := restored.GobDecode(raw); err != nil {
 			t.Fatalf("trial %d: legacy snapshot rejected: %v", trial, err)
 		}
-		if !restored.DenseBasis() {
-			t.Fatalf("trial %d: legacy snapshot restored onto non-dense basis", trial)
+		if !reflect.DeepEqual(orig.basis, restored.basis) || !reflect.DeepEqual(orig.vstat, restored.vstat) {
+			t.Fatalf("trial %d: nonsingular legacy basis not kept", trial)
 		}
-		rf := restored.fac.(*denseFactor)
-		if !reflect.DeepEqual(df.binv, rf.binv) || df.ident != rf.ident {
-			t.Fatalf("trial %d: dense inverse differs after legacy restore", trial)
+		if restored.EtaChainLen() != 0 {
+			t.Fatalf("trial %d: legacy restore left an eta chain of %d", trial, restored.EtaChainLen())
 		}
 
-		// The restored instance replays the writer's pivot path exactly.
 		q := p
 		q.Objective = append([]float64(nil), p.Objective...)
 		for i := range q.Objective {
 			q.Objective[i] *= 0.9
 		}
-		if !orig.Refresh(q) || !restored.Refresh(q) {
-			t.Fatalf("trial %d: refresh failed", trial)
-		}
-		stA, errA := orig.SolveCurrent()
-		stB, errB := restored.SolveCurrent()
-		if (errA == nil) != (errB == nil) || stA != stB {
-			t.Fatalf("trial %d: statuses diverge: %v/%v vs %v/%v", trial, stA, errA, stB, errB)
-		}
-		if stA == Optimal {
-			xa := orig.Values(nil)
-			xb := restored.Values(nil)
-			for i := range xa {
-				if xa[i] != xb[i] {
-					t.Fatalf("trial %d: x[%d] = %v vs %v (must be bit-identical)", trial, i, xa[i], xb[i])
-				}
-			}
-			if orig.pivots != restored.pivots {
-				t.Fatalf("trial %d: pivot counts diverge: %d vs %d", trial, orig.pivots, restored.pivots)
-			}
-		}
+		checkLegacyResolve(t, fmt.Sprintf("trial %d", trial), restored, q)
 	}
+
+	// Columns 0 and 1 are equal, so a saved basis holding both is singular:
+	// the decoder must fall back to the all-slack crash basis.
+	p := Problem{
+		NumVars:   3,
+		Objective: []float64{1, 2, 1.5},
+		Upper:     []float64{10, 10, 10},
+		Constraints: []Constraint{
+			{Coeffs: []float64{1, 1, 1}, Sense: LE, RHS: 4},
+			{Coeffs: []float64{1, 1, 0}, Sense: GE, RHS: 1},
+			{Coeffs: []float64{0, 0, 1}, Sense: GE, RHS: 0.5},
+		},
+	}
+	orig, err := NewInstance(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := orig.nStruct
+	orig.basis = []int32{0, 1, int32(ns + 2)}
+	orig.vstat = []int8{vsBasic, vsBasic, vsLower, vsLower, vsUpper, vsBasic}
+	orig.ready = true
+	restored := new(Instance)
+	if err := restored.GobDecode(legacyPayload(t, orig, make([]float64, 9), false)); err != nil {
+		t.Fatalf("singular legacy snapshot rejected: %v", err)
+	}
+	if want := []int32{int32(ns), int32(ns + 1), int32(ns + 2)}; !reflect.DeepEqual(restored.basis, want) {
+		t.Fatalf("singular legacy basis restored as %v, want crash basis %v", restored.basis, want)
+	}
+	checkLegacyResolve(t, "singular", restored, p)
 }
 
 // TestInstanceDecodeRejectsCorrupt checks that truncated or inconsistent
-// snapshots fail loudly instead of producing a silently wrong solver.
+// snapshots fail loudly instead of producing a silently wrong solver or
+// one that panics on its next solve.
 func TestInstanceDecodeRejectsCorrupt(t *testing.T) {
 	p := Problem{
-		NumVars:   2,
-		Objective: []float64{1, 1},
+		NumVars:   4,
+		Objective: []float64{-1, -2, -1, -3},
+		Upper:     []float64{5, 5, 5, 5},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: LE, RHS: 4},
+			{Coeffs: []float64{1, 1, 0, 0}, Sense: LE, RHS: 4},
+			{Coeffs: []float64{0, 1, 1, 0}, Sense: LE, RHS: 5},
+			{Coeffs: []float64{0, 0, 1, 1}, Sense: LE, RHS: 3},
+			{Coeffs: []float64{1, 0, 0, 1}, Sense: LE, RHS: 6},
+			{Coeffs: []float64{1, 1, 1, 1}, Sense: GE, RHS: 1},
+			{Coeffs: []float64{2, 0, 1, 0}, Sense: LE, RHS: 7},
+			{Coeffs: []float64{0, 3, 0, 1}, Sense: EQ, RHS: 6},
 		},
 	}
 	inst, err := NewInstance(p)
@@ -240,11 +308,11 @@ func TestInstanceDecodeRejectsCorrupt(t *testing.T) {
 		t.Error("garbage payload should fail to decode")
 	}
 
-	// Internally inconsistent sparse payloads are rejected by validation.
+	// Internally inconsistent payloads are rejected by validation.
+	if _, err := inst.SolveCurrent(); err != nil {
+		t.Fatal(err)
+	}
 	encode := func(mutate func(*instanceState)) []byte {
-		if _, err := inst.SolveCurrent(); err != nil {
-			t.Fatal(err)
-		}
 		good, err := inst.GobEncode()
 		if err != nil {
 			t.Fatal(err)
@@ -260,6 +328,9 @@ func TestInstanceDecodeRejectsCorrupt(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	if err := new(Instance).GobDecode(encode(func(*instanceState) {})); err != nil {
+		t.Fatalf("unmutated payload rejected: %v", err)
+	}
 	for _, c := range []struct {
 		name   string
 		mutate func(*instanceState)
@@ -271,9 +342,28 @@ func TestInstanceDecodeRejectsCorrupt(t *testing.T) {
 			st.EtaRow = append(st.EtaRow, 0)
 			st.EtaPiv = append(st.EtaPiv, 1)
 		}},
+		{"eta ptr nonzero start", func(st *instanceState) { st.EtaPtr[0] = 1 }},
+		{"basis above range", func(st *instanceState) { st.Basis[0] = 1007 }},
+		{"negative basis", func(st *instanceState) { st.Basis[0] = -5 }},
+		{"legacy basis above range", func(st *instanceState) { st.Mode = modeLegacy; st.Basis[0] = 1007 }},
+		{"repeated basis", func(st *instanceState) { st.Basis[1] = st.Basis[0] }},
+		{"basic var marked nonbasic", func(st *instanceState) { st.Vstat[st.Basis[0]] = vsLower }},
+		{"vstat above enum", func(st *instanceState) { st.Vstat[0] = vsBasic + 1 }},
+		{"negative vstat", func(st *instanceState) { st.Vstat[0] = -1 }},
+		{"unknown sense", func(st *instanceState) { st.Senses[0] = 7 }},
+		{"colPtr decreases", func(st *instanceState) { st.ColPtr[1] = st.ColPtr[len(st.ColPtr)-1] + 1 }},
+		{"colPtr short of colRow", func(st *instanceState) { st.ColPtr[len(st.ColPtr)-1]-- }},
+		{"colPtr nonzero start", func(st *instanceState) { st.ColPtr[0] = -1 }},
+		{"rowPtr decreases", func(st *instanceState) { st.RowPtr[1] = st.RowPtr[len(st.RowPtr)-1] + 1 }},
+		{"rowPtr past rowCol", func(st *instanceState) { st.RowPtr[len(st.RowPtr)-1]++ }},
+		{"colVal short", func(st *instanceState) { st.ColVal = st.ColVal[:len(st.ColVal)-1] }},
+		{"colRow out of range", func(st *instanceState) { st.ColRow[0] = int32(st.M) }},
+		{"negative colRow", func(st *instanceState) { st.ColRow[0] = -1 }},
+		{"rowCol out of range", func(st *instanceState) { st.RowCol[0] = int32(st.NStruct) }},
+		{"negative rowCol", func(st *instanceState) { st.RowCol[0] = -1 }},
 	} {
 		if err := new(Instance).GobDecode(encode(c.mutate)); err == nil {
-			t.Errorf("%s: corrupt sparse payload should fail to decode", c.name)
+			t.Errorf("%s: corrupt payload should fail to decode", c.name)
 		}
 	}
 }

@@ -103,14 +103,14 @@ func BenchmarkMIPSolveWarmState(b *testing.B) {
 	}
 }
 
-// BenchmarkMIPSolveReference runs the legacy row-branching stack on the same
-// problem for a like-for-like comparison.
+// BenchmarkMIPSolveReference runs the row-branching reference oracle
+// (reference_test.go) on the same problem for a like-for-like comparison.
 func BenchmarkMIPSolveReference(b *testing.B) {
 	p := benchMIP(24, 6, 30, 17)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := Solve(p, Options{MaxNodes: 2000, Reference: true})
+		sol, err := solveReference(p, Options{MaxNodes: 2000})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -103,7 +103,7 @@ func TestTruncatedSearchKeepsIncumbent(t *testing.T) {
 func TestSolveRelaxationRounded(t *testing.T) {
 	// The knapsack relaxation is fractional; rounding b down keeps the
 	// repair feasible: a=1, b rounds from fractional, c=1.
-	sol, err := SolveRelaxationRounded(knapsackProblem(), Options{})
+	sol, err := SolveRelaxationRounded(knapsackProblem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestSolveRelaxationRounded(t *testing.T) {
 		t.Fatalf("repair violates knapsack row: %v > 3", got)
 	}
 
-	// Reference path agrees on feasibility.
-	ref, err := SolveRelaxationRounded(knapsackProblem(), Options{Reference: true})
+	// The reference oracle's repair agrees on feasibility.
+	ref, err := repairReference(knapsackProblem(), knapsackProblem().Integer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSolveRelaxationRoundedInfeasibleRounding(t *testing.T) {
 		},
 		Integer: []bool{true, true},
 	}
-	sol, err := SolveRelaxationRounded(p, Options{})
+	sol, err := SolveRelaxationRounded(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,9 +62,10 @@ func randomMIP(rng *rand.Rand) Problem {
 	return p
 }
 
-// TestDifferentialMIP compares the bounds-branching warm-started solver
-// against the legacy row-branching reference across random MIPs: statuses
-// must agree exactly and proven objectives within 1e-6.
+// TestDifferentialMIP compares the bounds-branching warm-started solver,
+// serial and parallel, against the row-branching reference oracle across
+// random MIPs: statuses must agree exactly and proven objectives within
+// 1e-6.
 func TestDifferentialMIP(t *testing.T) {
 	iters := 1500
 	if testing.Short() {
@@ -73,19 +74,18 @@ func TestDifferentialMIP(t *testing.T) {
 	for s := 0; s < iters; s++ {
 		rng := rand.New(rand.NewSource(int64(3_000_000 + s)))
 		p := randomMIP(rng)
-		ref, errRef := Solve(p, Options{Reference: true})
+		ref, errRef := solveReference(p, Options{})
 		got, errGot := Solve(p, Options{})
-		den, errDen := Solve(p, Options{DenseBasis: true})
 		par, errPar := Solve(p, Options{Workers: 2})
-		if (errRef != nil) != (errGot != nil) || (errRef != nil) != (errDen != nil) || (errRef != nil) != (errPar != nil) {
-			t.Fatalf("seed %d: error mismatch: reference %v, sparse %v, dense %v, parallel %v", s, errRef, errGot, errDen, errPar)
+		if (errRef != nil) != (errGot != nil) || (errRef != nil) != (errPar != nil) {
+			t.Fatalf("seed %d: error mismatch: reference %v, serial %v, parallel %v", s, errRef, errGot, errPar)
 		}
 		if errRef != nil {
 			continue
 		}
-		if ref.Status != got.Status || ref.Status != den.Status || ref.Status != par.Status {
-			t.Fatalf("seed %d: status mismatch: reference %v, sparse %v, dense %v, parallel %v\nproblem: %+v",
-				s, ref.Status, got.Status, den.Status, par.Status, p)
+		if ref.Status != got.Status || ref.Status != par.Status {
+			t.Fatalf("seed %d: status mismatch: reference %v, serial %v, parallel %v\nproblem: %+v",
+				s, ref.Status, got.Status, par.Status, p)
 		}
 		if ref.Status != lp.Optimal || !ref.Proven || !got.Proven {
 			continue
@@ -93,9 +93,6 @@ func TestDifferentialMIP(t *testing.T) {
 		if math.Abs(ref.Objective-got.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
 			t.Fatalf("seed %d: objective mismatch: reference %.9g (%d nodes), revised %.9g (%d nodes)\nref x=%v\ngot x=%v\nproblem: %+v",
 				s, ref.Objective, ref.Nodes, got.Objective, got.Nodes, ref.X, got.X, p)
-		}
-		if den.Proven && math.Abs(ref.Objective-den.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
-			t.Fatalf("seed %d: objective mismatch: reference %.9g, dense %.9g\nproblem: %+v", s, ref.Objective, den.Objective, p)
 		}
 		if par.Proven && math.Abs(ref.Objective-par.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
 			t.Fatalf("seed %d: objective mismatch: reference %.9g, parallel %.9g\nproblem: %+v", s, ref.Objective, par.Objective, p)

@@ -2,6 +2,7 @@ package mip
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/vbcloud/vb/internal/lp"
@@ -9,8 +10,8 @@ import (
 
 // fleetRegimes are the benchmark sizes: the paper's toy regime scaled to
 // the modular-fleet north star. The 200x20000 point is the acceptance
-// regime for the sparse-LU kernel (>= 5x ns/solve vs the dense baseline,
-// sub-quadratic memory).
+// regime for the sparse-LU kernel, whose memory must stay sub-quadratic in
+// the row count.
 var fleetRegimes = []FleetConfig{
 	{Sites: 20, Apps: 1000, Seed: 1},
 	{Sites: 50, Apps: 5000, Seed: 1},
@@ -18,44 +19,37 @@ var fleetRegimes = []FleetConfig{
 }
 
 // BenchmarkFleetPlan solves one full fleet planning MIP per iteration on a
-// fresh instance (cold compile + solve), in both basis representations.
-// A fresh instance per iteration makes B/op reflect the basis memory: the
-// dense path must allocate its m×m inverse every time, the sparse path
-// only the LU nonzeros.
+// fresh instance (cold compile + solve). A fresh instance per iteration
+// makes B/op reflect the basis memory: the sparse LU's nonzeros, where an
+// explicit m×m inverse would grow with the square of the row count. The
+// "/sparse" suffix is kept so recorded results (BENCH_8.json onward) and
+// CI's B/op ceiling on the largest regime keep matching by name.
 func BenchmarkFleetPlan(b *testing.B) {
 	for _, cfg := range fleetRegimes {
 		p := FleetProblem(cfg)
 		m := len(p.Constraints)
-		for _, mode := range []struct {
-			name  string
-			dense bool
-		}{
-			{"sparse", false},
-			{"dense", true},
-		} {
-			b.Run(fmt.Sprintf("sites=%d/apps=%d/%s", cfg.Sites, cfg.Apps, mode.name), func(b *testing.B) {
-				var nodes, pivots, refactors int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sol, err := Solve(p, Options{MaxNodes: 50, DenseBasis: mode.dense})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if sol.Status != lp.Optimal {
-						b.Fatalf("status %v", sol.Status)
-					}
-					nodes += int64(sol.Nodes)
-					pivots += sol.Pivots
-					refactors += sol.Refactors
+		b.Run(fmt.Sprintf("sites=%d/apps=%d/sparse", cfg.Sites, cfg.Apps), func(b *testing.B) {
+			var nodes, pivots, refactors int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sol, err := Solve(p, Options{MaxNodes: 50})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(m), "rows")
-				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-				b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-				b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
-			})
-		}
+				if sol.Status != lp.Optimal {
+					b.Fatalf("status %v", sol.Status)
+				}
+				nodes += int64(sol.Nodes)
+				pivots += sol.Pivots
+				refactors += sol.Refactors
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(m), "rows")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+			b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
+		})
 	}
 }
 
@@ -89,8 +83,8 @@ func BenchmarkFleetReplan(b *testing.B) {
 }
 
 // TestFleetProblemSolvable pins the generator contract the benchmarks rely
-// on: every regime compiles, is feasible, and both basis representations
-// agree on the incumbent objective.
+// on: every regime compiles and is feasible, and the incumbent the solver
+// returns is integral and satisfies every bound and row.
 func TestFleetProblemSolvable(t *testing.T) {
 	for _, cfg := range []FleetConfig{
 		{Sites: 4, Apps: 100, Seed: 3},
@@ -101,27 +95,32 @@ func TestFleetProblemSolvable(t *testing.T) {
 		if err := p.Problem.Validate(); err != nil {
 			t.Fatalf("sites=%d apps=%d: invalid problem: %v", cfg.Sites, cfg.Apps, err)
 		}
-		sparse, err := Solve(p, Options{MaxNodes: 50})
+		sol, err := Solve(p, Options{MaxNodes: 50})
 		if err != nil {
-			t.Fatalf("sites=%d apps=%d: sparse: %v", cfg.Sites, cfg.Apps, err)
+			t.Fatalf("sites=%d apps=%d: %v", cfg.Sites, cfg.Apps, err)
 		}
-		if sparse.Status != lp.Optimal {
-			t.Fatalf("sites=%d apps=%d: sparse status %v", cfg.Sites, cfg.Apps, sparse.Status)
+		if sol.Status != lp.Optimal {
+			t.Fatalf("sites=%d apps=%d: status %v", cfg.Sites, cfg.Apps, sol.Status)
 		}
-		dense, err := Solve(p, Options{MaxNodes: 50, DenseBasis: true})
-		if err != nil {
-			t.Fatalf("sites=%d apps=%d: dense: %v", cfg.Sites, cfg.Apps, err)
+		const tol = 1e-6
+		for j, x := range sol.X {
+			if j < len(p.Integer) && p.Integer[j] && x != math.Round(x) {
+				t.Fatalf("sites=%d apps=%d: x[%d]=%v not integral", cfg.Sites, cfg.Apps, j, x)
+			}
+			if x < p.LowerOf(j)-tol || x > p.UpperOf(j)+tol {
+				t.Fatalf("sites=%d apps=%d: x[%d]=%v outside [%g,%g]", cfg.Sites, cfg.Apps, j, x, p.LowerOf(j), p.UpperOf(j))
+			}
 		}
-		if dense.Status != lp.Optimal {
-			t.Fatalf("sites=%d apps=%d: dense status %v", cfg.Sites, cfg.Apps, dense.Status)
-		}
-		diff := sparse.Objective - dense.Objective
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-5*(1+sparse.Objective) {
-			t.Fatalf("sites=%d apps=%d: objectives diverge: sparse %.9g dense %.9g",
-				cfg.Sites, cfg.Apps, sparse.Objective, dense.Objective)
+		for i, c := range p.Constraints {
+			lhs := 0.0
+			for j, v := range c.Coeffs {
+				lhs += v * sol.X[j]
+			}
+			scale := tol * (1 + math.Abs(c.RHS))
+			if (c.Sense == lp.LE && lhs > c.RHS+scale) || (c.Sense == lp.GE && lhs < c.RHS-scale) ||
+				(c.Sense == lp.EQ && math.Abs(lhs-c.RHS) > scale) {
+				t.Fatalf("sites=%d apps=%d: row %d violated: %v %v %v", cfg.Sites, cfg.Apps, i, lhs, c.Sense, c.RHS)
+			}
 		}
 	}
 }

@@ -48,31 +48,22 @@ type Options struct {
 	// the root LP warm-starts from the previous optimal basis; otherwise
 	// the instance is recompiled and the state updated.
 	Warm *WarmState
-	// Reference switches to the legacy solver stack (row-appending branch
-	// and bound over the dense Bland tableau in lp.SolveReference). It
-	// exists as the oracle side of differential tests.
-	Reference bool
 	// Workers >= 1 evaluates open nodes concurrently on internal/par with
 	// that many workers. Results are selected deterministically (nodes are
 	// processed in strict (bound, id) order regardless of which worker
 	// finishes first), so the solution is bit-identical for any worker
-	// count >= 1. Workers = 0 keeps the legacy serial loop.
+	// count >= 1. Workers = 0 solves every node in turn on the carried
+	// instance.
 	Workers int
-	// DenseBasis compiles node LPs with the legacy dense product-form basis
-	// inverse instead of the sparse LU. It exists for differential tests and
-	// the fleet-scale baseline benchmarks.
-	DenseBasis bool
 	// Deadline, when positive, bounds the solve's wall-clock time. When it
 	// expires the search stops at the next interrupt poll and returns the
 	// best incumbent found with DeadlineExceeded set — never an error. A
 	// wall-clock deadline is inherently nondeterministic; callers needing
 	// bit-identical truncation should derate MaxNodes instead (the
-	// scheduler's solver-slowdown fault does exactly that). Ignored on the
-	// Reference path.
+	// scheduler's solver-slowdown fault does exactly that).
 	Deadline time.Duration
 	// Ctx, when non-nil, cancels the solve: cancellation behaves like an
-	// expired Deadline (incumbent returned, DeadlineExceeded set). Ignored
-	// on the Reference path.
+	// expired Deadline (incumbent returned, DeadlineExceeded set).
 	Ctx context.Context
 }
 
@@ -98,8 +89,9 @@ type Solution struct {
 	Pivots int64
 	// Refactors is the total basis refactorizations across all node solves.
 	Refactors int64
-	// EtaChainLen is the factorization's eta-chain length after the final
-	// node solve (0 on the dense or reference paths).
+	// EtaChainLen is the eta-chain length of the carried instance's basis
+	// factorization when the search ends (the final node solve's on the
+	// serial path, the root's with Workers >= 1).
 	EtaChainLen int
 	// WarmHit is true when a WarmState basis was reused for the root solve.
 	WarmHit bool
@@ -190,17 +182,22 @@ func (q *nodeQueue) Pop() interface{} {
 	return it
 }
 
-// Solve runs branch and bound. The base problem is validated once here;
+// validate checks the base problem. Solve validates once, at the root;
 // node subproblems only tighten bounds and need no re-validation.
-func Solve(p Problem, opt Options) (Solution, error) {
+func validate(p Problem) error {
 	if err := p.Problem.Validate(); err != nil {
-		return Solution{}, err
+		return err
 	}
 	if len(p.Integer) > p.NumVars {
-		return Solution{}, fmt.Errorf("mip: %d integrality flags for %d vars", len(p.Integer), p.NumVars)
+		return fmt.Errorf("mip: %d integrality flags for %d vars", len(p.Integer), p.NumVars)
 	}
-	if opt.Reference {
-		return solveReference(p, opt)
+	return nil
+}
+
+// Solve runs branch and bound.
+func Solve(p Problem, opt Options) (Solution, error) {
+	if err := validate(p); err != nil {
+		return Solution{}, err
 	}
 	maxNodes := opt.MaxNodes
 	if maxNodes <= 0 {
@@ -211,18 +208,12 @@ func Solve(p Problem, opt Options) (Solution, error) {
 	// are handled in minimization sense via minSense.
 	var inst *lp.Instance
 	warmHit := false
-	if opt.Warm != nil && opt.Warm.inst != nil &&
-		opt.Warm.inst.DenseBasis() == opt.DenseBasis &&
-		opt.Warm.inst.Refresh(p.Problem) {
+	if opt.Warm != nil && opt.Warm.inst != nil && opt.Warm.inst.Refresh(p.Problem) {
 		inst = opt.Warm.inst
 		warmHit = true
 	} else {
 		var err error
-		if opt.DenseBasis {
-			inst, err = lp.NewInstanceDense(p.Problem)
-		} else {
-			inst, err = lp.NewInstance(p.Problem)
-		}
+		inst, err = lp.NewInstance(p.Problem)
 		if err != nil {
 			return Solution{}, err
 		}
@@ -236,8 +227,6 @@ func Solve(p Problem, opt Options) (Solution, error) {
 		}
 		return v
 	}
-	startPivots := inst.Pivots()
-	startRefactors := inst.Refactors()
 
 	// Arm the deadline/cancellation hook on the carried instance; clones
 	// (parallel workers) inherit it. Cleared before returning so a warm
@@ -251,11 +240,89 @@ func Solve(p Problem, opt Options) (Solution, error) {
 	integer := make([]bool, p.NumVars)
 	copy(integer, p.Integer)
 
+	var ev evaluator
 	if opt.Workers >= 1 {
-		return solveParallel(p, opt, inst, warmHit, maxNodes, integer, minSense, intr)
+		ev = newParallelEval(inst, opt.Workers, minSense)
+	} else {
+		ev = &serialEval{inst: inst, minSense: minSense}
 	}
+	res, err := branchAndBound(ev, integer, maxNodes, opt.Gap, intr)
+	if err != nil {
+		return Solution{}, err
+	}
+	res.WarmHit = warmHit
+	res.EtaChainLen = inst.EtaChainLen()
+	// Leave the instance at the root relaxation bounds so a warm successor
+	// refreshes against the unbranched problem.
+	inst.ResetBounds()
+	return finish(res, p), nil
+}
 
-	res := Solution{Status: lp.Infeasible, Objective: math.Inf(1), WarmHit: warmHit}
+// nodeResult is the outcome of one node relaxation solve.
+type nodeResult struct {
+	err       error
+	st        lp.Status
+	obj       float64   // minimization sense
+	x         []float64 // relaxation solution
+	pivots    int64
+	refactors int64
+}
+
+// evaluator solves node relaxations for branchAndBound, which calls eval
+// once per processed node, strictly in (bound, id) pop order. q holds the
+// still-open nodes and incumbent the best objective so far; an evaluator
+// may look ahead in q but must leave its pop order unchanged.
+type evaluator interface {
+	eval(nd *node, q *nodeQueue, incumbent float64) *nodeResult
+}
+
+// solveNode applies a node's bound changes to w on top of the root bounds,
+// solves the relaxation, and records the outcome in r. The solution reuses
+// r.x's storage; r.obj and r.x are meaningful only when r.st is Optimal.
+func solveNode(w *lp.Instance, changes []bchange, minSense func(float64) float64, r *nodeResult) {
+	w.ResetBounds()
+	for _, c := range changes {
+		lo, hi := w.Bounds(int(c.v))
+		if c.upper {
+			if c.val < hi {
+				hi = c.val
+			}
+		} else {
+			if c.val > lo {
+				lo = c.val
+			}
+		}
+		w.SetBound(int(c.v), lo, hi)
+	}
+	p0, r0 := w.Pivots(), w.Refactors()
+	r.st, r.err = w.SolveCurrent()
+	r.pivots, r.refactors = w.Pivots()-p0, w.Refactors()-r0
+	if r.err == nil && r.st == lp.Optimal {
+		r.obj = minSense(w.ObjectiveValue())
+		r.x = w.Values(r.x)
+	}
+}
+
+// serialEval solves every node in turn on the carried instance, so each
+// node warm-starts from the basis the previous node left behind, and
+// reuses one result and solution buffer.
+type serialEval struct {
+	inst     *lp.Instance
+	minSense func(float64) float64
+	r        nodeResult
+}
+
+func (e *serialEval) eval(nd *node, _ *nodeQueue, _ float64) *nodeResult {
+	solveNode(e.inst, nd.changes, e.minSense, &e.r)
+	return &e.r
+}
+
+// branchAndBound runs the best-first search shared by the serial and
+// parallel paths: pop, prune, evaluate, and then either record an
+// incumbent or branch on the most fractional integer variable. Objectives
+// are in minimization sense; the caller converts them back.
+func branchAndBound(ev evaluator, integer []bool, maxNodes int, gap float64, intr *interrupter) (Solution, error) {
+	res := Solution{Status: lp.Infeasible, Objective: math.Inf(1)}
 	incumbent := math.Inf(1)
 	var bestX []float64
 
@@ -263,7 +330,6 @@ func Solve(p Problem, opt Options) (Solution, error) {
 	heap.Push(q, &node{bound: math.Inf(-1)})
 	nextID := int64(1)
 	sawUnbounded := false
-	var xScratch []float64
 
 	for q.Len() > 0 && res.Nodes < maxNodes {
 		if intr.check() {
@@ -278,35 +344,24 @@ func Solve(p Problem, opt Options) (Solution, error) {
 			res.Proven = true
 			break
 		}
-		if opt.Gap > 0 && !math.IsInf(incumbent, 1) && relGap(incumbent, nd.bound) <= opt.Gap {
+		if gap > 0 && !math.IsInf(incumbent, 1) && relGap(incumbent, nd.bound) <= gap {
 			res.Proven = true
 			break
 		}
 		res.Nodes++
 
-		inst.ResetBounds()
-		for _, c := range nd.changes {
-			lo, hi := inst.Bounds(int(c.v))
-			if c.upper {
-				if c.val < hi {
-					hi = c.val
-				}
-			} else {
-				if c.val > lo {
-					lo = c.val
-				}
-			}
-			inst.SetBound(int(c.v), lo, hi)
-		}
-		st, err := inst.SolveCurrent()
-		if errors.Is(err, lp.ErrInterrupted) {
+		r := ev.eval(nd, q, incumbent)
+		// A node the deadline cuts short still counts the work it did.
+		res.Pivots += r.pivots
+		res.Refactors += r.refactors
+		if errors.Is(r.err, lp.ErrInterrupted) {
 			res.DeadlineExceeded = true
 			break
 		}
-		if err != nil {
-			return Solution{}, err
+		if r.err != nil {
+			return Solution{}, r.err
 		}
-		switch st {
+		switch r.st {
 		case lp.Infeasible:
 			continue
 		case lp.Unbounded:
@@ -317,19 +372,17 @@ func Solve(p Problem, opt Options) (Solution, error) {
 			sawUnbounded = true
 			continue
 		}
-		obj := minSense(inst.ObjectiveValue())
-		if obj >= incumbent-intTol {
+		if r.obj >= incumbent-intTol {
 			continue
 		}
-		xScratch = inst.Values(xScratch)
 		// Find the most fractional integer variable.
 		branchVar := -1
 		worst := intTol
-		for i := 0; i < p.NumVars; i++ {
-			if !integer[i] {
+		for i, isInt := range integer {
+			if !isInt {
 				continue
 			}
-			frac := math.Abs(xScratch[i] - math.Round(xScratch[i]))
+			frac := math.Abs(r.x[i] - math.Round(r.x[i]))
 			if frac > worst {
 				worst = frac
 				branchVar = i
@@ -337,29 +390,26 @@ func Solve(p Problem, opt Options) (Solution, error) {
 		}
 		if branchVar < 0 {
 			// Integer feasible: new incumbent.
-			incumbent = obj
+			incumbent = r.obj
 			res.Status = lp.Optimal
-			bestX = append(bestX[:0], xScratch...)
-			res.Objective = obj
-			if opt.Gap > 0 && q.Len() > 0 {
-				best := (*q)[0].bound
-				if relGap(incumbent, best) <= opt.Gap {
-					res.Proven = true
-					break
-				}
+			bestX = append(bestX[:0], r.x...)
+			res.Objective = r.obj
+			if gap > 0 && q.Len() > 0 && relGap(incumbent, (*q)[0].bound) <= gap {
+				res.Proven = true
+				break
 			}
 			continue
 		}
 		// Branch by bound tightening. The parent's change list is the
 		// shared prefix; the full-capacity append goes to the left child
 		// and the right child reallocates, so siblings never alias.
-		v := xScratch[branchVar]
+		v := r.x[branchVar]
 		left := append(nd.changes[:len(nd.changes):len(nd.changes)],
 			bchange{v: int32(branchVar), upper: true, val: math.Floor(v)})
 		right := append(nd.changes[:len(nd.changes):len(nd.changes)],
 			bchange{v: int32(branchVar), upper: false, val: math.Ceil(v)})
-		heap.Push(q, &node{bound: obj, id: nextID, changes: left})
-		heap.Push(q, &node{bound: obj, id: nextID + 1, changes: right})
+		heap.Push(q, &node{bound: r.obj, id: nextID, changes: left})
+		heap.Push(q, &node{bound: r.obj, id: nextID + 1, changes: right})
 		nextID += 2
 	}
 	if q.Len() == 0 && !res.DeadlineExceeded {
@@ -372,148 +422,7 @@ func Solve(p Problem, opt Options) (Solution, error) {
 		res.Status = lp.Unbounded
 		res.Proven = false
 	}
-	res.Pivots = inst.Pivots() - startPivots
-	res.Refactors = inst.Refactors() - startRefactors
-	res.EtaChainLen = inst.EtaChainLen()
-	// Leave the instance at the root relaxation bounds so a warm successor
-	// refreshes against the unbranched problem.
-	inst.ResetBounds()
-	return finish(res, p), nil
-}
-
-// solveReference is the legacy branch and bound: each branching decision
-// appends a constraint row and every node re-solves cold with the dense
-// Bland-rule reference simplex. Kept as the differential-test oracle.
-func solveReference(p Problem, opt Options) (Solution, error) {
-	maxNodes := opt.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 200000
-	}
-
-	// Work in minimization sense internally.
-	base := p.Problem
-	if base.Maximize {
-		neg := make([]float64, len(base.Objective))
-		for i, c := range base.Objective {
-			neg[i] = -c
-		}
-		base.Objective = neg
-		base.Maximize = false
-	}
-
-	integer := make([]bool, p.NumVars)
-	copy(integer, p.Integer)
-
-	res := Solution{Status: lp.Infeasible, Objective: math.Inf(1)}
-	incumbent := math.Inf(1)
-
-	q := &refQueue{}
-	heap.Push(q, &refNode{bound: math.Inf(-1)})
-	nextID := int64(1)
-	sawUnbounded := false
-
-	for q.Len() > 0 && res.Nodes < maxNodes {
-		nd := heap.Pop(q).(*refNode)
-		if nd.bound >= incumbent-intTol {
-			res.Proven = true
-			break
-		}
-		if opt.Gap > 0 && !math.IsInf(incumbent, 1) && relGap(incumbent, nd.bound) <= opt.Gap {
-			res.Proven = true
-			break
-		}
-		res.Nodes++
-
-		sub := base
-		sub.Constraints = append(append([]lp.Constraint(nil), base.Constraints...), nd.extras...)
-		sol, err := lp.SolveReference(sub)
-		if err != nil {
-			return Solution{}, err
-		}
-		res.Pivots += sol.Pivots
-		switch sol.Status {
-		case lp.Infeasible:
-			continue
-		case lp.Unbounded:
-			sawUnbounded = true
-			continue
-		}
-		if sol.Objective >= incumbent-intTol {
-			continue
-		}
-		branchVar := -1
-		worst := intTol
-		for i := 0; i < p.NumVars; i++ {
-			if !integer[i] {
-				continue
-			}
-			frac := math.Abs(sol.X[i] - math.Round(sol.X[i]))
-			if frac > worst {
-				worst = frac
-				branchVar = i
-			}
-		}
-		if branchVar < 0 {
-			incumbent = sol.Objective
-			res.Status = lp.Optimal
-			res.X = roundIntegers(sol.X, integer)
-			res.Objective = sol.Objective
-			if opt.Gap > 0 && q.Len() > 0 {
-				best := (*q)[0].bound
-				if relGap(incumbent, best) <= opt.Gap {
-					res.Proven = true
-					return finish(res, p), nil
-				}
-			}
-			continue
-		}
-		v := sol.X[branchVar]
-		down := make([]float64, branchVar+1)
-		down[branchVar] = 1
-		left := append(append([]lp.Constraint(nil), nd.extras...),
-			lp.Constraint{Coeffs: down, Sense: lp.LE, RHS: math.Floor(v)})
-		right := append(append([]lp.Constraint(nil), nd.extras...),
-			lp.Constraint{Coeffs: down, Sense: lp.GE, RHS: math.Ceil(v)})
-		heap.Push(q, &refNode{bound: sol.Objective, id: nextID, extras: left})
-		heap.Push(q, &refNode{bound: sol.Objective, id: nextID + 1, extras: right})
-		nextID += 2
-	}
-	if q.Len() == 0 {
-		res.Proven = true
-	}
-	if res.Status != lp.Optimal && sawUnbounded {
-		res.Status = lp.Unbounded
-		res.Proven = false
-	}
-	return finish(res, p), nil
-}
-
-// refNode is the legacy subproblem representation: extra constraint rows.
-type refNode struct {
-	bound  float64
-	id     int64
-	extras []lp.Constraint
-}
-
-// refQueue is the best-first priority queue for the legacy path, tie-broken
-// by node id like nodeQueue.
-type refQueue []*refNode
-
-func (q refQueue) Len() int { return len(q) }
-func (q refQueue) Less(i, j int) bool {
-	if q[i].bound != q[j].bound {
-		return q[i].bound < q[j].bound
-	}
-	return q[i].id < q[j].id
-}
-func (q refQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *refQueue) Push(x interface{}) { *q = append(*q, x.(*refNode)) }
-func (q *refQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+	return res, nil
 }
 
 // finish converts the internal minimization value back to the problem's own

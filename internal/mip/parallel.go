@@ -3,8 +3,6 @@ package mip
 import (
 	"container/heap"
 	"context"
-	"errors"
-	"math"
 
 	"github.com/vbcloud/vb/internal/lp"
 	"github.com/vbcloud/vb/internal/par"
@@ -16,182 +14,77 @@ import (
 // as a PURE function of its change list — the worker instance is reset to
 // the root-optimal template state before applying the node's bounds, so the
 // LP result (status, objective, solution vector, pivot count) cannot depend
-// on which worker ran it or what that worker solved before. The main loop
-// then processes nodes in strict best-first (bound, node-id) order,
-// consulting a result cache keyed by node id; workers only ever fill the
-// cache speculatively. Incumbent updates, pruning, branching, and node ids
-// all happen in that sequential processing order, so the entire search tree
-// — and the returned solution, bit for bit — is identical for any worker
-// count >= 1. (Workers = 0 keeps the serial warm-path loop, which chains
-// each node solve off the previous node's basis and therefore follows a
-// different, also deterministic, pivot path.)
+// on which worker ran it or what that worker solved before. The shared
+// branchAndBound loop processes nodes in strict best-first (bound, node-id)
+// order and asks parallelEval for each one; parallelEval answers from a
+// result cache keyed by node id, which workers only ever fill
+// speculatively. Incumbent updates, pruning, branching, and node ids all
+// happen in that sequential processing order, so the entire search tree —
+// and the returned solution, bit for bit — is identical for any worker
+// count >= 1. (Workers = 0 uses serialEval, which chains each node solve
+// off the previous node's basis and therefore follows a different, also
+// deterministic, pivot path.)
 
-// nodeResult is the outcome of one node relaxation solve.
-type nodeResult struct {
-	err       error
-	st        lp.Status
-	obj       float64 // minimization sense
-	x         []float64
-	pivots    int64
-	refactors int64
+// parallelEval evaluates nodes in speculative best-first batches on cloned
+// worker instances.
+type parallelEval struct {
+	workers  int
+	minSense func(float64) float64
+	template *lp.Instance   // root-optimal state every non-root node starts from
+	insts    []*lp.Instance // per-worker clones, created on first use
+	results  map[int64]*nodeResult
 }
 
-func solveParallel(p Problem, opt Options, inst *lp.Instance, warmHit bool, maxNodes int, integer []bool, minSense func(float64) float64, intr *interrupter) (Solution, error) {
-	res := Solution{Status: lp.Infeasible, Objective: math.Inf(1), WarmHit: warmHit}
-	incumbent := math.Inf(1)
-	var bestX []float64
-
-	evalOn := func(w *lp.Instance, changes []bchange) *nodeResult {
-		w.ResetBounds()
-		for _, c := range changes {
-			lo, hi := w.Bounds(int(c.v))
-			if c.upper {
-				if c.val < hi {
-					hi = c.val
-				}
-			} else {
-				if c.val > lo {
-					lo = c.val
-				}
-			}
-			w.SetBound(int(c.v), lo, hi)
-		}
-		p0, r0 := w.Pivots(), w.Refactors()
-		st, err := w.SolveCurrent()
-		nr := &nodeResult{st: st, err: err, pivots: w.Pivots() - p0, refactors: w.Refactors() - r0}
-		if err == nil && st != lp.Infeasible && st != lp.Unbounded {
-			nr.obj = minSense(w.ObjectiveValue())
-			nr.x = w.Values(nil)
-		}
-		return nr
+// newParallelEval solves the root on the carried instance itself,
+// preserving the warm start, and snapshots the root-optimal state as the
+// template every other node starts from.
+func newParallelEval(inst *lp.Instance, workers int, minSense func(float64) float64) *parallelEval {
+	root := &nodeResult{}
+	solveNode(inst, nil, minSense, root)
+	return &parallelEval{
+		workers:  workers,
+		minSense: minSense,
+		template: inst.Clone(),
+		insts:    make([]*lp.Instance, workers),
+		results:  map[int64]*nodeResult{0: root},
 	}
+}
 
-	// The root solves on the carried instance itself, preserving the warm
-	// start; every other node starts from a clone of the root-optimal state.
-	results := map[int64]*nodeResult{0: evalOn(inst, nil)}
-	template := inst.Clone()
-	workerInst := make([]*lp.Instance, opt.Workers)
-
-	q := &nodeQueue{}
-	heap.Push(q, &node{bound: math.Inf(-1), id: 0})
-	nextID := int64(1)
-	sawUnbounded := false
-
-	for q.Len() > 0 && res.Nodes < maxNodes {
-		if intr.check() {
-			res.DeadlineExceeded = true
-			break
-		}
-		nd := heap.Pop(q).(*node)
-		if nd.bound >= incumbent-intTol {
-			res.Proven = true
-			break
-		}
-		if opt.Gap > 0 && !math.IsInf(incumbent, 1) && relGap(incumbent, nd.bound) <= opt.Gap {
-			res.Proven = true
-			break
-		}
-		res.Nodes++
-
-		r, ok := results[nd.id]
-		if !ok {
-			// Evaluate nd plus up to Workers-1 speculative best-first nodes
-			// concurrently. Speculation is invisible to the search: results
-			// land in the cache and errors surface only if the node is
-			// actually processed.
-			batch := []*node{nd}
-			popped := (*q)[:0:0]
-			for len(batch) < opt.Workers && q.Len() > 0 {
-				s := heap.Pop(q).(*node)
-				popped = append(popped, s)
-				if _, done := results[s.id]; !done && s.bound < incumbent-intTol {
-					batch = append(batch, s)
-				}
-			}
-			for _, s := range popped {
-				heap.Push(q, s)
-			}
-			got := make([]*nodeResult, len(batch))
-			_ = par.ForEach(context.Background(), len(batch), opt.Workers, func(i int) error {
-				if workerInst[i] == nil {
-					workerInst[i] = template.Clone()
-				}
-				w := workerInst[i]
-				w.CopyStateFrom(template)
-				got[i] = evalOn(w, batch[i].changes)
-				return nil
-			})
-			for i, s := range batch {
-				results[s.id] = got[i]
-			}
-			r = results[nd.id]
-		}
-		delete(results, nd.id)
-		if errors.Is(r.err, lp.ErrInterrupted) {
-			res.DeadlineExceeded = true
-			break
-		}
-		if r.err != nil {
-			return Solution{}, r.err
-		}
-		res.Pivots += r.pivots
-		res.Refactors += r.refactors
-		switch r.st {
-		case lp.Infeasible:
-			continue
-		case lp.Unbounded:
-			sawUnbounded = true
-			continue
-		}
-		if r.obj >= incumbent-intTol {
-			continue
-		}
-		branchVar := -1
-		worst := intTol
-		for i := 0; i < p.NumVars; i++ {
-			if !integer[i] {
-				continue
-			}
-			frac := math.Abs(r.x[i] - math.Round(r.x[i]))
-			if frac > worst {
-				worst = frac
-				branchVar = i
+func (e *parallelEval) eval(nd *node, q *nodeQueue, incumbent float64) *nodeResult {
+	r, ok := e.results[nd.id]
+	if !ok {
+		// Evaluate nd plus up to workers-1 speculative best-first nodes
+		// concurrently. Speculation is invisible to the search: results
+		// land in the cache and errors surface only if the node is
+		// actually processed.
+		batch := []*node{nd}
+		popped := (*q)[:0:0]
+		for len(batch) < e.workers && q.Len() > 0 {
+			s := heap.Pop(q).(*node)
+			popped = append(popped, s)
+			if _, done := e.results[s.id]; !done && s.bound < incumbent-intTol {
+				batch = append(batch, s)
 			}
 		}
-		if branchVar < 0 {
-			incumbent = r.obj
-			res.Status = lp.Optimal
-			bestX = append(bestX[:0], r.x...)
-			res.Objective = r.obj
-			if opt.Gap > 0 && q.Len() > 0 {
-				best := (*q)[0].bound
-				if relGap(incumbent, best) <= opt.Gap {
-					res.Proven = true
-					break
-				}
-			}
-			continue
+		for _, s := range popped {
+			heap.Push(q, s)
 		}
-		v := r.x[branchVar]
-		left := append(nd.changes[:len(nd.changes):len(nd.changes)],
-			bchange{v: int32(branchVar), upper: true, val: math.Floor(v)})
-		right := append(nd.changes[:len(nd.changes):len(nd.changes)],
-			bchange{v: int32(branchVar), upper: false, val: math.Ceil(v)})
-		heap.Push(q, &node{bound: r.obj, id: nextID, changes: left})
-		heap.Push(q, &node{bound: r.obj, id: nextID + 1, changes: right})
-		nextID += 2
+		got := make([]*nodeResult, len(batch))
+		_ = par.ForEach(context.Background(), len(batch), e.workers, func(i int) error {
+			if e.insts[i] == nil {
+				e.insts[i] = e.template.Clone()
+			}
+			w := e.insts[i]
+			w.CopyStateFrom(e.template)
+			got[i] = &nodeResult{}
+			solveNode(w, batch[i].changes, e.minSense, got[i])
+			return nil
+		})
+		for i, s := range batch {
+			e.results[s.id] = got[i]
+		}
+		r = e.results[nd.id]
 	}
-	if q.Len() == 0 && !res.DeadlineExceeded {
-		res.Proven = true
-	}
-	if res.Status == lp.Optimal {
-		res.X = roundIntegers(bestX, integer)
-	}
-	if res.Status != lp.Optimal && sawUnbounded {
-		res.Status = lp.Unbounded
-		res.Proven = false
-	}
-	res.EtaChainLen = inst.EtaChainLen()
-	inst.ResetBounds()
-	return finish(res, p), nil
+	delete(e.results, nd.id)
+	return r
 }

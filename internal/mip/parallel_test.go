@@ -40,7 +40,7 @@ func TestNodeQueuePopOrder(t *testing.T) {
 		}
 	}
 
-	// Same contract for the legacy reference queue.
+	// Same contract for the reference oracle's queue.
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		q := &refQueue{}
@@ -159,17 +159,5 @@ func TestParallelWarm(t *testing.T) {
 	}
 	if second.Objective != first.Objective {
 		t.Errorf("warm objective %v != first %v", second.Objective, first.Objective)
-	}
-
-	// A dense-basis request must not reuse a sparse-basis warm instance.
-	dense, err := Solve(p, Options{Warm: warm, DenseBasis: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.WarmHit {
-		t.Error("dense-basis solve reused a sparse-basis warm state")
-	}
-	if math.Abs(dense.Objective-first.Objective) > 1e-9 {
-		t.Errorf("dense objective %v != %v", dense.Objective, first.Objective)
 	}
 }

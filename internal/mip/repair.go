@@ -1,7 +1,6 @@
 package mip
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/vbcloud/vb/internal/lp"
@@ -11,34 +10,22 @@ import (
 // bound: solve the LP relaxation once, round every integer variable to the
 // nearest integer (clamped into its bounds), fix it there, and re-solve
 // the continuous variables around the rounding. It performs at most two LP
-// solves, always on a fresh instance — Options.Warm is never touched, so a
-// degraded placement cannot poison the carried basis — and ignores
-// Options.Deadline (it IS the deadline fallback).
+// solves, always on a fresh instance — no WarmState is touched, so a
+// degraded placement cannot poison the carried basis — and runs without a
+// deadline (it IS the deadline fallback).
 //
 // The result is integer feasible whenever the rounding satisfies the
 // integer-coupling constraints; when it does not (Status != Optimal) the
 // caller falls through to its next tier. Proven is never set: a rounding
 // is a repair, not an optimum.
-func SolveRelaxationRounded(p Problem, opt Options) (Solution, error) {
-	if err := p.Problem.Validate(); err != nil {
+func SolveRelaxationRounded(p Problem) (Solution, error) {
+	if err := validate(p); err != nil {
 		return Solution{}, err
-	}
-	if len(p.Integer) > p.NumVars {
-		return Solution{}, fmt.Errorf("mip: %d integrality flags for %d vars", len(p.Integer), p.NumVars)
 	}
 	integer := make([]bool, p.NumVars)
 	copy(integer, p.Integer)
-	if opt.Reference {
-		return repairReference(p, integer)
-	}
 
-	var inst *lp.Instance
-	var err error
-	if opt.DenseBasis {
-		inst, err = lp.NewInstanceDense(p.Problem)
-	} else {
-		inst, err = lp.NewInstance(p.Problem)
-	}
+	inst, err := lp.NewInstance(p.Problem)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -89,52 +76,6 @@ func SolveRelaxationRounded(p Problem, opt Options) (Solution, error) {
 	if st == lp.Optimal {
 		res.X = roundIntegers(inst.Values(nil), integer)
 		res.Objective = minSense(inst.ObjectiveValue())
-	}
-	return finish(res, p), nil
-}
-
-// repairReference is the rounding repair over the legacy dense reference
-// simplex, used when the caller differential-tests the degraded path too.
-func repairReference(p Problem, integer []bool) (Solution, error) {
-	res := Solution{Status: lp.Infeasible, Objective: math.Inf(1)}
-	sol, err := lp.SolveReference(p.Problem)
-	if err != nil {
-		return Solution{}, err
-	}
-	res.Nodes = 1
-	res.Pivots = sol.Pivots
-	if sol.Status != lp.Optimal {
-		res.Status = sol.Status
-		if p.Maximize {
-			res.Objective = math.Inf(-1)
-		}
-		return finish(res, p), nil
-	}
-	fixed := p.Problem
-	fixed.Lower = make([]float64, p.NumVars)
-	fixed.Upper = make([]float64, p.NumVars)
-	for j := 0; j < p.NumVars; j++ {
-		fixed.Lower[j] = p.LowerOf(j)
-		fixed.Upper[j] = p.UpperOf(j)
-		if integer[j] {
-			r := math.Round(sol.X[j])
-			r = math.Max(math.Ceil(fixed.Lower[j]), math.Min(r, math.Floor(fixed.Upper[j])))
-			fixed.Lower[j], fixed.Upper[j] = r, r
-		}
-	}
-	sol2, err := lp.SolveReference(fixed)
-	if err != nil {
-		return Solution{}, err
-	}
-	res.Nodes = 2
-	res.Pivots += sol2.Pivots
-	res.Status = sol2.Status
-	if sol2.Status == lp.Optimal {
-		res.X = roundIntegers(sol2.X, integer)
-		res.Objective = sol2.Objective
-		if p.Maximize {
-			res.Objective = -res.Objective
-		}
 	}
 	return finish(res, p), nil
 }

@@ -201,7 +201,7 @@ func strictUnmarshal(b []byte, v any) error {
 
 // smallMix and largeMix are the named slices of the Azure-like size mix,
 // reweighted to sum to 1.
-var smallMix = normalizeMix(sizeMix[:6])  // 1-4 cores
+var smallMix = normalizeMix(sizeMix[:6]) // 1-4 cores
 var largeMix = normalizeMix(sizeMix[6:]) // 8+ cores
 
 func normalizeMix(in []shape) []shape {

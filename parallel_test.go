@@ -65,8 +65,8 @@ func TestAppDemandsRejectsZeroCoreApp(t *testing.T) {
 		t.Fatalf("valid app rejected: %v", err)
 	}
 	for _, bad := range []workload.App{
-		{ID: 2},                                     // no VMs
-		{ID: 3, VMs: []workload.VM{{ID: 2}}},        // zero-core VM
+		{ID: 2},                              // no VMs
+		{ID: 3, VMs: []workload.VM{{ID: 2}}}, // zero-core VM
 		{ID: 4, VMs: []workload.VM{{ID: 3, Cores: 0, MemoryGB: 8}}}, // zero cores, memory set
 	} {
 		if _, err := appDemands([]workload.App{bad}); err == nil {

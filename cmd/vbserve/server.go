@@ -3,6 +3,7 @@
 // live event stream, pprof) mounted from the run's registry.
 //
 //	POST /v1/arrive    {"demand":{...},"vms":[...]}  queue an application
+//	                   (409 for an app ID already queued or in the engine)
 //	POST /v1/step      advance one plan step, return its decision record
 //	GET  /v1/decisions full decision log (JSONL)
 //	GET  /v1/state     engine status
@@ -200,18 +201,26 @@ func (d *daemon) handleArrive(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid demand: %v", err)
 		return
 	}
-	d.mu.Lock()
+	eng := d.lockEngine(w)
+	if eng == nil {
+		return
+	}
+	defer d.mu.Unlock()
 	if d.maxPending > 0 && len(d.pending) >= d.maxPending {
-		d.mu.Unlock()
 		d.scn.reg.Inc("serve.backpressure")
 		httpError(w, http.StatusTooManyRequests,
 			"arrival queue full (%d pending); step the engine or retry later", d.maxPending)
 		return
 	}
+	// The demand is valid, so the engine can only refuse its app ID: one
+	// already queued for the next step or already fed to the engine.
+	// Queueing it would make every later step fail.
+	if err := eng.CheckArrivals(append(d.pending, arr)); err != nil {
+		httpError(w, http.StatusConflict, "%v", err)
+		return
+	}
 	d.pending = append(d.pending, arr)
-	n := len(d.pending)
-	d.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, map[string]int{"queued": n})
+	writeJSON(w, http.StatusAccepted, map[string]int{"queued": len(d.pending)})
 }
 
 func (d *daemon) handleStep(w http.ResponseWriter, r *http.Request) {

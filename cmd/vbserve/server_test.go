@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -79,6 +80,9 @@ func TestHealthAndReadiness(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/v1/step = %d with no engine, want 503", resp.StatusCode)
 	}
+	if got := postArrival(t, ts, 9001); got != http.StatusServiceUnavailable {
+		t.Fatalf("/v1/arrive = %d with no engine, want 503", got)
+	}
 
 	eng, err := d.scn.newEngine("")
 	if err != nil {
@@ -95,6 +99,33 @@ func TestHealthAndReadiness(t *testing.T) {
 	}
 }
 
+// postArrival queues a small valid application with the given ID and
+// returns the HTTP status.
+func postArrival(t *testing.T, ts *httptest.Server, id int) int {
+	t.Helper()
+	arr := vb.AppArrival{Demand: vb.AppDemand{
+		ID: id, Cores: 4, StableCores: 4, MemGBPerCore: 4, Start: scenarioStart,
+	}}
+	body, _ := json.Marshal(arr)
+	resp, err := http.Post(ts.URL+"/v1/arrive", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// postStep advances the daemon one step and returns the HTTP status.
+func postStep(t *testing.T, ts *httptest.Server) int {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/step", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // TestArriveBackpressure: a bounded arrival queue answers 429 once full and
 // counts serve.backpressure; stepping drains the queue and reopens it.
 func TestArriveBackpressure(t *testing.T) {
@@ -105,20 +136,7 @@ func TestArriveBackpressure(t *testing.T) {
 	}
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
-
-	arrive := func(id int) int {
-		t.Helper()
-		arr := vb.AppArrival{Demand: vb.AppDemand{
-			ID: id, Cores: 4, StableCores: 4, MemGBPerCore: 4, Start: scenarioStart,
-		}}
-		body, _ := json.Marshal(arr)
-		resp, err := http.Post(ts.URL+"/v1/arrive", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
+	arrive := func(id int) int { return postArrival(t, ts, id) }
 
 	if got := arrive(9001); got != http.StatusAccepted {
 		t.Fatalf("arrival 1 = HTTP %d, want 202", got)
@@ -133,16 +151,58 @@ func TestArriveBackpressure(t *testing.T) {
 		t.Fatalf("serve.backpressure = %v, want 1", got)
 	}
 	// A step consumes the queue; arrivals flow again.
-	resp, err := http.Post(ts.URL+"/v1/step", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("step = HTTP %d, want 200", resp.StatusCode)
+	if got := postStep(t, ts); got != http.StatusOK {
+		t.Fatalf("step = HTTP %d, want 200", got)
 	}
 	if got := arrive(9004); got != http.StatusAccepted {
 		t.Fatalf("arrival after drain = HTTP %d, want 202", got)
+	}
+}
+
+// TestArriveRefusesRepeatedApp: an app ID already queued, already fed to
+// the engine, or restored from a snapshot is answered 409 and never
+// queued, so the steps after it keep succeeding.
+func TestArriveRefusesRepeatedApp(t *testing.T) {
+	d := &daemon{scn: testScenario(t)}
+	var err error
+	if d.eng, err = d.scn.newEngine(""); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.handler())
+	defer ts.Close()
+
+	for i, want := range []int{http.StatusAccepted, http.StatusConflict} {
+		if got := postArrival(t, ts, 9001); got != want {
+			t.Fatalf("arrival %d of app 9001 = HTTP %d, want %d", i+1, got, want)
+		}
+	}
+	for step := 0; step < 2; step++ {
+		if got := postStep(t, ts); got != http.StatusOK {
+			t.Fatalf("step %d = HTTP %d, want 200", step, got)
+		}
+		if got := postArrival(t, ts, 9001); got != http.StatusConflict {
+			t.Fatalf("app 9001 arriving again after step %d = HTTP %d, want 409", step, got)
+		}
+	}
+
+	snapPath := filepath.Join(t.TempDir(), "snap.bin")
+	if err := writeSnapshot(d.eng, snapPath); err != nil {
+		t.Fatal(err)
+	}
+	d2 := &daemon{scn: testScenario(t)}
+	if d2.eng, err = d2.scn.newEngine(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(d2.handler())
+	defer ts2.Close()
+	if got := postArrival(t, ts2, 9001); got != http.StatusConflict {
+		t.Fatalf("restored app 9001 arriving again = HTTP %d, want 409", got)
+	}
+	if got := postArrival(t, ts2, 9002); got != http.StatusAccepted {
+		t.Fatalf("new app 9002 on the restored daemon = HTTP %d, want 202", got)
+	}
+	if got := postStep(t, ts2); got != http.StatusOK {
+		t.Fatalf("step on the restored daemon = HTTP %d, want 200", got)
 	}
 }
 

@@ -233,13 +233,7 @@ func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) St
 	s.pending = kept
 
 	// 2) Power change.
-	if powerFrac < 0 {
-		powerFrac = 0
-	}
-	if powerFrac > 1 {
-		powerFrac = 1
-	}
-	s.powered = floorEps(powerFrac * float64(s.cfg.TotalCores()))
+	s.setPower(powerFrac)
 	// Evict while allocation exceeds powered cores: unallocated cores were
 	// implicitly powered down first (they are not counted in allocation).
 	res.OutGB, res.Evicted = s.evictDown()
@@ -322,19 +316,7 @@ func (s *Site) Admit(vm workload.VM) bool {
 // VMs. Unlike Step, evicted VMs are NOT queued for relaunch here — the
 // caller (e.g. a multi-site engine) decides where they go.
 func (s *Site) SetPowerEvict(powerFrac float64) []workload.VM {
-	// NaN compares false against both bounds below and would otherwise
-	// poison s.powered for the rest of the run; treat any non-finite power
-	// reading as a blackout, the conservative interpretation.
-	if math.IsNaN(powerFrac) || math.IsInf(powerFrac, -1) {
-		powerFrac = 0
-	}
-	if powerFrac < 0 {
-		powerFrac = 0
-	}
-	if powerFrac > 1 {
-		powerFrac = 1
-	}
-	s.powered = floorEps(powerFrac * float64(s.cfg.TotalCores()))
+	s.setPower(powerFrac)
 	before := len(s.pending)
 	s.evictDown()
 	// evictDown queues evictions on s.pending; claim them back.
@@ -344,6 +326,20 @@ func (s *Site) SetPowerEvict(powerFrac float64) []workload.VM {
 	}
 	s.pending = s.pending[:before]
 	return evicted
+}
+
+// setPower powers the fraction powerFrac of the site's cores, clamped to
+// [0,1]. NaN compares false against both bounds and would otherwise poison
+// s.powered for the rest of the run, so a NaN reading counts as a blackout,
+// the conservative interpretation.
+func (s *Site) setPower(powerFrac float64) {
+	if math.IsNaN(powerFrac) || powerFrac < 0 {
+		powerFrac = 0
+	}
+	if powerFrac > 1 {
+		powerFrac = 1
+	}
+	s.powered = floorEps(powerFrac * float64(s.cfg.TotalCores()))
 }
 
 // Holds reports whether the given VM is currently running on this site.

@@ -224,6 +224,10 @@ func TestPowerFracClamped(t *testing.T) {
 	if s.PoweredCores() != 40 {
 		t.Errorf("overpower should clamp to total, got %d", s.PoweredCores())
 	}
+	s.Step(t0.Add(2*time.Minute), math.NaN(), nil)
+	if s.PoweredCores() != 0 {
+		t.Errorf("NaN power should count as a blackout, got %d", s.PoweredCores())
+	}
 }
 
 func TestZeroPowerEvictsEverything(t *testing.T) {

@@ -109,7 +109,9 @@ func (c Config) maxSites() int {
 	return c.MaxSitesPerApp
 }
 
-func (c Config) utilTarget() float64 {
+// Utilization returns the schedulable fraction of powered cores:
+// UtilTarget, or the paper's 0.7 when it is unset or outside (0,1].
+func (c Config) Utilization() float64 {
 	if c.UtilTarget <= 0 || c.UtilTarget > 1 {
 		return 0.7
 	}

@@ -55,7 +55,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.maxSites() != 3 {
 		t.Error("default max sites")
 	}
-	if c.utilTarget() != 0.7 {
+	if c.Utilization() != 0.7 {
 		t.Error("default util target")
 	}
 	if c.mipNodes() != 2000 {

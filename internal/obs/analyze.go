@@ -61,25 +61,12 @@ func Analyze(events []Event) *TraceAnalysis {
 	}
 	for _, e := range events {
 		a.Events++
-		// Mirror Tracer.Emit's accumulation exactly: same ops, same order.
-		s := a.Types[e.Type]
-		s.Count++
-		s.GB += e.GB
-		s.Cores += e.Cores
-		a.Types[e.Type] = s
+		tally(a.Types, e.Type, e)
 		if e.App >= 0 {
-			s := a.Apps[e.App]
-			s.Count++
-			s.GB += e.GB
-			s.Cores += e.Cores
-			a.Apps[e.App] = s
+			tally(a.Apps, e.App, e)
 		}
 		if e.Site >= 0 {
-			s := a.Sites[e.Site]
-			s.Count++
-			s.GB += e.GB
-			s.Cores += e.Cores
-			a.Sites[e.Site] = s
+			tally(a.Sites, e.Site, e)
 		}
 		switch e.Type {
 		case PlannedRealloc, ForcedMigration, VMMoved:

@@ -89,6 +89,16 @@ type TypeStats struct {
 	Cores float64 `json:"cores,omitempty"`
 }
 
+// tally adds e to m[k]. Tracer.Emit and Analyze both accumulate through
+// it, so their totals agree bit for bit over the same event order.
+func tally[K comparable](m map[K]TypeStats, k K, e Event) {
+	s := m[k]
+	s.Count++
+	s.GB += e.GB
+	s.Cores += e.Cores
+	m[k] = s
+}
+
 // DefaultRingSize is the tracer ring-buffer capacity when unspecified.
 const DefaultRingSize = 4096
 
@@ -140,11 +150,7 @@ func (t *Tracer) Emit(e Event) {
 	t.mu.Lock()
 	e.Seq = t.seq
 	t.seq++
-	s := t.stats[e.Type]
-	s.Count++
-	s.GB += e.GB
-	s.Cores += e.Cores
-	t.stats[e.Type] = s
+	tally(t.stats, e.Type, e)
 	if len(t.ring) < t.size {
 		t.ring = append(t.ring, e)
 	} else {

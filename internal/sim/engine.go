@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -12,30 +11,21 @@ import (
 	"github.com/vbcloud/vb/internal/workload"
 )
 
-// Engine is the exported stepping core behind Run: the same admit → replan
-// → reallocate → account loop, advanced one plan step at a time so a
-// long-lived process (cmd/vbserve) can feed arrivals as they happen instead
-// of handing over a complete trace up front. Run is a thin loop over
-// Advance; feeding an Engine the batch arrivals in Start order reproduces
-// Run's decisions bit-for-bit.
+// Engine is the fluid core-level engine behind Run: the retire → replan →
+// admit → reallocate → account loop, advanced one plan step at a time so a
+// long-lived process can feed arrivals as they happen instead of handing
+// over a complete trace up front. Run is a thin loop over Advance; feeding
+// an Engine the batch arrivals in Start order reproduces Run's decisions
+// bit-for-bit.
 type Engine struct {
-	cfg         core.Config
-	in          Input
-	base        trace.Series
-	numSites    int
-	T           int
-	stepsPerDay int
-	util        float64
-	reg         *obs.Registry
-	sched       *core.Scheduler
-	vecs        *simVecs
+	stepper
+	vecs *simVecs
 
 	active []*appState
 	// classed is set once any admitted app carries a non-legacy class
 	// breakdown; until then the degradation ladder is skipped entirely, so
 	// legacy runs take exactly the seed code path.
 	classed bool
-	step    int
 	res     Result
 }
 
@@ -104,148 +94,43 @@ type StepReport struct {
 	ShortfallByClass map[string]float64 `json:"shortfall_by_class,omitempty"`
 }
 
-// addClassDelta accumulates a per-class step delta, creating the map on
-// first use so clean steps keep their compact JSON form.
-func addClassDelta(m *map[string]float64, c workload.Class, v float64) {
-	if *m == nil {
-		*m = make(map[string]float64)
-	}
-	(*m)[c.String()] += v
-}
-
-// validateStreaming checks everything Input.Validate does except the
-// requirement that Apps be non-empty: a streaming engine receives its
-// demands through Advance.
-func (in Input) validateStreaming() error {
-	if len(in.Actual) == 0 {
-		return fmt.Errorf("sim: no sites")
-	}
-	if len(in.Bundles) != len(in.Actual) {
-		return fmt.Errorf("sim: %d bundles for %d sites", len(in.Bundles), len(in.Actual))
-	}
-	if in.TotalCores <= 0 {
-		return fmt.Errorf("sim: non-positive core count %v", in.TotalCores)
-	}
-	base := in.Actual[0]
-	if base.IsEmpty() {
-		return trace.ErrEmptySeries
-	}
-	for _, s := range in.Actual[1:] {
-		if s.Step != base.Step || s.Len() != base.Len() || !s.Start.Equal(base.Start) {
-			return fmt.Errorf("sim: power series disagree on time base")
-		}
-	}
-	for _, a := range in.Apps {
-		if err := a.Validate(); err != nil {
-			return err
-		}
-	}
-	if in.Faults != nil {
-		sites, steps := in.Faults.Dims()
-		if sites != len(in.Actual) || steps != base.Len() {
-			return fmt.Errorf("sim: fault injector compiled for %d sites × %d steps, scenario is %d × %d",
-				sites, steps, len(in.Actual), base.Len())
-		}
-	}
-	return nil
-}
-
 // NewEngine builds a stepping engine. Unlike Run, Input.Apps may be empty:
-// demands arrive through Advance. Apps must be fed at (or before) the first
-// step whose time reaches their Start, in Start order, to match batch
-// semantics.
+// demands arrive through Advance, each app once. Apps must be fed at (or
+// before) the first step whose time reaches their Start, in Start order, to
+// match batch semantics.
 func NewEngine(cfg core.Config, in Input) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := in.validateStreaming(); err != nil {
-		return nil, err
-	}
-	base := in.Actual[0]
-	if cfg.PlanStep != base.Step {
-		return nil, fmt.Errorf("sim: plan step %v != power step %v", cfg.PlanStep, base.Step)
-	}
-	numSites := len(in.Actual)
-	T := base.Len()
-	// One registry observes the whole run: the engine's (preferred) or the
-	// scheduler config's; whichever is set also covers the other layer.
-	reg := in.Obs
-	if reg == nil {
-		reg = cfg.Obs
-	} else if cfg.Obs == nil {
-		cfg.Obs = reg
-	}
-	reg.SetGauge("sim.sites", float64(numSites))
-	reg.SetGauge("sim.steps", float64(T))
-	if reg != nil {
-		for _, b := range in.Bundles {
-			b.SetObs(reg)
-		}
-	}
-	sched, err := core.NewScheduler(cfg, numSites, T)
+	c, err := newStepper(cfg, in)
 	if err != nil {
 		return nil, err
 	}
-	stepsPerDay := int(24 * time.Hour / base.Step)
-	if stepsPerDay < 1 {
-		stepsPerDay = 1
-	}
+	base, T := c.base, c.T
 	e := &Engine{
-		cfg: cfg, in: in, base: base,
-		numSites: numSites, T: T, stepsPerDay: stepsPerDay,
-		util: effectiveUtil(cfg), reg: reg,
-		sched: sched,
-		vecs:  newSimVecs(reg, cfg.Policy, numSites),
+		stepper: c,
+		vecs:    newSimVecs(c.reg, cfg.Policy, c.numSites),
 		res: Result{
 			Policy:           cfg.Policy,
 			Transfer:         trace.New(base.Start, base.Step, T),
 			PerApp:           make(map[int]float64),
 			PerAppPaused:     make(map[int]float64),
 			PerAppDemand:     make(map[int]float64),
+			InBySite:         make([]trace.Series, c.numSites),
+			OutBySite:        make([]trace.Series, c.numSites),
 			PausedByClass:    make(map[workload.Class]float64),
 			ShortfallByClass: make(map[workload.Class]float64),
 			DemandByClass:    make(map[workload.Class]float64),
 			TransferByClass:  make(map[workload.Class]trace.Series),
 		},
 	}
-	e.res.InBySite = make([]trace.Series, numSites)
-	e.res.OutBySite = make([]trace.Series, numSites)
-	for i := 0; i < numSites; i++ {
+	for i := range e.res.InBySite {
 		e.res.InBySite[i] = trace.New(base.Start, base.Step, T)
 		e.res.OutBySite[i] = trace.New(base.Start, base.Step, T)
 	}
 	return e, nil
 }
 
-// Step returns the next step Advance will execute.
-func (e *Engine) Step() int { return e.step }
-
-// Steps returns the total step count of the run's timeline.
-func (e *Engine) Steps() int { return e.T }
-
-// Now returns the simulation time of the next step.
-func (e *Engine) Now() time.Time { return e.base.TimeAt(e.step) }
-
-// Done reports whether the timeline is exhausted.
-func (e *Engine) Done() bool { return e.step >= e.T }
-
 // Result returns the accumulated run result. It is valid at any point;
 // after Done it equals what Run would have returned.
 func (e *Engine) Result() Result { return e.res }
-
-// addClassTransfer attributes a move's traffic to the app's firm classes,
-// creating each class's step series on first use.
-func (e *Engine) addClassTransfer(a *appState, t int, gb float64) {
-	for _, cs := range a.shares {
-		s, ok := e.res.TransferByClass[cs.class]
-		if !ok {
-			s = trace.New(e.base.Start, e.base.Step, e.T)
-			e.res.TransferByClass[cs.class] = s
-		}
-		s.Values[t] += gb * cs.frac
-		e.vecs.transferClass(cs.class, gb*cs.frac)
-	}
-}
 
 func (e *Engine) actCap(site, t int) float64 {
 	// The fault factor multiplies last: a nil injector returns exactly 1
@@ -257,34 +142,20 @@ func (e *Engine) actCap(site, t int) float64 {
 // Advance executes one plan step: retire finished apps, replan daily,
 // admit the given arrivals, execute planned reallocations and forced
 // migrations, account pauses and shortfalls. Arrivals are admitted in the
-// given order; pass them sorted by Start for batch parity.
+// given order; pass them sorted by Start for batch parity. A batch with an
+// invalid or repeated app is refused whole, leaving the engine unchanged.
 func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
-	if e.step >= e.T {
-		return StepReport{}, fmt.Errorf("sim: engine already at end of timeline (step %d of %d)", e.step, e.T)
+	env, err := e.begin(len(arrivals), func(i int) core.AppDemand { return arrivals[i] })
+	if err != nil {
+		return StepReport{}, err
 	}
-	t := e.step
-	now := e.base.TimeAt(t)
-	rep := StepReport{Step: t, Now: now}
-	reg := e.reg
+	t := env.t
+	rep := StepReport{Step: t, Now: env.now}
 	res := &e.res
 	numSites := e.numSites
 	transferBefore := res.Transfer.Values[t]
 	plannedBefore, forcedBefore := res.PlannedGB, res.ForcedGB
 	pausedBefore, shortBefore := res.PausedStableCoreSteps, res.ShortfallCoreSteps
-
-	// Fault injection: record onsets, set this step's solver pressure, and
-	// take the step's WAN bandwidth budget (nil = unlimited). All are
-	// no-ops with no injector.
-	inj := e.in.Faults
-	inj.OnStep(t, reg)
-	e.sched.SetSolverPressure(inj.SolverInflation(t))
-	wb := inj.WANBudget(t)
-
-	// predCap is the forecast at face value; stableCap is the rolling
-	// minimum with lead-dependent pessimism — the paper's "place VMs on
-	// sites which are predicted to have stable power in the future"
-	// preference (see capacityFns).
-	predCap, stableCap := capacityFns(e.in, e.base, e.util, now, t, e.stepsPerDay, e.T)
 
 	// Retire finished apps.
 	keep := e.active[:0]
@@ -296,43 +167,28 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 	}
 	e.active = keep
 
-	// Daily re-planning as forecasts refresh ("as the environment changes
-	// ... we need to rerun the optimization", §3.1). All MIP variants
-	// replan; they differ in lookahead horizon.
-	if e.cfg.Policy != core.Greedy && t > 0 && t%e.stepsPerDay == 0 {
+	if e.replanDue(t) {
 		for _, a := range e.active {
-			e.sched.Uncommit(a.plan, t)
-			plan, err := e.sched.Place(a.demand, t, a.endStep, predCap, stableCap, a.cur, a.plan.Alloc)
+			plan, err := e.place(&env, a.demand, a.endStep, a.cur, &a.plan)
 			if err != nil {
 				return rep, err
 			}
 			a.plan = plan
 			res.Placements++
 			rep.Replans++
-			reg.Inc("sim.replans")
-			reg.Emit(obs.Event{Type: obs.PlanComputed, Step: t, App: a.demand.ID, Site: -1, Dst: -1,
-				Cores: a.demand.StableCores, Detail: "replan"})
 		}
 	}
 
 	// Admit arriving apps.
 	for _, d := range arrivals {
-		if err := d.Validate(); err != nil {
-			return rep, err
-		}
-		endStep := e.T
-		if !d.End.IsZero() {
-			if idx := e.base.IndexAt(d.End); idx >= 0 {
-				endStep = idx + 1
-			}
-		}
+		endStep := e.endStep(d)
 		if endStep <= t {
 			continue // app entirely in the past
 		}
 		if d.StableCores <= 0 {
 			continue // pure-degradable apps never migrate (no traffic)
 		}
-		plan, err := e.sched.Place(d, t, endStep, predCap, stableCap, nil, nil)
+		plan, err := e.place(&env, d, endStep, nil, nil)
 		if err != nil {
 			return rep, err
 		}
@@ -348,9 +204,6 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 		e.active = append(e.active, st)
 		res.Placements++
 		rep.Admitted = append(rep.Admitted, d.ID)
-		reg.Inc("sim.admissions")
-		reg.Emit(obs.Event{Type: obs.PlanComputed, Step: t, App: d.ID, Site: -1, Dst: -1,
-			Cores: d.StableCores, Detail: "admit"})
 	}
 
 	// Current per-site load.
@@ -389,32 +242,15 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 				if excess <= 1e-9 {
 					continue
 				}
-				x := math.Min(excess, want)
 				// WAN faults cap the link's per-step traffic: move only
-				// what the remaining bandwidth carries; the rest waits at
-				// the source for a later step.
-				if wb != nil {
-					x = math.Min(x, wb.Remaining(src, dst)/a.demand.MemGBPerCore)
-					if x <= 1e-9 {
-						continue
-					}
+				// what the remaining bandwidth carries (a nil budget has
+				// +Inf left); the rest waits at the source for a later step.
+				x := math.Min(math.Min(excess, want), env.wb.Remaining(src, dst)/a.demand.MemGBPerCore)
+				if x <= 1e-9 {
+					continue
 				}
-				a.cur[src] -= x
-				a.cur[dst] += x
-				load[src] -= x
-				load[dst] += x
+				e.move(&env, obs.PlannedRealloc, a, load, src, dst, x)
 				want -= x
-				gb := x * a.demand.MemGBPerCore
-				wb.Consume(src, dst, gb)
-				res.Transfer.Values[t] += gb
-				res.PerApp[a.demand.ID] += gb
-				res.PlannedGB += gb
-				res.InBySite[dst].Values[t] += gb
-				res.OutBySite[src].Values[t] += gb
-				e.addClassTransfer(a, t, gb)
-				reg.Emit(obs.Event{Type: obs.PlannedRealloc, Step: t, App: a.demand.ID,
-					Site: src, Dst: dst, Cores: x, GB: gb})
-				e.vecs.plannedMove(a.demand.ID, src, dst, gb)
 			}
 		}
 	}
@@ -457,31 +293,14 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 				if head <= 1e-9 {
 					continue
 				}
-				x := math.Min(head, move-moved)
 				// A cut or saturated link blocks the rescue: the cores
 				// stay and pause below.
-				if wb != nil {
-					x = math.Min(x, wb.Remaining(s, d)/a.demand.MemGBPerCore)
-					if x <= 1e-9 {
-						continue
-					}
+				x := math.Min(math.Min(head, move-moved), env.wb.Remaining(s, d)/a.demand.MemGBPerCore)
+				if x <= 1e-9 {
+					continue
 				}
-				a.cur[s] -= x
-				a.cur[d] += x
-				load[s] -= x
-				load[d] += x
+				e.move(&env, obs.ForcedMigration, a, load, s, d, x)
 				moved += x
-				gb := x * a.demand.MemGBPerCore
-				wb.Consume(s, d, gb)
-				res.Transfer.Values[t] += gb
-				res.PerApp[a.demand.ID] += gb
-				res.ForcedGB += gb
-				res.InBySite[d].Values[t] += gb
-				res.OutBySite[s].Values[t] += gb
-				e.addClassTransfer(a, t, gb)
-				reg.Emit(obs.Event{Type: obs.ForcedMigration, Step: t, App: a.demand.ID,
-					Site: s, Dst: d, Cores: x, GB: gb})
-				e.vecs.forcedMove(a.demand.ID, s, d, gb)
 			}
 			// Whatever could not move pauses in place: availability
 			// violation.
@@ -491,10 +310,10 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 				res.PerAppPaused[a.demand.ID] += rest
 				for _, cs := range a.shares {
 					res.PausedByClass[cs.class] += rest * cs.frac
-					addClassDelta(&rep.PausedByClass, cs.class, rest*cs.frac)
+					addClass(&rep.PausedByClass, cs.class, rest*cs.frac)
 					e.vecs.pauseClass(cs.class, rest*cs.frac)
 				}
-				reg.Emit(obs.Event{Type: obs.StablePause, Step: t, App: a.demand.ID,
+				e.reg.Emit(obs.Event{Type: obs.StablePause, Step: t, App: a.demand.ID,
 					Site: s, Dst: -1, Cores: rest})
 				e.vecs.pause(a.demand.ID, s, rest)
 			}
@@ -528,10 +347,10 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 			res.PerAppPaused[a.demand.ID] += gap
 			for _, cs := range a.shares {
 				res.ShortfallByClass[cs.class] += gap * cs.frac
-				addClassDelta(&rep.ShortfallByClass, cs.class, gap*cs.frac)
+				addClass(&rep.ShortfallByClass, cs.class, gap*cs.frac)
 				e.vecs.shortClass(cs.class, gap*cs.frac)
 			}
-			reg.Emit(obs.Event{Type: obs.Shortfall, Step: t, App: a.demand.ID,
+			e.reg.Emit(obs.Event{Type: obs.Shortfall, Step: t, App: a.demand.ID,
 				Site: -1, Dst: -1, Cores: gap})
 			e.vecs.short(a.demand.ID, gap)
 		}
@@ -540,7 +359,7 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 			res.DemandByClass[cs.class] += a.demand.StableCores * cs.frac
 		}
 	}
-	reg.Observe("sim.step_transfer_gb", res.Transfer.Values[t])
+	e.reg.Observe("sim.step_transfer_gb", res.Transfer.Values[t])
 
 	rep.TransferGB = res.Transfer.Values[t] - transferBefore
 	rep.PlannedGB = res.PlannedGB - plannedBefore
@@ -549,4 +368,38 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 	rep.ShortfallCoreSteps = res.ShortfallCoreSteps - shortBefore
 	e.step++
 	return rep, nil
+}
+
+// move shifts x of app a's cores from src to dst and accounts the traffic
+// as a planned reallocation or a forced migration (ty): against the link
+// budget, the result's ledgers, the app's classes, the event stream and
+// the vecs.
+func (e *Engine) move(env *stepEnv, ty obs.EventType, a *appState, load []float64, src, dst int, x float64) {
+	t, res := env.t, &e.res
+	a.cur[src] -= x
+	a.cur[dst] += x
+	load[src] -= x
+	load[dst] += x
+	gb := x * a.demand.MemGBPerCore
+	env.wb.Consume(src, dst, gb)
+	res.Transfer.Values[t] += gb
+	res.PerApp[a.demand.ID] += gb
+	if ty == obs.ForcedMigration {
+		res.ForcedGB += gb
+	} else {
+		res.PlannedGB += gb
+	}
+	res.InBySite[dst].Values[t] += gb
+	res.OutBySite[src].Values[t] += gb
+	for _, cs := range a.shares {
+		s, ok := res.TransferByClass[cs.class]
+		if !ok {
+			s = trace.New(e.base.Start, e.base.Step, e.T)
+			res.TransferByClass[cs.class] = s
+		}
+		s.Values[t] += gb * cs.frac
+		e.vecs.transferClass(cs.class, gb*cs.frac)
+	}
+	e.reg.Emit(obs.Event{Type: ty, Step: t, App: a.demand.ID, Site: src, Dst: dst, Cores: x, GB: gb})
+	e.vecs.move(ty, a.demand.ID, src, dst, gb)
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -62,27 +64,83 @@ func TestEngineMatchesRun(t *testing.T) {
 	}
 }
 
-// TestEngineStreamingValidation covers the streaming-only entry points:
-// an engine accepts an empty Input.Apps (demands arrive via Advance) but
-// still rejects malformed inputs and demands.
+// TestEngineStreamingValidation covers the streaming-only entry points of
+// both engines: an engine accepts an empty Input.Apps (demands arrive via
+// Advance) but still rejects malformed inputs and demands. A refused batch
+// leaves the engine unchanged, so a retry admits each app exactly once, and
+// an app already fed is refused at a later step.
 func TestEngineStreamingValidation(t *testing.T) {
-	in := trioInput(t, 2, 6)
-	in.Apps = nil
-	eng, err := NewEngine(simConfig(core.Greedy), in)
+	in, apps := vmLevelFixtures(t, 2)
+	var good []AppArrival
+	for _, arr := range vmBatchArrivals(in, apps) {
+		if arr.Demand.StableCores > 0 && len(good) < 2 {
+			arr.Demand.Start = t0
+			good = append(good, arr)
+		}
+	}
+	wantIDs := []int{good[0].Demand.ID, good[1].Demand.ID}
+	streaming := in
+	streaming.Apps = nil
+	fluid, err := NewEngine(simConfig(core.MIP), streaming)
 	if err != nil {
 		t.Fatalf("empty Apps should be legal for a streaming engine: %v", err)
 	}
-	if _, err := eng.Advance([]core.AppDemand{{ID: 1}}); err == nil {
-		t.Error("invalid streamed demand should error")
+	vm, err := NewVMEngine(simConfig(core.MIP), streaming, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatalf("empty Apps should be legal for a streaming VM engine: %v", err)
 	}
-	bad := in
+	engines := []struct {
+		name    string
+		advance func([]AppArrival) ([]int, error)
+		state   func() string
+	}{
+		{"Engine", func(batch []AppArrival) ([]int, error) {
+			var ds []core.AppDemand
+			for _, arr := range batch {
+				ds = append(ds, arr.Demand)
+			}
+			rep, err := fluid.Advance(ds)
+			return rep.Admitted, err
+		}, func() string { return fmt.Sprint(fluid.Step(), fluid.Result()) }},
+		{"VMEngine", func(batch []AppArrival) ([]int, error) {
+			rep, err := vm.Advance(batch)
+			return rep.Admitted, err
+		}, func() string { return fmt.Sprint(vm.Step(), vm.TrackedVMs(), vm.Result()) }},
+	}
+	for _, e := range engines {
+		before := e.state()
+		for _, batch := range [][]AppArrival{
+			{good[0], good[1], {Demand: core.AppDemand{ID: 1 << 30}}},
+			{good[0], good[1], good[0]},
+		} {
+			if _, err := e.advance(batch); err == nil {
+				t.Errorf("%s: batch with an invalid or repeated app should be refused", e.name)
+			}
+			if got := e.state(); got != before {
+				t.Errorf("%s: refused batch changed the engine:\n%s\nvs\n%s", e.name, got, before)
+			}
+		}
+		admitted, err := e.advance(good)
+		if err != nil {
+			t.Fatalf("%s: retry of the corrected batch: %v", e.name, err)
+		}
+		if !reflect.DeepEqual(admitted, wantIDs) {
+			t.Errorf("%s: retry admitted %v, want %v", e.name, admitted, wantIDs)
+		}
+		before = e.state()
+		if _, err := e.advance(good[1:]); err == nil {
+			t.Errorf("%s: an app fed at an earlier step should be refused", e.name)
+		}
+		if got := e.state(); got != before {
+			t.Errorf("%s: refused repeat changed the engine", e.name)
+		}
+	}
+	bad := streaming
 	bad.Actual = nil
 	if _, err := NewEngine(simConfig(core.Greedy), bad); err == nil {
 		t.Error("input without sites should be rejected")
 	}
-	if _, err := NewVMEngine(simConfig(core.Greedy), bad, cluster.Config{
-		Servers: 4, CoresPerServer: 8, MemPerServerGB: 64, TargetUtilization: 0.7,
-	}); err == nil {
+	if _, err := NewVMEngine(simConfig(core.Greedy), bad, cluster.DefaultConfig()); err == nil {
 		t.Error("VM engine should reject input without sites")
 	}
 }

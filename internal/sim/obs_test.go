@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"encoding/json"
 	"testing"
 
+	"github.com/vbcloud/vb/internal/cluster"
 	"github.com/vbcloud/vb/internal/core"
 	"github.com/vbcloud/vb/internal/obs"
 )
@@ -38,6 +40,67 @@ func TestObsEventReconciliation(t *testing.T) {
 		}
 		if res.Placements == 0 {
 			t.Errorf("%v: run placed nothing; reconciliation is vacuous", pol)
+		}
+	}
+	// The VM engine's stream reconciles the same way. Its plan_computed
+	// events count the admissions that got a plan plus the replans, which
+	// a streamed run of the same arrivals reports step by step.
+	vin, apps := vmLevelFixtures(t, 3)
+	for _, pol := range []core.Policy{core.Greedy, core.MIP} {
+		reg := obs.NewRegistry()
+		in := vin
+		in.Obs = reg
+		res, err := RunVMLevel(simConfig(pol), in, apps, cluster.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
+		tr := reg.Tracer()
+		if got := tr.GBTotal(obs.VMMoved); got != res.Transfer.Total() {
+			t.Errorf("%v: vm_moved event GB %v != result transfer %v", pol, got, res.Transfer.Total())
+		}
+		var evicted int
+		for _, n := range res.EvictionsByClass {
+			evicted += n
+		}
+		if got := tr.Count(obs.VMEvicted); got != int64(evicted) || evicted == 0 {
+			t.Errorf("%v: vm_evicted events %d != result evictions %d (want > 0)", pol, got, evicted)
+		}
+		if got := tr.Count(obs.VMPlacementFail); got != int64(res.FailedPlacements) {
+			t.Errorf("%v: vm_placement_failed events %d != result FailedPlacements %d", pol, got, res.FailedPlacements)
+		}
+
+		eng, err := NewVMEngine(simConfig(pol), vin, cluster.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stable := map[int]bool{}
+		for _, d := range vin.Apps {
+			stable[d.ID] = d.StableCores > 0
+		}
+		var admissions, replans int
+		for _, line := range stepReports(t, eng, vmBatchArrivals(vin, apps)) {
+			var rep VMStepReport
+			if err := json.Unmarshal(line, &rep); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range rep.Admitted {
+				if stable[id] {
+					admissions++
+				}
+			}
+			replans += rep.Replans
+		}
+		if got := tr.Count(obs.PlanComputed); got != int64(admissions+replans) || admissions == 0 {
+			t.Errorf("%v: plan events %d != %d admissions with a plan + %d replans", pol, got, admissions, replans)
+		}
+		if a, r := reg.Counter("sim.admissions"), reg.Counter("sim.replans"); a != float64(admissions) || r != float64(replans) {
+			t.Errorf("%v: sim.admissions/replans counters %v/%v, want %d/%d", pol, a, r, admissions, replans)
+		}
+		if n, _ := reg.Gauge("sim.sites"); n != float64(len(vin.Actual)) {
+			t.Errorf("%v: sim.sites gauge = %v, want %d", pol, n, len(vin.Actual))
+		}
+		if n, _ := reg.Gauge("sim.steps"); n != float64(eng.Steps()) {
+			t.Errorf("%v: sim.steps gauge = %v, want %d", pol, n, eng.Steps())
 		}
 	}
 }

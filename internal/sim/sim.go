@@ -15,8 +15,8 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
+	"time"
 
 	"github.com/vbcloud/vb/internal/core"
 	"github.com/vbcloud/vb/internal/fault"
@@ -53,7 +53,7 @@ type Input struct {
 // Validate reports input errors.
 func (in Input) Validate() error {
 	if len(in.Apps) == 0 {
-		return fmt.Errorf("sim: no applications to schedule (Input.Apps is empty)")
+		return errNoApps
 	}
 	return in.validateStreaming()
 }
@@ -176,43 +176,21 @@ func (r Result) MeanAvailability() float64 {
 	return sum / float64(len(r.PerAppDemand))
 }
 
-// Run simulates one policy over the inputs. It is a thin batch loop over
-// Engine.Advance: sort the demands by arrival, feed each step the prefix
-// that has arrived, and return the engine's accumulated result.
+// Run simulates one policy over the inputs: the batch driver feeds an
+// Engine the demands in Start order and returns its accumulated result.
 func Run(cfg core.Config, in Input) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := in.Validate(); err != nil {
-		return Result{}, err
-	}
 	eng, err := NewEngine(cfg, in)
 	if err != nil {
 		return Result{}, err
 	}
-	defer obs.Time(eng.reg, "sim.run")()
-
 	apps := append([]core.AppDemand(nil), in.Apps...)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Start.Before(apps[j].Start) })
-	nextApp := 0
-	for !eng.Done() {
-		now := eng.Now()
-		var arrivals []core.AppDemand
-		for nextApp < len(apps) && !apps[nextApp].Start.After(now) {
-			arrivals = append(arrivals, apps[nextApp])
-			nextApp++
-		}
-		if _, err := eng.Advance(arrivals); err != nil {
-			return Result{}, err
-		}
+	err = drive(&eng.stepper, "sim.run", apps, func(d core.AppDemand) time.Time { return d.Start },
+		func(batch []core.AppDemand) error {
+			_, err := eng.Advance(batch)
+			return err
+		})
+	if err != nil {
+		return Result{}, err
 	}
 	return eng.Result(), nil
-}
-
-// effectiveUtil mirrors core.Config's utilization defaulting.
-func effectiveUtil(cfg core.Config) float64 {
-	if cfg.UtilTarget <= 0 || cfg.UtilTarget > 1 {
-		return 0.7
-	}
-	return cfg.UtilTarget
 }

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/vbcloud/vb/internal/cluster"
 	"github.com/vbcloud/vb/internal/core"
 	"github.com/vbcloud/vb/internal/energy"
 	"github.com/vbcloud/vb/internal/forecast"
@@ -108,6 +110,22 @@ func TestInputValidate(t *testing.T) {
 		t.Error("empty app list should error")
 	} else if !strings.Contains(err.Error(), "no applications") {
 		t.Errorf("empty app list error %q should mention no applications", err)
+	}
+	// A power sample that is not finite and non-negative is refused, with
+	// its site and step, by Validate and by both engine constructors.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.25} {
+		bad = good
+		bad.Actual = append([]trace.Series(nil), good.Actual...)
+		bad.Actual[1].Values = append([]float64(nil), good.Actual[1].Values...)
+		bad.Actual[1].Values[3] = v
+		errs := map[string]error{"Validate": bad.Validate()}
+		_, errs["NewEngine"] = NewEngine(simConfig(core.MIP), bad)
+		_, errs["NewVMEngine"] = NewVMEngine(simConfig(core.MIP), bad, cluster.DefaultConfig())
+		for name, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "site 1 power at step 3") {
+				t.Errorf("%s with power %v: error %v, want one naming site 1 and step 3", name, v, err)
+			}
+		}
 	}
 }
 

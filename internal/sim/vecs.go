@@ -8,16 +8,58 @@ import (
 	"github.com/vbcloud/vb/internal/workload"
 )
 
-// simVecs bundles the engine's dimensional metrics with the label strings
-// they share: the policy name, one precomputed label per site index, and a
-// lazily cached label per app ID. A nil *simVecs (no registry) makes every
-// record method a no-op, so the hot loop stays branch-light and — critical
-// for the nil-registry zero-allocation property — builds no label slices
-// at the call sites.
+// labels caches the label strings the engines' metric vecs share: the
+// policy name, one precomputed label per site index, and lazily one per app
+// ID and SLO class, so recording a sample builds no strings.
+type labels struct {
+	policy  string
+	sites   []string
+	apps    map[int]string
+	classes map[workload.Class]string
+}
+
+func newLabels(policy core.Policy, numSites int) labels {
+	l := labels{policy: policy.String(), sites: make([]string, numSites),
+		apps: map[int]string{}, classes: map[workload.Class]string{}}
+	for i := range l.sites {
+		l.sites[i] = strconv.Itoa(i)
+	}
+	return l
+}
+
+// site labels a site index; a displaced VM's site -1 is "none", so re-homes
+// stay distinguishable from site-to-site moves in the flow breakdown.
+func (l *labels) site(i int) string {
+	if i < 0 {
+		return "none"
+	}
+	return l.sites[i]
+}
+
+func (l *labels) app(id int) string {
+	s, ok := l.apps[id]
+	if !ok {
+		s = strconv.Itoa(id)
+		l.apps[id] = s
+	}
+	return s
+}
+
+func (l *labels) class(c workload.Class) string {
+	s, ok := l.classes[c]
+	if !ok {
+		s = c.String()
+		l.classes[c] = s
+	}
+	return s
+}
+
+// simVecs bundles the fluid engine's dimensional metrics with their label
+// cache. A nil *simVecs (no registry) makes every record method a no-op, so
+// the hot loop stays branch-light and — critical for the nil-registry
+// zero-allocation property — builds no label slices at the call sites.
 type simVecs struct {
-	policy string
-	sites  []string
-	apps   map[int]string
+	labels
 	// planned and forced break migration traffic down by directed
 	// src→dst site edge; transfer breaks it down by app.
 	planned  *obs.CounterVec
@@ -28,9 +70,7 @@ type simVecs struct {
 	// app (no site: the plan never chose one).
 	paused    *obs.CounterVec
 	shortfall *obs.CounterVec
-	// The by-class vecs break violations and traffic down by SLO class;
-	// classLabels caches the class-name strings.
-	classLabels   map[workload.Class]string
+	// The by-class vecs break violations and traffic down by SLO class.
 	pausedCls     *obs.CounterVec
 	shortfallCls  *obs.CounterVec
 	transferByCls *obs.CounterVec
@@ -42,56 +82,30 @@ func newSimVecs(reg *obs.Registry, policy core.Policy, numSites int) *simVecs {
 	if reg == nil {
 		return nil
 	}
-	v := &simVecs{policy: policy.String(), apps: map[int]string{}}
-	v.sites = make([]string, numSites)
-	for i := range v.sites {
-		v.sites[i] = strconv.Itoa(i)
+	return &simVecs{
+		labels:        newLabels(policy, numSites),
+		planned:       reg.NewCounterVec("sim.planned_gb", "policy", "src", "dst"),
+		forced:        reg.NewCounterVec("sim.forced_gb", "policy", "src", "dst"),
+		transfer:      reg.NewCounterVec("sim.transfer_gb", "policy", "app"),
+		paused:        reg.NewCounterVec("sim.paused_core_steps", "policy", "app", "site"),
+		shortfall:     reg.NewCounterVec("sim.shortfall_core_steps", "policy", "app"),
+		pausedCls:     reg.NewCounterVec("sim.paused_core_steps_by_class", "policy", "class"),
+		shortfallCls:  reg.NewCounterVec("sim.shortfall_core_steps_by_class", "policy", "class"),
+		transferByCls: reg.NewCounterVec("sim.transfer_gb_by_class", "policy", "class"),
 	}
-	v.planned = reg.NewCounterVec("sim.planned_gb", "policy", "src", "dst")
-	v.forced = reg.NewCounterVec("sim.forced_gb", "policy", "src", "dst")
-	v.transfer = reg.NewCounterVec("sim.transfer_gb", "policy", "app")
-	v.paused = reg.NewCounterVec("sim.paused_core_steps", "policy", "app", "site")
-	v.shortfall = reg.NewCounterVec("sim.shortfall_core_steps", "policy", "app")
-	v.classLabels = map[workload.Class]string{}
-	v.pausedCls = reg.NewCounterVec("sim.paused_core_steps_by_class", "policy", "class")
-	v.shortfallCls = reg.NewCounterVec("sim.shortfall_core_steps_by_class", "policy", "class")
-	v.transferByCls = reg.NewCounterVec("sim.transfer_gb_by_class", "policy", "class")
-	return v
 }
 
-func (v *simVecs) class(c workload.Class) string {
-	s, ok := v.classLabels[c]
-	if !ok {
-		s = c.String()
-		v.classLabels[c] = s
-	}
-	return s
-}
-
-func (v *simVecs) app(id int) string {
-	s, ok := v.apps[id]
-	if !ok {
-		s = strconv.Itoa(id)
-		v.apps[id] = s
-	}
-	return s
-}
-
-// plannedMove records one scheduler-initiated core move.
-func (v *simVecs) plannedMove(app, src, dst int, gb float64) {
+// move records one core move, a planned reallocation or a forced
+// migration (ty).
+func (v *simVecs) move(ty obs.EventType, app, src, dst int, gb float64) {
 	if v == nil {
 		return
 	}
-	v.planned.Add(gb, v.policy, v.sites[src], v.sites[dst])
-	v.transfer.Add(gb, v.policy, v.app(app))
-}
-
-// forcedMove records one reactive power-shortfall migration.
-func (v *simVecs) forcedMove(app, src, dst int, gb float64) {
-	if v == nil {
-		return
+	edge := v.planned
+	if ty == obs.ForcedMigration {
+		edge = v.forced
 	}
-	v.forced.Add(gb, v.policy, v.sites[src], v.sites[dst])
+	edge.Add(gb, v.policy, v.sites[src], v.sites[dst])
 	v.transfer.Add(gb, v.policy, v.app(app))
 }
 
@@ -135,110 +149,57 @@ func (v *simVecs) transferClass(c workload.Class, gb float64) {
 	v.transferByCls.Add(gb, v.policy, v.class(c))
 }
 
-// vmVecs is the VM-level engine's counterpart to simVecs. Moves from a
-// displaced state carry src = -1; they are labeled "none" so re-homes stay
-// distinguishable from site-to-site reconciles in the flow breakdown.
+// vmVecs is the VM-level engine's counterpart to simVecs.
 type vmVecs struct {
-	policy      string
-	sites       []string
-	apps        map[int]string
-	moves       *obs.CounterVec
-	evicted     *obs.CounterVec
-	failed      *obs.CounterVec
-	classLabels map[workload.Class]string
-	evictedCls  *obs.CounterVec
-	failedCls   *obs.CounterVec
-	movesCls    *obs.CounterVec
+	labels
+	moves      *obs.CounterVec
+	evicted    *obs.CounterVec
+	failed     *obs.CounterVec
+	evictedCls *obs.CounterVec
+	failedCls  *obs.CounterVec
+	movesCls   *obs.CounterVec
 }
 
 func newVMVecs(reg *obs.Registry, policy core.Policy, numSites int) *vmVecs {
 	if reg == nil {
 		return nil
 	}
-	v := &vmVecs{policy: policy.String(), apps: map[int]string{}}
-	v.sites = make([]string, numSites)
-	for i := range v.sites {
-		v.sites[i] = strconv.Itoa(i)
+	return &vmVecs{
+		labels:     newLabels(policy, numSites),
+		moves:      reg.NewCounterVec("vmlevel.moves_gb", "policy", "src", "dst"),
+		evicted:    reg.NewCounterVec("vmlevel.evicted", "policy", "site"),
+		failed:     reg.NewCounterVec("vmlevel.failed_placements", "policy", "app"),
+		evictedCls: reg.NewCounterVec("vmlevel.evicted_by_class", "policy", "class"),
+		failedCls:  reg.NewCounterVec("vmlevel.failed_by_class", "policy", "class"),
+		movesCls:   reg.NewCounterVec("vmlevel.moves_gb_by_class", "policy", "class"),
 	}
-	v.moves = reg.NewCounterVec("vmlevel.moves_gb", "policy", "src", "dst")
-	v.evicted = reg.NewCounterVec("vmlevel.evicted", "policy", "site")
-	v.failed = reg.NewCounterVec("vmlevel.failed_placements", "policy", "app")
-	v.classLabels = map[workload.Class]string{}
-	v.evictedCls = reg.NewCounterVec("vmlevel.evicted_by_class", "policy", "class")
-	v.failedCls = reg.NewCounterVec("vmlevel.failed_by_class", "policy", "class")
-	v.movesCls = reg.NewCounterVec("vmlevel.moves_gb_by_class", "policy", "class")
-	return v
 }
 
-func (v *vmVecs) class(c workload.Class) string {
-	s, ok := v.classLabels[c]
-	if !ok {
-		s = c.String()
-		v.classLabels[c] = s
-	}
-	return s
-}
-
-func (v *vmVecs) app(id int) string {
-	s, ok := v.apps[id]
-	if !ok {
-		s = strconv.Itoa(id)
-		v.apps[id] = s
-	}
-	return s
-}
-
-func (v *vmVecs) site(i int) string {
-	if i < 0 {
-		return "none"
-	}
-	return v.sites[i]
-}
-
-// move records one inter-site VM migration (src may be -1 for re-homes).
-func (v *vmVecs) move(src, dst int, gb float64) {
+// move records one inter-site VM migration (src -1 for re-homes) by flow
+// and by the VM's SLO class.
+func (v *vmVecs) move(c workload.Class, src, dst int, gb float64) {
 	if v == nil {
 		return
 	}
 	v.moves.Add(gb, v.policy, v.site(src), v.sites[dst])
+	v.movesCls.Add(gb, v.policy, v.class(c))
 }
 
-// evict records one power-driven VM eviction at a site.
-func (v *vmVecs) evict(site int) {
+// evict records one power-driven VM eviction by site and SLO class.
+func (v *vmVecs) evict(c workload.Class, site int) {
 	if v == nil {
 		return
 	}
 	v.evicted.Inc(v.policy, v.sites[site])
+	v.evictedCls.Inc(v.policy, v.class(c))
 }
 
-// fail records one VM-step where a stable VM could not run anywhere.
-func (v *vmVecs) fail(app int) {
+// fail records one VM-step where a firm VM could not run anywhere, by app
+// and SLO class.
+func (v *vmVecs) fail(c workload.Class, app int) {
 	if v == nil {
 		return
 	}
 	v.failed.Inc(v.policy, v.app(app))
-}
-
-// moveClass records one migration's traffic against the VM's SLO class.
-func (v *vmVecs) moveClass(c workload.Class, gb float64) {
-	if v == nil {
-		return
-	}
-	v.movesCls.Add(gb, v.policy, v.class(c))
-}
-
-// evictClass records one eviction against the VM's SLO class.
-func (v *vmVecs) evictClass(c workload.Class) {
-	if v == nil {
-		return
-	}
-	v.evictedCls.Inc(v.policy, v.class(c))
-}
-
-// failClass records one failed placement against the VM's SLO class.
-func (v *vmVecs) failClass(c workload.Class) {
-	if v == nil {
-		return
-	}
 	v.failedCls.Inc(v.policy, v.class(c))
 }

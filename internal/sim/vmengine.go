@@ -15,8 +15,8 @@ import (
 	"github.com/vbcloud/vb/internal/workload"
 )
 
-// VMEngine is the exported stepping core behind RunVMLevel: the same
-// evict → plan → reconcile → rehome → depart loop, advanced one plan step
+// VMEngine is the VM-granularity engine behind RunVMLevel: the evict →
+// admit → replan → reconcile → rehome → depart loop, advanced one plan step
 // at a time so a long-lived daemon (cmd/vbserve) can stream app arrivals in
 // as they happen. RunVMLevel is a thin loop over Advance; feeding a
 // VMEngine the batch arrivals in Start order reproduces RunVMLevel's
@@ -25,24 +25,14 @@ import (
 // warm-start state — it can snapshot to disk and restore for crash
 // recovery.
 type VMEngine struct {
-	cfg        core.Config
-	in         Input
+	stepper
 	clusterCfg cluster.Config
-	base       trace.Series
-	numSites   int
-	T          int
-	stepsPer   int
-	util       float64
-	reg        *obs.Registry
-	sched      *core.Scheduler
 	vecs       *vmVecs
 	sites      []*cluster.Site
 
 	order  []*vmAppState
-	byID   map[int]*vmAppState
 	vmSite map[int]int // vmID -> site (-1 = displaced)
 
-	step    int
 	fragSum float64
 	res     VMLevelResult
 }
@@ -108,89 +98,38 @@ type VMStepReport struct {
 	MovesGBByClass map[string]float64 `json:"moves_gb_by_class,omitempty"`
 }
 
-// addClassCount accumulates a per-class step count, creating the map on
-// first use so clean steps keep their compact JSON form.
-func addClassCount(m *map[string]int, c workload.Class) {
-	if *m == nil {
-		*m = make(map[string]int)
-	}
-	(*m)[c.String()]++
-}
-
 // NewVMEngine builds a VM-granularity stepping engine. Unlike RunVMLevel,
-// Input.Apps may be empty: applications arrive through Advance. Feed each
-// app at (or before) the first step whose time reaches its Start, in Start
-// order, to match batch semantics.
+// Input.Apps may be empty: applications arrive through Advance, each app
+// once. Feed each app at (or before) the first step whose time reaches its
+// Start, in Start order, to match batch semantics.
 func NewVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config) (*VMEngine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := in.validateStreaming(); err != nil {
+	c, err := newStepper(cfg, in)
+	if err != nil {
 		return nil, err
 	}
 	if err := clusterCfg.Validate(); err != nil {
 		return nil, err
 	}
-	base := in.Actual[0]
-	if cfg.PlanStep != base.Step {
-		return nil, fmt.Errorf("sim: plan step %v != power step %v", cfg.PlanStep, base.Step)
-	}
-	numSites := len(in.Actual)
-	T := base.Len()
-	reg := in.Obs
-	if reg == nil {
-		reg = cfg.Obs
-	} else if cfg.Obs == nil {
-		cfg.Obs = reg
-	}
-	if reg != nil {
-		for _, b := range in.Bundles {
-			b.SetObs(reg)
-		}
-	}
-	sched, err := core.NewScheduler(cfg, numSites, T)
-	if err != nil {
-		return nil, err
-	}
-	sites := make([]*cluster.Site, numSites)
+	sites := make([]*cluster.Site, c.numSites)
 	for i := range sites {
 		if sites[i], err = cluster.New(clusterCfg); err != nil {
 			return nil, err
 		}
 	}
-	stepsPerDay := int(24 * time.Hour / base.Step)
-	if stepsPerDay < 1 {
-		stepsPerDay = 1
-	}
 	return &VMEngine{
-		cfg: cfg, in: in, clusterCfg: clusterCfg, base: base,
-		numSites: numSites, T: T, stepsPer: stepsPerDay,
-		util: effectiveUtil(cfg), reg: reg,
-		sched: sched, vecs: newVMVecs(reg, cfg.Policy, numSites),
+		stepper: c, clusterCfg: clusterCfg,
+		vecs:   newVMVecs(c.reg, cfg.Policy, c.numSites),
 		sites:  sites,
-		byID:   map[int]*vmAppState{},
 		vmSite: map[int]int{},
 		res: VMLevelResult{
 			Policy:           cfg.Policy,
-			Transfer:         trace.New(base.Start, base.Step, T),
+			Transfer:         trace.New(c.base.Start, c.base.Step, c.T),
 			MovesGBByClass:   make(map[workload.Class]float64),
 			EvictionsByClass: make(map[workload.Class]int),
 			FailedByClass:    make(map[workload.Class]int),
 		},
 	}, nil
 }
-
-// Step returns the next step Advance will execute.
-func (e *VMEngine) Step() int { return e.step }
-
-// Steps returns the total step count of the run's timeline.
-func (e *VMEngine) Steps() int { return e.T }
-
-// Now returns the simulation time of the next step.
-func (e *VMEngine) Now() time.Time { return e.base.TimeAt(e.step) }
-
-// Done reports whether the timeline is exhausted.
-func (e *VMEngine) Done() bool { return e.step >= e.T }
 
 // Running returns the number of VMs currently placed on some site.
 func (e *VMEngine) Running() int {
@@ -217,86 +156,61 @@ func (e *VMEngine) Result() VMLevelResult {
 	return r
 }
 
-// feed registers newly arrived applications, preserving feed order (which
-// the batch wrapper makes Start order, matching RunVMLevel's sort).
-func (e *VMEngine) feed(arrivals []AppArrival) error {
+// CheckArrivals reports the first arrival in batch that Advance would
+// refuse: an invalid demand, or an app ID repeated earlier in batch or
+// already fed to the engine (restored apps included).
+func (e *VMEngine) CheckArrivals(batch []AppArrival) error {
+	return e.checkBatch(len(batch), func(i int) core.AppDemand { return batch[i].Demand })
+}
+
+// Advance executes one plan step: feed the arrivals, apply power (evicting
+// as needed), admit arrived apps and replan daily, reconcile VMs against
+// plans, rehome displaced VMs, and depart finished ones. A batch
+// CheckArrivals refuses is refused whole, leaving the engine unchanged.
+func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
+	env, err := e.begin(len(arrivals), func(i int) core.AppDemand { return arrivals[i].Demand })
+	if err != nil {
+		return VMStepReport{}, err
+	}
+	// Register the arrivals in feed order, which the batch driver makes
+	// Start order. Every firm class is scheduled and tracked; degradable
+	// VMs pause in place for free (the paper's harvest semantics) and never
+	// constrain placement. Legacy traces carry only Stable here.
 	for _, arr := range arrivals {
-		d := arr.Demand
-		if err := d.Validate(); err != nil {
-			return err
-		}
-		if _, dup := e.byID[d.ID]; dup {
-			return fmt.Errorf("sim: app %d fed twice", d.ID)
-		}
-		st := &vmAppState{demand: d, endStep: e.T}
-		if !d.End.IsZero() {
-			if idx := e.base.IndexAt(d.End); idx >= 0 {
-				st.endStep = idx + 1
-			}
-		}
-		// Every firm class is scheduled and tracked; degradable VMs pause
-		// in place for free (the paper's harvest semantics) and never
-		// constrain placement. Legacy traces carry only Stable here.
+		st := &vmAppState{demand: arr.Demand, endStep: e.endStep(arr.Demand)}
 		for _, vm := range arr.VMs {
 			if vm.Class.Firm() {
 				st.vms = append(st.vms, vm)
 			}
 		}
-		e.byID[d.ID] = st
 		e.order = append(e.order, st)
 	}
-	return nil
-}
-
-// Advance executes one plan step: apply power (evicting as needed), admit
-// the given arrivals and replan daily, reconcile VMs against plans, rehome
-// displaced VMs, and depart finished ones.
-func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
-	if e.step >= e.T {
-		return VMStepReport{}, fmt.Errorf("sim: engine already at end of timeline (step %d of %d)", e.step, e.T)
-	}
-	if err := e.feed(arrivals); err != nil {
-		return VMStepReport{}, err
-	}
-	t := e.step
-	now := e.base.TimeAt(t)
+	t, now := env.t, env.now
 	rep := VMStepReport{Step: t, Now: now}
-	reg := e.reg
 	res := &e.res
-	numSites := e.numSites
-	predCap, stableCap := capacityFns(e.in, e.base, e.util, now, t, e.stepsPer, e.T)
 
-	// Fault injection: capacity faults scale the power each site sees,
-	// solver slowdowns derate the scheduler's node budget, and WAN faults
-	// bound this step's reconcile traffic. All methods are nil-safe no-ops
-	// without an injector.
-	inj := e.in.Faults
-	inj.OnStep(t, reg)
-	e.sched.SetSolverPressure(inj.SolverInflation(t))
-	wb := inj.WANBudget(t)
-
-	// 1. Apply power to every site. Evicted VMs are marked displaced
-	// (site -1) and re-homed in step 4.
+	// 1. Apply power to every site. Capacity faults scale the power each
+	// site sees. Evicted VMs are marked displaced (site -1) and re-homed in
+	// step 4.
 	for sIdx, site := range e.sites {
-		for _, vm := range site.SetPowerEvict(e.in.Actual[sIdx].Values[t] * inj.CapFactor(sIdx, t)) {
+		for _, vm := range site.SetPowerEvict(e.in.Actual[sIdx].Values[t] * e.in.Faults.CapFactor(sIdx, t)) {
 			e.vmSite[vm.ID] = -1
 			rep.Evicted = append(rep.Evicted, VMEvent{VM: vm.ID, App: vm.AppID, Site: sIdx})
 			res.EvictionsByClass[vm.Class]++
-			addClassCount(&rep.EvictedByClass, vm.Class)
-			reg.Emit(obs.Event{Type: obs.VMEvicted, Step: t, App: vm.AppID, Site: sIdx, Dst: -1,
+			addClass(&rep.EvictedByClass, vm.Class, 1)
+			e.reg.Emit(obs.Event{Type: obs.VMEvicted, Step: t, App: vm.AppID, Site: sIdx, Dst: -1,
 				VM: vm.ID, Cores: float64(vm.Cores), GB: float64(vm.MemoryGB)})
-			e.vecs.evict(sIdx)
-			e.vecs.evictClass(vm.Class)
+			e.vecs.evict(vm.Class, sIdx)
 		}
 	}
 
-	// 2. Plan: admit arriving apps; replan daily for MIP policies.
+	// 2. Plan: admit arriving apps, then replan daily for MIP policies.
 	for _, st := range e.order {
 		if st.started || st.demand.Start.After(now) || t >= st.endStep {
 			continue
 		}
 		if st.demand.StableCores > 0 {
-			plan, err := e.sched.Place(st.demand, t, st.endStep, predCap, stableCap, nil, nil)
+			plan, err := e.place(&env, st.demand, st.endStep, nil, nil)
 			if err != nil {
 				return rep, err
 			}
@@ -305,19 +219,18 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 		st.started = true
 		rep.Admitted = append(rep.Admitted, st.demand.ID)
 	}
-	if e.cfg.Policy != core.Greedy && t > 0 && t%e.stepsPer == 0 {
+	if e.replanDue(t) {
 		for _, st := range e.order {
 			if !st.started || t >= st.endStep || st.plan.Alloc == nil {
 				continue
 			}
-			cur := make([]float64, numSites)
+			cur := make([]float64, e.numSites)
 			for _, vm := range st.vms {
 				if s, ok := e.vmSite[vm.ID]; ok && s >= 0 {
 					cur[s] += float64(vm.Cores)
 				}
 			}
-			e.sched.Uncommit(st.plan, t)
-			plan, err := e.sched.Place(st.demand, t, st.endStep, predCap, stableCap, cur, st.plan.Alloc)
+			plan, err := e.place(&env, st.demand, st.endStep, cur, &st.plan)
 			if err != nil {
 				return rep, err
 			}
@@ -332,7 +245,7 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 		if !st.started || t >= st.endStep || st.plan.Alloc == nil {
 			continue
 		}
-		e.reconcile(st, t, wb, &rep)
+		e.reconcile(st, t, env.wb, &rep)
 	}
 
 	// 4. Re-home displaced VMs and start never-placed VMs at their app's
@@ -356,29 +269,18 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 				// Relaunch after displacement costs traffic; first boot
 				// is free.
 				if _, seen := e.vmSite[vm.ID]; seen {
-					gb := float64(vm.MemoryGB)
-					res.Transfer.Values[t] += gb
-					res.Moves++
-					res.MovesGBByClass[vm.Class] += gb
-					addClassDelta(&rep.MovesGBByClass, vm.Class, gb)
-					rep.Moves = append(rep.Moves, VMMove{VM: vm.ID, App: vm.AppID, From: -1, To: placed,
-						GB: gb, Reason: "rehome"})
-					reg.Emit(obs.Event{Type: obs.VMMoved, Step: t, App: vm.AppID, Site: -1,
-						Dst: placed, VM: vm.ID, Cores: float64(vm.Cores), GB: gb, Detail: "rehome"})
-					e.vecs.move(-1, placed, gb)
-					e.vecs.moveClass(vm.Class, gb)
+					e.recordMove(&rep, t, vm, -1, placed, "rehome")
 				}
 				e.vmSite[vm.ID] = placed
 			} else {
 				res.FailedPlacements++
 				res.FailedByClass[vm.Class]++
-				addClassCount(&rep.FailedByClass, vm.Class)
+				addClass(&rep.FailedByClass, vm.Class, 1)
 				rep.Failed = append(rep.Failed, vm.ID)
-				reg.Inc("sim.vmlevel.failed_placements")
-				reg.Emit(obs.Event{Type: obs.VMPlacementFail, Step: t, App: vm.AppID, Site: -1, Dst: -1,
+				e.reg.Inc("sim.vmlevel.failed_placements")
+				e.reg.Emit(obs.Event{Type: obs.VMPlacementFail, Step: t, App: vm.AppID, Site: -1, Dst: -1,
 					VM: vm.ID, Cores: float64(vm.Cores)})
-				e.vecs.fail(vm.AppID)
-				e.vecs.failClass(vm.Class)
+				e.vecs.fail(vm.Class, vm.AppID)
 			}
 		}
 	}
@@ -407,10 +309,10 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 	for _, site := range e.sites {
 		frag += site.Snapshot().Fragmentation
 	}
-	e.fragSum += frag / float64(numSites)
-	rep.Fragmentation = frag / float64(numSites)
+	e.fragSum += frag / float64(e.numSites)
+	rep.Fragmentation = frag / float64(e.numSites)
 	rep.TransferGB = res.Transfer.Values[t]
-	reg.Observe("sim.vmlevel.step_transfer_gb", res.Transfer.Values[t])
+	e.reg.Observe("sim.vmlevel.step_transfer_gb", res.Transfer.Values[t])
 	e.step++
 	return rep, nil
 }
@@ -448,32 +350,36 @@ func (e *VMEngine) reconcile(st *vmAppState, t int, wb *fault.LinkBudget, rep *V
 				break
 			}
 			gb := float64(vm.MemoryGB)
-			if wb != nil && !wb.CanMove(src, dst, gb) {
+			if !wb.CanMove(src, dst, gb) {
 				continue // WAN link cut or out of budget; stay put
 			}
 			if !e.sites[dst].Admit(vm) {
 				continue // fragmentation or admission refuses; stay put
 			}
-			if wb != nil {
-				wb.Consume(src, dst, gb)
-			}
+			wb.Consume(src, dst, gb)
 			e.sites[src].Remove(vm.ID)
 			e.vmSite[vm.ID] = dst
 			cur[src] -= float64(vm.Cores)
 			cur[dst] += float64(vm.Cores)
 			over -= float64(vm.Cores)
-			e.res.Transfer.Values[t] += gb
-			e.res.Moves++
-			e.res.MovesGBByClass[vm.Class] += gb
-			addClassDelta(&rep.MovesGBByClass, vm.Class, gb)
-			rep.Moves = append(rep.Moves, VMMove{VM: vm.ID, App: vm.AppID, From: src, To: dst,
-				GB: gb, Reason: "reconcile"})
-			e.reg.Emit(obs.Event{Type: obs.VMMoved, Step: t, App: vm.AppID, Site: src, Dst: dst,
-				VM: vm.ID, Cores: float64(vm.Cores), GB: gb, Detail: "reconcile"})
-			e.vecs.move(src, dst, gb)
-			e.vecs.moveClass(vm.Class, gb)
+			e.recordMove(rep, t, vm, src, dst, "reconcile")
 		}
 	}
+}
+
+// recordMove accounts one VM migration with its reason — a reconcile move
+// between sites or a rehome relaunch from src -1 — in the result, the step
+// report, the event stream and the vecs.
+func (e *VMEngine) recordMove(rep *VMStepReport, t int, vm workload.VM, src, dst int, reason string) {
+	gb := float64(vm.MemoryGB)
+	e.res.Transfer.Values[t] += gb
+	e.res.Moves++
+	e.res.MovesGBByClass[vm.Class] += gb
+	addClass(&rep.MovesGBByClass, vm.Class, gb)
+	rep.Moves = append(rep.Moves, VMMove{VM: vm.ID, App: vm.AppID, From: src, To: dst, GB: gb, Reason: reason})
+	e.reg.Emit(obs.Event{Type: obs.VMMoved, Step: t, App: vm.AppID, Site: src, Dst: dst,
+		VM: vm.ID, Cores: float64(vm.Cores), GB: gb, Detail: reason})
+	e.vecs.move(vm.Class, src, dst, gb)
 }
 
 // --- Snapshot / restore ---------------------------------------------------
@@ -658,11 +564,9 @@ func RestoreVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config, r io.
 		return nil, err
 	}
 	e.order = make([]*vmAppState, len(st.Apps))
-	e.byID = make(map[int]*vmAppState, len(st.Apps))
 	for i, a := range st.Apps {
-		s := &vmAppState{demand: a.Demand, plan: a.Plan, vms: a.VMs, endStep: a.EndStep, started: a.Started}
-		e.order[i] = s
-		e.byID[a.Demand.ID] = s
+		e.order[i] = &vmAppState{demand: a.Demand, plan: a.Plan, vms: a.VMs, endStep: a.EndStep, started: a.Started}
+		e.fed[a.Demand.ID] = true
 	}
 	e.vmSite = st.VMSite
 	if e.vmSite == nil {

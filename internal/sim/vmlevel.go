@@ -1,14 +1,11 @@
 package sim
 
 import (
-	"math"
 	"sort"
 	"time"
 
 	"github.com/vbcloud/vb/internal/cluster"
 	"github.com/vbcloud/vb/internal/core"
-	"github.com/vbcloud/vb/internal/forecast"
-	"github.com/vbcloud/vb/internal/obs"
 	"github.com/vbcloud/vb/internal/trace"
 	"github.com/vbcloud/vb/internal/workload"
 )
@@ -43,26 +40,14 @@ type VMLevelResult struct {
 // RunVMLevel simulates one policy at VM granularity. Apps supplies the
 // discrete VMs behind in.Apps (matched by App ID); only firm-class VMs
 // (every class but Degradable) are scheduled, as in Run. clusterCfg
-// describes each site's hardware.
-//
-// It is a thin batch loop over VMEngine.Advance: the demands are sorted by
-// Start and each step is fed the newly arrived prefix, which reproduces
-// the streaming daemon's decisions exactly (and vice versa).
+// describes each site's hardware. The batch driver feeds a VMEngine each
+// demand with its VMs in Start order, which reproduces the streaming
+// daemon's decisions exactly (and vice versa).
 func RunVMLevel(cfg core.Config, in Input, apps []workload.App, clusterCfg cluster.Config) (VMLevelResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return VMLevelResult{}, err
-	}
-	if err := in.Validate(); err != nil {
-		return VMLevelResult{}, err
-	}
 	eng, err := NewVMEngine(cfg, in, clusterCfg)
 	if err != nil {
 		return VMLevelResult{}, err
 	}
-	defer obs.Time(eng.reg, "sim.vmlevel.run")()
-
-	// Assemble arrivals exactly as the streaming path would see them:
-	// demand plus the app's VMs, ordered by Start.
 	vmsByApp := map[int][]workload.VM{}
 	for _, a := range apps {
 		vmsByApp[a.ID] = a.VMs
@@ -71,24 +56,14 @@ func RunVMLevel(cfg core.Config, in Input, apps []workload.App, clusterCfg clust
 	for _, d := range in.Apps {
 		arrivals = append(arrivals, AppArrival{Demand: d, VMs: vmsByApp[d.ID]})
 	}
-	sort.Slice(arrivals, func(i, j int) bool {
-		return arrivals[i].Demand.Start.Before(arrivals[j].Demand.Start)
-	})
-
-	next := 0
-	for !eng.Done() {
-		now := eng.Now()
-		var batch []AppArrival
-		for next < len(arrivals) && !arrivals[next].Demand.Start.After(now) {
-			batch = append(batch, arrivals[next])
-			next++
-		}
-		if _, err := eng.Advance(batch); err != nil {
-			return VMLevelResult{}, err
-		}
+	err = drive(&eng.stepper, "sim.vmlevel.run", arrivals, func(a AppArrival) time.Time { return a.Demand.Start },
+		func(batch []AppArrival) error {
+			_, err := eng.Advance(batch)
+			return err
+		})
+	if err != nil {
+		return VMLevelResult{}, err
 	}
-	// Apps whose Start lies beyond the timeline never arrive; the batch
-	// run simply drops them, as the loop above does implicitly.
 	return eng.Result(), nil
 }
 
@@ -115,50 +90,4 @@ func placeVM(vm workload.VM, plan core.Plan, t int, sites []*cluster.Site, vmSit
 		}
 	}
 	return -1
-}
-
-// capacityFns builds the forecast-driven capacity estimators shared by the
-// core-level and VM-level engines.
-func capacityFns(in Input, base trace.Series, util float64, now time.Time, t, stepsPerDay, T int) (predCap, stableCap core.CapacityFn) {
-	margin := func(lead time.Duration) float64 {
-		switch {
-		case lead <= forecast.Horizon3H:
-			return 0.03
-		case lead <= forecast.HorizonDay:
-			return 0.10
-		default:
-			return 0.18
-		}
-	}
-	predCap = func(site, step int) float64 {
-		v, ok := in.Bundles[site].PredictAt(now, base.TimeAt(step))
-		if !ok {
-			v = 0
-		}
-		// Fault view: in-flight outages (known once struck) and forecast
-		// busts scale the prediction; ×1.0 is bit-exact with no injector.
-		return util * v * in.TotalCores * in.Faults.ForecastFactor(site, t, step)
-	}
-	stableCap = func(site, step int) float64 {
-		target := base.TimeAt(step)
-		lead := target.Sub(now)
-		v := math.Inf(1)
-		for st := step - 1; st <= step+1; st++ {
-			if st < 0 || st >= T {
-				continue
-			}
-			pv, ok := in.Bundles[site].PredictAt(now, base.TimeAt(st))
-			if !ok {
-				pv = 0
-			}
-			if pv < v {
-				v = pv
-			}
-		}
-		if math.IsInf(v, 1) {
-			v = 0
-		}
-		return (1 - margin(lead)) * util * v * in.TotalCores * in.Faults.ForecastFactor(site, t, step)
-	}
-	return predCap, stableCap
 }

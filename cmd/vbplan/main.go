@@ -55,15 +55,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var policy vb.Policy
-	found := false
-	for _, p := range vb.AllPolicies() {
-		if p.String() == *policyArg {
-			policy, found = p, true
-		}
-	}
-	if !found {
-		log.Fatalf("unknown -policy %q", *policyArg)
+	policy, err := vb.ParsePolicy(*policyArg)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	names, series, err := readPower(*powerPath)

@@ -64,16 +64,11 @@ func main() {
 		Obs:                    reg,
 	}
 	if *policyArg != "" {
-		var found bool
-		for _, p := range vb.AllPolicies() {
-			if p.String() == *policyArg {
-				setup.Policies = []vb.Policy{p}
-				found = true
-			}
+		p, err := vb.ParsePolicy(*policyArg)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if !found {
-			log.Fatalf("unknown -policy %q", *policyArg)
-		}
+		setup.Policies = []vb.Policy{p}
 	}
 
 	res, err := vb.Table1PolicyComparison(setup)

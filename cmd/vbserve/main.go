@@ -36,7 +36,6 @@ import (
 	"log"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	vb "github.com/vbcloud/vb"
@@ -72,7 +71,7 @@ func main() {
 	)
 	flag.Parse()
 
-	policy, err := parsePolicy(*policyName)
+	policy, err := vb.ParsePolicy(*policyName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,15 +106,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-func parsePolicy(name string) (vb.Policy, error) {
-	for _, p := range vb.AllPolicies() {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown policy %q (want Greedy, MIP, MIP-24h, or MIP-peak)", name)
 }
 
 // scenario bundles the deterministic run configuration every mode shares:
@@ -244,13 +234,7 @@ func (s *scenario) applyFaults(spec string) error {
 	if spec == "" {
 		return nil
 	}
-	var script *vb.FaultScript
-	var err error
-	if strings.HasPrefix(spec, "@") {
-		script, err = vb.LoadFaultScript(spec[1:])
-	} else {
-		script, err = vb.ParseFaultSpec(spec)
-	}
+	script, err := vb.ParseFaultArg(spec)
 	if err != nil {
 		return err
 	}

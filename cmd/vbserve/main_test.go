@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -226,6 +227,63 @@ func TestReplaySnapshotAfterResume(t *testing.T) {
 	p2, _ := os.ReadFile(part2Path)
 	if !bytes.Equal(append(append([]byte{}, p1...), p2...), full) {
 		t.Fatalf("resumed replay diverges: %d + %d bytes vs %d uninterrupted", len(p1), len(p2), len(full))
+	}
+}
+
+// TestReplaySnapshotAfterNeedsSnapshotPath: -snapshot-after without
+// -snapshot is refused before any decision is replayed or written.
+func TestReplaySnapshotAfterNeedsSnapshotPath(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "requests.jsonl")
+	decPath := filepath.Join(dir, "decisions.jsonl")
+	f, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRequestLog(f, testScenario(t)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	err = replayLog(testScenario(t), logPath, decPath, "", "", 2)
+	if err == nil || !strings.Contains(err.Error(), "-snapshot") {
+		t.Fatalf("replay error = %v, want -snapshot-after refused without -snapshot", err)
+	}
+	if _, err := os.Stat(decPath); !os.IsNotExist(err) {
+		t.Fatalf("refused replay still wrote a decision log (stat err %v)", err)
+	}
+}
+
+// TestReplaySnapshotAfterPastLogEnd: a -snapshot-after step the request
+// log never reaches is an error naming both step counts, not a silent
+// success with no snapshot.
+func TestReplaySnapshotAfterPastLogEnd(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "requests.jsonl")
+	snapPath := filepath.Join(dir, "snap.bin")
+	scn := testScenario(t)
+	f, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRequestLog(f, scn); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	steps := scn.in.Actual[0].Len()
+	after := steps + 1000
+	err = replayLog(testScenario(t), logPath, filepath.Join(dir, "dec.jsonl"), snapPath, "", after)
+	if err == nil {
+		t.Fatal("replay past the log end reported success")
+	}
+	for _, n := range []int{steps, after} {
+		if !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Errorf("error %q does not name step count %d", err, n)
+		}
+	}
+	if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
+		t.Fatalf("snapshot written although the log ended first (stat err %v)", err)
 	}
 }
 

@@ -106,9 +106,13 @@ func skipReplayed(ops []requestOp, steps int) []requestOp {
 
 // replayLog drives the engine through a recorded request log, writing the
 // decision log (JSONL of vb.VMStepReport). With snapAfter > 0 it stops
-// after that many steps and writes a snapshot; with restorePath set it
-// resumes from a snapshot and skips the already-consumed log prefix.
+// after that many steps and writes a snapshot to snapPath, which must be
+// set, and fails if the log ends first; with restorePath set it resumes
+// from a snapshot and skips the already-consumed log prefix.
 func replayLog(scn *scenario, logPath, decPath, snapPath, restorePath string, snapAfter int) error {
+	if snapAfter > 0 && snapPath == "" {
+		return fmt.Errorf("-snapshot-after needs -snapshot <path>")
+	}
 	ops, err := readRequestLog(logPath)
 	if err != nil {
 		return err
@@ -158,14 +162,17 @@ func replayLog(scn *scenario, logPath, decPath, snapPath, restorePath string, sn
 				if err := bw.Flush(); err != nil {
 					return err
 				}
-				if snapPath == "" {
-					return fmt.Errorf("-snapshot-after needs -snapshot <path>")
-				}
 				return writeSnapshot(eng, snapPath)
 			}
 		}
 	}
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if snapAfter > 0 {
+		return fmt.Errorf("request log ended after %d steps, before -snapshot-after %d; no snapshot written", stepsDone, snapAfter)
+	}
+	return nil
 }
 
 // writeSnapshot atomically writes the engine's state to path.

@@ -22,7 +22,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strings"
 	"time"
 
 	vb "github.com/vbcloud/vb"
@@ -244,13 +243,7 @@ func runWorkload(seed uint64, days int, specPath, recordPath, replayPath string)
 // alongside the fault and degradation counters. The same seed plus the same
 // script always reproduces the same table.
 func runFaulted(seed uint64, days int, spec string) error {
-	var script *vb.FaultScript
-	var err error
-	if strings.HasPrefix(spec, "@") {
-		script, err = vb.LoadFaultScript(spec[1:])
-	} else {
-		script, err = vb.ParseFaultSpec(spec)
-	}
+	script, err := vb.ParseFaultArg(spec)
 	if err != nil {
 		return err
 	}

@@ -64,38 +64,31 @@ func (p Policy) String() string {
 // AllPolicies lists the four Table 1 policies in the paper's order.
 func AllPolicies() []Policy { return []Policy{Greedy, MIP24h, MIP, MIPPeak} }
 
+// ParsePolicy returns the policy whose String form is name.
+func ParsePolicy(name string) (Policy, error) {
+	for _, p := range AllPolicies() {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown policy %q (want Greedy, MIP, MIP-24h, or MIP-peak)", name)
+}
+
 // Config parameterizes the scheduler.
 type Config struct {
 	// Policy selects the strategy.
 	Policy Policy
 	// PlanStep is the granularity of the allocation timeline (e.g. 6 h).
 	PlanStep time.Duration
-	// Horizon caps the lookahead from an app's arrival; zero means the full
-	// remaining simulation. MIP24h forces 24 h regardless.
-	Horizon time.Duration
 	// PeakWeight scales objective O2 for MIPPeak (zero elsewhere). Zero
 	// with MIPPeak selects a default of 8.
 	PeakWeight float64
 	// MaxSitesPerApp bounds how many sites one application may span
 	// (the paper's k, 2-5). Zero selects 3.
 	MaxSitesPerApp int
-	// UtilTarget is the fraction of powered cores schedulable (paper 0.7).
-	// Zero selects 0.7.
+	// UtilTarget is the fraction of powered cores schedulable, in (0, 1]
+	// (paper 0.7). Zero selects 0.7.
 	UtilTarget float64
-	// MIPNodes caps branch-and-bound nodes per placement (0 = 2000).
-	MIPNodes int
-	// SolveDeadline, when positive, bounds each placement solve's wall
-	// clock. An expired deadline never fails the placement: the scheduler
-	// degrades down its fallback ladder (truncated-MIP incumbent, rounded
-	// LP repair, greedy) and records the tier taken via Obs. Wall-clock
-	// deadlines are inherently nondeterministic; simulations needing
-	// bit-identical runs should rely on solver-pressure node derating
-	// (SetSolverPressure) instead.
-	SolveDeadline time.Duration
-	// SolverWorkers >= 1 evaluates branch-and-bound nodes concurrently with
-	// that many workers; the result is bit-identical for any worker count.
-	// Zero keeps the serial solver loop.
-	SolverWorkers int
 	// Obs, when non-nil, receives scheduler metrics and trace events
 	// (solve timings, objective values, placement counters). A nil
 	// registry is a no-op and costs nothing on the hot path.
@@ -103,16 +96,16 @@ type Config struct {
 }
 
 func (c Config) maxSites() int {
-	if c.MaxSitesPerApp <= 0 {
+	if c.MaxSitesPerApp == 0 {
 		return 3
 	}
 	return c.MaxSitesPerApp
 }
 
 // Utilization returns the schedulable fraction of powered cores:
-// UtilTarget, or the paper's 0.7 when it is unset or outside (0,1].
+// UtilTarget, or the paper's 0.7 when it is unset.
 func (c Config) Utilization() float64 {
-	if c.UtilTarget <= 0 || c.UtilTarget > 1 {
+	if c.UtilTarget == 0 {
 		return 0.7
 	}
 	return c.UtilTarget
@@ -122,26 +115,26 @@ func (c Config) peakWeight() float64 {
 	if c.Policy != MIPPeak {
 		return 0
 	}
-	if c.PeakWeight <= 0 {
+	if c.PeakWeight == 0 {
 		return 8
 	}
 	return c.PeakWeight
 }
 
-func (c Config) mipNodes() int {
-	if c.MIPNodes <= 0 {
-		return 2000
-	}
-	return c.MIPNodes
-}
-
-// Validate reports configuration errors.
+// Validate reports configuration errors. Zero-valued tuning fields select
+// the paper defaults; anything else must be in range.
 func (c Config) Validate() error {
 	if c.PlanStep <= 0 {
 		return fmt.Errorf("core: non-positive plan step %v", c.PlanStep)
 	}
-	if c.Horizon < 0 {
-		return fmt.Errorf("core: negative horizon %v", c.Horizon)
+	if u := c.UtilTarget; math.IsNaN(u) || u < 0 || u > 1 {
+		return fmt.Errorf("core: UtilTarget %v outside [0, 1]", u)
+	}
+	if w := c.PeakWeight; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		return fmt.Errorf("core: PeakWeight %v is not a finite non-negative weight", w)
+	}
+	if c.MaxSitesPerApp < 0 {
+		return fmt.Errorf("core: negative MaxSitesPerApp %d", c.MaxSitesPerApp)
 	}
 	switch c.Policy {
 	case Greedy, MIP, MIP24h, MIPPeak:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,15 +38,39 @@ func TestConfigValidate(t *testing.T) {
 	if err := validConfig(MIP).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	bad := []Config{
-		{},
-		{Policy: MIP, PlanStep: -time.Hour},
-		{Policy: MIP, PlanStep: time.Hour, Horizon: -time.Hour},
-		{Policy: Policy(9), PlanStep: time.Hour},
+	bad := []struct {
+		cfg   Config
+		field string // named in the error; empty when not checked
+	}{
+		{Config{}, ""},
+		{Config{Policy: MIP, PlanStep: -time.Hour}, ""},
+		{Config{Policy: Policy(9), PlanStep: time.Hour}, ""},
+		{Config{Policy: MIP, PlanStep: time.Hour, UtilTarget: math.NaN()}, "UtilTarget"},
+		{Config{Policy: MIP, PlanStep: time.Hour, UtilTarget: math.Inf(1)}, "UtilTarget"},
+		{Config{Policy: MIP, PlanStep: time.Hour, UtilTarget: -0.1}, "UtilTarget"},
+		{Config{Policy: MIP, PlanStep: time.Hour, UtilTarget: 1.5}, "UtilTarget"},
+		{Config{Policy: MIPPeak, PlanStep: time.Hour, PeakWeight: math.NaN()}, "PeakWeight"},
+		{Config{Policy: MIPPeak, PlanStep: time.Hour, PeakWeight: math.Inf(1)}, "PeakWeight"},
+		{Config{Policy: MIPPeak, PlanStep: time.Hour, PeakWeight: -1}, "PeakWeight"},
+		{Config{Policy: MIP, PlanStep: time.Hour, MaxSitesPerApp: -2}, "MaxSitesPerApp"},
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		err := c.cfg.Validate()
+		if err == nil {
+			t.Errorf("bad config %d accepted: %+v", i, c.cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("bad config %d: error %q does not name %s", i, err, c.field)
+		}
+	}
+	// Zero tuning fields select the paper defaults; in-range values pass.
+	for i, c := range []Config{
+		{Policy: MIP, PlanStep: time.Hour},
+		{Policy: MIPPeak, PlanStep: time.Hour, UtilTarget: 1, PeakWeight: 2, MaxSitesPerApp: 5},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("good config %d rejected: %v", i, err)
 		}
 	}
 }
@@ -58,7 +83,10 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Utilization() != 0.7 {
 		t.Error("default util target")
 	}
-	if c.mipNodes() != 2000 {
+	if u := (Config{UtilTarget: 0.5}).Utilization(); u != 0.5 {
+		t.Errorf("explicit util target = %v, want 0.5", u)
+	}
+	if mipNodes != 2000 {
 		t.Error("default MIP nodes")
 	}
 	if c.peakWeight() != 0 {
@@ -444,12 +472,11 @@ func TestMIPOversubscribesGracefully(t *testing.T) {
 }
 
 // TestSolverWorkersObsCounters pins the solver-kernel observability wiring:
-// a parallel-solver scheduler must report basis counters through the
-// registry, and its placements must match the serial scheduler's.
+// a scheduler must report node and basis counters through the registry,
+// and observing a placement must not change it.
 func TestSolverWorkersObsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := validConfig(MIP)
-	cfg.SolverWorkers = 2
 	cfg.Obs = reg
 	s, err := NewScheduler(cfg, 2, 8)
 	if err != nil {
@@ -461,26 +488,23 @@ func TestSolverWorkersObsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serial, err := NewScheduler(validConfig(MIP), 2, 8)
+	plain, err := NewScheduler(validConfig(MIP), 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.Place(demand(1, 100, 100, 4), 0, 8, pred, pred, nil, nil)
+	want, err := plain.Place(demand(1, 100, 100, 4), 0, 8, pred, pred, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for site := range plan.Alloc {
 		for tt := range plan.Alloc[site] {
-			if math.Abs(plan.Alloc[site][tt]-want.Alloc[site][tt]) > 1e-6 {
-				t.Fatalf("parallel plan diverges at site %d step %d: %v vs %v",
+			if plan.Alloc[site][tt] != want.Alloc[site][tt] {
+				t.Fatalf("observed plan diverges at site %d step %d: %v vs %v",
 					site, tt, plan.Alloc[site][tt], want.Alloc[site][tt])
 			}
 		}
 	}
 
-	if got := reg.Counter("mip.nodes.parallel"); got <= 0 {
-		t.Errorf("mip.nodes.parallel = %v, want > 0", got)
-	}
 	if got := reg.Counter("mip.nodes"); got <= 0 {
 		t.Errorf("mip.nodes = %v, want > 0", got)
 	}

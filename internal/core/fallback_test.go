@@ -13,12 +13,11 @@ func capFn(caps ...float64) CapacityFn {
 	return func(site, step int) float64 { return caps[site] }
 }
 
-// newTestScheduler builds a 2-site scheduler whose node budget is already
-// exhausted at the root (MIPNodes 1), so branch and bound cannot reach an
-// integer incumbent whenever the relaxation is fractional.
-func newTestScheduler(t *testing.T, reg *obs.Registry, mipNodes int) *Scheduler {
+// newTestScheduler builds a 2-site scheduler with one site per app and the
+// default node budget.
+func newTestScheduler(t *testing.T, reg *obs.Registry) *Scheduler {
 	t.Helper()
-	cfg := Config{Policy: MIP, PlanStep: 6 * time.Hour, MaxSitesPerApp: 1, MIPNodes: mipNodes, Obs: reg}
+	cfg := Config{Policy: MIP, PlanStep: 6 * time.Hour, MaxSitesPerApp: 1, Obs: reg}
 	s, err := NewScheduler(cfg, 2, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -26,13 +25,25 @@ func newTestScheduler(t *testing.T, reg *obs.Registry, mipNodes int) *Scheduler 
 	return s
 }
 
+// newRootOnlyScheduler is newTestScheduler under solver pressure 2000,
+// which derates the 2,000-node budget to the root alone, so branch and
+// bound cannot reach an integer incumbent whenever the relaxation is
+// fractional.
+func newRootOnlyScheduler(t *testing.T, reg *obs.Registry) *Scheduler {
+	t.Helper()
+	s := newTestScheduler(t, reg)
+	s.SetSolverPressure(2000)
+	return s
+}
+
 // With caps 7/3 and demand 10 under MaxSitesPerApp=1, the relaxation is
 // forced to y = (0.7, 0.3): fractional, so a 1-node budget yields no
 // incumbent — and rounding y to (1, 0) is feasible (3 cores become
-// explicit shortfall). The ladder must land on the rounded-lp tier.
+// explicit shortfall). The ladder must land on the rounded-lp tier, and
+// the pressure-truncated search counts as one deadline event.
 func TestFallbackRoundedLPTier(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestScheduler(t, reg, 1)
+	s := newRootOnlyScheduler(t, reg)
 	app := demand(1, 10, 10, 2)
 	plan, err := s.Place(app, 0, 4, capFn(7, 3), nil, nil, nil)
 	if err != nil {
@@ -48,8 +59,8 @@ func TestFallbackRoundedLPTier(t *testing.T) {
 	if got := reg.Counter("scheduler.fallback.count"); got != 1 {
 		t.Fatalf("scheduler.fallback.count = %v, want 1", got)
 	}
-	if got := reg.Counter("solver.deadline_exceeded"); got != 0 {
-		t.Fatalf("solver.deadline_exceeded = %v, want 0 (no pressure, no deadline)", got)
+	if got := reg.Counter("solver.deadline_exceeded"); got != 1 {
+		t.Fatalf("solver.deadline_exceeded = %v, want 1 (budget truncated by pressure)", got)
 	}
 	vec := reg.NewCounterVec("scheduler.fallback.by_tier", "policy", "tier")
 	if got := vec.Value("MIP", "rounded-lp"); got != 1 {
@@ -77,7 +88,7 @@ func TestFallbackRoundedLPTier(t *testing.T) {
 // the greedy tier.
 func TestFallbackGreedyTier(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestScheduler(t, reg, 1)
+	s := newRootOnlyScheduler(t, reg)
 	app := demand(1, 10, 10, 2)
 	plan, err := s.Place(app, 0, 4, capFn(5, 5), nil, nil, nil)
 	if err != nil {
@@ -103,15 +114,18 @@ func TestFallbackGreedyTier(t *testing.T) {
 	if got := reg.Counter("scheduler.fallback.count"); got != 1 {
 		t.Fatalf("scheduler.fallback.count = %v, want 1", got)
 	}
+	if got := reg.Counter("solver.deadline_exceeded"); got != 1 {
+		t.Fatalf("solver.deadline_exceeded = %v, want 1 (budget truncated by pressure)", got)
+	}
 }
 
-// Solver pressure derates the node budget: with MIPNodes 2000 and
+// Solver pressure derates the node budget: with the 2,000-node budget and
 // pressure 4000 the effective budget is 1 node, which must reproduce the
 // rounded-lp degradation and count a deadline event — without touching
 // wall clocks.
 func TestSolverPressureDeratesAndCounts(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestScheduler(t, reg, 2000)
+	s := newTestScheduler(t, reg)
 	s.SetSolverPressure(4000)
 	app := demand(1, 10, 10, 2)
 	if _, err := s.Place(app, 0, 4, capFn(7, 3), nil, nil, nil); err != nil {
@@ -127,7 +141,7 @@ func TestSolverPressureDeratesAndCounts(t *testing.T) {
 	// Pressure 1 (or nonsense values) restores the full budget: the same
 	// placement on a fresh scheduler solves cleanly with no fallback.
 	reg2 := obs.NewRegistry()
-	s2 := newTestScheduler(t, reg2, 2000)
+	s2 := newTestScheduler(t, reg2)
 	s2.SetSolverPressure(math.NaN()) // clamps to 1
 	if _, err := s2.Place(app, 0, 4, capFn(7, 3), nil, nil, nil); err != nil {
 		t.Fatal(err)
@@ -140,42 +154,12 @@ func TestSolverPressureDeratesAndCounts(t *testing.T) {
 	}
 }
 
-// A wall-clock deadline that expires immediately must degrade, not error,
-// and must be visible in the deadline counter.
-func TestSolveDeadlineDegradesWithoutError(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := Config{Policy: MIP, PlanStep: 6 * time.Hour, MaxSitesPerApp: 1,
-		SolveDeadline: time.Nanosecond, Obs: reg}
-	s, err := NewScheduler(cfg, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := demand(1, 10, 10, 2)
-	plan, err := s.Place(app, 0, 4, capFn(7, 3), nil, nil, nil)
-	if err != nil {
-		t.Fatalf("deadline-expired placement returned error: %v", err)
-	}
-	var total float64
-	for site := range plan.Alloc {
-		total += plan.Alloc[site][0]
-	}
-	if total <= 0 {
-		t.Fatal("degraded placement placed nothing")
-	}
-	if got := reg.Counter("solver.deadline_exceeded"); got != 1 {
-		t.Fatalf("solver.deadline_exceeded = %v, want 1", got)
-	}
-	if got := reg.Counter("scheduler.fallback.count"); got < 1 {
-		t.Fatalf("scheduler.fallback.count = %v, want >= 1", got)
-	}
-}
-
-// A clean solve (no pressure, no deadline, feasible integer optimum) must
-// not record any fallback or deadline activity: the degradation machinery
-// is invisible on the seed path.
+// A clean solve (no pressure, feasible integer optimum) must not record any
+// fallback or deadline activity: the degradation machinery is invisible on
+// the seed path.
 func TestCleanSolveRecordsNoFallback(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestScheduler(t, reg, 0) // default node budget
+	s := newTestScheduler(t, reg)
 	app := demand(1, 6, 6, 2)
 	if _, err := s.Place(app, 0, 4, capFn(7, 3), nil, nil, nil); err != nil {
 		t.Fatal(err)

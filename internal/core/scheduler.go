@@ -34,9 +34,8 @@ type Scheduler struct {
 	vecs schedVecs
 	// pressure is the current solver-latency inflation factor (>= 1; 0 or
 	// 1 means none). Under pressure the per-placement node budget derates
-	// to MIPNodes/pressure, modeling a slow solver deterministically: the
-	// truncation point depends only on the factor, never on wall clock or
-	// worker count.
+	// to mipNodes/pressure, modeling a slow solver deterministically: the
+	// truncation point depends only on the factor, never on wall clock.
 	pressure float64
 }
 
@@ -92,6 +91,10 @@ type warmEntry struct {
 // which is deterministic (ticks are unique).
 const warmCap = 32
 
+// mipNodes caps branch-and-bound nodes per placement before solver
+// pressure derates it (see SetSolverPressure).
+const mipNodes = 2000
+
 // NewScheduler creates a scheduler for a group of numSites sites and a
 // global timeline of steps plan steps.
 func NewScheduler(cfg Config, numSites, steps int) (*Scheduler, error) {
@@ -119,9 +122,9 @@ func (s *Scheduler) Committed(site, step int) float64 { return s.committed[site]
 // SetSolverPressure sets the solver-latency inflation factor for
 // subsequent placements (a fault-injection input). Factors below 1 (or
 // non-finite) reset to 1: no pressure. Under factor f each placement's
-// branch-and-bound budget becomes max(1, MIPNodes/f), so a saturated
+// branch-and-bound budget becomes max(1, mipNodes/f), so a saturated
 // solver degrades to the truncated-incumbent or rounded-LP tiers exactly
-// the same way at any worker count.
+// the same way on every run.
 func (s *Scheduler) SetSolverPressure(f float64) {
 	if math.IsNaN(f) || f < 1 {
 		f = 1
@@ -271,12 +274,8 @@ func (s *Scheduler) placeGreedy(app AppDemand, nowStep, endStep int, predCap Cap
 // capacity gaps surface as explicit shortfall instead of infeasibility.
 func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stableCap CapacityFn, prev []float64, prevPlan [][]float64) (Plan, error) {
 	horizon := endStep - nowStep
-	if s.cfg.Policy == MIP24h || s.cfg.Horizon > 0 {
-		h := s.cfg.Horizon
-		if s.cfg.Policy == MIP24h {
-			h = 24 * time.Hour
-		}
-		hs := int(h / s.cfg.PlanStep)
+	if s.cfg.Policy == MIP24h {
+		hs := int(24 * time.Hour / s.cfg.PlanStep)
 		if hs < 1 {
 			hs = 1
 		}
@@ -494,8 +493,8 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 
 	// Solver pressure (a latency fault) derates the node budget instead of
 	// racing a wall clock: the truncation point is then a pure function of
-	// the script, keeping decision logs bit-identical at any worker count.
-	maxNodes := s.cfg.mipNodes()
+	// the script, keeping decision logs bit-identical from run to run.
+	maxNodes := mipNodes
 	if s.pressure > 1 {
 		maxNodes = int(float64(maxNodes) / s.pressure)
 		if maxNodes < 1 {
@@ -514,8 +513,7 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		reg.Emit(obs.Event{Type: obs.MIPSolveStart, Step: nowStep, App: app.ID, Site: -1, Dst: -1, Cores: demand})
 	}
 	ws := s.warmState(app.ID)
-	sol, err := mip.Solve(prob, mip.Options{MaxNodes: maxNodes, Warm: ws,
-		Workers: s.cfg.SolverWorkers, Deadline: s.cfg.SolveDeadline})
+	sol, err := mip.Solve(prob, mip.Options{MaxNodes: maxNodes, Warm: ws})
 	warmth := "cold"
 	if sol.WarmHit {
 		warmth = "warm"
@@ -527,9 +525,6 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		reg.Add("lp.pivots", float64(sol.Pivots))
 		reg.Add("lp.refactor.count", float64(sol.Refactors))
 		reg.Observe("lp.eta.chain_len", float64(sol.EtaChainLen))
-		if s.cfg.SolverWorkers >= 1 {
-			reg.Add("mip.nodes.parallel", float64(sol.Nodes))
-		}
 		if sol.WarmHit {
 			reg.Inc("mip.warmstart.hits")
 		} else {
@@ -545,19 +540,19 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		} else {
 			reg.Inc("mip.failures")
 		}
-		// A deadline expiry, or a pressure-derated budget truncating the
-		// search, counts as a deadline event whether or not an incumbent
-		// survived to serve the placement.
-		if sol.DeadlineExceeded || (err == nil && s.pressure > 1 && !sol.Proven) {
+		// A pressure-derated budget truncating the search counts as a
+		// deadline event whether or not an incumbent survived to serve the
+		// placement.
+		if err == nil && s.pressure > 1 && !sol.Proven {
 			reg.Inc("solver.deadline_exceeded")
 		}
 	}
 	// Graceful-degradation ladder. Tier 0 is the full (or truncated-with-
 	// incumbent) branch-and-bound solution above. When that produced no
-	// usable plan — deadline with no incumbent, node budget exhausted
-	// before the first integer point, or a numerical dead end — tier 1
-	// rounds and repairs the LP relaxation, and tier 2 falls back to the
-	// greedy baseline, which cannot fail. Solver trouble therefore never
+	// usable plan — node budget exhausted before the first integer point,
+	// or a numerical dead end — tier 1 rounds and repairs the LP
+	// relaxation, and tier 2 falls back to the greedy baseline, which
+	// cannot fail. Solver trouble therefore never
 	// surfaces as a placement error: it degrades, and the degradation is
 	// recorded (scheduler.fallback.count, SchedulerFallback events).
 	if err != nil || sol.Status != lp.Optimal {

@@ -122,12 +122,6 @@ type Solution struct {
 // ErrBadProblem reports a malformed problem.
 var ErrBadProblem = errors.New("lp: malformed problem")
 
-// ErrInterrupted reports a solve abandoned by the interrupt hook (see
-// Instance.SetInterrupt) before reaching a conclusion. The basis state is
-// consistent but not optimal; callers treat it as a deadline, not a
-// numerical failure.
-var ErrInterrupted = errors.New("lp: solve interrupted")
-
 const eps = 1e-9
 
 // Validate reports structural problems.

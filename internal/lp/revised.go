@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -93,26 +92,7 @@ type Instance struct {
 
 	pivots    int64
 	refactors int64
-
-	// interrupt, when set, is polled every interruptStride pivots; a true
-	// return abandons the solve with ErrInterrupted. It must be cheap and
-	// safe to call from the goroutine running the solve.
-	interrupt func() bool
 }
-
-// interruptStride is how many simplex iterations run between interrupt
-// polls: frequent enough to bound deadline overshoot, rare enough to keep
-// the atomic load off the per-pivot path.
-const interruptStride = 64
-
-// SetInterrupt installs (or clears, with nil) the solve interrupt hook.
-// When the hook returns true the current and any subsequent SolveCurrent
-// aborts with ErrInterrupted, leaving the instance's basis consistent for
-// a later re-solve. Clone propagates the hook to copies, so parallel
-// branch-and-bound workers share one deadline.
-func (in *Instance) SetInterrupt(f func() bool) { in.interrupt = f }
-
-func (in *Instance) interrupted() bool { return in.interrupt != nil && in.interrupt() }
 
 // NewInstance compiles p. The problem must already be valid (see
 // Problem.Validate); Solve validates before compiling, and internal/mip
@@ -376,11 +356,6 @@ func (in *Instance) SolveCurrent() (Status, error) {
 		if err == nil && in.residualOK() {
 			return st, nil
 		}
-		// An interrupt is a deadline, not numerical trouble: retrying would
-		// just re-poll the same fired hook. Surface it immediately.
-		if errors.Is(err, ErrInterrupted) {
-			return st, err
-		}
 		if !in.refactorize() {
 			in.crash()
 		}
@@ -483,9 +458,6 @@ func (in *Instance) phase1() (Status, error) {
 	bland := false
 	degen := 0
 	for iter := 0; iter < maxIter; iter++ {
-		if iter%interruptStride == 0 && in.interrupted() {
-			return Optimal, ErrInterrupted
-		}
 		ninf := 0
 		for i := 0; i < in.m; i++ {
 			j := in.basis[i]
@@ -833,9 +805,6 @@ func (in *Instance) phase2() (Status, error) {
 	bland := false
 	degen := 0
 	for iter := 0; iter < maxIter; iter++ {
-		if iter%interruptStride == 0 && in.interrupted() {
-			return Optimal, ErrInterrupted
-		}
 		enter, dir := in.pickFromD(bland)
 		if enter < 0 {
 			if !in.dExact {

@@ -318,49 +318,6 @@ func (f *sparseLU) rowOfInverse(r int, dst []float64) {
 	f.btran(dst)
 }
 
-// clone returns a deep copy sharing no memory with the receiver.
-func (f *sparseLU) clone() *sparseLU {
-	g := &sparseLU{m: f.m, trivial: f.trivial}
-	g.pivRow = append([]int32(nil), f.pivRow...)
-	g.pivCol = append([]int32(nil), f.pivCol...)
-	g.lPtr = append([]int32(nil), f.lPtr...)
-	g.lIdx = append([]int32(nil), f.lIdx...)
-	g.lVal = append([]float64(nil), f.lVal...)
-	g.uPtr = append([]int32(nil), f.uPtr...)
-	g.uIdx = append([]int32(nil), f.uIdx...)
-	g.uVal = append([]float64(nil), f.uVal...)
-	g.diag = append([]float64(nil), f.diag...)
-	g.etaRow = append([]int32(nil), f.etaRow...)
-	g.etaPiv = append([]float64(nil), f.etaPiv...)
-	g.etaPtr = append([]int32(nil), f.etaPtr...)
-	g.etaIdx = append([]int32(nil), f.etaIdx...)
-	g.etaVal = append([]float64(nil), f.etaVal...)
-	g.work = make([]float64, f.m)
-	return g
-}
-
-// copyFrom overwrites the receiver's state with s's (clones of one
-// instance, so the dimensions match).
-func (f *sparseLU) copyFrom(s *sparseLU) {
-	f.m = s.m
-	f.trivial = s.trivial
-	f.pivRow = append(f.pivRow[:0], s.pivRow...)
-	f.pivCol = append(f.pivCol[:0], s.pivCol...)
-	f.lPtr = append(f.lPtr[:0], s.lPtr...)
-	f.lIdx = append(f.lIdx[:0], s.lIdx...)
-	f.lVal = append(f.lVal[:0], s.lVal...)
-	f.uPtr = append(f.uPtr[:0], s.uPtr...)
-	f.uIdx = append(f.uIdx[:0], s.uIdx...)
-	f.uVal = append(f.uVal[:0], s.uVal...)
-	f.diag = append(f.diag[:0], s.diag...)
-	f.etaRow = append(f.etaRow[:0], s.etaRow...)
-	f.etaPiv = append(f.etaPiv[:0], s.etaPiv...)
-	f.etaPtr = append(f.etaPtr[:0], s.etaPtr...)
-	f.etaIdx = append(f.etaIdx[:0], s.etaIdx...)
-	f.etaVal = append(f.etaVal[:0], s.etaVal...)
-	f.work = resizeF64(f.work, s.m)
-}
-
 // refactor rebuilds the LU from the instance's current basis columns by
 // right-looking sparse Gaussian elimination. Pivot selection is
 // Markowitz-style: the sparsest live column first, then within it the

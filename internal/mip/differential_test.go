@@ -62,10 +62,9 @@ func randomMIP(rng *rand.Rand) Problem {
 	return p
 }
 
-// TestDifferentialMIP compares the bounds-branching warm-started solver,
-// serial and parallel, against the row-branching reference oracle across
-// random MIPs: statuses must agree exactly and proven objectives within
-// 1e-6.
+// TestDifferentialMIP compares the bounds-branching warm-started solver
+// against the row-branching reference oracle across random MIPs: statuses
+// must agree exactly and proven objectives within 1e-6.
 func TestDifferentialMIP(t *testing.T) {
 	iters := 1500
 	if testing.Short() {
@@ -76,16 +75,15 @@ func TestDifferentialMIP(t *testing.T) {
 		p := randomMIP(rng)
 		ref, errRef := solveReference(p, Options{})
 		got, errGot := Solve(p, Options{})
-		par, errPar := Solve(p, Options{Workers: 2})
-		if (errRef != nil) != (errGot != nil) || (errRef != nil) != (errPar != nil) {
-			t.Fatalf("seed %d: error mismatch: reference %v, serial %v, parallel %v", s, errRef, errGot, errPar)
+		if (errRef != nil) != (errGot != nil) {
+			t.Fatalf("seed %d: error mismatch: reference %v, revised %v", s, errRef, errGot)
 		}
 		if errRef != nil {
 			continue
 		}
-		if ref.Status != got.Status || ref.Status != par.Status {
-			t.Fatalf("seed %d: status mismatch: reference %v, serial %v, parallel %v\nproblem: %+v",
-				s, ref.Status, got.Status, par.Status, p)
+		if ref.Status != got.Status {
+			t.Fatalf("seed %d: status mismatch: reference %v, revised %v\nproblem: %+v",
+				s, ref.Status, got.Status, p)
 		}
 		if ref.Status != lp.Optimal || !ref.Proven || !got.Proven {
 			continue
@@ -93,9 +91,6 @@ func TestDifferentialMIP(t *testing.T) {
 		if math.Abs(ref.Objective-got.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
 			t.Fatalf("seed %d: objective mismatch: reference %.9g (%d nodes), revised %.9g (%d nodes)\nref x=%v\ngot x=%v\nproblem: %+v",
 				s, ref.Objective, ref.Nodes, got.Objective, got.Nodes, ref.X, got.X, p)
-		}
-		if par.Proven && math.Abs(ref.Objective-par.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
-			t.Fatalf("seed %d: objective mismatch: reference %.9g, parallel %.9g\nproblem: %+v", s, ref.Objective, par.Objective, p)
 		}
 		// The revised incumbent must be integer feasible and within bounds.
 		for j, isInt := range p.Integer {
@@ -214,55 +209,5 @@ func TestWarmStateReuse(t *testing.T) {
 	}
 	if !again.WarmHit || again.Pivots != 0 {
 		t.Errorf("re-solve after miss: hit=%v pivots=%d, want hit with 0 pivots", again.WarmHit, again.Pivots)
-	}
-}
-
-// TestGapPruneOnPop verifies Options.Gap is honored in the best-first bound
-// prune: once an incumbent is within the gap of the smallest outstanding
-// bound, the search stops (Proven) without exploring those nodes, and a
-// loose gap explores no more nodes than an exact solve.
-func TestGapPruneOnPop(t *testing.T) {
-	// A knapsack with many near-tied alternatives forces real branching.
-	rng := rand.New(rand.NewSource(7))
-	n := 14
-	p := Problem{
-		Problem: lp.Problem{
-			NumVars:   n,
-			Objective: make([]float64, n),
-			Maximize:  true,
-			Upper:     make([]float64, n),
-		},
-		Integer: make([]bool, n),
-	}
-	weights := make([]float64, n)
-	for j := 0; j < n; j++ {
-		p.Objective[j] = 10 + rng.Float64()
-		weights[j] = 3 + 2*rng.Float64()
-		p.Upper[j] = 1
-		p.Integer[j] = true
-	}
-	p.Constraints = []lp.Constraint{{Coeffs: weights, Sense: lp.LE, RHS: 20}}
-
-	exact, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Status != lp.Optimal || !exact.Proven {
-		t.Fatalf("exact solve: %v proven=%v", exact.Status, exact.Proven)
-	}
-	loose, err := Solve(p, Options{Gap: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Status != lp.Optimal || !loose.Proven {
-		t.Fatalf("gapped solve: %v proven=%v", loose.Status, loose.Proven)
-	}
-	if loose.Nodes >= exact.Nodes {
-		t.Errorf("gap=0.25 explored %d nodes, exact explored %d — gap prune not engaging", loose.Nodes, exact.Nodes)
-	}
-	// The gapped incumbent is within the promised distance of the optimum
-	// (maximization: incumbent may be below the true optimum by ≤ gap·scale).
-	if exact.Objective-loose.Objective > 0.25*(1+math.Abs(exact.Objective)) {
-		t.Errorf("gapped objective %v too far from optimum %v", loose.Objective, exact.Objective)
 	}
 }

@@ -9,28 +9,27 @@ import (
 )
 
 // TestGoldenObjectives pins the optimal objective of a family of
-// deterministic site-selection-shaped MIPs. Every path must reproduce each
-// value to 1e-6: the serial and parallel bounds-branching searches because
-// they are the production paths, and the row-branching reference oracle
-// because it anchors the values to the pre-rewrite implementation. A
-// pivoting or warm-start regression that lands on a wrong vertex shows up
-// here as a changed objective even when feasibility checks still pass.
+// deterministic site-selection-shaped MIPs. Both solvers must reproduce
+// each value to 1e-6: the bounds-branching search because it is the
+// production path, and the row-branching reference oracle because it
+// anchors the values to the pre-rewrite implementation. A pivoting or
+// warm-start regression that lands on a wrong vertex shows up here as a
+// changed objective even when feasibility checks still pass.
 //
-// The production paths are also pinned exactly: their node, pivot and
-// refactorization counts repeat from run to run, so a change to either
+// The production path is also pinned exactly: its node, pivot and
+// refactorization counts repeat from run to run, so a change to the
 // search — a reordered loop, a different warm start, a new pivot rule —
 // fails here even when it reaches the same optimum.
 func TestGoldenObjectives(t *testing.T) {
 	for seed, want := range goldenObjectives {
 		p := benchMIP(24, 6, 30, seed)
-		paths := goldenPaths[seed]
+		path := goldenPaths[seed]
 		for _, c := range []struct {
 			name  string
 			solve func() (Solution, error)
 			path  *searchPath // nil: counts not pinned
 		}{
-			{"revised", func() (Solution, error) { return Solve(p, Options{MaxNodes: 4000}) }, &paths.serial},
-			{"workers=2", func() (Solution, error) { return Solve(p, Options{MaxNodes: 4000, Workers: 2}) }, &paths.workers2},
+			{"revised", func() (Solution, error) { return Solve(p, Options{MaxNodes: 4000}) }, &path},
 			{"reference", func() (Solution, error) { return solveReference(p, Options{MaxNodes: 4000}) }, nil},
 		} {
 			sol, err := c.solve()
@@ -72,17 +71,17 @@ type searchPath struct {
 	refactors int64
 }
 
-// goldenPaths holds the search-path counts of the serial search and of
-// Workers: 2 for benchMIP(24, 6, 30, seed) at MaxNodes 4000.
-var goldenPaths = map[int64]struct{ serial, workers2 searchPath }{
-	1: {searchPath{9, 102, 1}, searchPath{9, 102, 0}},
-	2: {searchPath{3, 39, 0}, searchPath{3, 39, 0}},
-	3: {searchPath{7, 78, 1}, searchPath{7, 58, 0}},
-	4: {searchPath{3, 52, 0}, searchPath{3, 43, 0}},
-	5: {searchPath{3, 39, 0}, searchPath{3, 35, 0}},
-	6: {searchPath{7, 44, 0}, searchPath{7, 52, 0}},
-	7: {searchPath{5, 51, 0}, searchPath{5, 51, 0}},
-	8: {searchPath{3, 36, 0}, searchPath{3, 29, 0}},
+// goldenPaths holds the search-path counts of the production search for
+// benchMIP(24, 6, 30, seed) at MaxNodes 4000.
+var goldenPaths = map[int64]searchPath{
+	1: {9, 102, 1},
+	2: {3, 39, 0},
+	3: {7, 78, 1},
+	4: {3, 52, 0},
+	5: {3, 39, 0},
+	6: {7, 44, 0},
+	7: {5, 51, 0},
+	8: {3, 36, 0},
 }
 
 // TestGoldenObjectivesPrint regenerates the golden tables: the objectives
@@ -99,15 +98,10 @@ func TestGoldenObjectivesPrint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := Solve(p, Options{MaxNodes: 4000})
+		sol, err := Solve(p, Options{MaxNodes: 4000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Solve(p, Options{MaxNodes: 4000, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Printf("\t%d: %.9f, // {searchPath{%d, %d, %d}, searchPath{%d, %d, %d}}\n", seed, ref.Objective,
-			serial.Nodes, serial.Pivots, serial.Refactors, par.Nodes, par.Pivots, par.Refactors)
+		fmt.Printf("\t%d: %.9f, // {%d, %d, %d}\n", seed, ref.Objective, sol.Nodes, sol.Pivots, sol.Refactors)
 	}
 }

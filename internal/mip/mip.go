@@ -14,12 +14,8 @@ package mip
 
 import (
 	"container/heap"
-	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
-	"time"
 
 	"github.com/vbcloud/vb/internal/lp"
 )
@@ -36,35 +32,12 @@ type Problem struct {
 type Options struct {
 	// MaxNodes caps the number of explored nodes (0 = default 200000).
 	MaxNodes int
-	// Gap is the relative optimality gap at which search stops early
-	// (0 = prove optimality exactly, up to tolerance). It is honored both
-	// after a new incumbent and in the best-first bound prune: when the
-	// smallest outstanding node bound is within Gap of the incumbent the
-	// search stops with Proven = true.
-	Gap float64
 	// Warm, when non-nil, carries the compiled LP instance and optimal
 	// basis between Solve calls. If the new problem is structurally
 	// identical to the carried one (same dimensions, senses, coefficients)
 	// the root LP warm-starts from the previous optimal basis; otherwise
 	// the instance is recompiled and the state updated.
 	Warm *WarmState
-	// Workers >= 1 evaluates open nodes concurrently on internal/par with
-	// that many workers. Results are selected deterministically (nodes are
-	// processed in strict (bound, id) order regardless of which worker
-	// finishes first), so the solution is bit-identical for any worker
-	// count >= 1. Workers = 0 solves every node in turn on the carried
-	// instance.
-	Workers int
-	// Deadline, when positive, bounds the solve's wall-clock time. When it
-	// expires the search stops at the next interrupt poll and returns the
-	// best incumbent found with DeadlineExceeded set — never an error. A
-	// wall-clock deadline is inherently nondeterministic; callers needing
-	// bit-identical truncation should derate MaxNodes instead (the
-	// scheduler's solver-slowdown fault does exactly that).
-	Deadline time.Duration
-	// Ctx, when non-nil, cancels the solve: cancellation behaves like an
-	// expired Deadline (incumbent returned, DeadlineExceeded set).
-	Ctx context.Context
 }
 
 // WarmState carries solver state across Solve calls. The zero value is
@@ -82,66 +55,21 @@ type Solution struct {
 	Objective float64
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
-	// Proven is true when optimality was proven (tree exhausted within the
-	// gap), false when the node limit truncated the search.
+	// Proven is true when optimality was proven (tree exhausted), false
+	// when the node limit truncated the search.
 	Proven bool
 	// Pivots is the total simplex pivots across all node solves.
 	Pivots int64
 	// Refactors is the total basis refactorizations across all node solves.
 	Refactors int64
 	// EtaChainLen is the eta-chain length of the carried instance's basis
-	// factorization when the search ends (the final node solve's on the
-	// serial path, the root's with Workers >= 1).
+	// factorization when the search ends.
 	EtaChainLen int
 	// WarmHit is true when a WarmState basis was reused for the root solve.
 	WarmHit bool
-	// DeadlineExceeded is true when Options.Deadline expired or Options.Ctx
-	// was canceled before the search concluded. The solution carries the
-	// best incumbent found so far (Status Optimal when one exists, with
-	// Proven false) — deadline expiry is degradation, not failure.
-	DeadlineExceeded bool
 }
 
 const intTol = 1e-6
-
-// interrupter adapts Options.Deadline/Ctx into the lp interrupt hook.
-// Once fired it stays fired (atomically), so every worker instance sharing
-// the hook stops, and retry loops cannot resurrect an expired solve.
-type interrupter struct {
-	ctx      context.Context
-	deadline time.Time
-	fired    atomic.Bool
-}
-
-// newInterrupter returns nil when no deadline or context is configured,
-// keeping the zero-option hot path free of time syscalls.
-func newInterrupter(opt Options) *interrupter {
-	if opt.Deadline <= 0 && opt.Ctx == nil {
-		return nil
-	}
-	it := &interrupter{ctx: opt.Ctx}
-	if opt.Deadline > 0 {
-		it.deadline = time.Now().Add(opt.Deadline)
-	}
-	return it
-}
-
-// check reports (and latches) whether the solve should stop. Safe for
-// concurrent use from parallel node workers.
-func (it *interrupter) check() bool {
-	if it == nil {
-		return false
-	}
-	if it.fired.Load() {
-		return true
-	}
-	if (it.ctx != nil && it.ctx.Err() != nil) ||
-		(!it.deadline.IsZero() && !time.Now().Before(it.deadline)) {
-		it.fired.Store(true)
-		return true
-	}
-	return false
-}
 
 // bchange is one branching decision: a tightened bound on variable v.
 type bchange struct {
@@ -162,7 +90,7 @@ type node struct {
 
 // nodeQueue is a best-first priority queue on the LP bound, with equal
 // bounds ordered by node id so the pop order — and therefore the whole
-// search, serial or parallel — is independent of heap internals.
+// search — is independent of heap internals.
 type nodeQueue []*node
 
 func (q nodeQueue) Len() int { return len(q) }
@@ -228,25 +156,10 @@ func Solve(p Problem, opt Options) (Solution, error) {
 		return v
 	}
 
-	// Arm the deadline/cancellation hook on the carried instance; clones
-	// (parallel workers) inherit it. Cleared before returning so a warm
-	// successor solve does not abort against a stale deadline.
-	intr := newInterrupter(opt)
-	if intr != nil {
-		inst.SetInterrupt(intr.check)
-		defer inst.SetInterrupt(nil)
-	}
-
 	integer := make([]bool, p.NumVars)
 	copy(integer, p.Integer)
 
-	var ev evaluator
-	if opt.Workers >= 1 {
-		ev = newParallelEval(inst, opt.Workers, minSense)
-	} else {
-		ev = &serialEval{inst: inst, minSense: minSense}
-	}
-	res, err := branchAndBound(ev, integer, maxNodes, opt.Gap, intr)
+	res, err := branchAndBound(inst, minSense, integer, maxNodes)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -260,26 +173,15 @@ func Solve(p Problem, opt Options) (Solution, error) {
 
 // nodeResult is the outcome of one node relaxation solve.
 type nodeResult struct {
-	err       error
-	st        lp.Status
-	obj       float64   // minimization sense
-	x         []float64 // relaxation solution
-	pivots    int64
-	refactors int64
-}
-
-// evaluator solves node relaxations for branchAndBound, which calls eval
-// once per processed node, strictly in (bound, id) pop order. q holds the
-// still-open nodes and incumbent the best objective so far; an evaluator
-// may look ahead in q but must leave its pop order unchanged.
-type evaluator interface {
-	eval(nd *node, q *nodeQueue, incumbent float64) *nodeResult
+	st  lp.Status
+	obj float64   // minimization sense
+	x   []float64 // relaxation solution
 }
 
 // solveNode applies a node's bound changes to w on top of the root bounds,
 // solves the relaxation, and records the outcome in r. The solution reuses
 // r.x's storage; r.obj and r.x are meaningful only when r.st is Optimal.
-func solveNode(w *lp.Instance, changes []bchange, minSense func(float64) float64, r *nodeResult) {
+func solveNode(w *lp.Instance, changes []bchange, minSense func(float64) float64, r *nodeResult) error {
 	w.ResetBounds()
 	for _, c := range changes {
 		lo, hi := w.Bounds(int(c.v))
@@ -294,72 +196,48 @@ func solveNode(w *lp.Instance, changes []bchange, minSense func(float64) float64
 		}
 		w.SetBound(int(c.v), lo, hi)
 	}
-	p0, r0 := w.Pivots(), w.Refactors()
-	r.st, r.err = w.SolveCurrent()
-	r.pivots, r.refactors = w.Pivots()-p0, w.Refactors()-r0
-	if r.err == nil && r.st == lp.Optimal {
+	st, err := w.SolveCurrent()
+	if err != nil {
+		return err
+	}
+	r.st = st
+	if st == lp.Optimal {
 		r.obj = minSense(w.ObjectiveValue())
 		r.x = w.Values(r.x)
 	}
+	return nil
 }
 
-// serialEval solves every node in turn on the carried instance, so each
-// node warm-starts from the basis the previous node left behind, and
-// reuses one result and solution buffer.
-type serialEval struct {
-	inst     *lp.Instance
-	minSense func(float64) float64
-	r        nodeResult
-}
-
-func (e *serialEval) eval(nd *node, _ *nodeQueue, _ float64) *nodeResult {
-	solveNode(e.inst, nd.changes, e.minSense, &e.r)
-	return &e.r
-}
-
-// branchAndBound runs the best-first search shared by the serial and
-// parallel paths: pop, prune, evaluate, and then either record an
-// incumbent or branch on the most fractional integer variable. Objectives
-// are in minimization sense; the caller converts them back.
-func branchAndBound(ev evaluator, integer []bool, maxNodes int, gap float64, intr *interrupter) (Solution, error) {
+// branchAndBound runs the best-first search: pop, prune, solve the node on
+// the carried instance (so each node warm-starts from the basis the
+// previous node left behind), and then either record an incumbent or
+// branch on the most fractional integer variable. Objectives are in
+// minimization sense; the caller converts them back.
+func branchAndBound(inst *lp.Instance, minSense func(float64) float64, integer []bool, maxNodes int) (Solution, error) {
 	res := Solution{Status: lp.Infeasible, Objective: math.Inf(1)}
 	incumbent := math.Inf(1)
 	var bestX []float64
+	var r nodeResult
 
 	q := &nodeQueue{}
 	heap.Push(q, &node{bound: math.Inf(-1)})
 	nextID := int64(1)
 	sawUnbounded := false
+	p0, r0 := inst.Pivots(), inst.Refactors()
 
 	for q.Len() > 0 && res.Nodes < maxNodes {
-		if intr.check() {
-			res.DeadlineExceeded = true
-			break
-		}
 		nd := heap.Pop(q).(*node)
 		// Bound prune: best-first means the popped bound is the global
-		// minimum outstanding, so if it is already worse than the incumbent
-		// — absolutely, or within the requested relative gap — we are done.
+		// minimum outstanding, so if it is already no better than the
+		// incumbent we are done.
 		if nd.bound >= incumbent-intTol {
-			res.Proven = true
-			break
-		}
-		if gap > 0 && !math.IsInf(incumbent, 1) && relGap(incumbent, nd.bound) <= gap {
 			res.Proven = true
 			break
 		}
 		res.Nodes++
 
-		r := ev.eval(nd, q, incumbent)
-		// A node the deadline cuts short still counts the work it did.
-		res.Pivots += r.pivots
-		res.Refactors += r.refactors
-		if errors.Is(r.err, lp.ErrInterrupted) {
-			res.DeadlineExceeded = true
-			break
-		}
-		if r.err != nil {
-			return Solution{}, r.err
+		if err := solveNode(inst, nd.changes, minSense, &r); err != nil {
+			return Solution{}, err
 		}
 		switch r.st {
 		case lp.Infeasible:
@@ -394,10 +272,6 @@ func branchAndBound(ev evaluator, integer []bool, maxNodes int, gap float64, int
 			res.Status = lp.Optimal
 			bestX = append(bestX[:0], r.x...)
 			res.Objective = r.obj
-			if gap > 0 && q.Len() > 0 && relGap(incumbent, (*q)[0].bound) <= gap {
-				res.Proven = true
-				break
-			}
 			continue
 		}
 		// Branch by bound tightening. The parent's change list is the
@@ -412,7 +286,8 @@ func branchAndBound(ev evaluator, integer []bool, maxNodes int, gap float64, int
 		heap.Push(q, &node{bound: r.obj, id: nextID + 1, changes: right})
 		nextID += 2
 	}
-	if q.Len() == 0 && !res.DeadlineExceeded {
+	res.Pivots, res.Refactors = inst.Pivots()-p0, inst.Refactors()-r0
+	if q.Len() == 0 {
 		res.Proven = true
 	}
 	if res.Status == lp.Optimal {
@@ -451,12 +326,4 @@ func roundIntegers(x []float64, integer []bool) []float64 {
 		}
 	}
 	return out
-}
-
-func relGap(incumbent, bound float64) float64 {
-	if math.IsInf(bound, -1) {
-		return math.Inf(1)
-	}
-	den := math.Max(1, math.Abs(incumbent))
-	return (incumbent - bound) / den
 }

@@ -1,7 +1,10 @@
 package mip
 
 import (
+	"container/heap"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/vbcloud/vb/internal/lp"
@@ -188,34 +191,6 @@ func TestNodeLimit(t *testing.T) {
 	}
 }
 
-func TestGapTermination(t *testing.T) {
-	// With a huge allowed gap, search stops at the first incumbent.
-	s, err := Solve(Problem{
-		Problem: lp.Problem{
-			NumVars:   3,
-			Objective: []float64{10, 13, 7},
-			Maximize:  true,
-			Constraints: []lp.Constraint{
-				{Coeffs: []float64{5, 6, 4}, Sense: lp.LE, RHS: 10},
-				{Coeffs: []float64{1, 0, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 1, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 0, 1}, Sense: lp.LE, RHS: 1},
-			},
-		},
-		Integer: []bool{true, true, true},
-	}, Options{Gap: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != lp.Optimal {
-		t.Fatalf("status = %v", s.Status)
-	}
-	// Any feasible solution acceptable at this gap; objective in [0, 20].
-	if s.Objective < 0 || s.Objective > 20+1e-6 {
-		t.Errorf("objective %v outside feasible range", s.Objective)
-	}
-}
-
 // Scheduler-shaped problem: assign an app's 10 VMs across 3 sites with
 // binary "site used" indicators and a minimax peak term. Site capacities 6,
 // 6, 6; using a site costs a fixed overhead of 2 in the objective; peak
@@ -257,5 +232,87 @@ func TestSchedulerShape(t *testing.T) {
 	}
 	if used != 2 {
 		t.Errorf("sites used = %d, want 2", used)
+	}
+}
+
+// knapsackProblem returns a small binary maximization with a fractional
+// relaxation, so branch and bound must actually branch.
+func knapsackProblem() Problem {
+	// max 5a + 4b + 3c  s.t.  2a + 3b + c <= 3,  binaries.
+	return Problem{
+		Problem: lp.Problem{
+			NumVars:     3,
+			Objective:   []float64{5, 4, 3},
+			Maximize:    true,
+			Constraints: []lp.Constraint{{Coeffs: []float64{2, 3, 1}, Sense: lp.LE, RHS: 3}},
+			Upper:       []float64{1, 1, 1},
+		},
+		Integer: []bool{true, true, true},
+	}
+}
+
+func TestTruncatedSearchKeepsIncumbent(t *testing.T) {
+	// MaxNodes = 3 lets the root and its two children run: enough to find
+	// an integer incumbent on this problem but not to exhaust the tree on
+	// harder ones. The incumbent must surface with Proven unset or the
+	// bound prune must have finished the tree; either way no error and a
+	// usable X.
+	sol, err := Solve(knapsackProblem(), Options{MaxNodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status == lp.Optimal && sol.X == nil {
+		t.Fatal("optimal status without solution vector")
+	}
+	if sol.Nodes > 3 {
+		t.Fatalf("explored %d nodes past the cap", sol.Nodes)
+	}
+}
+
+// TestNodeQueuePopOrder pins the deterministic pop order of the best-first
+// queue: strictly ascending bound, and ascending node id within a bound
+// tie, no matter what order nodes were pushed in.
+func TestNodeQueuePopOrder(t *testing.T) {
+	nodes := []*node{
+		{bound: 2.5, id: 9},
+		{bound: 1.0, id: 4},
+		{bound: 1.0, id: 2},
+		{bound: 1.0, id: 7},
+		{bound: 0.5, id: 11},
+		{bound: 2.5, id: 1},
+		{bound: 1.0, id: 3},
+	}
+	for trial := 0; trial < 50; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		q := &nodeQueue{}
+		for _, i := range rng.Perm(len(nodes)) {
+			heap.Push(q, nodes[i])
+		}
+		var got []int64
+		for q.Len() > 0 {
+			got = append(got, heap.Pop(q).(*node).id)
+		}
+		want := []int64{11, 2, 3, 4, 7, 1, 9}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: pop order %v, want %v", trial, got, want)
+		}
+	}
+
+	// Same contract for the reference oracle's queue.
+	for trial := 0; trial < 50; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		q := &refQueue{}
+		for _, i := range rng.Perm(len(nodes)) {
+			n := nodes[i]
+			heap.Push(q, &refNode{bound: n.bound, id: n.id})
+		}
+		var got []int64
+		for q.Len() > 0 {
+			got = append(got, heap.Pop(q).(*refNode).id)
+		}
+		want := []int64{11, 2, 3, 4, 7, 1, 9}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ref trial %d: pop order %v, want %v", trial, got, want)
+		}
 	}
 }

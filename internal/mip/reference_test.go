@@ -50,10 +50,6 @@ func solveReference(p Problem, opt Options) (Solution, error) {
 			res.Proven = true
 			break
 		}
-		if opt.Gap > 0 && !math.IsInf(incumbent, 1) && relGap(incumbent, nd.bound) <= opt.Gap {
-			res.Proven = true
-			break
-		}
 		res.Nodes++
 
 		sub := base
@@ -90,13 +86,6 @@ func solveReference(p Problem, opt Options) (Solution, error) {
 			res.Status = lp.Optimal
 			res.X = roundIntegers(sol.X, integer)
 			res.Objective = sol.Objective
-			if opt.Gap > 0 && q.Len() > 0 {
-				best := (*q)[0].bound
-				if relGap(incumbent, best) <= opt.Gap {
-					res.Proven = true
-					return finish(res, p), nil
-				}
-			}
 			continue
 		}
 		v := sol.X[branchVar]

@@ -11,8 +11,8 @@ import (
 // nearest integer (clamped into its bounds), fix it there, and re-solve
 // the continuous variables around the rounding. It performs at most two LP
 // solves, always on a fresh instance — no WarmState is touched, so a
-// degraded placement cannot poison the carried basis — and runs without a
-// deadline (it IS the deadline fallback).
+// degraded placement cannot poison the carried basis — and needs no node
+// budget (it IS the truncated-search fallback).
 //
 // The result is integer feasible whenever the rounding satisfies the
 // integer-coupling constraints; when it does not (Status != Optimal) the

@@ -3,7 +3,8 @@
 # from the bundled bursty spec, record it through both CLIs, replay it, and
 # require (a) the two recordings to be byte-identical, (b) the replayed
 # per-SLO-class table to be byte-identical to the generated run's, and
-# (c) the replay to be invariant under the solver worker count.
+# (c) the replay to be invariant under -parallel, the generation worker
+# count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

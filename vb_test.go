@@ -1,6 +1,8 @@
 package vb
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -308,5 +310,60 @@ func TestFullPipeline(t *testing.T) {
 	}
 	if r.Report() == "" {
 		t.Error("empty report")
+	}
+}
+
+// TestCLIParsers pins the parsers every CLI shares: each policy name
+// round-trips, an unknown name is refused, and a -faults argument is a
+// compact spec or, behind "@", a JSON script file.
+func TestCLIParsers(t *testing.T) {
+	blackout := &FaultScript{Events: []FaultEvent{{Kind: FaultSiteBlackout, Site: 1, Start: 8, End: 12}}}
+	scriptPath := filepath.Join(t.TempDir(), "faults.json")
+	if err := blackout.SaveScript(scriptPath); err != nil {
+		t.Fatal(err)
+	}
+	policy := func(name string) func() (string, error) {
+		return func() (string, error) {
+			p, err := ParsePolicy(name)
+			return p.String(), err
+		}
+	}
+	faults := func(arg string) func() (string, error) {
+		return func() (string, error) {
+			s, err := ParseFaultArg(arg)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%016x", s.Hash()), nil
+		}
+	}
+	rows := []struct {
+		name string
+		run  func() (string, error)
+		want string // empty: an error is expected
+	}{
+		{"policy Greedy", policy("Greedy"), "Greedy"},
+		{"policy MIP", policy("MIP"), "MIP"},
+		{"policy MIP-24h", policy("MIP-24h"), "MIP-24h"},
+		{"policy MIP-peak", policy("MIP-peak"), "MIP-peak"},
+		{"unknown policy", policy("mip"), ""},
+		{"compact spec", faults("blackout:1@8-12"), fmt.Sprintf("%016x", blackout.Hash())},
+		{"@file", faults("@" + scriptPath), fmt.Sprintf("%016x", blackout.Hash())},
+		{"missing @file", faults("@" + scriptPath + ".missing"), ""},
+		{"bad compact spec", faults("gremlins:0@1-3"), ""},
+	}
+	for _, r := range rows {
+		got, err := r.run()
+		switch {
+		case r.want == "" && err == nil:
+			t.Errorf("%s: accepted as %q, want an error", r.name, got)
+		case r.want != "" && err != nil:
+			t.Errorf("%s: %v", r.name, err)
+		case r.want != "" && got != r.want:
+			t.Errorf("%s: got %q, want %q", r.name, got, r.want)
+		}
+	}
+	if len(AllPolicies()) != 4 {
+		t.Fatalf("table covers 4 policies, AllPolicies has %d", len(AllPolicies()))
 	}
 }

@@ -15,9 +15,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/vbcloud/vb/internal/workload"
@@ -70,7 +72,46 @@ func (c Config) TotalCores() int { return c.Servers * c.CoresPerServer }
 type server struct {
 	allocCores int
 	allocMemGB int
-	vms        map[int]workload.VM
+	// vms holds the server's VMs sorted by ID: eviction takes vms[0], the
+	// smallest ID, and State copies the list as it stands.
+	vms []workload.VM
+	// due is no later than the earliest end among vms, or zero when none
+	// of them ends; departures skip the server until due. Removals leave
+	// it early, which costs one extra scan and never a missed departure.
+	due time.Time
+}
+
+// noteEnd lowers due to end when end is the server's earliest departure.
+func (srv *server) noteEnd(end time.Time) {
+	if !end.IsZero() && (srv.due.IsZero() || end.Before(srv.due)) {
+		srv.due = end
+	}
+}
+
+// freeIndex buckets servers by free cores. Bucket c is a bitset over server
+// indices with bit i set when server i has exactly c free cores, so walking
+// the buckets upward from a VM's core count, and each bucket's bits upward,
+// visits servers in best-fit order: fewest free cores first, lowest index
+// on a tie.
+type freeIndex struct {
+	words int      // uint64 words per bucket
+	bits  []uint64 // bucket c is bits[c*words : (c+1)*words]
+	n     []int    // servers per bucket, so empty buckets cost one load
+}
+
+func newFreeIndex(servers, cores int) freeIndex {
+	words := (servers + 63) / 64
+	return freeIndex{words: words, bits: make([]uint64, (cores+1)*words), n: make([]int, cores+1)}
+}
+
+func (x *freeIndex) add(i, free int) {
+	x.bits[free*x.words+i/64] |= 1 << (i % 64)
+	x.n[free]++
+}
+
+func (x *freeIndex) remove(i, free int) {
+	x.bits[free*x.words+i/64] &^= 1 << (i % 64)
+	x.n[free]--
 }
 
 // pendingVM is a VM waiting for power: either rejected at arrival or evicted
@@ -85,6 +126,7 @@ type pendingVM struct {
 type Site struct {
 	cfg     Config
 	servers []server
+	free    freeIndex   // servers by free cores, for best-fit placement
 	where   map[int]int // vmID -> server index
 	powered int         // cores currently powered
 	alloc   int         // cores currently allocated (cached sum)
@@ -93,19 +135,26 @@ type Site struct {
 	evictCursor int
 }
 
+// newSite returns a site of empty servers with no power and no index
+// entries; callers fill in the servers and then index them.
+func newSite(cfg Config) *Site {
+	return &Site{
+		cfg:     cfg,
+		servers: make([]server, cfg.Servers),
+		free:    newFreeIndex(cfg.Servers, cfg.CoresPerServer),
+		where:   make(map[int]int),
+	}
+}
+
 // New returns an empty, fully powered site.
 func New(cfg Config) (*Site, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Site{
-		cfg:     cfg,
-		servers: make([]server, cfg.Servers),
-		where:   make(map[int]int),
-		powered: cfg.TotalCores(),
-	}
+	s := newSite(cfg)
+	s.powered = cfg.TotalCores()
 	for i := range s.servers {
-		s.servers[i].vms = make(map[int]workload.VM)
+		s.free.add(i, cfg.CoresPerServer)
 	}
 	return s, nil
 }
@@ -144,46 +193,88 @@ func (s *Site) admissionLimit() int {
 	return floorEps(s.cfg.TargetUtilization * float64(s.powered))
 }
 
-// place puts a VM on the best-fit server (the most loaded server that still
-// fits, maximizing consolidation as Azure's allocator does). It returns
-// false if no server fits or admission control refuses.
-func (s *Site) place(vm workload.VM) bool {
-	if s.AllocatedCores()+vm.Cores > s.admissionLimit() {
+// place puts a VM on the best-fit server: the one with the fewest free
+// cores that still fits it in cores and memory, the lowest index on a tie.
+// That is the most loaded server that fits, maximizing consolidation as
+// Azure's allocator does. limit is the admission limit at the current power
+// level. It returns false if admission control refuses, the VM has a
+// non-positive size or its ID already runs here, or no server fits.
+func (s *Site) place(vm *workload.VM, limit int) bool {
+	if s.alloc+vm.Cores > limit {
 		return false
 	}
-	best := -1
-	bestFree := 1 << 30
-	for i := range s.servers {
-		freeCores := s.cfg.CoresPerServer - s.servers[i].allocCores
-		freeMem := s.cfg.MemPerServerGB - s.servers[i].allocMemGB
-		if vm.Cores <= freeCores && vm.MemoryGB <= freeMem && freeCores < bestFree {
-			best, bestFree = i, freeCores
-		}
+	if vm.Cores <= 0 || vm.MemoryGB <= 0 {
+		return false
 	}
+	if _, dup := s.where[vm.ID]; dup {
+		return false
+	}
+	best := s.bestFit(vm)
 	if best < 0 {
 		return false
 	}
-	s.servers[best].allocCores += vm.Cores
-	s.servers[best].allocMemGB += vm.MemoryGB
-	s.servers[best].vms[vm.ID] = vm
+	srv := &s.servers[best]
+	k, _ := slices.BinarySearchFunc(srv.vms, vm.ID, byID)
+	srv.vms = slices.Insert(srv.vms, k, *vm)
+	srv.noteEnd(vm.End())
 	s.where[vm.ID] = best
-	s.alloc += vm.Cores
+	s.charge(best, vm.Cores, vm.MemoryGB)
 	return true
+}
+
+// bestFit returns the server place picks for vm, or -1 if none fits.
+// vm.Cores must be positive.
+func (s *Site) bestFit(vm *workload.VM) int {
+	x := &s.free
+	for c := vm.Cores; c <= s.cfg.CoresPerServer; c++ {
+		if x.n[c] == 0 {
+			continue
+		}
+		for w, word := range x.bits[c*x.words : (c+1)*x.words] {
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				if vm.MemoryGB <= s.cfg.MemPerServerGB-s.servers[i].allocMemGB {
+					return i
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// byID orders a server's VMs by ID for binary search.
+func byID(vm workload.VM, id int) int { return cmp.Compare(vm.ID, id) }
+
+// charge adds cores and memGB (negative to release) to server i's
+// allocation and moves the server to its new free-core bucket.
+func (s *Site) charge(i, cores, memGB int) {
+	srv := &s.servers[i]
+	s.free.remove(i, s.cfg.CoresPerServer-srv.allocCores)
+	srv.allocCores += cores
+	srv.allocMemGB += memGB
+	s.alloc += cores
+	s.free.add(i, s.cfg.CoresPerServer-srv.allocCores)
+}
+
+// removeAt deletes the VM at position k of server i's list and returns it.
+func (s *Site) removeAt(i, k int) workload.VM {
+	srv := &s.servers[i]
+	vm := srv.vms[k]
+	srv.vms = slices.Delete(srv.vms, k, k+1)
+	delete(s.where, vm.ID)
+	s.charge(i, -vm.Cores, -vm.MemoryGB)
+	return vm
 }
 
 // Remove deletes a running VM (normal departure). It reports whether the VM
 // was running.
 func (s *Site) Remove(vmID int) bool {
-	idx, ok := s.where[vmID]
+	i, ok := s.where[vmID]
 	if !ok {
 		return false
 	}
-	vm := s.servers[idx].vms[vmID]
-	s.servers[idx].allocCores -= vm.Cores
-	s.servers[idx].allocMemGB -= vm.MemoryGB
-	s.alloc -= vm.Cores
-	delete(s.servers[idx].vms, vmID)
-	delete(s.where, vmID)
+	k, _ := slices.BinarySearchFunc(s.servers[i].vms, vmID, byID)
+	s.removeAt(i, k)
 	return true
 }
 
@@ -210,27 +301,12 @@ func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) St
 	var res StepResult
 
 	// 1) Departures: running VMs whose lifetime ended.
-	var done []int
-	for id, idx := range s.where {
-		vm := s.servers[idx].vms[id]
-		if end := vm.End(); !end.IsZero() && !end.After(now) {
-			done = append(done, id)
-		}
-	}
-	sort.Ints(done) // determinism
-	for _, id := range done {
-		s.Remove(id)
-		res.Departed++
-	}
-	// Drop pending VMs whose lifetime would already be over.
-	kept := s.pending[:0]
-	for _, p := range s.pending {
-		if end := p.vm.End(); !end.IsZero() && !end.After(now) {
-			continue
-		}
-		kept = append(kept, p)
-	}
-	s.pending = kept
+	res.Departed = s.depart(now)
+	// The launch pass drops expired VMs among those queued before this
+	// step. VMs this step evicts or refuses queue behind them unchecked:
+	// an evicted VM was still running after the departures, and a refused
+	// arrival is first checked at the next step.
+	queued := len(s.pending)
 
 	// 2) Power change.
 	s.setPower(powerFrac)
@@ -239,60 +315,92 @@ func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) St
 	res.OutGB, res.Evicted = s.evictDown()
 
 	// 3) Fresh arrivals.
-	for _, vm := range arrivals {
-		if !s.place(vm) {
-			s.pending = append(s.pending, pendingVM{vm: vm})
+	limit := s.admissionLimit()
+	for i := range arrivals {
+		if !s.place(&arrivals[i], limit) {
+			s.pending = append(s.pending, pendingVM{vm: arrivals[i]})
 			res.RejectedNew++
 		}
 	}
 
-	// 4) Launch pending VMs (oldest first) into remaining headroom. Every
-	// launch is a migration into the site.
-	still := s.pending[:0]
-	for _, p := range s.pending {
-		if s.place(p.vm) {
+	// 4) One pass over the pending queue, oldest first: drop VMs queued
+	// before this step whose lifetime is over, launch the rest into
+	// remaining headroom and keep the refused ones in order. Every launch
+	// is a migration into the site.
+	kept := 0
+	for i := range s.pending {
+		p := &s.pending[i]
+		if i < queued {
+			if end := p.vm.End(); !end.IsZero() && !end.After(now) {
+				continue
+			}
+		}
+		if s.place(&p.vm, limit) {
 			res.InGB += float64(p.vm.MemoryGB)
 			res.Launched++
-		} else {
-			still = append(still, p)
+			continue
+		}
+		if kept != i {
+			s.pending[kept] = *p
+		}
+		kept++
+	}
+	s.pending = s.pending[:kept]
+	return res
+}
+
+// depart removes every running VM whose lifetime ended by now and returns
+// how many left. The resulting state does not depend on removal order, so
+// each server that is due is filtered in place.
+func (s *Site) depart(now time.Time) int {
+	departed := 0
+	for i := range s.servers {
+		srv := &s.servers[i]
+		if srv.due.IsZero() || srv.due.After(now) {
+			continue
+		}
+		srv.due = time.Time{}
+		n, cores, memGB := len(srv.vms), 0, 0
+		srv.vms = slices.DeleteFunc(srv.vms, func(vm workload.VM) bool {
+			end := vm.End()
+			if end.IsZero() || end.After(now) {
+				srv.noteEnd(end)
+				return false
+			}
+			delete(s.where, vm.ID)
+			cores += vm.Cores
+			memGB += vm.MemoryGB
+			return true
+		})
+		if gone := n - len(srv.vms); gone > 0 {
+			s.charge(i, -cores, -memGB)
+			departed += gone
 		}
 	}
-	s.pending = still
-	return res
+	return departed
 }
 
 // evictDown migrates VMs out, in round-robin order over servers, until the
 // allocated cores fit under the powered cores. It returns the traffic and
 // eviction count, and queues evicted VMs for relaunch when power returns.
 func (s *Site) evictDown() (outGB float64, evicted int) {
-	if len(s.servers) == 0 {
-		return 0, 0
-	}
-	for s.AllocatedCores() > s.powered {
+	for s.alloc > s.powered {
 		moved := false
 		// One full round-robin sweep: take one VM from each non-empty
 		// server starting at the cursor.
 		for scan := 0; scan < len(s.servers); scan++ {
 			idx := (s.evictCursor + scan) % len(s.servers)
-			srv := &s.servers[idx]
-			if len(srv.vms) == 0 {
+			if len(s.servers[idx].vms) == 0 {
 				continue
 			}
-			// Pick the smallest ID for determinism.
-			vmID := -1
-			for id := range srv.vms {
-				if vmID < 0 || id < vmID {
-					vmID = id
-				}
-			}
-			vm := srv.vms[vmID]
-			s.Remove(vmID)
+			// The smallest ID leaves first, for determinism.
+			vm := s.removeAt(idx, 0)
 			s.pending = append(s.pending, pendingVM{vm: vm, evicted: true})
 			outGB += float64(vm.MemoryGB)
 			evicted++
 			moved = true
 			s.evictCursor = (idx + 1) % len(s.servers)
-			if s.AllocatedCores() <= s.powered {
+			if s.alloc <= s.powered {
 				return outGB, evicted
 			}
 		}
@@ -308,7 +416,7 @@ func (s *Site) evictDown() (outGB float64, evicted int) {
 // Used by the VM-level multi-site engine, which decides itself where
 // rejected VMs go.
 func (s *Site) Admit(vm workload.VM) bool {
-	return s.place(vm)
+	return s.place(&vm, s.admissionLimit())
 }
 
 // SetPowerEvict applies a new power fraction and evicts VMs round-robin

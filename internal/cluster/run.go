@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -66,10 +67,11 @@ func (r RunResult) quietFraction(quietStep func(StepResult) bool) float64 {
 }
 
 // Run drives a fresh site with the given normalized power series and VM
-// arrivals. Arrivals outside the power series window are ignored. A warm-up
-// prefix (warmup steps) is simulated at full power first so the cluster
-// reaches its steady-state utilization before power tracking begins, then
-// excluded from the returned series.
+// arrivals. Every VM must have a unique ID, positive cores and memory and a
+// non-negative lifetime; arrivals outside the power series window are
+// ignored but still checked. A warm-up prefix (warmup steps) is simulated
+// at full power first so the cluster reaches its steady-state utilization
+// before power tracking begins, then excluded from the returned series.
 func Run(cfg Config, power trace.Series, vms []workload.VM, warmup int) (RunResult, error) {
 	return RunObs(cfg, power, vms, warmup, nil)
 }
@@ -88,6 +90,9 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 	}
 	site, err := New(cfg)
 	if err != nil {
+		return RunResult{}, err
+	}
+	if err := validateVMs(vms); err != nil {
 		return RunResult{}, err
 	}
 	// Bucket arrivals by step index relative to the warm-up origin.
@@ -167,4 +172,36 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 		reg.Add("cluster.in_gb", res.TotalInGB())
 	}
 	return res, nil
+}
+
+// validateVMs rejects a VM list that the site would misaccount: a repeated
+// ID, a non-positive size or a negative lifetime. The error names the VM's
+// index in vms and its ID.
+func validateVMs(vms []workload.VM) error {
+	for i, vm := range vms {
+		if vm.Cores <= 0 || vm.MemoryGB <= 0 {
+			return fmt.Errorf("cluster: VM %d (ID %d): non-positive size %d cores, %d GB", i, vm.ID, vm.Cores, vm.MemoryGB)
+		}
+		if vm.Lifetime < 0 {
+			return fmt.Errorf("cluster: VM %d (ID %d): negative lifetime %v", i, vm.ID, vm.Lifetime)
+		}
+	}
+	ids := make([]int, len(vms))
+	for i, vm := range vms {
+		ids[i] = vm.ID
+	}
+	slices.Sort(ids)
+	for k := 1; k < len(ids); k++ {
+		if ids[k] != ids[k-1] {
+			continue
+		}
+		var at []int
+		for i, vm := range vms {
+			if vm.ID == ids[k] {
+				at = append(at, i)
+			}
+		}
+		return fmt.Errorf("cluster: VM %d (ID %d): repeats the ID of VM %d", at[1], ids[k], at[0])
+	}
+	return nil
 }

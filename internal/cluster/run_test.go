@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -143,5 +144,35 @@ func TestRunDeterministic(t *testing.T) {
 		if a.OutGB.Values[i] != b.OutGB.Values[i] || a.InGB.Values[i] != b.InGB.Values[i] {
 			t.Fatalf("step %d differs between identical runs", i)
 		}
+	}
+}
+
+// TestRunRejectsBadVMs checks that Run validates its VM list before
+// stepping: every bad VM is named by its index and ID, including one that
+// arrives outside the power window.
+func TestRunRejectsBadVMs(t *testing.T) {
+	p := trace.FromValues(t0, time.Hour, []float64{1, 1})
+	good := func(id int) workload.VM { return mkVM(id, 2, 8) }
+	cases := []struct {
+		name string
+		bad  workload.VM
+		want string
+	}{
+		{"repeated ID", good(1), "VM 2 (ID 1): repeats the ID of VM 0"},
+		{"zero cores", mkVM(9, 0, 8), "VM 2 (ID 9)"},
+		{"negative cores", mkVM(9, -2, 8), "VM 2 (ID 9)"},
+		{"zero memory", mkVM(9, 2, 0), "VM 2 (ID 9)"},
+		{"negative lifetime", workload.VM{ID: 9, Cores: 2, MemoryGB: 8, Arrival: t0, Lifetime: -time.Minute}, "VM 2 (ID 9)"},
+		{"outside the window", workload.VM{ID: 1, Cores: 2, MemoryGB: 8, Arrival: t0.Add(-48 * time.Hour)}, "VM 2 (ID 1)"},
+	}
+	for _, c := range cases {
+		vms := []workload.VM{good(1), good(2), c.bad}
+		_, err := Run(smallConfig(), p, vms, 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	if _, err := Run(smallConfig(), p, []workload.VM{good(1), good(2), good(3)}, 0); err != nil {
+		t.Errorf("valid VMs rejected: %v", err)
 	}
 }

@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/vbcloud/vb/internal/workload"
 )
@@ -44,12 +45,8 @@ func (s *Site) State() SiteState {
 		Pending:     make([]PendingVMState, len(s.pending)),
 	}
 	for i := range s.servers {
-		vms := make([]workload.VM, 0, len(s.servers[i].vms))
-		for _, vm := range s.servers[i].vms {
-			vms = append(vms, vm)
-		}
-		sort.Slice(vms, func(a, b int) bool { return vms[a].ID < vms[b].ID })
-		st.Servers[i] = vms
+		st.Servers[i] = make([]workload.VM, len(s.servers[i].vms))
+		copy(st.Servers[i], s.servers[i].vms)
 	}
 	for i, p := range s.pending {
 		st.Pending[i] = PendingVMState{VM: p.vm, Evicted: p.evicted}
@@ -73,15 +70,11 @@ func NewFromState(st SiteState) (*Site, error) {
 	if st.EvictCursor < 0 || st.EvictCursor >= st.Config.Servers {
 		return nil, fmt.Errorf("cluster: evict cursor %d outside [0,%d)", st.EvictCursor, st.Config.Servers)
 	}
-	s := &Site{
-		cfg:         st.Config,
-		servers:     make([]server, st.Config.Servers),
-		where:       make(map[int]int),
-		powered:     st.Powered,
-		evictCursor: st.EvictCursor,
-	}
+	s := newSite(st.Config)
+	s.powered = st.Powered
+	s.evictCursor = st.EvictCursor
 	for i := range s.servers {
-		s.servers[i].vms = make(map[int]workload.VM, len(st.Servers[i]))
+		srv := &s.servers[i]
 		for _, vm := range st.Servers[i] {
 			if vm.Cores <= 0 || vm.MemoryGB <= 0 {
 				return nil, fmt.Errorf("cluster: VM %d on server %d has non-positive size", vm.ID, i)
@@ -89,16 +82,19 @@ func NewFromState(st SiteState) (*Site, error) {
 			if _, dup := s.where[vm.ID]; dup {
 				return nil, fmt.Errorf("cluster: VM %d appears twice in snapshot", vm.ID)
 			}
-			s.servers[i].allocCores += vm.Cores
-			s.servers[i].allocMemGB += vm.MemoryGB
-			s.servers[i].vms[vm.ID] = vm
+			srv.allocCores += vm.Cores
+			srv.allocMemGB += vm.MemoryGB
+			srv.noteEnd(vm.End())
 			s.where[vm.ID] = i
-			s.alloc += vm.Cores
 		}
-		if s.servers[i].allocCores > st.Config.CoresPerServer || s.servers[i].allocMemGB > st.Config.MemPerServerGB {
+		if srv.allocCores > st.Config.CoresPerServer || srv.allocMemGB > st.Config.MemPerServerGB {
 			return nil, fmt.Errorf("cluster: server %d over capacity in snapshot (%d cores, %d GB)",
-				i, s.servers[i].allocCores, s.servers[i].allocMemGB)
+				i, srv.allocCores, srv.allocMemGB)
 		}
+		srv.vms = slices.Clone(st.Servers[i])
+		slices.SortFunc(srv.vms, func(a, b workload.VM) int { return cmp.Compare(a.ID, b.ID) })
+		s.alloc += srv.allocCores
+		s.free.add(i, st.Config.CoresPerServer-srv.allocCores)
 	}
 	s.pending = make([]pendingVM, len(st.Pending))
 	for i, p := range st.Pending {

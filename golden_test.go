@@ -7,8 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"github.com/vbcloud/vb/internal/sim"
 )
 
 // checkGolden compares got with testdata/<name>. With VB_UPDATE_GOLDEN set
@@ -52,6 +55,61 @@ func TestTable1ReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "table1_seed.golden", res.Report())
+}
+
+// TestTable1PlanDigestGolden pins every bit of every Table 1 plan at
+// DefaultSeed. Report rounds to whole GB, so TestTable1ReportGolden passes a
+// plan that moved by one ulp; this test hashes, per policy, the exact bits
+// of each step's Transfer, InBySite and OutBySite values, the run totals,
+// and the per-app maps in ascending app order.
+//
+// Regenerate (only for an intentional, reviewed behaviour change) with:
+//
+//	VB_UPDATE_GOLDEN=1 go test -run Table1PlanDigestGolden .
+func TestTable1PlanDigestGolden(t *testing.T) {
+	s := Table1Setup{}.withDefaults()
+	in, _, err := buildTable1Input(s, table1Start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, pol := range s.Policies {
+		r, err := sim.Run(table1Config(s, pol), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		word := func(v uint64) {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+		for i, v := range r.Transfer.Values {
+			word(math.Float64bits(v))
+			for site := range r.InBySite {
+				word(math.Float64bits(r.InBySite[site].Values[i]))
+				word(math.Float64bits(r.OutBySite[site].Values[i]))
+			}
+		}
+		for _, v := range []float64{r.PlannedGB, r.ForcedGB, r.PausedStableCoreSteps, r.ShortfallCoreSteps} {
+			word(math.Float64bits(v))
+		}
+		word(uint64(r.Placements))
+		for _, m := range []map[int]float64{r.PerApp, r.PerAppPaused, r.PerAppDemand} {
+			ids := make([]int, 0, len(m))
+			for id := range m {
+				ids = append(ids, id)
+			}
+			sort.Ints(ids)
+			word(uint64(len(ids)))
+			for _, id := range ids {
+				word(uint64(id))
+				word(math.Float64bits(m[id]))
+			}
+		}
+		fmt.Fprintf(&b, "%-9s steps: %d, apps: %d, sha256: %x\n", pol, r.Transfer.Len(), len(r.PerAppDemand), h.Sum(nil))
+	}
+	checkGolden(t, "table1_plan.golden", b.String())
 }
 
 // TestFig4ReportGolden pins every packing decision of the 28-day Fig 4 run

@@ -257,34 +257,27 @@ func (s *Scheduler) placeGreedy(app AppDemand, nowStep, endStep int, predCap Cap
 	return plan, nil
 }
 
-// placeMIP builds and solves the paper's site-selection MIP (§3.1).
+// placementModel builds the paper's site-selection MIP (§3.1) for app over
+// the H plan steps from nowStep.
 //
-// Variables, per horizon step tau in [0, H) and site sel:
+// Variables, per horizon step tau in [0, H) and site s:
 //
 //	a[s,tau]  cores of this app on site s         (continuous)
 //	m[s,tau]  cores newly moved onto s at tau      (continuous)
+//	o[s,tau]  cores above the stable level         (continuous)
 //	u[tau]    unplaced cores (shortfall, penalized) (continuous)
+//	d[s,tau]  deviation from the previous plan     (continuous, replans)
 //	y[s]      site s used by this app               (binary)
 //	P         peak per-step migration GB            (continuous, O2)
+//	e[tau]    smoothing excess GB                   (continuous, O2)
 //
 // Constraints: demand per step, predicted capacity per site-step, linking
 // a <= D*y, at most MaxSitesPerApp sites, migration definition
 // m >= a_tau - a_{tau-1}, and P >= step traffic. Objective O1 is total
 // migration GB; O2 adds peakWeight * P; shortfall carries a large penalty so
 // capacity gaps surface as explicit shortfall instead of infeasibility.
-func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stableCap CapacityFn, prev []float64, prevPlan [][]float64) (Plan, error) {
-	horizon := endStep - nowStep
-	if s.cfg.Policy == MIP24h {
-		hs := int(24 * time.Hour / s.cfg.PlanStep)
-		if hs < 1 {
-			hs = 1
-		}
-		if hs < horizon {
-			horizon = hs
-		}
-	}
+func (s *Scheduler) placementModel(app AppDemand, nowStep, H int, predCap, stableCap CapacityFn, prev []float64, prevPlan [][]float64) mip.Problem {
 	k := s.numSites
-	H := horizon
 
 	// Variable layout.
 	nA := k * H
@@ -373,14 +366,10 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		}
 	}
 
-	var cons []lp.Constraint
-	row := func(pairs map[int]float64, sense lp.Sense, rhs float64) {
-		coeffs := make([]float64, numVars)
-		for j, v := range pairs {
-			coeffs[j] = v
-		}
-		cons = append(cons, lp.Constraint{Coeffs: coeffs, Sense: sense, RHS: rhs})
-	}
+	// Every row lists its terms in ascending variable order (the layout
+	// above puts a < m < o < u < d < y < P < e), into one buffer sized
+	// exactly for the model.
+	rows := newRowBuf(placementShape(k, H, prev != nil, prevPlan != nil, nE > 0))
 	// Singleton rows (hard capacity, binary bounds) become native variable
 	// bounds: the LP shrinks and branching on y tightens a bound in place.
 	// Lower bounds stay at the default zero.
@@ -401,11 +390,11 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 	}
 	for tau := 0; tau < H; tau++ {
 		// Demand: sum_s a + u = D (stable cores only).
-		pairs := map[int]float64{uVar(tau): 1}
 		for site := 0; site < k; site++ {
-			pairs[aVar(site, tau)] = 1
+			rows.add(aVar(site, tau), 1)
 		}
-		row(pairs, lp.EQ, demand)
+		rows.add(uVar(tau), 1)
+		rows.end(lp.EQ, demand)
 	}
 	for site := 0; site < k; site++ {
 		for tau := 0; tau < H; tau++ {
@@ -422,18 +411,27 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 				upper[aVar(site, tau)] = free
 			}
 			// Soft preference: a - o <= stable level.
-			row(map[int]float64{aVar(site, tau): 1, oVar(site, tau): -1}, lp.LE, freeStable)
+			rows.add(aVar(site, tau), 1)
+			rows.add(oVar(site, tau), -1)
+			rows.end(lp.LE, freeStable)
 			// Linking: a <= D * y.
-			row(map[int]float64{aVar(site, tau): 1, yVar(site): -demand}, lp.LE, 0)
+			rows.add(aVar(site, tau), 1)
+			rows.add(yVar(site), -demand)
+			rows.end(lp.LE, 0)
 			// Migration definition: m >= a_tau - a_{tau-1}.
 			if tau == 0 {
 				if prev != nil {
-					row(map[int]float64{mVar(site, 0): 1, aVar(site, 0): -1}, lp.GE, -prev[site])
+					rows.add(aVar(site, 0), -1)
+					rows.add(mVar(site, 0), 1)
+					rows.end(lp.GE, -prev[site])
 				}
 				// First placement: tau 0 moves are free (no constraint ties
 				// m down; m = 0 at optimum since it only costs).
 			} else {
-				row(map[int]float64{mVar(site, tau): 1, aVar(site, tau): -1, aVar(site, tau-1): 1}, lp.GE, 0)
+				rows.add(aVar(site, tau-1), 1)
+				rows.add(aVar(site, tau), -1)
+				rows.add(mVar(site, tau), 1)
+				rows.end(lp.GE, 0)
 			}
 		}
 		// Binary bound.
@@ -442,47 +440,57 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		if prevPlan != nil {
 			for tau := 0; tau < H; tau++ {
 				old := prevPlan[site][nowStep+tau]
-				row(map[int]float64{dVar(site, tau): 1, aVar(site, tau): -1}, lp.GE, -old)
-				row(map[int]float64{dVar(site, tau): 1, aVar(site, tau): 1}, lp.GE, old)
+				rows.add(aVar(site, tau), -1)
+				rows.add(dVar(site, tau), 1)
+				rows.end(lp.GE, -old)
+				rows.add(aVar(site, tau), 1)
+				rows.add(dVar(site, tau), 1)
+				rows.end(lp.GE, old)
 			}
 		}
 	}
 	// Site count bound.
-	pairs := map[int]float64{}
 	for site := 0; site < k; site++ {
-		pairs[yVar(site)] = 1
+		rows.add(yVar(site), 1)
 	}
-	row(pairs, lp.LE, float64(s.cfg.maxSites()))
+	rows.end(lp.LE, float64(s.cfg.maxSites()))
 	// Peak: this app's step traffic stacked on the fleet-wide planned
 	// traffic must fit under P. Coordinating through the migration ledger
 	// is what spreads the *aggregate* migration load over time ("MIP-peak
 	// migrates VMs preemptively, spreading out migrations over time and
 	// reducing burstiness").
-	if s.cfg.peakWeight() > 0 {
+	if nE > 0 {
 		meanCommitted := 0.0
 		for tau := 0; tau < H; tau++ {
 			meanCommitted += s.migCommitted[nowStep+tau]
 		}
 		meanCommitted /= float64(H)
+		share := -memGB / float64(H)
 		for tau := 0; tau < H; tau++ {
-			pp := map[int]float64{pVar: -1}
 			for site := 0; site < k; site++ {
-				pp[mVar(site, tau)] = memGB
+				rows.add(mVar(site, tau), memGB)
 			}
-			row(pp, lp.LE, -s.migCommitted[nowStep+tau])
+			rows.add(pVar, -1)
+			rows.end(lp.LE, -s.migCommitted[nowStep+tau])
 			// Smoothing excess: step traffic minus the horizon-mean traffic
 			// (both including the fleet-wide committed ledger) must fit
 			// under e[tau]:
 			//   sum_s mem*m[s,tau] - (1/H) sum_{s,t'} mem*m[s,t'] - e[tau]
 			//     <= mean(committed) - committed[tau].
-			sm := map[int]float64{eVar(tau): -1}
+			// The diagonal coefficient must stay the sum share + memGB:
+			// an algebraically equal form such as memGB·(H-1)/H can
+			// differ in the last bit, and with it the plans.
 			for site := 0; site < k; site++ {
 				for t2 := 0; t2 < H; t2++ {
-					sm[mVar(site, t2)] = -memGB / float64(H)
+					v := share
+					if t2 == tau {
+						v += memGB
+					}
+					rows.add(mVar(site, t2), v)
 				}
-				sm[mVar(site, tau)] += memGB
 			}
-			row(sm, lp.LE, meanCommitted-s.migCommitted[nowStep+tau])
+			rows.add(eVar(tau), -1)
+			rows.end(lp.LE, meanCommitted-s.migCommitted[nowStep+tau])
 		}
 	}
 
@@ -490,6 +498,29 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 	for site := 0; site < k; site++ {
 		integer[yVar(site)] = true
 	}
+	return mip.Problem{
+		Problem: lp.Problem{NumVars: numVars, Objective: obj, Constraints: rows.rows, Upper: upper},
+		Integer: integer,
+	}
+}
+
+// placeMIP builds and solves the paper's site-selection MIP (§3.1); see
+// placementModel for its variables and rows.
+func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stableCap CapacityFn, prev []float64, prevPlan [][]float64) (Plan, error) {
+	H := endStep - nowStep
+	if s.cfg.Policy == MIP24h {
+		hs := int(24 * time.Hour / s.cfg.PlanStep)
+		if hs < 1 {
+			hs = 1
+		}
+		if hs < H {
+			H = hs
+		}
+	}
+	k := s.numSites
+	aVar := func(site, tau int) int { return site*H + tau }
+	demand := app.StableCores
+	prob := s.placementModel(app, nowStep, H, predCap, stableCap, prev, prevPlan)
 
 	// Solver pressure (a latency fault) derates the node budget instead of
 	// racing a wall clock: the truncation point is then a pure function of
@@ -500,10 +531,6 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		if maxNodes < 1 {
 			maxNodes = 1
 		}
-	}
-	prob := mip.Problem{
-		Problem: lp.Problem{NumVars: numVars, Objective: obj, Constraints: cons, Upper: upper},
-		Integer: integer,
 	}
 
 	reg := s.cfg.Obs
@@ -590,6 +617,58 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		}
 	}
 	return plan, nil
+}
+
+// rowBuf collects a model's constraint rows. Every row's index/value pairs
+// live in one pair of buffers allocated once at the model's exact size.
+type rowBuf struct {
+	rows  []lp.Constraint
+	idx   []int32
+	val   []float64
+	start int
+}
+
+func newRowBuf(rows, nnz int) rowBuf {
+	return rowBuf{
+		rows: make([]lp.Constraint, 0, rows),
+		idx:  make([]int32, 0, nnz),
+		val:  make([]float64, 0, nnz),
+	}
+}
+
+// add appends the term v·x_j to the open row; j must exceed the row's
+// previous index.
+func (b *rowBuf) add(j int, v float64) {
+	b.idx = append(b.idx, int32(j))
+	b.val = append(b.val, v)
+}
+
+// end closes the open row as (terms) sense rhs.
+func (b *rowBuf) end(sense lp.Sense, rhs float64) {
+	n := len(b.idx)
+	b.rows = append(b.rows, lp.Constraint{Idx: b.idx[b.start:n:n], Val: b.val[b.start:n:n], Sense: sense, RHS: rhs})
+	b.start = n
+}
+
+// placementShape returns the row and nonzero counts of a placement model
+// over k sites and H steps: prev adds the tau-0 migration rows, prevPlan
+// the deviation rows, and peak the peak and smoothing rows.
+func placementShape(k, H int, prev, prevPlan, peak bool) (rows, nnz int) {
+	rows, nnz = H, H*(k+1) // demand
+	rows += k * (3*H - 1)  // soft, linking, and migration for tau > 0
+	nnz += k * (7*H - 3)
+	if prev {
+		rows, nnz = rows+k, nnz+2*k
+	}
+	if prevPlan {
+		rows, nnz = rows+2*k*H, nnz+4*k*H
+	}
+	rows, nnz = rows+1, nnz+k // site count
+	if peak {
+		rows += 2 * H
+		nnz += H*(k+1) + H*(k*H+1)
+	}
+	return rows, nnz
 }
 
 // warmState returns (creating if needed) the app's carried solver state.

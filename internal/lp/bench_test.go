@@ -26,31 +26,50 @@ func benchProblem(nVars, nRows int, seed int64) Problem {
 			p.Upper[j] = math.Inf(1)
 		}
 	}
+	coeffs := make([]float64, nVars)
 	for i := 0; i < nRows; i++ {
-		c := Constraint{Coeffs: make([]float64, nVars)}
+		clear(coeffs)
+		var c Constraint
 		switch i % 3 {
 		case 0: // demand: a sparse equality kept feasible by a slack-ish column
 			for k := 0; k < 4; k++ {
-				c.Coeffs[rng.Intn(nVars)] = 1
+				coeffs[rng.Intn(nVars)] = 1
 			}
 			c.Sense = EQ
 			c.RHS = 20 + rng.Float64()*30
 		case 1: // capacity: sum of a few columns under a cap
 			for k := 0; k < 6; k++ {
-				c.Coeffs[rng.Intn(nVars)] = 1 + rng.Float64()
+				coeffs[rng.Intn(nVars)] = 1 + rng.Float64()
 			}
 			c.Sense = LE
 			c.RHS = 100 + rng.Float64()*200
 		default: // coverage: at least some mass across a few columns
 			for k := 0; k < 5; k++ {
-				c.Coeffs[rng.Intn(nVars)] = 1
+				coeffs[rng.Intn(nVars)] = 1
 			}
 			c.Sense = GE
 			c.RHS = rng.Float64() * 10
 		}
+		c.Idx, c.Val = sparseRow(coeffs)
 		p.Constraints = append(p.Constraints, c)
 	}
 	return p
+}
+
+// sparseRow returns the nonzeros of a dense coefficient row as a
+// Constraint's index/value pairs. Generators that draw coefficients at
+// random positions (possibly the same one twice) fill a dense row first and
+// convert it here.
+func sparseRow(dense []float64) ([]int32, []float64) {
+	var idx []int32
+	var val []float64
+	for j, v := range dense {
+		if v != 0 {
+			idx = append(idx, int32(j))
+			val = append(val, v)
+		}
+	}
+	return idx, val
 }
 
 // BenchmarkSimplexCold measures a from-scratch instance build and solve per

@@ -21,18 +21,17 @@ func randomProblem(rng *rand.Rand, withBounds bool) Problem {
 		p.Objective[j] = math.Round(rng.NormFloat64()*10) / 4
 	}
 	for i := 0; i < m; i++ {
-		c := Constraint{Coeffs: make([]float64, n), Sense: Sense(rng.Intn(3))}
-		nz := 0
-		for j := range c.Coeffs {
+		c := Constraint{Sense: Sense(rng.Intn(3))}
+		for j := 0; j < n; j++ {
 			if rng.Intn(3) > 0 {
-				c.Coeffs[j] = math.Round(rng.NormFloat64()*8) / 4
-				if c.Coeffs[j] != 0 {
-					nz++
+				if v := math.Round(rng.NormFloat64()*8) / 4; v != 0 {
+					c.Idx = append(c.Idx, int32(j))
+					c.Val = append(c.Val, v)
 				}
 			}
 		}
-		if nz == 0 {
-			c.Coeffs[rng.Intn(n)] = 1
+		if len(c.Idx) == 0 {
+			c.Idx, c.Val = []int32{int32(rng.Intn(n))}, []float64{1}
 		}
 		c.RHS = math.Round(rng.NormFloat64()*20) / 4
 		if c.Sense == LE && c.RHS < 0 && rng.Intn(2) == 0 {
@@ -94,8 +93,8 @@ func checkAgainstReference(t *testing.T, p Problem, seed int64) {
 	}
 	for i, c := range p.Constraints {
 		lhs := 0.0
-		for j, v := range c.Coeffs {
-			lhs += v * got.X[j]
+		for k, v := range c.Val {
+			lhs += v * got.X[c.Idx[k]]
 		}
 		viol := false
 		switch c.Sense {
@@ -162,6 +161,7 @@ func growProblem(rng *rand.Rand, p Problem, n int) Problem {
 	if n <= p.NumVars {
 		return p
 	}
+	oldN := p.NumVars
 	for j := p.NumVars; j < n; j++ {
 		p.Objective = append(p.Objective, math.Round(rng.NormFloat64()*10)/4)
 		if p.Lower != nil {
@@ -173,20 +173,24 @@ func growProblem(rng *rand.Rand, p Problem, n int) Problem {
 	rows := len(p.Constraints)
 	for i := 0; i < rows; i++ {
 		c := &p.Constraints[i]
-		for len(c.Coeffs) < n {
-			v := 0.0
+		for j := oldN; j < n; j++ {
 			if rng.Intn(2) == 0 {
-				v = math.Round(rng.NormFloat64()*8) / 4
+				if v := math.Round(rng.NormFloat64()*8) / 4; v != 0 {
+					c.Idx = append(c.Idx, int32(j))
+					c.Val = append(c.Val, v)
+				}
 			}
-			c.Coeffs = append(c.Coeffs, v)
 		}
 	}
 	extra := rng.Intn(10)
 	for i := 0; i < extra; i++ {
-		c := Constraint{Coeffs: make([]float64, n), Sense: Sense(rng.Intn(3))}
-		for j := range c.Coeffs {
+		c := Constraint{Sense: Sense(rng.Intn(3))}
+		for j := 0; j < n; j++ {
 			if rng.Intn(3) == 0 {
-				c.Coeffs[j] = math.Round(rng.NormFloat64()*8) / 4
+				if v := math.Round(rng.NormFloat64()*8) / 4; v != 0 {
+					c.Idx = append(c.Idx, int32(j))
+					c.Val = append(c.Val, v)
+				}
 			}
 		}
 		c.RHS = math.Round(math.Abs(rng.NormFloat64())*30) / 4
@@ -206,8 +210,8 @@ func TestInstanceWarmResolve(t *testing.T) {
 		Objective: []float64{3, 2},
 		Maximize:  true,
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: LE, RHS: 4},
-			{Coeffs: []float64{1, 3}, Sense: LE, RHS: 6},
+			{Idx: []int32{0, 1}, Val: []float64{1, 1}, Sense: LE, RHS: 4},
+			{Idx: []int32{0, 1}, Val: []float64{1, 3}, Sense: LE, RHS: 6},
 		},
 	}
 	in, err := NewInstance(p)
@@ -269,7 +273,7 @@ func TestInstanceRefresh(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 2}, Sense: GE, RHS: 3},
+			{Idx: []int32{0, 1}, Val: []float64{1, 2}, Sense: GE, RHS: 3},
 		},
 	}
 	in, err := NewInstance(base)
@@ -282,7 +286,7 @@ func TestInstanceRefresh(t *testing.T) {
 
 	changed := base
 	changed.Objective = []float64{2, 1}
-	changed.Constraints = []Constraint{{Coeffs: []float64{1, 2}, Sense: GE, RHS: 5}}
+	changed.Constraints = []Constraint{{Idx: []int32{0, 1}, Val: []float64{1, 2}, Sense: GE, RHS: 5}}
 	if !in.Refresh(changed) {
 		t.Fatal("Refresh must accept same-structure objective/RHS change")
 	}
@@ -298,12 +302,12 @@ func TestInstanceRefresh(t *testing.T) {
 	}
 
 	structChange := base
-	structChange.Constraints = []Constraint{{Coeffs: []float64{1, 3}, Sense: GE, RHS: 3}}
+	structChange.Constraints = []Constraint{{Idx: []int32{0, 1}, Val: []float64{1, 3}, Sense: GE, RHS: 3}}
 	if in.Refresh(structChange) {
 		t.Error("Refresh must reject changed coefficients")
 	}
 	senseChange := base
-	senseChange.Constraints = []Constraint{{Coeffs: []float64{1, 2}, Sense: LE, RHS: 3}}
+	senseChange.Constraints = []Constraint{{Idx: []int32{0, 1}, Val: []float64{1, 2}, Sense: LE, RHS: 3}}
 	if in.Refresh(senseChange) {
 		t.Error("Refresh must reject changed sense")
 	}
@@ -321,7 +325,7 @@ func TestBoundedDirect(t *testing.T) {
 		Lower:     []float64{1, -3},
 		Upper:     []float64{2, -1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: LE, RHS: 0},
+			{Idx: []int32{0, 1}, Val: []float64{1, 1}, Sense: LE, RHS: 0},
 		},
 	}
 	sol, err := Solve(p)
@@ -337,7 +341,7 @@ func TestBoundedDirect(t *testing.T) {
 
 	// Crossed bounds are infeasible, not an error.
 	bad := Problem{NumVars: 1, Lower: []float64{2}, Upper: []float64{1},
-		Constraints: []Constraint{{Coeffs: []float64{1}, Sense: LE, RHS: 10}}}
+		Constraints: []Constraint{{Idx: []int32{0}, Val: []float64{1}, Sense: LE, RHS: 10}}}
 	sol, err = Solve(bad)
 	if err != nil || sol.Status != Infeasible {
 		t.Errorf("crossed bounds: got %v %v, want infeasible", sol.Status, err)
@@ -350,7 +354,7 @@ func TestBoundedDirect(t *testing.T) {
 		Lower:     []float64{math.Inf(-1)},
 		Upper:     []float64{math.Inf(1)},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Sense: GE, RHS: -7},
+			{Idx: []int32{0}, Val: []float64{1}, Sense: GE, RHS: -7},
 		},
 	}
 	sol, err = Solve(free)

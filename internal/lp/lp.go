@@ -42,12 +42,15 @@ func (s Sense) String() string {
 	}
 }
 
-// Constraint is one linear constraint a·x (sense) b. Coeffs shorter than the
-// variable count are implicitly zero-padded.
+// Constraint is one linear constraint a·x (sense) b in sparse form: a_j is
+// Val[k] for j = Idx[k], and zero for every variable Idx omits. Idx is
+// strictly increasing and Val has the same length; an explicit zero in Val
+// is allowed and compiles away.
 type Constraint struct {
-	Coeffs []float64
-	Sense  Sense
-	RHS    float64
+	Idx   []int32
+	Val   []float64
+	Sense Sense
+	RHS   float64
 }
 
 // Problem is a linear program over n bounded variables.
@@ -149,15 +152,23 @@ func (p Problem) Validate() error {
 		}
 	}
 	for i, c := range p.Constraints {
-		if len(c.Coeffs) > p.NumVars {
-			return fmt.Errorf("%w: constraint %d has %d coeffs for %d vars", ErrBadProblem, i, len(c.Coeffs), p.NumVars)
+		if len(c.Idx) != len(c.Val) {
+			return fmt.Errorf("%w: constraint %d has %d indices and %d values", ErrBadProblem, i, len(c.Idx), len(c.Val))
 		}
 		if c.Sense != LE && c.Sense != GE && c.Sense != EQ {
 			return fmt.Errorf("%w: constraint %d has unknown sense %d", ErrBadProblem, i, int(c.Sense))
 		}
-		for _, v := range c.Coeffs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: constraint %d has non-finite coefficient", ErrBadProblem, i)
+		prev := int32(-1)
+		for k, j := range c.Idx {
+			if j < 0 || int(j) >= p.NumVars {
+				return fmt.Errorf("%w: constraint %d entry %d has index %d outside [0,%d)", ErrBadProblem, i, k, j, p.NumVars)
+			}
+			if j <= prev {
+				return fmt.Errorf("%w: constraint %d entry %d has index %d after %d (indices must strictly increase)", ErrBadProblem, i, k, j, prev)
+			}
+			prev = j
+			if v := c.Val[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: constraint %d entry %d has non-finite coefficient %v", ErrBadProblem, i, k, v)
 			}
 		}
 		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {

@@ -1,7 +1,9 @@
 package lp
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -24,16 +26,56 @@ func TestValidate(t *testing.T) {
 	bad := []Problem{
 		{},
 		{NumVars: 2, Objective: []float64{1, 2, 3}},
-		{NumVars: 1, Constraints: []Constraint{{Coeffs: []float64{1, 2}}}},
-		{NumVars: 1, Constraints: []Constraint{{Coeffs: []float64{1}, Sense: Sense(9)}}},
-		{NumVars: 1, Constraints: []Constraint{{Coeffs: []float64{math.NaN()}}}},
-		{NumVars: 1, Constraints: []Constraint{{Coeffs: []float64{1}, RHS: math.Inf(1)}}},
+		{NumVars: 1, Constraints: []Constraint{{Idx: []int32{0, 1}, Val: []float64{1, 2}}}},
+		{NumVars: 1, Constraints: []Constraint{{Idx: []int32{0}, Val: []float64{1}, Sense: Sense(9)}}},
+		{NumVars: 1, Constraints: []Constraint{{Idx: []int32{0}, Val: []float64{math.NaN()}}}},
+		{NumVars: 1, Constraints: []Constraint{{Idx: []int32{0}, Val: []float64{1}, RHS: math.Inf(1)}}},
 		{NumVars: 1, Objective: []float64{math.NaN()}},
 	}
 	for i, p := range bad {
 		if _, err := Solve(p); err == nil {
 			t.Errorf("bad problem %d accepted", i)
 		}
+	}
+}
+
+// TestValidateSparseRows checks that Validate refuses every malformed
+// sparse row with ErrBadProblem and names the constraint.
+func TestValidateSparseRows(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		row  Constraint
+	}{
+		{"index at NumVars", Constraint{Idx: []int32{0, 3}, Val: []float64{1, 1}}},
+		{"index past NumVars", Constraint{Idx: []int32{9}, Val: []float64{1}}},
+		{"negative index", Constraint{Idx: []int32{-1, 0}, Val: []float64{1, 1}}},
+		{"repeated index", Constraint{Idx: []int32{0, 1, 1}, Val: []float64{1, 2, 3}}},
+		{"decreasing index", Constraint{Idx: []int32{2, 0}, Val: []float64{1, 1}}},
+		{"more indices than values", Constraint{Idx: []int32{0, 1}, Val: []float64{1}}},
+		{"more values than indices", Constraint{Idx: []int32{0}, Val: []float64{1, 2}}},
+		{"NaN value", Constraint{Idx: []int32{0, 2}, Val: []float64{1, math.NaN()}}},
+		{"+Inf value", Constraint{Idx: []int32{1}, Val: []float64{math.Inf(1)}}},
+		{"-Inf value", Constraint{Idx: []int32{0, 1}, Val: []float64{math.Inf(-1), 1}}},
+	} {
+		p := Problem{
+			NumVars: 3,
+			Constraints: []Constraint{
+				{Idx: []int32{0, 1, 2}, Val: []float64{1, 0, 2}, Sense: LE, RHS: 1}, // explicit zero is fine
+				c.row,
+			},
+		}
+		err := p.Validate()
+		if !errors.Is(err, ErrBadProblem) {
+			t.Errorf("%s: Validate = %v, want ErrBadProblem", c.name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "constraint 1 ") {
+			t.Errorf("%s: error %q does not name constraint 1", c.name, err)
+		}
+	}
+	ok := Problem{NumVars: 3, Constraints: []Constraint{{Idx: []int32{0, 2}, Val: []float64{1, 0}, Sense: GE, RHS: 1}, {}}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("well-formed rows (one with no terms) rejected: %v", err)
 	}
 }
 
@@ -54,9 +96,9 @@ func TestTextbookMax(t *testing.T) {
 		Objective: []float64{3, 5},
 		Maximize:  true,
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Sense: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Sense: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Sense: LE, RHS: 18},
+			{Idx: []int32{0}, Val: []float64{1}, Sense: LE, RHS: 4},
+			{Idx: []int32{1}, Val: []float64{2}, Sense: LE, RHS: 12},
+			{Idx: []int32{0, 1}, Val: []float64{3, 2}, Sense: LE, RHS: 18},
 		},
 	})
 	if !approx(s.Objective, 36) || !approx(s.X[0], 2) || !approx(s.X[1], 6) {
@@ -76,8 +118,8 @@ func TestDietMin(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{0.6, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{10, 4}, Sense: GE, RHS: 20},
-			{Coeffs: []float64{5, 5}, Sense: GE, RHS: 20},
+			{Idx: []int32{0, 1}, Val: []float64{10, 4}, Sense: GE, RHS: 20},
+			{Idx: []int32{0, 1}, Val: []float64{5, 5}, Sense: GE, RHS: 20},
 		},
 	})
 	if !approx(s.Objective, 2.4) || !approx(s.X[0], 4) || !approx(s.X[1], 0) {
@@ -91,8 +133,8 @@ func TestEqualityConstraint(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 2},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: EQ, RHS: 10},
-			{Coeffs: []float64{1, 0}, Sense: LE, RHS: 4},
+			{Idx: []int32{0, 1}, Val: []float64{1, 1}, Sense: EQ, RHS: 10},
+			{Idx: []int32{0}, Val: []float64{1}, Sense: LE, RHS: 4},
 		},
 	})
 	if !approx(s.Objective, 16) || !approx(s.X[0], 4) || !approx(s.X[1], 6) {
@@ -105,8 +147,8 @@ func TestInfeasible(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Sense: LE, RHS: 1},
-			{Coeffs: []float64{1}, Sense: GE, RHS: 2},
+			{Idx: []int32{0}, Val: []float64{1}, Sense: LE, RHS: 1},
+			{Idx: []int32{0}, Val: []float64{1}, Sense: GE, RHS: 2},
 		},
 	})
 	if err != nil {
@@ -123,7 +165,7 @@ func TestUnbounded(t *testing.T) {
 		Objective: []float64{1},
 		Maximize:  true,
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Sense: GE, RHS: 1},
+			{Idx: []int32{0}, Val: []float64{1}, Sense: GE, RHS: 1},
 		},
 	})
 	if err != nil {
@@ -140,7 +182,7 @@ func TestNegativeRHSNormalized(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{-1}, Sense: LE, RHS: -3},
+			{Idx: []int32{0}, Val: []float64{-1}, Sense: LE, RHS: -3},
 		},
 	})
 	if !approx(s.X[0], 3) {
@@ -163,9 +205,9 @@ func TestDegenerateNoCycle(t *testing.T) {
 		NumVars:   4,
 		Objective: []float64{-0.75, 150, -0.02, 6},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0.25, -60, -0.04, 9}, Sense: LE, RHS: 0},
-			{Coeffs: []float64{0.5, -90, -0.02, 3}, Sense: LE, RHS: 0},
-			{Coeffs: []float64{0, 0, 1, 0}, Sense: LE, RHS: 1},
+			{Idx: []int32{0, 1, 2, 3}, Val: []float64{0.25, -60, -0.04, 9}, Sense: LE, RHS: 0},
+			{Idx: []int32{0, 1, 2, 3}, Val: []float64{0.5, -90, -0.02, 3}, Sense: LE, RHS: 0},
+			{Idx: []int32{2}, Val: []float64{1}, Sense: LE, RHS: 1},
 		},
 	})
 	if !approx(s.Objective, -0.05) {
@@ -174,12 +216,12 @@ func TestDegenerateNoCycle(t *testing.T) {
 }
 
 func TestZeroPaddedCoeffs(t *testing.T) {
-	// Short coefficient slices are zero padded.
+	// Variables a row leaves out have zero coefficients.
 	s := solveOK(t, Problem{
 		NumVars:   3,
 		Objective: []float64{1}, // only x0 costs
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Sense: GE, RHS: 2},
+			{Idx: []int32{0}, Val: []float64{1}, Sense: GE, RHS: 2},
 		},
 	})
 	if !approx(s.X[0], 2) || !approx(s.Objective, 2) {
@@ -196,9 +238,9 @@ func TestMinimaxPattern(t *testing.T) {
 		NumVars:   3, // x1, x2, t
 		Objective: []float64{0, 0, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 0}, Sense: EQ, RHS: 10},
-			{Coeffs: []float64{1, 0, -1}, Sense: LE, RHS: 0},
-			{Coeffs: []float64{0, 1, -1}, Sense: LE, RHS: 0},
+			{Idx: []int32{0, 1}, Val: []float64{1, 1}, Sense: EQ, RHS: 10},
+			{Idx: []int32{0, 2}, Val: []float64{1, -1}, Sense: LE, RHS: 0},
+			{Idx: []int32{1, 2}, Val: []float64{1, -1}, Sense: LE, RHS: 0},
 		},
 	})
 	if !approx(s.Objective, 5) {
@@ -213,8 +255,8 @@ func TestRedundantEquality(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: EQ, RHS: 4},
-			{Coeffs: []float64{2, 2}, Sense: EQ, RHS: 8},
+			{Idx: []int32{0, 1}, Val: []float64{1, 1}, Sense: EQ, RHS: 4},
+			{Idx: []int32{0, 1}, Val: []float64{2, 2}, Sense: EQ, RHS: 8},
 		},
 	})
 	if !approx(s.Objective, 4) {
@@ -235,11 +277,11 @@ func TestLargerTransportProblem(t *testing.T) {
 		NumVars:   6, // x11 x12 x13 x21 x22 x23
 		Objective: []float64{8, 6, 10, 9, 12, 13},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 1, 0, 0, 0}, Sense: LE, RHS: 20},
-			{Coeffs: []float64{0, 0, 0, 1, 1, 1}, Sense: LE, RHS: 30},
-			{Coeffs: []float64{1, 0, 0, 1, 0, 0}, Sense: GE, RHS: 10},
-			{Coeffs: []float64{0, 1, 0, 0, 1, 0}, Sense: GE, RHS: 25},
-			{Coeffs: []float64{0, 0, 1, 0, 0, 1}, Sense: GE, RHS: 15},
+			{Idx: []int32{0, 1, 2}, Val: []float64{1, 1, 1}, Sense: LE, RHS: 20},
+			{Idx: []int32{3, 4, 5}, Val: []float64{1, 1, 1}, Sense: LE, RHS: 30},
+			{Idx: []int32{0, 3}, Val: []float64{1, 1}, Sense: GE, RHS: 10},
+			{Idx: []int32{1, 4}, Val: []float64{1, 1}, Sense: GE, RHS: 25},
+			{Idx: []int32{2, 5}, Val: []float64{1, 1}, Sense: GE, RHS: 15},
 		},
 	}
 	s := solveOK(t, p)
@@ -277,16 +319,13 @@ func TestPropSolverBeatsKnownPoint(t *testing.T) {
 		}
 		s := sumU * float64(seedRaw[1]%100) / 100
 		cons := make([]Constraint, 0, n+1)
+		all := Constraint{Sense: GE, RHS: s}
 		for i := 0; i < n; i++ {
-			coef := make([]float64, n)
-			coef[i] = 1
-			cons = append(cons, Constraint{Coeffs: coef, Sense: LE, RHS: u[i]})
+			cons = append(cons, Constraint{Idx: []int32{int32(i)}, Val: []float64{1}, Sense: LE, RHS: u[i]})
+			all.Idx = append(all.Idx, int32(i))
+			all.Val = append(all.Val, 1)
 		}
-		all := make([]float64, n)
-		for i := range all {
-			all[i] = 1
-		}
-		cons = append(cons, Constraint{Coeffs: all, Sense: GE, RHS: s})
+		cons = append(cons, all)
 		sol, err := Solve(Problem{NumVars: n, Objective: c, Constraints: cons})
 		if err != nil || sol.Status != Optimal {
 			return false
@@ -333,12 +372,13 @@ func TestPropNoLatticePointBeatsOptimum(t *testing.T) {
 		}
 		b := maxAttain / 2
 		cons := make([]Constraint, 0, n+1)
+		cover := Constraint{Sense: GE, RHS: b}
 		for i := 0; i < n; i++ {
-			coef := make([]float64, n)
-			coef[i] = 1
-			cons = append(cons, Constraint{Coeffs: coef, Sense: LE, RHS: u[i]})
+			cons = append(cons, Constraint{Idx: []int32{int32(i)}, Val: []float64{1}, Sense: LE, RHS: u[i]})
+			cover.Idx = append(cover.Idx, int32(i))
+			cover.Val = append(cover.Val, a[i])
 		}
-		cons = append(cons, Constraint{Coeffs: a, Sense: GE, RHS: b})
+		cons = append(cons, cover)
 		sol, err := Solve(Problem{NumVars: n, Objective: c, Constraints: cons})
 		if err != nil || sol.Status != Optimal {
 			return false

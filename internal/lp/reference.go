@@ -46,9 +46,7 @@ func SolveReference(p Problem) (Solution, error) {
 			pos[j], off[j], sign[j] = cols, lo, 1
 			cols++
 			if !math.IsInf(hi, 1) {
-				co := make([]float64, pos[j]+1)
-				co[pos[j]] = 1
-				extra = append(extra, Constraint{Coeffs: co, Sense: LE, RHS: hi - lo})
+				extra = append(extra, Constraint{Idx: []int32{int32(pos[j])}, Val: []float64{1}, Sense: LE, RHS: hi - lo})
 			}
 		case !math.IsInf(hi, 1):
 			// x = hi - x', x' >= 0.
@@ -77,20 +75,26 @@ func SolveReference(p Problem) (Solution, error) {
 			q.Objective[neg[j]] -= c
 		}
 	}
+	// The reduced rows are dense: each lists every column, zeros included.
+	all := make([]int32, cols)
+	for j := range all {
+		all[j] = int32(j)
+	}
 	for _, c := range p.Constraints {
 		co := make([]float64, cols)
 		rhs := c.RHS
-		for j, v := range c.Coeffs {
+		for t, v := range c.Val {
 			if v == 0 {
 				continue
 			}
+			j := c.Idx[t]
 			rhs -= v * off[j]
 			co[pos[j]] += v * sign[j]
 			if neg[j] >= 0 {
 				co[neg[j]] -= v
 			}
 		}
-		q.Constraints = append(q.Constraints, Constraint{Coeffs: co, Sense: c.Sense, RHS: rhs})
+		q.Constraints = append(q.Constraints, Constraint{Idx: all, Val: co, Sense: c.Sense, RHS: rhs})
 	}
 	q.Constraints = append(q.Constraints, extra...)
 
@@ -225,8 +229,8 @@ func build(p Problem) *tableau {
 			rhs = -rhs
 			sense = flip(sense)
 		}
-		for j, v := range c.Coeffs {
-			row[j] = sign * v
+		for t, v := range c.Val {
+			row[c.Idx[t]] = sign * v
 		}
 		t.rhs[i] = rhs
 		switch sense {

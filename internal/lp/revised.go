@@ -80,15 +80,20 @@ type Instance struct {
 	xB     []float64 // len m, values of basic variables
 	ready  bool      // basis state is valid (false before first solve)
 
-	// Scratch (reused every iteration).
+	d      []float64 // n, reduced costs (maintained incrementally in phase 2)
+	dExact bool
+
+	// Scratch (reused every iteration; see allocScratch).
 	accum      []float64 // m
 	w          []float64 // m, FTRAN result B⁻¹A_q
 	y          []float64 // m, BTRAN result
 	rowScratch []float64 // m, row of B⁻¹ for the incremental price update
 	valScratch []float64 // n, full value vector for residual/objective sweeps
-	d          []float64 // n, reduced costs (maintained incrementally in phase 2)
-	dExact     bool
-	cb1        []int8 // m, phase-1 cost markers
+	alpha      []float64 // nStruct, pivot-row accumulator, all zero between pivots
+	alphaSeen  []bool    // nStruct, alpha entries touched by the current pivot
+	alphaCols  []int32   // the touched structural columns, in first-touch order
+	cb1        []int8    // m, phase-1 cost markers
+	blockers   []blocker // the current ratio test's blocking rows, ascending
 
 	pivots    int64
 	refactors int64
@@ -106,30 +111,27 @@ func NewInstance(p Problem) (*Instance, error) {
 	n := ns + m
 	in := &Instance{
 		m: m, nStruct: ns, n: n,
-		maximize:   p.Maximize,
-		cmin:       make([]float64, n),
-		b:          make([]float64, m),
-		senses:     make([]Sense, m),
-		baseLo:     make([]float64, n),
-		baseHi:     make([]float64, n),
-		lo:         make([]float64, n),
-		hi:         make([]float64, n),
-		basis:      make([]int32, m),
-		vstat:      make([]int8, n),
-		fac:        newSparseLU(m),
-		xB:         make([]float64, m),
-		accum:      make([]float64, m),
-		w:          make([]float64, m),
-		y:          make([]float64, m),
-		rowScratch: make([]float64, m),
-		valScratch: make([]float64, n),
-		d:          make([]float64, n),
-		cb1:        make([]int8, m),
+		maximize: p.Maximize,
+		cmin:     make([]float64, n),
+		b:        make([]float64, m),
+		senses:   make([]Sense, m),
+		baseLo:   make([]float64, n),
+		baseHi:   make([]float64, n),
+		lo:       make([]float64, n),
+		hi:       make([]float64, n),
+		basis:    make([]int32, m),
+		vstat:    make([]int8, n),
+		fac:      newSparseLU(m),
+		xB:       make([]float64, m),
+		d:        make([]float64, n),
 	}
-	// Count nonzeros, then fill CSC and the row-major mirror.
+	in.allocScratch()
+	// Fill the row-major mirror from the sparse rows, dropping exact
+	// zeros, then the CSC columns from the mirror: each column's entries
+	// come out in ascending row order.
 	nnz := 0
 	for _, c := range p.Constraints {
-		for _, v := range c.Coeffs {
+		for _, v := range c.Val {
 			if v != 0 {
 				nnz++
 			}
@@ -141,13 +143,13 @@ func NewInstance(p Problem) (*Instance, error) {
 	in.rowPtr = make([]int32, m+1)
 	in.rowCol = make([]int32, nnz)
 	in.rowVal = make([]float64, nnz)
-	counts := make([]int32, ns)
 	k := 0
 	for i, c := range p.Constraints {
-		for j, v := range c.Coeffs {
+		for t, v := range c.Val {
 			if v != 0 {
-				counts[j]++
-				in.rowCol[k] = int32(j)
+				j := c.Idx[t]
+				in.colPtr[j+1]++
+				in.rowCol[k] = j
 				in.rowVal[k] = v
 				k++
 			}
@@ -155,22 +157,37 @@ func NewInstance(p Problem) (*Instance, error) {
 		in.rowPtr[i+1] = int32(k)
 	}
 	for j := 0; j < ns; j++ {
-		in.colPtr[j+1] = in.colPtr[j] + counts[j]
+		in.colPtr[j+1] += in.colPtr[j]
 	}
 	fill := make([]int32, ns)
 	copy(fill, in.colPtr[:ns])
-	for i, c := range p.Constraints {
-		for j, v := range c.Coeffs {
-			if v != 0 {
-				in.colRow[fill[j]] = int32(i)
-				in.colVal[fill[j]] = v
-				fill[j]++
-			}
+	for i := 0; i < m; i++ {
+		for k := in.rowPtr[i]; k < in.rowPtr[i+1]; k++ {
+			j := in.rowCol[k]
+			in.colRow[fill[j]] = int32(i)
+			in.colVal[fill[j]] = in.rowVal[k]
+			fill[j]++
 		}
-		_ = i
 	}
 	in.loadData(p)
 	return in, nil
+}
+
+// allocScratch allocates the per-iteration scratch arrays for the
+// instance's dimensions. Compiling and decoding both call it, so a decoded
+// instance solves with exactly the scratch a compiled one has.
+func (in *Instance) allocScratch() {
+	m, n, ns := in.m, in.n, in.nStruct
+	f := make([]float64, 4*m+n+ns)
+	in.accum, f = f[:m:m], f[m:]
+	in.w, f = f[:m:m], f[m:]
+	in.y, f = f[:m:m], f[m:]
+	in.rowScratch, f = f[:m:m], f[m:]
+	in.valScratch, in.alpha = f[:n:n], f[n:]
+	in.alphaSeen = make([]bool, ns)
+	in.alphaCols = make([]int32, 0, ns)
+	in.cb1 = make([]int8, m)
+	in.blockers = make([]blocker, 0, m)
 }
 
 // loadData copies the refreshable parts of p (objective, RHS, bounds) into
@@ -226,13 +243,16 @@ func (in *Instance) Refresh(p Problem) bool {
 		if c.Sense != in.senses[i] {
 			return false
 		}
+		if len(c.Idx) != len(c.Val) {
+			return false
+		}
 		k := in.rowPtr[i]
 		end := in.rowPtr[i+1]
-		for j, v := range c.Coeffs {
+		for t, v := range c.Val {
 			if v == 0 {
 				continue
 			}
-			if k == end || in.rowCol[k] != int32(j) || in.rowVal[k] != v {
+			if k == end || in.rowCol[k] != c.Idx[t] || in.rowVal[k] != v {
 				return false
 			}
 			k++
@@ -541,6 +561,15 @@ func (in *Instance) priceFromY(bland bool) (enter, dir int) {
 	return
 }
 
+// blocker is a basic variable that blocks the ratio test: its row, the
+// step at which it reaches its target bound, and whether that bound is the
+// upper one.
+type blocker struct {
+	t   float64
+	row int32
+	up  bool
+}
+
 // ratioTest runs the bounded-variable ratio test for entering variable
 // enter moving in direction dir: every basic variable blocks at its own
 // bounds, and the entering variable may flip across its range. In phase 1
@@ -548,7 +577,8 @@ func (in *Instance) priceFromY(bland bool) (enter, dir int) {
 // feasible), never while moving further away from it. Returns the step,
 // the leaving row (-1 for a bound flip), which bound the leaver hits, and
 // whether the step is a flip; leave < 0 with flip false means nothing
-// blocks.
+// blocks. The blocking rows are recorded in ascending row order for
+// pickLeaving.
 func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, leave int, toUpper, flip bool) {
 	minT := math.Inf(1)
 	if r := in.hi[enter] - in.lo[enter]; in.vstat[enter] != vsFree && !math.IsInf(r, 1) {
@@ -556,6 +586,7 @@ func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, le
 		flip = true
 	}
 	leave = -1
+	blockers := in.blockers[:0]
 	for i := 0; i < in.m; i++ {
 		wi := in.w[i]
 		if wi < pivotTol && wi > -pivotTol {
@@ -564,6 +595,7 @@ func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, le
 		delta := -float64(dir) * wi
 		j := in.basis[i]
 		var target float64
+		up := false
 		if delta > 0 {
 			switch {
 			case phase1 && in.xB[i] < in.lo[j]-feasTol:
@@ -572,6 +604,7 @@ func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, le
 				continue // moving further above upper: never blocks
 			default:
 				target = in.hi[j]
+				up = true
 			}
 			if math.IsInf(target, 1) {
 				continue
@@ -580,6 +613,7 @@ func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, le
 			switch {
 			case phase1 && in.xB[i] > in.hi[j]+feasTol:
 				target = in.hi[j]
+				up = true
 			case phase1 && in.xB[i] < in.lo[j]-feasTol:
 				continue // moving further below lower: never blocks
 			default:
@@ -593,16 +627,18 @@ func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, le
 		if ti < 0 {
 			ti = 0
 		}
+		blockers = append(blockers, blocker{t: ti, row: int32(i), up: up})
 		if ti < minT {
 			minT = ti
 			flip = false
 		}
 	}
+	in.blockers = blockers
 	if math.IsInf(minT, 1) {
 		return 0, -1, false, false
 	}
 	if !flip {
-		leave, toUpper = in.pickLeaving(dir, minT, phase1, bland)
+		leave, toUpper = in.pickLeaving(minT, bland)
 		if leave < 0 {
 			// Numerical fallback: accept the flip if one exists.
 			if r := in.hi[enter] - in.lo[enter]; in.vstat[enter] != vsFree && !math.IsInf(r, 1) {
@@ -614,63 +650,25 @@ func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, le
 	return minT, leave, toUpper, flip
 }
 
-// pickLeaving re-scans the rows blocking at ratio ≤ minT+tie and picks the
-// numerically best (largest |w|) or, under Bland's rule, the lowest
-// variable index. phase1 selects targets with the phase-1 rules.
-func (in *Instance) pickLeaving(dir int, minT float64, phase1, bland bool) (leave int, toUpper bool) {
+// pickLeaving chooses among the ratio test's blocking rows at ratio ≤
+// minT+tie the numerically best (largest |w|) or, under Bland's rule, the
+// lowest variable index; ties go to the lowest row.
+func (in *Instance) pickLeaving(minT float64, bland bool) (leave int, toUpper bool) {
 	leave = -1
 	tie := minT + tieTol*(1+minT)
 	var bestW float64
 	bestIdx := int32(math.MaxInt32)
-	for i := 0; i < in.m; i++ {
-		wi := in.w[i]
-		if wi < pivotTol && wi > -pivotTol {
+	for _, b := range in.blockers {
+		if b.t > tie {
 			continue
 		}
-		delta := -float64(dir) * wi
-		j := in.basis[i]
-		var target float64
-		up := false
-		if delta > 0 {
-			switch {
-			case phase1 && in.xB[i] < in.lo[j]-feasTol:
-				target = in.lo[j]
-			case phase1 && in.xB[i] > in.hi[j]+feasTol:
-				continue
-			default:
-				target = in.hi[j]
-				up = true
-			}
-			if math.IsInf(target, 1) {
-				continue
-			}
-		} else {
-			switch {
-			case phase1 && in.xB[i] > in.hi[j]+feasTol:
-				target = in.hi[j]
-				up = true
-			case phase1 && in.xB[i] < in.lo[j]-feasTol:
-				continue
-			default:
-				target = in.lo[j]
-			}
-			if math.IsInf(target, -1) {
-				continue
-			}
-		}
-		ti := (target - in.xB[i]) / delta
-		if ti < 0 {
-			ti = 0
-		}
-		if ti > tie {
-			continue
-		}
+		i := int(b.row)
 		if bland {
-			if j < bestIdx {
-				bestIdx, leave, toUpper = j, i, up
+			if j := in.basis[i]; j < bestIdx {
+				bestIdx, leave, toUpper = j, i, b.up
 			}
-		} else if aw := math.Abs(wi); aw > bestW {
-			bestW, leave, toUpper = aw, i, up
+		} else if aw := math.Abs(in.w[i]); aw > bestW {
+			bestW, leave, toUpper = aw, i, b.up
 		}
 	}
 	return
@@ -724,25 +722,49 @@ func (in *Instance) applyStep(enter, dir int, t float64, leave int, toUpper, fli
 
 // updateD maintains the phase-2 reduced costs across the pivot on row
 // `leave` with entering column `enter`: d'_j = d_j - (d_q/w_r)·α_rj where
-// α_r is row r of B⁻¹N, computed sparsely from the pre-pivot basis inverse.
+// α_r = ρ_r·N and ρ_r is row r of the pre-pivot B⁻¹.
+//
+// α_r is built row by row from the row-major mirror over the nonzeros of
+// ρ_r in ascending row order. That is the order colDot sums a column in,
+// minus the terms with a zero ρ entry, which add a zero to the sum and so
+// cannot change it: every α_rj is bit-identical to colDot(ρ_r, j).
 func (in *Instance) updateD(leave, enter, out int) {
-	m := in.m
 	ratio := in.d[enter] / in.w[leave]
 	if ratio == 0 {
 		in.d[enter] = 0
 		in.d[out] = 0
 		return
 	}
-	rowR := in.rowScratch[:m]
-	in.fac.rowOfInverse(leave, rowR)
-	for j := 0; j < in.n; j++ {
-		if in.vstat[j] == vsBasic || j == enter {
+	rho := in.rowScratch
+	in.fac.rowOfInverse(leave, rho)
+	cols := in.alphaCols[:0]
+	for i, ri := range rho {
+		if ri == 0 {
 			continue
 		}
-		if alpha := in.colDot(rowR, j); alpha != 0 {
-			in.d[j] -= ratio * alpha
+		if j := in.nStruct + i; in.vstat[j] != vsBasic && j != enter {
+			in.d[j] -= ratio * ri // slack column: α_rj = ρ_ri
+		}
+		for k := in.rowPtr[i]; k < in.rowPtr[i+1]; k++ {
+			j := in.rowCol[k]
+			if in.vstat[j] == vsBasic || int(j) == enter {
+				continue
+			}
+			if !in.alphaSeen[j] {
+				in.alphaSeen[j] = true
+				cols = append(cols, j)
+			}
+			in.alpha[j] += ri * in.rowVal[k]
 		}
 	}
+	for _, j := range cols {
+		if a := in.alpha[j]; a != 0 {
+			in.d[j] -= ratio * a
+		}
+		in.alpha[j] = 0
+		in.alphaSeen[j] = false
+	}
+	in.alphaCols = cols
 	in.d[enter] = 0
 	in.d[out] = -ratio
 }

@@ -75,16 +75,15 @@ func degenerateProblem(rng *rand.Rand, n int) Problem {
 	m := 2 + rng.Intn(n)
 	rhs := float64(1 + rng.Intn(3)) // one shared RHS: mass degeneracy
 	for i := 0; i < m; i++ {
-		c := Constraint{Coeffs: make([]float64, n), Sense: Sense(rng.Intn(3)), RHS: rhs}
-		nz := 0
-		for j := range c.Coeffs {
+		c := Constraint{Sense: Sense(rng.Intn(3)), RHS: rhs}
+		for j := 0; j < n; j++ {
 			if rng.Intn(2) == 0 {
-				c.Coeffs[j] = float64(1 + rng.Intn(2)) // coefficients in {1,2}
-				nz++
+				c.Idx = append(c.Idx, int32(j))
+				c.Val = append(c.Val, float64(1+rng.Intn(2))) // coefficients in {1,2}
 			}
 		}
-		if nz == 0 {
-			c.Coeffs[rng.Intn(n)] = 1
+		if len(c.Idx) == 0 {
+			c.Idx, c.Val = []int32{int32(rng.Intn(n))}, []float64{1}
 		}
 		if c.Sense == GE {
 			c.RHS = 0 // GE rows trivially satisfiable but still degenerate
@@ -117,17 +116,16 @@ func TestSparseIllConditioned(t *testing.T) {
 			p.Upper[j] = 1 + rng.Float64()*9
 		}
 		for i := 0; i < m; i++ {
-			c := Constraint{Coeffs: make([]float64, n), Sense: LE, RHS: 1 + rng.Float64()*10}
-			nz := 0
-			for j := range c.Coeffs {
+			c := Constraint{Sense: LE, RHS: 1 + rng.Float64()*10}
+			for j := 0; j < n; j++ {
 				if rng.Intn(2) == 0 {
 					scale := math.Pow(10, float64(rng.Intn(7)-3)) // 1e-3 .. 1e3
-					c.Coeffs[j] = (1 + rng.Float64()) * scale
-					nz++
+					c.Idx = append(c.Idx, int32(j))
+					c.Val = append(c.Val, (1+rng.Float64())*scale)
 				}
 			}
-			if nz == 0 {
-				c.Coeffs[rng.Intn(n)] = 1
+			if len(c.Idx) == 0 {
+				c.Idx, c.Val = []int32{int32(rng.Intn(n))}, []float64{1}
 			}
 			p.Constraints = append(p.Constraints, c)
 		}

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // sparseLU is the revised simplex's basis representation: a sparse LU
 // factorization of the basis with Markowitz-style pivot selection, updated
@@ -31,10 +34,14 @@ const (
 	luPivotTol = 1e-10
 )
 
-// etaChainCap bounds the eta-file length between refactorizations. It is a
-// variable (not a const) so stress tests can shrink it to force frequent
-// refactorization on the same pivot sequences.
-var etaChainCap = 64
+// maxEtaChain is the longest eta chain a factorization can hold: BTRAN
+// tracks the chain in one 64-bit mask per position, one bit per eta.
+const maxEtaChain = 64
+
+// etaChainCap bounds the eta-file length between refactorizations, at most
+// maxEtaChain. It is a variable (not a const) so stress tests can shrink it
+// to force frequent refactorization on the same pivot sequences.
+var etaChainCap = maxEtaChain
 
 type sparseLU struct {
 	m int
@@ -61,6 +68,10 @@ type sparseLU struct {
 	etaPtr []int32
 	etaIdx []int32
 	etaVal []float64
+	// etaAt[p] has bit e set when eta e stores an entry at position p, and
+	// etaPivAt[p] when eta e pivots on p. BTRAN reads them to skip every
+	// eta whose positions all hold zeros.
+	etaAt, etaPivAt []uint64
 
 	work []float64 // m, FTRAN/BTRAN scratch
 
@@ -177,6 +188,7 @@ func (f *sparseLU) reset(m int) {
 	}
 	f.rowLive = f.boolbuf[0:m:m]
 	f.colLive = f.boolbuf[m : 2*m : 2*m]
+	f.allocEtaMasks(m)
 
 	for i := 0; i < m; i++ {
 		f.pivRow[i], f.pivCol[i] = int32(i), int32(i)
@@ -190,12 +202,34 @@ func (f *sparseLU) reset(m int) {
 	f.clearEtas()
 }
 
+// allocEtaMasks sizes the two eta masks for m positions, sharing one
+// backing array.
+func (f *sparseLU) allocEtaMasks(m int) {
+	if len(f.etaAt) == m && len(f.etaPivAt) == m {
+		return
+	}
+	both := make([]uint64, 2*m)
+	f.etaAt, f.etaPivAt = both[:m:m], both[m:]
+}
+
 func (f *sparseLU) clearEtas() {
 	f.etaRow = f.etaRow[:0]
 	f.etaPiv = f.etaPiv[:0]
 	f.etaIdx = f.etaIdx[:0]
 	f.etaVal = f.etaVal[:0]
 	f.etaPtr = append(f.etaPtr[:0], 0)
+	clear(f.etaAt)
+	clear(f.etaPivAt)
+}
+
+// markEta records eta e's pivot position and stored positions in the
+// masks.
+func (f *sparseLU) markEta(e int) {
+	bit := uint64(1) << uint(e)
+	f.etaPivAt[f.etaRow[e]] |= bit
+	for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
+		f.etaAt[f.etaIdx[q]] |= bit
+	}
 }
 
 // etaLen reports the length of the update chain since the last
@@ -210,7 +244,8 @@ func (f *sparseLU) update(r int, w []float64) bool {
 	if piv < etaPivTol && piv > -etaPivTol {
 		return false
 	}
-	if len(f.etaRow) >= etaChainCap || len(f.etaIdx) > 16*f.m+1024 {
+	e := len(f.etaRow)
+	if e >= etaChainCap || e >= maxEtaChain || len(f.etaIdx) > 16*f.m+1024 {
 		return false
 	}
 	for i, wi := range w {
@@ -222,6 +257,7 @@ func (f *sparseLU) update(r int, w []float64) bool {
 	f.etaRow = append(f.etaRow, int32(r))
 	f.etaPiv = append(f.etaPiv, piv)
 	f.etaPtr = append(f.etaPtr, int32(len(f.etaIdx)))
+	f.markEta(e)
 	return true
 }
 
@@ -265,21 +301,47 @@ func (f *sparseLU) ftran(x []float64) {
 // btran solves Bᵀ·out = y in place: the transposed eta chain in reverse
 // order, then a Uᵀ forward pass and Lᵀ backward pass. On entry y is
 // position-space; on exit it is row-space.
+//
+// It skips work that only moves zeros: an eta whose pivot position and
+// stored positions all hold zeros when its turn comes (found through the
+// eta masks), and the Uᵀ division for a zero entry. Every nonzero of the
+// result comes from the same operations in the same order as the full
+// pass; only the sign of a zero may differ. That is safe because BTRAN
+// output feeds pricing alone, where a zero of either sign compares the
+// same. FTRAN output becomes xB and plan values, so ftran skips nothing.
 func (f *sparseLU) btran(y []float64) {
-	for e := len(f.etaRow) - 1; e >= 0; e-- {
-		r := f.etaRow[e]
-		s := y[r]
-		for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
-			s -= f.etaVal[q] * y[f.etaIdx[q]]
+	if len(f.etaRow) > 0 {
+		var live uint64
+		for p, v := range y {
+			if v != 0 {
+				live |= f.etaAt[p] | f.etaPivAt[p]
+			}
 		}
-		y[r] = s / f.etaPiv[e]
+		for live != 0 {
+			e := bits.Len64(live) - 1
+			live &^= 1 << uint(e)
+			r := f.etaRow[e]
+			s := y[r]
+			for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
+				s -= f.etaVal[q] * y[f.etaIdx[q]]
+			}
+			y[r] = s / f.etaPiv[e]
+			if s != 0 {
+				// Position r now holds a nonzero: every earlier eta
+				// touching it has work to do.
+				live |= (f.etaAt[r] | f.etaPivAt[r]) & (1<<uint(e) - 1)
+			}
+		}
 	}
 	if f.trivial {
 		return
 	}
 	m := f.m
 	for k := 0; k < m; k++ {
-		t := y[f.pivCol[k]] / f.diag[k]
+		t := 0.0
+		if v := y[f.pivCol[k]]; v != 0 {
+			t = v / f.diag[k]
+		}
 		f.work[f.pivRow[k]] = t
 		if t != 0 {
 			for q := f.uPtr[k]; q < f.uPtr[k+1]; q++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // Instance state serialization for crash recovery of long-lived schedulers.
@@ -34,8 +35,8 @@ const (
 )
 
 // instanceState mirrors every Instance field that outlives a solve. The
-// scratch arrays (accum, w, y, rowScratch, valScratch, cb1) are overwritten before
-// every use and are reallocated empty on decode.
+// scratch arrays (see allocScratch) are overwritten before every use and are
+// reallocated empty on decode.
 type instanceState struct {
 	M, NStruct int
 	Maximize   bool
@@ -161,13 +162,8 @@ func (in *Instance) GobDecode(b []byte) error {
 		xB: st.XB, ready: st.Ready,
 		d: st.D, dExact: st.DExact,
 		pivots: st.Pivots, refactors: st.Refactors,
-		accum:      make([]float64, m),
-		w:          make([]float64, m),
-		y:          make([]float64, m),
-		rowScratch: make([]float64, m),
-		valScratch: make([]float64, n),
-		cb1:        make([]int8, m),
 	}
+	in.allocScratch()
 	if st.Mode == modeSparseLU {
 		fac, err := decodeLU(&st, m)
 		if err != nil {
@@ -264,7 +260,10 @@ func checkBasis(st *instanceState, n int) error {
 // decodeLU validates and rebuilds a mode-1 factorization. Gob omits empty
 // slices, so canonical empty forms (ptr arrays with a leading zero) are
 // re-normalized here before validation — a freshly decoded factor must
-// re-encode to the same bytes.
+// re-encode to the same bytes. Beyond shapes and indices it refuses what
+// would break the next solve numerically: a chain longer than the eta
+// masks can track, an eta pivot update would have refused, a zero LU
+// diagonal, and any non-finite value.
 func decodeLU(st *instanceState, m int) (*sparseLU, error) {
 	if len(st.LuLPtr) == 0 {
 		st.LuLPtr = []int32{0}
@@ -276,6 +275,9 @@ func decodeLU(st *instanceState, m int) (*sparseLU, error) {
 		st.EtaPtr = []int32{0}
 	}
 	ne := len(st.EtaRow)
+	if ne > maxEtaChain {
+		return nil, fmt.Errorf("lp: decoded instance eta chain has %d entries, limit %d", ne, maxEtaChain)
+	}
 	if err := checkLens([]lenCheck{
 		{"lu pivRow", len(st.LuPivRow), m}, {"lu pivCol", len(st.LuPivCol), m},
 		{"lu diag", len(st.LuDiag), m},
@@ -306,7 +308,29 @@ func decodeLU(st *instanceState, m int) (*sparseLU, error) {
 			return nil, err
 		}
 	}
-	return &sparseLU{
+	for k, v := range st.LuDiag {
+		if v == 0 || !finite(v) {
+			return nil, fmt.Errorf("lp: decoded instance lu diag[%d] = %v, want finite nonzero", k, v)
+		}
+	}
+	for e, v := range st.EtaPiv {
+		if !finite(v) || math.Abs(v) < etaPivTol {
+			return nil, fmt.Errorf("lp: decoded instance eta piv[%d] = %v, want finite with magnitude at least %g", e, v, etaPivTol)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		vals []float64
+	}{
+		{"lu lVal", st.LuLVal}, {"lu uVal", st.LuUVal}, {"eta val", st.EtaVal},
+	} {
+		for k, v := range c.vals {
+			if !finite(v) {
+				return nil, fmt.Errorf("lp: decoded instance %s[%d] = %v, want finite", c.name, k, v)
+			}
+		}
+	}
+	f := &sparseLU{
 		m:      m,
 		pivRow: st.LuPivRow, pivCol: st.LuPivCol,
 		lPtr: st.LuLPtr, lIdx: st.LuLIdx, lVal: nonNilF(st.LuLVal),
@@ -315,8 +339,15 @@ func decodeLU(st *instanceState, m int) (*sparseLU, error) {
 		etaRow: nonNilI(st.EtaRow), etaPiv: nonNilF(st.EtaPiv),
 		etaPtr: st.EtaPtr, etaIdx: nonNilI(st.EtaIdx), etaVal: nonNilF(st.EtaVal),
 		work: make([]float64, m),
-	}, nil
+	}
+	f.allocEtaMasks(m)
+	for e := range f.etaRow {
+		f.markEta(e)
+	}
+	return f, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func nonNilF(s []float64) []float64 {
 	if s == nil {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -252,9 +253,9 @@ func TestInstanceDecodeLegacySnapshot(t *testing.T) {
 		Objective: []float64{1, 2, 1.5},
 		Upper:     []float64{10, 10, 10},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 1}, Sense: LE, RHS: 4},
-			{Coeffs: []float64{1, 1, 0}, Sense: GE, RHS: 1},
-			{Coeffs: []float64{0, 0, 1}, Sense: GE, RHS: 0.5},
+			{Idx: []int32{0, 1, 2}, Val: []float64{1, 1, 1}, Sense: LE, RHS: 4},
+			{Idx: []int32{0, 1}, Val: []float64{1, 1}, Sense: GE, RHS: 1},
+			{Idx: []int32{2}, Val: []float64{1}, Sense: GE, RHS: 0.5},
 		},
 	}
 	orig, err := NewInstance(p)
@@ -284,13 +285,13 @@ func TestInstanceDecodeRejectsCorrupt(t *testing.T) {
 		Objective: []float64{-1, -2, -1, -3},
 		Upper:     []float64{5, 5, 5, 5},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 0, 0}, Sense: LE, RHS: 4},
-			{Coeffs: []float64{0, 1, 1, 0}, Sense: LE, RHS: 5},
-			{Coeffs: []float64{0, 0, 1, 1}, Sense: LE, RHS: 3},
-			{Coeffs: []float64{1, 0, 0, 1}, Sense: LE, RHS: 6},
-			{Coeffs: []float64{1, 1, 1, 1}, Sense: GE, RHS: 1},
-			{Coeffs: []float64{2, 0, 1, 0}, Sense: LE, RHS: 7},
-			{Coeffs: []float64{0, 3, 0, 1}, Sense: EQ, RHS: 6},
+			{Idx: []int32{0, 1}, Val: []float64{1, 1}, Sense: LE, RHS: 4},
+			{Idx: []int32{1, 2}, Val: []float64{1, 1}, Sense: LE, RHS: 5},
+			{Idx: []int32{2, 3}, Val: []float64{1, 1}, Sense: LE, RHS: 3},
+			{Idx: []int32{0, 3}, Val: []float64{1, 1}, Sense: LE, RHS: 6},
+			{Idx: []int32{0, 1, 2, 3}, Val: []float64{1, 1, 1, 1}, Sense: GE, RHS: 1},
+			{Idx: []int32{0, 2}, Val: []float64{2, 1}, Sense: LE, RHS: 7},
+			{Idx: []int32{1, 3}, Val: []float64{3, 1}, Sense: EQ, RHS: 6},
 		},
 	}
 	inst, err := NewInstance(p)
@@ -308,9 +309,22 @@ func TestInstanceDecodeRejectsCorrupt(t *testing.T) {
 		t.Error("garbage payload should fail to decode")
 	}
 
-	// Internally inconsistent payloads are rejected by validation.
+	// Internally inconsistent payloads are rejected by validation. The
+	// fixture solves, refactorizes, and re-solves under a tighter bound, so
+	// the payload carries U entries and an eta chain to corrupt.
 	if _, err := inst.SolveCurrent(); err != nil {
 		t.Fatal(err)
+	}
+	if !inst.refactorize() {
+		t.Fatal("fixture basis is singular")
+	}
+	inst.SetBound(3, 0, 0.5)
+	if _, err := inst.SolveCurrent(); err != nil {
+		t.Fatal(err)
+	}
+	if f := inst.fac; f.trivial || len(f.uVal) == 0 || len(f.etaRow) == 0 || len(f.etaVal) == 0 {
+		t.Fatalf("fixture lacks U entries (%d), etas (%d) or eta entries (%d) to corrupt",
+			len(f.uVal), len(f.etaRow), len(f.etaVal))
 	}
 	encode := func(mutate func(*instanceState)) []byte {
 		good, err := inst.GobEncode()
@@ -334,36 +348,66 @@ func TestInstanceDecodeRejectsCorrupt(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		mutate func(*instanceState)
+		want   string // a substring the error must contain; empty: not checked
 	}{
-		{"unknown mode", func(st *instanceState) { st.Mode = 42 }},
-		{"short pivRow", func(st *instanceState) { st.LuPivRow = st.LuPivRow[:0] }},
-		{"out-of-range pivot", func(st *instanceState) { st.LuPivRow[0] = 99 }},
+		{"unknown mode", func(st *instanceState) { st.Mode = 42 }, ""},
+		{"short pivRow", func(st *instanceState) { st.LuPivRow = st.LuPivRow[:0] }, ""},
+		{"out-of-range pivot", func(st *instanceState) { st.LuPivRow[0] = 99 }, ""},
 		{"eta ptr mismatch", func(st *instanceState) {
 			st.EtaRow = append(st.EtaRow, 0)
 			st.EtaPiv = append(st.EtaPiv, 1)
-		}},
-		{"eta ptr nonzero start", func(st *instanceState) { st.EtaPtr[0] = 1 }},
-		{"basis above range", func(st *instanceState) { st.Basis[0] = 1007 }},
-		{"negative basis", func(st *instanceState) { st.Basis[0] = -5 }},
-		{"legacy basis above range", func(st *instanceState) { st.Mode = modeLegacy; st.Basis[0] = 1007 }},
-		{"repeated basis", func(st *instanceState) { st.Basis[1] = st.Basis[0] }},
-		{"basic var marked nonbasic", func(st *instanceState) { st.Vstat[st.Basis[0]] = vsLower }},
-		{"vstat above enum", func(st *instanceState) { st.Vstat[0] = vsBasic + 1 }},
-		{"negative vstat", func(st *instanceState) { st.Vstat[0] = -1 }},
-		{"unknown sense", func(st *instanceState) { st.Senses[0] = 7 }},
-		{"colPtr decreases", func(st *instanceState) { st.ColPtr[1] = st.ColPtr[len(st.ColPtr)-1] + 1 }},
-		{"colPtr short of colRow", func(st *instanceState) { st.ColPtr[len(st.ColPtr)-1]-- }},
-		{"colPtr nonzero start", func(st *instanceState) { st.ColPtr[0] = -1 }},
-		{"rowPtr decreases", func(st *instanceState) { st.RowPtr[1] = st.RowPtr[len(st.RowPtr)-1] + 1 }},
-		{"rowPtr past rowCol", func(st *instanceState) { st.RowPtr[len(st.RowPtr)-1]++ }},
-		{"colVal short", func(st *instanceState) { st.ColVal = st.ColVal[:len(st.ColVal)-1] }},
-		{"colRow out of range", func(st *instanceState) { st.ColRow[0] = int32(st.M) }},
-		{"negative colRow", func(st *instanceState) { st.ColRow[0] = -1 }},
-		{"rowCol out of range", func(st *instanceState) { st.RowCol[0] = int32(st.NStruct) }},
-		{"negative rowCol", func(st *instanceState) { st.RowCol[0] = -1 }},
+		}, ""},
+		{"eta ptr nonzero start", func(st *instanceState) { st.EtaPtr[0] = 1 }, ""},
+		{"basis above range", func(st *instanceState) { st.Basis[0] = 1007 }, ""},
+		{"negative basis", func(st *instanceState) { st.Basis[0] = -5 }, ""},
+		{"legacy basis above range", func(st *instanceState) { st.Mode = modeLegacy; st.Basis[0] = 1007 }, ""},
+		{"repeated basis", func(st *instanceState) { st.Basis[1] = st.Basis[0] }, ""},
+		{"basic var marked nonbasic", func(st *instanceState) { st.Vstat[st.Basis[0]] = vsLower }, ""},
+		{"vstat above enum", func(st *instanceState) { st.Vstat[0] = vsBasic + 1 }, ""},
+		{"negative vstat", func(st *instanceState) { st.Vstat[0] = -1 }, ""},
+		{"unknown sense", func(st *instanceState) { st.Senses[0] = 7 }, ""},
+		{"colPtr decreases", func(st *instanceState) { st.ColPtr[1] = st.ColPtr[len(st.ColPtr)-1] + 1 }, ""},
+		{"colPtr short of colRow", func(st *instanceState) { st.ColPtr[len(st.ColPtr)-1]-- }, ""},
+		{"colPtr nonzero start", func(st *instanceState) { st.ColPtr[0] = -1 }, ""},
+		{"rowPtr decreases", func(st *instanceState) { st.RowPtr[1] = st.RowPtr[len(st.RowPtr)-1] + 1 }, ""},
+		{"rowPtr past rowCol", func(st *instanceState) { st.RowPtr[len(st.RowPtr)-1]++ }, ""},
+		{"colVal short", func(st *instanceState) { st.ColVal = st.ColVal[:len(st.ColVal)-1] }, ""},
+		{"colRow out of range", func(st *instanceState) { st.ColRow[0] = int32(st.M) }, ""},
+		{"negative colRow", func(st *instanceState) { st.ColRow[0] = -1 }, ""},
+		{"rowCol out of range", func(st *instanceState) { st.RowCol[0] = int32(st.NStruct) }, ""},
+		{"negative rowCol", func(st *instanceState) { st.RowCol[0] = -1 }, ""},
+		{"eta chain past the mask width", func(st *instanceState) {
+			st.EtaRow = make([]int32, maxEtaChain+1)
+			st.EtaPiv = make([]float64, maxEtaChain+1)
+			for e := range st.EtaPiv {
+				st.EtaPiv[e] = 1
+			}
+			st.EtaPtr = make([]int32, maxEtaChain+2)
+			st.EtaIdx, st.EtaVal = nil, nil
+		}, "eta chain has 65 entries"},
+		{"eta pivot below tolerance", func(st *instanceState) { st.EtaPiv[0] = etaPivTol / 4 }, "eta piv[0]"},
+		{"zero eta pivot", func(st *instanceState) { st.EtaPiv[0] = 0 }, "eta piv[0]"},
+		{"NaN eta pivot", func(st *instanceState) { st.EtaPiv[0] = math.NaN() }, "eta piv[0]"},
+		{"infinite eta pivot", func(st *instanceState) { st.EtaPiv[len(st.EtaPiv)-1] = math.Inf(-1) }, "eta piv["},
+		{"zero LU diagonal", func(st *instanceState) { st.LuDiag[2] = 0 }, "lu diag[2]"},
+		{"NaN LU diagonal", func(st *instanceState) { st.LuDiag[0] = math.NaN() }, "lu diag[0]"},
+		{"infinite LU diagonal", func(st *instanceState) { st.LuDiag[1] = math.Inf(1) }, "lu diag[1]"},
+		{"NaN L value", func(st *instanceState) {
+			// Give step 0 one more multiplier, a NaN.
+			st.LuLIdx = append([]int32{1}, st.LuLIdx...)
+			st.LuLVal = append([]float64{math.NaN()}, st.LuLVal...)
+			for k := 1; k < len(st.LuLPtr); k++ {
+				st.LuLPtr[k]++
+			}
+		}, "lu lVal[0]"},
+		{"infinite U value", func(st *instanceState) { st.LuUVal[0] = math.Inf(1) }, "lu uVal[0]"},
+		{"NaN eta value", func(st *instanceState) { st.EtaVal[0] = math.NaN() }, "eta val[0]"},
 	} {
-		if err := new(Instance).GobDecode(encode(c.mutate)); err == nil {
+		err := new(Instance).GobDecode(encode(c.mutate))
+		if err == nil {
 			t.Errorf("%s: corrupt payload should fail to decode", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
 		}
 	}
 }
@@ -383,14 +427,15 @@ func randomStateProblem(rng *rand.Rand) Problem {
 		p.Upper[j] = 1 + rng.Float64()*9
 	}
 	for i := 0; i < m; i++ {
-		c := Constraint{Coeffs: make([]float64, n), Sense: LE, RHS: 2 + rng.Float64()*10}
+		c := Constraint{Sense: LE, RHS: 2 + rng.Float64()*10}
 		if rng.IntN(3) == 0 {
 			c.Sense = GE
 			c.RHS = rng.Float64()
 		}
 		for j := 0; j < n; j++ {
 			if rng.IntN(2) == 0 {
-				c.Coeffs[j] = rng.Float64() * 3
+				c.Idx = append(c.Idx, int32(j))
+				c.Val = append(c.Val, rng.Float64()*3)
 			}
 		}
 		p.Constraints = append(p.Constraints, c)

@@ -32,26 +32,34 @@ func benchMIP(nCont, nBin, nRows int, seed int64) Problem {
 		p.Upper[j] = 1
 		p.Integer[j] = true
 	}
+	coeffs := make([]float64, n)
 	for i := 0; i < nRows; i++ {
-		c := lp.Constraint{Coeffs: make([]float64, n)}
+		clear(coeffs)
+		var c lp.Constraint
 		switch i % 3 {
 		case 0: // demand across a few continuous columns
 			for k := 0; k < 4; k++ {
-				c.Coeffs[rng.Intn(nCont)] = 1
+				coeffs[rng.Intn(nCont)] = 1
 			}
 			c.Sense = lp.GE
 			c.RHS = 10 + rng.Float64()*20
 		case 1: // linking: a continuous column only usable when its bit is on
-			c.Coeffs[rng.Intn(nCont)] = 1
-			c.Coeffs[nCont+rng.Intn(nBin)] = -40
+			coeffs[rng.Intn(nCont)] = 1
+			coeffs[nCont+rng.Intn(nBin)] = -40
 			c.Sense = lp.LE
 			c.RHS = 0
 		default: // cardinality pressure on the binaries
 			for j := nCont; j < n; j++ {
-				c.Coeffs[j] = 1
+				coeffs[j] = 1
 			}
 			c.Sense = lp.LE
 			c.RHS = float64(1 + nBin/2)
+		}
+		for j, v := range coeffs {
+			if v != 0 {
+				c.Idx = append(c.Idx, int32(j))
+				c.Val = append(c.Val, v)
+			}
 		}
 		p.Constraints = append(p.Constraints, c)
 	}

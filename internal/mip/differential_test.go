@@ -40,18 +40,17 @@ func randomMIP(rng *rand.Rand) Problem {
 		}
 	}
 	for i := 0; i < m; i++ {
-		c := lp.Constraint{Coeffs: make([]float64, n), Sense: lp.Sense(rng.Intn(3))}
-		nz := 0
-		for j := range c.Coeffs {
+		c := lp.Constraint{Sense: lp.Sense(rng.Intn(3))}
+		for j := 0; j < n; j++ {
 			if rng.Intn(3) > 0 {
-				c.Coeffs[j] = math.Round(rng.NormFloat64()*8) / 4
-				if c.Coeffs[j] != 0 {
-					nz++
+				if v := math.Round(rng.NormFloat64()*8) / 4; v != 0 {
+					c.Idx = append(c.Idx, int32(j))
+					c.Val = append(c.Val, v)
 				}
 			}
 		}
-		if nz == 0 {
-			c.Coeffs[rng.Intn(n)] = 1
+		if len(c.Idx) == 0 {
+			c.Idx, c.Val = []int32{int32(rng.Intn(n))}, []float64{1}
 		}
 		c.RHS = math.Round(rng.NormFloat64()*15) / 4
 		if c.Sense == lp.LE && c.RHS < 0 && rng.Intn(2) == 0 {
@@ -103,8 +102,8 @@ func TestDifferentialMIP(t *testing.T) {
 		}
 		for i, c := range p.Constraints {
 			lhs := 0.0
-			for j, v := range c.Coeffs {
-				lhs += v * got.X[j]
+			for k, v := range c.Val {
+				lhs += v * got.X[c.Idx[k]]
 			}
 			bad := false
 			switch c.Sense {
@@ -132,9 +131,9 @@ func TestWarmStateReuse(t *testing.T) {
 			Objective: []float64{5, 4, 3},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 3, 1}, Sense: lp.LE, RHS: 5},
-				{Coeffs: []float64{4, 1, 2}, Sense: lp.LE, RHS: 11},
-				{Coeffs: []float64{3, 4, 2}, Sense: lp.LE, RHS: 8},
+				{Idx: []int32{0, 1, 2}, Val: []float64{2, 3, 1}, Sense: lp.LE, RHS: 5},
+				{Idx: []int32{0, 1, 2}, Val: []float64{4, 1, 2}, Sense: lp.LE, RHS: 11},
+				{Idx: []int32{0, 1, 2}, Val: []float64{3, 4, 2}, Sense: lp.LE, RHS: 8},
 			},
 		},
 		Integer: []bool{true, false, false},
@@ -168,7 +167,7 @@ func TestWarmStateReuse(t *testing.T) {
 	// RHS change: still a hit (basis kept), result matches a cold solve.
 	changed := p
 	changed.Constraints = append([]lp.Constraint(nil), p.Constraints...)
-	changed.Constraints[0] = lp.Constraint{Coeffs: []float64{2, 3, 1}, Sense: lp.LE, RHS: 4}
+	changed.Constraints[0] = lp.Constraint{Idx: []int32{0, 1, 2}, Val: []float64{2, 3, 1}, Sense: lp.LE, RHS: 4}
 	warmRHS, err := Solve(changed, Options{Warm: warm})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestWarmStateReuse(t *testing.T) {
 	// Coefficient change: structural miss, state recompiled, still correct.
 	struc := p
 	struc.Constraints = append([]lp.Constraint(nil), p.Constraints...)
-	struc.Constraints[1] = lp.Constraint{Coeffs: []float64{4, 2, 2}, Sense: lp.LE, RHS: 11}
+	struc.Constraints[1] = lp.Constraint{Idx: []int32{0, 1, 2}, Val: []float64{4, 2, 2}, Sense: lp.LE, RHS: 11}
 	miss, err := Solve(struc, Options{Warm: warm})
 	if err != nil {
 		t.Fatal(err)

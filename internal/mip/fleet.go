@@ -146,22 +146,22 @@ func FleetProblem(cfg FleetConfig) Problem {
 	for s := 0; s < cfg.Sites; s++ {
 		capScale := 0.55 + 0.25*rng.Float64()
 		for t := 0; t < steps; t++ {
-			c := lp.Constraint{Coeffs: make([]float64, n), Sense: lp.LE}
-			touched := false
+			c := lp.Constraint{Sense: lp.LE}
 			for ci := 0; ci < cohorts; ci++ {
 				for k := 0; k < cand; k++ {
 					if candSite[ci*cand+k] == s {
-						c.Coeffs[varOf(ci, k, t)] = 1
-						touched = true
+						c.Idx = append(c.Idx, int32(varOf(ci, k, t)))
+						c.Val = append(c.Val, 1)
 					}
 				}
 			}
-			if !touched {
+			if len(c.Idx) == 0 {
 				continue
 			}
 			siteCap := routable[s*steps+t] * capScale * (0.9 + 0.1*math.Sin(float64(s+t)))
 			if b := siteBin(s); b >= 0 {
-				c.Coeffs[nCont+b] = -siteCap
+				c.Idx = append(c.Idx, int32(nCont+b))
+				c.Val = append(c.Val, -siteCap)
 				c.RHS = 0
 			} else {
 				c.RHS = siteCap
@@ -173,9 +173,10 @@ func FleetProblem(cfg FleetConfig) Problem {
 	// must meet the cohort demand.
 	for ci := 0; ci < cohorts; ci++ {
 		for t := 0; t < steps; t++ {
-			c := lp.Constraint{Coeffs: make([]float64, n), Sense: lp.GE, RHS: demand[ci*steps+t]}
+			c := lp.Constraint{Sense: lp.GE, RHS: demand[ci*steps+t]}
 			for k := 0; k < cand; k++ {
-				c.Coeffs[varOf(ci, k, t)] = 1
+				c.Idx = append(c.Idx, int32(varOf(ci, k, t)))
+				c.Val = append(c.Val, 1)
 			}
 			p.Constraints = append(p.Constraints, c)
 		}

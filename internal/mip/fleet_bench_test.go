@@ -113,8 +113,8 @@ func TestFleetProblemSolvable(t *testing.T) {
 		}
 		for i, c := range p.Constraints {
 			lhs := 0.0
-			for j, v := range c.Coeffs {
-				lhs += v * sol.X[j]
+			for k, v := range c.Val {
+				lhs += v * sol.X[c.Idx[k]]
 			}
 			scale := tol * (1 + math.Abs(c.RHS))
 			if (c.Sense == lp.LE && lhs > c.RHS+scale) || (c.Sense == lp.GE && lhs < c.RHS-scale) ||

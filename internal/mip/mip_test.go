@@ -31,9 +31,9 @@ func TestPureLPPassThrough(t *testing.T) {
 			Objective: []float64{3, 5},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 0}, Sense: lp.LE, RHS: 4},
-				{Coeffs: []float64{0, 2}, Sense: lp.LE, RHS: 12},
-				{Coeffs: []float64{3, 2}, Sense: lp.LE, RHS: 18},
+				{Idx: []int32{0}, Val: []float64{1}, Sense: lp.LE, RHS: 4},
+				{Idx: []int32{1}, Val: []float64{2}, Sense: lp.LE, RHS: 12},
+				{Idx: []int32{0, 1}, Val: []float64{3, 2}, Sense: lp.LE, RHS: 18},
 			},
 		},
 	})
@@ -54,7 +54,7 @@ func TestIntegerRounding(t *testing.T) {
 			Objective: []float64{1, 1},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 2}, Sense: lp.LE, RHS: 3},
+				{Idx: []int32{0, 1}, Val: []float64{2, 2}, Sense: lp.LE, RHS: 3},
 			},
 		},
 		Integer: []bool{true, true},
@@ -78,11 +78,11 @@ func TestKnapsack(t *testing.T) {
 			Objective: []float64{10, 13, 7},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{5, 6, 4}, Sense: lp.LE, RHS: 10},
+				{Idx: []int32{0, 1, 2}, Val: []float64{5, 6, 4}, Sense: lp.LE, RHS: 10},
 				// Binary upper bounds.
-				{Coeffs: []float64{1, 0, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 1, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 0, 1}, Sense: lp.LE, RHS: 1},
+				{Idx: []int32{0}, Val: []float64{1}, Sense: lp.LE, RHS: 1},
+				{Idx: []int32{1}, Val: []float64{1}, Sense: lp.LE, RHS: 1},
+				{Idx: []int32{2}, Val: []float64{1}, Sense: lp.LE, RHS: 1},
 			},
 		},
 		Integer: []bool{true, true, true},
@@ -102,7 +102,7 @@ func TestInfeasibleIP(t *testing.T) {
 			NumVars:   1,
 			Objective: []float64{1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2}, Sense: lp.EQ, RHS: 3},
+				{Idx: []int32{0}, Val: []float64{2}, Sense: lp.EQ, RHS: 3},
 			},
 		},
 		Integer: []bool{true},
@@ -122,7 +122,7 @@ func TestUnboundedIP(t *testing.T) {
 			Objective: []float64{1},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1}, Sense: lp.GE, RHS: 0},
+				{Idx: []int32{0}, Val: []float64{1}, Sense: lp.GE, RHS: 0},
 			},
 		},
 		Integer: []bool{true},
@@ -144,8 +144,8 @@ func TestMixedIntegerContinuous(t *testing.T) {
 			Objective: []float64{2, 1},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 0}, Sense: lp.LE, RHS: 2.5},
-				{Coeffs: []float64{1, 1}, Sense: lp.LE, RHS: 4},
+				{Idx: []int32{0}, Val: []float64{1}, Sense: lp.LE, RHS: 2.5},
+				{Idx: []int32{0, 1}, Val: []float64{1, 1}, Sense: lp.LE, RHS: 4},
 			},
 		},
 		Integer: []bool{true, false},
@@ -175,7 +175,7 @@ func TestNodeLimit(t *testing.T) {
 			Objective: []float64{1, 1},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 2}, Sense: lp.LE, RHS: 3},
+				{Idx: []int32{0, 1}, Val: []float64{2, 2}, Sense: lp.LE, RHS: 3},
 			},
 		},
 		Integer: []bool{true, true},
@@ -204,19 +204,19 @@ func TestSchedulerShape(t *testing.T) {
 			NumVars:   7,
 			Objective: []float64{0, 0, 0, 2, 2, 2, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 1, 1, 0, 0, 0, 0}, Sense: lp.EQ, RHS: 10},
+				{Idx: []int32{0, 1, 2}, Val: []float64{1, 1, 1}, Sense: lp.EQ, RHS: 10},
 				// Capacity + linking: x_i <= 6*y_i.
-				{Coeffs: []float64{1, 0, 0, -bigM, 0, 0, 0}, Sense: lp.LE, RHS: 0},
-				{Coeffs: []float64{0, 1, 0, 0, -bigM, 0, 0}, Sense: lp.LE, RHS: 0},
-				{Coeffs: []float64{0, 0, 1, 0, 0, -bigM, 0}, Sense: lp.LE, RHS: 0},
+				{Idx: []int32{0, 3}, Val: []float64{1, -bigM}, Sense: lp.LE, RHS: 0},
+				{Idx: []int32{1, 4}, Val: []float64{1, -bigM}, Sense: lp.LE, RHS: 0},
+				{Idx: []int32{2, 5}, Val: []float64{1, -bigM}, Sense: lp.LE, RHS: 0},
 				// Peak: x_i <= t.
-				{Coeffs: []float64{1, 0, 0, 0, 0, 0, -1}, Sense: lp.LE, RHS: 0},
-				{Coeffs: []float64{0, 1, 0, 0, 0, 0, -1}, Sense: lp.LE, RHS: 0},
-				{Coeffs: []float64{0, 0, 1, 0, 0, 0, -1}, Sense: lp.LE, RHS: 0},
+				{Idx: []int32{0, 6}, Val: []float64{1, -1}, Sense: lp.LE, RHS: 0},
+				{Idx: []int32{1, 6}, Val: []float64{1, -1}, Sense: lp.LE, RHS: 0},
+				{Idx: []int32{2, 6}, Val: []float64{1, -1}, Sense: lp.LE, RHS: 0},
 				// Binary bounds.
-				{Coeffs: []float64{0, 0, 0, 1, 0, 0, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 0, 0, 0, 1, 0, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 0, 0, 0, 0, 1, 0}, Sense: lp.LE, RHS: 1},
+				{Idx: []int32{3}, Val: []float64{1}, Sense: lp.LE, RHS: 1},
+				{Idx: []int32{4}, Val: []float64{1}, Sense: lp.LE, RHS: 1},
+				{Idx: []int32{5}, Val: []float64{1}, Sense: lp.LE, RHS: 1},
 			},
 		},
 		Integer: []bool{false, false, false, true, true, true, false},
@@ -244,7 +244,7 @@ func knapsackProblem() Problem {
 			NumVars:     3,
 			Objective:   []float64{5, 4, 3},
 			Maximize:    true,
-			Constraints: []lp.Constraint{{Coeffs: []float64{2, 3, 1}, Sense: lp.LE, RHS: 3}},
+			Constraints: []lp.Constraint{{Idx: []int32{0, 1, 2}, Val: []float64{2, 3, 1}, Sense: lp.LE, RHS: 3}},
 			Upper:       []float64{1, 1, 1},
 		},
 		Integer: []bool{true, true, true},

@@ -89,12 +89,11 @@ func solveReference(p Problem, opt Options) (Solution, error) {
 			continue
 		}
 		v := sol.X[branchVar]
-		down := make([]float64, branchVar+1)
-		down[branchVar] = 1
+		idx, one := []int32{int32(branchVar)}, []float64{1}
 		left := append(append([]lp.Constraint(nil), nd.extras...),
-			lp.Constraint{Coeffs: down, Sense: lp.LE, RHS: math.Floor(v)})
+			lp.Constraint{Idx: idx, Val: one, Sense: lp.LE, RHS: math.Floor(v)})
 		right := append(append([]lp.Constraint(nil), nd.extras...),
-			lp.Constraint{Coeffs: down, Sense: lp.GE, RHS: math.Ceil(v)})
+			lp.Constraint{Idx: idx, Val: one, Sense: lp.GE, RHS: math.Ceil(v)})
 		heap.Push(q, &refNode{bound: sol.Objective, id: nextID, extras: left})
 		heap.Push(q, &refNode{bound: sol.Objective, id: nextID + 1, extras: right})
 		nextID += 2

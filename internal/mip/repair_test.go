@@ -52,9 +52,9 @@ func TestSolveRelaxationRoundedInfeasibleRounding(t *testing.T) {
 			NumVars:   2,
 			Objective: []float64{1, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 0}, Sense: lp.GE, RHS: 0.5},
-				{Coeffs: []float64{0, 1}, Sense: lp.GE, RHS: 0.5},
-				{Coeffs: []float64{1, 1}, Sense: lp.LE, RHS: 1},
+				{Idx: []int32{0}, Val: []float64{1}, Sense: lp.GE, RHS: 0.5},
+				{Idx: []int32{1}, Val: []float64{1}, Sense: lp.GE, RHS: 0.5},
+				{Idx: []int32{0, 1}, Val: []float64{1, 1}, Sense: lp.LE, RHS: 1},
 			},
 			Upper: []float64{1, 1},
 		},

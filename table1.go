@@ -224,16 +224,8 @@ func table1At(s Table1Setup, start time.Time) (Table1Result, error) {
 	}
 	res := Table1Result{Transfers: map[Policy]Series{}, Group: group}
 	for _, pol := range s.Policies {
-		cfg := core.Config{
-			Policy:         pol,
-			PlanStep:       Table1PlanStep,
-			UtilTarget:     s.UtilTarget,
-			MaxSitesPerApp: s.MaxSitesPerApp,
-			PeakWeight:     s.PeakWeight,
-			Obs:            s.Obs,
-		}
 		s.Obs.SetLabel("policy", pol.String())
-		r, err := sim.Run(cfg, in)
+		r, err := sim.Run(table1Config(s, pol), in)
 		if err != nil {
 			return Table1Result{}, fmt.Errorf("vb: policy %v: %w", pol, err)
 		}
@@ -254,6 +246,18 @@ func table1At(s Table1Setup, start time.Time) (Table1Result, error) {
 		res.Transfers[pol] = r.Transfer
 	}
 	return res, nil
+}
+
+// table1Config is the scheduler configuration a Table 1 run gives pol.
+func table1Config(s Table1Setup, pol Policy) core.Config {
+	return core.Config{
+		Policy:         pol,
+		PlanStep:       Table1PlanStep,
+		UtilTarget:     s.UtilTarget,
+		MaxSitesPerApp: s.MaxSitesPerApp,
+		PeakWeight:     s.PeakWeight,
+		Obs:            s.Obs,
+	}
 }
 
 // Row returns the row for a policy, or false.

@@ -251,10 +251,10 @@ func BenchmarkMIPSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkMIPSolveCold is BenchmarkMIPSolve with the cross-solve warm cache
-// defeated: every iteration presents a fresh app ID, so each placement pays
-// the full instance build plus a from-scratch solve. The gap between this and
-// BenchmarkMIPSolve is what basis carry-over buys the scheduler.
+// BenchmarkMIPSolveCold is BenchmarkMIPSolve with a fresh app ID every
+// iteration. Every placement compiles its model and solves it from scratch
+// either way, so the two benchmarks measure the same path; this one also
+// pays the per-app label bookkeeping of a new app.
 func BenchmarkMIPSolveCold(b *testing.B) {
 	const numSites, steps = 3, 28
 	reg := NewMetrics()

@@ -1,7 +1,8 @@
 // Command vbobs analyzes a recorded trace offline: it reads the JSONL
 // event stream a -trace sink wrote (or /events served) and prints
 // per-type, per-app and per-site aggregates, the site×site migration flow
-// matrix, exact solver duration percentiles, and warm-start hit rates.
+// matrix, exact solver duration percentiles, and the solver's pivot,
+// refactorization and eta-chain totals.
 //
 // The per-type totals are accumulated with the same operations, in the
 // same order, as the live tracer's TypeStats, so on a complete stream

@@ -12,8 +12,8 @@
 //   - `vbserve -replay log.jsonl -decisions out.jsonl` drives the engine
 //     through a recorded log and writes the decision log;
 //   - `-snapshot-after N` stops a replay after N steps and writes the
-//     engine's complete state (server packing, plans, scheduler ledgers,
-//     warm solver caches) to disk;
+//     engine's complete state (server packing, plans, scheduler ledgers)
+//     to disk;
 //   - `-restore snap.bin` resumes a replay (or the HTTP daemon) from a
 //     snapshot; the decisions after the restore are byte-identical to an
 //     uninterrupted run's.

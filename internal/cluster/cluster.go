@@ -449,9 +449,3 @@ func (s *Site) setPower(powerFrac float64) {
 	}
 	s.powered = floorEps(powerFrac * float64(s.cfg.TotalCores()))
 }
-
-// Holds reports whether the given VM is currently running on this site.
-func (s *Site) Holds(vmID int) bool {
-	_, ok := s.where[vmID]
-	return ok
-}

@@ -77,7 +77,7 @@ func TestFallbackRoundedLPTier(t *testing.T) {
 			finish = &ev
 		}
 	}
-	if finish == nil || finish.Detail != "cold,fallback=rounded-lp" {
+	if finish == nil || finish.Detail != "fallback=rounded-lp" {
 		t.Fatalf("MIPSolveFinish detail = %+v, want fallback=rounded-lp", finish)
 	}
 }

@@ -24,11 +24,6 @@ type Scheduler struct {
 	// scheduled fleet-wide at step t; the peak objective coordinates
 	// across apps through it.
 	migCommitted []float64
-	// warm caches per-app solver state so a replan warm-starts from the
-	// previous interval's optimal basis (the app's demand coefficients are
-	// constant, so successive replans are structurally identical LPs).
-	warm     map[int]*warmEntry
-	warmTick int64
 	// vecs holds the per-policy/per-app dimensional metrics; the zero value
 	// (no registry) is inert.
 	vecs schedVecs
@@ -47,7 +42,6 @@ type schedVecs struct {
 	policy     string
 	apps       map[int]string
 	solve      *obs.HistogramVec
-	warmstart  *obs.CounterVec
 	placements *obs.CounterVec
 	fallback   *obs.CounterVec
 }
@@ -60,7 +54,6 @@ func newSchedVecs(cfg Config) schedVecs {
 		policy:     cfg.Policy.String(),
 		apps:       map[int]string{},
 		solve:      cfg.Obs.NewHistogramVec("mip.solve.by_app", nil, "policy", "app"),
-		warmstart:  cfg.Obs.NewCounterVec("mip.warmstart.by_app", "policy", "app", "result"),
 		placements: cfg.Obs.NewCounterVec("scheduler.placements.by_app", "policy", "app"),
 		fallback:   cfg.Obs.NewCounterVec("scheduler.fallback.by_tier", "policy", "tier"),
 	}
@@ -77,19 +70,6 @@ func (v *schedVecs) app(id int) string {
 	}
 	return s
 }
-
-// warmEntry pairs an app's carried solver state with a last-use tick for
-// deterministic least-recently-used eviction.
-type warmEntry struct {
-	ws   *mip.WarmState
-	tick int64
-}
-
-// warmCap bounds the warm-state cache; each entry holds a compiled LP
-// instance with its basis factorization and scratch arrays, so the cache is
-// worth bounding on long multi-app runs. Eviction is by smallest tick,
-// which is deterministic (ticks are unique).
-const warmCap = 32
 
 // mipNodes caps branch-and-bound nodes per placement before solver
 // pressure derates it (see SetSolverPressure).
@@ -539,12 +519,7 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		solveStart = time.Now()
 		reg.Emit(obs.Event{Type: obs.MIPSolveStart, Step: nowStep, App: app.ID, Site: -1, Dst: -1, Cores: demand})
 	}
-	ws := s.warmState(app.ID)
-	sol, err := mip.Solve(prob, mip.Options{MaxNodes: maxNodes, Warm: ws})
-	warmth := "cold"
-	if sol.WarmHit {
-		warmth = "warm"
-	}
+	sol, err := mip.Solve(prob, mip.Options{MaxNodes: maxNodes})
 	if reg != nil {
 		d := time.Since(solveStart)
 		reg.ObserveDuration("mip.solve", d)
@@ -552,17 +527,10 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		reg.Add("lp.pivots", float64(sol.Pivots))
 		reg.Add("lp.refactor.count", float64(sol.Refactors))
 		reg.Observe("lp.eta.chain_len", float64(sol.EtaChainLen))
-		if sol.WarmHit {
-			reg.Inc("mip.warmstart.hits")
-		} else {
-			reg.Inc("mip.warmstart.misses")
-		}
-		appLabel := s.vecs.app(app.ID)
-		s.vecs.solve.Observe(d.Seconds(), s.vecs.policy, appLabel)
-		s.vecs.warmstart.Inc(s.vecs.policy, appLabel, warmth)
+		s.vecs.solve.Observe(d.Seconds(), s.vecs.policy, s.vecs.app(app.ID))
 		if err == nil && sol.Status == lp.Optimal {
 			reg.Emit(obs.Event{Type: obs.MIPSolveFinish, Step: nowStep, App: app.ID, Site: -1, Dst: -1,
-				Cores: demand, DurNS: d.Nanoseconds(), Objective: sol.Objective, Detail: warmth,
+				Cores: demand, DurNS: d.Nanoseconds(), Objective: sol.Objective,
 				Pivots: sol.Pivots, Refactors: sol.Refactors, EtaLen: sol.EtaChainLen})
 		} else {
 			reg.Inc("mip.failures")
@@ -590,7 +558,7 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 				d := time.Since(solveStart)
 				reg.Emit(obs.Event{Type: obs.MIPSolveFinish, Step: nowStep, App: app.ID, Site: -1, Dst: -1,
 					Cores: demand, DurNS: d.Nanoseconds(), Objective: rsol.Objective,
-					Detail: warmth + ",fallback=rounded-lp",
+					Detail: "fallback=rounded-lp",
 					Pivots: rsol.Pivots, Refactors: rsol.Refactors, EtaLen: rsol.EtaChainLen})
 			}
 			sol = rsol
@@ -599,7 +567,7 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 			if reg != nil {
 				d := time.Since(solveStart)
 				reg.Emit(obs.Event{Type: obs.MIPSolveFinish, Step: nowStep, App: app.ID, Site: -1, Dst: -1,
-					Cores: demand, DurNS: d.Nanoseconds(), Detail: warmth + ",fallback=greedy"})
+					Cores: demand, DurNS: d.Nanoseconds(), Detail: "fallback=greedy"})
 			}
 			return s.placeGreedy(app, nowStep, endStep, predCap)
 		}
@@ -669,32 +637,6 @@ func placementShape(k, H int, prev, prevPlan, peak bool) (rows, nnz int) {
 		nnz += H*(k+1) + H*(k*H+1)
 	}
 	return rows, nnz
-}
-
-// warmState returns (creating if needed) the app's carried solver state.
-// The cache is bounded by warmCap with deterministic least-recently-used
-// eviction.
-func (s *Scheduler) warmState(appID int) *mip.WarmState {
-	if s.warm == nil {
-		s.warm = make(map[int]*warmEntry)
-	}
-	e := s.warm[appID]
-	if e == nil {
-		if len(s.warm) >= warmCap {
-			victim, oldest := 0, int64(math.MaxInt64)
-			for id, we := range s.warm {
-				if we.tick < oldest {
-					victim, oldest = id, we.tick
-				}
-			}
-			delete(s.warm, victim)
-		}
-		e = &warmEntry{ws: &mip.WarmState{}}
-		s.warm[appID] = e
-	}
-	s.warmTick++
-	e.tick = s.warmTick
-	return e.ws
 }
 
 func newPlan(appID, numSites, steps int) Plan {

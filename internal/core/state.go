@@ -4,50 +4,35 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-
-	"github.com/vbcloud/vb/internal/mip"
+	"math"
 )
 
 // Scheduler state export for daemon crash recovery. The persistent state is
-// the commitment ledgers (capacity and planned-migration), plus the per-app
-// warm solver cache: the warm basis determines which optimal vertex a
-// replan lands on when the MIP has alternate optima, so a restored
-// scheduler must carry it to keep replaying the exact decisions the
-// uninterrupted process would have made. Metrics (Config.Obs) are run-
-// scoped and deliberately not part of the state.
+// the commitment ledgers (capacity and planned migration) and nothing
+// else: every placement compiles and solves its model afresh, so a plan is
+// a function of the ledgers and the caller's inputs, and a scheduler
+// restored from the ledgers places exactly as the uninterrupted one would.
+// Snapshots written while the scheduler still cached per-app solver state
+// also carry WarmTick and a Warm map; schedulerState no longer declares
+// them, so gob skips them unread. Metrics (Config.Obs) are run-scoped and
+// deliberately not part of the state.
 
 // schedulerState is the gob wire form of a Scheduler's mutable state.
 type schedulerState struct {
 	NumSites, Steps int
 	Committed       [][]float64
 	MigCommitted    []float64
-	WarmTick        int64
-	Warm            map[int]warmRec
 }
 
-// warmRec pairs one app's warm solver state with its LRU tick.
-type warmRec struct {
-	WS   *mip.WarmState
-	Tick int64
-}
-
-// EncodeState serializes the scheduler's commitment ledgers and warm
-// solver cache. The configuration is not included: restore by building a
-// scheduler with the identical Config/numSites/steps and calling
-// DecodeState on it.
+// EncodeState serializes the scheduler's commitment ledgers. The
+// configuration is not included: restore by building a scheduler with the
+// identical Config/numSites/steps and calling DecodeState on it.
 func (s *Scheduler) EncodeState(w io.Writer) error {
 	st := schedulerState{
 		NumSites:     s.numSites,
 		Steps:        s.steps,
 		Committed:    s.committed,
 		MigCommitted: s.migCommitted,
-		WarmTick:     s.warmTick,
-	}
-	if s.warm != nil {
-		st.Warm = make(map[int]warmRec, len(s.warm))
-		for id, e := range s.warm {
-			st.Warm[id] = warmRec{WS: e.ws, Tick: e.tick}
-		}
 	}
 	if err := gob.NewEncoder(w).Encode(st); err != nil {
 		return fmt.Errorf("core: encoding scheduler state: %w", err)
@@ -56,11 +41,11 @@ func (s *Scheduler) EncodeState(w io.Writer) error {
 }
 
 // DecodeState restores state written by EncodeState into a scheduler built
-// with the same shape (numSites, steps). It replaces the ledgers and warm
-// cache wholesale. Corrupt input — truncated, bit-flipped, or otherwise
-// undecodable — returns an error and leaves the scheduler untouched; a
-// decoder panic (gob panics on some malformed type descriptors) is
-// converted to an error rather than killing the process.
+// with the same shape (numSites, steps). It replaces the ledgers wholesale.
+// Corrupt input — truncated, bit-flipped, wrongly shaped, or holding a
+// non-finite ledger entry — returns an error and leaves the scheduler
+// untouched; a decoder panic (gob panics on some malformed type
+// descriptors) is converted to an error rather than killing the process.
 func (s *Scheduler) DecodeState(r io.Reader) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -83,20 +68,18 @@ func (s *Scheduler) DecodeState(r io.Reader) (err error) {
 		if len(row) != s.steps {
 			return fmt.Errorf("core: scheduler state site %d has %d steps, want %d", i, len(row), s.steps)
 		}
+		for t, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: scheduler state committed ledger holds %v at site %d step %d, want finite", v, i, t)
+			}
+		}
+	}
+	for t, v := range st.MigCommitted {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: scheduler state migration ledger holds %v at step %d, want finite", v, t)
+		}
 	}
 	s.committed = st.Committed
 	s.migCommitted = st.MigCommitted
-	s.warmTick = st.WarmTick
-	s.warm = nil
-	if st.Warm != nil {
-		s.warm = make(map[int]*warmEntry, len(st.Warm))
-		for id, rec := range st.Warm {
-			ws := rec.WS
-			if ws == nil {
-				ws = &mip.WarmState{}
-			}
-			s.warm[id] = &warmEntry{ws: ws, tick: rec.Tick}
-		}
-	}
 	return nil
 }

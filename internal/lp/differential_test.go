@@ -266,53 +266,6 @@ func TestInstanceWarmResolve(t *testing.T) {
 	}
 }
 
-// TestInstanceRefresh verifies Refresh accepts objective/RHS/bound changes
-// on an identical structure and rejects any structural drift.
-func TestInstanceRefresh(t *testing.T) {
-	base := Problem{
-		NumVars:   2,
-		Objective: []float64{1, 1},
-		Constraints: []Constraint{
-			{Idx: []int32{0, 1}, Val: []float64{1, 2}, Sense: GE, RHS: 3},
-		},
-	}
-	in, err := NewInstance(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := in.SolveCurrent(); st != Optimal {
-		t.Fatalf("base solve: %v", st)
-	}
-
-	changed := base
-	changed.Objective = []float64{2, 1}
-	changed.Constraints = []Constraint{{Idx: []int32{0, 1}, Val: []float64{1, 2}, Sense: GE, RHS: 5}}
-	if !in.Refresh(changed) {
-		t.Fatal("Refresh must accept same-structure objective/RHS change")
-	}
-	if st, _ := in.SolveCurrent(); st != Optimal {
-		t.Fatal("refreshed solve failed")
-	}
-	want, err := Solve(changed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in.ObjectiveValue(); math.Abs(got-want.Objective) > 1e-9 {
-		t.Errorf("refreshed objective = %g, want %g", got, want.Objective)
-	}
-
-	structChange := base
-	structChange.Constraints = []Constraint{{Idx: []int32{0, 1}, Val: []float64{1, 3}, Sense: GE, RHS: 3}}
-	if in.Refresh(structChange) {
-		t.Error("Refresh must reject changed coefficients")
-	}
-	senseChange := base
-	senseChange.Constraints = []Constraint{{Idx: []int32{0, 1}, Val: []float64{1, 2}, Sense: LE, RHS: 3}}
-	if in.Refresh(senseChange) {
-		t.Error("Refresh must reject changed sense")
-	}
-}
-
 // TestBoundedDirect covers deterministic bounded cases end to end.
 func TestBoundedDirect(t *testing.T) {
 	// max x+y, x in [1,2], y in [-3,-1], x+y <= 0 — optimum (1,-1)? No:

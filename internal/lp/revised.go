@@ -11,8 +11,8 @@ import (
 // factorization of the basis (sparselu.go), supports native per-variable
 // bounds (so integer branching tightens a bound instead of appending a row),
 // and keeps its factorization and scratch memory alive between solves:
-// re-solving after a bound or RHS change warm-starts from the previous
-// optimal basis, usually skipping phase 1 entirely.
+// re-solving after a bound change warm-starts from the previous optimal
+// basis, usually skipping phase 1 entirely.
 //
 // Pivoting is Dantzig (most negative reduced cost) for speed, with an
 // automatic switch to Bland's rule after a run of degenerate steps, which
@@ -44,8 +44,8 @@ const blandTrigger = 64
 // Problem into computational standard form (min c·x, Ax + s = b, l ≤ x ≤ u,
 // one bounded slack per row) with sparse columns, and allocates every array
 // the simplex needs exactly once. All subsequent operations — bound
-// tightening, RHS/objective refreshes, and repeated solves — reuse that
-// arena, so a full branch-and-bound tree performs O(1) large allocations.
+// tightening and repeated solves — reuse that arena, so a full
+// branch-and-bound tree performs O(1) large allocations.
 //
 // An Instance is not safe for concurrent use.
 type Instance struct {
@@ -65,8 +65,8 @@ type Instance struct {
 	colPtr []int32
 	colRow []int32
 	colVal []float64
-	// Row-major mirror of the same nonzeros: Refresh uses it to verify
-	// structural equality, and the residual check to evaluate rows.
+	// Row-major mirror of the same nonzeros: the residual check evaluates
+	// rows from it.
 	rowPtr []int32
 	rowCol []int32
 	rowVal []float64
@@ -174,8 +174,7 @@ func NewInstance(p Problem) (*Instance, error) {
 }
 
 // allocScratch allocates the per-iteration scratch arrays for the
-// instance's dimensions. Compiling and decoding both call it, so a decoded
-// instance solves with exactly the scratch a compiled one has.
+// instance's dimensions.
 func (in *Instance) allocScratch() {
 	m, n, ns := in.m, in.n, in.nStruct
 	f := make([]float64, 4*m+n+ns)
@@ -190,12 +189,9 @@ func (in *Instance) allocScratch() {
 	in.blockers = make([]blocker, 0, m)
 }
 
-// loadData copies the refreshable parts of p (objective, RHS, bounds) into
-// the instance. The structural pattern must already match.
+// loadData copies p's objective, RHS, senses and bounds into a freshly
+// allocated instance.
 func (in *Instance) loadData(p Problem) {
-	for j := range in.cmin {
-		in.cmin[j] = 0
-	}
 	for j, c := range p.Objective {
 		if in.maximize {
 			in.cmin[j] = -c
@@ -204,7 +200,6 @@ func (in *Instance) loadData(p Problem) {
 		}
 	}
 	for j := 0; j < in.nStruct; j++ {
-		in.baseLo[j] = 0
 		in.baseHi[j] = math.Inf(1)
 	}
 	for j, v := range p.Lower {
@@ -227,42 +222,6 @@ func (in *Instance) loadData(p Problem) {
 		}
 	}
 	in.ResetBounds()
-}
-
-// Refresh updates the instance with p's objective, RHS and bounds while
-// keeping the current basis, provided p is structurally identical to the
-// compiled problem (same dimensions, senses and constraint coefficients).
-// It reports whether the refresh succeeded; on false the instance is
-// unchanged and the caller should compile a new one. A successful refresh
-// makes the next SolveCurrent warm-start from the previous optimal basis.
-func (in *Instance) Refresh(p Problem) bool {
-	if p.NumVars != in.nStruct || len(p.Constraints) != in.m || p.Maximize != in.maximize {
-		return false
-	}
-	for i, c := range p.Constraints {
-		if c.Sense != in.senses[i] {
-			return false
-		}
-		if len(c.Idx) != len(c.Val) {
-			return false
-		}
-		k := in.rowPtr[i]
-		end := in.rowPtr[i+1]
-		for t, v := range c.Val {
-			if v == 0 {
-				continue
-			}
-			if k == end || in.rowCol[k] != c.Idx[t] || in.rowVal[k] != v {
-				return false
-			}
-			k++
-		}
-		if k != end {
-			return false
-		}
-	}
-	in.loadData(p)
-	return true
 }
 
 // ResetBounds restores the compiled bounds, undoing any SetBound calls.

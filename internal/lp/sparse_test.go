@@ -134,31 +134,35 @@ func TestSparseIllConditioned(t *testing.T) {
 }
 
 // TestSparseWarmChain exercises a long warm-started solve sequence on one
-// instance — the daemon/branch-and-bound usage pattern — so the eta chain
+// instance — the branch-and-bound usage pattern — so the eta chain
 // actually grows across solves and periodic refactorization happens under
-// the default budget. Each re-solve is checked against a cold reference.
+// the default budget. Every step resets the bounds of a placement-shaped
+// LP, tightens a few variables the way a branch does, and re-solves; each
+// re-solve is checked against the reference solver on the same bounded
+// problem.
 func TestSparseWarmChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(8_000_001))
-	p := randomProblem(rng, true)
-	p = growProblem(rng, p, 18)
+	p := placementLP(rng, 3, 8, true)
 	in, err := NewInstance(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := p
-	q.Constraints = append([]Constraint(nil), p.Constraints...)
-	q.Objective = append([]float64(nil), p.Objective...)
+	optimal := 0
 	for step := 0; step < 60; step++ {
-		for i := range q.Constraints {
-			c := q.Constraints[i]
-			c.RHS = p.Constraints[i].RHS * (1 + 0.05*math.Sin(float64(step+i)))
-			q.Constraints[i] = c
-		}
-		for j := range q.Objective {
-			q.Objective[j] = p.Objective[j] * (1 + 0.03*math.Cos(float64(step+j)))
-		}
-		if !in.Refresh(q) {
-			t.Fatalf("step %d: refresh rejected same-structure change", step)
+		in.ResetBounds()
+		q.Lower = make([]float64, p.NumVars)
+		q.Upper = append([]float64(nil), p.Upper...)
+		for k := 0; k <= step%3; k++ {
+			j := rng.Intn(p.NumVars)
+			lo, hi := in.Bounds(j)
+			if v := float64(rng.Intn(3)); rng.Intn(2) == 0 {
+				hi = math.Min(hi, v)
+			} else {
+				lo = math.Max(lo, v)
+			}
+			in.SetBound(j, lo, hi)
+			q.Lower[j], q.Upper[j] = lo, hi
 		}
 		st, err := in.SolveCurrent()
 		if err != nil {
@@ -172,10 +176,14 @@ func TestSparseWarmChain(t *testing.T) {
 			t.Fatalf("step %d: status %v, reference %v", step, st, ref.Status)
 		}
 		if st == Optimal {
+			optimal++
 			if got := in.ObjectiveValue(); math.Abs(got-ref.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
 				t.Fatalf("step %d: objective %.9g, reference %.9g", step, got, ref.Objective)
 			}
 		}
+	}
+	if optimal < 30 {
+		t.Errorf("%d of 60 re-solves optimal, want at least 30", optimal)
 	}
 	if in.EtaChainLen() > etaChainCap {
 		t.Errorf("eta chain %d exceeds cap %d", in.EtaChainLen(), etaChainCap)

@@ -89,28 +89,6 @@ func BenchmarkMIPSolveNode(b *testing.B) {
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 }
 
-// BenchmarkMIPSolveWarmState measures the same run through a shared WarmState: the
-// compiled instance and factored basis persist, so iterations 2..N skip the
-// build and start from the previous optimum.
-func BenchmarkMIPSolveWarmState(b *testing.B) {
-	p := benchMIP(24, 6, 30, 17)
-	warm := &WarmState{}
-	if _, err := Solve(p, Options{MaxNodes: 2000, Warm: warm}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol, err := Solve(p, Options{MaxNodes: 2000, Warm: warm})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sol.Status != lp.Optimal || !sol.WarmHit {
-			b.Fatalf("status %v warm=%v", sol.Status, sol.WarmHit)
-		}
-	}
-}
-
 // BenchmarkMIPSolveReference runs the row-branching reference oracle
 // (reference_test.go) on the same problem for a like-for-like comparison.
 func BenchmarkMIPSolveReference(b *testing.B) {

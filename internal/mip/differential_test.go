@@ -120,93 +120,3 @@ func TestDifferentialMIP(t *testing.T) {
 		}
 	}
 }
-
-// TestWarmStateReuse pins the cross-solve warm-start contract: an identical
-// re-solve through a shared WarmState hits the carried basis and needs zero
-// pivots; RHS/objective changes still hit; structural changes miss cleanly.
-func TestWarmStateReuse(t *testing.T) {
-	p := Problem{
-		Problem: lp.Problem{
-			NumVars:   3,
-			Objective: []float64{5, 4, 3},
-			Maximize:  true,
-			Constraints: []lp.Constraint{
-				{Idx: []int32{0, 1, 2}, Val: []float64{2, 3, 1}, Sense: lp.LE, RHS: 5},
-				{Idx: []int32{0, 1, 2}, Val: []float64{4, 1, 2}, Sense: lp.LE, RHS: 11},
-				{Idx: []int32{0, 1, 2}, Val: []float64{3, 4, 2}, Sense: lp.LE, RHS: 8},
-			},
-		},
-		Integer: []bool{true, false, false},
-	}
-	warm := &WarmState{}
-	first, err := Solve(p, Options{Warm: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Status != lp.Optimal {
-		t.Fatalf("first solve: %v", first.Status)
-	}
-	if first.WarmHit {
-		t.Error("first solve cannot be a warm hit")
-	}
-
-	second, err := Solve(p, Options{Warm: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.WarmHit {
-		t.Error("identical re-solve must hit the warm state")
-	}
-	if second.Pivots != 0 {
-		t.Errorf("identical re-solve took %d pivots, want 0", second.Pivots)
-	}
-	if math.Abs(second.Objective-first.Objective) > 1e-9 {
-		t.Errorf("warm objective %v != cold %v", second.Objective, first.Objective)
-	}
-
-	// RHS change: still a hit (basis kept), result matches a cold solve.
-	changed := p
-	changed.Constraints = append([]lp.Constraint(nil), p.Constraints...)
-	changed.Constraints[0] = lp.Constraint{Idx: []int32{0, 1, 2}, Val: []float64{2, 3, 1}, Sense: lp.LE, RHS: 4}
-	warmRHS, err := Solve(changed, Options{Warm: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warmRHS.WarmHit {
-		t.Error("RHS-only change must still hit the warm state")
-	}
-	cold, err := Solve(changed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(warmRHS.Objective-cold.Objective) > 1e-9 {
-		t.Errorf("warm-after-RHS-change objective %v != cold %v", warmRHS.Objective, cold.Objective)
-	}
-
-	// Coefficient change: structural miss, state recompiled, still correct.
-	struc := p
-	struc.Constraints = append([]lp.Constraint(nil), p.Constraints...)
-	struc.Constraints[1] = lp.Constraint{Idx: []int32{0, 1, 2}, Val: []float64{4, 2, 2}, Sense: lp.LE, RHS: 11}
-	miss, err := Solve(struc, Options{Warm: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if miss.WarmHit {
-		t.Error("coefficient change must miss the warm state")
-	}
-	coldStruc, err := Solve(struc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(miss.Objective-coldStruc.Objective) > 1e-9 {
-		t.Errorf("post-miss objective %v != cold %v", miss.Objective, coldStruc.Objective)
-	}
-	// And the recompiled state services the next identical call.
-	again, err := Solve(struc, Options{Warm: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.WarmHit || again.Pivots != 0 {
-		t.Errorf("re-solve after miss: hit=%v pivots=%d, want hit with 0 pivots", again.WarmHit, again.Pivots)
-	}
-}

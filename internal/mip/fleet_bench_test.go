@@ -53,35 +53,6 @@ func BenchmarkFleetPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetReplan measures the steady-state daemon pattern at fleet
-// scale: one compiled warm instance re-solved after an RHS perturbation,
-// where the sparse kernel's cheap FTRAN/BTRAN and bounded eta chain do the
-// work and no basis is rebuilt from scratch.
-func BenchmarkFleetReplan(b *testing.B) {
-	cfg := fleetRegimes[len(fleetRegimes)-1]
-	p := FleetProblem(cfg)
-	warm := &WarmState{}
-	if _, err := Solve(p, Options{MaxNodes: 50, Warm: warm}); err != nil {
-		b.Fatal(err)
-	}
-	q := p
-	q.Constraints = append([]lp.Constraint(nil), p.Constraints...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := q.Constraints[len(q.Constraints)-1]
-		c.RHS = c.RHS * (1 + 0.01*float64(i%7-3))
-		q.Constraints[len(q.Constraints)-1] = c
-		sol, err := Solve(q, Options{MaxNodes: 50, Warm: warm})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sol.Status != lp.Optimal || !sol.WarmHit {
-			b.Fatalf("status %v warm=%v", sol.Status, sol.WarmHit)
-		}
-	}
-}
-
 // TestFleetProblemSolvable pins the generator contract the benchmarks rely
 // on: every regime compiles and is feasible, and the incumbent the solver
 // returns is integral and satisfies every bound and row.

@@ -7,9 +7,8 @@
 // Branching tightens variable bounds on a single compiled lp.Instance
 // instead of appending constraint rows, so the LP never grows with tree
 // depth and every node solve warm-starts from the basis the previous node
-// left behind. A WarmState carries the instance (and its optimal basis)
-// across Solve calls, letting a scheduler replan start from the previous
-// interval's solution.
+// left behind. Every Solve compiles its own instance, so its answer is a
+// function of the problem alone.
 package mip
 
 import (
@@ -32,18 +31,6 @@ type Problem struct {
 type Options struct {
 	// MaxNodes caps the number of explored nodes (0 = default 200000).
 	MaxNodes int
-	// Warm, when non-nil, carries the compiled LP instance and optimal
-	// basis between Solve calls. If the new problem is structurally
-	// identical to the carried one (same dimensions, senses, coefficients)
-	// the root LP warm-starts from the previous optimal basis; otherwise
-	// the instance is recompiled and the state updated.
-	Warm *WarmState
-}
-
-// WarmState carries solver state across Solve calls. The zero value is
-// ready to use. A WarmState must not be shared between concurrent solves.
-type WarmState struct {
-	inst *lp.Instance
 }
 
 // Solution reports the MIP result.
@@ -62,11 +49,9 @@ type Solution struct {
 	Pivots int64
 	// Refactors is the total basis refactorizations across all node solves.
 	Refactors int64
-	// EtaChainLen is the eta-chain length of the carried instance's basis
+	// EtaChainLen is the eta-chain length of the search instance's basis
 	// factorization when the search ends.
 	EtaChainLen int
-	// WarmHit is true when a WarmState basis was reused for the root solve.
-	WarmHit bool
 }
 
 const intTol = 1e-6
@@ -132,22 +117,11 @@ func Solve(p Problem, opt Options) (Solution, error) {
 		maxNodes = 200000
 	}
 
-	// Compile (or warm-reuse) the LP instance. All objective values below
-	// are handled in minimization sense via minSense.
-	var inst *lp.Instance
-	warmHit := false
-	if opt.Warm != nil && opt.Warm.inst != nil && opt.Warm.inst.Refresh(p.Problem) {
-		inst = opt.Warm.inst
-		warmHit = true
-	} else {
-		var err error
-		inst, err = lp.NewInstance(p.Problem)
-		if err != nil {
-			return Solution{}, err
-		}
-		if opt.Warm != nil {
-			opt.Warm.inst = inst
-		}
+	// All objective values below are handled in minimization sense via
+	// minSense.
+	inst, err := lp.NewInstance(p.Problem)
+	if err != nil {
+		return Solution{}, err
 	}
 	minSense := func(v float64) float64 {
 		if p.Maximize {
@@ -163,11 +137,7 @@ func Solve(p Problem, opt Options) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	res.WarmHit = warmHit
 	res.EtaChainLen = inst.EtaChainLen()
-	// Leave the instance at the root relaxation bounds so a warm successor
-	// refreshes against the unbranched problem.
-	inst.ResetBounds()
 	return finish(res, p), nil
 }
 

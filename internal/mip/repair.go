@@ -10,9 +10,8 @@ import (
 // bound: solve the LP relaxation once, round every integer variable to the
 // nearest integer (clamped into its bounds), fix it there, and re-solve
 // the continuous variables around the rounding. It performs at most two LP
-// solves, always on a fresh instance — no WarmState is touched, so a
-// degraded placement cannot poison the carried basis — and needs no node
-// budget (it IS the truncated-search fallback).
+// solves on one fresh instance and needs no node budget (it IS the
+// truncated-search fallback).
 //
 // The result is integer feasible whenever the rounding satisfies the
 // integer-coupling constraints; when it does not (Status != Optimal) the

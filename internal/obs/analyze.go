@@ -15,7 +15,7 @@ type FlowKey struct {
 
 // TraceAnalysis summarizes a recorded event stream offline: per-type,
 // per-app and per-site aggregates, the site×site migration flow matrix,
-// solver latency percentiles, and warm-start hit rates.
+// solver latency percentiles, and solver kernel totals.
 //
 // Types is accumulated with exactly the same operations, in the same
 // order, as the live Tracer's stats (Count++, GB += e.GB, Cores +=
@@ -38,10 +38,6 @@ type TraceAnalysis struct {
 	// SolveNS holds every MIPSolveFinish duration, sorted ascending, so
 	// percentiles are exact (the full sample is available offline).
 	SolveNS []int64 `json:"solve_ns,omitempty"`
-	// WarmSolves and ColdSolves count MIPSolveFinish events whose Detail
-	// marks the warm-start outcome.
-	WarmSolves int64 `json:"warm_solves"`
-	ColdSolves int64 `json:"cold_solves"`
 	// Pivots and Refactors total the solver kernel counters over all
 	// MIPSolveFinish events; MaxEtaLen is the longest sparse-LU eta chain
 	// any solve finished with.
@@ -80,12 +76,6 @@ func Analyze(events []Event) *TraceAnalysis {
 			if e.EtaLen > a.MaxEtaLen {
 				a.MaxEtaLen = e.EtaLen
 			}
-			switch e.Detail {
-			case "warm":
-				a.WarmSolves++
-			case "cold":
-				a.ColdSolves++
-			}
 		}
 	}
 	sort.Slice(a.SolveNS, func(i, j int) bool { return a.SolveNS[i] < a.SolveNS[j] })
@@ -112,19 +102,9 @@ func (a *TraceAnalysis) SolveQuantile(q float64) time.Duration {
 	return time.Duration(a.SolveNS[i])
 }
 
-// WarmHitRate returns the warm-start fraction of marked solves (0 when
-// none are marked).
-func (a *TraceAnalysis) WarmHitRate() float64 {
-	total := a.WarmSolves + a.ColdSolves
-	if total == 0 {
-		return 0
-	}
-	return float64(a.WarmSolves) / float64(total)
-}
-
 // WriteText renders the analysis as the human-readable report vbobs
 // prints: per-type, per-app and per-site tables, the migration flow
-// matrix, solver percentiles and warm-start rates.
+// matrix, solver percentiles and solver kernel totals.
 func (a *TraceAnalysis) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%d events\n\n", a.Events); err != nil {
 		return err
@@ -173,10 +153,6 @@ func (a *TraceAnalysis) WriteText(w io.Writer) error {
 			len(a.SolveNS),
 			a.SolveQuantile(0.50), a.SolveQuantile(0.95),
 			a.SolveQuantile(0.99), a.SolveQuantile(1))
-		if a.WarmSolves+a.ColdSolves > 0 {
-			fmt.Fprintf(w, "warm-start: %d warm / %d cold (%.1f%% hit rate)\n",
-				a.WarmSolves, a.ColdSolves, 100*a.WarmHitRate())
-		}
 		if a.Pivots > 0 || a.Refactors > 0 {
 			fmt.Fprintf(w, "basis: %d pivots  %d refactorizations  max eta chain %d\n",
 				a.Pivots, a.Refactors, a.MaxEtaLen)

@@ -14,12 +14,12 @@ import (
 // returns them for comparison.
 func emitWorkload(tr *Tracer) {
 	tr.Emit(Event{Type: PlanComputed, Step: 0, App: 1, Site: -1, Dst: -1, Cores: 100})
-	tr.Emit(Event{Type: MIPSolveFinish, Step: 0, App: 1, Site: -1, Dst: -1, DurNS: 4e6, Detail: "cold"})
+	tr.Emit(Event{Type: MIPSolveFinish, Step: 0, App: 1, Site: -1, Dst: -1, DurNS: 4e6})
 	tr.Emit(Event{Type: PlannedRealloc, Step: 1, App: 1, Site: 0, Dst: 1, Cores: 40, GB: 160.25})
 	tr.Emit(Event{Type: ForcedMigration, Step: 2, App: 2, Site: 1, Dst: 0, Cores: 10, GB: 33.5})
 	tr.Emit(Event{Type: VMMoved, Step: 2, App: 2, Site: 1, Dst: 2, VM: 7, GB: 8})
-	tr.Emit(Event{Type: MIPSolveFinish, Step: 3, App: 1, Site: -1, Dst: -1, DurNS: 1e6, Detail: "warm"})
-	tr.Emit(Event{Type: MIPSolveFinish, Step: 4, App: 2, Site: -1, Dst: -1, DurNS: 2e6, Detail: "warm"})
+	tr.Emit(Event{Type: MIPSolveFinish, Step: 3, App: 1, Site: -1, Dst: -1, DurNS: 1e6})
+	tr.Emit(Event{Type: MIPSolveFinish, Step: 4, App: 2, Site: -1, Dst: -1, DurNS: 2e6})
 	tr.Emit(Event{Type: Shortfall, Step: 5, App: 2, Site: -1, Dst: -1, Cores: 12.75})
 }
 
@@ -55,12 +55,6 @@ func TestAnalyzeReconcilesWithTracerStats(t *testing.T) {
 	if !reflect.DeepEqual(a.Flows, wantFlows) {
 		t.Errorf("flows = %+v, want %+v", a.Flows, wantFlows)
 	}
-	if a.WarmSolves != 2 || a.ColdSolves != 1 {
-		t.Errorf("warm/cold = %d/%d, want 2/1", a.WarmSolves, a.ColdSolves)
-	}
-	if got := a.WarmHitRate(); got != 2.0/3.0 {
-		t.Errorf("hit rate = %v, want 2/3", got)
-	}
 	if got := a.SolveQuantile(0); got != time.Duration(1e6) {
 		t.Errorf("min solve = %v", got)
 	}
@@ -75,7 +69,7 @@ func TestAnalyzeReconcilesWithTracerStats(t *testing.T) {
 	if err := a.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"8 events", "forced_migration", "app 1", "site 0", "migration flows", "solver: 3 solves", "2 warm / 1 cold"} {
+	for _, want := range []string{"8 events", "forced_migration", "app 1", "site 0", "migration flows", "solver: 3 solves"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, text.String())
 		}
@@ -87,8 +81,8 @@ func TestAnalyzeEmptyStream(t *testing.T) {
 	if a.Events != 0 || len(a.Types) != 0 {
 		t.Errorf("empty analysis = %+v", a)
 	}
-	if a.SolveQuantile(0.5) != 0 || a.WarmHitRate() != 0 {
-		t.Error("empty analysis quantile/hit-rate should be 0")
+	if a.SolveQuantile(0.5) != 0 {
+		t.Error("empty analysis quantile should be 0")
 	}
 	var text strings.Builder
 	if err := a.WriteText(&text); err != nil {

@@ -11,21 +11,47 @@ import (
 	"github.com/vbcloud/vb/internal/core"
 )
 
-// TestVMEngineSnapshotBackCompat pins gob snapshot compatibility across the
-// SLO-class refactor: testdata/vmengine_legacy.snapshot was written by the
-// pre-refactor engine (no per-class demand fields in the wire structs), and
-// restoring it must still work and must finish the run with decisions
-// byte-identical to an uninterrupted run of the same scenario.
+// TestVMEngineSnapshotBackCompat pins gob snapshot compatibility with
+// snapshots older engines wrote. Each fixture holds a run stopped halfway,
+// and restoring it must still work and must finish the run with decisions
+// byte-identical to an uninterrupted run of the same scenario:
 //
-// Regenerate only from a pre-change checkout:
+//   - vmengine_legacy.snapshot (MIP) predates the SLO-class refactor: its
+//     wire structs lack the per-class demand fields, and its scheduler
+//     state carries per-app solver caches in the pre-sparse basis format;
+//   - vmengine_mip24h_warm.snapshot (MIP-24h) was written while the
+//     scheduler still cached per-app solver state: its scheduler state
+//     carries sparse-LU solver payloads, some reused by replans before
+//     the snapshot.
 //
-//	VB_UPDATE_GOLDEN=1 go test -run SnapshotBackCompat ./internal/sim/
+// Both kinds of solver state are skipped unread on restore. Regenerate a
+// fixture only from a checkout of the code that wrote it:
+//
+//	VB_UPDATE_GOLDEN=1 go test -run SnapshotBackCompat/<name> ./internal/sim/
 func TestVMEngineSnapshotBackCompat(t *testing.T) {
-	in, apps := vmLevelFixtures(t, 2)
-	cfg := simConfig(core.MIP)
+	for _, tc := range []struct {
+		name   string
+		policy core.Policy
+		days   int
+	}{
+		{"vmengine_legacy", core.MIP, 2},
+		{"vmengine_mip24h_warm", core.MIP24h, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkSnapshotBackCompat(t, filepath.Join("testdata", tc.name+".snapshot"), tc.policy, tc.days)
+		})
+	}
+}
+
+// checkSnapshotBackCompat restores the fixture at path, written halfway
+// through a days-long run under policy, and requires the rest of the run
+// to match an uninterrupted run decision for decision. With
+// VB_UPDATE_GOLDEN set it writes the fixture instead.
+func checkSnapshotBackCompat(t *testing.T, path string, policy core.Policy, days int) {
+	in, apps := vmLevelFixtures(t, days)
+	cfg := simConfig(policy)
 	ccfg := cluster.DefaultConfig()
 	arrivals := vmBatchArrivals(in, apps)
-	path := filepath.Join("testdata", "vmengine_legacy.snapshot")
 
 	// The uninterrupted reference run (same code version as the test run).
 	full, err := NewVMEngine(cfg, in, ccfg)
@@ -72,14 +98,14 @@ func TestVMEngineSnapshotBackCompat(t *testing.T) {
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing legacy snapshot golden (generate from a pre-change checkout): %v", err)
+		t.Fatalf("missing snapshot fixture (generate from the checkout that wrote it): %v", err)
 	}
 	restored, err := RestoreVMEngine(cfg, in, ccfg, bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("legacy snapshot no longer restores: %v", err)
+		t.Fatalf("old snapshot no longer restores: %v", err)
 	}
 	if restored.Step() != mid {
-		t.Fatalf("legacy snapshot restored at step %d, want %d", restored.Step(), mid)
+		t.Fatalf("old snapshot restored at step %d, want %d", restored.Step(), mid)
 	}
 	// Replay the remaining arrivals and require byte-identical decisions.
 	sortArrivals(arrivals)
@@ -100,7 +126,7 @@ func TestVMEngineSnapshotBackCompat(t *testing.T) {
 		}
 		line, _ := json.Marshal(rep)
 		if !bytes.Equal(line, fullReports[i]) {
-			t.Fatalf("step %d decision record diverges after legacy restore:\nfull:     %s\nrestored: %s",
+			t.Fatalf("step %d decision record diverges after restoring an old snapshot:\nfull:     %s\nrestored: %s",
 				i, fullReports[i], line)
 		}
 	}

@@ -21,9 +21,9 @@ import (
 // as they happen. RunVMLevel is a thin loop over Advance; feeding a
 // VMEngine the batch arrivals in Start order reproduces RunVMLevel's
 // decisions bit-for-bit. Unlike the fluid core-level Engine, a VMEngine
-// owns real cluster.Site simulators, which — together with the scheduler's
-// warm-start state — it can snapshot to disk and restore for crash
-// recovery.
+// owns real cluster.Site simulators, which — together with its plans and
+// the scheduler's commitment ledgers — it can snapshot to disk and restore
+// for crash recovery.
 type VMEngine struct {
 	stepper
 	clusterCfg cluster.Config
@@ -449,8 +449,9 @@ type vmEngineState struct {
 
 // Snapshot serializes the engine's complete decision state — streamed apps
 // and their plans, the VM location table, every site's server packing, and
-// the scheduler's commitment ledgers plus warm solver cache — such that
-// RestoreVMEngine resumes producing bit-identical decisions.
+// the scheduler's commitment ledgers — such that RestoreVMEngine resumes
+// producing bit-identical decisions. No solver state is carried: every
+// placement solves its model from scratch.
 func (e *VMEngine) Snapshot(w io.Writer) error {
 	var sched bytes.Buffer
 	if err := e.sched.EncodeState(&sched); err != nil {

@@ -29,9 +29,6 @@ const (
 	SolarLifecycle = carbon.SolarLifecycle
 )
 
-// DefaultServerPowerModel returns a typical dual-socket server model.
-func DefaultServerPowerModel() ServerPowerModel { return power.DefaultServerModel() }
-
 // CarbonResult quantifies the emissions argument of §1 on a year of the
 // trio's generation consumed by co-located compute.
 type CarbonResult struct {

@@ -128,10 +128,6 @@ func AllWorkloadClasses() []WorkloadClass {
 	return append([]WorkloadClass(nil), workload.AllClasses...)
 }
 
-// ParseWorkloadClass parses a class name ("realtime", "interactive",
-// "stable", "batch", "degradable").
-func ParseWorkloadClass(s string) (WorkloadClass, error) { return workload.ParseClass(s) }
-
 // GenerateCohortApps produces an application trace from a cohort-mix spec:
 // each cohort contributes an independent deterministic stream of apps with
 // its own SLO class, renewal process and size profile, merged in arrival
@@ -208,7 +204,7 @@ type (
 	SimStepReport = sim.StepReport
 	// VMEngine advances the VM-granularity simulation one plan step at a
 	// time, and snapshots/restores its complete decision state (apps,
-	// plans, server packing, scheduler ledgers, warm solver caches).
+	// plans, server packing, scheduler ledgers).
 	VMEngine = sim.VMEngine
 	// AppArrival is one application entering a streaming engine: its
 	// aggregate demand plus the discrete VMs behind it.
@@ -241,8 +237,6 @@ type (
 	// FaultInjector compiles a validated script into the per-step lookups
 	// the engines query; nil is the no-fault identity.
 	FaultInjector = fault.Injector
-	// FaultRandomConfig parameterizes RandomFaultScript.
-	FaultRandomConfig = fault.RandomConfig
 )
 
 // Fault kinds.
@@ -277,12 +271,6 @@ func ParseFaultArg(arg string) (*FaultScript, error) {
 		return LoadFaultScript(path)
 	}
 	return ParseFaultSpec(arg)
-}
-
-// RandomFaultScript draws a valid random fault script from a seed; the same
-// seed and config always yield the same script.
-func RandomFaultScript(seed int64, cfg FaultRandomConfig) *FaultScript {
-	return fault.RandomScript(seed, cfg)
 }
 
 // WAN and economics models.
@@ -370,7 +358,7 @@ func ReadTraceEvents(r io.Reader) ([]TraceEvent, error) { return obs.ReadEvents(
 
 // AnalyzeTrace aggregates a recorded event stream: per-type/app/site
 // stats, the site×site migration flow matrix, exact solver percentiles,
-// and warm-start hit rates. On a complete stream the per-type stats
+// and solver kernel totals. On a complete stream the per-type stats
 // reconcile bit-exactly with the live tracer's.
 func AnalyzeTrace(events []TraceEvent) *TraceAnalysis { return obs.Analyze(events) }
 

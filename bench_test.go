@@ -304,7 +304,7 @@ func BenchmarkWorldGeneration(b *testing.B) {
 
 // BenchmarkWorldGenerationFleet generates the full 12-site fleet, the shape
 // the experiment suite actually uses. The per-site pass fans out over
-// par.Default workers (which tracks GOMAXPROCS), so running with -cpu 1,4
+// GOMAXPROCS workers, so running with -cpu 1,4
 // compares the serial and parallel paths on identical work:
 //
 //	go test -bench WorldGenerationFleet -cpu 1,4
@@ -325,7 +325,7 @@ func BenchmarkWorldGenerationFleet(b *testing.B) {
 // It is expensive (~seconds per iteration) — use -benchtime=1x.
 func BenchmarkRunAllExperiments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunAllExperiments(DefaultSeed, 0); err != nil {
+		if _, err := RunAllExperiments(DefaultSeed); err != nil {
 			b.Fatal(err)
 		}
 	}

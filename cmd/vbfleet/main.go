@@ -33,10 +33,8 @@ func main() {
 		seed       = flag.Uint64("seed", vb.DefaultSeed, "random seed")
 		metricsOut = flag.String("metrics", "", "write a ranking manifest (metrics JSON) to this file")
 		listenAddr = flag.String("listen", "", "serve live telemetry (/metrics, /snapshot, /events, pprof) on this address (e.g. localhost:8090)")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for trace generation and ranking (0 = all cores, 1 = serial; output is identical)")
 	)
 	flag.Parse()
-	vb.SetParallelism(*parallel)
 
 	var reg *vb.MetricsRegistry
 	if *metricsOut != "" || *listenAddr != "" {

@@ -46,10 +46,8 @@ func main() {
 		showPlan   = flag.Bool("plan", false, "print per-app allocations per step")
 		traceOut   = flag.String("trace", "", "write structured run events to this JSONL file")
 		metricsOut = flag.String("metrics", "", "write the run manifest (metrics JSON) to this file")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for forecasting and simulation (0 = all cores, 1 = serial; output is identical)")
 	)
 	flag.Parse()
-	vb.SetParallelism(*parallel)
 	if *powerPath == "" || *appsPath == "" {
 		flag.Usage()
 		os.Exit(2)

@@ -35,10 +35,8 @@ func main() {
 		chart      = flag.Bool("chart", false, "render the Fig 7 CDF as an ASCII chart")
 		traceOut   = flag.String("trace", "", "write structured run events to this JSONL file")
 		metricsOut = flag.String("metrics", "", "write the run manifest (metrics JSON) to this file")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for generation and experiments (0 = all cores, 1 = serial; output is identical)")
 	)
 	flag.Parse()
-	vb.SetParallelism(*parallel)
 
 	var reg *vb.MetricsRegistry
 	if *traceOut != "" || *metricsOut != "" {

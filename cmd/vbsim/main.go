@@ -7,8 +7,9 @@
 //	vbsim -days 7 -source wind
 //	vbsim -days 90 -source solar -csv > transfers.csv
 //	vbsim -days 7 -trace run.jsonl -metrics run.json
-//	vbsim -days 365 -pprof localhost:6060
-//	vbsim -all -parallel 8   # regenerate every figure/table concurrently
+//	vbsim -days 365 -listen localhost:6060   # /metrics, /events and /debug/pprof/
+//	vbsim -all                # regenerate every figure/table concurrently
+//	GOMAXPROCS=1 vbsim -all   # ...serially, with byte-identical output
 //	vbsim -days 4 -faults 'blackout:1@8-12,slow:-1@0-16=4096'   # faulted Table 1
 //	vbsim -workload cohorts.json -record trace.jsonl   # per-SLO-class table + trace v2
 //	vbsim -replay trace.jsonl                          # same table from the recording
@@ -19,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"time"
 
@@ -40,8 +39,6 @@ func main() {
 		traceOut   = flag.String("trace", "", "write structured run events to this JSONL file")
 		metricsOut = flag.String("metrics", "", "write the run manifest (metrics JSON) to this file")
 		listenAddr = flag.String("listen", "", "serve live telemetry (/metrics, /snapshot, /events, pprof) on this address (e.g. localhost:8090)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for generation and experiments (0 = all cores, 1 = serial; output is identical)")
 		runAll     = flag.Bool("all", false, "regenerate every figure and table of the evaluation and exit")
 		faults     = flag.String("faults", "", "run the Table 1 comparison under a fault script: compact spec (kind:site[:peer]@start-end[=sev],...) or @file.json")
 		workload   = flag.String("workload", "", "run the per-SLO-class policy comparison over a cohort trace spec (JSON file)")
@@ -49,7 +46,6 @@ func main() {
 		replay     = flag.String("replay", "", "run the per-SLO-class policy comparison over a recorded trace (v2 JSONL file)")
 	)
 	flag.Parse()
-	vb.SetParallelism(*parallel)
 
 	if *workload != "" || *replay != "" {
 		if err := runWorkload(*seed, *days, *workload, *record, *replay); err != nil {
@@ -66,19 +62,12 @@ func main() {
 	}
 
 	if *runAll {
-		res, err := vb.RunAllExperiments(*seed, *parallel)
+		res, err := vb.RunAllExperiments(*seed)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print(res.Report())
 		return
-	}
-
-	if *pprofAddr != "" {
-		go func() {
-			log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, nil))
-		}()
-		log.Printf("pprof listening on http://%s/debug/pprof/", *pprofAddr)
 	}
 
 	var src vb.Source

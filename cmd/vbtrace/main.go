@@ -33,11 +33,9 @@ func main() {
 		fcH        = flag.Duration("forecast", 0, "also emit forecasts at this horizon (e.g. 24h; 0 = none)")
 		startArg   = flag.String("start", "2020-01-01", "trace start date (YYYY-MM-DD)")
 		metricsOut = flag.String("metrics", "", "write a generation manifest (metrics JSON) to this file")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for trace generation (0 = all cores, 1 = serial; output is identical)")
 		workload   = flag.String("workload", "", "generate an application trace from a cohort spec (JSON file): trace v2 JSONL on stdout, or a per-class breakdown with -format summary")
 	)
 	flag.Parse()
-	vb.SetParallelism(*parallel)
 
 	if *workload != "" {
 		if err := runWorkloadTrace(*workload, *format); err != nil {

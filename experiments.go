@@ -274,7 +274,7 @@ func CovPairImprovement(seed uint64) (PairImprovementResult, error) {
 	for i := range fleet {
 		names[i] = fleet[i].Name
 	}
-	perInterval, err := par.Map(context.Background(), covPairIntervals, 0,
+	perInterval, err := par.Map(context.Background(), covPairIntervals,
 		func(m int) ([]energy.PairImprovement, error) {
 			st := experimentStart.AddDate(0, 0, covPairStartDay(m))
 			fp, err := w.GeneratePower(fleet, st, time.Hour, covPairWindowDays*24)
@@ -430,7 +430,7 @@ func Fig5ForecastAccuracy(seed uint64) (Fig5Result, error) {
 	// each cell is independent and the assembled table is deterministic.
 	fc := forecast.New(seed)
 	horizons := []time.Duration{Horizon3H, HorizonDay, HorizonWeek}
-	cells, err := par.Map(context.Background(), len(sites)*len(horizons), 0,
+	cells, err := par.Map(context.Background(), len(sites)*len(horizons),
 		func(c int) (float64, error) {
 			i, h := c/len(horizons), horizons[c%len(horizons)]
 			f, err := fc.Forecast(series[i], sites[i].Source, h, sites[i].Name)

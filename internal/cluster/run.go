@@ -37,26 +37,15 @@ func (r RunResult) TotalInGB() float64 { return r.InGB.Total() }
 // minor variations in power are absorbed by simply powering down
 // un-allocated cores" observation. Minor power *gains* still pull queued
 // VMs in ("minor power gains cause migrations into the site"), which the
-// paper reports separately as the spread-out In series; use
-// FractionFullyQuietChanges to require both directions silent.
+// paper reports separately as the spread-out In series.
 func (r RunResult) FractionQuietChanges() float64 {
-	return r.quietFraction(func(s StepResult) bool { return s.OutGB == 0 })
-}
-
-// FractionFullyQuietChanges returns the fraction of power changes with no
-// migration in either direction.
-func (r RunResult) FractionFullyQuietChanges() float64 {
-	return r.quietFraction(func(s StepResult) bool { return s.OutGB == 0 && s.InGB == 0 })
-}
-
-func (r RunResult) quietFraction(quietStep func(StepResult) bool) float64 {
 	n, quiet := 0, 0
 	for i := 1; i < len(r.Steps); i++ {
 		if r.Power.Values[i] == r.Power.Values[i-1] {
 			continue
 		}
 		n++
-		if quietStep(r.Steps[i]) {
+		if r.Steps[i].OutGB == 0 {
 			quiet++
 		}
 	}

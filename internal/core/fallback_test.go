@@ -66,7 +66,7 @@ func TestFallbackRoundedLPTier(t *testing.T) {
 	if got := vec.Value("MIP", "rounded-lp"); got != 1 {
 		t.Fatalf("fallback.by_tier[MIP,rounded-lp] = %v, want 1", got)
 	}
-	if got := reg.Tracer().Count(obs.SchedulerFallback); got != 1 {
+	if got := reg.Tracer().Stats(obs.SchedulerFallback).Count; got != 1 {
 		t.Fatalf("SchedulerFallback events = %d, want 1", got)
 	}
 	// The MIPSolveFinish event carries the tier.
@@ -169,7 +169,7 @@ func TestCleanSolveRecordsNoFallback(t *testing.T) {
 			t.Fatalf("%s = %v on a clean solve, want 0", name, got)
 		}
 	}
-	if got := reg.Tracer().Count(obs.SchedulerFallback); got != 0 {
+	if got := reg.Tracer().Stats(obs.SchedulerFallback).Count; got != 0 {
 		t.Fatalf("SchedulerFallback events = %d on a clean solve", got)
 	}
 }

@@ -639,21 +639,6 @@ func TestOUStationary(t *testing.T) {
 	}
 }
 
-func TestMixPreservesVariance(t *testing.T) {
-	// mix with a=0.6: 0.36 + 0.64 = 1 when inputs are unit variance.
-	rng := NewWorld(5).subRNG("mix")
-	r := genOU(5, 20000, rng)
-	l := genOU(5, 20000, rng)
-	out := make([]float64, len(r))
-	for i := range out {
-		out[i] = mix(0.6, r[i], l[i])
-	}
-	sd := stats.StdDev(out)
-	if math.Abs(sd-1) > 0.1 {
-		t.Errorf("mixed std = %v, want ~1", sd)
-	}
-}
-
 // TestDistributionStableAcrossSeeds: the generative models must produce the
 // same power *distribution* for any seed (only the sample path changes) —
 // checked with a two-sample KS statistic.

@@ -63,13 +63,6 @@ func classifyRegime(z float64) regime {
 	}
 }
 
-// mix blends a regional driver r with local noise l using weight a in [0,1]:
-// the result keeps unit variance when both inputs have unit variance and are
-// independent.
-func mix(a, r, l float64) float64 {
-	return a*r + math.Sqrt(1-a*a)*l
-}
-
 // corrWeight converts a distance (km) into a correlation weight using an
 // exponential decay with the given length scale (km).
 func corrWeight(distKM, scaleKM float64) float64 {

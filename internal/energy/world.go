@@ -32,11 +32,6 @@ type World struct {
 	// Obs, when non-nil, receives trace-generation timings and sample
 	// counters. A nil registry is a no-op.
 	Obs *obs.Registry
-	// Workers bounds the goroutines generating per-site series. Zero
-	// selects the package default (par.Default, normally GOMAXPROCS); one
-	// forces the serial path. Output is bit-identical for every setting:
-	// each site draws only from its own name-keyed sub-RNG.
-	Workers int
 }
 
 // NewWorld returns a World with default correlation structure.
@@ -170,7 +165,7 @@ func (w *World) Generate(cfgs []SiteConfig, start time.Time, step time.Duration,
 	// name-keyed sub-RNG, so worker count cannot change the samples.
 	anchors := anchorGrid(cfgs)
 	anchorData := make([]anchorSeries, len(anchors))
-	err = par.ForEach(context.Background(), len(anchors), w.Workers, func(i int) error {
+	err = par.ForEach(context.Background(), len(anchors), func(i int) error {
 		rng := w.subRNG(fmt.Sprintf("anchor/%d", i))
 		anchorData[i] = anchorSeries{
 			cloudDaily: genOU(2.2, nDays, rng),          // ~2-day weather systems
@@ -187,7 +182,7 @@ func (w *World) Generate(cfgs []SiteConfig, start time.Time, step time.Duration,
 	// latents and its own name-keyed sub-RNG, so any worker count produces
 	// bit-identical series (asserted by TestGenerateParallelDeterminism).
 	out := make([]trace.Series, len(cfgs))
-	err = par.ForEach(context.Background(), len(cfgs), w.Workers, func(si int) error {
+	err = par.ForEach(context.Background(), len(cfgs), func(si int) error {
 		cfg := cfgs[si]
 		weights := w.anchorWeights(cfg, anchors)
 		local := math.Sqrt(1 - w.regionalShare()*w.regionalShare())

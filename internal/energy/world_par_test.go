@@ -8,14 +8,13 @@ import (
 	"github.com/vbcloud/vb/internal/trace"
 )
 
-// generateWith runs World.Generate over the 12-site fleet with the given
-// worker count and GOMAXPROCS setting, restoring GOMAXPROCS afterwards.
-func generateWith(t *testing.T, workers, procs int) []trace.Series {
+// generateWith runs World.Generate over the 12-site fleet at the given
+// GOMAXPROCS, which is the fan-out worker count, restoring it afterwards.
+func generateWith(t *testing.T, procs int) []trace.Series {
 	t.Helper()
 	old := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(old)
 	w := NewWorld(42)
-	w.Workers = workers
 	out, err := w.Generate(EuropeanFleet(0), start, 15*time.Minute, 14*96)
 	if err != nil {
 		t.Fatal(err)
@@ -24,23 +23,21 @@ func generateWith(t *testing.T, workers, procs int) []trace.Series {
 }
 
 // TestGenerateParallelDeterminism asserts the tentpole guarantee: the
-// fanned-out per-site pass produces bit-identical series for every worker
-// count and GOMAXPROCS setting, because each site draws only from its own
-// name-keyed sub-RNG after the shared anchor pass.
+// fanned-out per-site pass produces bit-identical series for every
+// GOMAXPROCS setting, because each site draws only from its own name-keyed
+// sub-RNG after the shared anchor pass.
 func TestGenerateParallelDeterminism(t *testing.T) {
-	serial := generateWith(t, 1, 1)
+	serial := generateWith(t, 1)
 	cases := []struct {
-		name           string
-		workers, procs int
+		name  string
+		procs int
 	}{
-		{"workers=2", 2, runtime.NumCPU()},
-		{"workers=NumCPU", runtime.NumCPU(), runtime.NumCPU()},
-		{"workers=default", 0, runtime.NumCPU()},
-		{"workers=default,GOMAXPROCS=1", 0, 1},
-		{"workers=32", 32, runtime.NumCPU()},
+		{"GOMAXPROCS=2", 2},
+		{"GOMAXPROCS=NumCPU", runtime.NumCPU()},
+		{"GOMAXPROCS=32", 32},
 	}
 	for _, tc := range cases {
-		got := generateWith(t, tc.workers, tc.procs)
+		got := generateWith(t, tc.procs)
 		if len(got) != len(serial) {
 			t.Fatalf("%s: %d series, want %d", tc.name, len(got), len(serial))
 		}

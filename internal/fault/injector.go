@@ -72,14 +72,6 @@ func (inj *Injector) Hash() uint64 {
 	return inj.hash
 }
 
-// Script returns the compiled script (nil when nil).
-func (inj *Injector) Script() *Script {
-	if inj == nil {
-		return nil
-	}
-	return inj.script
-}
-
 func siteMatches(eventSite, site int) bool { return eventSite == -1 || eventSite == site }
 
 // CapFactor returns the actual-capacity multiplier for a site at a step:

@@ -3,9 +3,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -54,15 +52,6 @@ func LoadScript(path string) (*Script, error) {
 		return nil, fmt.Errorf("fault: parse script %s: %w", path, err)
 	}
 	return &s, nil
-}
-
-// SaveScript writes the script as indented JSON.
-func (s *Script) SaveScript(path string) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // ParseSpec parses a compact command-line fault spec: a comma-separated
@@ -165,56 +154,4 @@ func cutLast(s, sep string) (before, after string, found bool) {
 		return s, "", false
 	}
 	return s[:i], s[i+len(sep):], true
-}
-
-// RandomConfig parameterizes RandomScript.
-type RandomConfig struct {
-	// NumSites and Steps are the scenario dimensions.
-	NumSites int
-	Steps    int
-	// Events is how many events to draw (default 8).
-	Events int
-	// MaxWindow caps an event's duration in steps (default Steps/4).
-	MaxWindow int
-}
-
-// RandomScript draws a valid random fault script from the given seed.
-// The draw is deterministic: the same seed and config produce the same
-// script on every platform.
-func RandomScript(seed int64, cfg RandomConfig) *Script {
-	if cfg.Events <= 0 {
-		cfg.Events = 8
-	}
-	if cfg.MaxWindow <= 0 {
-		cfg.MaxWindow = cfg.Steps/4 + 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var s Script
-	for i := 0; i < cfg.Events; i++ {
-		k := Kind(rng.Intn(numKinds))
-		start := rng.Intn(cfg.Steps)
-		dur := 1 + rng.Intn(cfg.MaxWindow)
-		end := start + dur
-		if end > cfg.Steps {
-			end = cfg.Steps
-		}
-		e := Event{Kind: k, Site: rng.Intn(cfg.NumSites), Start: start, End: end}
-		switch k {
-		case SiteBrownout:
-			e.Severity = 0.2 + 0.7*rng.Float64()
-		case WANCut:
-			e.Peer = rng.Intn(cfg.NumSites)
-		case WANDegraded:
-			e.Peer = rng.Intn(cfg.NumSites)
-			e.Severity = 50 + 450*rng.Float64()
-		case ForecastBust:
-			e.Severity = 0.5 + rng.Float64()
-		case SolverSlowdown:
-			e.Site = -1
-			e.Severity = 1 + 63*rng.Float64()
-		}
-		s.Events = append(s.Events, e)
-	}
-	sort.Slice(s.Events, func(a, b int) bool { return s.Events[a].Start < s.Events[b].Start })
-	return &s
 }

@@ -129,9 +129,6 @@ func (f *Forecaster) NewBundle(truth trace.Series, src energy.Source, label stri
 	return b, nil
 }
 
-// Truth returns the underlying actual series.
-func (b *Bundle) Truth() trace.Series { return b.truth }
-
 // SetObs attaches an observability registry: subsequent PredictAt calls
 // emit a HorizonSwitch event whenever they answer from a different
 // standard horizon than the previous call. Pass nil to detach.

@@ -149,9 +149,6 @@ func TestBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Truth().Len() != series[1].Len() {
-		t.Error("Truth should round trip")
-	}
 	if _, err := b.Horizon(HorizonDay); err != nil {
 		t.Errorf("day horizon missing: %v", err)
 	}

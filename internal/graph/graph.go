@@ -80,17 +80,6 @@ func (g *Graph) Connected(i, j int) bool { return i != j && g.adj[i][j] }
 // Latency returns the estimated latency between sites i and j in ms.
 func (g *Graph) Latency(i, j int) float64 { return g.latency[i][j] }
 
-// Degree returns the number of neighbours of node i.
-func (g *Graph) Degree(i int) int {
-	n := 0
-	for j := range g.adj[i] {
-		if g.adj[i][j] {
-			n++
-		}
-	}
-	return n
-}
-
 // Cliques enumerates all cliques of exactly size k (k >= 1), each returned
 // as a sorted slice of node indices. k = 1 returns every node. The paper
 // uses k = 2..5.

@@ -239,9 +239,6 @@ func (in *Instance) SetBound(j int, lo, hi float64) {
 // Bounds returns structural variable j's current working bounds.
 func (in *Instance) Bounds(j int) (lo, hi float64) { return in.lo[j], in.hi[j] }
 
-// NumVars returns the structural variable count.
-func (in *Instance) NumVars() int { return in.nStruct }
-
 // Pivots returns the cumulative simplex pivot count across all solves.
 func (in *Instance) Pivots() int64 { return in.pivots }
 

@@ -7,10 +7,7 @@
 // the migration takes, and how long the VM is paused (downtime).
 package migration
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Model parameterizes the pre-copy loop.
 type Model struct {
@@ -111,54 +108,4 @@ func (m Model) Migrate(memGB float64) (Result, error) {
 	res.DurationSec += res.DowntimeSec
 	res.Amplification = res.TransferredGB / memGB
 	return res, nil
-}
-
-// Amplification returns the traffic amplification factor for a VM of memGB:
-// the bytes actually sent over the bytes the memory-size estimate counts.
-// For dirty-to-bandwidth ratio r < 1 it approaches 1/(1-r).
-func (m Model) Amplification(memGB float64) (float64, error) {
-	r, err := m.Migrate(memGB)
-	if err != nil {
-		return 0, err
-	}
-	return r.Amplification, nil
-}
-
-// ExecutionSlowdown estimates the relative slowdown the migrated workload
-// experiences during migration, following the observation in Akoush et al.
-// that page tracking and transfer contend with execution: a fixed tracking
-// overhead while pre-copy runs plus full stop during downtime, averaged
-// over a window of windowSec that contains one migration.
-func (m Model) ExecutionSlowdown(memGB, windowSec float64) (float64, error) {
-	if windowSec <= 0 {
-		return 0, fmt.Errorf("migration: non-positive window %v", windowSec)
-	}
-	r, err := m.Migrate(memGB)
-	if err != nil {
-		return 0, err
-	}
-	if r.DurationSec >= windowSec {
-		return 0, fmt.Errorf("migration: duration %.1fs exceeds window %.1fs", r.DurationSec, windowSec)
-	}
-	const trackingOverhead = 0.08 // ~8% while pre-copy is active
-	lost := trackingOverhead*(r.DurationSec-r.DowntimeSec) + r.DowntimeSec
-	return lost / windowSec, nil
-}
-
-// WorstCaseDowntime returns the downtime if the VM were stop-and-copied
-// outright (no pre-copy), the upper bound live migration improves on.
-func (m Model) WorstCaseDowntime(memGB float64) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if memGB <= 0 {
-		return 0, fmt.Errorf("migration: non-positive memory %v", memGB)
-	}
-	return memGB / m.BandwidthGBps, nil
-}
-
-// Converges reports whether pre-copy converges (dirty rate below link
-// bandwidth).
-func (m Model) Converges() bool {
-	return m.DirtyRateGBps < m.BandwidthGBps && !math.IsNaN(m.DirtyRateGBps)
 }

@@ -145,14 +145,6 @@ func WritePrometheus(w io.Writer, s obs.RegistrySnapshot) error {
 			bw.printf("%s%s %s\n", n, labelPairs(v.LabelNames, lv.Labels, "", ""), formatValue(lv.Value))
 		}
 	}
-	for _, name := range sortedKeys(s.GaugeVecs) {
-		v := s.GaugeVecs[name]
-		n := sanitizeName(name)
-		bw.printf("# HELP %s gauge %s\n# TYPE %s gauge\n", n, name, n)
-		for _, lv := range v.Values {
-			bw.printf("%s%s %s\n", n, labelPairs(v.LabelNames, lv.Labels, "", ""), formatValue(lv.Value))
-		}
-	}
 	for _, name := range sortedKeys(s.HistogramVecs) {
 		v := s.HistogramVecs[name]
 		first := true

@@ -74,8 +74,6 @@ func populated() *obs.Registry {
 	cv := reg.NewCounterVec("sim.planned_gb", "policy", "src", "dst")
 	cv.Add(12.5, "MIP", "0", "1")
 	cv.Add(3.25, "MIP", "1", "2")
-	gv := reg.NewGaugeVec("sim.load", "site")
-	gv.Set(7, "0")
 	hv := reg.NewHistogramVec("mip.solve.by_app", nil, "policy", "app")
 	hv.Observe(0.004, "MIP", "1")
 	hv.Observe(0.03, "MIP", "2")

@@ -37,10 +37,10 @@ func TestRegistryConcurrency(t *testing.T) {
 	if !ok || h.Count != goroutines*perG {
 		t.Errorf("lat histogram count = %v ok=%v", h.Count, ok)
 	}
-	if got := r.Tracer().Count(ForcedMigration); got != goroutines*perG {
+	if got := r.Tracer().Stats(ForcedMigration).Count; got != goroutines*perG {
 		t.Errorf("event count = %d, want %d", got, goroutines*perG)
 	}
-	if got := r.Tracer().GBTotal(ForcedMigration); got != goroutines*perG {
+	if got := r.Tracer().Stats(ForcedMigration).GB; got != goroutines*perG {
 		t.Errorf("event GB total = %v, want %d", got, goroutines*perG)
 	}
 }
@@ -124,11 +124,11 @@ func TestRingWrapKeepsExactTotals(t *testing.T) {
 			t.Errorf("ring[%d] = step %d seq %d, want oldest-first tail", i, e.Step, e.Seq)
 		}
 	}
-	if tr.Count(ForcedMigration) != 10 {
-		t.Errorf("count = %d, want 10 despite wrap", tr.Count(ForcedMigration))
+	if tr.Stats(ForcedMigration).Count != 10 {
+		t.Errorf("count = %d, want 10 despite wrap", tr.Stats(ForcedMigration).Count)
 	}
-	if tr.GBTotal(ForcedMigration) != 20 {
-		t.Errorf("gb total = %v, want 20 despite wrap", tr.GBTotal(ForcedMigration))
+	if tr.Stats(ForcedMigration).GB != 20 {
+		t.Errorf("gb total = %v, want 20 despite wrap", tr.Stats(ForcedMigration).GB)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestNilRegistryIsNoOpAndAllocFree(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{})
 	tr.SetSink(&bytes.Buffer{})
-	if tr.Events() != nil || tr.Count(StablePause) != 0 || tr.Err() != nil {
+	if tr.Events() != nil || tr.Stats(StablePause).Count != 0 || tr.Err() != nil {
 		t.Error("nil tracer should be inert")
 	}
 	if r.Tracer() != nil {

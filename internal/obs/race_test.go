@@ -38,7 +38,7 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 				_ = reg.Counter("counter")
 				_, _ = reg.Gauge("gauge")
 				_, _ = reg.Histogram("hist")
-				_ = reg.Tracer().Count(SiteStep)
+				_ = reg.Tracer().Stats(SiteStep).Count
 				_ = reg.Tracer().Events()
 				_ = reg.Tracer().AllStats()
 			}
@@ -56,10 +56,10 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 	if h, ok := reg.Histogram("hist"); !ok || h.Count != n {
 		t.Errorf("hist count = %v, want %d", h.Count, n)
 	}
-	if got := reg.Tracer().Count(SiteStep); got != n {
+	if got := reg.Tracer().Stats(SiteStep).Count; got != n {
 		t.Errorf("events = %d, want %d", got, n)
 	}
-	if got := reg.Tracer().GBTotal(SiteStep); got != n {
+	if got := reg.Tracer().Stats(SiteStep).GB; got != n {
 		t.Errorf("GB total = %v, want %d (exact despite ring wrap)", got, n)
 	}
 	if err := reg.Tracer().Err(); err != nil {
@@ -98,10 +98,10 @@ func TestTracerConcurrentEmitRingWrap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := tr.Count(VMMoved); got != writers*perG {
+	if got := tr.Stats(VMMoved).Count; got != writers*perG {
 		t.Errorf("count = %d, want %d", got, writers*perG)
 	}
-	if got := tr.CoreTotal(VMMoved); got != writers*perG*2 {
+	if got := tr.Stats(VMMoved).Cores; got != writers*perG*2 {
 		t.Errorf("core total = %v, want %d", got, writers*perG*2)
 	}
 	if ev := tr.Events(); len(ev) != 64 {

@@ -85,7 +85,6 @@ type Registry struct {
 	hists    map[string]*histogram
 	labels   map[string]string
 	cvecs    map[string]*CounterVec
-	gvecs    map[string]*GaugeVec
 	hvecs    map[string]*HistogramVec
 	tracer   *Tracer
 }
@@ -99,7 +98,6 @@ func NewRegistry() *Registry {
 		hists:    map[string]*histogram{},
 		labels:   map[string]string{},
 		cvecs:    map[string]*CounterVec{},
-		gvecs:    map[string]*GaugeVec{},
 		hvecs:    map[string]*HistogramVec{},
 		tracer:   NewTracer(0),
 	}

@@ -10,11 +10,10 @@ type RegistrySnapshot struct {
 	Counters   map[string]float64           `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	// CounterVecs, GaugeVecs and HistogramVecs hold the dimensional
-	// metrics, keyed by vec name; each VecSnapshot's series are sorted by
-	// label values, so serialized snapshots are deterministic.
+	// CounterVecs and HistogramVecs hold the dimensional metrics, keyed by
+	// vec name; each VecSnapshot's series are sorted by label values, so
+	// serialized snapshots are deterministic.
 	CounterVecs   map[string]VecSnapshot `json:"counter_vecs,omitempty"`
-	GaugeVecs     map[string]VecSnapshot `json:"gauge_vecs,omitempty"`
 	HistogramVecs map[string]VecSnapshot `json:"histogram_vecs,omitempty"`
 	// Events aggregates per-event-type counts and exact GB/core totals.
 	Events map[EventType]TypeStats `json:"events,omitempty"`
@@ -56,10 +55,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	for _, v := range r.cvecs {
 		cvecs = append(cvecs, v)
 	}
-	gvecs := make([]*GaugeVec, 0, len(r.gvecs))
-	for _, v := range r.gvecs {
-		gvecs = append(gvecs, v)
-	}
 	hvecs := make([]*HistogramVec, 0, len(r.hvecs))
 	for _, v := range r.hvecs {
 		hvecs = append(hvecs, v)
@@ -71,12 +66,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		s.CounterVecs = make(map[string]VecSnapshot, len(cvecs))
 		for _, v := range cvecs {
 			s.CounterVecs[v.name] = v.Snapshot()
-		}
-	}
-	if len(gvecs) > 0 {
-		s.GaugeVecs = make(map[string]VecSnapshot, len(gvecs))
-		for _, v := range gvecs {
-			s.GaugeVecs[v.name] = v.Snapshot()
 		}
 	}
 	if len(hvecs) > 0 {

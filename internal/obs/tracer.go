@@ -182,15 +182,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Count returns how many events of the given type were ever emitted.
-func (t *Tracer) Count(ty EventType) int64 { return t.Stats(ty).Count }
-
-// GBTotal returns the exact sum of GB over all events of the given type.
-func (t *Tracer) GBTotal(ty EventType) float64 { return t.Stats(ty).GB }
-
-// CoreTotal returns the exact sum of Cores over all events of the type.
-func (t *Tracer) CoreTotal(ty EventType) float64 { return t.Stats(ty).Cores }
-
 // Stats returns the exact aggregate for one event type.
 func (t *Tracer) Stats(ty EventType) TypeStats {
 	if t == nil {

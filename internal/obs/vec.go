@@ -1,7 +1,7 @@
 package obs
 
-// Dimensional metrics: CounterVec, GaugeVec and HistogramVec carry an
-// ordered label-name set fixed at creation (e.g. policy, site, app, class)
+// Dimensional metrics: CounterVec and HistogramVec carry an ordered
+// label-name set fixed at creation (e.g. policy, site, app, class)
 // and one time series per label-value tuple, so per-site / per-app / per-
 // class breakdowns come out of the registry instead of being re-derived by
 // every experiment.
@@ -75,20 +75,10 @@ func (s *valueStripe) add(key string, delta float64) {
 	s.mu.Unlock()
 }
 
-func (s *valueStripe) set(key string, v float64) {
-	s.mu.Lock()
-	if s.vals == nil {
-		s.vals = make(map[string]float64)
-	}
-	s.vals[key] = v
-	s.mu.Unlock()
-}
-
-func (s *valueStripe) get(key string) (float64, bool) {
+func (s *valueStripe) get(key string) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.vals[key]
-	return v, ok
+	return s.vals[key]
 }
 
 // CounterVec is a monotonically accumulating metric with one value per
@@ -135,63 +125,11 @@ func (v *CounterVec) Value(labelValues ...string) float64 {
 		return 0
 	}
 	k := vecKey(labelValues)
-	val, _ := v.stripes[stripeOf(k)].get(k)
-	return val
-}
-
-// Snapshot returns every series, sorted by label values for determinism.
-func (v *CounterVec) Snapshot() VecSnapshot {
-	if v == nil {
-		return VecSnapshot{}
-	}
-	return VecSnapshot{LabelNames: v.LabelNames(), Values: snapshotValues(&v.stripes, len(v.labels))}
-}
-
-// GaugeVec is a last-value metric with one value per label tuple. All
-// methods are safe for concurrent use and safe on a nil receiver.
-type GaugeVec struct {
-	name    string
-	labels  []string
-	stripes [vecStripes]valueStripe
-}
-
-// Name returns the vec's metric name ("" for nil).
-func (v *GaugeVec) Name() string {
-	if v == nil {
-		return ""
-	}
-	return v.name
-}
-
-// LabelNames returns the ordered label names (nil for a nil vec).
-func (v *GaugeVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return append([]string(nil), v.labels...)
-}
-
-// Set sets the series of the given label values to val. Calls with the
-// wrong number of label values are dropped.
-func (v *GaugeVec) Set(val float64, labelValues ...string) {
-	if v == nil || len(labelValues) != len(v.labels) {
-		return
-	}
-	k := vecKey(labelValues)
-	v.stripes[stripeOf(k)].set(k, val)
-}
-
-// Value returns the series value and whether it was ever set.
-func (v *GaugeVec) Value(labelValues ...string) (float64, bool) {
-	if v == nil || len(labelValues) != len(v.labels) {
-		return 0, false
-	}
-	k := vecKey(labelValues)
 	return v.stripes[stripeOf(k)].get(k)
 }
 
 // Snapshot returns every series, sorted by label values for determinism.
-func (v *GaugeVec) Snapshot() VecSnapshot {
+func (v *CounterVec) Snapshot() VecSnapshot {
 	if v == nil {
 		return VecSnapshot{}
 	}
@@ -358,23 +296,6 @@ func (r *Registry) NewCounterVec(name string, labelNames ...string) *CounterVec 
 	}
 	v := &CounterVec{name: name, labels: append([]string(nil), labelNames...)}
 	r.cvecs[name] = v
-	return v
-}
-
-// NewGaugeVec returns the registry's gauge vec of the given name, creating
-// it with the ordered label names on first use. A nil registry returns a
-// nil (no-op) vec.
-func (r *Registry) NewGaugeVec(name string, labelNames ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.gvecs[name]; ok {
-		return v
-	}
-	v := &GaugeVec{name: name, labels: append([]string(nil), labelNames...)}
-	r.gvecs[name] = v
 	return v
 }
 

@@ -42,31 +42,11 @@ func TestVecDropsWrongLabelCount(t *testing.T) {
 	if s := c.Snapshot(); len(s.Values) != 0 {
 		t.Errorf("mislabeled adds created series: %+v", s.Values)
 	}
-	g := r.NewGaugeVec("g", "a")
-	g.Set(1)
-	g.Set(1, "x", "y")
-	if _, ok := g.Value("x", "y"); ok {
-		t.Error("mislabeled gauge set took effect")
-	}
 	h := r.NewHistogramVec("h", nil, "a")
 	h.Observe(1)
 	h.Observe(1, "x", "y")
 	if s := h.Snapshot(); len(s.Histograms) != 0 {
 		t.Errorf("mislabeled observes created series: %+v", s.Histograms)
-	}
-}
-
-func TestGaugeVecLastValueWins(t *testing.T) {
-	r := NewRegistry()
-	v := r.NewGaugeVec("util", "site")
-	v.Set(0.3, "0")
-	v.Set(0.9, "0")
-	got, ok := v.Value("0")
-	if !ok || got != 0.9 {
-		t.Errorf("value = %v ok=%v, want 0.9 true", got, ok)
-	}
-	if _, ok := v.Value("1"); ok {
-		t.Error("unset series should report absent")
 	}
 }
 
@@ -130,22 +110,17 @@ func TestVecCreationIsIdempotent(t *testing.T) {
 func TestNilVecsAreNoOpAndAllocFree(t *testing.T) {
 	var r *Registry
 	c := r.NewCounterVec("c", "a")
-	g := r.NewGaugeVec("g", "a")
 	h := r.NewHistogramVec("h", nil, "a")
-	if c != nil || g != nil || h != nil {
+	if c != nil || h != nil {
 		t.Fatal("nil registry must hand out nil vecs")
 	}
 	// None of these may panic.
 	c.Add(1, "x")
 	c.Inc("x")
-	g.Set(1, "x")
 	h.Observe(1, "x")
 	h.ObserveDuration(time.Second, "x")
 	if c.Value("x") != 0 {
 		t.Error("nil counter vec should read 0")
-	}
-	if _, ok := g.Value("x"); ok {
-		t.Error("nil gauge vec should be absent")
 	}
 	if _, ok := h.SeriesSnapshot("x"); ok {
 		t.Error("nil histogram vec should be absent")
@@ -160,7 +135,6 @@ func TestNilVecsAreNoOpAndAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		c.Add(1, "x")
 		c.Inc("x", "y")
-		g.Set(2, "x")
 		h.Observe(3, "x")
 	})
 	if allocs != 0 {
@@ -209,7 +183,6 @@ func TestRegistrySnapshotIncludesVecs(t *testing.T) {
 	r.SetLabel("policy", "MIP")
 	r.Inc("flat")
 	r.NewCounterVec("cv", "a").Add(4, "x")
-	r.NewGaugeVec("gv", "a").Set(7, "y")
 	r.NewHistogramVec("hv", nil, "a").Observe(1, "z")
 	r.Emit(Event{Type: ForcedMigration, Site: 0, Dst: 1, GB: 3})
 	s := r.Snapshot()
@@ -218,9 +191,6 @@ func TestRegistrySnapshotIncludesVecs(t *testing.T) {
 	}
 	if got := s.CounterVecs["cv"].Values; len(got) != 1 || got[0].Value != 4 {
 		t.Errorf("counter vec lost: %+v", s.CounterVecs)
-	}
-	if got := s.GaugeVecs["gv"].Values; len(got) != 1 || got[0].Value != 7 {
-		t.Errorf("gauge vec lost: %+v", s.GaugeVecs)
 	}
 	if got := s.HistogramVecs["hv"].Histograms; len(got) != 1 || got[0].Hist.Count != 1 {
 		t.Errorf("histogram vec lost: %+v", s.HistogramVecs)

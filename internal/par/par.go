@@ -9,13 +9,13 @@
 //   - first-error semantics: the error of the lowest-indexed failing task is
 //     returned and later work is skipped;
 //   - context cancellation: a cancelled ctx stops dispatching new tasks;
-//   - a worker cap: at most `workers` tasks run concurrently (0 selects the
-//     package default, which tracks GOMAXPROCS unless overridden).
+//   - a worker cap: at most min(GOMAXPROCS, n) tasks run concurrently, so
+//     GOMAXPROCS=1 runs every task inline on the calling goroutine.
 //
 // Determinism contract: callers must make each task's output depend only on
 // its index (e.g. independent name-keyed sub-RNGs), never on shared mutable
 // state or execution order. Under that contract the parallel output is
-// bit-identical to the serial one for any worker count — the property the
+// bit-identical to the serial one for any GOMAXPROCS — the property the
 // determinism suite in the root package asserts.
 package par
 
@@ -26,53 +26,16 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers, when positive, overrides GOMAXPROCS as the worker count
-// used by ForEach/Map calls that pass workers <= 0.
-var defaultWorkers atomic.Int64
-
-// SetDefault sets the package-wide default worker count used when a call
-// passes workers <= 0. n <= 0 restores the GOMAXPROCS default. CLIs expose
-// this as their -parallel flag.
-func SetDefault(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// Default returns the effective default worker count: the value set with
-// SetDefault, or GOMAXPROCS when unset.
-func Default() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// resolve clamps the worker count to [1, n].
-func resolve(workers, n int) int {
-	if workers <= 0 {
-		workers = Default()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// ForEach runs fn(i) for every i in [0, n) on at most `workers` concurrent
-// goroutines (workers <= 0 selects Default()). It returns the error of the
-// lowest-indexed failing task, or ctx.Err() when the context is cancelled
-// first; once either happens, unstarted tasks are skipped. With one worker
-// (or n <= 1) it runs inline on the calling goroutine.
-func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
+// ForEach runs fn(i) for every i in [0, n) on at most min(GOMAXPROCS, n)
+// concurrent goroutines. It returns the error of the lowest-indexed failing
+// task, or ctx.Err() when the context is cancelled first; once either
+// happens, unstarted tasks are skipped. With one worker it runs inline on
+// the calling goroutine.
+func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers = resolve(workers, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -129,12 +92,12 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 // Map runs fn for every index in [0, n) under the same scheduling and error
 // semantics as ForEach and returns the results in index order. On error the
 // partial results are discarded.
-func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
+func Map[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(i int) error {
+	err := ForEach(ctx, n, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

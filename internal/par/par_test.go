@@ -10,28 +10,38 @@ import (
 	"time"
 )
 
+// withProcs sets GOMAXPROCS, which caps the worker count, for the rest of
+// the test and restores it when the test ends.
+func withProcs(t *testing.T, procs int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestMapOrdered(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
-		out, err := Map(context.Background(), 100, workers, func(i int) (int, error) {
+	for _, procs := range []int{1, 2, 7, 64} {
+		withProcs(t, procs)
+		out, err := Map(context.Background(), 100, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(out) != 100 {
-			t.Fatalf("workers=%d: %d results", workers, len(out))
+			t.Fatalf("GOMAXPROCS=%d: %d results", procs, len(out))
 		}
 		for i, v := range out {
 			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
+				t.Fatalf("GOMAXPROCS=%d: out[%d] = %d", procs, i, v)
 			}
 		}
 	}
 }
 
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) []string {
-		out, err := Map(context.Background(), 50, workers, func(i int) (string, error) {
+	run := func(procs int) []string {
+		withProcs(t, procs)
+		out, err := Map(context.Background(), 50, func(i int) (string, error) {
 			return fmt.Sprintf("task-%d", i), nil
 		})
 		if err != nil {
@@ -40,11 +50,11 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		return out
 	}
 	serial := run(1)
-	for _, w := range []int{2, 4, 16} {
-		got := run(w)
+	for _, procs := range []int{2, 4, 16} {
+		got := run(procs)
 		for i := range serial {
 			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: result %d differs: %q vs %q", w, i, got[i], serial[i])
+				t.Fatalf("GOMAXPROCS=%d: result %d differs: %q vs %q", procs, i, got[i], serial[i])
 			}
 		}
 	}
@@ -52,9 +62,10 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestForEachFirstError(t *testing.T) {
 	errBoom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
 		var ran atomic.Int64
-		err := ForEach(context.Background(), 1000, workers, func(i int) error {
+		err := ForEach(context.Background(), 1000, func(i int) error {
 			ran.Add(1)
 			if i == 3 {
 				return errBoom
@@ -62,10 +73,10 @@ func TestForEachFirstError(t *testing.T) {
 			return nil
 		})
 		if !errors.Is(err, errBoom) {
-			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want boom", procs, err)
 		}
 		if n := ran.Load(); n == 1000 {
-			t.Errorf("workers=%d: all %d tasks ran despite early error", workers, n)
+			t.Errorf("GOMAXPROCS=%d: all %d tasks ran despite early error", procs, n)
 		}
 	}
 }
@@ -73,9 +84,10 @@ func TestForEachFirstError(t *testing.T) {
 func TestForEachLowestIndexedErrorWins(t *testing.T) {
 	// Both tasks fail; the lower index's error must be reported regardless
 	// of which finishes first.
+	withProcs(t, 2)
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	for trial := 0; trial < 20; trial++ {
-		err := ForEach(context.Background(), 2, 2, func(i int) error {
+		err := ForEach(context.Background(), 2, func(i int) error {
 			if i == 0 {
 				time.Sleep(time.Millisecond)
 				return errLow
@@ -89,10 +101,11 @@ func TestForEachLowestIndexedErrorWins(t *testing.T) {
 }
 
 func TestForEachContextCancel(t *testing.T) {
+	withProcs(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := ForEach(ctx, 100, 4, func(i int) error {
+	err := ForEach(ctx, 100, func(i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -105,8 +118,9 @@ func TestForEachContextCancel(t *testing.T) {
 }
 
 func TestForEachWorkerCap(t *testing.T) {
+	withProcs(t, 3)
 	var cur, peak atomic.Int64
-	err := ForEach(context.Background(), 64, 3, func(i int) error {
+	err := ForEach(context.Background(), 64, func(i int) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -122,12 +136,13 @@ func TestForEachWorkerCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 3 {
-		t.Errorf("peak concurrency %d exceeds cap 3", p)
+		t.Errorf("peak concurrency %d exceeds GOMAXPROCS 3", p)
 	}
 }
 
 func TestMapErrorDiscardsResults(t *testing.T) {
-	out, err := Map(context.Background(), 10, 2, func(i int) (int, error) {
+	withProcs(t, 2)
+	out, err := Map(context.Background(), 10, func(i int) (int, error) {
 		if i == 5 {
 			return 0, errors.New("mid")
 		}
@@ -142,27 +157,11 @@ func TestMapErrorDiscardsResults(t *testing.T) {
 }
 
 func TestZeroAndNegativeN(t *testing.T) {
-	if err := ForEach(context.Background(), 0, 4, func(int) error { return errors.New("no") }); err != nil {
+	if err := ForEach(context.Background(), 0, func(int) error { return errors.New("no") }); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
-	out, err := Map(context.Background(), -3, 4, func(int) (int, error) { return 0, errors.New("no") })
+	out, err := Map(context.Background(), -3, func(int) (int, error) { return 0, errors.New("no") })
 	if err != nil || out != nil {
 		t.Errorf("n=-3: %v %v", out, err)
-	}
-}
-
-func TestSetDefault(t *testing.T) {
-	defer SetDefault(0)
-	SetDefault(5)
-	if Default() != 5 {
-		t.Errorf("Default() = %d, want 5", Default())
-	}
-	SetDefault(0)
-	if Default() != runtime.GOMAXPROCS(0) {
-		t.Errorf("Default() = %d, want GOMAXPROCS %d", Default(), runtime.GOMAXPROCS(0))
-	}
-	SetDefault(-1)
-	if Default() != runtime.GOMAXPROCS(0) {
-		t.Errorf("negative SetDefault should restore GOMAXPROCS")
 	}
 }

@@ -2,39 +2,26 @@
 // step 4 places VMs "to minimize total power usage by consolidating as much
 // as possible", and its §2 relies on "frequency scaling, powering down
 // cores/caches/memory units to control power distributed to servers"; this
-// package quantifies both: a linear idle+active server model with optional
-// DVFS states, site-level energy accounting, and the consolidation savings
-// that justify best-fit packing.
+// package quantifies both: a linear idle+active server model with a DVFS
+// frequency factor, and the consolidation savings that justify best-fit
+// packing.
 package power
 
-import (
-	"fmt"
-
-	"github.com/vbcloud/vb/internal/cluster"
-	"github.com/vbcloud/vb/internal/trace"
-)
+import "fmt"
 
 // ServerModel is the classic linear server power model: an idle floor plus
-// a per-utilization active component, scaled by the DVFS state.
+// a per-utilization active component, scaled by the DVFS frequency factor.
 type ServerModel struct {
 	// IdleWatts is the draw of a powered-on, empty server.
 	IdleWatts float64
 	// PeakWatts is the draw at full utilization and full frequency.
 	PeakWatts float64
-	// DVFSStates lists available frequency scaling factors in (0, 1],
-	// sorted ascending. Power scales roughly with the cube of frequency
-	// for the active component. Nil means no DVFS (always 1.0).
-	DVFSStates []float64
 }
 
 // DefaultServerModel returns a typical dual-socket server: 120 W idle,
-// 400 W peak, three DVFS states.
+// 400 W peak.
 func DefaultServerModel() ServerModel {
-	return ServerModel{
-		IdleWatts:  120,
-		PeakWatts:  400,
-		DVFSStates: []float64{0.6, 0.8, 1.0},
-	}
+	return ServerModel{IdleWatts: 120, PeakWatts: 400}
 }
 
 // Validate reports model errors.
@@ -44,13 +31,6 @@ func (m ServerModel) Validate() error {
 	}
 	if m.PeakWatts <= m.IdleWatts {
 		return fmt.Errorf("power: peak %v must exceed idle %v", m.PeakWatts, m.IdleWatts)
-	}
-	prev := 0.0
-	for _, f := range m.DVFSStates {
-		if f <= prev || f > 1 {
-			return fmt.Errorf("power: DVFS states must be ascending in (0,1], got %v", m.DVFSStates)
-		}
-		prev = f
 	}
 	return nil
 }
@@ -71,65 +51,6 @@ func (m ServerModel) Draw(utilization, freq float64) (float64, error) {
 	}
 	active := (m.PeakWatts - m.IdleWatts) * utilization * freq * freq * freq
 	return m.IdleWatts + active, nil
-}
-
-// BestDVFS returns the lowest-power DVFS state that still provides the
-// required throughput fraction (of a full-speed server). With no DVFS
-// states configured, it returns 1.
-func (m ServerModel) BestDVFS(requiredThroughput float64) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if requiredThroughput < 0 || requiredThroughput > 1 {
-		return 0, fmt.Errorf("power: throughput %v outside [0,1]", requiredThroughput)
-	}
-	if len(m.DVFSStates) == 0 {
-		return 1, nil
-	}
-	for _, f := range m.DVFSStates {
-		if f >= requiredThroughput-1e-12 {
-			return f, nil
-		}
-	}
-	return m.DVFSStates[len(m.DVFSStates)-1], nil
-}
-
-// SiteDraw returns a site's total kW given a cluster snapshot: occupied
-// servers draw at their utilization; empty-but-powered servers idle; unpow-
-// ered servers draw nothing. The simplification: allocation spreads evenly
-// over occupied servers (the snapshot does not expose per-server load).
-func SiteDraw(m ServerModel, snap cluster.Snapshot, coresPerServer int) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if coresPerServer <= 0 {
-		return 0, fmt.Errorf("power: non-positive cores per server %d", coresPerServer)
-	}
-	poweredServers := snap.PoweredCores / coresPerServer
-	if poweredServers > snap.Servers {
-		poweredServers = snap.Servers
-	}
-	occupied := snap.OccupiedServers
-	if occupied > poweredServers {
-		poweredServers = occupied // occupied servers are necessarily on
-	}
-	var kw float64
-	if occupied > 0 {
-		util := float64(snap.AllocatedCores) / float64(occupied*coresPerServer)
-		if util > 1 {
-			util = 1
-		}
-		w, err := m.Draw(util, 1)
-		if err != nil {
-			return 0, err
-		}
-		kw += float64(occupied) * w / 1000
-	}
-	idleOn := poweredServers - occupied
-	if idleOn > 0 {
-		kw += float64(idleOn) * m.IdleWatts / 1000
-	}
-	return kw, nil
 }
 
 // ConsolidationSaving compares the site draw of a consolidated packing
@@ -178,9 +99,4 @@ func ConsolidationSaving(m ServerModel, allocatedCores, poweredCores, servers, c
 	}
 	spreadKW = float64(poweredServers) * w / 1000
 	return consolidatedKW, spreadKW, nil
-}
-
-// EnergyKWh integrates a kW draw series over its duration.
-func EnergyKWh(drawKW trace.Series) float64 {
-	return drawKW.Energy() // Energy() is sum(value * step-hours)
 }

@@ -3,10 +3,6 @@ package power
 import (
 	"math"
 	"testing"
-	"time"
-
-	"github.com/vbcloud/vb/internal/cluster"
-	"github.com/vbcloud/vb/internal/trace"
 )
 
 func TestValidate(t *testing.T) {
@@ -16,9 +12,6 @@ func TestValidate(t *testing.T) {
 	bad := []ServerModel{
 		{IdleWatts: -1, PeakWatts: 100},
 		{IdleWatts: 100, PeakWatts: 100},
-		{IdleWatts: 100, PeakWatts: 400, DVFSStates: []float64{0.8, 0.6}},
-		{IdleWatts: 100, PeakWatts: 400, DVFSStates: []float64{0.5, 1.2}},
-		{IdleWatts: 100, PeakWatts: 400, DVFSStates: []float64{0}},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -63,55 +56,6 @@ func TestDraw(t *testing.T) {
 	}
 }
 
-func TestBestDVFS(t *testing.T) {
-	m := DefaultServerModel()
-	f, err := m.BestDVFS(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 0.6 {
-		t.Errorf("BestDVFS(0.5) = %v, want 0.6", f)
-	}
-	f, _ = m.BestDVFS(0.7)
-	if f != 0.8 {
-		t.Errorf("BestDVFS(0.7) = %v, want 0.8", f)
-	}
-	f, _ = m.BestDVFS(1.0)
-	if f != 1.0 {
-		t.Errorf("BestDVFS(1.0) = %v, want 1.0", f)
-	}
-	noDVFS := ServerModel{IdleWatts: 100, PeakWatts: 300}
-	f, _ = noDVFS.BestDVFS(0.3)
-	if f != 1 {
-		t.Errorf("no-DVFS BestDVFS = %v, want 1", f)
-	}
-	if _, err := m.BestDVFS(2); err == nil {
-		t.Error("bad throughput should error")
-	}
-}
-
-func TestSiteDraw(t *testing.T) {
-	m := DefaultServerModel()
-	snap := cluster.Snapshot{
-		Servers:         10,
-		OccupiedServers: 2,
-		PoweredCores:    40, // 4 servers powered at 10 cores each
-		AllocatedCores:  10, // spread over the 2 occupied: 50% util
-	}
-	kw, err := SiteDraw(m, snap, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 servers at 50% util: 2 x (120 + 280*0.5) = 520 W; 2 idle-on: 240 W.
-	want := (2*(120+280*0.5) + 2*120) / 1000
-	if math.Abs(kw-want) > 1e-9 {
-		t.Errorf("site draw = %v kW, want %v", kw, want)
-	}
-	if _, err := SiteDraw(m, snap, 0); err == nil {
-		t.Error("bad cores per server should error")
-	}
-}
-
 func TestConsolidationSaving(t *testing.T) {
 	m := DefaultServerModel()
 	// 25 cores allocated, 100 powered, 10 servers x 10 cores.
@@ -143,14 +87,5 @@ func TestConsolidationSaving(t *testing.T) {
 	}
 	if spread != 0 {
 		t.Errorf("spread with no powered servers = %v", spread)
-	}
-}
-
-func TestEnergyKWh(t *testing.T) {
-	start := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
-	draw := trace.FromValues(start, 30*time.Minute, []float64{10, 10, 20, 20})
-	// (10+10)*0.5 + (20+20)*0.5 = 30 kWh.
-	if got := EnergyKWh(draw); math.Abs(got-30) > 1e-9 {
-		t.Errorf("energy = %v kWh, want 30", got)
 	}
 }

@@ -102,15 +102,6 @@ func (c Config) TrafficGB(period time.Duration) (float64, error) {
 	}
 }
 
-// FailoverLoss returns the work window lost when the primary site dies:
-// zero for hot standby, up to a full checkpoint interval for cold.
-func (c Config) FailoverLoss() time.Duration {
-	if c.Mode == Hot {
-		return 0
-	}
-	return c.interval()
-}
-
 // BreakEvenMoves returns how many migrations of the same application over
 // the period cost as much WAN traffic as keeping the standby, given the
 // per-move bytes (memory x amplification). Fewer actual moves than this

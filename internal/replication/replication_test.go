@@ -62,6 +62,11 @@ func TestColdTraffic(t *testing.T) {
 	if math.Abs(got-want) > 1e-6 {
 		t.Errorf("cold traffic = %v, want %v", got, want)
 	}
+	// An unset checkpoint interval defaults to hourly.
+	c.CheckpointInterval = 0
+	if dflt, err := c.TrafficGB(4 * time.Hour); err != nil || dflt != got {
+		t.Errorf("default-interval cold traffic = %v (%v), want the hourly %v", dflt, err, got)
+	}
 	// A lightly-dirtying VM ships roughly its raw delta (no saturation).
 	c.DirtyRateGBps = 0.0001 // 0.36 GB/h
 	got, err = c.TrafficGB(4 * time.Hour)
@@ -88,19 +93,6 @@ func TestTrafficErrors(t *testing.T) {
 	}
 	if _, err := (Config{Mode: Hot}).TrafficGB(time.Hour); err == nil {
 		t.Error("invalid config should error")
-	}
-}
-
-func TestFailoverLoss(t *testing.T) {
-	if (Config{Mode: Hot, MemGB: 1}).FailoverLoss() != 0 {
-		t.Error("hot failover should lose nothing")
-	}
-	c := Config{Mode: Cold, MemGB: 1, CheckpointInterval: 30 * time.Minute}
-	if c.FailoverLoss() != 30*time.Minute {
-		t.Error("cold failover should lose up to an interval")
-	}
-	if (Config{Mode: Cold, MemGB: 1}).FailoverLoss() != time.Hour {
-		t.Error("default interval should be 1h")
 	}
 }
 

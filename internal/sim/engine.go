@@ -22,11 +22,7 @@ type Engine struct {
 	vecs *simVecs
 
 	active []*appState
-	// classed is set once any admitted app carries a non-legacy class
-	// breakdown; until then the degradation ladder is skipped entirely, so
-	// legacy runs take exactly the seed code path.
-	classed bool
-	res     Result
+	res    Result
 }
 
 // appState is one admitted application's live scheduling state.
@@ -194,9 +190,6 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 		}
 		st := &appState{demand: d, plan: plan, cur: make([]float64, numSites), endStep: endStep,
 			weight: d.PauseWeight(), shares: firmShares(d)}
-		if len(st.shares) != 1 || st.shares[0].class != workload.Stable {
-			e.classed = true
-		}
 		// Initial placement is free (the VMs boot where scheduled).
 		for s := 0; s < numSites; s++ {
 			st.cur[s] = plan.Alloc[s][t]
@@ -254,20 +247,16 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 			}
 		}
 	}
-	// Degradation ladder: when SLO classes are in play, forced migrations
-	// drain the cheapest-to-pause apps first (ascending pause weight: Batch
-	// before Interactive before RealTime), so whatever cannot move — and
-	// therefore pauses — lands on the most tolerant workloads. Equal weights
-	// keep admission order (SliceStable), and legacy runs skip the sort
-	// entirely: every weight is exactly 1, so the seed decision sequence is
-	// untouched.
-	forcedOrder := e.active
-	if e.classed {
-		forcedOrder = append([]*appState(nil), e.active...)
-		sort.SliceStable(forcedOrder, func(i, j int) bool {
-			return forcedOrder[i].weight < forcedOrder[j].weight
-		})
-	}
+	// Degradation ladder: forced migrations drain the cheapest-to-pause
+	// apps first (ascending pause weight: Batch before Interactive before
+	// RealTime), so whatever cannot move — and therefore pauses — lands on
+	// the most tolerant workloads. Equal weights keep admission order
+	// (SliceStable); every legacy demand weighs exactly 1, so legacy runs
+	// keep the seed decision sequence.
+	forcedOrder := append([]*appState(nil), e.active...)
+	sort.SliceStable(forcedOrder, func(i, j int) bool {
+		return forcedOrder[i].weight < forcedOrder[j].weight
+	})
 	for s := 0; s < numSites; s++ {
 		over := load[s] - e.actCap(s, t)
 		if over <= 1e-9 {

@@ -117,7 +117,7 @@ func TestBlackoutDegradesServiceAndCounts(t *testing.T) {
 	if c := vec.Value("site_blackout"); c != 1 {
 		t.Errorf("fault.injected.by_kind[site_blackout] = %v, want 1", c)
 	}
-	if c := reg.Tracer().Count(obs.FaultInjected); c != 1 {
+	if c := reg.Tracer().Stats(obs.FaultInjected).Count; c != 1 {
 		t.Errorf("FaultInjected events = %d, want 1", c)
 	}
 }

@@ -23,19 +23,19 @@ func TestObsEventReconciliation(t *testing.T) {
 			t.Fatalf("%v: %v", pol, err)
 		}
 		tr := reg.Tracer()
-		if got := tr.GBTotal(obs.ForcedMigration); got != res.ForcedGB {
+		if got := tr.Stats(obs.ForcedMigration).GB; got != res.ForcedGB {
 			t.Errorf("%v: forced event GB %v != result ForcedGB %v", pol, got, res.ForcedGB)
 		}
-		if got := tr.GBTotal(obs.PlannedRealloc); got != res.PlannedGB {
+		if got := tr.Stats(obs.PlannedRealloc).GB; got != res.PlannedGB {
 			t.Errorf("%v: planned event GB %v != result PlannedGB %v", pol, got, res.PlannedGB)
 		}
-		if got := tr.CoreTotal(obs.StablePause); got != res.PausedStableCoreSteps {
+		if got := tr.Stats(obs.StablePause).Cores; got != res.PausedStableCoreSteps {
 			t.Errorf("%v: pause event cores %v != result PausedStableCoreSteps %v", pol, got, res.PausedStableCoreSteps)
 		}
-		if got := tr.CoreTotal(obs.Shortfall); got != res.ShortfallCoreSteps {
+		if got := tr.Stats(obs.Shortfall).Cores; got != res.ShortfallCoreSteps {
 			t.Errorf("%v: shortfall event cores %v != result ShortfallCoreSteps %v", pol, got, res.ShortfallCoreSteps)
 		}
-		if got := tr.Count(obs.PlanComputed); got != int64(res.Placements) {
+		if got := tr.Stats(obs.PlanComputed).Count; got != int64(res.Placements) {
 			t.Errorf("%v: plan events %d != result Placements %d", pol, got, res.Placements)
 		}
 		if res.Placements == 0 {
@@ -55,17 +55,17 @@ func TestObsEventReconciliation(t *testing.T) {
 			t.Fatalf("%v: %v", pol, err)
 		}
 		tr := reg.Tracer()
-		if got := tr.GBTotal(obs.VMMoved); got != res.Transfer.Total() {
+		if got := tr.Stats(obs.VMMoved).GB; got != res.Transfer.Total() {
 			t.Errorf("%v: vm_moved event GB %v != result transfer %v", pol, got, res.Transfer.Total())
 		}
 		var evicted int
 		for _, n := range res.EvictionsByClass {
 			evicted += n
 		}
-		if got := tr.Count(obs.VMEvicted); got != int64(evicted) || evicted == 0 {
+		if got := tr.Stats(obs.VMEvicted).Count; got != int64(evicted) || evicted == 0 {
 			t.Errorf("%v: vm_evicted events %d != result evictions %d (want > 0)", pol, got, evicted)
 		}
-		if got := tr.Count(obs.VMPlacementFail); got != int64(res.FailedPlacements) {
+		if got := tr.Stats(obs.VMPlacementFail).Count; got != int64(res.FailedPlacements) {
 			t.Errorf("%v: vm_placement_failed events %d != result FailedPlacements %d", pol, got, res.FailedPlacements)
 		}
 
@@ -90,7 +90,7 @@ func TestObsEventReconciliation(t *testing.T) {
 			}
 			replans += rep.Replans
 		}
-		if got := tr.Count(obs.PlanComputed); got != int64(admissions+replans) || admissions == 0 {
+		if got := tr.Stats(obs.PlanComputed).Count; got != int64(admissions+replans) || admissions == 0 {
 			t.Errorf("%v: plan events %d != %d admissions with a plan + %d replans", pol, got, admissions, replans)
 		}
 		if a, r := reg.Counter("sim.admissions"), reg.Counter("sim.replans"); a != float64(admissions) || r != float64(replans) {
@@ -117,7 +117,7 @@ func TestObsRegistryViaConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Tracer().Count(obs.PlanComputed); got != int64(res.Placements) {
+	if got := reg.Tracer().Stats(obs.PlanComputed).Count; got != int64(res.Placements) {
 		t.Errorf("plan events %d != placements %d", got, res.Placements)
 	}
 	h, ok := reg.Histogram("sim.run")

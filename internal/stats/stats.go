@@ -60,21 +60,6 @@ func CoV(xs []float64) float64 {
 	return sd / math.Abs(m)
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between order statistics. It returns ErrEmpty for empty
-// input and an error for p outside [0, 100].
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
-}
-
 // percentileSorted computes a percentile assuming xs is sorted ascending and
 // non-empty.
 func percentileSorted(xs []float64, p float64) float64 {
@@ -231,21 +216,6 @@ func MAPE(forecast, actual []float64, floor float64) (float64, error) {
 	return sum / float64(n) * 100, nil
 }
 
-// MAE returns the mean absolute error between forecast and actual.
-func MAE(forecast, actual []float64) (float64, error) {
-	if len(forecast) != len(actual) {
-		return 0, fmt.Errorf("stats: MAE length mismatch %d vs %d", len(forecast), len(actual))
-	}
-	if len(actual) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum float64
-	for i := range actual {
-		sum += math.Abs(forecast[i] - actual[i])
-	}
-	return sum / float64(len(actual)), nil
-}
-
 // Pearson returns the Pearson correlation coefficient of xs and ys. It
 // returns 0 when either input has zero variance.
 func Pearson(xs, ys []float64) (float64, error) {
@@ -267,30 +237,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Histogram bins xs into n equal-width buckets over [min, max] and returns
-// the bucket counts. Values exactly at max land in the last bucket.
-func Histogram(xs []float64, min, max float64, n int) ([]int, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bucket count, got %d", n)
-	}
-	if max <= min {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v] is empty", min, max)
-	}
-	counts := make([]int, n)
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		i := int((x - min) / width)
-		if i >= n {
-			i = n - 1
-		}
-		counts[i]++
-	}
-	return counts, nil
 }
 
 // Ratio returns a/b, or +Inf when b is zero and a is not, or 1 when both are

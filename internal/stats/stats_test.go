@@ -52,22 +52,19 @@ func TestPercentile(t *testing.T) {
 		{0, 15}, {100, 50}, {50, 35}, {25, 20}, {75, 40}, {40, 29},
 	}
 	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
+		got, err := Quantiles(xs, c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !almostEq(got, c.want, 1e-9) {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
+		if !almostEq(got[0], c.want, 1e-9) {
+			t.Errorf("P%v = %v, want %v", c.p, got[0], c.want)
 		}
 	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("empty should error")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
+	if _, err := Quantiles(xs, 101); err == nil {
 		t.Error("out of range should error")
 	}
-	if got, _ := Percentile([]float64{7}, 99); got != 7 {
-		t.Errorf("singleton percentile = %v", got)
+	if got, _ := Quantiles([]float64{7}, 99); got[0] != 7 {
+		t.Errorf("singleton percentile = %v", got[0])
 	}
 }
 
@@ -180,22 +177,6 @@ func TestMAPE(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	got, err := MAE([]float64{1, 2, 3}, []float64{2, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 1, 1e-12) {
-		t.Errorf("MAE = %v, want 1", got)
-	}
-	if _, err := MAE(nil, nil); err == nil {
-		t.Error("empty should error")
-	}
-	if _, err := MAE([]float64{1}, nil); err == nil {
-		t.Error("mismatch should error")
-	}
-}
-
 func TestPearson(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
@@ -220,25 +201,6 @@ func TestPearson(t *testing.T) {
 	}
 	if _, err := Pearson(nil, nil); err == nil {
 		t.Error("empty should error")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.5, 0.9, 1.0, 2.0, -1.0}
-	counts, err := Histogram(xs, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Out-of-range 2.0 and -1.0 dropped; 0.5 opens the second bucket and
-	// 1.0 is clamped into the last bucket.
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Errorf("Histogram = %v", counts)
-	}
-	if _, err := Histogram(xs, 0, 1, 0); err == nil {
-		t.Error("zero buckets should error")
-	}
-	if _, err := Histogram(xs, 1, 1, 3); err == nil {
-		t.Error("empty range should error")
 	}
 }
 
@@ -272,9 +234,8 @@ func TestPropPercentileMonotone(t *testing.T) {
 		if p1 > p2 {
 			p1, p2 = p2, p1
 		}
-		v1, err1 := Percentile(xs, p1)
-		v2, err2 := Percentile(xs, p2)
-		return err1 == nil && err2 == nil && v1 <= v2
+		v, err := Quantiles(xs, p1, p2)
+		return err == nil && v[0] <= v[1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

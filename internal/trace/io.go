@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 )
 
-// csvTimeLayout is the timestamp format used in CSV interchange.
-const csvTimeLayout = time.RFC3339
+// csvTimeLayout is the timestamp format used in CSV interchange. It prints
+// whole seconds exactly as RFC 3339 does and keeps any sub-second part, so
+// every time a series can hold survives a write→read round trip.
+const csvTimeLayout = time.RFC3339Nano
 
 // WriteCSV writes one or more series sharing the same time base as a CSV
 // table with a "time" column followed by one column per series, using the
@@ -48,8 +51,10 @@ func WriteCSV(w io.Writer, names []string, series ...Series) error {
 }
 
 // ReadCSV parses a CSV table written by WriteCSV, returning the column names
-// and the series. The step is inferred from the first two timestamps; a
-// single-row table yields series with zero Step.
+// and the series. The step is inferred from the first two timestamps, and
+// every row's time must equal start + (row-1)·step: a missing, repeated or
+// out-of-order sample is an error naming the row, not a silent shift of
+// every later sample. A single-row table yields series with zero Step.
 func ReadCSV(r io.Reader) ([]string, []Series, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -67,17 +72,25 @@ func ReadCSV(r io.Reader) ([]string, []Series, error) {
 	n := len(records) - 1
 	start, err := time.Parse(csvTimeLayout, records[1][0])
 	if err != nil {
-		return nil, nil, fmt.Errorf("trace: bad timestamp %q: %w", records[1][0], err)
+		return nil, nil, fmt.Errorf("trace: row 1: bad timestamp %q: %w", records[1][0], err)
 	}
 	var step time.Duration
 	if n > 1 {
 		second, err := time.Parse(csvTimeLayout, records[2][0])
 		if err != nil {
-			return nil, nil, fmt.Errorf("trace: bad timestamp %q: %w", records[2][0], err)
+			return nil, nil, fmt.Errorf("trace: row 2: bad timestamp %q: %w", records[2][0], err)
 		}
 		step = second.Sub(start)
 		if step <= 0 {
 			return nil, nil, ErrBadStep
+		}
+		// The whole table must fit one Duration from start, and its last
+		// time must still print as a four-digit year in start's zone.
+		if time.Duration(n-1) > math.MaxInt64/step {
+			return nil, nil, fmt.Errorf("trace: %d rows of step %v overflow the time range", n, step)
+		}
+		if end := start.Add(time.Duration(n-1) * step); end.Year() > 9999 {
+			return nil, nil, fmt.Errorf("trace: last row time %s is past year 9999", end.Format(csvTimeLayout))
 		}
 	}
 	series := make([]Series, len(names))
@@ -88,6 +101,14 @@ func ReadCSV(r io.Reader) ([]string, []Series, error) {
 		rec := records[i]
 		if len(rec) != len(header) {
 			return nil, nil, fmt.Errorf("trace: row %d has %d fields, want %d", i, len(rec), len(header))
+		}
+		at, err := time.Parse(csvTimeLayout, rec[0])
+		if err != nil {
+			return nil, nil, fmt.Errorf("trace: row %d: bad timestamp %q: %w", i, rec[0], err)
+		}
+		if want := series[0].TimeAt(i - 1); !at.Equal(want) {
+			return nil, nil, fmt.Errorf("trace: row %d: time %s, want %s (start + %d·%v)",
+				i, rec[0], want.Format(csvTimeLayout), i-1, step)
 		}
 		for j := range names {
 			v, err := strconv.ParseFloat(rec[j+1], 64)

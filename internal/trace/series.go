@@ -1,6 +1,6 @@
 // Package trace provides the time-series substrate used throughout the
 // Virtual Battery simulator: regularly sampled series, window operations,
-// arithmetic, resampling, and CSV/JSON interchange.
+// arithmetic, and CSV/JSON interchange.
 //
 // A Series is the common currency between the energy models (normalized
 // power), the forecaster (predicted power), the cluster simulator (migration
@@ -169,15 +169,6 @@ func (s Series) Clamp(lo, hi float64) Series {
 	return out
 }
 
-// Map returns a new series with f applied to every value.
-func (s Series) Map(f func(float64) float64) Series {
-	out := s.Clone()
-	for i, v := range out.Values {
-		out.Values[i] = f(v)
-	}
-	return out
-}
-
 // Add returns the element-wise sum of s and t. The two series must have the
 // same step and length; the result adopts s's start time.
 func Add(s, t Series) (Series, error) {
@@ -187,18 +178,6 @@ func Add(s, t Series) (Series, error) {
 	out := s.Clone()
 	for i := range out.Values {
 		out.Values[i] += t.Values[i]
-	}
-	return out, nil
-}
-
-// Sub returns the element-wise difference s - t.
-func Sub(s, t Series) (Series, error) {
-	if err := compatible(s, t); err != nil {
-		return Series{}, err
-	}
-	out := s.Clone()
-	for i := range out.Values {
-		out.Values[i] -= t.Values[i]
 	}
 	return out, nil
 }
@@ -276,101 +255,11 @@ func (s Series) Energy() float64 {
 	return s.Total() * s.Step.Hours()
 }
 
-// Diff returns the first difference series d[i] = s[i+1] - s[i]. The result
-// has one fewer sample than s and starts at s.Start.
-func (s Series) Diff() Series {
-	if s.Len() < 2 {
-		return Series{Start: s.Start, Step: s.Step}
-	}
-	out := New(s.Start, s.Step, s.Len()-1)
-	for i := 0; i < s.Len()-1; i++ {
-		out.Values[i] = s.Values[i+1] - s.Values[i]
-	}
-	return out
-}
-
-// Resample converts the series to a new step. Downsampling (newStep a
-// multiple of Step) averages each bucket; upsampling (Step a multiple of
-// newStep) repeats each value. Any other ratio returns ErrBadWindow.
-func (s Series) Resample(newStep time.Duration) (Series, error) {
-	if newStep <= 0 || s.Step <= 0 {
-		return Series{}, ErrBadStep
-	}
-	if newStep == s.Step {
-		return s.Clone(), nil
-	}
-	if newStep > s.Step {
-		if newStep%s.Step != 0 {
-			return Series{}, fmt.Errorf("%w: %v into %v", ErrBadWindow, s.Step, newStep)
-		}
-		k := int(newStep / s.Step)
-		n := s.Len() / k
-		out := New(s.Start, newStep, n)
-		for i := 0; i < n; i++ {
-			var sum float64
-			for j := 0; j < k; j++ {
-				sum += s.Values[i*k+j]
-			}
-			out.Values[i] = sum / float64(k)
-		}
-		return out, nil
-	}
-	if s.Step%newStep != 0 {
-		return Series{}, fmt.Errorf("%w: %v into %v", ErrBadWindow, newStep, s.Step)
-	}
-	k := int(s.Step / newStep)
-	out := New(s.Start, newStep, s.Len()*k)
-	for i, v := range s.Values {
-		for j := 0; j < k; j++ {
-			out.Values[i*k+j] = v
-		}
-	}
-	return out, nil
-}
-
 // WindowMin returns a series of per-window minima. The window must be a
 // positive multiple of Step, and the series length must be a multiple of the
 // window size; otherwise ErrBadWindow is returned. The result has one sample
 // per window with step == window.
 func (s Series) WindowMin(window time.Duration) (Series, error) {
-	return s.windowReduce(window, func(chunk []float64) float64 {
-		m := math.Inf(1)
-		for _, v := range chunk {
-			if v < m {
-				m = v
-			}
-		}
-		return m
-	})
-}
-
-// WindowMax returns a series of per-window maxima. See WindowMin for the
-// window constraints.
-func (s Series) WindowMax(window time.Duration) (Series, error) {
-	return s.windowReduce(window, func(chunk []float64) float64 {
-		m := math.Inf(-1)
-		for _, v := range chunk {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	})
-}
-
-// WindowMean returns a series of per-window means. See WindowMin for the
-// window constraints.
-func (s Series) WindowMean(window time.Duration) (Series, error) {
-	return s.windowReduce(window, func(chunk []float64) float64 {
-		var sum float64
-		for _, v := range chunk {
-			sum += v
-		}
-		return sum / float64(len(chunk))
-	})
-}
-
-func (s Series) windowReduce(window time.Duration, reduce func([]float64) float64) (Series, error) {
 	if s.Step <= 0 || window <= 0 {
 		return Series{}, ErrBadStep
 	}
@@ -384,31 +273,35 @@ func (s Series) windowReduce(window time.Duration, reduce func([]float64) float6
 	n := s.Len() / k
 	out := New(s.Start, window, n)
 	for i := 0; i < n; i++ {
-		out.Values[i] = reduce(s.Values[i*k : (i+1)*k])
+		m := math.Inf(1)
+		for _, v := range s.Values[i*k : (i+1)*k] {
+			if v < m {
+				m = v
+			}
+		}
+		out.Values[i] = m
 	}
 	return out, nil
 }
 
-// Smooth returns a centered moving average with the given odd radius window
-// (2*radius+1 samples). Edges use a shrunken window.
-func (s Series) Smooth(radius int) Series {
-	if radius <= 0 {
-		return s.Clone()
-	}
+// Lag returns the series shifted by k samples: positive k delays the series
+// (sample i takes the value of sample i-k); leading samples repeat the
+// first value. Negative k advances it symmetrically.
+func (s Series) Lag(k int) Series {
 	out := s.Clone()
-	for i := range s.Values {
-		lo, hi := i-radius, i+radius
-		if lo < 0 {
-			lo = 0
+	n := s.Len()
+	if n == 0 || k == 0 {
+		return out
+	}
+	for i := 0; i < n; i++ {
+		j := i - k
+		if j < 0 {
+			j = 0
 		}
-		if hi >= s.Len() {
-			hi = s.Len() - 1
+		if j >= n {
+			j = n - 1
 		}
-		var sum float64
-		for j := lo; j <= hi; j++ {
-			sum += s.Values[j]
-		}
-		out.Values[i] = sum / float64(hi-lo+1)
+		out.Values[i] = s.Values[j]
 	}
 	return out
 }

@@ -1,15 +1,12 @@
 package workload
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Class is the SLO class of a VM. The paper's §2.3 splits applications into
 // just "stable" and "degradable"; the simulator refines the stable side into
 // SLO classes with different pause tolerances and pause-cost weights
 // (RealTime, Interactive, Batch), while keeping the legacy two-value split
-// as-is: Stable and Degradable retain their original encodings, so old CSV
+// as-is: Stable and Degradable retain their original encodings, so old
 // traces, gob snapshots and seed experiments are untouched.
 //
 // Semantics: every class except Degradable is "firm" — its cores are
@@ -45,7 +42,7 @@ const (
 var AllClasses = []Class{RealTime, Interactive, Stable, Batch, Degradable}
 
 // String implements fmt.Stringer. Stable and Degradable keep their legacy
-// spellings ("stable", "degradable") so CSV traces round-trip unchanged.
+// spellings ("stable", "degradable") so recorded traces round-trip unchanged.
 func (c Class) String() string {
 	switch c {
 	case Stable:
@@ -96,23 +93,6 @@ func (c Class) Valid() bool {
 // co-scheduler (everything but Degradable). Pausing firm cores is an SLO
 // violation; degradable cores pause in place for free.
 func (c Class) Firm() bool { return c != Degradable }
-
-// PauseTolerance is how long the class's SLO tolerates a pause. A negative
-// duration means unbounded (no SLO at all). The tolerance is metadata for
-// reports and spec authors; the scheduler's degradation ladder orders by
-// PauseWeight, which these tolerances motivate.
-func (c Class) PauseTolerance() time.Duration {
-	switch c {
-	case RealTime:
-		return 0
-	case Interactive, Stable:
-		return 15 * time.Minute
-	case Batch:
-		return 24 * time.Hour
-	default: // Degradable and unknown
-		return -1
-	}
-}
 
 // PauseWeight is the scheduler's pause-cost weight: how expensive pausing
 // one of this class's cores is relative to a legacy stable core. The weight

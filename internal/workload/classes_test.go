@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestClassEncodingPinned(t *testing.T) {
 	// The integer values are wire format (gob snapshots, JSON request logs):
@@ -70,24 +67,6 @@ func TestClassPauseWeightOrdering(t *testing.T) {
 	}
 	if Degradable.PauseWeight() != 0 {
 		t.Error("Degradable pauses must be free")
-	}
-}
-
-func TestClassPauseTolerance(t *testing.T) {
-	if RealTime.PauseTolerance() != 0 {
-		t.Error("RealTime must tolerate no pause")
-	}
-	if Interactive.PauseTolerance() <= 0 || Interactive.PauseTolerance() >= Batch.PauseTolerance() {
-		t.Error("Interactive tolerance should sit between RealTime and Batch")
-	}
-	if Stable.PauseTolerance() != Interactive.PauseTolerance() {
-		t.Error("legacy Stable maps onto Interactive tolerance")
-	}
-	if Degradable.PauseTolerance() >= 0 {
-		t.Error("Degradable tolerance is unbounded (negative sentinel)")
-	}
-	if Batch.PauseTolerance() != 24*time.Hour {
-		t.Errorf("Batch tolerance %v, want 24h", Batch.PauseTolerance())
 	}
 }
 

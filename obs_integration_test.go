@@ -130,7 +130,7 @@ func TestFig4MigrationObs(t *testing.T) {
 	if steps == 0 {
 		t.Error("cluster run emitted no site_step events")
 	}
-	if got := reg.Tracer().Count(EventSiteStep); got != steps {
+	if got := reg.Tracer().Stats(EventSiteStep).Count; got != steps {
 		t.Errorf("tracer count %d != sink count %d", got, steps)
 	}
 	if c := reg.Counter("cluster.out_gb"); c != plain.Run.TotalOutGB() {

@@ -91,35 +91,37 @@ func hashAll(r AllExperimentsResult) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%v", r))))
 }
 
+// withProcs sets GOMAXPROCS, which is the fan-out worker count, for the
+// rest of the test and restores it when the test ends.
+func withProcs(t *testing.T, procs int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 // TestRunAllExperimentsParallelDeterminism is the acceptance golden-hash
 // test: the full figure/table suite at DefaultSeed is bit-identical between
-// the serial path, the parallel path, and a GOMAXPROCS=1 parallel run.
+// the serial path (GOMAXPROCS=1) and the parallel path (at least four
+// workers, even on a smaller machine).
 func TestRunAllExperimentsParallelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full experiment suite three times")
+		t.Skip("runs the full experiment suite twice")
 	}
-	serial, err := RunAllExperiments(DefaultSeed, 1)
+	withProcs(t, 1)
+	serial, err := RunAllExperiments(DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := hashAll(serial)
 
-	parallel, err := RunAllExperiments(DefaultSeed, runtime.NumCPU())
+	procs := max(4, runtime.NumCPU())
+	withProcs(t, procs)
+	parallel, err := RunAllExperiments(DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := hashAll(parallel); got != want {
-		t.Errorf("parallel result hash %s != serial %s", got, want)
-	}
-
-	old := runtime.GOMAXPROCS(1)
-	single, err := RunAllExperiments(DefaultSeed, runtime.NumCPU())
-	runtime.GOMAXPROCS(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hashAll(single); got != want {
-		t.Errorf("GOMAXPROCS=1 result hash %s != serial %s", got, want)
+		t.Errorf("GOMAXPROCS=%d result hash %s != serial %s", procs, got, want)
 	}
 
 	if rep := serial.Report(); !strings.Contains(rep, "Fig 2a") ||
@@ -129,14 +131,12 @@ func TestRunAllExperimentsParallelDeterminism(t *testing.T) {
 }
 
 // TestWorldGenerateSerialParallelIdentical asserts the same guarantee at the
-// World.Generate layer through the public API, across worker counts and
-// GOMAXPROCS settings (golden hash over all samples).
+// World.Generate layer through the public API, across GOMAXPROCS settings
+// (golden hash over all samples).
 func TestWorldGenerateSerialParallelIdentical(t *testing.T) {
-	gen := func(workers, procs int) string {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
+	gen := func(procs int) string {
+		withProcs(t, procs)
 		w := NewWorld(DefaultSeed)
-		w.Workers = workers
 		series, err := w.Generate(EuropeanFleet(0), experimentStart, 15*time.Minute, 7*96)
 		if err != nil {
 			t.Fatal(err)
@@ -150,15 +150,10 @@ func TestWorldGenerateSerialParallelIdentical(t *testing.T) {
 		}
 		return fmt.Sprintf("%x", h.Sum(nil))
 	}
-	want := gen(1, 1)
-	for _, tc := range []struct{ workers, procs int }{
-		{0, runtime.NumCPU()},
-		{0, 1},
-		{4, runtime.NumCPU()},
-		{64, runtime.NumCPU()},
-	} {
-		if got := gen(tc.workers, tc.procs); got != want {
-			t.Errorf("workers=%d GOMAXPROCS=%d: hash %s != serial %s", tc.workers, tc.procs, got, want)
+	want := gen(1)
+	for _, procs := range []int{runtime.NumCPU(), 4, 64} {
+		if got := gen(procs); got != want {
+			t.Errorf("GOMAXPROCS=%d: hash %s != serial %s", procs, got, want)
 		}
 	}
 }

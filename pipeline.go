@@ -148,7 +148,7 @@ func FullPipelineObs(seed uint64, reg *MetricsRegistry) (PipelineResult, error) 
 	// serial runs.
 	type runOut struct{ totalGB, paused float64 }
 	groups := [][]int{best.Nodes, naive}
-	runs, err := par.Map(context.Background(), len(groups), 0, func(i int) (runOut, error) {
+	runs, err := par.Map(context.Background(), len(groups), func(i int) (runOut, error) {
 		total, paused, err := run(groups[i])
 		return runOut{total, paused}, err
 	})

@@ -3,7 +3,7 @@
 # from the bundled bursty spec, record it through both CLIs, replay it, and
 # require (a) the two recordings to be byte-identical, (b) the replayed
 # per-SLO-class table to be byte-identical to the generated run's, and
-# (c) the replay to be invariant under -parallel, the generation worker
+# (c) the replay to be invariant under GOMAXPROCS, the generation worker
 # count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,8 +28,8 @@ cmp "$dir/trace_a.jsonl" "$dir/trace_b.jsonl"
 tail -n +2 "$dir/replay.out" | cmp - "$dir/live.out"
 
 # ...at any parallelism: worker count must not leak into the results.
-"$dir/vbsim" -days 3 -parallel 1 -replay "$dir/trace_a.jsonl" > "$dir/replay_p1.out"
-"$dir/vbsim" -days 3 -parallel 4 -replay "$dir/trace_a.jsonl" > "$dir/replay_p4.out"
+GOMAXPROCS=1 "$dir/vbsim" -days 3 -replay "$dir/trace_a.jsonl" > "$dir/replay_p1.out"
+GOMAXPROCS=4 "$dir/vbsim" -days 3 -replay "$dir/trace_a.jsonl" > "$dir/replay_p4.out"
 cmp "$dir/replay_p1.out" "$dir/replay.out"
 cmp "$dir/replay_p4.out" "$dir/replay.out"
 

@@ -134,10 +134,6 @@ func AllWorkloadClasses() []WorkloadClass {
 // order.
 func GenerateCohortApps(spec TraceSpec) ([]App, error) { return workload.GenerateCohorts(spec) }
 
-// ParseTraceSpec parses a versioned JSON cohort-mix spec (strict: unknown
-// fields are rejected).
-func ParseTraceSpec(b []byte) (*TraceSpec, error) { return workload.ParseTraceSpec(b) }
-
 // LoadTraceSpec reads a JSON cohort-mix spec from disk.
 func LoadTraceSpec(path string) (*TraceSpec, error) { return workload.LoadTraceSpec(path) }
 
@@ -302,10 +298,9 @@ type (
 	// MetricsSnapshot is a serializable copy of a whole registry: flat
 	// metrics, dimensional vecs, and exact per-event-type totals.
 	MetricsSnapshot = obs.RegistrySnapshot
-	// CounterVec, GaugeVec and HistogramVec are dimensional metrics with
-	// ordered label sets (e.g. policy, site, app, class).
+	// CounterVec and HistogramVec are dimensional metrics with ordered
+	// label sets (e.g. policy, site, app, class).
 	CounterVec   = obs.CounterVec
-	GaugeVec     = obs.GaugeVec
 	HistogramVec = obs.HistogramVec
 	// TraceAnalysis is the offline aggregate view of a recorded event
 	// stream (what cmd/vbobs prints); its per-type stats reconcile
@@ -342,10 +337,6 @@ const (
 // NewMetrics returns an empty run-scoped metrics registry with an attached
 // event tracer.
 func NewMetrics() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewTracer returns a standalone event tracer with the given ring size
-// (0 = default).
-func NewTracer(ring int) *Tracer { return obs.NewTracer(ring) }
 
 // TimeSpan starts a timing span recording into reg's histogram of the given
 // name; call the returned func to stop. Nil registries cost nothing.
@@ -483,11 +474,6 @@ func EuropeanFleet(n int) []SiteConfig { return energy.EuropeanFleet(n) }
 // StableVariableSplit decomposes produced energy per §2.3.
 func StableVariableSplit(power Series, window time.Duration) (Split, error) {
 	return energy.StableVariableSplit(power, window)
-}
-
-// PlanTopUp finds the best grid-purchase floor raise within a budget.
-func PlanTopUp(power Series, budgetMWh float64) (TopUp, error) {
-	return energy.PlanTopUp(power, budgetMWh)
 }
 
 // LatencyMS estimates round-trip latency between two sites.

@@ -1,7 +1,9 @@
 package vb
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -319,7 +321,11 @@ func TestFullPipeline(t *testing.T) {
 func TestCLIParsers(t *testing.T) {
 	blackout := &FaultScript{Events: []FaultEvent{{Kind: FaultSiteBlackout, Site: 1, Start: 8, End: 12}}}
 	scriptPath := filepath.Join(t.TempDir(), "faults.json")
-	if err := blackout.SaveScript(scriptPath); err != nil {
+	b, err := json.Marshal(blackout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(scriptPath, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	policy := func(name string) func() (string, error) {

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// The references below are the kernels as they were before BTRAN skipped
-// zeros, updateD assembled the pivot row row by row and the ratio test
-// recorded its blocking rows. They stay here, the way cluster keeps refSite,
-// so TestSparseKernelsMatchReference can hold the fast kernels to them.
+// The references below are the kernels as they were before BTRAN and the
+// column FTRAN followed their nonzero patterns, updateD assembled the pivot
+// row row by row and the ratio test recorded its blocking rows from
+// FTRAN's pattern. They stay here, the way cluster keeps refSite, so
+// TestSparseKernelsMatchReference can hold the fast kernels to them.
 
 // refBtran is the full BTRAN: every eta in reverse order, then the whole Uᵀ
 // forward pass and Lᵀ backward pass.
@@ -45,6 +46,20 @@ func refBtran(f *sparseLU, y []float64) {
 		work[f.pivRow[k]] = s
 	}
 	copy(y, work)
+}
+
+// refFtranCol is the full column FTRAN: the column scattered into w, then
+// every L step, the whole U back-substitution and every eta.
+func refFtranCol(in *Instance, q int, w []float64) {
+	clear(w)
+	if q >= in.nStruct {
+		w[q-in.nStruct] = 1
+	} else {
+		for k := in.colPtr[q]; k < in.colPtr[q+1]; k++ {
+			w[in.colRow[k]] = in.colVal[k]
+		}
+	}
+	in.fac.ftran(w)
 }
 
 // refUpdateD is the colDot-based reduced-cost update: one dot product of
@@ -161,7 +176,8 @@ func refRatioTest(in *Instance, enter, dir int, phase1, bland bool) (t float64, 
 // kernelCheck drives one instance through SolveCurrent's phases pivot by
 // pivot and holds every kernel call to its reference first: BTRAN (the
 // phase-1 price vector, the phase-2 c_B vector, and the row of B⁻¹ of every
-// leaving row), the ratio test, and the phase-2 reduced-cost update.
+// leaving row), the column FTRAN and its pattern, the ratio test, and the
+// phase-2 reduced-cost update.
 type kernelCheck struct {
 	t    *testing.T
 	name string
@@ -178,20 +194,53 @@ func (c *kernelCheck) checkBtran(what string, y []float64) []float64 {
 	want := append([]float64(nil), y...)
 	c.in.fac.btran(got)
 	refBtran(c.in.fac, want)
-	for i := range got {
-		if (got[i] == 0) != (want[i] == 0) || (got[i] != 0 && math.Float64bits(got[i]) != math.Float64bits(want[i])) {
-			c.t.Fatalf("%s: BTRAN of %s differs at %d: %v, reference %v (eta chain %d)",
-				c.name, what, i, got[i], want[i], c.in.fac.etaLen())
-		}
-	}
+	c.sameNonzeros("BTRAN of "+what, got, want)
 	return got
 }
 
-// checkRowOfInverse checks BTRAN on e_r, the pivot row updateD reads.
+// checkRowOfInverse checks the row of B⁻¹ updateD reads, BTRAN on e_r.
 func (c *kernelCheck) checkRowOfInverse(r int) {
-	e := make([]float64, c.in.m)
-	e[r] = 1
-	c.checkBtran(fmt.Sprintf("e_%d", r), e)
+	got := make([]float64, c.in.m)
+	c.in.fac.rowOfInverse(r, got)
+	want := make([]float64, c.in.m)
+	want[r] = 1
+	refBtran(c.in.fac, want)
+	c.sameNonzeros(fmt.Sprintf("row %d of the inverse", r), got, want)
+}
+
+// sameNonzeros requires got and want to hold the same nonzero set with
+// bit-equal values; zeros may differ in sign.
+func (c *kernelCheck) sameNonzeros(what string, got, want []float64) {
+	for i := range got {
+		if (got[i] == 0) != (want[i] == 0) || (got[i] != 0 && math.Float64bits(got[i]) != math.Float64bits(want[i])) {
+			c.t.Fatalf("%s: %s differs at %d: %v, reference %v (eta chain %d)",
+				c.name, what, i, got[i], want[i], c.in.fac.etaLen())
+		}
+	}
+}
+
+// ftran runs the production column FTRAN for entering column q and holds
+// it to refFtranCol: the same nonzeros, bit for bit, and a recorded
+// pattern that ascends strictly and covers every nonzero.
+func (c *kernelCheck) ftran(q int) {
+	in := c.in
+	in.ftran(q)
+	want := make([]float64, in.m)
+	refFtranCol(in, q, want)
+	what := fmt.Sprintf("FTRAN of column %d", q)
+	c.sameNonzeros(what, in.w, want)
+	covered := make([]bool, in.m)
+	for k, i := range in.wPat {
+		if k > 0 && i <= in.wPat[k-1] {
+			c.t.Fatalf("%s: %s pattern %v does not ascend", c.name, what, in.wPat)
+		}
+		covered[i] = true
+	}
+	for i, wi := range in.w {
+		if wi != 0 && !covered[i] {
+			c.t.Fatalf("%s: %s pattern misses nonzero %v at %d", c.name, what, wi, i)
+		}
+	}
 }
 
 // ratio runs the production ratio test and requires the reference's step
@@ -255,7 +304,7 @@ func (c *kernelCheck) phase1() (Status, error) {
 		if enter < 0 {
 			return Infeasible, nil
 		}
-		in.ftran(enter)
+		c.ftran(enter)
 		t, leave, up, flip := c.ratio(enter, dir, true, bland)
 		if leave < 0 && !flip {
 			return Optimal, fmt.Errorf("no blocking bound")
@@ -302,7 +351,7 @@ func (c *kernelCheck) phase2() (Status, error) {
 			}
 			return Optimal, nil
 		}
-		in.ftran(enter)
+		c.ftran(enter)
 		t, leave, up, flip := c.ratio(enter, dir, false, bland)
 		if leave < 0 && !flip {
 			return Unbounded, nil
@@ -472,26 +521,67 @@ func placementLP(rng *rand.Rand, k, H int, peak bool) Problem {
 	return p
 }
 
-// TestSparseKernelsMatchReference holds the zero-skipping BTRAN, the
-// row-wise pivot row and the recorded-candidate ratio test to the kernels
-// they replaced, after every pivot, over seeded random LPs and
-// placement-shaped LPs, at the default eta-chain cap and shrunk ones.
-// Branch-style bound tightenings re-solve warm so long eta chains form.
+// padRows appends LE rows with positive coefficients over two to four of
+// the first cols variables until p has rows constraints. The origin
+// satisfies every such row, so padding a placement LP over its a, m and o
+// columns keeps it feasible.
+func padRows(rng *rand.Rand, p Problem, rows, cols int) Problem {
+	for len(p.Constraints) < rows {
+		coeffs := make([]float64, p.NumVars)
+		for k := 2 + rng.Intn(3); k > 0; k-- {
+			coeffs[rng.Intn(cols)] = 0.5 + rng.Float64()
+		}
+		idx, val := sparseRow(coeffs)
+		p.Constraints = append(p.Constraints, Constraint{Idx: idx, Val: val, Sense: LE, RHS: 100 + 400*rng.Float64()})
+	}
+	return p
+}
+
+// multiWordShapes are placement LPs whose row counts fall on and either
+// side of 64 and 128, padded to size, and three of a few hundred rows
+// (rows 0: unpadded), so the kernels' bitsets span several words.
+var multiWordShapes = []struct {
+	k, H int
+	peak bool
+	rows int
+}{
+	{2, 9, false, 63}, {2, 9, false, 64}, {2, 9, false, 65},
+	{2, 14, true, 127}, {2, 14, true, 128}, {2, 14, true, 129},
+	{3, 21, true, 0}, {3, 24, true, 0}, {3, 28, true, 0},
+}
+
+// TestSparseKernelsMatchReference holds the hypersparse BTRAN and column
+// FTRAN, the row-wise pivot row and the pattern-walking ratio test to the
+// kernels they replaced, after every pivot, over seeded random LPs,
+// placement-shaped LPs and multi-word placement LPs, at the default
+// eta-chain cap and shrunk ones. Branch-style bound tightenings re-solve
+// warm so long eta chains form.
 func TestSparseKernelsMatchReference(t *testing.T) {
 	oldCap := etaChainCap
 	defer func() { etaChainCap = oldCap }()
+	const small = 60
 	for _, chainCap := range []int{maxEtaChain, 7, 2} {
 		etaChainCap = chainCap
 		var pivots [2]int
 		rng := rand.New(rand.NewSource(int64(9_000_000 + chainCap)))
-		for trial := 0; trial < 60; trial++ {
+		for trial := 0; trial < small+len(multiWordShapes); trial++ {
 			var p Problem
-			if trial%2 == 0 {
+			switch {
+			case trial >= small:
+				sh := multiWordShapes[trial-small]
+				p = placementLP(rng, sh.k, sh.H, sh.peak)
+				if sh.rows > 0 {
+					p = padRows(rng, p, sh.rows, 3*sh.k*sh.H)
+					if len(p.Constraints) != sh.rows {
+						t.Fatalf("shape %+v: %d rows", sh, len(p.Constraints))
+					}
+				}
+			case trial%2 == 0:
 				p = growProblem(rng, randomProblem(rng, true), 10+rng.Intn(16))
-			} else {
+			default:
 				p = placementLP(rng, 1+rng.Intn(3), 2+rng.Intn(8), trial%4 == 1)
 			}
-			name := fmt.Sprintf("cap %d trial %d", chainCap, trial)
+			name := fmt.Sprintf("cap %d trial %d (m=%d)", chainCap, trial, len(p.Constraints))
 			in, err := NewInstance(p)
 			if err != nil {
 				t.Fatal(err)

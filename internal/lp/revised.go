@@ -86,6 +86,7 @@ type Instance struct {
 	// Scratch (reused every iteration; see allocScratch).
 	accum      []float64 // m
 	w          []float64 // m, FTRAN result B⁻¹A_q
+	wPat       []int32   // ascending positions where w may be nonzero
 	y          []float64 // m, BTRAN result
 	rowScratch []float64 // m, row of B⁻¹ for the incremental price update
 	valScratch []float64 // n, full value vector for residual/objective sweeps
@@ -184,7 +185,8 @@ func (in *Instance) allocScratch() {
 	in.rowScratch, f = f[:m:m], f[m:]
 	in.valScratch, in.alpha = f[:n:n], f[n:]
 	in.alphaSeen = make([]bool, ns)
-	in.alphaCols = make([]int32, 0, ns)
+	i := make([]int32, ns+m)
+	in.alphaCols, in.wPat = i[:0:ns], i[ns:ns]
 	in.cb1 = make([]int8, m)
 	in.blockers = make([]blocker, 0, m)
 }
@@ -409,9 +411,10 @@ func (in *Instance) computeXB() {
 	copy(in.xB, in.accum)
 }
 
-// ftran computes w = B⁻¹·A_q for entering column q.
+// ftran computes w = B⁻¹·A_q for entering column q and records w's
+// pattern.
 func (in *Instance) ftran(q int) {
-	in.fac.ftranCol(in, q, in.w)
+	in.wPat = in.fac.ftranCol(in, q, in.w, in.wPat[:0])
 }
 
 // colDot returns y·A_j for column j (slack columns are unit vectors).
@@ -533,8 +536,8 @@ type blocker struct {
 // feasible), never while moving further away from it. Returns the step,
 // the leaving row (-1 for a bound flip), which bound the leaver hits, and
 // whether the step is a flip; leave < 0 with flip false means nothing
-// blocks. The blocking rows are recorded in ascending row order for
-// pickLeaving.
+// blocks. It walks w's recorded pattern, which ascends, so the blocking
+// rows are recorded in ascending row order for pickLeaving.
 func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, leave int, toUpper, flip bool) {
 	minT := math.Inf(1)
 	if r := in.hi[enter] - in.lo[enter]; in.vstat[enter] != vsFree && !math.IsInf(r, 1) {
@@ -543,7 +546,7 @@ func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, le
 	}
 	leave = -1
 	blockers := in.blockers[:0]
-	for i := 0; i < in.m; i++ {
+	for _, i := range in.wPat {
 		wi := in.w[i]
 		if wi < pivotTol && wi > -pivotTol {
 			continue
@@ -583,7 +586,7 @@ func (in *Instance) ratioTest(enter, dir int, phase1, bland bool) (t float64, le
 		if ti < 0 {
 			ti = 0
 		}
-		blockers = append(blockers, blocker{t: ti, row: int32(i), up: up})
+		blockers = append(blockers, blocker{t: ti, row: i, up: up})
 		if ti < minT {
 			minT = ti
 			flip = false
@@ -636,7 +639,7 @@ func (in *Instance) pickLeaving(minT float64, bland bool) (leave int, toUpper bo
 func (in *Instance) applyStep(enter, dir int, t float64, leave int, toUpper, flip, trackD bool) {
 	if t != 0 {
 		f := float64(dir) * t
-		for i := 0; i < in.m; i++ {
+		for _, i := range in.wPat {
 			if wi := in.w[i]; wi != 0 {
 				in.xB[i] -= f * wi
 			}
@@ -663,7 +666,7 @@ func (in *Instance) applyStep(enter, dir int, t float64, leave int, toUpper, fli
 	}
 	in.basis[leave] = int32(enter)
 	in.vstat[enter] = vsBasic
-	if !in.fac.update(leave, in.w) {
+	if !in.fac.update(leave, in.w, in.wPat) {
 		// The eta chain is full or the pivot is too small to absorb:
 		// refactorize from the (already updated) basis instead. A singular
 		// refactorization poisons the phase loop via facBad, which routes

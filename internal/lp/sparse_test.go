@@ -189,3 +189,28 @@ func TestSparseWarmChain(t *testing.T) {
 		t.Errorf("eta chain %d exceeds cap %d", in.EtaChainLen(), etaChainCap)
 	}
 }
+
+// TestEtaFileStaysInSlab drives a factorization's eta file to its nonzero
+// budget with dense columns and requires every accepted eta to land in the
+// region reset carved for it: the file must never reallocate mid-solve.
+func TestEtaFileStaysInSlab(t *testing.T) {
+	const m = 100
+	f := newSparseLU(m)
+	idx0, val0 := &f.etaIdx[:1][0], &f.etaVal[:1][0]
+	w := make([]float64, m)
+	pat := make([]int32, m)
+	for i := range w {
+		w[i], pat[i] = 1+float64(i), int32(i)
+	}
+	etas := 0
+	for ; f.update(etas%m, w, pat); etas++ {
+		if &f.etaIdx[0] != idx0 || &f.etaVal[0] != val0 {
+			t.Fatalf("eta %d: the eta file left its slab at %d entries", etas, len(f.etaIdx))
+		}
+	}
+	// The nonzero budget, not the chain length, must be what refused.
+	if etas >= maxEtaChain || len(f.etaIdx) <= 16*m+1024 {
+		t.Fatalf("refused after %d etas holding %d entries, want the %d-entry budget exceeded",
+			etas, len(f.etaIdx), 16*m+1024)
+	}
+}

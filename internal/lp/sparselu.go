@@ -14,6 +14,14 @@ import (
 // and a 200-site fleet, where m runs to thousands and the basis stays
 // extremely sparse.
 //
+// The per-pivot kernels are hypersparse, after Hall and McKinnon's
+// hyper-sparse revised simplex: BTRAN and the column FTRAN track which
+// entries may hold nonzeros in bitsets of positions and of elimination
+// steps, and visit only the etas, LU steps and entries those patterns
+// reach. Every nonzero they produce comes from the same operations in the
+// same order as the full pass, so only the sign of a zero can differ. The
+// full ftran stays for computeXB, whose output becomes plan values.
+//
 // The eta chain is bounded three ways: chain length (etaChainCap), stored
 // nonzeros (a multiple of m), and pivot magnitude (etaPivTol). When update
 // refuses, the simplex refactorizes from the current basis — and the
@@ -21,7 +29,9 @@ import (
 //
 // All vectors are dense []float64 of length m. "Row space" indexes
 // constraint rows; "position space" indexes basis positions (w[i] pairs
-// with basis[i] and xB[i]).
+// with basis[i] and xB[i]); "steps" index the factorization's elimination
+// steps. A bitset over m of them is ceil(m/64) words, index i at bit i&63
+// of word i>>6.
 const (
 	// etaPivTol is the smallest |w_r| an eta update will absorb; anything
 	// smaller forces a refactorization instead of amplifying roundoff.
@@ -34,8 +44,8 @@ const (
 	luPivotTol = 1e-10
 )
 
-// maxEtaChain is the longest eta chain a factorization can hold: BTRAN
-// tracks the chain in one 64-bit mask per position, one bit per eta.
+// maxEtaChain is the longest eta chain a factorization can hold; the
+// per-eta support bitsets are carved for this many etas.
 const maxEtaChain = 64
 
 // etaChainCap bounds the eta-file length between refactorizations, at most
@@ -44,7 +54,8 @@ const maxEtaChain = 64
 var etaChainCap = maxEtaChain
 
 type sparseLU struct {
-	m int
+	m     int
+	words int // ceil(m/64), the length of every bitset
 
 	// LU of the basis as of the last refactorization, in pivot order: step
 	// k eliminated basis position pivCol[k] using constraint row pivRow[k]
@@ -59,29 +70,46 @@ type sparseLU struct {
 	diag           []float64
 	trivial        bool // the LU is exactly the identity (all-slack crash)
 
+	// The LU's pattern, indexed for the hypersparse kernels: rowStep[r]
+	// and posStep[p] are the steps that pivoted row r and position p;
+	// lSteps lists, ascending, the steps with a nonempty L column; and
+	// utIdx[utPtr[k]:utPtr[k+1]] are the steps whose U row holds an entry
+	// at position pivCol[k] (U's pattern transposed). refactor builds them.
+	rowStep, posStep []int32
+	lSteps           []int32
+	utPtr, utIdx     []int32
+
 	// Eta chain: product-form updates appended since the last refactor.
 	// Eta e pivots on basis position etaRow[e] with pivot value etaPiv[e];
 	// etaIdx/etaVal[etaPtr[e]:etaPtr[e+1]] hold the off-pivot entries of
-	// the FTRAN column that entered the basis.
+	// the FTRAN column that entered the basis, in ascending position.
 	etaRow []int32
 	etaPiv []float64
 	etaPtr []int32
 	etaIdx []int32
 	etaVal []float64
-	// etaAt[p] has bit e set when eta e stores an entry at position p, and
-	// etaPivAt[p] when eta e pivots on p. BTRAN reads them to skip every
-	// eta whose positions all hold zeros.
-	etaAt, etaPivAt []uint64
+	// etaSet[e*words:(e+1)*words] is the bitset of eta e's stored
+	// positions, and etaPre at the same offsets counts its entries in the
+	// words before each word, so the entry at position p sits at
+	// etaPtr[e] + etaPre[e*words+p>>6] + (set bits below p in p's word).
+	etaSet []uint64
+	etaPre []int32
+
+	// Kernel scratch: vecSet marks positions that may hold a nonzero and
+	// stepSet the elimination steps a pass still has to visit. Both are
+	// all zero between kernel calls.
+	vecSet, stepSet []uint64
 
 	work []float64 // m, FTRAN/BTRAN scratch
 
-	// i32buf/f64buf/boolbuf back most of the slices above: reset carves
-	// them into capacity-capped views (three-index slices, so an append
-	// overflowing its region reallocates instead of bleeding into a
-	// neighbor). A fresh factorization is two large allocations instead of
-	// ~20 small ones, which keeps the allocs/op gates tight.
+	// i32buf/f64buf/u64buf/boolbuf back most of the slices above: reset
+	// carves them into capacity-capped views (three-index slices, so an
+	// append overflowing its region reallocates instead of bleeding into a
+	// neighbor). A fresh factorization is a few large allocations instead
+	// of ~25 small ones, which keeps the allocs/op gates tight.
 	i32buf  []int32
 	f64buf  []float64
+	u64buf  []uint64
 	boolbuf []bool
 
 	// Refactorization workspace, kept across calls so steady-state
@@ -139,11 +167,16 @@ func resizeBool(s []bool, n int) []bool {
 // for an m-row instance.
 func (f *sparseLU) reset(m int) {
 	f.m = m
+	W := (m + 63) >> 6
+	f.words = W
 	cc := etaChainCap
-	luCap := 6*m + 64     // L/U index/value headroom before spilling
-	etaCap := 16*m + 1024 // matches update's eta-nonzero budget
+	luCap := 6*m + 64 // L/U index/value headroom before spilling
+	// update accepts an eta while the file holds at most 16m+1024 entries,
+	// and one eta adds at most m-1, so the file never outgrows 17m+1024.
+	etaCap := 17*m + 1024
 
-	ni := 2*m + 2*(m+1) + 2*luCap + (cc + 1) + cc + etaCap + 2*m
+	ni := 2*m + 2*(m+1) + 2*luCap + (cc + 1) + cc + etaCap + 2*m +
+		3*m + (m + 1) + luCap + maxEtaChain*W
 	if cap(f.i32buf) < ni {
 		f.i32buf = make([]int32, ni)
 	}
@@ -164,6 +197,12 @@ func (f *sparseLU) reset(m int) {
 	f.etaIdx = grabI(0, etaCap)
 	f.colCount = grabI(m, m)
 	f.accMark = grabI(m, m)
+	f.rowStep = grabI(m, m)
+	f.posStep = grabI(m, m)
+	f.lSteps = grabI(0, m)
+	f.utPtr = grabI(m+1, m+1)
+	f.utIdx = grabI(0, luCap)
+	f.etaPre = grabI(maxEtaChain*W, maxEtaChain*W)
 
 	nf := 3*m + 2*luCap + cc + etaCap
 	if cap(f.f64buf) < nf {
@@ -188,7 +227,16 @@ func (f *sparseLU) reset(m int) {
 	}
 	f.rowLive = f.boolbuf[0:m:m]
 	f.colLive = f.boolbuf[m : 2*m : 2*m]
-	f.allocEtaMasks(m)
+
+	nu := maxEtaChain*W + 2*W
+	if cap(f.u64buf) < nu {
+		f.u64buf = make([]uint64, nu)
+	}
+	ub := f.u64buf[:nu:nu]
+	clear(ub)
+	f.etaSet = ub[: maxEtaChain*W : maxEtaChain*W]
+	f.vecSet = ub[maxEtaChain*W : maxEtaChain*W+W : maxEtaChain*W+W]
+	f.stepSet = ub[maxEtaChain*W+W:]
 
 	for i := 0; i < m; i++ {
 		f.pivRow[i], f.pivCol[i] = int32(i), int32(i)
@@ -202,44 +250,26 @@ func (f *sparseLU) reset(m int) {
 	f.clearEtas()
 }
 
-// allocEtaMasks sizes the two eta masks for m positions, sharing one
-// backing array.
-func (f *sparseLU) allocEtaMasks(m int) {
-	if len(f.etaAt) == m && len(f.etaPivAt) == m {
-		return
-	}
-	both := make([]uint64, 2*m)
-	f.etaAt, f.etaPivAt = both[:m:m], both[m:]
-}
-
 func (f *sparseLU) clearEtas() {
 	f.etaRow = f.etaRow[:0]
 	f.etaPiv = f.etaPiv[:0]
 	f.etaIdx = f.etaIdx[:0]
 	f.etaVal = f.etaVal[:0]
 	f.etaPtr = append(f.etaPtr[:0], 0)
-	clear(f.etaAt)
-	clear(f.etaPivAt)
-}
-
-// markEta records eta e's pivot position and stored positions in the
-// masks.
-func (f *sparseLU) markEta(e int) {
-	bit := uint64(1) << uint(e)
-	f.etaPivAt[f.etaRow[e]] |= bit
-	for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
-		f.etaAt[f.etaIdx[q]] |= bit
-	}
 }
 
 // etaLen reports the length of the update chain since the last
 // refactorization.
 func (f *sparseLU) etaLen() int { return len(f.etaRow) }
 
+// mark sets bit i of bitset s.
+func mark(s []uint64, i int32) { s[i>>6] |= 1 << uint(i&63) }
+
 // update appends one eta transform for the pivot on basis position r with
-// FTRAN column w. It refuses — forcing a refactorization — when the pivot
-// is too small to absorb stably or the chain has outgrown its budget.
-func (f *sparseLU) update(r int, w []float64) bool {
+// FTRAN column w, whose nonzeros lie at the ascending positions pat. It
+// refuses — forcing a refactorization — when the pivot is too small to
+// absorb stably or the chain has outgrown its budget.
+func (f *sparseLU) update(r int, w []float64, pat []int32) bool {
 	piv := w[r]
 	if piv < etaPivTol && piv > -etaPivTol {
 		return false
@@ -248,16 +278,24 @@ func (f *sparseLU) update(r int, w []float64) bool {
 	if e >= etaChainCap || e >= maxEtaChain || len(f.etaIdx) > 16*f.m+1024 {
 		return false
 	}
-	for i, wi := range w {
-		if wi != 0 && i != r {
-			f.etaIdx = append(f.etaIdx, int32(i))
+	W := f.words
+	set, pre := f.etaSet[e*W:(e+1)*W], f.etaPre[e*W:(e+1)*W]
+	clear(set)
+	for _, i := range pat {
+		if wi := w[i]; wi != 0 && int(i) != r {
+			f.etaIdx = append(f.etaIdx, i)
 			f.etaVal = append(f.etaVal, wi)
+			mark(set, i)
 		}
+	}
+	n := int32(0)
+	for k, s := range set {
+		pre[k] = n
+		n += int32(bits.OnesCount64(s))
 	}
 	f.etaRow = append(f.etaRow, int32(r))
 	f.etaPiv = append(f.etaPiv, piv)
 	f.etaPtr = append(f.etaPtr, int32(len(f.etaIdx)))
-	f.markEta(e)
 	return true
 }
 
@@ -302,82 +340,206 @@ func (f *sparseLU) ftran(x []float64) {
 // order, then a Uᵀ forward pass and Lᵀ backward pass. On entry y is
 // position-space; on exit it is row-space.
 //
-// It skips work that only moves zeros: an eta whose pivot position and
-// stored positions all hold zeros when its turn comes (found through the
-// eta masks), and the Uᵀ division for a zero entry. Every nonzero of the
-// result comes from the same operations in the same order as the full
-// pass; only the sign of a zero may differ. That is safe because BTRAN
-// output feeds pricing alone, where a zero of either sign compares the
-// same. FTRAN output becomes xB and plan values, so ftran skips nothing.
+// It visits only what y's nonzero pattern reaches. vecSet marks the
+// positions that may hold a nonzero. An eta has work when its pivot
+// position holds a nonzero or its support meets vecSet, and its dot
+// product visits just the hits, in ascending position: the order the eta
+// stores its entries. The Uᵀ pass walks a step bitset upward, seeded
+// through posStep and grown by each step its fill-in reaches, and the Lᵀ
+// pass visits only the steps with a nonempty L column. Every nonzero of
+// the result comes from the same operations in the same order as the full
+// pass; a skipped term only adds a zero, so only the sign of a zero may
+// differ, and BTRAN output feeds pricing alone, where zeros never win.
 func (f *sparseLU) btran(y []float64) {
-	if len(f.etaRow) > 0 {
-		var live uint64
-		for p, v := range y {
-			if v != 0 {
-				live |= f.etaAt[p] | f.etaPivAt[p]
+	for p, v := range y {
+		if v != 0 {
+			mark(f.vecSet, int32(p))
+		}
+	}
+	f.btranMarked(y)
+}
+
+// btranMarked is btran for a y whose nonzero positions are already marked
+// in vecSet.
+func (f *sparseLU) btranMarked(y []float64) {
+	ys := f.vecSet
+	W := f.words
+	for e := len(f.etaRow) - 1; e >= 0; e-- {
+		r := f.etaRow[e]
+		s := y[r]
+		live := s != 0
+		set, pre := f.etaSet[e*W:(e+1)*W], f.etaPre[e*W:(e+1)*W]
+		base := f.etaPtr[e]
+		for k, sw := range set {
+			hits := sw & ys[k]
+			if hits == 0 {
+				continue
+			}
+			live = true
+			for hits != 0 {
+				b := bits.TrailingZeros64(hits)
+				hits &= hits - 1
+				q := base + pre[k] + int32(bits.OnesCount64(sw&(1<<uint(b)-1)))
+				s -= f.etaVal[q] * y[k<<6|b]
 			}
 		}
-		for live != 0 {
-			e := bits.Len64(live) - 1
-			live &^= 1 << uint(e)
-			r := f.etaRow[e]
-			s := y[r]
-			for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
-				s -= f.etaVal[q] * y[f.etaIdx[q]]
-			}
-			y[r] = s / f.etaPiv[e]
-			if s != 0 {
-				// Position r now holds a nonzero: every earlier eta
-				// touching it has work to do.
-				live |= (f.etaAt[r] | f.etaPivAt[r]) & (1<<uint(e) - 1)
-			}
+		if !live {
+			continue
+		}
+		y[r] = s / f.etaPiv[e]
+		if s != 0 {
+			mark(ys, r)
 		}
 	}
 	if f.trivial {
+		clear(ys)
 		return
 	}
-	m := f.m
-	for k := 0; k < m; k++ {
-		t := 0.0
-		if v := y[f.pivCol[k]]; v != 0 {
-			t = v / f.diag[k]
+	steps := f.stepSet
+	for k, word := range ys {
+		ys[k] = 0
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			mark(steps, f.posStep[k<<6|b])
 		}
-		f.work[f.pivRow[k]] = t
-		if t != 0 {
-			for q := f.uPtr[k]; q < f.uPtr[k+1]; q++ {
-				y[f.uIdx[q]] -= f.uVal[q] * t
+	}
+	work := f.work
+	clear(work)
+	for k := range steps {
+		for steps[k] != 0 {
+			step := k<<6 | bits.TrailingZeros64(steps[k])
+			steps[k] &= steps[k] - 1
+			v := y[f.pivCol[step]]
+			if v == 0 {
+				continue
+			}
+			t := v / f.diag[step]
+			work[f.pivRow[step]] = t
+			if t != 0 {
+				for q := f.uPtr[step]; q < f.uPtr[step+1]; q++ {
+					p := f.uIdx[q]
+					y[p] -= f.uVal[q] * t
+					mark(steps, f.posStep[p])
+				}
 			}
 		}
 	}
-	for k := m - 1; k >= 0; k-- {
-		s := f.work[f.pivRow[k]]
-		for q := f.lPtr[k]; q < f.lPtr[k+1]; q++ {
-			s -= f.lVal[q] * f.work[f.lIdx[q]]
+	for i := len(f.lSteps) - 1; i >= 0; i-- {
+		step := f.lSteps[i]
+		s := work[f.pivRow[step]]
+		for q := f.lPtr[step]; q < f.lPtr[step+1]; q++ {
+			s -= f.lVal[q] * work[f.lIdx[q]]
 		}
-		f.work[f.pivRow[k]] = s
+		work[f.pivRow[step]] = s
 	}
-	copy(y, f.work[:m])
+	copy(y, work)
 }
 
-// ftranCol computes w = B⁻¹·A_q for entering column q, exploiting the
-// column's sparsity.
-func (f *sparseLU) ftranCol(in *Instance, q int, w []float64) {
+// ftranCol computes w = B⁻¹·A_q for entering column q, visiting only what
+// the column's nonzeros reach, and returns pat with the positions of w
+// that may hold a nonzero appended in ascending order; every other entry
+// of w is zero.
+//
+// The L pass visits only the steps with a nonempty L column and marks, in
+// stepSet, the step of every row it fills. The U back-substitution then
+// walks stepSet downward, and each step whose result is nonzero marks the
+// earlier steps whose U rows read it (utIdx). Every nonzero of w comes
+// from the same operations in the same order as ftran; a skipped step
+// leaves +0 where ftran can write -0. No consumer of w can see that sign:
+// the ratio test skips |w_i| < pivotTol, the xB update and the eta file
+// take only nonzeros, and updateD reads the pivot w_r, which is nonzero.
+// computeXB keeps the full ftran, because its right-hand side can hold -0
+// and its output becomes plan values.
+func (f *sparseLU) ftranCol(in *Instance, q int, w []float64, pat []int32) []int32 {
 	clear(w)
+	out, steps := f.vecSet, f.stepSet
+	// A nonzero in row r seeds r's step, or with an identity LU the
+	// output position r itself.
+	seed := func(r int32) {
+		if f.trivial {
+			mark(out, r)
+		} else {
+			mark(steps, f.rowStep[r])
+		}
+	}
 	if q >= in.nStruct {
-		w[q-in.nStruct] = 1
+		r := int32(q - in.nStruct)
+		w[r] = 1
+		seed(r)
 	} else {
 		for k := in.colPtr[q]; k < in.colPtr[q+1]; k++ {
 			w[in.colRow[k]] = in.colVal[k]
+			seed(in.colRow[k])
 		}
 	}
-	f.ftran(w)
+	if !f.trivial {
+		for _, step := range f.lSteps {
+			v := w[f.pivRow[step]]
+			if v == 0 {
+				continue
+			}
+			for t := f.lPtr[step]; t < f.lPtr[step+1]; t++ {
+				r := f.lIdx[t]
+				w[r] -= f.lVal[t] * v
+				mark(steps, f.rowStep[r])
+			}
+		}
+		work := f.work
+		clear(work)
+		for k := len(steps) - 1; k >= 0; k-- {
+			for steps[k] != 0 {
+				b := 63 - bits.LeadingZeros64(steps[k])
+				steps[k] &^= 1 << uint(b)
+				step := k<<6 | b
+				s := w[f.pivRow[step]]
+				for t := f.uPtr[step]; t < f.uPtr[step+1]; t++ {
+					s -= f.uVal[t] * work[f.uIdx[t]]
+				}
+				if s == 0 {
+					continue
+				}
+				p := f.pivCol[step]
+				work[p] = s / f.diag[step]
+				mark(out, p)
+				for t := f.utPtr[step]; t < f.utPtr[step+1]; t++ {
+					mark(steps, f.utIdx[t])
+				}
+			}
+		}
+		copy(w, work)
+	}
+	W := f.words
+	for e, r := range f.etaRow {
+		t := w[r]
+		if t == 0 {
+			continue
+		}
+		t /= f.etaPiv[e]
+		for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
+			w[f.etaIdx[q]] -= f.etaVal[q] * t
+		}
+		w[r] = t
+		for k, sw := range f.etaSet[e*W : (e+1)*W] {
+			out[k] |= sw
+		}
+	}
+	for k, word := range out {
+		out[k] = 0
+		for word != 0 {
+			pat = append(pat, int32(k<<6|bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return pat
 }
 
 // rowOfInverse writes row r of B⁻¹ (a row-space vector) into dst.
 func (f *sparseLU) rowOfInverse(r int, dst []float64) {
 	clear(dst)
 	dst[r] = 1
-	f.btran(dst)
+	mark(f.vecSet, int32(r))
+	f.btranMarked(dst)
 }
 
 // refactor rebuilds the LU from the instance's current basis columns by
@@ -587,7 +749,45 @@ func (f *sparseLU) refactor(in *Instance) bool {
 			}
 		}
 	}
+	f.indexPattern()
 	return true
+}
+
+// indexPattern builds the step maps, the nonempty-L list and U's
+// transposed pattern from a finished factorization.
+func (f *sparseLU) indexPattern() {
+	m := f.m
+	f.rowStep = resizeI32(f.rowStep, m)
+	f.posStep = resizeI32(f.posStep, m)
+	f.lSteps = f.lSteps[:0]
+	for k := 0; k < m; k++ {
+		f.rowStep[f.pivRow[k]] = int32(k)
+		f.posStep[f.pivCol[k]] = int32(k)
+		if f.lPtr[k+1] > f.lPtr[k] {
+			f.lSteps = append(f.lSteps, int32(k))
+		}
+	}
+	// Count U entries per referenced step, then place each U row's step at
+	// the steps it references; colCount is free scratch once elimination
+	// is done.
+	f.utPtr = resizeI32(f.utPtr, m+1)
+	clear(f.utPtr)
+	for _, p := range f.uIdx {
+		f.utPtr[f.posStep[p]+1]++
+	}
+	for k := 0; k < m; k++ {
+		f.utPtr[k+1] += f.utPtr[k]
+	}
+	fill := f.colCount
+	copy(fill, f.utPtr[:m])
+	f.utIdx = resizeI32(f.utIdx, len(f.uIdx))
+	for k := 0; k < m; k++ {
+		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
+			s := f.posStep[f.uIdx[t]]
+			f.utIdx[fill[s]] = int32(k)
+			fill[s]++
+		}
+	}
 }
 
 // eliminate subtracts mult times the pivot row from row r, removing the

@@ -2,13 +2,15 @@
 // co-located with a mini data center whose compute scales with available
 // power (paper §3).
 //
-// The model follows the paper's setup exactly:
+// The model follows the paper's setup, except for the eviction order:
 //
 //   - ~700 servers, 40 cores and 512 GB memory each;
 //   - an Azure-style consolidating VM placement policy (best fit);
 //   - admission control that rejects VMs beyond a 70% utilization target;
 //   - when power decreases, unallocated cores are powered down first and
-//     only then are VMs migrated out, in round-robin order over servers;
+//     only then are VMs migrated out by a sweep over servers from a cursor.
+//     The paper's order is round robin; this sweep skips further ahead
+//     after each eviction (see evictDown);
 //   - when power increases, previously rejected/evicted VMs launch and are
 //     counted as migrations into the site;
 //   - migration traffic is estimated by VM memory size.
@@ -114,13 +116,6 @@ func (x *freeIndex) remove(i, free int) {
 	x.n[free]--
 }
 
-// pendingVM is a VM waiting for power: either rejected at arrival or evicted
-// by a power drop.
-type pendingVM struct {
-	vm      workload.VM
-	evicted bool // true if it previously ran here (re-launch is a migration in either way)
-}
-
 // Site is a single VB site simulator. Create with New; the zero value is not
 // usable.
 type Site struct {
@@ -130,8 +125,8 @@ type Site struct {
 	where   map[int]int // vmID -> server index
 	powered int         // cores currently powered
 	alloc   int         // cores currently allocated (cached sum)
-	pending []pendingVM
-	// evictCursor implements the paper's round-robin eviction order.
+	pending pendingQueue
+	// evictCursor is where the next eviction sweep starts (see evictDown).
 	evictCursor int
 }
 
@@ -172,7 +167,7 @@ func (s *Site) PoweredCores() int { return s.powered }
 func (s *Site) Running() int { return len(s.where) }
 
 // Pending returns the number of VMs waiting for power.
-func (s *Site) Pending() int { return len(s.pending) }
+func (s *Site) Pending() int { return s.pending.n }
 
 // Utilization returns allocated cores over total cores.
 func (s *Site) Utilization() float64 {
@@ -294,59 +289,81 @@ type StepResult struct {
 	Departed    int
 }
 
-// Step advances the site to `now`: departs finished VMs, applies the new
-// power fraction (evicting if needed), admits fresh arrivals, and launches
-// pending VMs into any remaining capacity.
+// Step advances the site to `now`: departs finished VMs, drops queued VMs
+// whose lifetime is over, applies the new power fraction (evicting if
+// needed), admits fresh arrivals, and launches pending VMs into any
+// remaining capacity.
 func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) StepResult {
 	var res StepResult
 
-	// 1) Departures: running VMs whose lifetime ended.
+	// 1) Departures: running VMs whose lifetime ended, then queued VMs
+	// whose lifetime ended. The expiry sweep runs before the step queues
+	// anything: an evicted VM was still running after the departures, and
+	// a refused arrival is first checked at the next step.
 	res.Departed = s.depart(now)
-	// The launch pass drops expired VMs among those queued before this
-	// step. VMs this step evicts or refuses queue behind them unchecked:
-	// an evicted VM was still running after the departures, and a refused
-	// arrival is first checked at the next step.
-	queued := len(s.pending)
+	s.pending.expire(now)
 
 	// 2) Power change.
 	s.setPower(powerFrac)
 	// Evict while allocation exceeds powered cores: unallocated cores were
 	// implicitly powered down first (they are not counted in allocation).
-	res.OutGB, res.Evicted = s.evictDown()
+	s.evictDown(func(vm workload.VM) {
+		s.pending.push(vm, true)
+		res.OutGB += float64(vm.MemoryGB)
+		res.Evicted++
+	})
 
 	// 3) Fresh arrivals.
 	limit := s.admissionLimit()
 	for i := range arrivals {
 		if !s.place(&arrivals[i], limit) {
-			s.pending = append(s.pending, pendingVM{vm: arrivals[i]})
+			s.pending.push(arrivals[i], false)
 			res.RejectedNew++
 		}
 	}
 
-	// 4) One pass over the pending queue, oldest first: drop VMs queued
-	// before this step whose lifetime is over, launch the rest into
-	// remaining headroom and keep the refused ones in order. Every launch
-	// is a migration into the site.
-	kept := 0
-	for i := range s.pending {
-		p := &s.pending[i]
-		if i < queued {
-			if end := p.vm.End(); !end.IsZero() && !end.After(now) {
-				continue
-			}
-		}
-		if s.place(&p.vm, limit) {
-			res.InGB += float64(p.vm.MemoryGB)
-			res.Launched++
-			continue
-		}
-		if kept != i {
-			s.pending[kept] = *p
-		}
-		kept++
-	}
-	s.pending = s.pending[:kept]
+	// 4) Launch pending VMs into the remaining headroom, oldest first.
+	// Every launch is a migration into the site.
+	res.InGB, res.Launched = s.launch(limit)
 	return res
+}
+
+// launch tries the pending queue oldest first under the admission limit,
+// launches what fits and keeps the rest in order. It returns the launched
+// memory and count.
+//
+// It merges the shapes' FIFOs by sequence number, and a refusal by
+// admission control or best fit ends that shape's turn: within the pass
+// placements only consume cores and memory and the limit is fixed, so
+// every later VM of the shape would be refused too, with no side effect.
+// A refusal that belongs to the VM, a non-positive size or an ID already
+// running here, does not end its shape. So every place call that can
+// succeed happens in queue order against the same site state as a walk
+// over the whole queue.
+func (s *Site) launch(limit int) (inGB float64, launched int) {
+	p := &s.pending
+	h := p.heads[:0]
+	for si := range p.shapes {
+		if f := &p.shapes[si]; f.live > 0 {
+			h.push(shapeHead{f.q[f.head].seq, si, f.head})
+		}
+	}
+	for len(h) > 0 {
+		x := h.pop()
+		vm := &p.shapes[x.shape].q[x.pos].vm
+		if s.place(vm, limit) {
+			inGB += float64(vm.MemoryGB)
+			launched++
+			p.drop(x.shape, x.pos)
+		} else if _, running := s.where[vm.ID]; vm.Cores > 0 && vm.MemoryGB > 0 && !running {
+			continue // the shape's turn is over
+		}
+		if i := p.next(x.shape, x.pos); i >= 0 {
+			h.push(shapeHead{p.shapes[x.shape].q[i].seq, x.shape, i})
+		}
+	}
+	p.heads = h
+	return inGB, launched
 }
 
 // depart removes every running VM whose lifetime ended by now and returns
@@ -380,35 +397,66 @@ func (s *Site) depart(now time.Time) int {
 	return departed
 }
 
-// evictDown migrates VMs out, in round-robin order over servers, until the
-// allocated cores fit under the powered cores. It returns the traffic and
-// eviction count, and queues evicted VMs for relaunch when power returns.
-func (s *Site) evictDown() (outGB float64, evicted int) {
+// evictDown migrates VMs out until the allocated cores fit under the
+// powered cores, handing each to evict in eviction order. Each server
+// gives up its smallest ID.
+//
+// The sweep is meant to be round robin over servers from the cursor, but
+// it is not: after each eviction the cursor moves past the server while the
+// scan count keeps growing, so the next index jumps 1, 2, 3, ... servers
+// further each time. On a full 8-server site with the cursor at 0, eight
+// evictions come from servers 0, 2, 5, 1, 6, 4, 3, 3. The Fig 4 results
+// depend on this order. The sweep jumps over empty servers through the
+// free-core index and visits the others in exactly that order.
+func (s *Site) evictDown(evict func(workload.VM)) {
+	n := len(s.servers)
 	for s.alloc > s.powered {
 		moved := false
-		// One full round-robin sweep: take one VM from each non-empty
-		// server starting at the cursor.
-		for scan := 0; scan < len(s.servers); scan++ {
-			idx := (s.evictCursor + scan) % len(s.servers)
-			if len(s.servers[idx].vms) == 0 {
-				continue
+		for scan := 0; scan < n; scan++ {
+			// Skip the empty servers this scan would step over.
+			at := (s.evictCursor + scan) % n
+			idx := s.nextOccupied(at)
+			if idx < 0 {
+				break
+			}
+			if scan += (idx - at + n) % n; scan >= n {
+				break
 			}
 			// The smallest ID leaves first, for determinism.
-			vm := s.removeAt(idx, 0)
-			s.pending = append(s.pending, pendingVM{vm: vm, evicted: true})
-			outGB += float64(vm.MemoryGB)
-			evicted++
+			evict(s.removeAt(idx, 0))
 			moved = true
-			s.evictCursor = (idx + 1) % len(s.servers)
+			s.evictCursor = (idx + 1) % n
 			if s.alloc <= s.powered {
-				return outGB, evicted
+				return
 			}
 		}
 		if !moved {
-			break // nothing left to evict
+			return // nothing left to evict
 		}
 	}
-	return outGB, evicted
+}
+
+// nextOccupied returns the first server at or after i, wrapping past the
+// last one, that holds a VM, or -1 if none does. Every VM has a positive
+// core count, so a server holds one exactly when the free-core index does
+// not list it with all its cores free.
+func (s *Site) nextOccupied(i int) int {
+	x := &s.free
+	empty := x.bits[s.cfg.CoresPerServer*x.words:][:x.words]
+	last := ^uint64(0) >> (x.words*64 - len(s.servers)) // the last word's server bits
+	w, mask := i/64, ^uint64(0)<<(i%64)
+	// The first word twice: from bit i on, then, after the wrap, whole.
+	for range x.words + 1 {
+		word := ^empty[w] & mask
+		if w == x.words-1 {
+			word &= last
+		}
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+		w, mask = (w+1)%x.words, ^uint64(0)
+	}
+	return -1
 }
 
 // Admit places a VM immediately, respecting admission control and server
@@ -419,20 +467,14 @@ func (s *Site) Admit(vm workload.VM) bool {
 	return s.place(&vm, s.admissionLimit())
 }
 
-// SetPowerEvict applies a new power fraction and evicts VMs round-robin
-// until the allocation fits under the powered cores, returning the evicted
-// VMs. Unlike Step, evicted VMs are NOT queued for relaunch here — the
-// caller (e.g. a multi-site engine) decides where they go.
+// SetPowerEvict applies a new power fraction and evicts VMs in Step's
+// sweep order until the allocation fits under the powered cores, returning
+// the evicted VMs. Unlike Step, evicted VMs are NOT queued for relaunch
+// here — the caller (e.g. a multi-site engine) decides where they go.
 func (s *Site) SetPowerEvict(powerFrac float64) []workload.VM {
 	s.setPower(powerFrac)
-	before := len(s.pending)
-	s.evictDown()
-	// evictDown queues evictions on s.pending; claim them back.
-	evicted := make([]workload.VM, 0, len(s.pending)-before)
-	for _, p := range s.pending[before:] {
-		evicted = append(evicted, p.vm)
-	}
-	s.pending = s.pending[:before]
+	evicted := make([]workload.VM, 0)
+	s.evictDown(func(vm workload.VM) { evicted = append(evicted, vm) })
 	return evicted
 }
 

@@ -132,6 +132,36 @@ func TestPowerDropEvictsRoundRobin(t *testing.T) {
 	if nonEmpty != 2 {
 		t.Errorf("expected 2 servers still occupied, got %d", nonEmpty)
 	}
+
+	// The sweep is not true round robin: after each eviction the cursor
+	// moves past the server but the scan count keeps growing, so the next
+	// index jumps 1, 2, 3, ... further. Pin that order on a full 8-server
+	// site (two 5-core VMs per server, server k holding IDs 2k+1 and 2k+2):
+	// eight evictions come from servers 0, 2, 5, 1, 6, 4, 3, 3, leaving
+	// server 7 untouched.
+	full, err := New(Config{Servers: 8, CoresPerServer: 10, MemPerServerGB: 100, TargetUtilization: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vms []workload.VM
+	for id := 1; id <= 16; id++ {
+		vms = append(vms, mkVM(id, 5, 10))
+	}
+	full.Step(t0, 1, vms)
+	for k := range full.servers {
+		if ids := []int{full.servers[k].vms[0].ID, full.servers[k].vms[1].ID}; ids[0] != 2*k+1 || ids[1] != 2*k+2 {
+			t.Fatalf("server %d holds %v, want [%d %d]", k, ids, 2*k+1, 2*k+2)
+		}
+	}
+	res = full.Step(t0.Add(15*time.Minute), 0.5, nil)
+	var got []int
+	for _, p := range full.State().Pending {
+		got = append(got, p.VM.ID)
+	}
+	if want := []int{1, 5, 11, 3, 13, 9, 7, 8}; res.Evicted != 8 || !slices.Equal(got, want) || full.evictCursor != 4 {
+		t.Errorf("evicted %d VMs %v, cursor %d; want 8 VMs %v (servers 0, 2, 5, 1, 6, 4, 3, 3), cursor 4",
+			res.Evicted, got, full.evictCursor, want)
+	}
 }
 
 func TestPowerRecoveryRelaunches(t *testing.T) {
@@ -645,7 +675,7 @@ func pendingIDs(q []pendingVM) []int {
 }
 
 func viewOf(s *Site) siteView {
-	return siteView{s.powered, s.alloc, s.evictCursor, s.where, pendingIDs(s.pending)}
+	return siteView{s.powered, s.alloc, s.evictCursor, s.where, pendingIDs(s.pending.inOrder())}
 }
 
 func (r *refSite) view() siteView {
@@ -702,14 +732,18 @@ func checkIndex(t *testing.T, s *Site) {
 // random sequence of Step, Admit, Remove and SetPowerEvict calls. Every
 // call must return the same result on all three and leave every VM on the
 // oracle's server, and the Site's index must stay consistent throughout.
-// The memory-bound config makes memory, not cores, the binding fit.
+// The memory-bound config makes memory, not cores, the binding fit. The
+// queue-heavy config runs 130 servers (three occupancy words, the last one
+// partial) through bursts of three shapes, so the pending queue must pass
+// minQueue VMs, with repeated IDs among them.
 func TestIndexMatchesLinearScan(t *testing.T) {
 	configs := []struct {
-		name  string
-		cfg   Config
-		ops   int
-		vm    func(rng *rand.Rand) (cores, memGB int)
-		burst int // most arrivals per Step
+		name     string
+		cfg      Config
+		ops      int
+		vm       func(rng *rand.Rand) (cores, memGB int)
+		burst    int // most arrivals per Step
+		minQueue int // pending VMs the run must reach
 	}{
 		{"default", DefaultConfig(), 400, func(rng *rand.Rand) (int, int) {
 			cores := []int{1, 1, 2, 2, 4, 4, 8, 8, 16, 24, 32, 40, 41}[rng.IntN(13)]
@@ -717,9 +751,14 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				return cores, 512 - rng.IntN(64)
 			}
 			return cores, cores * (2 << rng.IntN(4))
-		}, 80},
+		}, 80, 0},
 		{"memory-bound", Config{Servers: 100, CoresPerServer: 40, MemPerServerGB: 16, TargetUtilization: 0.7}, 1500,
-			func(rng *rand.Rand) (int, int) { return 1 + rng.IntN(8), 1 + rng.IntN(17) }, 12},
+			func(rng *rand.Rand) (int, int) { return 1 + rng.IntN(8), 1 + rng.IntN(17) }, 12, 0},
+		{"queue-heavy", Config{Servers: 130, CoresPerServer: 40, MemPerServerGB: 512, TargetUtilization: 1}, 300,
+			func(rng *rand.Rand) (int, int) {
+				shape := [][2]int{{2, 8}, {4, 16}, {8, 64}}[rng.IntN(3)]
+				return shape[0], shape[1]
+			}, 180, 1000},
 	}
 	lifetimes := []time.Duration{0, 15 * time.Minute, 30 * time.Minute, time.Hour, 3 * time.Hour, 12 * time.Hour}
 	fracs := []float64{0, 0.1, 0.25, 0.5, 0.7, 0.9, 1, 1, 1, math.NaN()}
@@ -733,7 +772,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			ref := newRefSite(c.cfg)
 			cp := s
 			var ids []int // every ID issued so far
-			now := t0
+			now, peak := t0, 0
 			newVM := func() workload.VM {
 				cores, mem := c.vm(rng)
 				id := len(ids) + 1
@@ -805,9 +844,13 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				}
 				checkIndex(t, s)
 				checkIndex(t, cp)
+				peak = max(peak, s.Pending())
 			}
 			if ref.alloc == 0 || len(ref.pending) == 0 {
 				t.Errorf("sequence never loaded the site: alloc %d, pending %d", ref.alloc, len(ref.pending))
+			}
+			if peak < c.minQueue {
+				t.Errorf("pending queue peaked at %d VMs, want at least %d", peak, c.minQueue)
 			}
 		})
 	}

@@ -1,9 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"github.com/vbcloud/vb/internal/obs"
@@ -84,23 +84,38 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 	if err := validateVMs(vms); err != nil {
 		return RunResult{}, err
 	}
-	// Bucket arrivals by step index relative to the warm-up origin.
+	// Bucket arrivals by step index relative to the warm-up origin: count
+	// each step's arrivals, carve every bucket from one slab, and sort each
+	// by ID (IDs are unique, so the order is fixed).
 	warmStart := power.Start.Add(-time.Duration(warmup) * power.Step)
 	total := warmup + power.Len()
-	buckets := make([][]workload.VM, total)
-	for _, vm := range vms {
-		d := vm.Arrival.Sub(warmStart)
-		if d < 0 {
-			continue
+	stepOf := func(vm *workload.VM) int {
+		if d := vm.Arrival.Sub(warmStart); d >= 0 && int(d/power.Step) < total {
+			return int(d / power.Step)
 		}
-		i := int(d / power.Step)
-		if i >= total {
-			continue
-		}
-		buckets[i] = append(buckets[i], vm)
+		return -1
 	}
-	for i := range buckets {
-		sort.Slice(buckets[i], func(a, b int) bool { return buckets[i][a].ID < buckets[i][b].ID })
+	// After the prefix sums off[k] counts the arrivals up to and including
+	// step k; filling each bucket from its end then leaves off[k] at
+	// bucket k's start and off[k+1] at its end.
+	off := make([]int, total+1)
+	for i := range vms {
+		if k := stepOf(&vms[i]); k >= 0 {
+			off[k]++
+		}
+	}
+	for k := 1; k <= total; k++ {
+		off[k] += off[k-1]
+	}
+	slab := make([]workload.VM, off[total])
+	for i := range vms {
+		if k := stepOf(&vms[i]); k >= 0 {
+			off[k]--
+			slab[off[k]] = vms[i]
+		}
+	}
+	for k := range total {
+		slices.SortFunc(slab[off[k]:off[k+1]], func(a, b workload.VM) int { return cmp.Compare(a.ID, b.ID) })
 	}
 
 	res := RunResult{
@@ -119,10 +134,8 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 		traffic = reg.NewCounterVec("cluster.traffic_gb", "dir")
 		churn = reg.NewCounterVec("cluster.vm_events", "kind")
 		arrivals := reg.NewCounterVec("cluster.vm_arrivals", "class")
-		for i := range buckets {
-			for _, vm := range buckets[i] {
-				arrivals.Inc(vm.Class.String())
-			}
+		for _, vm := range slab {
+			arrivals.Inc(vm.Class.String())
 		}
 	}
 	for i := 0; i < total; i++ {
@@ -131,7 +144,7 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 		if i >= warmup {
 			frac = power.Values[i-warmup]
 		}
-		step := site.Step(now, frac, buckets[i])
+		step := site.Step(now, frac, slab[off[i]:off[i+1]])
 		if i >= warmup {
 			j := i - warmup
 			res.Steps[j] = step

@@ -11,8 +11,8 @@ import (
 // Site state export for daemon crash recovery. Placement is stateful in
 // three ways that a restore must reproduce exactly: which server each VM
 // sits on (best-fit consolidation depends on current per-server load), the
-// pending queue order (launch order is oldest-first), and the round-robin
-// eviction cursor. Serializing only "which VMs run here" would drift from
+// pending queue order (launch order is oldest-first), and the eviction
+// cursor. Serializing only "which VMs run here" would drift from
 // the uninterrupted process on the first power drop.
 
 // PendingVMState is one queued VM in wire form.
@@ -42,13 +42,13 @@ func (s *Site) State() SiteState {
 		Powered:     s.powered,
 		EvictCursor: s.evictCursor,
 		Servers:     make([][]workload.VM, len(s.servers)),
-		Pending:     make([]PendingVMState, len(s.pending)),
+		Pending:     make([]PendingVMState, s.pending.n),
 	}
 	for i := range s.servers {
 		st.Servers[i] = make([]workload.VM, len(s.servers[i].vms))
 		copy(st.Servers[i], s.servers[i].vms)
 	}
-	for i, p := range s.pending {
+	for i, p := range s.pending.inOrder() {
 		st.Pending[i] = PendingVMState{VM: p.vm, Evicted: p.evicted}
 	}
 	return st
@@ -96,9 +96,8 @@ func NewFromState(st SiteState) (*Site, error) {
 		s.alloc += srv.allocCores
 		s.free.add(i, st.Config.CoresPerServer-srv.allocCores)
 	}
-	s.pending = make([]pendingVM, len(st.Pending))
-	for i, p := range st.Pending {
-		s.pending[i] = pendingVM{vm: p.VM, evicted: p.Evicted}
+	for _, p := range st.Pending {
+		s.pending.push(p.VM, p.Evicted)
 	}
 	return s, nil
 }

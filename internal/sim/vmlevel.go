@@ -11,8 +11,8 @@ import (
 )
 
 // VMLevelResult reports a high-fidelity run where individual VMs are placed
-// on real cluster simulators (server packing, fragmentation, round-robin
-// eviction) while the co-scheduler steers aggregate allocations. Comparing
+// on real cluster simulators (server packing, fragmentation, the eviction
+// sweep) while the co-scheduler steers aggregate allocations. Comparing
 // it against Run's core-granularity results validates that the scheduler's
 // fluid model survives contact with discrete VMs.
 type VMLevelResult struct {

@@ -4,8 +4,9 @@
 // It builds the root test binary of a base checkout and of a head checkout
 // with `go test -c`, then runs both in 5 alternating pairs (base first in
 // even pairs, head first in odd ones) of BenchmarkMIPSolve,
-// BenchmarkMIPSolveCold and BenchmarkTable1PolicyComparison at a fixed
-// -benchtime of 1s, collects each benchmark's ns/op per run, and prints
+// BenchmarkMIPSolveCold, BenchmarkTable1PolicyComparison (the solver path)
+// and BenchmarkFig4aMigrationTimeline (the VB-site packing path) at a
+// fixed -benchtime of 1s, collects each benchmark's ns/op per run, and prints
 // each side's median and quartiles. Because both sides run on the same
 // machine in the same minutes, no committed baseline is needed.
 //
@@ -40,7 +41,7 @@ const (
 	maxSlower = 0.25 // largest tolerated head median slowdown, as a fraction of the base median
 )
 
-var benchmarks = []string{"BenchmarkMIPSolve", "BenchmarkMIPSolveCold", "BenchmarkTable1PolicyComparison"}
+var benchmarks = []string{"BenchmarkMIPSolve", "BenchmarkMIPSolveCold", "BenchmarkTable1PolicyComparison", "BenchmarkFig4aMigrationTimeline"}
 
 func main() {
 	var (

@@ -425,8 +425,8 @@ func NewScheduler(cfg SchedulerConfig, numSites, steps int) (*Scheduler, error) 
 func RunPolicy(cfg SchedulerConfig, in SimInput) (SimResult, error) { return sim.Run(cfg, in) }
 
 // RunPolicyVMLevel simulates a policy at VM granularity: individual VMs on
-// real per-site cluster simulators (packing, fragmentation, round-robin
-// eviction), steered by the same co-scheduler. apps supplies the discrete
+// real per-site cluster simulators (packing, fragmentation, the eviction
+// sweep), steered by the same co-scheduler. apps supplies the discrete
 // VMs behind in.Apps, matched by application ID.
 func RunPolicyVMLevel(cfg SchedulerConfig, in SimInput, apps []App, clusterCfg ClusterConfig) (VMLevelResult, error) {
 	return sim.RunVMLevel(cfg, in, apps, clusterCfg)

@@ -14,10 +14,15 @@
 //   - when power increases, previously rejected/evicted VMs launch and are
 //     counted as migrations into the site;
 //   - migration traffic is estimated by VM memory size.
+//
+// A site keeps every VM it holds, running or queued, in one slot table
+// (slots.go). Server lists and the pending queue name slots, so an
+// eviction or a relaunch moves a slot index: it copies no VM and touches
+// no map. One expiry heap over the held slots finds both the running VMs
+// that depart and the queued VMs that expire.
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -50,7 +55,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// maxIndexBits bounds a site's free-core index: one bit per server in each
+// of CoresPerServer+1 free-core buckets.
+const maxIndexBits = 1 << 20
+
+// Validate reports configuration errors. Besides positive sizes and a
+// target utilization in (0,1], it bounds the free-core index that a site
+// allocates up front: (CoresPerServer+1) × Servers may be at most 2^20
+// (1,048,576) bits, against 28,700 for the paper's site. That also bounds
+// the server table, so a snapshot cannot make a site allocate without
+// limit.
 func (c Config) Validate() error {
 	if c.Servers <= 0 {
 		return fmt.Errorf("cluster: non-positive server count %d", c.Servers)
@@ -58,10 +72,14 @@ func (c Config) Validate() error {
 	if c.CoresPerServer <= 0 {
 		return fmt.Errorf("cluster: non-positive cores per server %d", c.CoresPerServer)
 	}
+	if c.CoresPerServer >= maxIndexBits || c.Servers > maxIndexBits/(c.CoresPerServer+1) {
+		return fmt.Errorf("cluster: %d servers of %d cores need a free-core index of more than %d bits",
+			c.Servers, c.CoresPerServer, maxIndexBits)
+	}
 	if c.MemPerServerGB <= 0 {
 		return fmt.Errorf("cluster: non-positive memory per server %d", c.MemPerServerGB)
 	}
-	if c.TargetUtilization <= 0 || c.TargetUtilization > 1 {
+	if !(c.TargetUtilization > 0 && c.TargetUtilization <= 1) {
 		return fmt.Errorf("cluster: target utilization %v outside (0,1]", c.TargetUtilization)
 	}
 	return nil
@@ -74,20 +92,31 @@ func (c Config) TotalCores() int { return c.Servers * c.CoresPerServer }
 type server struct {
 	allocCores int
 	allocMemGB int
-	// vms holds the server's VMs sorted by ID: eviction takes vms[0], the
-	// smallest ID, and State copies the list as it stands.
-	vms []workload.VM
-	// due is no later than the earliest end among vms, or zero when none
-	// of them ends; departures skip the server until due. Removals leave
-	// it early, which costs one extra scan and never a missed departure.
-	due time.Time
+	// vms names the server's VMs sorted by ID: eviction takes vms[0], the
+	// smallest ID, and State copies the VMs in this order.
+	vms []runningVM
 }
 
-// noteEnd lowers due to end when end is the server's earliest departure.
-func (srv *server) noteEnd(end time.Time) {
-	if !end.IsZero() && (srv.due.IsZero() || end.Before(srv.due)) {
-		srv.due = end
+// runningVM is a running VM in its server's list: its ID, which orders the
+// list, and its slot.
+type runningVM struct {
+	ID   int
+	slot int32
+}
+
+// find returns the position of ID id in a server's list, or where it would
+// go.
+func find(vms []runningVM, id int) int {
+	lo, hi := 0, len(vms)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if vms[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo
 }
 
 // freeIndex buckets servers by free cores. Bucket c is a bitset over server
@@ -121,10 +150,12 @@ func (x *freeIndex) remove(i, free int) {
 type Site struct {
 	cfg     Config
 	servers []server
-	free    freeIndex   // servers by free cores, for best-fit placement
-	where   map[int]int // vmID -> server index
-	powered int         // cores currently powered
-	alloc   int         // cores currently allocated (cached sum)
+	free    freeIndex     // servers by free cores, for best-fit placement
+	slots   slotTable     // every VM the site holds, and the expiry heap
+	owners  map[int]int32 // VM ID -> the slot that owns it (see slots.go)
+	running int           // running VMs
+	powered int           // cores currently powered
+	alloc   int           // cores currently allocated (cached sum)
 	pending pendingQueue
 	// evictCursor is where the next eviction sweep starts (see evictDown).
 	evictCursor int
@@ -137,7 +168,7 @@ func newSite(cfg Config) *Site {
 		cfg:     cfg,
 		servers: make([]server, cfg.Servers),
 		free:    newFreeIndex(cfg.Servers, cfg.CoresPerServer),
-		where:   make(map[int]int),
+		owners:  make(map[int]int32),
 	}
 }
 
@@ -164,7 +195,7 @@ func (s *Site) AllocatedCores() int { return s.alloc }
 func (s *Site) PoweredCores() int { return s.powered }
 
 // Running returns the number of running VMs.
-func (s *Site) Running() int { return len(s.where) }
+func (s *Site) Running() int { return s.running }
 
 // Pending returns the number of VMs waiting for power.
 func (s *Site) Pending() int { return s.pending.n }
@@ -188,36 +219,21 @@ func (s *Site) admissionLimit() int {
 	return floorEps(s.cfg.TargetUtilization * float64(s.powered))
 }
 
-// place puts a VM on the best-fit server: the one with the fewest free
-// cores that still fits it in cores and memory, the lowest index on a tie.
-// That is the most loaded server that fits, maximizing consolidation as
-// Azure's allocator does. limit is the admission limit at the current power
-// level. It returns false if admission control refuses, the VM has a
-// non-positive size or its ID already runs here, or no server fits.
-func (s *Site) place(vm *workload.VM, limit int) bool {
-	if s.alloc+vm.Cores > limit {
-		return false
+// fit returns the server a VM would be placed on: the best-fit server, the
+// one with the fewest free cores that still fits it in cores and memory,
+// the lowest index on a tie. That is the most loaded server that fits,
+// maximizing consolidation as Azure's allocator does. limit is the
+// admission limit at the current power level, and dup says the VM's ID
+// already runs here. It returns -1 if admission control refuses, the VM
+// has a non-positive size or a running ID, or no server fits.
+func (s *Site) fit(vm *workload.VM, limit int, dup bool) int {
+	if s.alloc+vm.Cores > limit || vm.Cores <= 0 || vm.MemoryGB <= 0 || dup {
+		return -1
 	}
-	if vm.Cores <= 0 || vm.MemoryGB <= 0 {
-		return false
-	}
-	if _, dup := s.where[vm.ID]; dup {
-		return false
-	}
-	best := s.bestFit(vm)
-	if best < 0 {
-		return false
-	}
-	srv := &s.servers[best]
-	k, _ := slices.BinarySearchFunc(srv.vms, vm.ID, byID)
-	srv.vms = slices.Insert(srv.vms, k, *vm)
-	srv.noteEnd(vm.End())
-	s.where[vm.ID] = best
-	s.charge(best, vm.Cores, vm.MemoryGB)
-	return true
+	return s.bestFit(vm)
 }
 
-// bestFit returns the server place picks for vm, or -1 if none fits.
+// bestFit returns the best-fit server for vm, or -1 if none fits.
 // vm.Cores must be positive.
 func (s *Site) bestFit(vm *workload.VM) int {
 	x := &s.free
@@ -237,8 +253,40 @@ func (s *Site) bestFit(vm *workload.VM) int {
 	return -1
 }
 
-// byID orders a server's VMs by ID for binary search.
-func byID(vm workload.VM, id int) int { return cmp.Compare(vm.ID, id) }
+// idRunning looks id up in the ID index: it returns the owning slot, or -1,
+// and whether that slot runs.
+func (s *Site) idRunning(id int) (owner int32, running bool) {
+	o, ok := s.owners[id]
+	if !ok {
+		return -1, false
+	}
+	return o, s.slots.at(o).server >= 0
+}
+
+// own makes slot i the owner of its ID, taking the ID from owner, the slot
+// the index named before, or -1 if it named none.
+func (s *Site) own(i, owner int32) {
+	sl := s.slots.at(i)
+	if sl.owner {
+		return
+	}
+	if owner >= 0 {
+		s.slots.at(owner).owner = false
+	}
+	s.owners[sl.vm.ID] = i
+	sl.owner = true
+}
+
+// run puts slot i, which owns its ID, on server best and charges it.
+func (s *Site) run(i int32, best int) {
+	sl := s.slots.at(i)
+	srv := &s.servers[best]
+	k := find(srv.vms, sl.vm.ID)
+	srv.vms = slices.Insert(srv.vms, k, runningVM{sl.vm.ID, i})
+	sl.server = int32(best)
+	s.running++
+	s.charge(best, sl.vm.Cores, sl.vm.MemoryGB)
+}
 
 // charge adds cores and memGB (negative to release) to server i's
 // allocation and moves the server to its new free-core bucket.
@@ -251,25 +299,43 @@ func (s *Site) charge(i, cores, memGB int) {
 	s.free.add(i, s.cfg.CoresPerServer-srv.allocCores)
 }
 
-// removeAt deletes the VM at position k of server i's list and returns it.
-func (s *Site) removeAt(i, k int) workload.VM {
+// stopAt takes the VM at position k of server i's list off the server and
+// returns its slot, still held and still owning its ID.
+func (s *Site) stopAt(i, k int) int32 {
 	srv := &s.servers[i]
-	vm := srv.vms[k]
+	j := srv.vms[k].slot
 	srv.vms = slices.Delete(srv.vms, k, k+1)
-	delete(s.where, vm.ID)
-	s.charge(i, -vm.Cores, -vm.MemoryGB)
-	return vm
+	sl := s.slots.at(j)
+	sl.server = queuedSlot
+	s.running--
+	s.charge(i, -sl.vm.Cores, -sl.vm.MemoryGB)
+	return j
+}
+
+// stop takes running slot i off its server.
+func (s *Site) stop(i int32) {
+	sl := s.slots.at(i)
+	srv := int(sl.server)
+	s.stopAt(srv, find(s.servers[srv].vms, sl.vm.ID))
+}
+
+// release lets go of slot i, which is neither running nor queued.
+func (s *Site) release(i int32) {
+	if sl := s.slots.at(i); sl.owner {
+		delete(s.owners, sl.vm.ID)
+	}
+	s.slots.release(i)
 }
 
 // Remove deletes a running VM (normal departure). It reports whether the VM
 // was running.
 func (s *Site) Remove(vmID int) bool {
-	i, ok := s.where[vmID]
-	if !ok {
+	i, running := s.idRunning(vmID)
+	if !running {
 		return false
 	}
-	k, _ := slices.BinarySearchFunc(s.servers[i].vms, vmID, byID)
-	s.removeAt(i, k)
+	s.stop(i)
+	s.release(i)
 	return true
 }
 
@@ -296,36 +362,61 @@ type StepResult struct {
 func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) StepResult {
 	var res StepResult
 
-	// 1) Departures: running VMs whose lifetime ended, then queued VMs
-	// whose lifetime ended. The expiry sweep runs before the step queues
-	// anything: an evicted VM was still running after the departures, and
-	// a refused arrival is first checked at the next step.
-	res.Departed = s.depart(now)
-	s.pending.expire(now)
+	// 1) Departures: running VMs whose lifetime ended, and queued VMs
+	// whose lifetime ended. This runs before the step queues anything: an
+	// evicted VM was still running after the departures, and a refused
+	// arrival is first checked at the next step.
+	res.Departed = s.expire(now)
 
 	// 2) Power change.
 	s.setPower(powerFrac)
 	// Evict while allocation exceeds powered cores: unallocated cores were
 	// implicitly powered down first (they are not counted in allocation).
-	s.evictDown(func(vm workload.VM) {
-		s.pending.push(vm, true)
-		res.OutGB += float64(vm.MemoryGB)
+	s.evictDown(func(i int32) {
+		s.pending.push(&s.slots, i, true)
+		res.OutGB += float64(s.slots.at(i).vm.MemoryGB)
 		res.Evicted++
 	})
 
-	// 3) Fresh arrivals.
+	// 3) Fresh arrivals: each takes a slot, running or queued.
 	limit := s.admissionLimit()
-	for i := range arrivals {
-		if !s.place(&arrivals[i], limit) {
-			s.pending.push(arrivals[i], false)
-			res.RejectedNew++
+	for k := range arrivals {
+		vm := &arrivals[k]
+		o, dup := s.idRunning(vm.ID)
+		best := s.fit(vm, limit, dup)
+		i := s.slots.take(vm)
+		if best >= 0 {
+			s.own(i, o)
+			s.run(i, best)
+			continue
 		}
+		if o < 0 { // else another held VM has the ID: a guest
+			s.own(i, o)
+		}
+		s.pending.push(&s.slots, i, false)
+		res.RejectedNew++
 	}
 
 	// 4) Launch pending VMs into the remaining headroom, oldest first.
 	// Every launch is a migration into the site.
 	res.InGB, res.Launched = s.launch(limit)
 	return res
+}
+
+// expire takes every held VM whose lifetime ended by now off its server or
+// out of the queue and returns how many were running. The resulting state
+// does not depend on the order, so the expiry heap's order serves.
+func (s *Site) expire(now time.Time) (departed int) {
+	for i := s.slots.due(now); i >= 0; i = s.slots.due(now) {
+		if s.slots.at(i).server >= 0 {
+			s.stop(i)
+			departed++
+		} else {
+			s.pending.drop(&s.slots, i)
+		}
+		s.release(i)
+	}
+	return departed
 }
 
 // launch tries the pending queue oldest first under the admission limit,
@@ -337,69 +428,47 @@ func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) St
 // placements only consume cores and memory and the limit is fixed, so
 // every later VM of the shape would be refused too, with no side effect.
 // A refusal that belongs to the VM, a non-positive size or an ID already
-// running here, does not end its shape. So every place call that can
+// running here, does not end its shape. So every placement that can
 // succeed happens in queue order against the same site state as a walk
-// over the whole queue.
+// over the whole queue. An owner's ID cannot run here, so only a guest
+// looks its ID up.
 func (s *Site) launch(limit int) (inGB float64, launched int) {
-	p := &s.pending
+	p, t := &s.pending, &s.slots
 	h := p.heads[:0]
 	for si := range p.shapes {
 		if f := &p.shapes[si]; f.live > 0 {
-			h.push(shapeHead{f.q[f.head].seq, si, f.head})
+			h.push(shapeHead{f.q[f.head].seq, int32(si), int32(f.head)})
 		}
 	}
 	for len(h) > 0 {
 		x := h.pop()
-		vm := &p.shapes[x.shape].q[x.pos].vm
-		if s.place(vm, limit) {
+		i := p.shapes[x.shape].q[x.pos].slot
+		sl := t.at(i)
+		vm := &sl.vm
+		owner, dup := int32(-1), false
+		if !sl.owner {
+			owner, dup = s.idRunning(vm.ID)
+		}
+		if best := s.fit(vm, limit, dup); best >= 0 {
+			p.drop(t, i)
+			s.own(i, owner)
+			s.run(i, best)
 			inGB += float64(vm.MemoryGB)
 			launched++
-			p.drop(x.shape, x.pos)
-		} else if _, running := s.where[vm.ID]; vm.Cores > 0 && vm.MemoryGB > 0 && !running {
+		} else if vm.Cores > 0 && vm.MemoryGB > 0 && !dup {
 			continue // the shape's turn is over
 		}
-		if i := p.next(x.shape, x.pos); i >= 0 {
-			h.push(shapeHead{p.shapes[x.shape].q[i].seq, x.shape, i})
+		if j := p.next(t, int(x.shape), int(x.pos)); j >= 0 {
+			h.push(shapeHead{p.shapes[x.shape].q[j].seq, x.shape, int32(j)})
 		}
 	}
 	p.heads = h
 	return inGB, launched
 }
 
-// depart removes every running VM whose lifetime ended by now and returns
-// how many left. The resulting state does not depend on removal order, so
-// each server that is due is filtered in place.
-func (s *Site) depart(now time.Time) int {
-	departed := 0
-	for i := range s.servers {
-		srv := &s.servers[i]
-		if srv.due.IsZero() || srv.due.After(now) {
-			continue
-		}
-		srv.due = time.Time{}
-		n, cores, memGB := len(srv.vms), 0, 0
-		srv.vms = slices.DeleteFunc(srv.vms, func(vm workload.VM) bool {
-			end := vm.End()
-			if end.IsZero() || end.After(now) {
-				srv.noteEnd(end)
-				return false
-			}
-			delete(s.where, vm.ID)
-			cores += vm.Cores
-			memGB += vm.MemoryGB
-			return true
-		})
-		if gone := n - len(srv.vms); gone > 0 {
-			s.charge(i, -cores, -memGB)
-			departed += gone
-		}
-	}
-	return departed
-}
-
 // evictDown migrates VMs out until the allocated cores fit under the
-// powered cores, handing each to evict in eviction order. Each server
-// gives up its smallest ID.
+// powered cores, handing each evicted slot to evict in eviction order.
+// Each server gives up its smallest ID.
 //
 // The sweep is meant to be round robin over servers from the cursor, but
 // it is not: after each eviction the cursor moves past the server while the
@@ -408,7 +477,7 @@ func (s *Site) depart(now time.Time) int {
 // evictions come from servers 0, 2, 5, 1, 6, 4, 3, 3. The Fig 4 results
 // depend on this order. The sweep jumps over empty servers through the
 // free-core index and visits the others in exactly that order.
-func (s *Site) evictDown(evict func(workload.VM)) {
+func (s *Site) evictDown(evict func(int32)) {
 	n := len(s.servers)
 	for s.alloc > s.powered {
 		moved := false
@@ -423,7 +492,7 @@ func (s *Site) evictDown(evict func(workload.VM)) {
 				break
 			}
 			// The smallest ID leaves first, for determinism.
-			evict(s.removeAt(idx, 0))
+			evict(s.stopAt(idx, 0))
 			moved = true
 			s.evictCursor = (idx + 1) % n
 			if s.alloc <= s.powered {
@@ -462,19 +531,39 @@ func (s *Site) nextOccupied(i int) int {
 // Admit places a VM immediately, respecting admission control and server
 // fit, without the pending-queue machinery of Step. It reports success.
 // Used by the VM-level multi-site engine, which decides itself where
-// rejected VMs go.
+// rejected VMs go. Every refusal comes before the VM takes a slot, so a
+// refused VM costs no more than the tests that refuse it.
 func (s *Site) Admit(vm workload.VM) bool {
-	return s.place(&vm, s.admissionLimit())
+	// Admission and size refusals need no ID lookup.
+	if s.alloc+vm.Cores > s.admissionLimit() || vm.Cores <= 0 || vm.MemoryGB <= 0 {
+		return false
+	}
+	owner, dup := s.idRunning(vm.ID)
+	if dup {
+		return false
+	}
+	best := s.bestFit(&vm)
+	if best < 0 {
+		return false
+	}
+	i := s.slots.take(&vm)
+	s.own(i, owner)
+	s.run(i, best)
+	return true
 }
 
 // SetPowerEvict applies a new power fraction and evicts VMs in Step's
 // sweep order until the allocation fits under the powered cores, returning
 // the evicted VMs. Unlike Step, evicted VMs are NOT queued for relaunch
-// here — the caller (e.g. a multi-site engine) decides where they go.
+// here — the caller (e.g. a multi-site engine) decides where they go, and
+// the site lets go of them.
 func (s *Site) SetPowerEvict(powerFrac float64) []workload.VM {
 	s.setPower(powerFrac)
 	evicted := make([]workload.VM, 0)
-	s.evictDown(func(vm workload.VM) { evicted = append(evicted, vm) })
+	s.evictDown(func(i int32) {
+		evicted = append(evicted, s.slots.at(i).vm)
+		s.release(i)
+	})
 	return evicted
 }
 

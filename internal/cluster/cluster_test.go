@@ -32,10 +32,28 @@ func TestConfigValidate(t *testing.T) {
 		{Servers: 1, CoresPerServer: 1, MemPerServerGB: 0, TargetUtilization: 0.5},
 		{Servers: 1, CoresPerServer: 1, MemPerServerGB: 1, TargetUtilization: 0},
 		{Servers: 1, CoresPerServer: 1, MemPerServerGB: 1, TargetUtilization: 1.1},
+		{Servers: 1, CoresPerServer: 1, MemPerServerGB: 1, TargetUtilization: math.NaN()},
+		// Past the free-core index bound, (cores+1) × servers <= 2^20.
+		{Servers: 64, CoresPerServer: 1 << 14, MemPerServerGB: 1, TargetUtilization: 0.5},
+		{Servers: 1<<19 + 1, CoresPerServer: 1, MemPerServerGB: 1, TargetUtilization: 0.5},
+		{Servers: 1, CoresPerServer: 1 << 20, MemPerServerGB: 1, TargetUtilization: 0.5},
+		{Servers: 1, CoresPerServer: 1 << 31, MemPerServerGB: 1, TargetUtilization: 0.5},
+		{Servers: math.MaxInt, CoresPerServer: 40, MemPerServerGB: 1, TargetUtilization: 0.5},
+		{Servers: 2, CoresPerServer: math.MaxInt, MemPerServerGB: 1, TargetUtilization: 0.5},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+	// At the bound.
+	for _, c := range []Config{
+		{Servers: 64, CoresPerServer: 1<<14 - 1, MemPerServerGB: 1, TargetUtilization: 0.5},
+		{Servers: 1 << 19, CoresPerServer: 1, MemPerServerGB: 1, TargetUtilization: 0.5},
+		{Servers: 1, CoresPerServer: 1<<20 - 1, MemPerServerGB: 1, TargetUtilization: 0.5},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config at the index bound refused: %v", err)
 		}
 	}
 	if DefaultConfig().TotalCores() != 28000 {
@@ -78,8 +96,8 @@ func TestBestFitConsolidates(t *testing.T) {
 	// Second small VM should land on the same server (best fit), not an
 	// empty one.
 	s.Step(t0.Add(time.Minute), 1.0, []workload.VM{mkVM(2, 4, 10)})
-	if s.where[1] != s.where[2] {
-		t.Errorf("best fit should consolidate: VM1 on %d, VM2 on %d", s.where[1], s.where[2])
+	if where := whereOf(s); where[1] != where[2] {
+		t.Errorf("best fit should consolidate: VM1 on %d, VM2 on %d", where[1], where[2])
 	}
 }
 
@@ -489,6 +507,89 @@ func TestBadVMsLeakNoCapacity(t *testing.T) {
 	}
 }
 
+// TestDuplicateIDOwnerAndGuest follows one ID held twice. The owner is
+// evicted; a second VM with the same ID arrives and runs, taking the ID
+// over; the first VM's relaunch is then refused because its ID runs here,
+// which must not end its shape's turn, so the VM queued behind it of the
+// same shape still launches; once the second VM departs, the first
+// relaunches and owns the ID again. The oracle, checkIndex and checkQueue
+// follow every step.
+func TestDuplicateIDOwnerAndGuest(t *testing.T) {
+	cfg := Config{Servers: 2, CoresPerServer: 10, MemPerServerGB: 100, TargetUtilization: 1}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefSite(cfg)
+	owner := mkVM(7, 4, 10)
+	behind := mkVM(8, 4, 10)
+	guest := mkVM(7, 2, 5)
+	guest.Lifetime = 15 * time.Minute
+	step := func(k int, frac float64, arr ...workload.VM) StepResult {
+		t.Helper()
+		now := t0.Add(time.Duration(k) * 15 * time.Minute)
+		for i := range arr {
+			arr[i].Arrival = now
+		}
+		got, want := s.Step(now, frac, arr), ref.step(now, frac, arr)
+		if got != want {
+			t.Fatalf("step %d: site %+v, oracle %+v", k, got, want)
+		}
+		if !reflect.DeepEqual(viewOf(s), ref.view()) {
+			t.Fatalf("step %d: site and oracle states diverge", k)
+		}
+		checkIndex(t, s)
+		checkQueue(t, s)
+		return got
+	}
+	slotOf := func(id int) (running, queued []*slot) {
+		for i := int32(0); i < s.slots.n; i++ {
+			if sl := s.slots.at(i); sl.server != freeSlot && sl.vm.ID == id {
+				if sl.server >= 0 {
+					running = append(running, sl)
+				} else {
+					queued = append(queued, sl)
+				}
+			}
+		}
+		return running, queued
+	}
+
+	step(0, 1, owner)
+	if res := step(1, 0, behind); res.Evicted != 1 || res.RejectedNew != 1 || s.Pending() != 2 {
+		t.Fatalf("owner not evicted behind a queued VM: %+v, pending %d", res, s.Pending())
+	}
+	if _, q := slotOf(7); len(q) != 1 || !q[0].owner || !q[0].evicted {
+		t.Fatalf("the evicted VM 7 should be queued and own its ID")
+	}
+	res := step(2, 1, guest)
+	if res.RejectedNew != 0 || res.Launched != 1 || s.Running() != 2 || s.Pending() != 1 {
+		t.Fatalf("second VM 7 should run and VM 8 launch past the refused first VM 7: %+v, running %d, pending %d",
+			res, s.Running(), s.Pending())
+	}
+	r, q := slotOf(7)
+	if len(r) != 1 || len(q) != 1 || r[0].vm.Cores != guest.Cores || !r[0].owner || q[0].owner {
+		t.Fatalf("the running VM 7 should own the ID and the queued one be its guest")
+	}
+	if _, ok := whereOf(s)[8]; !ok || s.State().Pending[0].VM.ID != 7 {
+		t.Fatalf("VM 8 should run and the first VM 7 wait: pending %+v", s.State().Pending)
+	}
+	res = step(3, 1)
+	if res.Departed != 1 || res.Launched != 1 || s.Running() != 2 || s.Pending() != 0 {
+		t.Fatalf("first VM 7 should relaunch once the second departs: %+v", res)
+	}
+	if r, q := slotOf(7); len(r) != 1 || len(q) != 0 || r[0].vm.Cores != owner.Cores || !r[0].owner {
+		t.Fatalf("the relaunched VM 7 should run and own its ID")
+	}
+}
+
+// pendingVM is a VM waiting for power in the oracle's queue: either
+// rejected at arrival or evicted by a power drop.
+type pendingVM struct {
+	vm      workload.VM
+	evicted bool
+}
+
 // refSite is the packing oracle the indexed Site must reproduce decision
 // for decision: a map of VMs per server, a linear best-fit scan over every
 // server, and separate expiry and launch passes over the pending queue.
@@ -674,37 +775,67 @@ func pendingIDs(q []pendingVM) []int {
 	return ids
 }
 
+// whereOf maps every running VM's ID to its server, read from the server
+// lists.
+func whereOf(s *Site) map[int]int {
+	where := map[int]int{}
+	for i := range s.servers {
+		for _, r := range s.servers[i].vms {
+			where[r.ID] = i
+		}
+	}
+	return where
+}
+
 func viewOf(s *Site) siteView {
-	return siteView{s.powered, s.alloc, s.evictCursor, s.where, pendingIDs(s.pending.inOrder())}
+	var q []pendingVM
+	for _, i := range s.pending.inOrder(&s.slots) {
+		q = append(q, pendingVM{s.slots.at(i).vm, s.slots.at(i).evicted})
+	}
+	return siteView{s.powered, s.alloc, s.evictCursor, whereOf(s), pendingIDs(q)}
 }
 
 func (r *refSite) view() siteView {
 	return siteView{r.powered, r.alloc, r.cursor, r.where, pendingIDs(r.pending)}
 }
 
-// checkIndex verifies the Site's internal bookkeeping: per-server sums
-// equal the VMs they hold, each list is sorted by ID, every server sits in
-// exactly the free-core bucket its load names, where agrees with the lists,
-// alloc is the sum over servers and due bounds every server's departures.
+// checkIndex verifies the Site's internal bookkeeping. Per-server sums
+// equal the VMs they hold, each list is sorted by ID and names slots that
+// run on that server with that ID, every server sits in exactly the
+// free-core bucket its load names, and alloc and running are the sums over
+// servers. The slot table holds together: every held slot is referenced
+// exactly once, by one server list or one live queue entry, and a free
+// slot by neither; every running VM owns its ID, and every ID index entry
+// names a held slot with that ID; the expiry heap holds exactly the held
+// slots that have an end time, each at its recorded position, in heap
+// order.
 func checkIndex(t *testing.T, s *Site) {
 	t.Helper()
+	tb := &s.slots
+	inTable := func(i int32) bool { return i >= 0 && i < tb.n }
+	refs := make([]int, tb.n)
 	want := newFreeIndex(len(s.servers), s.cfg.CoresPerServer)
 	running, alloc := 0, 0
 	for i := range s.servers {
 		srv := &s.servers[i]
 		cores, mem := 0, 0
-		for k, vm := range srv.vms {
-			cores += vm.Cores
-			mem += vm.MemoryGB
-			if k > 0 && srv.vms[k-1].ID >= vm.ID {
+		for k, r := range srv.vms {
+			if k > 0 && srv.vms[k-1].ID >= r.ID {
 				t.Fatalf("server %d: VM list not sorted by ID at %d", i, k)
 			}
-			if at, ok := s.where[vm.ID]; !ok || at != i {
-				t.Fatalf("server %d holds VM %d but where says %d (%v)", i, vm.ID, at, ok)
+			if !inTable(r.slot) {
+				t.Fatalf("server %d lists VM %d in slot %d, outside the table's %d", i, r.ID, r.slot, tb.n)
 			}
-			if end := vm.End(); !end.IsZero() && (srv.due.IsZero() || end.Before(srv.due)) {
-				t.Fatalf("server %d: due %v is after VM %d's end %v", i, srv.due, vm.ID, end)
+			refs[r.slot]++
+			sl := tb.at(r.slot)
+			if sl.server != int32(i) || sl.vm.ID != r.ID {
+				t.Fatalf("server %d lists VM %d in slot %d, which holds VM %d on server %d", i, r.ID, r.slot, sl.vm.ID, sl.server)
 			}
+			if !sl.owner {
+				t.Fatalf("server %d: running VM %d does not own its ID", i, r.ID)
+			}
+			cores += sl.vm.Cores
+			mem += sl.vm.MemoryGB
 		}
 		if cores != srv.allocCores || mem != srv.allocMemGB {
 			t.Fatalf("server %d: sums %d cores %d GB, recorded %d/%d", i, cores, mem, srv.allocCores, srv.allocMemGB)
@@ -719,11 +850,73 @@ func checkIndex(t *testing.T, s *Site) {
 	if !slices.Equal(s.free.bits, want.bits) || !slices.Equal(s.free.n, want.n) {
 		t.Fatalf("free-core buckets disagree with server loads: counts %v, want %v", s.free.n, want.n)
 	}
-	if running != len(s.where) {
-		t.Fatalf("servers hold %d VMs, where has %d", running, len(s.where))
+	if running != s.running {
+		t.Fatalf("servers hold %d VMs, running counts %d", running, s.running)
 	}
 	if alloc != s.alloc {
 		t.Fatalf("alloc %d, servers sum to %d", s.alloc, alloc)
+	}
+
+	for _, f := range s.pending.shapes {
+		for _, e := range f.q {
+			if !inTable(e.slot) {
+				t.Fatalf("queue entry %d names slot %d, outside the table's %d", e.seq, e.slot, tb.n)
+			}
+			if e.live(tb) {
+				refs[e.slot]++
+			}
+		}
+	}
+	free := map[int32]bool{}
+	for _, i := range tb.free {
+		if !inTable(i) || free[i] {
+			t.Fatalf("free list names slot %d twice or outside the table's %d", i, tb.n)
+		}
+		free[i] = true
+	}
+	held, ends := 0, 0
+	for i := int32(0); i < tb.n; i++ {
+		sl := tb.at(i)
+		if free[i] {
+			if refs[i] != 0 || sl.server != freeSlot || sl.seq != 0 || sl.pos != -1 || sl.owner {
+				t.Fatalf("free slot %d: %d references, server %d, sequence %d, heap position %d, owner %v",
+					i, refs[i], sl.server, sl.seq, sl.pos, sl.owner)
+			}
+			continue
+		}
+		held++
+		if refs[i] != 1 || sl.server == freeSlot || (sl.server >= 0) != (sl.seq == 0) {
+			t.Fatalf("held slot %d (VM %d): %d references, server %d, sequence %d", i, sl.vm.ID, refs[i], sl.server, sl.seq)
+		}
+		if o, ok := s.owners[sl.vm.ID]; sl.owner != (ok && o == i) {
+			t.Fatalf("slot %d (VM %d): owner %v, but the index names %d (%v)", i, sl.vm.ID, sl.owner, o, ok)
+		}
+		if end := sl.vm.End(); end.IsZero() {
+			if sl.pos != -1 {
+				t.Fatalf("slot %d (VM %d) never ends but sits at heap position %d", i, sl.vm.ID, sl.pos)
+			}
+		} else {
+			ends++
+			if sl.pos < 0 || int(sl.pos) >= len(tb.ends) || tb.ends[sl.pos] != expiryAt(end, i) {
+				t.Fatalf("slot %d (VM %d) ends at %v but records heap position %d", i, sl.vm.ID, end, sl.pos)
+			}
+		}
+	}
+	if held != s.running+s.pending.n {
+		t.Fatalf("%d held slots for %d running and %d queued VMs", held, s.running, s.pending.n)
+	}
+	for id, o := range s.owners {
+		if !inTable(o) || free[o] || tb.at(o).vm.ID != id {
+			t.Fatalf("the index names slot %d for ID %d, which is free or holds another ID", o, id)
+		}
+	}
+	if ends != len(tb.ends) {
+		t.Fatalf("expiry heap holds %d keys for %d held slots that end", len(tb.ends), ends)
+	}
+	for k := 1; k < len(tb.ends); k++ {
+		if tb.ends[k].less(tb.ends[(k-1)/2]) {
+			t.Fatalf("expiry heap out of order at %d", k)
+		}
 	}
 }
 
@@ -823,8 +1016,8 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 					oracle := ref.linearBestFit(vm)
 					ok := s.Admit(vm)
 					got, gotCopy, want = ok, cp.Admit(vm), ref.place(vm)
-					if ok && s.where[vm.ID] != oracle {
-						t.Fatalf("op %d: VM %d placed on server %d, linear scan picks %d", op, vm.ID, s.where[vm.ID], oracle)
+					if at := whereOf(s)[vm.ID]; ok && at != oracle {
+						t.Fatalf("op %d: VM %d placed on server %d, linear scan picks %d", op, vm.ID, at, oracle)
 					}
 				case k < 9:
 					id := 0
@@ -844,6 +1037,8 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				}
 				checkIndex(t, s)
 				checkIndex(t, cp)
+				checkQueue(t, s)
+				checkQueue(t, cp)
 				peak = max(peak, s.Pending())
 			}
 			if ref.alloc == 0 || len(ref.pending) == 0 {

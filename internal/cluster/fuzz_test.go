@@ -112,8 +112,8 @@ func FuzzSiteMatchesOracle(f *testing.F) {
 				oracle := ref.linearBestFit(vm)
 				ok := s.Admit(vm)
 				got, gotCopy, want = ok, cp.Admit(vm), ref.place(vm)
-				if ok && s.where[vm.ID] != oracle {
-					t.Fatalf("op %d: VM %d placed on server %d, linear scan picks %d", op, vm.ID, s.where[vm.ID], oracle)
+				if at := whereOf(s)[vm.ID]; ok && at != oracle {
+					t.Fatalf("op %d: VM %d placed on server %d, linear scan picks %d", op, vm.ID, at, oracle)
 				}
 			case 5:
 				id := 0
@@ -147,50 +147,39 @@ func FuzzSiteMatchesOracle(f *testing.F) {
 	})
 }
 
-// checkQueue verifies the pending queue's bookkeeping: every entry sits in
-// its shape's FIFO, each FIFO is in sequence order with only gone entries
-// before its head and a live entry at it, the live counts add up, and the
-// expiry heap is a heap holding the key of every live entry that ends.
+// checkQueue verifies the pending queue's bookkeeping: every live entry
+// names a queued slot of its FIFO's shape, each FIFO is in sequence order
+// with only dead entries before its head and a live entry at it, the live
+// counts add up, and every slot that has queued names the FIFO of its own
+// shape.
 func checkQueue(t *testing.T, s *Site) {
 	t.Helper()
-	p := &s.pending
-	keys := map[uint64]expiry{}
-	for i, x := range p.expiry {
-		if i > 0 && x.less(p.expiry[(i-1)/2]) {
-			t.Fatalf("expiry heap out of order at %d", i)
-		}
-		keys[x.seq] = x
-	}
+	p, tb := &s.pending, &s.slots
 	if len(p.byShape) != len(p.shapes) {
 		t.Fatalf("%d shape keys for %d FIFOs", len(p.byShape), len(p.shapes))
 	}
+	keys := make([]shapeKey, len(p.shapes))
 	n := 0
 	for key, si := range p.byShape {
+		keys[si] = key
 		f := &p.shapes[si]
 		live := 0
 		for i, e := range f.q {
-			if e.vm.Cores != key.cores || e.vm.MemoryGB != key.memGB {
-				t.Fatalf("shape %v holds a %d-core %d GB VM", key, e.vm.Cores, e.vm.MemoryGB)
-			}
-			if i > 0 && f.q[i-1].seq >= e.seq || e.seq > p.seq {
+			if i > 0 && f.q[i-1].seq >= e.seq || e.seq == 0 || e.seq > p.seq {
 				t.Fatalf("shape %v: sequence %d out of order at %d", key, e.seq, i)
 			}
-			if e.gone {
+			if !e.live(tb) {
 				continue
 			}
 			if i < f.head {
 				t.Fatalf("shape %v: live entry %d before head %d", key, i, f.head)
 			}
-			live++
-			if end := e.vm.End(); !end.IsZero() {
-				want := expiryAt(end)
-				want.shape, want.seq = int32(si), e.seq
-				if keys[e.seq] != want {
-					t.Fatalf("shape %v: VM %d has expiry key %+v, want %+v", key, e.vm.ID, keys[e.seq], want)
-				}
+			if sl := tb.at(e.slot); sl.server != queuedSlot || sl.shape != int32(si) {
+				t.Fatalf("shape %v: live entry %d names slot %d, on server %d in FIFO %d", key, e.seq, e.slot, sl.server, sl.shape)
 			}
+			live++
 		}
-		if live != f.live || live > 0 && f.q[f.head].gone {
+		if live != f.live || live > 0 && !f.q[f.head].live(tb) {
 			t.Fatalf("shape %v: %d live entries, counted %d, head %d", key, live, f.live, f.head)
 		}
 		n += live
@@ -198,4 +187,148 @@ func checkQueue(t *testing.T, s *Site) {
 	if n != p.n || n != s.Pending() {
 		t.Fatalf("%d live entries, queue counts %d", n, p.n)
 	}
+	for i := int32(0); i < tb.n; i++ {
+		sl := tb.at(i)
+		if sl.server == freeSlot || sl.shape < 0 {
+			continue
+		}
+		if k := keys[sl.shape]; sl.vm.Cores != k.cores || sl.vm.MemoryGB != k.memGB {
+			t.Fatalf("slot %d holds a %d-core %d GB VM in FIFO %v", i, sl.vm.Cores, sl.vm.MemoryGB, k)
+		}
+	}
+}
+
+// decodeSiteState decodes a small SiteState for FuzzNewFromState: a config
+// that is small, at the free-core index bound or just past it; a power
+// level and eviction cursor that may fall outside their ranges; server
+// lists, sometimes one too few, holding up to 15 VMs that may repeat IDs,
+// have non-positive sizes, absurd core counts or negative lifetimes, or
+// overfill their server; and a pending queue whose VMs may repeat the IDs
+// of running or queued ones.
+func decodeSiteState(in *fuzzBytes) SiteState {
+	var st SiteState
+	switch in.next() % 8 {
+	case 0: // at the bound: (cores+1) × servers = maxIndexBits
+		st.Config = Config{Servers: 64, CoresPerServer: maxIndexBits/64 - 1, MemPerServerGB: 64, TargetUtilization: 0.7}
+	case 1: // just past it
+		st.Config = Config{Servers: 64, CoresPerServer: maxIndexBits / 64, MemPerServerGB: 64, TargetUtilization: 0.7}
+	default:
+		st.Config = Config{
+			Servers:           1 + in.next()%8,
+			CoresPerServer:    1 + in.next()%16,
+			MemPerServerGB:    1 + in.next()%64,
+			TargetUtilization: float64(1+in.next()%100) / 100,
+		}
+	}
+	cfg := st.Config
+	if b := in.next(); b == 255 {
+		st.Powered = -1
+	} else {
+		st.Powered = cfg.Servers * cfg.CoresPerServer * b / 250 // past every core above 250
+	}
+	st.EvictCursor = in.next() % (cfg.Servers + 1)
+	lifetimes := []time.Duration{0, -time.Hour, 15 * time.Minute, time.Hour, 3 * time.Hour}
+	var ids []int // every ID issued so far
+	vm := func() workload.VM {
+		b := in.next()
+		id := len(ids) + 1
+		if b%8 == 0 && len(ids) > 0 {
+			id = ids[in.next()%len(ids)]
+		}
+		ids = append(ids, id)
+		cores := in.next()%18 - 1
+		if cores == 16 {
+			cores = math.MaxInt/2 + 1 // two of them overflow a sum
+		}
+		return workload.VM{
+			ID:       id,
+			Cores:    cores,
+			MemoryGB: in.next()%66 - 1,
+			Arrival:  t0.Add(time.Duration(in.next()) * time.Minute),
+			Lifetime: lifetimes[b/8%len(lifetimes)],
+		}
+	}
+	st.Servers = make([][]workload.VM, cfg.Servers-in.next()%16/15)
+	for range in.next() % 16 {
+		if len(st.Servers) > 0 {
+			i := in.next() % len(st.Servers)
+			st.Servers[i] = append(st.Servers[i], vm())
+		}
+	}
+	for range in.next() % 16 {
+		st.Pending = append(st.Pending, PendingVMState{VM: vm(), Evicted: in.next()%2 == 0})
+	}
+	return st
+}
+
+// FuzzNewFromState decodes a site state (decodeSiteState) and requires
+// NewFromState either to refuse it or to return a site that passes
+// checkIndex and checkQueue, holds exactly the running VMs and queue the
+// state names, and whose own State() restores to the same view. One Step
+// on both sites must then agree and keep both consistent. The seeds are
+// random inputs chosen so that most of them restore, one of them at the
+// index bound.
+func FuzzNewFromState(f *testing.F) {
+	rng := rand.New(rand.NewPCG(21, 1))
+	for _, want := range []struct {
+		mode     byte
+		restores bool
+		n        int
+	}{{0, true, 1}, {1, false, 1}, {2, true, 6}, {2, false, 2}} {
+		for n := 0; n < want.n; {
+			seed := make([]byte, 16+rng.IntN(240))
+			for i := range seed {
+				seed[i] = byte(rng.Uint32())
+			}
+			seed[0] = want.mode
+			in := fuzzBytes(seed)
+			if _, err := NewFromState(decodeSiteState(&in)); (err == nil) == want.restores {
+				f.Add(seed)
+				n++
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		st := decodeSiteState(&in)
+		s, err := NewFromState(st)
+		if err != nil {
+			return
+		}
+		checkIndex(t, s)
+		checkQueue(t, s)
+		want := siteView{st.Powered, 0, st.EvictCursor, map[int]int{}, nil}
+		var q []pendingVM
+		for i, vms := range st.Servers {
+			for _, vm := range vms {
+				want.where[vm.ID] = i
+				want.alloc += vm.Cores
+			}
+		}
+		for _, p := range st.Pending {
+			q = append(q, pendingVM{p.VM, p.Evicted})
+		}
+		want.pending = pendingIDs(q)
+		if v := viewOf(s); !reflect.DeepEqual(v, want) {
+			t.Fatalf("restored view %+v, state names %+v", v, want)
+		}
+		cp, err := NewFromState(s.State())
+		if err != nil {
+			t.Fatalf("a restored site's own state does not restore: %v", err)
+		}
+		checkIndex(t, cp)
+		checkQueue(t, cp)
+		if !reflect.DeepEqual(viewOf(cp), want) || !reflect.DeepEqual(cp.State(), s.State()) {
+			t.Fatalf("restoring a restored site's state changes it")
+		}
+		now, frac := t0.Add(time.Duration(in.next())*time.Minute), fuzzFrac(in.next())
+		if got, again := s.Step(now, frac, nil), cp.Step(now, frac, nil); got != again {
+			t.Fatalf("step after restore: %+v, then %+v from the round trip", got, again)
+		}
+		checkIndex(t, s)
+		checkQueue(t, s)
+		if !reflect.DeepEqual(viewOf(cp), viewOf(s)) {
+			t.Fatalf("a step after restore leaves the two sites apart")
+		}
+	})
 }

@@ -45,18 +45,23 @@ func (s *Site) State() SiteState {
 		Pending:     make([]PendingVMState, s.pending.n),
 	}
 	for i := range s.servers {
-		st.Servers[i] = make([]workload.VM, len(s.servers[i].vms))
-		copy(st.Servers[i], s.servers[i].vms)
+		vms := s.servers[i].vms
+		st.Servers[i] = make([]workload.VM, len(vms))
+		for k, r := range vms {
+			st.Servers[i][k] = s.slots.at(r.slot).vm
+		}
 	}
-	for i, p := range s.pending.inOrder() {
-		st.Pending[i] = PendingVMState{VM: p.vm, Evicted: p.evicted}
+	for k, i := range s.pending.inOrder(&s.slots) {
+		sl := s.slots.at(i)
+		st.Pending[k] = PendingVMState{VM: sl.vm, Evicted: sl.evicted}
 	}
 	return st
 }
 
 // NewFromState rebuilds a Site from a captured state, revalidating server
 // capacities and VM uniqueness so a corrupt snapshot fails loudly instead
-// of producing an over-packed site.
+// of producing an over-packed site. Every VM takes a slot; running VMs own
+// their IDs, and a queued VM owns its ID unless an earlier VM holds it.
 func NewFromState(st SiteState) (*Site, error) {
 	if err := st.Config.Validate(); err != nil {
 		return nil, err
@@ -75,29 +80,38 @@ func NewFromState(st SiteState) (*Site, error) {
 	s.evictCursor = st.EvictCursor
 	for i := range s.servers {
 		srv := &s.servers[i]
-		for _, vm := range st.Servers[i] {
+		for k := range st.Servers[i] {
+			vm := &st.Servers[i][k]
 			if vm.Cores <= 0 || vm.MemoryGB <= 0 {
 				return nil, fmt.Errorf("cluster: VM %d on server %d has non-positive size", vm.ID, i)
 			}
-			if _, dup := s.where[vm.ID]; dup {
+			if _, dup := s.owners[vm.ID]; dup {
 				return nil, fmt.Errorf("cluster: VM %d appears twice in snapshot", vm.ID)
 			}
+			// Each VM must fit what is left, so the sums cannot overflow.
+			if vm.Cores > st.Config.CoresPerServer-srv.allocCores || vm.MemoryGB > st.Config.MemPerServerGB-srv.allocMemGB {
+				return nil, fmt.Errorf("cluster: server %d over capacity in snapshot: VM %d (%d cores, %d GB) joins %d cores, %d GB",
+					i, vm.ID, vm.Cores, vm.MemoryGB, srv.allocCores, srv.allocMemGB)
+			}
+			j := s.slots.take(vm)
+			s.own(j, -1)
+			s.slots.at(j).server = int32(i)
+			srv.vms = append(srv.vms, runningVM{vm.ID, j})
 			srv.allocCores += vm.Cores
 			srv.allocMemGB += vm.MemoryGB
-			srv.noteEnd(vm.End())
-			s.where[vm.ID] = i
 		}
-		if srv.allocCores > st.Config.CoresPerServer || srv.allocMemGB > st.Config.MemPerServerGB {
-			return nil, fmt.Errorf("cluster: server %d over capacity in snapshot (%d cores, %d GB)",
-				i, srv.allocCores, srv.allocMemGB)
-		}
-		srv.vms = slices.Clone(st.Servers[i])
-		slices.SortFunc(srv.vms, func(a, b workload.VM) int { return cmp.Compare(a.ID, b.ID) })
+		slices.SortFunc(srv.vms, func(a, b runningVM) int { return cmp.Compare(a.ID, b.ID) })
+		s.running += len(srv.vms)
 		s.alloc += srv.allocCores
 		s.free.add(i, st.Config.CoresPerServer-srv.allocCores)
 	}
-	for _, p := range st.Pending {
-		s.pending.push(p.VM, p.Evicted)
+	for k := range st.Pending {
+		p := &st.Pending[k]
+		i := s.slots.take(&p.VM)
+		if _, held := s.owners[p.VM.ID]; !held {
+			s.own(i, -1)
+		}
+		s.pending.push(&s.slots, i, p.Evicted)
 	}
 	return s, nil
 }

@@ -102,6 +102,9 @@ func TestNewFromStateRejectsCorrupt(t *testing.T) {
 		{"over capacity", func(st *SiteState) {
 			st.Servers[0] = append(st.Servers[0], mkVM(9, 8, 16))
 		}},
+		// Past the free-core index bound: sizing the index from this
+		// config would exhaust memory.
+		{"absurd cores", func(st *SiteState) { st.Config.CoresPerServer = 1 << 31 }},
 	}
 	for _, c := range cases {
 		st := good

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -38,6 +39,40 @@ func corruptFixture(t *testing.T) (core.Config, Input, cluster.Config, []byte) {
 		t.Fatal(err)
 	}
 	return cfg, in, ccfg, snap.Bytes()
+}
+
+// TestRestoreRejectsForeignSiteConfig re-encodes a good snapshot with one
+// site's config changed. The engine's own config is pinned by the
+// fingerprint, so a site that disagrees with it must be refused, naming
+// the site, before its state is rebuilt: an absurd core count would
+// otherwise size the site's free-core index from the snapshot.
+func TestRestoreRejectsForeignSiteConfig(t *testing.T) {
+	cfg, in, ccfg, data := corruptFixture(t)
+	cases := []struct {
+		name   string
+		mutate func(st *cluster.SiteState)
+	}{
+		{"other target", func(st *cluster.SiteState) { st.Config.TargetUtilization = 0.5 }},
+		{"absurd cores", func(st *cluster.SiteState) {
+			st.Config.Servers, st.Config.CoresPerServer = 1, 1<<31
+			st.Servers, st.EvictCursor = st.Servers[:1], 0
+		}},
+	}
+	for _, c := range cases {
+		var st vmEngineState
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(&st.Sites[1])
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		_, err := RestoreVMEngine(cfg, in, ccfg, &buf)
+		if err == nil || !strings.Contains(err.Error(), "site 1") {
+			t.Errorf("%s: restore returned %v, want an error naming site 1", c.name, err)
+		}
+	}
 }
 
 // TestRestoreTruncatedSnapshot sweeps truncation points across the whole

@@ -555,6 +555,9 @@ func RestoreVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config, r io.
 		}
 	}
 	for i, siteState := range st.Sites {
+		if siteState.Config != e.clusterCfg {
+			return nil, fmt.Errorf("sim: snapshot site %d has config %+v, engine runs %+v", i, siteState.Config, e.clusterCfg)
+		}
 		site, err := cluster.NewFromState(siteState)
 		if err != nil {
 			return nil, fmt.Errorf("sim: site %d: %w", i, err)

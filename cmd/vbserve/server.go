@@ -3,7 +3,8 @@
 // live event stream, pprof) mounted from the run's registry.
 //
 //	POST /v1/arrive    {"demand":{...},"vms":[...]}  queue an application
-//	                   (409 for an app ID already queued or in the engine)
+//	                   (400 for a malformed demand or VM, 409 for an app
+//	                   or VM ID already queued or in the engine)
 //	POST /v1/step      advance one plan step, return its decision record
 //	GET  /v1/decisions full decision log (JSONL)
 //	GET  /v1/state     engine status
@@ -48,7 +49,7 @@ type daemon struct {
 
 	mu        sync.Mutex
 	eng       *vb.VMEngine // nil while a snapshot restore is in progress
-	pending   []vb.AppArrival
+	pending   vb.ArrivalQueue
 	decisions [][]byte
 	decFile   *os.File
 }
@@ -197,8 +198,8 @@ func (d *daemon) handleArrive(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding arrival: %v", err)
 		return
 	}
-	if err := arr.Demand.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid demand: %v", err)
+	if err := arr.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid arrival: %v", err)
 		return
 	}
 	eng := d.lockEngine(w)
@@ -206,21 +207,20 @@ func (d *daemon) handleArrive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer d.mu.Unlock()
-	if d.maxPending > 0 && len(d.pending) >= d.maxPending {
+	if d.maxPending > 0 && len(d.pending.Arrivals) >= d.maxPending {
 		d.scn.reg.Inc("serve.backpressure")
 		httpError(w, http.StatusTooManyRequests,
 			"arrival queue full (%d pending); step the engine or retry later", d.maxPending)
 		return
 	}
-	// The demand is valid, so the engine can only refuse its app ID: one
-	// already queued for the next step or already fed to the engine.
-	// Queueing it would make every later step fail.
-	if err := eng.CheckArrivals(append(d.pending, arr)); err != nil {
+	// The arrival is valid, so the engine can only refuse a repeated app or
+	// firm VM ID: one already queued for the next step or already fed to
+	// the engine. Queueing it would make every later step fail.
+	if err := eng.Enqueue(&d.pending, arr); err != nil {
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	d.pending = append(d.pending, arr)
-	writeJSON(w, http.StatusAccepted, map[string]int{"queued": len(d.pending)})
+	writeJSON(w, http.StatusAccepted, map[string]int{"queued": len(d.pending.Arrivals)})
 }
 
 func (d *daemon) handleStep(w http.ResponseWriter, r *http.Request) {
@@ -237,12 +237,12 @@ func (d *daemon) handleStep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "timeline exhausted (%d steps)", eng.Steps())
 		return
 	}
-	rep, err := eng.Advance(d.pending)
+	rep, err := eng.Advance(d.pending.Arrivals)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "advance: %v", err)
 		return
 	}
-	d.pending = d.pending[:0]
+	d.pending = vb.ArrivalQueue{}
 	line, err := json.Marshal(rep)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encoding report: %v", err)
@@ -285,7 +285,7 @@ func (d *daemon) handleState(w http.ResponseWriter, _ *http.Request) {
 		"done":        eng.Done(),
 		"running_vms": eng.Running(),
 		"tracked_vms": eng.TrackedVMs(),
-		"queued":      len(d.pending),
+		"queued":      len(d.pending.Arrivals),
 		"moves":       res.Moves,
 		"transfer_gb": res.Transfer.Total(),
 	}

@@ -206,6 +206,93 @@ func TestArriveRefusesRepeatedApp(t *testing.T) {
 	}
 }
 
+// TestArriveRefusesBadVMs: /v1/arrive answers 400 for an arrival with a
+// malformed VM or a VM of another app, and 409 for a firm VM ID already
+// queued, fed to the engine or restored from a snapshot. Neither is
+// queued, so the steps after it keep succeeding.
+func TestArriveRefusesBadVMs(t *testing.T) {
+	d := &daemon{scn: testScenario(t)}
+	var err error
+	if d.eng, err = d.scn.newEngine(""); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.handler())
+	defer ts.Close()
+
+	vm := func(id, app int, edit ...func(*vb.VM)) vb.VM {
+		v := vb.VM{ID: id, Cores: 2, MemoryGB: 8, Class: vb.Stable, Arrival: scenarioStart, AppID: app}
+		for _, e := range edit {
+			e(&v)
+		}
+		return v
+	}
+	arrival := func(app int, vms ...vb.VM) vb.AppArrival {
+		return vb.AppArrival{Demand: vb.AppDemand{ID: app, Cores: 4, StableCores: 4, MemGBPerCore: 4, Start: scenarioStart}, VMs: vms}
+	}
+	post := func(ts *httptest.Server, arr vb.AppArrival) int {
+		t.Helper()
+		body, _ := json.Marshal(arr)
+		resp, err := http.Post(ts.URL+"/v1/arrive", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	type row struct {
+		name string
+		arr  vb.AppArrival
+		want int
+	}
+	check := func(ts *httptest.Server, rows []row) {
+		t.Helper()
+		for _, r := range rows {
+			if got := post(ts, r.arr); got != r.want {
+				t.Errorf("%s: HTTP %d, want %d", r.name, got, r.want)
+			}
+		}
+	}
+
+	check(ts, []row{
+		{"valid", arrival(9001, vm(1, 9001), vm(2, 9001)), http.StatusAccepted},
+		{"zero cores", arrival(9002, vm(3, 9002, func(v *vb.VM) { v.Cores = 0 })), http.StatusBadRequest},
+		{"zero memory", arrival(9002, vm(3, 9002, func(v *vb.VM) { v.MemoryGB = 0 })), http.StatusBadRequest},
+		{"negative lifetime", arrival(9002, vm(3, 9002, func(v *vb.VM) { v.Lifetime = -time.Hour })), http.StatusBadRequest},
+		{"unknown class", arrival(9002, vm(3, 9002, func(v *vb.VM) { v.Class = 99 })), http.StatusBadRequest},
+		{"VM of another app", arrival(9002, vm(3, 9001)), http.StatusBadRequest},
+		{"VM ID repeated within the app", arrival(9002, vm(3, 9002), vm(3, 9002)), http.StatusConflict},
+		{"VM ID queued by another app", arrival(9002, vm(2, 9002)), http.StatusConflict},
+	})
+	if got := postStep(t, ts); got != http.StatusOK {
+		t.Fatalf("step = HTTP %d, want 200", got)
+	}
+	check(ts, []row{
+		{"VM ID fed at an earlier step", arrival(9002, vm(3, 9002), vm(1, 9002)), http.StatusConflict},
+		{"new VMs", arrival(9002, vm(3, 9002)), http.StatusAccepted},
+	})
+	if got := postStep(t, ts); got != http.StatusOK {
+		t.Fatalf("step = HTTP %d, want 200", got)
+	}
+
+	snapPath := filepath.Join(t.TempDir(), "snap.bin")
+	if err := writeSnapshot(d.eng, snapPath); err != nil {
+		t.Fatal(err)
+	}
+	d2 := &daemon{scn: testScenario(t)}
+	if d2.eng, err = d2.scn.newEngine(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(d2.handler())
+	defer ts2.Close()
+	check(ts2, []row{
+		{"restored VM ID", arrival(9003, vm(3, 9003)), http.StatusConflict},
+		{"new VM on the restored daemon", arrival(9003, vm(4, 9003)), http.StatusAccepted},
+	})
+	if got := postStep(t, ts2); got != http.StatusOK {
+		t.Fatalf("step on the restored daemon = HTTP %d, want 200", got)
+	}
+}
+
 // TestServeBecomesReady drives the real serve() path: the daemon answers
 // health checks immediately, flips ready once the background engine build
 // finishes, and shuts down gracefully on SIGTERM-equivalent (server close).

@@ -177,15 +177,12 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 }
 
 // validateVMs rejects a VM list that the site would misaccount: a repeated
-// ID, a non-positive size or a negative lifetime. The error names the VM's
+// ID or a VM that workload.VM.Validate refuses. The error names the VM's
 // index in vms and its ID.
 func validateVMs(vms []workload.VM) error {
 	for i, vm := range vms {
-		if vm.Cores <= 0 || vm.MemoryGB <= 0 {
-			return fmt.Errorf("cluster: VM %d (ID %d): non-positive size %d cores, %d GB", i, vm.ID, vm.Cores, vm.MemoryGB)
-		}
-		if vm.Lifetime < 0 {
-			return fmt.Errorf("cluster: VM %d (ID %d): negative lifetime %v", i, vm.ID, vm.Lifetime)
+		if err := vm.Validate(); err != nil {
+			return fmt.Errorf("cluster: VM %d (ID %d): %w", i, vm.ID, err)
 		}
 	}
 	ids := make([]int, len(vms))

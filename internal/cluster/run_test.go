@@ -160,6 +160,7 @@ func TestRunRejectsBadVMs(t *testing.T) {
 		{"negative cores", mkVM(9, -2, 8), "VM 2 (ID 9)"},
 		{"zero memory", mkVM(9, 2, 0), "VM 2 (ID 9)"},
 		{"negative lifetime", workload.VM{ID: 9, Cores: 2, MemoryGB: 8, Arrival: t0, Lifetime: -time.Minute}, "VM 2 (ID 9)"},
+		{"unknown class", workload.VM{ID: 9, Cores: 2, MemoryGB: 8, Arrival: t0, Class: workload.Batch + 1}, "VM 2 (ID 9): unknown class"},
 		{"outside the window", workload.VM{ID: 1, Cores: 2, MemoryGB: 8, Arrival: t0.Add(-48 * time.Hour)}, "VM 2 (ID 1)"},
 	}
 	for _, c := range cases {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"github.com/vbcloud/vb/internal/lp"
@@ -24,51 +23,14 @@ type Scheduler struct {
 	// scheduled fleet-wide at step t; the peak objective coordinates
 	// across apps through it.
 	migCommitted []float64
-	// vecs holds the per-policy/per-app dimensional metrics; the zero value
-	// (no registry) is inert.
-	vecs schedVecs
+	// fallbacks counts degraded placements per (policy, tier); nil (inert)
+	// without a registry.
+	fallbacks *obs.CounterVec
 	// pressure is the current solver-latency inflation factor (>= 1; 0 or
 	// 1 means none). Under pressure the per-placement node budget derates
 	// to mipNodes/pressure, modeling a slow solver deterministically: the
 	// truncation point depends only on the factor, never on wall clock.
 	pressure float64
-}
-
-// schedVecs bundles the scheduler's dimensional metrics with the policy
-// label they share and a cache of app-ID label strings. With no registry
-// every vec field is nil and recording no-ops, so instrumented paths need
-// no extra branching beyond the existing reg != nil guards.
-type schedVecs struct {
-	policy     string
-	apps       map[int]string
-	solve      *obs.HistogramVec
-	placements *obs.CounterVec
-	fallback   *obs.CounterVec
-}
-
-func newSchedVecs(cfg Config) schedVecs {
-	if cfg.Obs == nil {
-		return schedVecs{}
-	}
-	return schedVecs{
-		policy:     cfg.Policy.String(),
-		apps:       map[int]string{},
-		solve:      cfg.Obs.NewHistogramVec("mip.solve.by_app", nil, "policy", "app"),
-		placements: cfg.Obs.NewCounterVec("scheduler.placements.by_app", "policy", "app"),
-		fallback:   cfg.Obs.NewCounterVec("scheduler.fallback.by_tier", "policy", "tier"),
-	}
-}
-
-// app returns the cached label string for an app ID. The scheduler is
-// single-goroutine (it mutates commitment ledgers), so the cache needs no
-// lock; it keeps repeat placements from re-formatting the ID.
-func (v *schedVecs) app(id int) string {
-	s, ok := v.apps[id]
-	if !ok {
-		s = strconv.Itoa(id)
-		v.apps[id] = s
-	}
-	return s
 }
 
 // mipNodes caps branch-and-bound nodes per placement before solver
@@ -87,7 +49,8 @@ func NewScheduler(cfg Config, numSites, steps int) (*Scheduler, error) {
 	if steps <= 0 {
 		return nil, fmt.Errorf("core: non-positive step count %d", steps)
 	}
-	s := &Scheduler{cfg: cfg, numSites: numSites, steps: steps, vecs: newSchedVecs(cfg)}
+	s := &Scheduler{cfg: cfg, numSites: numSites, steps: steps,
+		fallbacks: cfg.Obs.NewCounterVec("scheduler.fallback.by_tier", "policy", "tier")}
 	s.committed = make([][]float64, numSites)
 	for i := range s.committed {
 		s.committed[i] = make([]float64, steps)
@@ -120,7 +83,7 @@ func (s *Scheduler) recordFallback(app AppDemand, nowStep int, tier string) {
 		return
 	}
 	reg.Inc("scheduler.fallback.count")
-	s.vecs.fallback.Inc(s.vecs.policy, tier)
+	s.fallbacks.Inc(s.cfg.Policy.String(), tier)
 	reg.Emit(obs.Event{Type: obs.SchedulerFallback, Step: nowStep, App: app.ID, Site: -1, Dst: -1,
 		Cores: app.StableCores, Detail: tier})
 }
@@ -177,9 +140,6 @@ type CapacityFn func(site, step int) float64
 func (s *Scheduler) Place(app AppDemand, nowStep, endStep int, predCap, stableCap CapacityFn, prev []float64, prevPlan [][]float64) (Plan, error) {
 	defer obs.Time(s.cfg.Obs, "scheduler.place")()
 	s.cfg.Obs.Inc("scheduler.placements")
-	if s.cfg.Obs != nil {
-		s.vecs.placements.Inc(s.vecs.policy, s.vecs.app(app.ID))
-	}
 	if err := app.Validate(); err != nil {
 		return Plan{}, err
 	}
@@ -527,7 +487,6 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		reg.Add("lp.pivots", float64(sol.Pivots))
 		reg.Add("lp.refactor.count", float64(sol.Refactors))
 		reg.Observe("lp.eta.chain_len", float64(sol.EtaChainLen))
-		s.vecs.solve.Observe(d.Seconds(), s.vecs.policy, s.vecs.app(app.ID))
 		if err == nil && sol.Status == lp.Optimal {
 			reg.Emit(obs.Event{Type: obs.MIPSolveFinish, Step: nowStep, App: app.ID, Site: -1, Dst: -1,
 				Cores: demand, DurNS: d.Nanoseconds(), Objective: sol.Objective,

@@ -5,9 +5,11 @@
 // The package has three pieces:
 //
 //   - Registry: a concurrency-safe, run-scoped collection of counters,
-//     gauges, and fixed-bucket histograms. Every method is nil-safe — a nil
-//     *Registry compiles to a no-op and adds no allocations, so existing
-//     callers and benchmarks that do not opt in pay nothing.
+//     gauges, fixed-bucket histograms, and counter vecs (one series per
+//     tuple of up to three labels, each vec behind one lock). Every method
+//     is nil-safe — a nil *Registry compiles to a no-op and adds no
+//     allocations, so existing callers and benchmarks that do not opt in
+//     pay nothing.
 //
 //   - Tracer: a structured event stream. Components emit typed Events
 //     (plan computed, planned reallocation, forced migration, stable-core

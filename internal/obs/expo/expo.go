@@ -104,8 +104,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, _ *http.Request) {
 
 // WritePrometheus renders a registry snapshot in the Prometheus text
 // exposition format (version 0.0.4): counters and counter vecs as
-// `counter`, gauges and gauge vecs as `gauge`, histograms with cumulative
-// `le` buckets ending at +Inf plus `_sum` and `_count` series. Run labels
+// `counter`, gauges as `gauge`, histograms with cumulative `le` buckets
+// ending at +Inf plus `_sum` and `_count` series. Run labels
 // become a `vb_run_info` gauge with one label per entry. Output order is
 // deterministic: flat metrics sort by name, vec series are pre-sorted by
 // the snapshot.
@@ -134,7 +134,7 @@ func WritePrometheus(w io.Writer, s obs.RegistrySnapshot) error {
 		bw.printf("%s %s\n", n, formatValue(s.Gauges[name]))
 	}
 	for _, name := range sortedKeys(s.Histograms) {
-		writeHistogram(bw, name, nil, nil, s.Histograms[name], true)
+		writeHistogram(bw, name, s.Histograms[name])
 	}
 
 	for _, name := range sortedKeys(s.CounterVecs) {
@@ -142,15 +142,7 @@ func WritePrometheus(w io.Writer, s obs.RegistrySnapshot) error {
 		n := sanitizeName(name)
 		bw.printf("# HELP %s counter %s\n# TYPE %s counter\n", n, name, n)
 		for _, lv := range v.Values {
-			bw.printf("%s%s %s\n", n, labelPairs(v.LabelNames, lv.Labels, "", ""), formatValue(lv.Value))
-		}
-	}
-	for _, name := range sortedKeys(s.HistogramVecs) {
-		v := s.HistogramVecs[name]
-		first := true
-		for _, lh := range v.Histograms {
-			writeHistogram(bw, name, v.LabelNames, lh.Labels, lh.Hist, first)
-			first = false
+			bw.printf("%s%s %s\n", n, labelPairs(v.LabelNames, lv.Labels), formatValue(lv.Value))
 		}
 	}
 
@@ -178,31 +170,26 @@ func WritePrometheus(w io.Writer, s obs.RegistrySnapshot) error {
 	return bw.err
 }
 
-// writeHistogram emits one histogram series with cumulative buckets. The
-// HELP/TYPE header is written only when head is set (first series of a
-// vec, or any flat histogram).
-func writeHistogram(bw *errWriter, name string, labelNames, labelValues []string, h obs.HistogramSnapshot, head bool) {
+// writeHistogram emits one flat histogram with cumulative buckets.
+func writeHistogram(bw *errWriter, name string, h obs.HistogramSnapshot) {
 	n := sanitizeName(name)
-	if head {
-		bw.printf("# HELP %s histogram %s\n# TYPE %s histogram\n", n, name, n)
-	}
+	bw.printf("# HELP %s histogram %s\n# TYPE %s histogram\n", n, name, n)
 	var cum int64
 	for i, bound := range h.Bounds {
 		if i < len(h.Counts) {
 			cum += h.Counts[i]
 		}
-		bw.printf("%s_bucket%s %d\n", n,
-			labelPairs(labelNames, labelValues, "le", formatValue(bound)), cum)
+		bw.printf("%s_bucket{le=\"%s\"} %d\n", n, formatValue(bound), cum)
 	}
-	bw.printf("%s_bucket%s %d\n", n, labelPairs(labelNames, labelValues, "le", "+Inf"), h.Count)
-	bw.printf("%s_sum%s %s\n", n, labelPairs(labelNames, labelValues, "", ""), formatValue(h.Sum))
-	bw.printf("%s_count%s %d\n", n, labelPairs(labelNames, labelValues, "", ""), h.Count)
+	bw.printf("%s_bucket{le=\"+Inf\"} %d\n", n, h.Count)
+	bw.printf("%s_sum %s\n", n, formatValue(h.Sum))
+	bw.printf("%s_count %d\n", n, h.Count)
 }
 
-// labelPairs renders `{a="x",b="y"}` from parallel name/value slices, with
-// an optional extra pair (used for `le`). It returns "" with no pairs.
-func labelPairs(names, values []string, extraName, extraValue string) string {
-	if len(names) == 0 && extraName == "" {
+// labelPairs renders `{a="x",b="y"}` from parallel name/value slices. It
+// returns "" with no pairs.
+func labelPairs(names, values []string) string {
+	if len(names) == 0 {
 		return ""
 	}
 	var sb strings.Builder
@@ -217,17 +204,11 @@ func labelPairs(names, values []string, extraName, extraValue string) string {
 		}
 		fmt.Fprintf(&sb, "%s=\"%s\"", sanitizeLabel(name), escapeLabelValue(val))
 	}
-	if extraName != "" {
-		if len(names) > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%s=\"%s\"", extraName, escapeLabelValue(extraValue))
-	}
 	sb.WriteByte('}')
 	return sb.String()
 }
 
-// sanitizeName maps an internal metric name ("mip.solve.by_app") onto the
+// sanitizeName maps an internal metric name ("sim.planned_gb") onto the
 // Prometheus name charset [a-zA-Z_:][a-zA-Z0-9_:]* with a vb_ prefix.
 func sanitizeName(name string) string {
 	var sb strings.Builder

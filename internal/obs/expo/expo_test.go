@@ -74,9 +74,6 @@ func populated() *obs.Registry {
 	cv := reg.NewCounterVec("sim.planned_gb", "policy", "src", "dst")
 	cv.Add(12.5, "MIP", "0", "1")
 	cv.Add(3.25, "MIP", "1", "2")
-	hv := reg.NewHistogramVec("mip.solve.by_app", nil, "policy", "app")
-	hv.Observe(0.004, "MIP", "1")
-	hv.Observe(0.03, "MIP", "2")
 	reg.Emit(obs.Event{Type: obs.ForcedMigration, Step: 1, App: 1, Site: 0, Dst: 1, Cores: 4, GB: 16})
 	return reg
 }
@@ -94,7 +91,9 @@ func TestWritePrometheusIsValidTextFormat(t *testing.T) {
 		"vb_mip_nodes 42",
 		"vb_sim_sites 3",
 		`vb_sim_planned_gb{policy="MIP",src="0",dst="1"} 12.5`,
-		`vb_mip_solve_by_app_bucket{policy="MIP",app="1",le="+Inf"} 1`,
+		`vb_mip_solve_bucket{le="0.0025"} 1`,
+		`vb_mip_solve_bucket{le="+Inf"} 2`,
+		`vb_mip_solve_count 2`,
 		`vb_events_total{type="forced_migration"} 1`,
 		`vb_run_info{policy="MIP",tricky="a\"b\\c\nd"} 1`,
 	} {

@@ -85,7 +85,6 @@ type Registry struct {
 	hists    map[string]*histogram
 	labels   map[string]string
 	cvecs    map[string]*CounterVec
-	hvecs    map[string]*HistogramVec
 	tracer   *Tracer
 }
 
@@ -98,7 +97,6 @@ func NewRegistry() *Registry {
 		hists:    map[string]*histogram{},
 		labels:   map[string]string{},
 		cvecs:    map[string]*CounterVec{},
-		hvecs:    map[string]*HistogramVec{},
 		tracer:   NewTracer(0),
 	}
 }

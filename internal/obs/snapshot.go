@@ -10,11 +10,10 @@ type RegistrySnapshot struct {
 	Counters   map[string]float64           `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	// CounterVecs and HistogramVecs hold the dimensional metrics, keyed by
-	// vec name; each VecSnapshot's series are sorted by label values, so
-	// serialized snapshots are deterministic.
-	CounterVecs   map[string]VecSnapshot `json:"counter_vecs,omitempty"`
-	HistogramVecs map[string]VecSnapshot `json:"histogram_vecs,omitempty"`
+	// CounterVecs holds the dimensional metrics, keyed by vec name; each
+	// VecSnapshot's series are sorted by label values, so serialized
+	// snapshots are deterministic.
+	CounterVecs map[string]VecSnapshot `json:"counter_vecs,omitempty"`
 	// Events aggregates per-event-type counts and exact GB/core totals.
 	Events map[EventType]TypeStats `json:"events,omitempty"`
 }
@@ -24,10 +23,8 @@ type RegistrySnapshot struct {
 // yields a zero snapshot.
 //
 // Vec snapshots are taken after the registry lock is released: each vec
-// has its own stripe locks, and holding both lock layers at once would
-// order registry-lock before stripe-lock while writers take only stripe
-// locks, inviting future deadlock if any vec path ever grabbed the
-// registry lock.
+// has its own lock, and writers take only that one, so no path ever holds
+// both.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	if r == nil {
 		return RegistrySnapshot{}
@@ -55,10 +52,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	for _, v := range r.cvecs {
 		cvecs = append(cvecs, v)
 	}
-	hvecs := make([]*HistogramVec, 0, len(r.hvecs))
-	for _, v := range r.hvecs {
-		hvecs = append(hvecs, v)
-	}
 	tr := r.tracer
 	r.mu.Unlock()
 
@@ -66,12 +59,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		s.CounterVecs = make(map[string]VecSnapshot, len(cvecs))
 		for _, v := range cvecs {
 			s.CounterVecs[v.name] = v.Snapshot()
-		}
-	}
-	if len(hvecs) > 0 {
-		s.HistogramVecs = make(map[string]VecSnapshot, len(hvecs))
-		for _, v := range hvecs {
-			s.HistogramVecs[v.name] = v.Snapshot()
 		}
 	}
 	s.Events = tr.AllStats()

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterVecAccumulates(t *testing.T) {
@@ -39,34 +38,47 @@ func TestVecDropsWrongLabelCount(t *testing.T) {
 	c := r.NewCounterVec("c", "a", "b")
 	c.Add(5, "only-one")
 	c.Add(5, "x", "y", "z")
+	if c.Value("only-one") != 0 || c.Value("x", "y", "z") != 0 {
+		t.Error("mislabeled reads must read 0")
+	}
 	if s := c.Snapshot(); len(s.Values) != 0 {
 		t.Errorf("mislabeled adds created series: %+v", s.Values)
 	}
-	h := r.NewHistogramVec("h", nil, "a")
-	h.Observe(1)
-	h.Observe(1, "x", "y")
-	if s := h.Snapshot(); len(s.Histograms) != 0 {
-		t.Errorf("mislabeled observes created series: %+v", s.Histograms)
+}
+
+// TestVecLabelValuesAreOpaque: a series key is the label tuple itself, so
+// any byte may appear in a label value, "" is a value like any other, and a
+// snapshot carries exactly the vec's own labels.
+func TestVecLabelValuesAreOpaque(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewCounterVec("c", "a", "b")
+	v.Add(1, "x\x1fy", "z")
+	v.Add(2, "x", "y\x1fz")
+	v.Add(4, "", "")
+	want := []LabeledValue{
+		{Labels: []string{"", ""}, Value: 4},
+		{Labels: []string{"x", "y\x1fz"}, Value: 2},
+		{Labels: []string{"x\x1fy", "z"}, Value: 1},
+	}
+	if got := v.Snapshot().Values; !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot = %+v, want %+v", got, want)
+	}
+	one := r.NewCounterVec("one", "a")
+	one.Inc("")
+	if got := one.Snapshot().Values; !reflect.DeepEqual(got, []LabeledValue{{Labels: []string{""}, Value: 1}}) {
+		t.Errorf("one-label snapshot = %+v", got)
 	}
 }
 
-func TestHistogramVecSeries(t *testing.T) {
+func TestNewCounterVecPanicsPastThreeLabels(t *testing.T) {
 	r := NewRegistry()
-	v := r.NewHistogramVec("solve", []float64{1, 10}, "policy", "app")
-	v.Observe(0.5, "MIP", "1")
-	v.Observe(5, "MIP", "1")
-	v.Observe(50, "MIP", "2")
-	v.ObserveDuration(2*time.Second, "MIP", "1")
-	s, ok := v.SeriesSnapshot("MIP", "1")
-	if !ok || s.Count != 3 {
-		t.Fatalf("series MIP/1: count=%d ok=%v, want 3 true", s.Count, ok)
-	}
-	if want := []int64{1, 2, 0}; !reflect.DeepEqual(s.Counts, want) {
-		t.Errorf("bucket counts = %v, want %v", s.Counts, want)
-	}
-	if _, ok := v.SeriesSnapshot("Greedy", "1"); ok {
-		t.Error("unobserved series should report absent")
-	}
+	r.NewCounterVec("three", "a", "b", "c") // the widest a vec may be
+	defer func() {
+		if recover() == nil {
+			t.Error("a four-label vec was created")
+		}
+	}()
+	r.NewCounterVec("four", "a", "b", "c", "d")
 }
 
 func TestVecSnapshotSortedAndSplitsLabels(t *testing.T) {
@@ -100,30 +112,24 @@ func TestVecCreationIsIdempotent(t *testing.T) {
 	if !reflect.DeepEqual(b.LabelNames(), []string{"x"}) {
 		t.Errorf("existing label names must win, got %v", b.LabelNames())
 	}
-	h1 := r.NewHistogramVec("h", []float64{1}, "x")
-	h2 := r.NewHistogramVec("h", nil, "x")
-	if h1 != h2 {
-		t.Error("same name must return the same histogram vec")
+	b.Add(3, "v")
+	b.Add(5, "different", "labels") // dropped: the vec has one label
+	if got := a.Snapshot().Values; !reflect.DeepEqual(got, []LabeledValue{{Labels: []string{"v"}, Value: 3}}) {
+		t.Errorf("series = %+v, want the one-label series only", got)
 	}
 }
 
 func TestNilVecsAreNoOpAndAllocFree(t *testing.T) {
 	var r *Registry
 	c := r.NewCounterVec("c", "a")
-	h := r.NewHistogramVec("h", nil, "a")
-	if c != nil || h != nil {
+	if c != nil {
 		t.Fatal("nil registry must hand out nil vecs")
 	}
 	// None of these may panic.
 	c.Add(1, "x")
 	c.Inc("x")
-	h.Observe(1, "x")
-	h.ObserveDuration(time.Second, "x")
 	if c.Value("x") != 0 {
 		t.Error("nil counter vec should read 0")
-	}
-	if _, ok := h.SeriesSnapshot("x"); ok {
-		t.Error("nil histogram vec should be absent")
 	}
 	if s := c.Snapshot(); s.LabelNames != nil || s.Values != nil {
 		t.Error("nil vec snapshot should be zero")
@@ -135,17 +141,35 @@ func TestNilVecsAreNoOpAndAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		c.Add(1, "x")
 		c.Inc("x", "y")
-		h.Observe(3, "x")
 	})
 	if allocs != 0 {
 		t.Errorf("nil vec hot path allocates %v per run, want 0", allocs)
 	}
 }
 
+// TestLiveVecAddIsAllocFree pins the live hot path: recording into an
+// existing series of a three-label vec builds no key string and allocates
+// nothing.
+func TestLiveVecAddIsAllocFree(t *testing.T) {
+	v := NewRegistry().NewCounterVec("moves_gb", "policy", "src", "dst")
+	policy, src, dst := "MIP-24h", "none", "2"
+	v.Add(1, policy, src, dst)
+	v.Inc(policy, dst, src)
+	allocs := testing.AllocsPerRun(200, func() {
+		v.Add(2.5, policy, src, dst)
+		v.Inc(policy, dst, src)
+	})
+	if allocs != 0 {
+		t.Errorf("live vec Add/Inc allocates %v per run, want 0", allocs)
+	}
+	if got := v.Value(policy, src, dst); got != 1+201*2.5 {
+		t.Errorf("series = %v, want %v", got, 1+201*2.5)
+	}
+}
+
 func TestVecConcurrentWriters(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounterVec("c", "worker", "shared")
-	h := r.NewHistogramVec("h", nil, "worker")
 	const goroutines, perG = 8, 500
 	var wg sync.WaitGroup
 	labels := []string{"0", "1", "2", "3", "4", "5", "6", "7"}
@@ -156,7 +180,6 @@ func TestVecConcurrentWriters(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				c.Add(1, labels[g], "all")  // distinct tuples
 				c.Add(0.5, "shared", "all") // one contended tuple
-				h.Observe(float64(i), labels[g])
 				if i%100 == 0 {
 					c.Snapshot() // readers interleave with writers
 				}
@@ -167,10 +190,6 @@ func TestVecConcurrentWriters(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		if got := c.Value(labels[g], "all"); got != perG {
 			t.Errorf("worker %d counter = %v, want %d", g, got, perG)
-		}
-		s, ok := h.SeriesSnapshot(labels[g])
-		if !ok || s.Count != perG {
-			t.Errorf("worker %d histogram count = %d ok=%v, want %d", g, s.Count, ok, perG)
 		}
 	}
 	if got := c.Value("shared", "all"); got != goroutines*perG/2 {
@@ -183,7 +202,6 @@ func TestRegistrySnapshotIncludesVecs(t *testing.T) {
 	r.SetLabel("policy", "MIP")
 	r.Inc("flat")
 	r.NewCounterVec("cv", "a").Add(4, "x")
-	r.NewHistogramVec("hv", nil, "a").Observe(1, "z")
 	r.Emit(Event{Type: ForcedMigration, Site: 0, Dst: 1, GB: 3})
 	s := r.Snapshot()
 	if s.Counters["flat"] != 1 || s.Labels["policy"] != "MIP" {
@@ -191,9 +209,6 @@ func TestRegistrySnapshotIncludesVecs(t *testing.T) {
 	}
 	if got := s.CounterVecs["cv"].Values; len(got) != 1 || got[0].Value != 4 {
 		t.Errorf("counter vec lost: %+v", s.CounterVecs)
-	}
-	if got := s.HistogramVecs["hv"].Histograms; len(got) != 1 || got[0].Hist.Count != 1 {
-		t.Errorf("histogram vec lost: %+v", s.HistogramVecs)
 	}
 	if s.Events[ForcedMigration].GB != 3 {
 		t.Errorf("tracer stats lost: %+v", s.Events)

@@ -304,7 +304,7 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 				}
 				e.reg.Emit(obs.Event{Type: obs.StablePause, Step: t, App: a.demand.ID,
 					Site: s, Dst: -1, Cores: rest})
-				e.vecs.pause(a.demand.ID, s, rest)
+				e.vecs.pause(s, rest)
 			}
 			over -= move
 		}
@@ -341,7 +341,6 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 			}
 			e.reg.Emit(obs.Event{Type: obs.Shortfall, Step: t, App: a.demand.ID,
 				Site: -1, Dst: -1, Cores: gap})
-			e.vecs.short(a.demand.ID, gap)
 		}
 		res.PerAppDemand[a.demand.ID] += a.demand.StableCores
 		for _, cs := range a.shares {
@@ -390,5 +389,5 @@ func (e *Engine) move(env *stepEnv, ty obs.EventType, a *appState, load []float6
 		e.vecs.transferClass(cs.class, gb*cs.frac)
 	}
 	e.reg.Emit(obs.Event{Type: ty, Step: t, App: a.demand.ID, Site: src, Dst: dst, Cores: x, GB: gb})
-	e.vecs.move(ty, a.demand.ID, src, dst, gb)
+	e.vecs.move(ty, src, dst, gb)
 }

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"encoding/json"
+	"strconv"
 	"testing"
 
 	"github.com/vbcloud/vb/internal/cluster"
 	"github.com/vbcloud/vb/internal/core"
+	"github.com/vbcloud/vb/internal/fault"
 	"github.com/vbcloud/vb/internal/obs"
+	"github.com/vbcloud/vb/internal/workload"
 )
 
 // TestObsEventReconciliation checks the acceptance property of the event
@@ -150,5 +153,87 @@ func TestObsNilRegistryUnchanged(t *testing.T) {
 		plain.PausedStableCoreSteps != observed.PausedStableCoreSteps ||
 		plain.Placements != observed.Placements {
 		t.Errorf("observed run diverged: plain=%+v observed=%+v", plain, observed)
+	}
+}
+
+// TestVecLabelsAreBounded: every dimensional series the engines record is
+// keyed by values from sets the run fixes up front (policies, site indices,
+// SLO classes, fallback tiers, fault kinds and traffic directions), so the
+// registry grows with sites and classes, never with the app stream. A live
+// VM engine over several days, under a blackout and a solver slowdown, and
+// a fluid run share one registry.
+func TestVecLabelsAreBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	vin, apps := vmLevelFixtures(t, 4)
+	steps := vin.Actual[0].Len()
+	vin.Obs = reg
+	vin.Faults = mustInjector(t, &fault.Script{Events: []fault.Event{
+		{Kind: fault.SiteBlackout, Site: 1, Start: steps / 4, End: steps / 2},
+		{Kind: fault.SolverSlowdown, Site: -1, Start: steps / 2, End: steps, Severity: 4096},
+	}}, len(vin.Actual), steps)
+	eng, err := NewVMEngine(simConfig(core.MIP24h), vin, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepReports(t, eng, vmBatchArrivals(vin, apps))
+	fin := trioInput(t, 4, 6)
+	fin.Obs = reg
+	if _, err := Run(simConfig(core.MIP), fin); err != nil {
+		t.Fatal(err)
+	}
+	if len(apps) <= len(vin.Actual) || len(fin.Apps) <= len(fin.Actual) {
+		t.Fatalf("%d and %d apps over %d sites: an app label could pass for a site index",
+			len(apps), len(fin.Apps), len(vin.Actual))
+	}
+
+	set := func(vals ...string) map[string]bool {
+		m := map[string]bool{}
+		for _, v := range vals {
+			m[v] = true
+		}
+		return m
+	}
+	policies, sites, classes, kinds := set(), set("none"), set(), set()
+	for _, p := range core.AllPolicies() {
+		policies[p.String()] = true
+	}
+	for i := range vin.Actual {
+		sites[strconv.Itoa(i)] = true
+	}
+	for _, c := range workload.AllClasses {
+		classes[c.String()] = true
+	}
+	for _, k := range []fault.Kind{fault.SiteBlackout, fault.SiteBrownout, fault.WANCut,
+		fault.WANDegraded, fault.ForecastBust, fault.SolverSlowdown} {
+		kinds[k.String()] = true
+	}
+	vocab := map[string]map[string]bool{
+		"policy": policies, "site": sites, "src": sites, "dst": sites, "class": classes,
+		"tier": set("rounded-lp", "greedy"), "kind": kinds, "dir": set("in", "out"),
+	}
+
+	recorded := map[string]int{}
+	for name, vs := range reg.Snapshot().CounterVecs {
+		for _, ln := range vs.LabelNames {
+			if vocab[ln] == nil {
+				t.Errorf("vec %s: label %q takes values from no bounded set", name, ln)
+			}
+		}
+		for _, lv := range vs.Values {
+			for i, v := range lv.Labels {
+				if ln := vs.LabelNames[i]; vocab[ln] != nil && !vocab[ln][v] {
+					t.Errorf("vec %s: %s=%q is not a known %s", name, ln, v, ln)
+				}
+			}
+		}
+		recorded[name] = len(vs.Values)
+	}
+	// The runs must have exercised the vecs, or the check above is vacuous.
+	for _, name := range []string{"sim.planned_gb", "sim.paused_core_steps", "sim.transfer_gb_by_class",
+		"vmlevel.moves_gb", "vmlevel.evicted", "vmlevel.failed_by_class", "fault.injected.by_kind",
+		"scheduler.fallback.by_tier"} {
+		if recorded[name] == 0 {
+			t.Errorf("vec %s recorded no series", name)
+		}
 	}
 }

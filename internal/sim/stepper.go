@@ -140,10 +140,18 @@ func (c *stepper) checkBatch(n int, demand func(int) core.AppDemand) error {
 		if err := d.Validate(); err != nil {
 			return err
 		}
-		if c.fed[d.ID] || batch[d.ID] {
-			return fmt.Errorf("sim: app %d fed twice", d.ID)
+		if err := c.repeated(d.ID, batch); err != nil {
+			return err
 		}
 		batch[d.ID] = true
+	}
+	return nil
+}
+
+// repeated reports an app ID fed before or already in batch.
+func (c *stepper) repeated(id int, batch map[int]bool) error {
+	if c.fed[id] || batch[id] {
+		return fmt.Errorf("sim: app %d fed twice", id)
 	}
 	return nil
 }

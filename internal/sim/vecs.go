@@ -9,18 +9,17 @@ import (
 )
 
 // labels caches the label strings the engines' metric vecs share: the
-// policy name, one precomputed label per site index, and lazily one per app
-// ID and SLO class, so recording a sample builds no strings.
+// policy name, one precomputed label per site index, and lazily one per SLO
+// class, so recording a sample builds no strings.
 type labels struct {
 	policy  string
 	sites   []string
-	apps    map[int]string
 	classes map[workload.Class]string
 }
 
 func newLabels(policy core.Policy, numSites int) labels {
 	l := labels{policy: policy.String(), sites: make([]string, numSites),
-		apps: map[int]string{}, classes: map[workload.Class]string{}}
+		classes: map[workload.Class]string{}}
 	for i := range l.sites {
 		l.sites[i] = strconv.Itoa(i)
 	}
@@ -34,15 +33,6 @@ func (l *labels) site(i int) string {
 		return "none"
 	}
 	return l.sites[i]
-}
-
-func (l *labels) app(id int) string {
-	s, ok := l.apps[id]
-	if !ok {
-		s = strconv.Itoa(id)
-		l.apps[id] = s
-	}
-	return s
 }
 
 func (l *labels) class(c workload.Class) string {
@@ -61,15 +51,12 @@ func (l *labels) class(c workload.Class) string {
 type simVecs struct {
 	labels
 	// planned and forced break migration traffic down by directed
-	// src→dst site edge; transfer breaks it down by app.
-	planned  *obs.CounterVec
-	forced   *obs.CounterVec
-	transfer *obs.CounterVec
-	// paused attributes availability violations to the app and the site
-	// where the cores stalled; shortfall attributes unplaced demand to the
-	// app (no site: the plan never chose one).
-	paused    *obs.CounterVec
-	shortfall *obs.CounterVec
+	// src→dst site edge.
+	planned *obs.CounterVec
+	forced  *obs.CounterVec
+	// paused attributes availability violations to the site where the
+	// cores stalled.
+	paused *obs.CounterVec
 	// The by-class vecs break violations and traffic down by SLO class.
 	pausedCls     *obs.CounterVec
 	shortfallCls  *obs.CounterVec
@@ -86,9 +73,7 @@ func newSimVecs(reg *obs.Registry, policy core.Policy, numSites int) *simVecs {
 		labels:        newLabels(policy, numSites),
 		planned:       reg.NewCounterVec("sim.planned_gb", "policy", "src", "dst"),
 		forced:        reg.NewCounterVec("sim.forced_gb", "policy", "src", "dst"),
-		transfer:      reg.NewCounterVec("sim.transfer_gb", "policy", "app"),
-		paused:        reg.NewCounterVec("sim.paused_core_steps", "policy", "app", "site"),
-		shortfall:     reg.NewCounterVec("sim.shortfall_core_steps", "policy", "app"),
+		paused:        reg.NewCounterVec("sim.paused_core_steps", "policy", "site"),
 		pausedCls:     reg.NewCounterVec("sim.paused_core_steps_by_class", "policy", "class"),
 		shortfallCls:  reg.NewCounterVec("sim.shortfall_core_steps_by_class", "policy", "class"),
 		transferByCls: reg.NewCounterVec("sim.transfer_gb_by_class", "policy", "class"),
@@ -97,7 +82,7 @@ func newSimVecs(reg *obs.Registry, policy core.Policy, numSites int) *simVecs {
 
 // move records one core move, a planned reallocation or a forced
 // migration (ty).
-func (v *simVecs) move(ty obs.EventType, app, src, dst int, gb float64) {
+func (v *simVecs) move(ty obs.EventType, src, dst int, gb float64) {
 	if v == nil {
 		return
 	}
@@ -106,23 +91,14 @@ func (v *simVecs) move(ty obs.EventType, app, src, dst int, gb float64) {
 		edge = v.forced
 	}
 	edge.Add(gb, v.policy, v.sites[src], v.sites[dst])
-	v.transfer.Add(gb, v.policy, v.app(app))
 }
 
 // pause records stable cores pausing in place at a site.
-func (v *simVecs) pause(app, site int, cores float64) {
+func (v *simVecs) pause(site int, cores float64) {
 	if v == nil {
 		return
 	}
-	v.paused.Add(cores, v.policy, v.app(app), v.sites[site])
-}
-
-// short records demanded stable cores the plan left unplaced.
-func (v *simVecs) short(app int, cores float64) {
-	if v == nil {
-		return
-	}
-	v.shortfall.Add(cores, v.policy, v.app(app))
+	v.paused.Add(cores, v.policy, v.sites[site])
 }
 
 // pauseClass records paused core-steps attributed to one SLO class.
@@ -154,7 +130,6 @@ type vmVecs struct {
 	labels
 	moves      *obs.CounterVec
 	evicted    *obs.CounterVec
-	failed     *obs.CounterVec
 	evictedCls *obs.CounterVec
 	failedCls  *obs.CounterVec
 	movesCls   *obs.CounterVec
@@ -168,7 +143,6 @@ func newVMVecs(reg *obs.Registry, policy core.Policy, numSites int) *vmVecs {
 		labels:     newLabels(policy, numSites),
 		moves:      reg.NewCounterVec("vmlevel.moves_gb", "policy", "src", "dst"),
 		evicted:    reg.NewCounterVec("vmlevel.evicted", "policy", "site"),
-		failed:     reg.NewCounterVec("vmlevel.failed_placements", "policy", "app"),
 		evictedCls: reg.NewCounterVec("vmlevel.evicted_by_class", "policy", "class"),
 		failedCls:  reg.NewCounterVec("vmlevel.failed_by_class", "policy", "class"),
 		movesCls:   reg.NewCounterVec("vmlevel.moves_gb_by_class", "policy", "class"),
@@ -194,12 +168,11 @@ func (v *vmVecs) evict(c workload.Class, site int) {
 	v.evictedCls.Inc(v.policy, v.class(c))
 }
 
-// fail records one VM-step where a firm VM could not run anywhere, by app
-// and SLO class.
-func (v *vmVecs) fail(c workload.Class, app int) {
+// fail records one VM-step where a firm VM could not run anywhere, by SLO
+// class.
+func (v *vmVecs) fail(c workload.Class) {
 	if v == nil {
 		return
 	}
-	v.failed.Inc(v.policy, v.app(app))
 	v.failedCls.Inc(v.policy, v.class(c))
 }

@@ -32,6 +32,9 @@ type VMEngine struct {
 
 	order  []*vmAppState
 	vmSite map[int]int // vmID -> site (-1 = displaced)
+	// fedVMs holds the ID of every firm VM the engine has accepted; an ID
+	// is fed once, since vmSite is keyed by it.
+	fedVMs map[int]bool
 
 	fragSum float64
 	res     VMLevelResult
@@ -52,6 +55,24 @@ type vmAppState struct {
 type AppArrival struct {
 	Demand core.AppDemand `json:"demand"`
 	VMs    []workload.VM  `json:"vms,omitempty"`
+}
+
+// Validate reports an arrival no engine state could make right: an invalid
+// demand, or a VM that workload.VM.Validate refuses or that belongs to
+// another app. Repeated IDs are Enqueue's to find.
+func (a AppArrival) Validate() error {
+	if err := a.Demand.Validate(); err != nil {
+		return err
+	}
+	for i, vm := range a.VMs {
+		if err := vm.Validate(); err != nil {
+			return fmt.Errorf("sim: app %d VM %d (ID %d): %w", a.Demand.ID, i, vm.ID, err)
+		}
+		if vm.AppID != a.Demand.ID {
+			return fmt.Errorf("sim: app %d VM %d (ID %d) belongs to app %d", a.Demand.ID, i, vm.ID, vm.AppID)
+		}
+	}
+	return nil
 }
 
 // VMEvent identifies a VM-level event at a site.
@@ -121,6 +142,7 @@ func NewVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config) (*VMEngin
 		vecs:   newVMVecs(c.reg, cfg.Policy, c.numSites),
 		sites:  sites,
 		vmSite: map[int]int{},
+		fedVMs: map[int]bool{},
 		res: VMLevelResult{
 			Policy:           cfg.Policy,
 			Transfer:         trace.New(c.base.Start, c.base.Step, c.T),
@@ -156,11 +178,62 @@ func (e *VMEngine) Result() VMLevelResult {
 	return r
 }
 
-// CheckArrivals reports the first arrival in batch that Advance would
-// refuse: an invalid demand, or an app ID repeated earlier in batch or
-// already fed to the engine (restored apps included).
+// ArrivalQueue is a batch of arrivals for one Advance, built one arrival
+// at a time by Enqueue, which keeps the app and firm VM IDs the batch
+// holds. The zero value is empty. A queue is checked against the engine
+// as it was when each arrival joined, so hand it to the next Advance and
+// start a new one after.
+type ArrivalQueue struct {
+	Arrivals []AppArrival
+	apps     map[int]bool
+	vms      map[int]bool
+}
+
+// Enqueue appends arr to q when Advance would accept q.Arrivals with arr
+// appended; otherwise it reports why and leaves q as it was. Advance
+// refuses an arrival that Validate refuses, an app ID already queued or
+// fed to the engine, and a firm VM ID already queued or fed (restored apps
+// included in both). Degradable VMs are never tracked, so their IDs may
+// repeat. Enqueue checks arr alone, so a queue of n arrivals is built in
+// time linear in their VMs.
+func (e *VMEngine) Enqueue(q *ArrivalQueue, arr AppArrival) error {
+	if err := arr.Validate(); err != nil {
+		return err
+	}
+	if err := e.repeated(arr.Demand.ID, q.apps); err != nil {
+		return err
+	}
+	ids := make(map[int]bool, len(arr.VMs))
+	for _, vm := range arr.VMs {
+		if !vm.Class.Firm() {
+			continue
+		}
+		if e.fedVMs[vm.ID] || q.vms[vm.ID] || ids[vm.ID] {
+			return fmt.Errorf("sim: app %d VM %d fed twice", arr.Demand.ID, vm.ID)
+		}
+		ids[vm.ID] = true
+	}
+	if q.apps == nil {
+		q.apps, q.vms = map[int]bool{}, map[int]bool{}
+	}
+	q.apps[arr.Demand.ID] = true
+	for id := range ids {
+		q.vms[id] = true
+	}
+	q.Arrivals = append(q.Arrivals, arr)
+	return nil
+}
+
+// CheckArrivals reports why Advance would refuse batch: the first arrival
+// Enqueue refuses when batch is queued in order.
 func (e *VMEngine) CheckArrivals(batch []AppArrival) error {
-	return e.checkBatch(len(batch), func(i int) core.AppDemand { return batch[i].Demand })
+	var q ArrivalQueue
+	for _, arr := range batch {
+		if err := e.Enqueue(&q, arr); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Advance executes one plan step: feed the arrivals, apply power (evicting
@@ -168,6 +241,9 @@ func (e *VMEngine) CheckArrivals(batch []AppArrival) error {
 // plans, rehome displaced VMs, and depart finished ones. A batch
 // CheckArrivals refuses is refused whole, leaving the engine unchanged.
 func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
+	if err := e.CheckArrivals(arrivals); err != nil {
+		return VMStepReport{}, err
+	}
 	env, err := e.begin(len(arrivals), func(i int) core.AppDemand { return arrivals[i].Demand })
 	if err != nil {
 		return VMStepReport{}, err
@@ -181,6 +257,7 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 		for _, vm := range arr.VMs {
 			if vm.Class.Firm() {
 				st.vms = append(st.vms, vm)
+				e.fedVMs[vm.ID] = true
 			}
 		}
 		e.order = append(e.order, st)
@@ -280,7 +357,7 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 				e.reg.Inc("sim.vmlevel.failed_placements")
 				e.reg.Emit(obs.Event{Type: obs.VMPlacementFail, Step: t, App: vm.AppID, Site: -1, Dst: -1,
 					VM: vm.ID, Cores: float64(vm.Cores)})
-				e.vecs.fail(vm.Class, vm.AppID)
+				e.vecs.fail(vm.Class)
 			}
 		}
 	}
@@ -571,6 +648,12 @@ func RestoreVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config, r io.
 	for i, a := range st.Apps {
 		e.order[i] = &vmAppState{demand: a.Demand, plan: a.Plan, vms: a.VMs, endStep: a.EndStep, started: a.Started}
 		e.fed[a.Demand.ID] = true
+		for _, vm := range a.VMs {
+			if e.fedVMs[vm.ID] {
+				return nil, fmt.Errorf("sim: snapshot repeats VM %d (app %d)", vm.ID, a.Demand.ID)
+			}
+			e.fedVMs[vm.ID] = true
+		}
 	}
 	e.vmSite = st.VMSite
 	if e.vmSite == nil {

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,5 +285,154 @@ func TestVMEngineDisplacedExpiryNoLeak(t *testing.T) {
 	}
 	if eng.TrackedVMs() != 0 {
 		t.Fatalf("end of run: still tracking %d entries", eng.TrackedVMs())
+	}
+}
+
+// TestVMEngineRefusesBadVMs: an arrival carrying a malformed VM, a VM of
+// another app, or a firm VM ID the engine already holds (earlier in the
+// batch, fed at an earlier step, or restored from a snapshot) is refused
+// whole by CheckArrivals and Advance. The refusal leaves the engine
+// unchanged: it goes on to decide exactly as an engine that never saw the
+// batch. Before these checks, a repeated ID silently kept one of its VMs
+// from ever running, since the location table is keyed by VM ID.
+func TestVMEngineRefusesBadVMs(t *testing.T) {
+	in, _ := vmLevelFixtures(t, 2)
+	in.Apps = nil
+	cfg, ccfg := simConfig(core.Greedy), cluster.DefaultConfig()
+	start := in.Actual[0].Start
+	vm := func(id, app int) workload.VM {
+		return workload.VM{ID: id, Cores: 2, MemoryGB: 8, Class: workload.Stable, Arrival: start, AppID: app}
+	}
+	with := func(v workload.VM, edit func(*workload.VM)) workload.VM {
+		edit(&v)
+		return v
+	}
+	app := func(id int, vms ...workload.VM) AppArrival {
+		return AppArrival{Demand: core.AppDemand{ID: id, Cores: 8, StableCores: 8, MemGBPerCore: 4, Start: start}, VMs: vms}
+	}
+	// fed returns an engine that has run one step holding app 1's VMs 1
+	// and 2, itself or restored from its snapshot.
+	fed := func(restored bool) *VMEngine {
+		eng, err := NewVMEngine(cfg, in, ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Advance([]AppArrival{app(1, vm(1, 1), vm(2, 1))}); err != nil {
+			t.Fatal(err)
+		}
+		if !restored {
+			return eng
+		}
+		var snap bytes.Buffer
+		if err := eng.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if eng, err = RestoreVMEngine(cfg, in, ccfg, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
+	cases := []struct {
+		name  string
+		batch []AppArrival
+		want  string
+	}{
+		{"zero cores", []AppArrival{app(2, with(vm(3, 2), func(v *workload.VM) { v.Cores = 0 }))}, "non-positive size"},
+		{"negative cores", []AppArrival{app(2, with(vm(3, 2), func(v *workload.VM) { v.Cores = -2 }))}, "non-positive size"},
+		{"zero memory", []AppArrival{app(2, with(vm(3, 2), func(v *workload.VM) { v.MemoryGB = 0 }))}, "non-positive size"},
+		{"negative lifetime", []AppArrival{app(2, with(vm(3, 2), func(v *workload.VM) { v.Lifetime = -time.Hour }))}, "negative lifetime"},
+		{"unknown class", []AppArrival{app(2, with(vm(3, 2), func(v *workload.VM) { v.Class = workload.Batch + 1 }))}, "unknown class"},
+		{"degradable VM malformed", []AppArrival{app(2, vm(3, 2), with(vm(4, 2), func(v *workload.VM) {
+			v.Class, v.MemoryGB = workload.Degradable, 0
+		}))}, "non-positive size"},
+		{"VM of another app", []AppArrival{app(2, vm(3, 5))}, "belongs to app 5"},
+		{"VM of no app", []AppArrival{app(2, vm(3, 0))}, "belongs to app 0"},
+		{"ID repeated within an app", []AppArrival{app(2, vm(3, 2), vm(3, 2))}, "VM 3 fed twice"},
+		{"ID shared by two apps", []AppArrival{app(2, vm(3, 2)), app(3, vm(3, 3))}, "VM 3 fed twice"},
+		{"ID fed at an earlier step", []AppArrival{app(2, vm(4, 2), vm(1, 2))}, "VM 1 fed twice"},
+		{"bad app after a good one", []AppArrival{app(2, vm(3, 2)), app(3, vm(4, 2))}, "belongs to app 2"},
+	}
+	good := []AppArrival{app(2, vm(3, 2), vm(4, 2))}
+	for _, c := range cases {
+		for _, restored := range []bool{false, true} {
+			eng, ref := fed(restored), fed(restored)
+			if err := eng.CheckArrivals(c.batch); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s (restored %v): CheckArrivals = %v, want an error naming %q", c.name, restored, err, c.want)
+			}
+			if _, err := eng.Advance(c.batch); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s (restored %v): Advance = %v, want an error naming %q", c.name, restored, err, c.want)
+			}
+			if eng.Step() != ref.Step() || eng.TrackedVMs() != ref.TrackedVMs() {
+				t.Errorf("%s (restored %v): refusal moved the engine to step %d with %d VMs, want %d with %d",
+					c.name, restored, eng.Step(), eng.TrackedVMs(), ref.Step(), ref.TrackedVMs())
+			}
+			got, want := stepReports(t, eng, append([]AppArrival(nil), good...)), stepReports(t, ref, append([]AppArrival(nil), good...))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (restored %v): decisions after the refusal differ from an engine that never saw it", c.name, restored)
+			}
+			if eng.Running() != 4 {
+				t.Errorf("%s (restored %v): %d VMs running at the end, want 4", c.name, restored, eng.Running())
+			}
+		}
+	}
+
+	// Degradable VMs are never tracked, so their IDs may repeat.
+	eng := fed(false)
+	degr := with(vm(3, 2), func(v *workload.VM) { v.Class = workload.Degradable })
+	if _, err := eng.Advance([]AppArrival{app(2, degr, degr, vm(4, 2))}); err != nil {
+		t.Errorf("repeated degradable IDs refused: %v", err)
+	}
+
+	// A refused Enqueue leaves the queue as it was: none of the refused
+	// arrival's IDs are taken.
+	eng = fed(false)
+	var q ArrivalQueue
+	if err := eng.Enqueue(&q, app(2, vm(3, 2))); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Enqueue(&q, app(3, vm(4, 3), vm(3, 3))); err == nil || !strings.Contains(err.Error(), "VM 3 fed twice") {
+		t.Errorf("Enqueue of a queued VM ID = %v, want a refusal naming it", err)
+	}
+	if err := eng.Enqueue(&q, app(3, vm(4, 3))); err != nil || len(q.Arrivals) != 2 {
+		t.Errorf("Enqueue after a refusal = %v with %d queued, want nil with 2", err, len(q.Arrivals))
+	}
+	if _, err := eng.Advance(q.Arrivals); err != nil {
+		t.Errorf("Advance of a queue Enqueue built: %v", err)
+	}
+}
+
+// TestRestoreRejectsRepeatedVM: a snapshot whose apps hold one VM ID twice
+// would restore an engine that silently never runs one of them; it is
+// refused.
+func TestRestoreRejectsRepeatedVM(t *testing.T) {
+	in, apps := vmLevelFixtures(t, 2)
+	cfg, ccfg := simConfig(core.Greedy), cluster.DefaultConfig()
+	eng, err := NewVMEngine(cfg, in, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepReports(t, eng, vmBatchArrivals(in, apps))
+	var snap bytes.Buffer
+	if err := eng.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	var st vmEngineState
+	if err := gob.NewDecoder(bytes.NewReader(snap.Bytes())).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Apps) < 2 || len(st.Apps[0].VMs) == 0 || len(st.Apps[1].VMs) == 0 {
+		t.Fatalf("fixture snapshot holds too few apps with VMs: %d", len(st.Apps))
+	}
+	if _, err := RestoreVMEngine(cfg, in, ccfg, bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("unedited snapshot refused: %v", err)
+	}
+	st.Apps[1].VMs[0].ID = st.Apps[0].VMs[0].ID
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreVMEngine(cfg, in, ccfg, &bad); err == nil || !strings.Contains(err.Error(), "repeats VM") {
+		t.Errorf("snapshot with a repeated VM ID: err = %v, want a refusal naming it", err)
 	}
 }

@@ -44,6 +44,22 @@ func (v VM) End() time.Time {
 	return v.Arrival.Add(v.Lifetime)
 }
 
+// Validate reports a VM a site would misaccount: a non-positive size, a
+// negative lifetime or an unknown class. The error names the fault, not the
+// VM; callers say which VM it is.
+func (v VM) Validate() error {
+	if v.Cores <= 0 || v.MemoryGB <= 0 {
+		return fmt.Errorf("non-positive size %d cores, %d GB", v.Cores, v.MemoryGB)
+	}
+	if v.Lifetime < 0 {
+		return fmt.Errorf("negative lifetime %v", v.Lifetime)
+	}
+	if !v.Class.Valid() {
+		return fmt.Errorf("unknown class %v", v.Class)
+	}
+	return nil
+}
+
 // shape is one entry of the VM size mix.
 type shape struct {
 	cores  int

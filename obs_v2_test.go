@@ -78,12 +78,8 @@ func TestTraceAnalysisReconciles(t *testing.T) {
 	if math.Abs(forcedVec-res.ForcedGB) > 1e-6*math.Max(1, res.ForcedGB) {
 		t.Errorf("sim.forced_gb vec sums to %v, result ForcedGB %v", forcedVec, res.ForcedGB)
 	}
-	var placed float64
-	for _, lv := range snap.CounterVecs["scheduler.placements.by_app"].Values {
-		placed += lv.Value
-	}
-	if placed != float64(res.Placements) {
-		t.Errorf("placements vec sums to %v, result Placements %d", placed, res.Placements)
+	if placed := snap.Counters["scheduler.placements"]; placed != float64(res.Placements) {
+		t.Errorf("scheduler.placements = %v, result Placements %d", placed, res.Placements)
 	}
 	// Every vec series carries the policy label in position 0.
 	for name, vs := range snap.CounterVecs {

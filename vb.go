@@ -205,6 +205,9 @@ type (
 	// AppArrival is one application entering a streaming engine: its
 	// aggregate demand plus the discrete VMs behind it.
 	AppArrival = sim.AppArrival
+	// ArrivalQueue is a batch of arrivals for one VMEngine.Advance, built
+	// one arrival at a time by VMEngine.Enqueue.
+	ArrivalQueue = sim.ArrivalQueue
 	// VMStepReport is one VMEngine step's decision record (admissions,
 	// evictions, moves, failures), suitable for a JSONL decision log.
 	VMStepReport = sim.VMStepReport
@@ -298,10 +301,9 @@ type (
 	// MetricsSnapshot is a serializable copy of a whole registry: flat
 	// metrics, dimensional vecs, and exact per-event-type totals.
 	MetricsSnapshot = obs.RegistrySnapshot
-	// CounterVec and HistogramVec are dimensional metrics with ordered
-	// label sets (e.g. policy, site, app, class).
-	CounterVec   = obs.CounterVec
-	HistogramVec = obs.HistogramVec
+	// CounterVec is a dimensional counter with an ordered label set of
+	// up to three names (e.g. policy, src, dst).
+	CounterVec = obs.CounterVec
 	// TraceAnalysis is the offline aggregate view of a recorded event
 	// stream (what cmd/vbobs prints); its per-type stats reconcile
 	// bit-exactly with the live tracer's.

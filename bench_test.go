@@ -252,9 +252,10 @@ func BenchmarkMIPSolve(b *testing.B) {
 }
 
 // BenchmarkMIPSolveCold is BenchmarkMIPSolve with a fresh app ID every
-// iteration. Every placement compiles its model and solves it from scratch
-// either way, so the two benchmarks measure the same path; this one also
-// pays the per-app label bookkeeping of a new app.
+// iteration. Every placement recompiles its model into the scheduler's
+// solver arena in place either way, and only the arena's capacity survives
+// from one placement to the next, so the two benchmarks measure the same
+// path.
 func BenchmarkMIPSolveCold(b *testing.B) {
 	const numSites, steps = 3, 28
 	reg := NewMetrics()

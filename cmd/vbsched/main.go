@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -22,21 +23,31 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vbsched: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run parses args and runs the comparison. The report goes to stdout and
+// is a function of the flags alone; wall-clock solver latencies, printed
+// when a registry is attached, go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("vbsched", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		days       = flag.Int("days", 7, "days to simulate")
-		seed       = flag.Uint64("seed", vb.DefaultSeed, "random seed")
-		apps       = flag.Float64("apps", 6, "application arrivals per day")
-		util       = flag.Float64("util", 0.7, "admission utilization target")
-		maxSites   = flag.Int("maxsites", 3, "max sites per application")
-		policyArg  = flag.String("policy", "", `run one policy only ("Greedy", "MIP", "MIP-24h", "MIP-peak")`)
-		leadFc     = flag.Bool("leadforecasts", false, "use lead-dependent forecast degradation instead of the day-ahead archive")
-		csvOut     = flag.Bool("csv", false, "emit per-policy transfer series as CSV")
-		chart      = flag.Bool("chart", false, "render the Fig 7 CDF as an ASCII chart")
-		traceOut   = flag.String("trace", "", "write structured run events to this JSONL file")
-		metricsOut = flag.String("metrics", "", "write the run manifest (metrics JSON) to this file")
+		days       = fs.Int("days", 7, "days to simulate")
+		seed       = fs.Uint64("seed", vb.DefaultSeed, "random seed")
+		apps       = fs.Float64("apps", 6, "application arrivals per day")
+		util       = fs.Float64("util", 0.7, "admission utilization target")
+		maxSites   = fs.Int("maxsites", 3, "max sites per application")
+		policyArg  = fs.String("policy", "", `run one policy only ("Greedy", "MIP", "MIP-24h", "MIP-peak")`)
+		leadFc     = fs.Bool("leadforecasts", false, "use lead-dependent forecast degradation instead of the day-ahead archive")
+		csvOut     = fs.Bool("csv", false, "emit per-policy transfer series as CSV")
+		chart      = fs.Bool("chart", false, "render the Fig 7 CDF as an ASCII chart")
+		traceOut   = fs.String("trace", "", "write structured run events to this JSONL file")
+		metricsOut = fs.String("metrics", "", "write the run manifest (metrics JSON) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	var reg *vb.MetricsRegistry
 	if *traceOut != "" || *metricsOut != "" {
@@ -46,7 +57,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		traceFile = f
 		reg.Tracer().SetSink(f)
@@ -64,17 +75,17 @@ func main() {
 	if *policyArg != "" {
 		p, err := vb.ParsePolicy(*policyArg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		setup.Policies = []vb.Policy{p}
 	}
 
 	res, err := vb.Table1PolicyComparison(setup)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := vb.FinishTraceSink(reg, traceFile); err != nil {
-		log.Fatalf("trace sink failed, events lost: %v", err)
+		return fmt.Errorf("trace sink failed, events lost: %v", err)
 	}
 	if *metricsOut != "" {
 		m := reg.Manifest()
@@ -87,13 +98,13 @@ func main() {
 		}
 		f, err := os.Create(*metricsOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := m.WriteJSON(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *csvOut {
@@ -103,20 +114,17 @@ func main() {
 			names = append(names, row.Policy.String())
 			series = append(series, res.Transfers[row.Policy])
 		}
-		if err := vb.WriteCSV(os.Stdout, names, series...); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return vb.WriteCSV(stdout, names, series...)
 	}
-	fmt.Print(res.Report())
+	fmt.Fprint(stdout, res.Report())
 	if h, ok := reg.Histogram("mip.solve"); ok && h.Count > 0 {
-		fmt.Printf("  solver: %d solves  p50=%.2fms  p95=%.2fms  p99=%.2fms  max=%.2fms\n",
+		fmt.Fprintf(stderr, "vbsched: solver: %d solves  p50=%.2fms  p95=%.2fms  p99=%.2fms  max=%.2fms\n",
 			h.Count, h.Quantile(0.50)*1e3, h.Quantile(0.95)*1e3, h.Quantile(0.99)*1e3, h.Max*1e3)
 	}
 	if *chart {
 		cdfs, err := vb.Fig7CDFs(res)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sets := map[string][]vb.Point{}
 		for pol, pts := range cdfs {
@@ -124,12 +132,13 @@ func main() {
 		}
 		c, err := vb.PlotCDFs(sets, vb.PlotOptions{Title: "Fig 7: CDF of per-step transfer (GB)", Height: 12})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Print(c)
+		fmt.Fprint(stdout, c)
 	}
-	fmt.Println("  group:")
+	fmt.Fprintln(stdout, "  group:")
 	for _, s := range res.Group {
-		fmt.Printf("    %-9s %-6s (%.1f, %.1f) %v MW\n", s.Name, s.Source, s.Latitude, s.Longitude, s.CapacityMW)
+		fmt.Fprintf(stdout, "    %-9s %-6s (%.1f, %.1f) %v MW\n", s.Name, s.Source, s.Latitude, s.Longitude, s.CapacityMW)
 	}
+	return nil
 }

@@ -183,6 +183,75 @@ func TestPlaceErrors(t *testing.T) {
 	}
 }
 
+// TestPlaceRefusesMalformedPrev holds Place to refusing, before it builds
+// a model, a current allocation or previous plan that the model would
+// index out of range or carry into its rows as NaN or Inf. Each error
+// names the site (and for a plan entry the step), and a refused placement
+// leaves the ledgers untouched. Every policy refuses, the MIP ones
+// included, whose model builder reads prevPlan without further checks.
+func TestPlaceRefusesMalformedPrev(t *testing.T) {
+	const sites, steps = 3, 8
+	plan := func(edit func([][]float64) [][]float64) [][]float64 {
+		p := make([][]float64, sites)
+		for s := range p {
+			p[s] = make([]float64, steps)
+			for t := range p[s] {
+				p[s][t] = 10
+			}
+		}
+		return edit(p)
+	}
+	cases := []struct {
+		name     string
+		prev     []float64
+		prevPlan [][]float64
+		want     string
+	}{
+		{"prev short", []float64{0, 0}, nil, "prev has 2 sites, want 3"},
+		{"prev NaN", []float64{0, math.NaN(), 0}, nil, "prev holds NaN at site 1"},
+		{"prev +Inf", []float64{0, 0, math.Inf(1)}, nil, "prev holds +Inf at site 2"},
+		{"prevPlan one short row", []float64{0, 0, 0}, [][]float64{{1, 2}}, "prevPlan has 1 sites, want 3"},
+		{"prevPlan short row", []float64{0, 0, 0}, plan(func(p [][]float64) [][]float64 {
+			p[2] = p[2][:2]
+			return p
+		}), "prevPlan site 2 has 2 steps, want 8"},
+		{"prevPlan long row", []float64{0, 0, 0}, plan(func(p [][]float64) [][]float64 {
+			p[1] = append(p[1], 10)
+			return p
+		}), "prevPlan site 1 has 9 steps, want 8"},
+		{"prevPlan extra site", []float64{0, 0, 0}, plan(func(p [][]float64) [][]float64 {
+			return append(p, make([]float64, steps))
+		}), "prevPlan has 4 sites, want 3"},
+		{"prevPlan NaN", []float64{0, 0, 0}, plan(func(p [][]float64) [][]float64 {
+			p[0][5] = math.NaN()
+			return p
+		}), "prevPlan holds NaN at site 0 step 5"},
+		{"prevPlan -Inf", []float64{0, 0, 0}, plan(func(p [][]float64) [][]float64 {
+			p[2][7] = math.Inf(-1)
+			return p
+		}), "prevPlan holds -Inf at site 2 step 7"},
+	}
+	for _, pol := range AllPolicies() {
+		for _, c := range cases {
+			s, err := NewScheduler(validConfig(pol), sites, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.Place(demand(1, 40, 30, 4), 0, steps, constCap(100, 100, 100), nil, c.prev, c.prevPlan)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%v %s: Place returned %v, want an error containing %q", pol, c.name, err, c.want)
+			}
+			for site := 0; site < sites; site++ {
+				for step := 0; step < steps; step++ {
+					if v := s.Committed(site, step); v != 0 {
+						t.Fatalf("%v %s: refused placement committed %v at site %d step %d", pol, c.name, v, site, step)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPlacePureDegradableIsFree(t *testing.T) {
 	s, err := NewScheduler(validConfig(MIP), 2, 10)
 	if err != nil {

@@ -114,34 +114,91 @@ func refPlacementRows(s *Scheduler, app AppDemand, nowStep, H int, stableCap Cap
 	return rows
 }
 
+// refPlacementVars restates the model's per-variable arrays, each made
+// fresh at the model's width: the objective, the upper bounds (the plain
+// forecast's free capacity on a for the first day's steps, 1 on each site
+// indicator y, +Inf elsewhere) and the integrality flags (y alone).
+func refPlacementVars(s *Scheduler, app AppDemand, nowStep, H int, predCap, stableCap CapacityFn, prevPlan [][]float64) (obj, upper []float64, integer []bool) {
+	k := s.numSites
+	nA, nM, nO, nU := k*H, k*H, k*H, H
+	nD := 0
+	if prevPlan != nil {
+		nD = k * H
+	}
+	nE := 0
+	if s.cfg.peakWeight() > 0 {
+		nE = H
+	}
+	aVar := func(site, tau int) int { return site*H + tau }
+	mVar := func(site, tau int) int { return nA + site*H + tau }
+	oVar := func(site, tau int) int { return nA + nM + site*H + tau }
+	uVar := func(tau int) int { return nA + nM + nO + tau }
+	dVar := func(site, tau int) int { return nA + nM + nO + nU + site*H + tau }
+	yVar := func(site int) int { return nA + nM + nO + nU + nD + site }
+	pVar := nA + nM + nO + nU + nD + k
+	numVars := pVar + 1 + nE
+	memGB := app.MemGBPerCore
+
+	obj, upper, integer = make([]float64, numVars), make([]float64, numVars), make([]bool, numVars)
+	for j := range upper {
+		upper[j] = math.Inf(1)
+	}
+	hardSteps := max(1, int(24*time.Hour/s.cfg.PlanStep))
+	for site := 0; site < k; site++ {
+		for tau := 0; tau < H; tau++ {
+			obj[mVar(site, tau)] = memGB * (1 + 0.5*float64(H-1-tau)/float64(H))
+			obj[oVar(site, tau)] = 0.15 * memGB
+			if prevPlan != nil {
+				obj[dVar(site, tau)] = 0.05 * memGB
+			}
+			if tau < hardSteps {
+				upper[aVar(site, tau)] = max(0, predCap(site, nowStep+tau)-s.committed[site][nowStep+tau])
+			}
+		}
+		upper[yVar(site)] = 1
+		integer[yVar(site)] = true
+	}
+	for tau := 0; tau < H; tau++ {
+		obj[uVar(tau)] = 1000 * memGB * float64(H) * app.PauseWeight()
+	}
+	obj[pVar] = s.cfg.peakWeight()
+	for tau := 0; tau < nE; tau++ {
+		obj[pVar+1+tau] = 0.2
+	}
+	return obj, upper, integer
+}
+
 // TestPlacementModelMatchesDenseBuilder checks the sparse placement model
 // against the map-based dense builder it replaced, over every combination
 // of peak rows, a current allocation and a previous plan: the same rows in
 // the same order, each with the same sense, RHS bits and coefficient bits
 // (an omitted variable equals a dense zero). It also pins the exact sizing
-// of the row buffer: placementShape predicts every row and nonzero.
+// of the row buffer: placementShape predicts every row and nonzero. One
+// scheduler per policy and site count builds every model in turn, into
+// the buffers it keeps, so the models grow and shrink under it: an entry
+// a larger model leaves behind shows as a mismatch.
 func TestPlacementModelMatchesDenseBuilder(t *testing.T) {
 	const steps = 12
 	predCap := func(site, step int) float64 { return 900 + 400*math.Sin(float64(3*site+step)) }
 	stableCap := func(site, step int) float64 { return 700 + 300*math.Cos(float64(site+2*step)) }
 	for _, pol := range []Policy{MIP, MIPPeak} {
 		for _, k := range []int{1, 2, 3} {
-			for _, H := range []int{1, 2, 3, 6} {
-				for _, withPrev := range []bool{false, true} {
-					for _, withPlan := range []bool{false, true} {
+			s, err := NewScheduler(Config{Policy: pol, PlanStep: 6 * time.Hour}, k, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for site := 0; site < k; site++ {
+				for step := 0; step < steps; step++ {
+					s.committed[site][step] = float64(37*site + 11*step%5)
+				}
+			}
+			for step := 0; step < steps; step++ {
+				s.migCommitted[step] = float64(step%3) * 12.5
+			}
+			for _, H := range []int{6, 1, 3, 2} {
+				for _, withPrev := range []bool{true, false} {
+					for _, withPlan := range []bool{true, false} {
 						name := fmt.Sprintf("%v/k=%d/H=%d/prev=%v/plan=%v", pol, k, H, withPrev, withPlan)
-						s, err := NewScheduler(Config{Policy: pol, PlanStep: 6 * time.Hour}, k, steps)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for site := 0; site < k; site++ {
-							for step := 0; step < steps; step++ {
-								s.committed[site][step] = float64(37*site + 11*step%5)
-							}
-						}
-						for step := 0; step < steps; step++ {
-							s.migCommitted[step] = float64(step%3) * 12.5
-						}
 						app := demand(7, 500, 350, 4.3)
 						var prev []float64
 						var prevPlan [][]float64
@@ -165,7 +222,19 @@ func TestPlacementModelMatchesDenseBuilder(t *testing.T) {
 						if err := prob.Problem.Validate(); err != nil {
 							t.Fatalf("%s: invalid model: %v", name, err)
 						}
+						if len(prob.Objective) != prob.NumVars || len(prob.Upper) != prob.NumVars || len(prob.Integer) != prob.NumVars {
+							t.Fatalf("%s: %d objective, %d upper and %d integrality entries for %d variables",
+								name, len(prob.Objective), len(prob.Upper), len(prob.Integer), prob.NumVars)
+						}
 						ref := refPlacementRows(s, app, now, H, stableCap, prev, prevPlan)
+						refObj, refUpper, refInt := refPlacementVars(s, app, now, H, predCap, stableCap, prevPlan)
+						for j := 0; j < prob.NumVars; j++ {
+							if math.Float64bits(prob.Objective[j]) != math.Float64bits(refObj[j]) ||
+								math.Float64bits(prob.Upper[j]) != math.Float64bits(refUpper[j]) || prob.Integer[j] != refInt[j] {
+								t.Fatalf("%s: variable %d costs %v, bounded by %v, integer %v; reference %v, %v, %v",
+									name, j, prob.Objective[j], prob.Upper[j], prob.Integer[j], refObj[j], refUpper[j], refInt[j])
+							}
+						}
 						wantRows, wantNNZ := placementShape(k, H, withPrev, withPlan, pol == MIPPeak)
 						nnz := 0
 						for _, c := range prob.Constraints {

@@ -31,6 +31,13 @@ type Scheduler struct {
 	// to mipNodes/pressure, modeling a slow solver deterministically: the
 	// truncation point depends only on the factor, never on wall clock.
 	pressure float64
+	// solver and model are the placement arena: placementModel refills the
+	// model's arrays and every tier of placeMIP's ladder recompiles it into
+	// the one solver in place. Only their capacity carries from one
+	// placement to the next, and no Plan aliases them, so they are not
+	// state (EncodeState leaves them out).
+	solver mip.Solver
+	model  modelBuf
 }
 
 // mipNodes caps branch-and-bound nodes per placement before solver
@@ -149,8 +156,8 @@ func (s *Scheduler) Place(app AppDemand, nowStep, endStep int, predCap, stableCa
 	if endStep > s.steps {
 		endStep = s.steps
 	}
-	if prev != nil && len(prev) != s.numSites {
-		return Plan{}, fmt.Errorf("core: prev has %d sites, want %d", len(prev), s.numSites)
+	if err := s.checkPrev(prev, prevPlan); err != nil {
+		return Plan{}, err
 	}
 
 	// Only stable cores are scheduled and migrated: degradable VMs soak
@@ -177,6 +184,35 @@ func (s *Scheduler) Place(app AppDemand, nowStep, endStep int, predCap, stableCa
 	}
 	s.Commit(plan, nowStep)
 	return plan, nil
+}
+
+// checkPrev refuses a current allocation that is not one finite entry per
+// site, and a previous plan that is not one row of s.steps finite entries
+// per site, naming the offending site and step. Place checks both before
+// it builds a model, which indexes them without further checks.
+func (s *Scheduler) checkPrev(prev []float64, prevPlan [][]float64) error {
+	if prev != nil && len(prev) != s.numSites {
+		return fmt.Errorf("core: prev has %d sites, want %d", len(prev), s.numSites)
+	}
+	for site, v := range prev {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: prev holds %v at site %d, want finite", v, site)
+		}
+	}
+	if prevPlan != nil && len(prevPlan) != s.numSites {
+		return fmt.Errorf("core: prevPlan has %d sites, want %d", len(prevPlan), s.numSites)
+	}
+	for site, row := range prevPlan {
+		if len(row) != s.steps {
+			return fmt.Errorf("core: prevPlan site %d has %d steps, want %d", site, len(row), s.steps)
+		}
+		for step, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: prevPlan holds %v at site %d step %d, want finite", v, site, step)
+			}
+		}
+	}
+	return nil
 }
 
 // placeGreedy implements the paper's baseline: all VMs go to the site with
@@ -242,7 +278,9 @@ func (s *Scheduler) placementModel(app AppDemand, nowStep, H int, predCap, stabl
 	eVar := func(tau int) int { return pVar + 1 + tau }
 	numVars := pVar + 1 + nE
 
-	obj := make([]float64, numVars)
+	b := &s.model
+	b.obj = zeroed(b.obj, numVars)
+	obj := b.obj
 	memGB := app.MemGBPerCore
 	// O1: total migration volume. Later moves are discounted slightly so
 	// that when the optimum is indifferent about *when* to move (the cost
@@ -309,11 +347,13 @@ func (s *Scheduler) placementModel(app AppDemand, nowStep, H int, predCap, stabl
 	// Every row lists its terms in ascending variable order (the layout
 	// above puts a < m < o < u < d < y < P < e), into one buffer sized
 	// exactly for the model.
-	rows := newRowBuf(placementShape(k, H, prev != nil, prevPlan != nil, nE > 0))
+	rows := &b.rows
+	rows.reset(placementShape(k, H, prev != nil, prevPlan != nil, nE > 0))
 	// Singleton rows (hard capacity, binary bounds) become native variable
 	// bounds: the LP shrinks and branching on y tightens a bound in place.
 	// Lower bounds stay at the default zero.
-	upper := make([]float64, numVars)
+	b.upper = zeroed(b.upper, numVars)
+	upper := b.upper
 	for j := range upper {
 		upper[j] = math.Inf(1)
 	}
@@ -434,7 +474,8 @@ func (s *Scheduler) placementModel(app AppDemand, nowStep, H int, predCap, stabl
 		}
 	}
 
-	integer := make([]bool, numVars)
+	b.integer = zeroed(b.integer, numVars)
+	integer := b.integer
 	for site := 0; site < k; site++ {
 		integer[yVar(site)] = true
 	}
@@ -479,7 +520,7 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		solveStart = time.Now()
 		reg.Emit(obs.Event{Type: obs.MIPSolveStart, Step: nowStep, App: app.ID, Site: -1, Dst: -1, Cores: demand})
 	}
-	sol, err := mip.Solve(prob, mip.Options{MaxNodes: maxNodes})
+	sol, err := s.solver.Solve(prob, mip.Options{MaxNodes: maxNodes})
 	if reg != nil {
 		d := time.Since(solveStart)
 		reg.ObserveDuration("mip.solve", d)
@@ -510,7 +551,7 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 	// surfaces as a placement error: it degrades, and the degradation is
 	// recorded (scheduler.fallback.count, SchedulerFallback events).
 	if err != nil || sol.Status != lp.Optimal {
-		rsol, rerr := mip.SolveRelaxationRounded(prob)
+		rsol, rerr := s.solver.SolveRelaxationRounded(prob)
 		if rerr == nil && rsol.Status == lp.Optimal {
 			s.recordFallback(app, nowStep, "rounded-lp")
 			if reg != nil {
@@ -546,8 +587,30 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 	return plan, nil
 }
 
+// modelBuf holds a placement model's arrays: its rows, objective, upper
+// bounds and integrality flags. placementModel refills every one of them,
+// so the previous model leaves only capacity behind.
+type modelBuf struct {
+	rows    rowBuf
+	obj     []float64
+	upper   []float64
+	integer []bool
+}
+
+// zeroed returns s resized to length n with every entry zero. It reuses
+// s's storage when the capacity suffices and otherwise allocates at least
+// twice the old capacity, so growing models reallocate rarely.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // rowBuf collects a model's constraint rows. Every row's index/value pairs
-// live in one pair of buffers allocated once at the model's exact size.
+// live in one pair of buffers, sized by reset for the whole model.
 type rowBuf struct {
 	rows  []lp.Constraint
 	idx   []int32
@@ -555,12 +618,13 @@ type rowBuf struct {
 	start int
 }
 
-func newRowBuf(rows, nnz int) rowBuf {
-	return rowBuf{
-		rows: make([]lp.Constraint, 0, rows),
-		idx:  make([]int32, 0, nnz),
-		val:  make([]float64, 0, nnz),
-	}
+// reset empties the buffer and makes room for a model of the given row
+// and nonzero counts, reusing the storage of earlier models.
+func (b *rowBuf) reset(rows, nnz int) {
+	b.rows = zeroed(b.rows, rows)[:0]
+	b.idx = zeroed(b.idx, nnz)[:0]
+	b.val = zeroed(b.val, nnz)[:0]
+	b.start = 0
 }
 
 // add appends the term v·x_j to the open row; j must exceed the row's

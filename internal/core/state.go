@@ -9,9 +9,11 @@ import (
 
 // Scheduler state export for daemon crash recovery. The persistent state is
 // the commitment ledgers (capacity and planned migration) and nothing
-// else: every placement compiles and solves its model afresh, so a plan is
-// a function of the ledgers and the caller's inputs, and a scheduler
-// restored from the ledgers places exactly as the uninterrupted one would.
+// else: every placement recompiles its model into the scheduler's solver
+// arena in place, and only the arena's capacity survives from one
+// placement to the next, so a plan is a function of the ledgers and the
+// caller's inputs, and a scheduler restored from the ledgers places
+// exactly as the uninterrupted one would.
 // Snapshots written while the scheduler still cached per-app solver state
 // also carry WarmTick and a Warm map; schedulerState no longer declares
 // them, so gob skips them unread. Metrics (Config.Obs) are run-scoped and

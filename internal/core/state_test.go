@@ -7,6 +7,8 @@ import (
 	"math/rand/v2"
 	"strings"
 	"testing"
+
+	"github.com/vbcloud/vb/internal/obs"
 )
 
 // TestSchedulerStateRoundTrip pins the daemon crash-recovery contract at
@@ -174,91 +176,137 @@ func TestSchedulerDecodeRejectsMismatch(t *testing.T) {
 // step and by planning time. Before each Place, a fresh scheduler receives
 // a copy of the long-lived one's ledgers and places the same app; the two
 // plans must match bit for bit.
+//
+// The long-lived scheduler recompiles every model into the arena it keeps
+// (its solver and model buffers), and its models both shrink and regrow,
+// so a value the arena carries from a larger model into a smaller one
+// shows as a plan that differs. Under solver pressure 2000 the node budget
+// is the root alone, so fractional placements take the ladder's rounded-LP
+// tier, which must recompile the model into the same arena too.
 func TestPlacementIndependentOfHistory(t *testing.T) {
 	const sites, steps, perDay = 3, 32, 4
 	for _, pol := range []Policy{MIP24h, MIP, MIPPeak} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewPCG(seed, 17))
-			cfg := validConfig(pol)
-			live, err := NewScheduler(cfg, sites, steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var base, phase [sites]float64
-			for s := range base {
-				base[s] = 100 + 150*rng.Float64()
-				phase[s] = 2 * math.Pi * rng.Float64()
-			}
-			// The forecast made at step now of capacity at step: a daily
-			// swing plus an error that shifts with every refresh.
-			predAt := func(now int) CapacityFn {
-				return func(site, step int) float64 {
-					day := math.Sin(2*math.Pi*float64(step)/perDay + phase[site])
-					miss := math.Sin(float64(3*now+step) + phase[site])
-					return base[site] * (1 + 0.5*day) * (1 + 0.1*miss)
-				}
-			}
-			place := func(d AppDemand, now, end int, pred CapacityFn, prev []float64, prevPlan [][]float64) Plan {
-				t.Helper()
-				fresh, err := NewScheduler(cfg, sites, steps)
+		var rows, vars, nnz sizeTrend
+		for _, pressure := range []float64{1, 2000} {
+			reg := obs.NewRegistry()
+			for seed := uint64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewPCG(seed, 17))
+				cfg := validConfig(pol)
+				cfg.Obs = reg
+				live, err := NewScheduler(cfg, sites, steps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for s := range live.committed {
-					copy(fresh.committed[s], live.committed[s])
+				live.SetSolverPressure(pressure)
+				var base, phase [sites]float64
+				for s := range base {
+					base[s] = 100 + 150*rng.Float64()
+					phase[s] = 2 * math.Pi * rng.Float64()
 				}
-				copy(fresh.migCommitted, live.migCommitted)
-				stable := func(site, step int) float64 { return 0.7 * pred(site, step) }
-				want, err := fresh.Place(d, now, end, pred, stable, prev, prevPlan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := live.Place(d, now, end, pred, stable, prev, prevPlan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s := range got.Alloc {
-					for step, v := range got.Alloc[s] {
-						if math.Float64bits(v) != math.Float64bits(want.Alloc[s][step]) {
-							t.Fatalf("%v seed %d: app %d placed at step %d: alloc[%d][%d] = %v, fresh scheduler %v",
-								pol, seed, d.ID, now, s, step, v, want.Alloc[s][step])
-						}
+				// The forecast made at step now of capacity at step: a daily
+				// swing plus an error that shifts with every refresh.
+				predAt := func(now int) CapacityFn {
+					return func(site, step int) float64 {
+						day := math.Sin(2*math.Pi*float64(step)/perDay + phase[site])
+						miss := math.Sin(float64(3*now+step) + phase[site])
+						return base[site] * (1 + 0.5*day) * (1 + 0.1*miss)
 					}
 				}
-				return got
-			}
+				place := func(d AppDemand, now, end int, pred CapacityFn, prev []float64, prevPlan [][]float64) Plan {
+					t.Helper()
+					fresh, err := NewScheduler(cfg, sites, steps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh.SetSolverPressure(pressure)
+					for s := range live.committed {
+						copy(fresh.committed[s], live.committed[s])
+					}
+					copy(fresh.migCommitted, live.migCommitted)
+					stable := func(site, step int) float64 { return 0.7 * pred(site, step) }
+					want, err := fresh.Place(d, now, end, pred, stable, prev, prevPlan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := live.Place(d, now, end, pred, stable, prev, prevPlan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows.see(len(live.model.rows.rows))
+					vars.see(len(live.model.obj))
+					nnz.see(len(live.model.rows.idx))
+					for s := range got.Alloc {
+						for step, v := range got.Alloc[s] {
+							if math.Float64bits(v) != math.Float64bits(want.Alloc[s][step]) {
+								t.Fatalf("%v pressure %v seed %d: app %d placed at step %d: alloc[%d][%d] = %v, fresh scheduler %v",
+									pol, pressure, seed, d.ID, now, s, step, v, want.Alloc[s][step])
+							}
+						}
+					}
+					return got
+				}
 
-			type running struct {
-				d    AppDemand
-				end  int
-				plan Plan
-			}
-			var apps []running
-			for now := 0; now < steps; now++ {
-				pred := predAt(now)
-				if now > 0 && now%perDay == 0 {
-					for i := range apps {
-						a := &apps[i]
-						if a.end <= now {
-							continue
+				type running struct {
+					d    AppDemand
+					end  int
+					plan Plan
+				}
+				var apps []running
+				for now := 0; now < steps; now++ {
+					pred := predAt(now)
+					if now > 0 && now%perDay == 0 {
+						for i := range apps {
+							a := &apps[i]
+							if a.end <= now {
+								continue
+							}
+							cur := make([]float64, sites)
+							for s := range cur {
+								cur[s] = a.plan.Alloc[s][now-1]
+							}
+							live.Uncommit(a.plan, now)
+							a.plan = place(a.d, now, a.end, pred, cur, a.plan.Alloc)
 						}
-						cur := make([]float64, sites)
-						for s := range cur {
-							cur[s] = a.plan.Alloc[s][now-1]
-						}
-						live.Uncommit(a.plan, now)
-						a.plan = place(a.d, now, a.end, pred, cur, a.plan.Alloc)
+					}
+					if now%2 == 0 {
+						cores := 30 + 50*rng.Float64()
+						d := demand(len(apps)+1, cores, cores*(0.5+0.4*rng.Float64()), 2+6*rng.Float64())
+						end := min(steps, now+8+rng.IntN(12))
+						apps = append(apps, running{d: d, end: end, plan: place(d, now, end, pred, nil, nil)})
 					}
 				}
-				if now%2 == 0 {
-					cores := 30 + 50*rng.Float64()
-					d := demand(len(apps)+1, cores, cores*(0.5+0.4*rng.Float64()), 2+6*rng.Float64())
-					end := min(steps, now+8+rng.IntN(12))
-					apps = append(apps, running{d: d, end: end, plan: place(d, now, end, pred, nil, nil)})
-				}
+			}
+			if pressure > 1 && reg.Counter("scheduler.fallback.count") == 0 {
+				t.Fatalf("%v: no placement under pressure %v took the fallback ladder", pol, pressure)
+			}
+		}
+		for _, tr := range []struct {
+			name string
+			sizeTrend
+		}{{"rows", rows}, {"variables", vars}, {"nonzeros", nnz}} {
+			if !tr.shrank || !tr.regrew {
+				t.Errorf("%v: the live scheduler's model %s never shrank and then regrew (shrank %v, regrew %v)",
+					pol, tr.name, tr.shrank, tr.regrew)
 			}
 		}
 	}
+}
+
+// sizeTrend records whether a sequence of sizes ever fell below its
+// predecessor and, after that, ever rose above one.
+type sizeTrend struct {
+	last           int
+	shrank, regrew bool
+}
+
+func (s *sizeTrend) see(n int) {
+	if s.last > 0 && n < s.last {
+		s.shrank = true
+	}
+	if s.shrank && n > s.last {
+		s.regrew = true
+	}
+	s.last = n
 }
 
 // FuzzSchedulerDecodeState holds DecodeState to its contract on arbitrary

@@ -93,12 +93,18 @@ func decodePlacementLP(s *byteSource) Problem {
 	return placementLP(rng, k, H, peak)
 }
 
+// largerLP, at 154 rows, 147 variables and 891 nonzeros, is bigger in
+// each than any LP decodeLP builds (at most 140, 144 and 803).
+var largerLP = placementLP(rand.New(rand.NewSource(31)), 3, 13, true)
+
 // FuzzSolveMatchesReference decodes an LP from the fuzz input and holds
 // the revised simplex to the dense reference: the same status, the
 // objective within 1e-6·(1+|obj|), and a feasible answer. It also solves
 // under kernelCheck, which holds every kernel call to its reference bit
 // for bit, and then re-solves warm after bound tightenings the remaining
-// bytes pick.
+// bytes pick. The same solves run once more on an instance that last held
+// and solved largerLP before Load gave it this input, and must match a
+// fresh instance's bit for bit.
 func FuzzSolveMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 12; i++ {
@@ -120,7 +126,25 @@ func FuzzSolveMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(largerLP.Constraints) <= len(p.Constraints) || largerLP.NumVars <= p.NumVars {
+			t.Fatalf("decoded a %d×%d LP, not smaller than largerLP", len(p.Constraints), p.NumVars)
+		}
+		reused, err := NewInstance(largerLP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reused.SolveCurrent(); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewInstance(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		checkedSolve(t, "cold", in, twin)
+		sameSolve(t, "reloaded cold", reused, fresh)
 		s := byteSource(data[min(len(data), 48):])
 		for round := 0; round < 2; round++ {
 			j := int(s.next()) % p.NumVars
@@ -129,9 +153,11 @@ func FuzzSolveMatchesReference(f *testing.F) {
 				lo = -5
 			}
 			hi := lo + float64(s.next()%3)
-			in.SetBound(j, lo, hi)
-			twin.SetBound(j, lo, hi)
+			for _, x := range []*Instance{in, twin, reused, fresh} {
+				x.SetBound(j, lo, hi)
+			}
 			checkedSolve(t, "warm", in, twin)
+			sameSolve(t, "reloaded warm", reused, fresh)
 		}
 	})
 }

@@ -42,10 +42,12 @@ const blandTrigger = 64
 
 // Instance is a compiled linear program. Compiling converts the row-form
 // Problem into computational standard form (min c·x, Ax + s = b, l ≤ x ≤ u,
-// one bounded slack per row) with sparse columns, and allocates every array
-// the simplex needs exactly once. All subsequent operations — bound
-// tightening and repeated solves — reuse that arena, so a full
-// branch-and-bound tree performs O(1) large allocations.
+// one bounded slack per row) with sparse columns, in arrays the instance
+// owns. All operations after a compile — bound tightening and repeated
+// solves — reuse those arrays, and so does the next compile: Load
+// recompiles another problem in place, growing an array only when the
+// problem outgrows its capacity. A branch-and-bound tree, and a sequence
+// of them on one instance, therefore performs O(1) large allocations.
 //
 // An Instance is not safe for concurrent use.
 type Instance struct {
@@ -83,7 +85,8 @@ type Instance struct {
 	d      []float64 // n, reduced costs (maintained incrementally in phase 2)
 	dExact bool
 
-	// Scratch (reused every iteration; see allocScratch).
+	// Scratch (reused every iteration), carved by Load from f64buf and
+	// i32buf.
 	accum      []float64 // m
 	w          []float64 // m, FTRAN result B⁻¹A_q
 	wPat       []int32   // ascending positions where w may be nonzero
@@ -95,41 +98,88 @@ type Instance struct {
 	alphaCols  []int32   // the touched structural columns, in first-touch order
 	cb1        []int8    // m, phase-1 cost markers
 	blockers   []blocker // the current ratio test's blocking rows, ascending
+	f64buf     []float64
+	i32buf     []int32
 
 	pivots    int64
 	refactors int64
 }
 
-// NewInstance compiles p. The problem must already be valid (see
-// Problem.Validate); Solve validates before compiling, and internal/mip
-// validates once at the root of its search rather than at every node.
+// NewInstance compiles p into a new instance; see Load.
 func NewInstance(p Problem) (*Instance, error) {
+	in := new(Instance)
+	if err := in.Load(p); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// Load compiles p into the instance in place, replacing whatever it held.
+// Every array keeps its capacity and is reallocated only when p needs more;
+// nothing else survives. The counters, the basis and its factorization
+// start over, slack costs, default lower bounds and column counts start at
+// zero, and every scratch array the kernels need zero between calls is
+// zero, even after a solve that ended in an error. The instance then
+// behaves exactly as NewInstance(p) would: the same pivots, the same bits.
+//
+// The problem must already be valid (see Problem.Validate); Solve
+// validates before compiling, and internal/mip validates once at the root
+// of its search rather than at every node.
+func (in *Instance) Load(p Problem) error {
 	if p.NumVars <= 0 {
-		return nil, fmt.Errorf("%w: NumVars = %d", ErrBadProblem, p.NumVars)
+		return fmt.Errorf("%w: NumVars = %d", ErrBadProblem, p.NumVars)
 	}
 	m := len(p.Constraints)
 	ns := p.NumVars
 	n := ns + m
-	in := &Instance{
-		m: m, nStruct: ns, n: n,
-		maximize: p.Maximize,
-		cmin:     make([]float64, n),
-		b:        make([]float64, m),
-		senses:   make([]Sense, m),
-		baseLo:   make([]float64, n),
-		baseHi:   make([]float64, n),
-		lo:       make([]float64, n),
-		hi:       make([]float64, n),
-		basis:    make([]int32, m),
-		vstat:    make([]int8, n),
-		fac:      newSparseLU(m),
-		xB:       make([]float64, m),
-		d:        make([]float64, n),
+	in.m, in.nStruct, in.n = m, ns, n
+	in.maximize = p.Maximize
+	in.cmin = zeroed(in.cmin, n)
+	in.b = zeroed(in.b, m)
+	in.senses = zeroed(in.senses, m)
+	in.baseLo = zeroed(in.baseLo, n)
+	in.baseHi = zeroed(in.baseHi, n)
+	in.lo = zeroed(in.lo, n)
+	in.hi = zeroed(in.hi, n)
+	in.basis = zeroed(in.basis, m)
+	in.vstat = zeroed(in.vstat, n)
+	in.xB = zeroed(in.xB, m)
+	in.d = zeroed(in.d, n)
+	if in.fac == nil {
+		in.fac = new(sparseLU)
 	}
-	in.allocScratch()
-	// Fill the row-major mirror from the sparse rows, dropping exact
-	// zeros, then the CSC columns from the mirror: each column's entries
-	// come out in ascending row order.
+	in.fac.reset(m)
+	in.ready, in.facBad, in.dExact = false, false, false
+	in.pivots, in.refactors = 0, 0
+	in.carveScratch()
+	in.compileRows(p)
+	in.loadData(p)
+	return nil
+}
+
+// carveScratch cuts the per-iteration scratch arrays, all zero, from the
+// instance's slabs for its dimensions.
+func (in *Instance) carveScratch() {
+	m, n, ns := in.m, in.n, in.nStruct
+	in.f64buf = zeroed(in.f64buf, 4*m+n+ns)
+	f := in.f64buf
+	in.accum, f = f[:m:m], f[m:]
+	in.w, f = f[:m:m], f[m:]
+	in.y, f = f[:m:m], f[m:]
+	in.rowScratch, f = f[:m:m], f[m:]
+	in.valScratch, in.alpha = f[:n:n], f[n:]
+	in.alphaSeen = zeroed(in.alphaSeen, ns)
+	in.i32buf = zeroed(in.i32buf, ns+m)
+	in.alphaCols, in.wPat = in.i32buf[:0:ns], in.i32buf[ns:ns]
+	in.cb1 = zeroed(in.cb1, m)
+	in.blockers = zeroed(in.blockers, m)[:0]
+}
+
+// compileRows fills the row-major mirror from p's sparse rows, dropping
+// exact zeros, then the CSC columns from the mirror: each column's entries
+// come out in ascending row order.
+func (in *Instance) compileRows(p Problem) {
+	m, ns := in.m, in.nStruct
 	nnz := 0
 	for _, c := range p.Constraints {
 		for _, v := range c.Val {
@@ -138,12 +188,12 @@ func NewInstance(p Problem) (*Instance, error) {
 			}
 		}
 	}
-	in.colPtr = make([]int32, ns+1)
-	in.colRow = make([]int32, nnz)
-	in.colVal = make([]float64, nnz)
-	in.rowPtr = make([]int32, m+1)
-	in.rowCol = make([]int32, nnz)
-	in.rowVal = make([]float64, nnz)
+	in.colPtr = zeroed(in.colPtr, ns+1)
+	in.colRow = zeroed(in.colRow, nnz)
+	in.colVal = zeroed(in.colVal, nnz)
+	in.rowPtr = zeroed(in.rowPtr, m+1)
+	in.rowCol = zeroed(in.rowCol, nnz)
+	in.rowVal = zeroed(in.rowVal, nnz)
 	k := 0
 	for i, c := range p.Constraints {
 		for t, v := range c.Val {
@@ -160,7 +210,9 @@ func NewInstance(p Problem) (*Instance, error) {
 	for j := 0; j < ns; j++ {
 		in.colPtr[j+1] += in.colPtr[j]
 	}
-	fill := make([]int32, ns)
+	// alphaCols' storage (capacity ns, unused between pivots) holds each
+	// column's next free slot.
+	fill := in.alphaCols[:ns]
 	copy(fill, in.colPtr[:ns])
 	for i := 0; i < m; i++ {
 		for k := in.rowPtr[i]; k < in.rowPtr[i+1]; k++ {
@@ -170,29 +222,10 @@ func NewInstance(p Problem) (*Instance, error) {
 			fill[j]++
 		}
 	}
-	in.loadData(p)
-	return in, nil
 }
 
-// allocScratch allocates the per-iteration scratch arrays for the
-// instance's dimensions.
-func (in *Instance) allocScratch() {
-	m, n, ns := in.m, in.n, in.nStruct
-	f := make([]float64, 4*m+n+ns)
-	in.accum, f = f[:m:m], f[m:]
-	in.w, f = f[:m:m], f[m:]
-	in.y, f = f[:m:m], f[m:]
-	in.rowScratch, f = f[:m:m], f[m:]
-	in.valScratch, in.alpha = f[:n:n], f[n:]
-	in.alphaSeen = make([]bool, ns)
-	i := make([]int32, ns+m)
-	in.alphaCols, in.wPat = i[:0:ns], i[ns:ns]
-	in.cb1 = make([]int8, m)
-	in.blockers = make([]blocker, 0, m)
-}
-
-// loadData copies p's objective, RHS, senses and bounds into a freshly
-// allocated instance.
+// loadData copies p's objective, RHS, senses and bounds into the
+// instance's zeroed arrays.
 func (in *Instance) loadData(p Problem) {
 	for j, c := range p.Objective {
 		if in.maximize {

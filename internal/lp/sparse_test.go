@@ -195,7 +195,8 @@ func TestSparseWarmChain(t *testing.T) {
 // region reset carved for it: the file must never reallocate mid-solve.
 func TestEtaFileStaysInSlab(t *testing.T) {
 	const m = 100
-	f := newSparseLU(m)
+	f := new(sparseLU)
+	f.reset(m)
 	idx0, val0 := &f.etaIdx[:1][0], &f.etaVal[:1][0]
 	w := make([]float64, m)
 	pat := make([]int32, m)

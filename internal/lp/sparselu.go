@@ -136,31 +136,22 @@ type sparseLU struct {
 	selHeap []int64
 }
 
-func newSparseLU(m int) *sparseLU {
-	f := &sparseLU{}
-	f.reset(m)
-	return f
-}
-
-func resizeI32(s []int32, n int) []int32 {
+// resize returns s with length n, leaving its entries as they are. It
+// reuses s's storage when the capacity suffices and otherwise allocates at
+// least twice the old capacity, so an instance reloaded with ever larger
+// problems reallocates each array a logarithmic number of times.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
 
-func resizeF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
+// zeroed is resize with every entry of the result zero.
+func zeroed[T any](s []T, n int) []T {
+	s = resize(s, n)
+	clear(s)
+	return s
 }
 
 // reset installs the exact identity factorization (all-slack crash basis)
@@ -177,9 +168,7 @@ func (f *sparseLU) reset(m int) {
 
 	ni := 2*m + 2*(m+1) + 2*luCap + (cc + 1) + cc + etaCap + 2*m +
 		3*m + (m + 1) + luCap + maxEtaChain*W
-	if cap(f.i32buf) < ni {
-		f.i32buf = make([]int32, ni)
-	}
+	f.i32buf = resize(f.i32buf, ni)
 	ib, io := f.i32buf[:cap(f.i32buf)], 0
 	grabI := func(length, capacity int) []int32 {
 		s := ib[io : io+length : io+capacity]
@@ -205,9 +194,7 @@ func (f *sparseLU) reset(m int) {
 	f.etaPre = grabI(maxEtaChain*W, maxEtaChain*W)
 
 	nf := 3*m + 2*luCap + cc + etaCap
-	if cap(f.f64buf) < nf {
-		f.f64buf = make([]float64, nf)
-	}
+	f.f64buf = resize(f.f64buf, nf)
 	fb, fo := f.f64buf[:cap(f.f64buf)], 0
 	grabF := func(length, capacity int) []float64 {
 		s := fb[fo : fo+length : fo+capacity]
@@ -222,18 +209,13 @@ func (f *sparseLU) reset(m int) {
 	f.etaVal = grabF(0, etaCap)
 	f.acc = grabF(m, m)
 
-	if cap(f.boolbuf) < 2*m {
-		f.boolbuf = make([]bool, 2*m)
-	}
+	f.boolbuf = resize(f.boolbuf, 2*m)
 	f.rowLive = f.boolbuf[0:m:m]
 	f.colLive = f.boolbuf[m : 2*m : 2*m]
 
 	nu := maxEtaChain*W + 2*W
-	if cap(f.u64buf) < nu {
-		f.u64buf = make([]uint64, nu)
-	}
+	f.u64buf = zeroed(f.u64buf, nu)
 	ub := f.u64buf[:nu:nu]
-	clear(ub)
 	f.etaSet = ub[: maxEtaChain*W : maxEtaChain*W]
 	f.vecSet = ub[maxEtaChain*W : maxEtaChain*W+W : maxEtaChain*W+W]
 	f.stepSet = ub[maxEtaChain*W+W:]
@@ -553,7 +535,7 @@ func (f *sparseLU) rowOfInverse(r int, dst []float64) {
 func (f *sparseLU) refactor(in *Instance) bool {
 	m := in.m
 	f.m = m
-	f.work = resizeF64(f.work, m)
+	f.work = resize(f.work, m)
 	f.clearEtas()
 	f.lPtr = append(f.lPtr[:0], 0)
 	f.uPtr = append(f.uPtr[:0], 0)
@@ -567,18 +549,13 @@ func (f *sparseLU) refactor(in *Instance) bool {
 		return true
 	}
 
-	if cap(f.rowIdx) < m {
-		f.rowIdx = make([][]int32, m)
-		f.rowVal = make([][]float64, m)
-		f.colRows = make([][]int32, m)
-	}
-	f.rowIdx = f.rowIdx[:m]
-	f.rowVal = f.rowVal[:m]
-	f.colRows = f.colRows[:m]
-	f.colCount = resizeI32(f.colCount, m)
-	f.rowLive = resizeBool(f.rowLive, m)
-	f.colLive = resizeBool(f.colLive, m)
-	f.acc = resizeF64(f.acc, m)
+	f.rowIdx = resize(f.rowIdx, m)
+	f.rowVal = resize(f.rowVal, m)
+	f.colRows = resize(f.colRows, m)
+	f.colCount = resize(f.colCount, m)
+	f.rowLive = resize(f.rowLive, m)
+	f.colLive = resize(f.colLive, m)
+	f.acc = resize(f.acc, m)
 	if cap(f.accMark) < m {
 		f.accMark = make([]int32, m)
 		f.accStamp = 0
@@ -605,14 +582,15 @@ func (f *sparseLU) refactor(in *Instance) bool {
 		total += int(rcnt[r])*2 + 8
 	}
 	if cap(f.arenaIdx) < total || cap(f.arenaCols) < total {
-		both := make([]int32, 2*total)
-		f.arenaIdx = both[0:total:total]
-		f.arenaCols = both[total : 2*total : 2*total]
+		c := max(total, 2*cap(f.arenaIdx))
+		both := make([]int32, 2*c)
+		f.arenaIdx = both[0:total:c]
+		f.arenaCols = both[c : c+total : 2*c]
 	} else {
 		f.arenaIdx = f.arenaIdx[:total]
 		f.arenaCols = f.arenaCols[:total]
 	}
-	f.arenaVal = resizeF64(f.arenaVal, total)
+	f.arenaVal = resize(f.arenaVal, total)
 	off := 0
 	for r := 0; r < m; r++ {
 		c := int(rcnt[r])*2 + 8
@@ -757,8 +735,8 @@ func (f *sparseLU) refactor(in *Instance) bool {
 // transposed pattern from a finished factorization.
 func (f *sparseLU) indexPattern() {
 	m := f.m
-	f.rowStep = resizeI32(f.rowStep, m)
-	f.posStep = resizeI32(f.posStep, m)
+	f.rowStep = resize(f.rowStep, m)
+	f.posStep = resize(f.posStep, m)
 	f.lSteps = f.lSteps[:0]
 	for k := 0; k < m; k++ {
 		f.rowStep[f.pivRow[k]] = int32(k)
@@ -770,7 +748,7 @@ func (f *sparseLU) indexPattern() {
 	// Count U entries per referenced step, then place each U row's step at
 	// the steps it references; colCount is free scratch once elimination
 	// is done.
-	f.utPtr = resizeI32(f.utPtr, m+1)
+	f.utPtr = resize(f.utPtr, m+1)
 	clear(f.utPtr)
 	for _, p := range f.uIdx {
 		f.utPtr[f.posStep[p]+1]++
@@ -780,7 +758,7 @@ func (f *sparseLU) indexPattern() {
 	}
 	fill := f.colCount
 	copy(fill, f.utPtr[:m])
-	f.utIdx = resizeI32(f.utIdx, len(f.uIdx))
+	f.utIdx = resize(f.utIdx, len(f.uIdx))
 	for k := 0; k < m; k++ {
 		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
 			s := f.posStep[f.uIdx[t]]

@@ -7,8 +7,9 @@
 // Branching tightens variable bounds on a single compiled lp.Instance
 // instead of appending constraint rows, so the LP never grows with tree
 // depth and every node solve warm-starts from the basis the previous node
-// left behind. Every Solve compiles its own instance, so its answer is a
-// function of the problem alone.
+// left behind. A Solver keeps that instance and recompiles every problem
+// into it in place (lp.Instance.Load): only array capacity survives from
+// one solve to the next, so an answer is a function of its problem alone.
 package mip
 
 import (
@@ -107,38 +108,67 @@ func validate(p Problem) error {
 	return nil
 }
 
-// Solve runs branch and bound.
+// Solver runs branch and bound on one lp.Instance that it recompiles for
+// every problem, so a sequence of solves reuses the instance's arrays, the
+// integrality vector and the search scratch instead of allocating them
+// anew. Nothing but capacity carries from one solve to the next: each
+// result is the one a fresh Solver would return, bit for bit, and no
+// returned slice aliases the Solver. The zero value is ready to use. A
+// Solver is not safe for concurrent use.
+type Solver struct {
+	inst    lp.Instance
+	integer []bool
+	x       []float64 // the current node's relaxation
+	bestX   []float64 // the incumbent, copied out by roundIntegers
+	queue   nodeQueue
+}
+
+// Solve runs branch and bound on a fresh Solver.
 func Solve(p Problem, opt Options) (Solution, error) {
-	if err := validate(p); err != nil {
+	return new(Solver).Solve(p, opt)
+}
+
+// Solve runs branch and bound.
+func (s *Solver) Solve(p Problem, opt Options) (Solution, error) {
+	if err := s.load(p); err != nil {
 		return Solution{}, err
 	}
 	maxNodes := opt.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = 200000
 	}
-
-	// All objective values below are handled in minimization sense via
-	// minSense.
-	inst, err := lp.NewInstance(p.Problem)
+	res, err := s.branchAndBound(p.Maximize, maxNodes)
 	if err != nil {
 		return Solution{}, err
 	}
-	minSense := func(v float64) float64 {
-		if p.Maximize {
-			return -v
-		}
-		return v
-	}
-
-	integer := make([]bool, p.NumVars)
-	copy(integer, p.Integer)
-
-	res, err := branchAndBound(inst, minSense, integer, maxNodes)
-	if err != nil {
-		return Solution{}, err
-	}
-	res.EtaChainLen = inst.EtaChainLen()
+	res.EtaChainLen = s.inst.EtaChainLen()
 	return finish(res, p), nil
+}
+
+// load validates p and compiles it, with its integrality flags padded to
+// every variable, into the Solver.
+func (s *Solver) load(p Problem) error {
+	if err := validate(p); err != nil {
+		return err
+	}
+	if err := s.inst.Load(p.Problem); err != nil {
+		return err
+	}
+	if cap(s.integer) < p.NumVars {
+		s.integer = make([]bool, p.NumVars)
+	}
+	s.integer = s.integer[:p.NumVars]
+	clear(s.integer[copy(s.integer, p.Integer):])
+	return nil
+}
+
+// minSense converts an objective value in the problem's own sense to
+// minimization sense.
+func minSense(maximize bool, v float64) float64 {
+	if maximize {
+		return -v
+	}
+	return v
 }
 
 // nodeResult is the outcome of one node relaxation solve.
@@ -151,7 +181,7 @@ type nodeResult struct {
 // solveNode applies a node's bound changes to w on top of the root bounds,
 // solves the relaxation, and records the outcome in r. The solution reuses
 // r.x's storage; r.obj and r.x are meaningful only when r.st is Optimal.
-func solveNode(w *lp.Instance, changes []bchange, minSense func(float64) float64, r *nodeResult) error {
+func solveNode(w *lp.Instance, changes []bchange, maximize bool, r *nodeResult) error {
 	w.ResetBounds()
 	for _, c := range changes {
 		lo, hi := w.Bounds(int(c.v))
@@ -172,24 +202,29 @@ func solveNode(w *lp.Instance, changes []bchange, minSense func(float64) float64
 	}
 	r.st = st
 	if st == lp.Optimal {
-		r.obj = minSense(w.ObjectiveValue())
+		r.obj = minSense(maximize, w.ObjectiveValue())
 		r.x = w.Values(r.x)
 	}
 	return nil
 }
 
-// branchAndBound runs the best-first search: pop, prune, solve the node on
-// the carried instance (so each node warm-starts from the basis the
-// previous node left behind), and then either record an incumbent or
-// branch on the most fractional integer variable. Objectives are in
-// minimization sense; the caller converts them back.
-func branchAndBound(inst *lp.Instance, minSense func(float64) float64, integer []bool, maxNodes int) (Solution, error) {
+// branchAndBound runs the best-first search over the loaded problem: pop,
+// prune, solve the node on the Solver's instance (so each node
+// warm-starts from the basis the previous node left behind), and then
+// either record an incumbent or branch on the most fractional integer
+// variable. Objectives are in minimization sense; the caller converts them
+// back.
+func (s *Solver) branchAndBound(maximize bool, maxNodes int) (Solution, error) {
+	inst, integer := &s.inst, s.integer
 	res := Solution{Status: lp.Infeasible, Objective: math.Inf(1)}
 	incumbent := math.Inf(1)
-	var bestX []float64
-	var r nodeResult
+	bestX := s.bestX[:0]
+	r := nodeResult{x: s.x}
+	// Drop the last search's nodes, which its queue's storage still holds.
+	clear(s.queue[:cap(s.queue)])
+	q := &s.queue
+	*q = (*q)[:0]
 
-	q := &nodeQueue{}
 	heap.Push(q, &node{bound: math.Inf(-1)})
 	nextID := int64(1)
 	sawUnbounded := false
@@ -206,7 +241,7 @@ func branchAndBound(inst *lp.Instance, minSense func(float64) float64, integer [
 		}
 		res.Nodes++
 
-		if err := solveNode(inst, nd.changes, minSense, &r); err != nil {
+		if err := solveNode(inst, nd.changes, maximize, &r); err != nil {
 			return Solution{}, err
 		}
 		switch r.st {
@@ -257,6 +292,7 @@ func branchAndBound(inst *lp.Instance, minSense func(float64) float64, integer [
 		nextID += 2
 	}
 	res.Pivots, res.Refactors = inst.Pivots()-p0, inst.Refactors()-r0
+	s.x, s.bestX = r.x, bestX
 	if q.Len() == 0 {
 		res.Proven = true
 	}

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -71,6 +73,69 @@ func TestRestoreRejectsForeignSiteConfig(t *testing.T) {
 		_, err := RestoreVMEngine(cfg, in, ccfg, &buf)
 		if err == nil || !strings.Contains(err.Error(), "site 1") {
 			t.Errorf("%s: restore returned %v, want an error naming site 1", c.name, err)
+		}
+	}
+}
+
+// TestRestoreRejectsUnplannableApps re-encodes a good snapshot with one
+// app's state damaged where only a later replan would notice: a plan entry
+// that is NaN, infinite or negative, or a demand that Place refuses. A
+// replan uncommits the plan into the ledgers and places the demand again,
+// so the first would poison the ledgers the next snapshot carries and the
+// second would fail Advance mid-run; both must be refused at restore,
+// naming the app (and for a plan the site and step).
+func TestRestoreRejectsUnplannableApps(t *testing.T) {
+	cfg, in, ccfg, data := corruptFixture(t)
+	cases := []struct {
+		name   string
+		mutate func(st *vmEngineState, a *vmAppWire)
+		want   func(st *vmEngineState, a *vmAppWire) string
+	}{
+		{"NaN plan from the snapshot step on", func(st *vmEngineState, a *vmAppWire) {
+			for step := st.Step; step < len(a.Plan.Alloc[0]); step++ {
+				a.Plan.Alloc[0][step] = math.NaN()
+			}
+		}, func(st *vmEngineState, a *vmAppWire) string {
+			return fmt.Sprintf("app %d plan holds NaN at site 0 step %d", a.Demand.ID, st.Step)
+		}},
+		{"infinite plan entry", func(st *vmEngineState, a *vmAppWire) {
+			a.Plan.Alloc[2][st.Step+1] = math.Inf(1)
+		}, func(st *vmEngineState, a *vmAppWire) string {
+			return fmt.Sprintf("app %d plan holds +Inf at site 2 step %d", a.Demand.ID, st.Step+1)
+		}},
+		{"negative plan entry", func(st *vmEngineState, a *vmAppWire) {
+			a.Plan.Alloc[1][0] = -3
+		}, func(st *vmEngineState, a *vmAppWire) string {
+			return fmt.Sprintf("app %d plan holds -3 at site 1 step 0", a.Demand.ID)
+		}},
+		{"NaN stable cores", func(st *vmEngineState, a *vmAppWire) {
+			a.Demand.StableCores = math.NaN()
+		}, func(st *vmEngineState, a *vmAppWire) string {
+			return fmt.Sprintf("app %d has non-finite stable cores", a.Demand.ID)
+		}},
+		{"stable cores above cores", func(st *vmEngineState, a *vmAppWire) {
+			a.Demand.StableCores = 2 * a.Demand.Cores
+		}, func(st *vmEngineState, a *vmAppWire) string {
+			return fmt.Sprintf("app %d stable cores", a.Demand.ID)
+		}},
+	}
+	for _, c := range cases {
+		var st vmEngineState
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Apps) < 2 || st.Apps[1].Plan.Alloc == nil || len(st.Apps[1].Plan.Alloc) != 3 {
+			t.Fatalf("fixture snapshot's app 1 has no 3-site plan (%d apps)", len(st.Apps))
+		}
+		a := &st.Apps[1]
+		c.mutate(&st, a)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		_, err := RestoreVMEngine(cfg, in, ccfg, &buf)
+		if want := c.want(&st, a); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: restore returned %v, want an error containing %q", c.name, err, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"github.com/vbcloud/vb/internal/cluster"
@@ -528,7 +529,9 @@ type vmEngineState struct {
 // and their plans, the VM location table, every site's server packing, and
 // the scheduler's commitment ledgers — such that RestoreVMEngine resumes
 // producing bit-identical decisions. No solver state is carried: every
-// placement solves its model from scratch.
+// placement recompiles its model into the scheduler's solver arena in
+// place, and only the arena's capacity survives from one placement to the
+// next.
 func (e *VMEngine) Snapshot(w io.Writer) error {
 	var sched bytes.Buffer
 	if err := e.sched.EncodeState(&sched); err != nil {
@@ -611,6 +614,11 @@ func RestoreVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config, r io.
 		return nil, fmt.Errorf("sim: snapshot has %d sites, want %d", len(st.Sites), e.numSites)
 	}
 	for _, a := range st.Apps {
+		// A replan uncommits the plan from the ledgers and places the
+		// demand again, so both must be what Place would accept.
+		if err := a.Demand.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: snapshot app %d demand: %w", a.Demand.ID, err)
+		}
 		if a.Plan.Alloc == nil {
 			continue
 		}
@@ -622,6 +630,12 @@ func RestoreVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config, r io.
 			if len(row) != e.T {
 				return nil, fmt.Errorf("sim: snapshot app %d plan site %d has %d steps, want %d",
 					a.Demand.ID, s, len(row), e.T)
+			}
+			for t, v := range row {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					return nil, fmt.Errorf("sim: snapshot app %d plan holds %v at site %d step %d, want finite and non-negative",
+						a.Demand.ID, v, s, t)
+				}
 			}
 		}
 	}

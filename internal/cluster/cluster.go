@@ -358,7 +358,9 @@ type StepResult struct {
 // Step advances the site to `now`: departs finished VMs, drops queued VMs
 // whose lifetime is over, applies the new power fraction (evicting if
 // needed), admits fresh arrivals, and launches pending VMs into any
-// remaining capacity.
+// remaining capacity. It copies each arrival into a slot and keeps no
+// reference to the arrivals slice, so the caller may reuse it once Step
+// returns.
 func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) StepResult {
 	var res StepResult
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -56,9 +57,10 @@ func (r RunResult) FractionQuietChanges() float64 {
 }
 
 // Run drives a fresh site with the given normalized power series and VM
-// arrivals. Every VM must have a unique ID, positive cores and memory and a
-// non-negative lifetime; arrivals outside the power series window are
-// ignored but still checked. A warm-up prefix (warmup steps) is simulated
+// arrivals. The series must be non-empty with a positive step. Every VM
+// must have a unique ID, positive cores and memory and a non-negative
+// lifetime; arrivals outside the power series window are ignored but still
+// checked. Run does not keep or modify vms. A warm-up prefix (warmup steps) is simulated
 // at full power first so the cluster reaches its steady-state utilization
 // before power tracking begins, then excluded from the returned series.
 func Run(cfg Config, power trace.Series, vms []workload.VM, warmup int) (RunResult, error) {
@@ -74,8 +76,14 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 	if power.IsEmpty() {
 		return RunResult{}, trace.ErrEmptySeries
 	}
+	if power.Step <= 0 {
+		return RunResult{}, fmt.Errorf("cluster: non-positive power step %v", power.Step)
+	}
 	if warmup < 0 {
 		return RunResult{}, fmt.Errorf("cluster: negative warmup %d", warmup)
+	}
+	if len(vms) > math.MaxInt32 {
+		return RunResult{}, fmt.Errorf("cluster: %d VMs, more than the %d an arrival index holds", len(vms), math.MaxInt32)
 	}
 	site, err := New(cfg)
 	if err != nil {
@@ -84,9 +92,10 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 	if err := validateVMs(vms); err != nil {
 		return RunResult{}, err
 	}
-	// Bucket arrivals by step index relative to the warm-up origin: count
-	// each step's arrivals, carve every bucket from one slab, and sort each
-	// by ID (IDs are unique, so the order is fixed).
+	// Bucket arrivals by step index relative to the warm-up origin without
+	// copying the trace: count each step's arrivals, lay the in-window
+	// VMs' indices out by step in one order, and sort each step's run by
+	// ID (IDs are unique, so the order is fixed).
 	warmStart := power.Start.Add(-time.Duration(warmup) * power.Step)
 	total := warmup + power.Len()
 	stepOf := func(vm *workload.VM) int {
@@ -107,16 +116,22 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 	for k := 1; k <= total; k++ {
 		off[k] += off[k-1]
 	}
-	slab := make([]workload.VM, off[total])
+	order := make([]int32, off[total])
 	for i := range vms {
 		if k := stepOf(&vms[i]); k >= 0 {
 			off[k]--
-			slab[off[k]] = vms[i]
+			order[off[k]] = int32(i)
 		}
 	}
+	widest := 0
 	for k := range total {
-		slices.SortFunc(slab[off[k]:off[k+1]], func(a, b workload.VM) int { return cmp.Compare(a.ID, b.ID) })
+		slices.SortFunc(order[off[k]:off[k+1]], func(a, b int32) int { return cmp.Compare(vms[a].ID, vms[b].ID) })
+		widest = max(widest, off[k+1]-off[k])
 	}
+	// Each step's arrivals are copied into one buffer, refilled before
+	// every Step: Step copies each arrival into a slot and keeps nothing
+	// of the slice.
+	arrivals := make([]workload.VM, 0, widest)
 
 	res := RunResult{
 		Power:       power.Clone(),
@@ -133,9 +148,9 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 	if reg != nil {
 		traffic = reg.NewCounterVec("cluster.traffic_gb", "dir")
 		churn = reg.NewCounterVec("cluster.vm_events", "kind")
-		arrivals := reg.NewCounterVec("cluster.vm_arrivals", "class")
-		for _, vm := range slab {
-			arrivals.Inc(vm.Class.String())
+		byClass := reg.NewCounterVec("cluster.vm_arrivals", "class")
+		for _, i := range order {
+			byClass.Inc(vms[i].Class.String())
 		}
 	}
 	for i := 0; i < total; i++ {
@@ -144,7 +159,11 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 		if i >= warmup {
 			frac = power.Values[i-warmup]
 		}
-		step := site.Step(now, frac, slab[off[i]:off[i+1]])
+		arrivals = arrivals[:0]
+		for _, x := range order[off[i]:off[i+1]] {
+			arrivals = append(arrivals, vms[x])
+		}
+		step := site.Step(now, frac, arrivals)
 		if i >= warmup {
 			j := i - warmup
 			res.Steps[j] = step

@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"cmp"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -49,6 +53,137 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := Run(Config{}, p, nil, 0); err == nil {
 		t.Error("bad config should error")
+	}
+	// A zero step divided by zero in the arrival bucketing; a negative one
+	// mapped every later arrival to a negative step and ran the clock
+	// backward.
+	vms := []workload.VM{mkVM(1, 2, 8)}
+	for _, step := range []time.Duration{0, -time.Hour} {
+		p := trace.Series{Start: t0, Step: step, Values: []float64{1, 1}}
+		if _, err := Run(smallConfig(), p, vms, 1); err == nil || !strings.Contains(err.Error(), "step") {
+			t.Errorf("power step %v: error %v, want one naming the step", step, err)
+		}
+	}
+}
+
+// refRun is Run with the plainest bucketing: a copy of every in-window VM
+// in a bucket per step, each sorted by ID.
+func refRun(cfg Config, power trace.Series, vms []workload.VM, warmup int) (RunResult, error) {
+	site, err := New(cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	warmStart := power.Start.Add(-time.Duration(warmup) * power.Step)
+	total := warmup + power.Len()
+	buckets := make([][]workload.VM, total)
+	for _, vm := range vms {
+		if d := vm.Arrival.Sub(warmStart); d >= 0 && int(d/power.Step) < total {
+			k := int(d / power.Step)
+			buckets[k] = append(buckets[k], vm)
+		}
+	}
+	res := RunResult{
+		Power:       power.Clone(),
+		OutGB:       trace.New(power.Start, power.Step, power.Len()),
+		InGB:        trace.New(power.Start, power.Step, power.Len()),
+		Utilization: trace.New(power.Start, power.Step, power.Len()),
+		Steps:       make([]StepResult, power.Len()),
+	}
+	for i, b := range buckets {
+		slices.SortFunc(b, func(a, b workload.VM) int { return cmp.Compare(a.ID, b.ID) })
+		frac := 1.0
+		if i >= warmup {
+			frac = power.Values[i-warmup]
+		}
+		step := site.Step(warmStart.Add(time.Duration(i)*power.Step), frac, b)
+		if i >= warmup {
+			j := i - warmup
+			res.Steps[j] = step
+			res.OutGB.Values[j] = step.OutGB
+			res.InGB.Values[j] = step.InGB
+			res.Utilization.Values[j] = site.Utilization()
+		}
+	}
+	return res, nil
+}
+
+// TestRunMatchesSlabBuckets holds Run's index-order bucketing and reused
+// arrival buffer to refRun on traces whose order, window and step widths
+// the generator never produces.
+func TestRunMatchesSlabBuckets(t *testing.T) {
+	power := windPower(t, 3)
+	shuffled := arrivalTrace(t, 3, 60)
+	rand.New(rand.NewPCG(7, 8)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	// A trace from a day before the warm-up to a day past the series.
+	wide, err := workload.Generate(workload.Config{
+		Seed:                11,
+		Start:               t0.Add(-48 * time.Hour),
+		Duration:            6 * 24 * time.Hour,
+		MeanArrivalsPerHour: 40,
+		StableFraction:      0.7,
+		LongRunningFraction: 0.3,
+		MedianLifetime:      6 * time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One arrival an hour leaves most 15-minute steps empty.
+	sparse := arrivalTrace(t, 3, 1)
+	busy := map[int64]bool{}
+	for _, vm := range sparse {
+		busy[vm.Arrival.UnixNano()/int64(power.Step)] = true
+	}
+	if len(busy) > power.Len()/2 {
+		t.Fatalf("%d of %d steps have arrivals; want most empty", len(busy), power.Len())
+	}
+	// Hundreds of VMs with descending IDs crowd one step.
+	var crowd []workload.VM
+	for k := range 400 {
+		crowd = append(crowd, workload.VM{
+			ID:       1000 - k,
+			Cores:    1 + k%8,
+			MemoryGB: 4 + k%32,
+			Class:    workload.Class(k % 2),
+			Arrival:  t0.Add(6*time.Hour + time.Duration(k)*time.Second),
+			Lifetime: time.Duration(1+k%5) * time.Hour,
+		})
+	}
+	crowd = append(crowd, arrivalTrace(t, 3, 20)[:300]...)
+	for i := range crowd[400:] {
+		crowd[400+i].ID += 2000
+	}
+	// Sites small enough for the sparse and crowded traces to migrate VMs.
+	tiny := Config{Servers: 4, CoresPerServer: 40, MemPerServerGB: 512, TargetUtilization: 0.7}
+	small := Config{Servers: 20, CoresPerServer: 40, MemPerServerGB: 512, TargetUtilization: 0.7}
+	cases := []struct {
+		name   string
+		cfg    Config
+		vms    []workload.VM
+		warmup int
+	}{
+		{"shuffled", DefaultConfig(), shuffled, 96},
+		{"outside the window", DefaultConfig(), wide, 48},
+		{"no warm-up", DefaultConfig(), wide, 0},
+		{"empty steps", tiny, sparse, 96},
+		{"crowded step", small, crowd, 24},
+	}
+	for _, c := range cases {
+		got, err := Run(c.cfg, power, c.vms, c.warmup)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := refRun(c.cfg, power, c.vms, c.warmup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Run differs from the slab-bucketed reference", c.name)
+		}
+		if got.TotalOutGB() == 0 || got.TotalInGB() == 0 {
+			t.Errorf("%s: %v GB out, %v GB in; the case should migrate both ways", c.name, got.TotalOutGB(), got.TotalInGB())
+		}
 	}
 }
 

@@ -402,6 +402,9 @@ func (c *kernelCheck) solve() (Status, error) {
 			in.crash()
 		}
 	}
+	if err == nil {
+		err = fmt.Errorf("%v conclusion fails the residual check", st)
+	}
 	return st, err
 }
 

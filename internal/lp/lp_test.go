@@ -412,3 +412,40 @@ func TestPropNoLatticePointBeatsOptimum(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUnverifiedConclusionIsAnError pins that SolveCurrent never returns a
+// conclusion that its residual check rejected. Rows with coefficients
+// near 1e13 leave a residual above the tolerance however often the basis
+// is refactorized; after the last attempt the optimum (or the
+// infeasibility) used to come back with a nil error.
+func TestUnverifiedConclusionIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		rhs   []float64 // nil: A·(0.3, 0.2, 0.1) in float64
+	}{
+		{1e13, nil},
+		{1e14, []float64{1e14 / 5, 1e14 / 23}},
+	} {
+		s := c.scale
+		rows := [][]float64{{s / 3, s / 7, s / 11}, {s / 13, s / 17, s / 19}}
+		p := Problem{NumVars: 3, Objective: []float64{1, 2, 3}}
+		for i, row := range rows {
+			b := row[0]*0.3 + row[1]*0.2 + row[2]*0.1
+			if c.rhs != nil {
+				b = c.rhs[i]
+			}
+			p.Constraints = append(p.Constraints, Constraint{Idx: []int32{0, 1, 2}, Val: row, Sense: EQ, RHS: b})
+		}
+		in, err := NewInstance(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := in.SolveCurrent()
+		if err == nil && !in.residualOK() {
+			t.Errorf("scale %g: %v with a nil error, but the residual check fails", s, st)
+		}
+		if err != nil && !strings.Contains(err.Error(), "residual") {
+			t.Errorf("scale %g: error %v, want one naming the residual check", s, err)
+		}
+	}
+}

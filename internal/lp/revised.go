@@ -338,7 +338,10 @@ func (in *Instance) value(j int) float64 {
 }
 
 // SolveCurrent optimizes under the current bounds, warm-starting from the
-// basis left by the previous solve when one exists. It allocates nothing.
+// basis left by the previous solve when one exists. It allocates nothing
+// unless it fails. A conclusion whose basis does not reproduce the rows
+// within residTol is retried from a fresh factorization, and after the
+// last attempt it is an error, never a status.
 func (in *Instance) SolveCurrent() (Status, error) {
 	for j := 0; j < in.n; j++ {
 		if in.lo[j] > in.hi[j]+feasTol {
@@ -370,6 +373,10 @@ func (in *Instance) SolveCurrent() (Status, error) {
 		if !in.refactorize() {
 			in.crash()
 		}
+	}
+	if err == nil {
+		err = fmt.Errorf("lp: %v conclusion fails the %g row residual check after 3 attempts (m=%d n=%d)",
+			st, residTol, in.m, in.n)
 	}
 	return st, err
 }

@@ -321,12 +321,8 @@ func GenerateCohorts(spec TraceSpec) ([]App, error) {
 		t := spec.Start
 		for seq := 0; ; seq++ {
 			r := rate * diurnal(t, spec.DiurnalAmplitude)
-			gap := time.Duration(c.drawGap(rng) / r * float64(time.Hour))
-			if gap <= 0 {
-				gap = time.Nanosecond
-			}
-			t = t.Add(gap)
-			if !t.Before(end) {
+			var ok bool
+			if t, ok = nextArrival(t, end, c.drawGap(rng)/r*float64(time.Hour)); !ok {
 				break
 			}
 			merged = append(merged, cohortApp{arrival: t, cohort: ci, seq: seq})

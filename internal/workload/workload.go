@@ -13,7 +13,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"time"
 )
 
@@ -107,22 +106,29 @@ type Config struct {
 	LongRunningFraction float64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, naming the field. It refuses NaN
+// and infinite values: a NaN or infinite rate would make every gap 1 ns.
 func (c Config) Validate() error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("workload: non-positive duration %v", c.Duration)
 	}
-	if c.MeanArrivalsPerHour <= 0 {
-		return fmt.Errorf("workload: non-positive arrival rate %v", c.MeanArrivalsPerHour)
+	if !positiveFinite(c.MeanArrivalsPerHour) {
+		return fmt.Errorf("workload: MeanArrivalsPerHour %v is not positive and finite", c.MeanArrivalsPerHour)
 	}
-	if c.StableFraction < 0 || c.StableFraction > 1 {
-		return fmt.Errorf("workload: stable fraction %v outside [0,1]", c.StableFraction)
+	if !unitFraction(c.StableFraction) {
+		return fmt.Errorf("workload: StableFraction %v outside [0,1]", c.StableFraction)
 	}
-	if c.LongRunningFraction < 0 || c.LongRunningFraction > 1 {
-		return fmt.Errorf("workload: long-running fraction %v outside [0,1]", c.LongRunningFraction)
+	if !unitFraction(c.LongRunningFraction) {
+		return fmt.Errorf("workload: LongRunningFraction %v outside [0,1]", c.LongRunningFraction)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is positive and finite; NaN is not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// unitFraction reports whether x lies in [0,1]; NaN does not.
+func unitFraction(x float64) bool { return x >= 0 && x <= 1 }
 
 func (c Config) medianLifetime() time.Duration {
 	if c.MedianLifetime <= 0 {
@@ -131,47 +137,59 @@ func (c Config) medianLifetime() time.Duration {
 	return c.MedianLifetime
 }
 
-// Generate produces the VM arrival trace, sorted by arrival time.
+// Generate produces the VM arrival trace in arrival order. Every gap is at
+// least 1 ns, so arrivals strictly increase and IDs rise with them: the
+// trace is born sorted by (arrival, ID). It is allocated once, sized by
+// traceCap.
 func Generate(cfg Config) ([]VM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := subRNG(cfg.Seed, "vms")
-	var vms []VM
+	vms := make([]VM, 0, traceCap(cfg))
 	t := cfg.Start
 	end := cfg.Start.Add(cfg.Duration)
-	id := 1
-	for t.Before(end) {
+	for id := 1; ; id++ {
 		rate := cfg.MeanArrivalsPerHour * diurnalRate(t)
-		// Exponential inter-arrival at the current rate. The clamp only
-		// guards the (measure-zero) sub-nanosecond draw: clamping any
-		// further (the old code forced a full second) visibly biases the
-		// arrival count at high rates.
-		gap := time.Duration(rng.ExpFloat64() / rate * float64(time.Hour))
-		if gap <= 0 {
-			gap = time.Nanosecond
-		}
-		t = t.Add(gap)
-		if !t.Before(end) {
+		var ok bool
+		if t, ok = nextArrival(t, end, rng.ExpFloat64()/rate*float64(time.Hour)); !ok {
 			break
 		}
 		vms = append(vms, newVM(id, t, cfg, rng))
-		id++
 	}
-	sortVMs(vms)
 	return vms, nil
 }
 
-// sortVMs orders a trace by arrival time with the VM ID as a stable
-// tie-break, so equal-timestamp arrivals (possible at extreme rates) keep a
-// deterministic order regardless of the sort algorithm's internals.
-func sortVMs(vms []VM) {
-	sort.Slice(vms, func(i, j int) bool {
-		if !vms[i].Arrival.Equal(vms[j].Arrival) {
-			return vms[i].Arrival.Before(vms[j].Arrival)
-		}
-		return vms[i].ID < vms[j].ID
-	})
+// maxTraceCap bounds the capacity Generate allocates before drawing.
+const maxTraceCap = 1 << 20
+
+// traceCap sizes Generate's trace: the expected count over the window (the
+// diurnal factor averages 1 over whole days), plus six standard deviations
+// of a Poisson count and a constant for short windows, so a whole-day
+// window does not regrow. It is capped at maxTraceCap so that no config
+// allocates a huge slice up front; append still grows past the cap or an
+// unlucky draw.
+func traceCap(cfg Config) int {
+	n := cfg.MeanArrivalsPerHour * cfg.Duration.Hours()
+	return int(min(n+6*math.Sqrt(n)+64, maxTraceCap))
+}
+
+// nextArrival advances t by a drawn gap of ns nanoseconds and reports
+// whether the arrival falls before end. The gap is at least 1 ns: the clamp
+// only guards the (measure-zero) sub-nanosecond draw, and clamping any
+// further (say, to a second) visibly biases the arrival count at high
+// rates. A gap of 2^63 ns or more (a tiny rate), or NaN, passes every end;
+// it is checked before the conversion to a Duration, which would overflow.
+func nextArrival(t, end time.Time, ns float64) (time.Time, bool) {
+	if !(ns < 1<<63) {
+		return t, false
+	}
+	gap := time.Duration(ns)
+	if gap <= 0 {
+		gap = time.Nanosecond
+	}
+	t = t.Add(gap)
+	return t, t.Before(end)
 }
 
 // newVM draws one VM with the configured class and size mix.
@@ -317,19 +335,21 @@ type AppConfig struct {
 	StableFraction float64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, naming the field. It refuses NaN
+// and infinite values: a NaN or infinite app rate would make every gap
+// 1 ns, and an infinite mean app size would never end its size draw.
 func (c AppConfig) Validate() error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("workload: non-positive duration %v", c.Duration)
 	}
-	if c.MeanAppsPerDay <= 0 {
-		return fmt.Errorf("workload: non-positive app rate %v", c.MeanAppsPerDay)
+	if !positiveFinite(c.MeanAppsPerDay) {
+		return fmt.Errorf("workload: MeanAppsPerDay %v is not positive and finite", c.MeanAppsPerDay)
 	}
-	if c.MeanVMsPerApp < 1 {
-		return fmt.Errorf("workload: mean VMs per app %v must be >= 1", c.MeanVMsPerApp)
+	if !(c.MeanVMsPerApp >= 1) || math.IsInf(c.MeanVMsPerApp, 1) {
+		return fmt.Errorf("workload: MeanVMsPerApp %v must be finite and >= 1", c.MeanVMsPerApp)
 	}
-	if c.StableFraction < 0 || c.StableFraction > 1 {
-		return fmt.Errorf("workload: stable fraction %v outside [0,1]", c.StableFraction)
+	if !unitFraction(c.StableFraction) {
+		return fmt.Errorf("workload: StableFraction %v outside [0,1]", c.StableFraction)
 	}
 	return nil
 }
@@ -346,12 +366,8 @@ func GenerateApps(cfg AppConfig) ([]App, error) {
 	appID := 1
 	vmID := 1
 	for {
-		gap := time.Duration(rng.ExpFloat64() / cfg.MeanAppsPerDay * float64(24*time.Hour))
-		if gap <= 0 {
-			gap = time.Nanosecond
-		}
-		t = t.Add(gap)
-		if !t.Before(end) {
+		var ok bool
+		if t, ok = nextArrival(t, end, rng.ExpFloat64()/cfg.MeanAppsPerDay*float64(24*time.Hour)); !ok {
 			break
 		}
 		nVMs := 1

@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,6 +41,46 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	// NaN fails every comparison and +Inf passes "> 0": each non-finite
+	// value must be refused by name.
+	fields := map[string]func(*Config, float64){
+		"MeanArrivalsPerHour": func(c *Config, x float64) { c.MeanArrivalsPerHour = x },
+		"StableFraction":      func(c *Config, x float64) { c.StableFraction = x },
+		"LongRunningFraction": func(c *Config, x float64) { c.LongRunningFraction = x },
+	}
+	for name, set := range fields {
+		for _, x := range nonFinite {
+			c := baseConfig()
+			set(&c, x)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: error %v, want one naming the field", name, x, err)
+			}
+		}
+	}
+}
+
+var nonFinite = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// TestGeneratorsTinyRate pins that in all three generators a rate so small
+// that a gap overflows a Duration ends the trace: converting the gap would
+// wrap it to a negative Duration, which the 1 ns clamp turned into one
+// arrival per nanosecond.
+func TestGeneratorsTinyRate(t *testing.T) {
+	vms, err := Generate(Config{Seed: 1, Start: start, Duration: time.Microsecond, MeanArrivalsPerHour: 1e-12})
+	if err != nil || len(vms) != 0 {
+		t.Errorf("Generate at 1e-12 per hour over 1 µs: %d VMs, %v; want none", len(vms), err)
+	}
+	apps, err := GenerateApps(AppConfig{Seed: 1, Start: start, Duration: time.Microsecond, MeanAppsPerDay: 1e-12, MeanVMsPerApp: 1})
+	if err != nil || len(apps) != 0 {
+		t.Errorf("GenerateApps at 1e-12 per day over 1 µs: %d apps, %v; want none", len(apps), err)
+	}
+	spec := testSpec()
+	spec.DurationHours = 1 / 3.6e9 // 1 µs
+	spec.AppsPerDay = 1e-12
+	apps, err = GenerateCohorts(spec)
+	if err != nil || len(apps) != 0 {
+		t.Errorf("GenerateCohorts at 1e-12 per day over 1 µs: %d apps, %v; want none", len(apps), err)
 	}
 }
 
@@ -75,6 +119,13 @@ func TestGenerateInvalid(t *testing.T) {
 	cfg.Duration = 0
 	if _, err := Generate(cfg); err == nil {
 		t.Error("invalid config should error")
+	}
+	// A non-finite rate is an error, not one arrival per nanosecond.
+	for _, x := range nonFinite {
+		vms, err := Generate(Config{Seed: 1, Start: start, Duration: time.Microsecond, MeanArrivalsPerHour: x})
+		if err == nil {
+			t.Errorf("Generate at rate %v: %d VMs, want an error", x, len(vms))
+		}
 	}
 }
 
@@ -215,15 +266,9 @@ func TestClassString(t *testing.T) {
 // the expected gap drops below a second, and the old clamp (forcing every
 // non-positive or tiny gap to 1s) would cap the process at ~3600 arrivals per
 // hour. The count must track rate*hours even when gaps are sub-second, and
-// equal-timestamp arrivals must stay in ID order.
+// arrivals and IDs must strictly increase: the trace is born in order.
 func TestGenerateExtremeRate(t *testing.T) {
-	cfg := Config{
-		Seed:                13,
-		Start:               start,
-		Duration:            time.Hour,
-		MeanArrivalsPerHour: 50000,
-		StableFraction:      0.5,
-	}
+	cfg := extremeConfig()
 	vms, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,26 +281,92 @@ func TestGenerateExtremeRate(t *testing.T) {
 		t.Errorf("got %d VMs at extreme rate, want ~%.0f x diurnal (1s clamp would cap near 3600)", len(vms), expected)
 	}
 	for i := 1; i < len(vms); i++ {
-		if vms[i].Arrival.Before(vms[i-1].Arrival) {
-			t.Fatal("VMs not sorted by arrival")
-		}
-		if vms[i].Arrival.Equal(vms[i-1].Arrival) && vms[i].ID < vms[i-1].ID {
-			t.Fatal("equal-timestamp VMs not in ID order")
+		if !vms[i].Arrival.After(vms[i-1].Arrival) || vms[i].ID <= vms[i-1].ID {
+			t.Fatalf("VM %d (ID %d, %v) does not follow VM %d (ID %d, %v)", i, vms[i].ID, vms[i].Arrival,
+				i-1, vms[i-1].ID, vms[i-1].Arrival)
 		}
 	}
 }
 
-// TestSortVMsTieBreak pins the deterministic tie-break directly.
-func TestSortVMsTieBreak(t *testing.T) {
-	at := start.Add(time.Minute)
-	vms := []VM{
-		{ID: 3, Arrival: at},
-		{ID: 1, Arrival: at.Add(time.Second)},
-		{ID: 2, Arrival: at},
+func extremeConfig() Config {
+	return Config{
+		Seed:                13,
+		Start:               start,
+		Duration:            time.Hour,
+		MeanArrivalsPerHour: 50000,
+		StableFraction:      0.5,
 	}
-	sortVMs(vms)
-	if vms[0].ID != 2 || vms[1].ID != 3 || vms[2].ID != 1 {
-		t.Errorf("sorted order %d,%d,%d; want 2,3,1", vms[0].ID, vms[1].ID, vms[2].ID)
+}
+
+// fig4Config is the VM trace behind Fig 4 (seed 42): 29 days at 60 VMs an
+// hour, starting a day before the power series.
+func fig4Config() Config {
+	return Config{
+		Seed:                42,
+		Start:               time.Date(2019, 12, 31, 0, 0, 0, 0, time.UTC),
+		Duration:            29 * 24 * time.Hour,
+		MeanArrivalsPerHour: 60,
+		StableFraction:      0.7,
+		LongRunningFraction: 0.3,
+		MedianLifetime:      6 * time.Hour,
+	}
+}
+
+// digest hashes every field of every VM, the arrival's location included.
+func digest(vms []VM) string {
+	h := sha256.New()
+	var b []byte
+	for _, v := range vms {
+		b = b[:0]
+		for _, x := range []int64{int64(v.ID), int64(v.Cores), int64(v.MemoryGB), int64(v.Class),
+			v.Arrival.UnixNano(), int64(v.Lifetime), int64(v.AppID)} {
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		}
+		b = append(b, v.Arrival.Location().String()...)
+		h.Write(b)
+	}
+	return fmt.Sprintf("%d %x", len(vms), h.Sum(nil))
+}
+
+// TestGenerateDigest pins Generate's output VM for VM: sizing the trace up
+// front and dropping the sort it never needed changed no VM. The digests
+// were taken from the generator that sorted its output.
+func TestGenerateDigest(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"fig4", fig4Config(), "41442 c5cb4d8982ecf46c25c7c4d37cf59d2e8b1b80156acedbad14f73474b4c38113"},
+		{"extreme rate", extremeConfig(), "39719 193065818d560e26bec305b81de51a9d6e8a61e21f615d782aba704a4c1e009d"},
+	}
+	for _, c := range cases {
+		vms, err := Generate(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(vms); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestGenerateSizesOnce checks that the Fig 4 trace fits the capacity
+// Generate sizes from its config, so it is allocated once, and that the
+// capacity stays bounded for an extreme config.
+func TestGenerateSizesOnce(t *testing.T) {
+	cfg := fig4Config()
+	vms, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := traceCap(cfg); cap(vms) != want {
+		t.Errorf("Fig 4 trace of %d VMs has capacity %d, want the %d sized up front", len(vms), cap(vms), want)
+	}
+	huge := cfg
+	huge.MeanArrivalsPerHour = 1e300
+	if got := traceCap(huge); got != maxTraceCap {
+		t.Errorf("traceCap at 1e300 per hour = %d, want the cap %d", got, maxTraceCap)
 	}
 }
 
@@ -315,6 +426,27 @@ func TestGenerateAppsInvalid(t *testing.T) {
 	for i, c := range bad {
 		if _, err := GenerateApps(c); err == nil {
 			t.Errorf("bad app config %d accepted", i)
+		}
+	}
+	for _, x := range nonFinite {
+		apps, err := GenerateApps(AppConfig{Seed: 1, Start: start, Duration: time.Microsecond, MeanAppsPerDay: x, MeanVMsPerApp: 1})
+		if err == nil {
+			t.Errorf("GenerateApps at rate %v: %d apps, want an error", x, len(apps))
+		}
+	}
+	// Validate alone for the size: an infinite mean never ends its draw.
+	fields := map[string]func(*AppConfig, float64){
+		"MeanAppsPerDay": func(c *AppConfig, x float64) { c.MeanAppsPerDay = x },
+		"MeanVMsPerApp":  func(c *AppConfig, x float64) { c.MeanVMsPerApp = x },
+		"StableFraction": func(c *AppConfig, x float64) { c.StableFraction = x },
+	}
+	for name, set := range fields {
+		for _, x := range nonFinite {
+			c := AppConfig{Duration: time.Hour, MeanAppsPerDay: 5, MeanVMsPerApp: 2, StableFraction: 0.5}
+			set(&c, x)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: error %v, want one naming the field", name, x, err)
+			}
 		}
 	}
 }

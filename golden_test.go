@@ -147,3 +147,65 @@ func TestFig4ReportGolden(t *testing.T) {
 	}
 	checkGolden(t, "fig4_seed.golden", b.String())
 }
+
+// TestExperimentsGolden pins every multi-VB experiment at DefaultSeed: the
+// whole figure/table suite, every ablation and the extensions that run the
+// Table 1 scenario. Each entry holds the result's report and the SHA-256 of
+// its %v form (hashAll), so a plan that moves by one ulp fails even where
+// the report rounds it away.
+//
+// Regenerate (only for an intentional, reviewed behaviour change) with:
+//
+//	VB_UPDATE_GOLDEN=1 go test -run ExperimentsGolden .
+func TestExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every multi-VB experiment")
+	}
+	var b strings.Builder
+	add := func(name, report string, result any) {
+		fmt.Fprintf(&b, "== %s sha256: %s\n%s", name, hashAll(result), report)
+	}
+	all, err := RunAllExperiments(DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("RunAllExperiments", all.Report(), all)
+	for _, ab := range []struct {
+		name string
+		run  func(uint64) ([]AblationResult, error)
+	}{
+		{"AblationCliqueSize", AblationCliqueSize},
+		{"AblationPeakWeight", AblationPeakWeight},
+		{"AblationUtilization", AblationUtilization},
+		{"AblationSeason", AblationSeason},
+		{"AblationForecastError", AblationForecastError},
+		{"AblationHorizon", AblationHorizon},
+		{"AblationGroupSize", AblationGroupSize},
+	} {
+		rs, err := ab.run(DefaultSeed)
+		if err != nil {
+			t.Fatalf("%s: %v", ab.name, err)
+		}
+		var rep strings.Builder
+		for _, r := range rs {
+			fmt.Fprintf(&rep, "%s: %s", r.Label, r.Result.Report())
+		}
+		add(ab.name, rep.String(), rs)
+	}
+	fid, err := Fidelity(DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("Fidelity", fmt.Sprintf("%+v\n", fid), fid)
+	mr, err := MigrationRealism(DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("MigrationRealism", fmt.Sprintf("%+v\n", mr), mr)
+	rm, err := ReplicationVsMigration(DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("ReplicationVsMigration", fmt.Sprintf("%+v\n", rm), rm)
+	checkGolden(t, "experiments_seed.golden", b.String())
+}

@@ -84,10 +84,10 @@ func TestAppDemandsRejectsZeroCoreApp(t *testing.T) {
 	}
 }
 
-// hashAll fingerprints an AllExperimentsResult. fmt's %v is deterministic
+// hashAll fingerprints an experiment result. fmt's %v is deterministic
 // (maps print in sorted key order; floats use the shortest round-trippable
 // form), so equal hashes mean bit-identical results.
-func hashAll(r AllExperimentsResult) string {
+func hashAll(r any) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%v", r))))
 }
 

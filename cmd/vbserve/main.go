@@ -157,12 +157,7 @@ func buildScenario(seed uint64, days int, appsPerDay float64, policy vb.Policy, 
 	if err != nil {
 		return nil, err
 	}
-	clusterCfg := vb.ClusterConfig{
-		Servers:           700,
-		CoresPerServer:    40,
-		MemPerServerGB:    512,
-		TargetUtilization: 0.70,
-	}
+	clusterCfg := vb.DefaultClusterConfig()
 	var arrivals []vb.AppArrival
 	for _, a := range apps {
 		if a.TotalCores() == 0 {
@@ -205,13 +200,7 @@ func scenarioApps(seed uint64, days int, appsPerDay float64, workloadSpec string
 
 func assembleScenario(policy vb.Policy, reg *vb.MetricsRegistry, actual []vb.Series, bundles []*vb.Bundle, clusterCfg vb.ClusterConfig, arrivals []vb.AppArrival) *scenario {
 	return &scenario{
-		cfg: vb.SchedulerConfig{
-			Policy:         policy,
-			PlanStep:       planStep,
-			UtilTarget:     0.7,
-			MaxSitesPerApp: 3,
-			Obs:            reg,
-		},
+		cfg: vb.SchedulerConfig{Policy: policy, PlanStep: planStep, Obs: reg},
 		in: vb.SimInput{
 			Actual:     actual,
 			Bundles:    bundles,

@@ -3,6 +3,7 @@ package vb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,6 +24,21 @@ const DefaultSeed = 42
 // experimentStart anchors all experiment timelines.
 var experimentStart = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// fleetSites returns the named EuropeanFleet sites in the given order. A
+// name the fleet lacks is a programming error and panics.
+func fleetSites(names ...string) []SiteConfig {
+	fleet := energy.EuropeanFleet(0)
+	out := make([]SiteConfig, len(names))
+	for i, name := range names {
+		j := slices.IndexFunc(fleet, func(c SiteConfig) bool { return c.Name == name })
+		if j < 0 {
+			panic("vb: no fleet site " + name)
+		}
+		out[i] = fleet[j]
+	}
+	return out
+}
+
 // Fig2aResult holds the 4-day solar and wind sample of Figure 2a.
 type Fig2aResult struct {
 	Solar, Wind Series
@@ -38,10 +54,7 @@ type Fig2aResult struct {
 // and wind production at 15-minute resolution.
 func Fig2aPowerVariation(seed uint64) (Fig2aResult, error) {
 	w := energy.NewWorld(seed)
-	sites := []SiteConfig{
-		{Name: "BE-solar", Source: Solar, Latitude: 50.8, Longitude: 4.4, CapacityMW: energy.DefaultCapacityMW},
-		{Name: "BE-wind", Source: Wind, Latitude: 51.2, Longitude: 2.9, CapacityMW: energy.DefaultCapacityMW},
-	}
+	sites := fleetSites("BE-solar", "BE-wind")
 	// A year is generated and the most illustrative 4-day window is
 	// selected: the one maximizing the spread of daily solar peaks, which
 	// is how the paper's May 3-7 sample was evidently chosen.
@@ -112,10 +125,7 @@ type Fig2bResult struct {
 // year for one solar and one wind site.
 func Fig2bPowerCDF(seed uint64) (Fig2bResult, error) {
 	w := energy.NewWorld(seed)
-	sites := []SiteConfig{
-		{Name: "BE-solar", Source: Solar, Latitude: 50.8, Longitude: 4.4, CapacityMW: energy.DefaultCapacityMW},
-		{Name: "BE-wind", Source: Wind, Latitude: 51.2, Longitude: 2.9, CapacityMW: energy.DefaultCapacityMW},
-	}
+	sites := fleetSites("BE-solar", "BE-wind")
 	year, err := w.Generate(sites, experimentStart, 15*time.Minute, 365*96)
 	if err != nil {
 		return Fig2bResult{}, err
@@ -335,12 +345,10 @@ func Fig4MigrationObs(seed uint64, src Source, days int, reg *MetricsRegistry) (
 	defer TimeSpan(reg, "fig4.run")()
 	w := energy.NewWorld(seed)
 	w.Obs = reg
-	name := "BE-wind"
-	lat, lon := 51.2, 2.9
+	sites := fleetSites("BE-wind")
 	if src == Solar {
-		name, lat, lon = "BE-solar", 50.8, 4.4
+		sites = fleetSites("BE-solar")
 	}
-	sites := []SiteConfig{{Name: name, Source: src, Latitude: lat, Longitude: lon, CapacityMW: energy.DefaultCapacityMW}}
 	power, err := w.Generate(sites, experimentStart, 15*time.Minute, days*96)
 	if err != nil {
 		return Fig4Result{}, err
@@ -417,10 +425,7 @@ type Fig5Result struct {
 // day and week horizons for solar and wind, over 120 days.
 func Fig5ForecastAccuracy(seed uint64) (Fig5Result, error) {
 	w := energy.NewWorld(seed)
-	sites := []SiteConfig{
-		{Name: "BE-solar", Source: Solar, Latitude: 50.8, Longitude: 4.4, CapacityMW: energy.DefaultCapacityMW},
-		{Name: "BE-wind", Source: Wind, Latitude: 51.2, Longitude: 2.9, CapacityMW: energy.DefaultCapacityMW},
-	}
+	sites := fleetSites("BE-solar", "BE-wind")
 	series, err := w.Generate(sites, experimentStart, 15*time.Minute, 120*96)
 	if err != nil {
 		return Fig5Result{}, err

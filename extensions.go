@@ -9,7 +9,6 @@ import (
 	"github.com/vbcloud/vb/internal/migration"
 	"github.com/vbcloud/vb/internal/replication"
 	"github.com/vbcloud/vb/internal/trace"
-	"github.com/vbcloud/vb/internal/workload"
 )
 
 // Extension models beyond the paper's evaluation: the physical-battery
@@ -187,21 +186,18 @@ func ReplicationVsMigration(seed uint64) (ReplicationVsMigrationResult, error) {
 	if err != nil {
 		return ReplicationVsMigrationResult{}, err
 	}
-	t1, err := Table1PolicyComparison(Table1Setup{Seed: seed, Policies: []Policy{PolicyMIP}})
+	s := Table1Setup{Seed: seed, Policies: []Policy{PolicyMIP}}.withDefaults()
+	sc, err := table1Scenario(s, table1Start, EuropeanTrio())
+	if err != nil {
+		return ReplicationVsMigrationResult{}, err
+	}
+	t1, err := sc.table1(s)
 	if err != nil {
 		return ReplicationVsMigrationResult{}, err
 	}
 	mip, _ := t1.Row(PolicyMIP)
 	// Average migration traffic per app over the week.
-	apps := 0
-	{
-		in, _, err := buildTable1Input(Table1Setup{Seed: seed}.withDefaults(), table1Start)
-		if err != nil {
-			return ReplicationVsMigrationResult{}, err
-		}
-		apps = len(in.Apps)
-	}
-	perApp := mip.Total / float64(apps)
+	perApp := mip.Total / float64(len(sc.in.Apps))
 	breakEven, err := hot.BreakEvenMoves(week, appMemGB*1.1)
 	if err != nil {
 		return ReplicationVsMigrationResult{}, err
@@ -230,18 +226,7 @@ type FidelityResult struct {
 // packing.
 func Fidelity(seed uint64) (FidelityResult, error) {
 	s := Table1Setup{Seed: seed}.withDefaults()
-	in, _, err := buildTable1Input(s, table1Start)
-	if err != nil {
-		return FidelityResult{}, err
-	}
-	apps, err := workload.GenerateApps(workload.AppConfig{
-		Seed:           s.Seed + 1,
-		Start:          table1Start,
-		Duration:       time.Duration(s.Days) * 24 * time.Hour,
-		MeanAppsPerDay: s.AppsPerDay,
-		MeanVMsPerApp:  s.MeanVMsPerApp,
-		StableFraction: 0.7,
-	})
+	sc, err := table1Scenario(s, table1Start, EuropeanTrio())
 	if err != nil {
 		return FidelityResult{}, err
 	}
@@ -252,12 +237,12 @@ func Fidelity(seed uint64) (FidelityResult, error) {
 		Fragmentation: map[Policy]float64{},
 	}
 	for _, pol := range []Policy{PolicyGreedy, PolicyMIP} {
-		cfg := SchedulerConfig{Policy: pol, PlanStep: Table1PlanStep, UtilTarget: s.UtilTarget, MaxSitesPerApp: s.MaxSitesPerApp}
-		fluid, err := RunPolicy(cfg, in)
+		cfg := table1Config(s, pol)
+		fluid, err := RunPolicy(cfg, sc.in)
 		if err != nil {
 			return FidelityResult{}, err
 		}
-		vmres, err := RunPolicyVMLevel(cfg, in, apps, DefaultClusterConfig())
+		vmres, err := RunPolicyVMLevel(cfg, sc.in, sc.apps, DefaultClusterConfig())
 		if err != nil {
 			return FidelityResult{}, err
 		}

@@ -68,13 +68,13 @@ func TestTable1ReportGolden(t *testing.T) {
 //	VB_UPDATE_GOLDEN=1 go test -run Table1PlanDigestGolden .
 func TestTable1PlanDigestGolden(t *testing.T) {
 	s := Table1Setup{}.withDefaults()
-	in, _, err := buildTable1Input(s, table1Start)
+	sc, err := table1Scenario(s, table1Start, EuropeanTrio())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	for _, pol := range s.Policies {
-		r, err := sim.Run(table1Config(s, pol), in)
+		r, err := sim.Run(table1Config(s, pol), sc.in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -299,16 +299,10 @@ func PlanTopUp(power trace.Series, budgetMWh float64) (TopUp, error) {
 	}, nil
 }
 
-// EuropeanTrio returns site configurations mirroring the paper's Fig 3
-// example: Norwegian solar complemented by UK and Portuguese wind, each with
-// the default 400 MW capacity.
-func EuropeanTrio() []SiteConfig {
-	return []SiteConfig{
-		{Name: "NO-solar", Source: Solar, Latitude: 59.9, Longitude: 10.7, CapacityMW: DefaultCapacityMW},
-		{Name: "UK-wind", Source: Wind, Latitude: 53.5, Longitude: -1.5, CapacityMW: DefaultCapacityMW},
-		{Name: "PT-wind", Source: Wind, Latitude: 39.5, Longitude: -8.0, CapacityMW: DefaultCapacityMW},
-	}
-}
+// EuropeanTrio returns the paper's Fig 3 example: Norwegian solar
+// complemented by UK and Portuguese wind, the first three EuropeanFleet
+// sites.
+func EuropeanTrio() []SiteConfig { return EuropeanFleet(3) }
 
 // EuropeanFleet returns a larger mixed solar/wind fleet spread across
 // Europe, standing in for the EMHIRES multi-site dataset. n is clamped to

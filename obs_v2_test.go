@@ -17,17 +17,11 @@ func TestTraceAnalysisReconciles(t *testing.T) {
 	reg.Tracer().SetSink(&jsonl)
 
 	setup := Table1Setup{Seed: DefaultSeed, Days: 3, Obs: reg}.withDefaults()
-	in, _, err := buildTable1Input(setup, table1Start)
+	sc, err := table1Scenario(setup, table1Start, EuropeanTrio())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPolicy(SchedulerConfig{
-		Policy:         PolicyMIP,
-		PlanStep:       Table1PlanStep,
-		UtilTarget:     setup.UtilTarget,
-		MaxSitesPerApp: setup.MaxSitesPerApp,
-		Obs:            reg,
-	}, in)
+	res, err := RunPolicy(table1Config(setup, PolicyMIP), sc.in)
 	if err != nil {
 		t.Fatal(err)
 	}

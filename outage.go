@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/vbcloud/vb/internal/core"
 	"github.com/vbcloud/vb/internal/sim"
 )
 
@@ -98,20 +97,12 @@ func AvailabilityUnderOutage(seed uint64) (OutageResult, error) {
 
 	run := func(label string, pol Policy, script *FaultScript) (OutageRow, error) {
 		reg := NewMetrics()
-		in, _, err := buildTable1Input(Table1Setup{
-			Seed: seed, Days: outageDays, Faults: script, Obs: reg,
-		}.withDefaults(), table1Start)
+		s := Table1Setup{Seed: seed, Days: outageDays, Faults: script, Obs: reg}.withDefaults()
+		sc, err := table1Scenario(s, table1Start, EuropeanTrio())
 		if err != nil {
 			return OutageRow{}, err
 		}
-		cfg := core.Config{
-			Policy:         pol,
-			PlanStep:       Table1PlanStep,
-			UtilTarget:     0.7,
-			MaxSitesPerApp: 3,
-			Obs:            reg,
-		}
-		r, err := sim.Run(cfg, in)
+		r, err := sim.Run(table1Config(s, pol), sc.in)
 		if err != nil {
 			return OutageRow{}, fmt.Errorf("vb: outage %q policy %v: %w", label, pol, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/vbcloud/vb/internal/core"
 	"github.com/vbcloud/vb/internal/sim"
 )
 
@@ -38,15 +37,12 @@ func TestAvailabilityUnderOutage(t *testing.T) {
 
 	// Golden parity: the zero-fault row must equal an independent fault-free
 	// run exactly — the fault hooks are bit-exact identities when idle.
-	in, _, err := buildTable1Input(Table1Setup{
-		Seed: DefaultSeed, Days: outageDays,
-	}.withDefaults(), table1Start)
+	s := Table1Setup{Seed: DefaultSeed, Days: outageDays}.withDefaults()
+	sc, err := table1Scenario(s, table1Start, EuropeanTrio())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sim.Run(core.Config{
-		Policy: PolicyMIP, PlanStep: Table1PlanStep, UtilTarget: 0.7, MaxSitesPerApp: 3,
-	}, in)
+	r, err := sim.Run(table1Config(s, PolicyMIP), sc.in)
 	if err != nil {
 		t.Fatal(err)
 	}

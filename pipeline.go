@@ -7,11 +7,9 @@ import (
 
 	"github.com/vbcloud/vb/internal/core"
 	"github.com/vbcloud/vb/internal/energy"
-	"github.com/vbcloud/vb/internal/forecast"
 	"github.com/vbcloud/vb/internal/graph"
 	"github.com/vbcloud/vb/internal/par"
 	"github.com/vbcloud/vb/internal/sim"
-	"github.com/vbcloud/vb/internal/workload"
 )
 
 // PipelineResult reports the end-to-end Fig 6 pipeline on a fleet: subgraph
@@ -48,11 +46,14 @@ func FullPipeline(seed uint64) (PipelineResult, error) {
 // free.
 func FullPipelineObs(seed uint64, reg *MetricsRegistry) (PipelineResult, error) {
 	defer TimeSpan(reg, "pipeline.full")()
+	// withDefaults maps seed 0 to DefaultSeed; the pipeline draws its power,
+	// forecasts and apps from the seed it was given.
+	s := Table1Setup{Obs: reg}.withDefaults()
+	s.Seed = seed
 	w := energy.NewWorld(seed)
 	w.Obs = reg
 	fleet := energy.EuropeanFleet(12)
-	days := 7
-	fine, err := w.Generate(fleet, table1Start, time.Hour, days*24)
+	fine, err := w.Generate(fleet, table1Start, time.Hour, s.Days*24)
 	if err != nil {
 		return PipelineResult{}, err
 	}
@@ -85,53 +86,22 @@ func FullPipelineObs(seed uint64, reg *MetricsRegistry) (PipelineResult, error) 
 	}
 	naive := cliques[0] // first latency-feasible group, variability-blind
 
+	// Both groups run the same app stream; the runs only read it.
+	apps, err := table1Apps(s, table1Start)
+	if err != nil {
+		return PipelineResult{}, err
+	}
 	run := func(nodes []int) (totalGB, paused float64, err error) {
-		series := make([]Series, len(nodes))
-		bundles := make([]*forecast.Bundle, len(nodes))
-		fc := forecast.New(seed)
-		fc.Obs = reg
+		group := make([]SiteConfig, len(nodes))
+		hourly := make([]Series, len(nodes))
 		for i, idx := range nodes {
-			a, err := fine[idx].WindowMin(Table1PlanStep)
-			if err != nil {
-				return 0, 0, err
-			}
-			series[i] = a
-			bundles[i], err = fc.NewBundle(a, fleet[idx].Source, fleet[idx].Name)
-			if err != nil {
-				return 0, 0, err
-			}
-			if err := bundles[i].UseFixedHorizon(forecast.HorizonDay); err != nil {
-				return 0, 0, err
-			}
+			group[i], hourly[i] = fleet[idx], fine[idx]
 		}
-		apps, err := workload.GenerateApps(workload.AppConfig{
-			Seed:           seed + 1,
-			Start:          table1Start,
-			Duration:       time.Duration(days) * 24 * time.Hour,
-			MeanAppsPerDay: 6,
-			MeanVMsPerApp:  60,
-			StableFraction: 0.7,
-		})
+		sc, err := newScenario(s, group, hourly, apps)
 		if err != nil {
 			return 0, 0, err
 		}
-		demands, err := appDemands(apps)
-		if err != nil {
-			return 0, 0, err
-		}
-		res, err := sim.Run(core.Config{
-			Policy:         core.MIP,
-			PlanStep:       Table1PlanStep,
-			UtilTarget:     0.7,
-			MaxSitesPerApp: 3,
-			Obs:            reg,
-		}, sim.Input{
-			Actual:     series,
-			Bundles:    bundles,
-			TotalCores: float64(DefaultClusterConfig().TotalCores()),
-			Apps:       demands,
-			Obs:        reg,
-		})
+		res, err := sim.Run(table1Config(s, core.MIP), sc.in)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -143,7 +113,7 @@ func FullPipelineObs(seed uint64, reg *MetricsRegistry) (PipelineResult, error) 
 	}
 
 	// The two scheduler runs are independent (separate forecast bundles,
-	// workloads and engine state; the shared registry is concurrency-safe),
+	// demands and engine state; the shared registry is concurrency-safe),
 	// so they execute concurrently with identical results to back-to-back
 	// serial runs.
 	type runOut struct{ totalGB, paused float64 }

@@ -140,44 +140,23 @@ func SLOClassReplay(setup SLOClassSetup, apps []App) (SLOClassResult, error) {
 	return sloClassOverApps(setup, setup.spec(), apps)
 }
 
-// sloClassOverApps is the shared core: power + forecasts for the Table 1
-// trio, the given applications, one run per policy, per-class rows.
+// sloClassOverApps is the shared core: the Table 1 trio's power and
+// forecasts, the given applications, one run per policy, per-class rows.
 func sloClassOverApps(setup SLOClassSetup, spec TraceSpec, apps []workload.App) (SLOClassResult, error) {
-	demands, err := appDemands(apps)
-	if err != nil {
-		return SLOClassResult{}, err
-	}
-	ts := Table1Setup{Seed: setup.Seed, Days: setup.Days, Obs: setup.Obs}.withDefaults()
+	ts := Table1Setup{Seed: setup.Seed, Days: setup.Days, Faults: setup.Faults, Obs: setup.Obs}
 	trio := EuropeanTrio()
-	actual, bundles, err := buildGroupPower(ts, spec.Start, trio)
+	hourly, err := groupPower(ts, spec.Start, trio)
 	if err != nil {
 		return SLOClassResult{}, err
 	}
-	in := sim.Input{
-		Actual:     actual,
-		Bundles:    bundles,
-		TotalCores: float64(DefaultClusterConfig().TotalCores()),
-		Apps:       demands,
-		Obs:        setup.Obs,
-	}
-	if setup.Faults != nil {
-		inj, err := NewFaultInjector(setup.Faults, len(trio), actual[0].Len())
-		if err != nil {
-			return SLOClassResult{}, err
-		}
-		in.Faults = inj
+	sc, err := newScenario(ts, trio, hourly, apps)
+	if err != nil {
+		return SLOClassResult{}, err
 	}
 
 	res := SLOClassResult{Spec: spec, Apps: len(apps)}
 	for _, pol := range setup.Policies {
-		cfg := core.Config{
-			Policy:         pol,
-			PlanStep:       Table1PlanStep,
-			UtilTarget:     ts.UtilTarget,
-			MaxSitesPerApp: ts.MaxSitesPerApp,
-			Obs:            setup.Obs,
-		}
-		r, err := sim.Run(cfg, in)
+		r, err := sim.Run(table1Config(ts, pol), sc.in)
 		if err != nil {
 			return SLOClassResult{}, fmt.Errorf("vb: slo classes, policy %v: %w", pol, err)
 		}

@@ -115,38 +115,23 @@ func TestCohortTraceReplayDeterministic(t *testing.T) {
 
 	// One shared power world; live and replayed demands; faults scripted
 	// over the 3-day horizon (12 plan steps).
-	ts := Table1Setup{Seed: DefaultSeed, Days: 3}.withDefaults()
-	actual, bundles, err := buildGroupPower(ts, spec.Start, EuropeanTrio())
-	if err != nil {
-		t.Fatal(err)
-	}
 	script, err := ParseFaultSpec("brownout:1@2-5=0.5,slow:*@0-11=4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := NewFaultInjector(script, len(actual), actual[0].Len())
+	ts := Table1Setup{Seed: DefaultSeed, Days: 3, Faults: script}.withDefaults()
+	trio := EuropeanTrio()
+	hourly, err := groupPower(ts, spec.Start, trio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := func(apps []App) SimInput {
-		demands, err := appDemands(apps)
+	var hashes []string
+	for _, apps := range [][]App{live, replayed} {
+		sc, err := newScenario(ts, trio, hourly, apps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return SimInput{
-			Actual: actual, Bundles: bundles,
-			TotalCores: float64(DefaultClusterConfig().TotalCores()),
-			Apps:       demands, Faults: inj,
-		}
-	}
-
-	cfg := SchedulerConfig{
-		Policy: PolicyMIP, PlanStep: Table1PlanStep,
-		UtilTarget: 0.7, MaxSitesPerApp: 3,
-	}
-	var hashes []string
-	for _, apps := range [][]App{live, replayed} {
-		res, err := RunPolicy(cfg, input(apps))
+		res, err := RunPolicy(table1Config(ts, PolicyMIP), sc.in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,12 +93,6 @@ func (s Table1Setup) withDefaults() Table1Setup {
 	if s.MeanVMsPerApp == 0 {
 		s.MeanVMsPerApp = 60
 	}
-	if s.UtilTarget == 0 {
-		s.UtilTarget = 0.7
-	}
-	if s.MaxSitesPerApp == 0 {
-		s.MaxSitesPerApp = 3
-	}
 	if s.Policies == nil {
 		s.Policies = core.AllPolicies()
 	}
@@ -109,76 +103,72 @@ func (s Table1Setup) withDefaults() Table1Setup {
 // paper's ELIA sample period.
 var table1Start = time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 
-// buildTable1Input assembles the multi-VB group, power, forecasts and app
-// demands for the scheduler experiment. The group is selected with the
-// paper's step 1: the best 3-clique of the fleet's latency graph by
-// combined cov.
-func buildTable1Input(s Table1Setup, start time.Time) (sim.Input, []SiteConfig, error) {
-	return buildGroupInput(s, start, energy.EuropeanTrio())
+// scenario is one multi-VB run: the group, the scheduler's input over it,
+// and the applications behind the input's demands, which the VM-level
+// engine needs.
+type scenario struct {
+	group []SiteConfig
+	in    sim.Input
+	apps  []workload.App
 }
 
-// buildGroupPower generates a group's per-site actual power series and
-// forecast bundles on the plan timeline. Shared by the Table 1 and SLO-class
-// experiments, which differ only in how they produce applications.
-func buildGroupPower(s Table1Setup, start time.Time, trio []SiteConfig) ([]Series, []*forecast.Bundle, error) {
+// newScenario is the recipe every multi-VB experiment runs. It windows the
+// group's hourly power to Table1PlanStep, forecasts each site (day-ahead
+// unless s.LeadDependentForecasts), converts the apps to demands and
+// compiles s.Faults. It generates neither power nor apps.
+func newScenario(s Table1Setup, group []SiteConfig, hourly []Series, apps []workload.App) (scenario, error) {
+	fc := forecast.New(s.Seed)
+	fc.Obs = s.Obs
+	in := sim.Input{
+		Actual:     make([]Series, len(group)),
+		Bundles:    make([]*forecast.Bundle, len(group)),
+		TotalCores: float64(DefaultClusterConfig().TotalCores()),
+		Obs:        s.Obs,
+	}
+	for i, site := range group {
+		a, err := hourly[i].WindowMin(Table1PlanStep)
+		if err != nil {
+			return scenario{}, err
+		}
+		b, err := fc.NewBundle(a, site.Source, site.Name)
+		if err != nil {
+			return scenario{}, err
+		}
+		if !s.LeadDependentForecasts {
+			if err := b.UseFixedHorizon(forecast.HorizonDay); err != nil {
+				return scenario{}, err
+			}
+		}
+		in.Actual[i], in.Bundles[i] = a, b
+	}
+	var err error
+	if in.Apps, err = appDemands(apps); err != nil {
+		return scenario{}, err
+	}
+	if s.Faults != nil {
+		if in.Faults, err = NewFaultInjector(s.Faults, len(group), in.Actual[0].Len()); err != nil {
+			return scenario{}, err
+		}
+	}
+	return scenario{group: group, in: in, apps: apps}, nil
+}
+
+// groupPower generates a group's hourly power over the setup's days and
+// labels each site's source in the registry.
+func groupPower(s Table1Setup, start time.Time, group []SiteConfig) ([]Series, error) {
 	w := energy.NewWorld(s.Seed)
 	w.Obs = s.Obs
 	if s.Obs != nil {
-		for _, c := range trio {
+		for _, c := range group {
 			s.Obs.SetLabel("site."+c.Name, c.Source.String())
 		}
 	}
-	fine, err := w.Generate(trio, start, time.Hour, s.Days*24)
-	if err != nil {
-		return nil, nil, err
-	}
-	fc := forecast.New(s.Seed)
-	fc.Obs = s.Obs
-	actual := make([]Series, len(trio))
-	bundles := make([]*forecast.Bundle, len(trio))
-	for i := range trio {
-		a, err := fine[i].WindowMin(Table1PlanStep)
-		if err != nil {
-			return nil, nil, err
-		}
-		actual[i] = a
-		bundles[i], err = fc.NewBundle(a, trio[i].Source, trio[i].Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !s.LeadDependentForecasts {
-			if err := bundles[i].UseFixedHorizon(forecast.HorizonDay); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return actual, bundles, nil
+	return w.Generate(group, start, time.Hour, s.Days*24)
 }
 
-// buildGroupInput assembles power, forecasts and app demands for an
-// arbitrary multi-VB group.
-func buildGroupInput(s Table1Setup, start time.Time, trio []SiteConfig) (sim.Input, []SiteConfig, error) {
-	// Subgraph identification over the trio (they are mutually within the
-	// paper's 50 ms at European scale when relaxed; we use the trio
-	// directly as the chosen group but verify it is a clique under a
-	// generous continental threshold).
-	g, err := graph.New(trio, 60)
-	if err != nil {
-		return sim.Input{}, nil, err
-	}
-	cl, err := g.Cliques(len(trio))
-	if err != nil {
-		return sim.Input{}, nil, err
-	}
-	if len(cl) == 0 {
-		return sim.Input{}, nil, fmt.Errorf("vb: trio is not a clique at 60 ms")
-	}
-
-	actual, bundles, err := buildGroupPower(s, start, trio)
-	if err != nil {
-		return sim.Input{}, nil, err
-	}
-	apps, err := workload.GenerateApps(workload.AppConfig{
+// table1Apps generates the Table 1 application stream.
+func table1Apps(s Table1Setup, start time.Time) ([]workload.App, error) {
+	return workload.GenerateApps(workload.AppConfig{
 		Seed:           s.Seed + 1,
 		Start:          start,
 		Duration:       time.Duration(s.Days) * 24 * time.Hour,
@@ -186,46 +176,57 @@ func buildGroupInput(s Table1Setup, start time.Time, trio []SiteConfig) (sim.Inp
 		MeanVMsPerApp:  s.MeanVMsPerApp,
 		StableFraction: 0.7,
 	})
-	if err != nil {
-		return sim.Input{}, nil, err
-	}
-	demands, err := appDemands(apps)
-	if err != nil {
-		return sim.Input{}, nil, err
-	}
-	in := sim.Input{
-		Actual:     actual,
-		Bundles:    bundles,
-		TotalCores: float64(DefaultClusterConfig().TotalCores()),
-		Apps:       demands,
-		Obs:        s.Obs,
-	}
-	if s.Faults != nil {
-		inj, err := NewFaultInjector(s.Faults, len(trio), actual[0].Len())
-		if err != nil {
-			return sim.Input{}, nil, err
-		}
-		in.Faults = inj
-	}
-	return in, trio, nil
 }
 
-// Table1PolicyComparison regenerates Table 1 and the data behind Figure 7.
+// table1Scenario builds the Table 1 scenario on a group: its own power and
+// the Table 1 app stream. The group must be a clique under a generous
+// continental threshold (the paper's 50 ms, relaxed to 60 ms at European
+// scale).
+func table1Scenario(s Table1Setup, start time.Time, group []SiteConfig) (scenario, error) {
+	g, err := graph.New(group, 60)
+	if err != nil {
+		return scenario{}, err
+	}
+	cl, err := g.Cliques(len(group))
+	if err != nil {
+		return scenario{}, err
+	}
+	if len(cl) == 0 {
+		return scenario{}, fmt.Errorf("vb: group is not a clique at 60 ms")
+	}
+	hourly, err := groupPower(s, start, group)
+	if err != nil {
+		return scenario{}, err
+	}
+	apps, err := table1Apps(s, start)
+	if err != nil {
+		return scenario{}, err
+	}
+	return newScenario(s, group, hourly, apps)
+}
+
+// Table1PolicyComparison regenerates Table 1 and the data behind Figure 7
+// on the paper's trio.
 func Table1PolicyComparison(setup Table1Setup) (Table1Result, error) {
-	return table1At(setup.withDefaults(), table1Start)
+	return table1At(setup.withDefaults(), table1Start, EuropeanTrio())
 }
 
-// table1At runs the policy comparison with the experiment anchored at the
-// given start time.
-func table1At(s Table1Setup, start time.Time) (Table1Result, error) {
-	in, group, err := buildTable1Input(s, start)
+// table1At runs the policy comparison on a group with the experiment
+// anchored at the given start time.
+func table1At(s Table1Setup, start time.Time, group []SiteConfig) (Table1Result, error) {
+	sc, err := table1Scenario(s, start, group)
 	if err != nil {
 		return Table1Result{}, err
 	}
-	res := Table1Result{Transfers: map[Policy]Series{}, Group: group}
+	return sc.table1(s)
+}
+
+// table1 runs each of the setup's policies on the scenario.
+func (sc scenario) table1(s Table1Setup) (Table1Result, error) {
+	res := Table1Result{Transfers: map[Policy]Series{}, Group: sc.group}
 	for _, pol := range s.Policies {
 		s.Obs.SetLabel("policy", pol.String())
-		r, err := sim.Run(table1Config(s, pol), in)
+		r, err := sim.Run(table1Config(s, pol), sc.in)
 		if err != nil {
 			return Table1Result{}, fmt.Errorf("vb: policy %v: %w", pol, err)
 		}
@@ -248,7 +249,9 @@ func table1At(s Table1Setup, start time.Time) (Table1Result, error) {
 	return res, nil
 }
 
-// table1Config is the scheduler configuration a Table 1 run gives pol.
+// table1Config is the scheduler configuration a multi-VB run gives pol: the
+// only core.Config the experiments build. Zero tuning fields select the
+// scheduler's own defaults.
 func table1Config(s Table1Setup, pol Policy) core.Config {
 	return core.Config{
 		Policy:         pol,
@@ -371,7 +374,7 @@ func AblationSeason(seed uint64) ([]AblationResult, error) {
 		res, err := table1At(Table1Setup{
 			Seed:     seed,
 			Policies: []Policy{PolicyGreedy, PolicyMIP},
-		}.withDefaults(), season.start)
+		}.withDefaults(), season.start, EuropeanTrio())
 		if err != nil {
 			return nil, err
 		}
@@ -424,53 +427,23 @@ func AblationHorizon(seed uint64) ([]AblationResult, error) {
 // larger groups give the scheduler more complementary capacity (higher
 // availability) at the cost of more inter-site traffic — the §3.1 tradeoff.
 func AblationGroupSize(seed uint64) ([]AblationResult, error) {
-	fleet := energy.EuropeanFleet(0)
 	// Groups grown around the UK/BE corner: wind + solar mixes.
-	groupsByK := map[int][]int{
-		2: {1, 3},          // UK-wind + BE-solar
-		3: {0, 1, 2},       // the paper's trio
-		4: {1, 3, 4, 8},    // UK-wind + BE-solar + BE-wind + FR-wind
-		5: {1, 3, 4, 6, 8}, // + DE-wind
+	groups := [][]SiteConfig{
+		fleetSites("UK-wind", "BE-solar"),
+		EuropeanTrio(),
+		fleetSites("UK-wind", "BE-solar", "BE-wind", "FR-wind"),
+		fleetSites("UK-wind", "BE-solar", "BE-wind", "DE-wind", "FR-wind"),
 	}
 	var out []AblationResult
-	for k := 2; k <= 5; k++ {
-		group := make([]SiteConfig, 0, k)
-		for _, idx := range groupsByK[k] {
-			group = append(group, fleet[idx])
-		}
-		setup := Table1Setup{
+	for _, group := range groups {
+		k := len(group)
+		res, err := table1At(Table1Setup{
 			Seed:           seed,
 			MaxSitesPerApp: k,
 			Policies:       []Policy{PolicyMIP},
-		}.withDefaults()
-		in, _, err := buildGroupInput(setup, table1Start, group)
+		}.withDefaults(), table1Start, group)
 		if err != nil {
 			return nil, err
-		}
-		cfg := core.Config{
-			Policy:         PolicyMIP,
-			PlanStep:       Table1PlanStep,
-			UtilTarget:     setup.UtilTarget,
-			MaxSitesPerApp: k,
-			Obs:            setup.Obs,
-		}
-		r, err := sim.Run(cfg, in)
-		if err != nil {
-			return nil, err
-		}
-		total, p99, peak, std, err := r.Summary()
-		if err != nil {
-			return nil, err
-		}
-		res := Table1Result{
-			Rows: []Table1Row{{
-				Policy: PolicyMIP, Total: total, P99: p99, Peak: peak, Std: std,
-				ZeroFraction:          r.ZeroFraction(),
-				PausedStableCoreSteps: r.PausedStableCoreSteps,
-				MeanAvailability:      r.MeanAvailability(),
-			}},
-			Transfers: map[Policy]Series{PolicyMIP: r.Transfer},
-			Group:     group,
 		}
 		out = append(out, AblationResult{Label: fmt.Sprintf("group k=%d", k), Result: res})
 	}

@@ -149,9 +149,6 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 	rep := StepReport{Step: t, Now: env.now}
 	res := &e.res
 	numSites := e.numSites
-	transferBefore := res.Transfer.Values[t]
-	plannedBefore, forcedBefore := res.PlannedGB, res.ForcedGB
-	pausedBefore, shortBefore := res.PausedStableCoreSteps, res.ShortfallCoreSteps
 
 	// Retire finished apps.
 	keep := e.active[:0]
@@ -242,7 +239,7 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 				if x <= 1e-9 {
 					continue
 				}
-				e.move(&env, obs.PlannedRealloc, a, load, src, dst, x)
+				e.move(&env, &rep, obs.PlannedRealloc, a, load, src, dst, x)
 				want -= x
 			}
 		}
@@ -288,7 +285,7 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 				if x <= 1e-9 {
 					continue
 				}
-				e.move(&env, obs.ForcedMigration, a, load, s, d, x)
+				e.move(&env, &rep, obs.ForcedMigration, a, load, s, d, x)
 				moved += x
 			}
 			// Whatever could not move pauses in place: availability
@@ -296,6 +293,7 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 			rest := move - moved
 			if rest > 1e-9 {
 				res.PausedStableCoreSteps += rest
+				rep.PausedCoreSteps += rest
 				res.PerAppPaused[a.demand.ID] += rest
 				for _, cs := range a.shares {
 					res.PausedByClass[cs.class] += rest * cs.frac
@@ -333,6 +331,7 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 		}
 		if gap := a.demand.StableCores - placed; gap > 1e-9 {
 			res.ShortfallCoreSteps += gap
+			rep.ShortfallCoreSteps += gap
 			res.PerAppPaused[a.demand.ID] += gap
 			for _, cs := range a.shares {
 				res.ShortfallByClass[cs.class] += gap * cs.frac
@@ -349,20 +348,16 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 	}
 	e.reg.Observe("sim.step_transfer_gb", res.Transfer.Values[t])
 
-	rep.TransferGB = res.Transfer.Values[t] - transferBefore
-	rep.PlannedGB = res.PlannedGB - plannedBefore
-	rep.ForcedGB = res.ForcedGB - forcedBefore
-	rep.PausedCoreSteps = res.PausedStableCoreSteps - pausedBefore
-	rep.ShortfallCoreSteps = res.ShortfallCoreSteps - shortBefore
+	rep.TransferGB = res.Transfer.Values[t]
 	e.step++
 	return rep, nil
 }
 
 // move shifts x of app a's cores from src to dst and accounts the traffic
 // as a planned reallocation or a forced migration (ty): against the link
-// budget, the result's ledgers, the app's classes, the event stream and
-// the vecs.
-func (e *Engine) move(env *stepEnv, ty obs.EventType, a *appState, load []float64, src, dst int, x float64) {
+// budget, the result's ledgers, the step's report, the app's classes, the
+// event stream and the vecs.
+func (e *Engine) move(env *stepEnv, rep *StepReport, ty obs.EventType, a *appState, load []float64, src, dst int, x float64) {
 	t, res := env.t, &e.res
 	a.cur[src] -= x
 	a.cur[dst] += x
@@ -374,8 +369,10 @@ func (e *Engine) move(env *stepEnv, ty obs.EventType, a *appState, load []float6
 	res.PerApp[a.demand.ID] += gb
 	if ty == obs.ForcedMigration {
 		res.ForcedGB += gb
+		rep.ForcedGB += gb
 	} else {
 		res.PlannedGB += gb
+		rep.PlannedGB += gb
 	}
 	res.InBySite[dst].Values[t] += gb
 	res.OutBySite[src].Values[t] += gb

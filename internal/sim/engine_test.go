@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/vbcloud/vb/internal/cluster"
 	"github.com/vbcloud/vb/internal/core"
+	"github.com/vbcloud/vb/internal/obs"
 )
 
 // TestEngineMatchesRun pins the core-level parity claim: streaming the
@@ -60,6 +62,86 @@ func TestEngineMatchesRun(t *testing.T) {
 		// The timeline is exhausted: another step must fail loudly.
 		if _, err := eng.Advance(nil); err == nil {
 			t.Fatal("Advance past end of timeline should error")
+		}
+	}
+}
+
+// TestStepReportsSumTheirEvents holds each fluid step report to that
+// step's own events.
+//
+// GIVEN a traced 7-day run of each policy, streamed through Advance,
+// WHEN each step's move, pause and shortfall events are summed in emission
+// order,
+// THEN each sum equals that step's report field under ==.
+//
+// A report computed as a running total minus the total before the step
+// differs from the step's own sum in the last bits.
+func TestStepReportsSumTheirEvents(t *testing.T) {
+	for _, pol := range core.AllPolicies() {
+		in := trioInput(t, 7, 6)
+		reg := obs.NewRegistry()
+		var stream bytes.Buffer
+		reg.Tracer().SetSink(&stream)
+		in.Obs = reg
+		eng, err := NewEngine(simConfig(pol), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps := append([]core.AppDemand(nil), in.Apps...)
+		sort.Slice(apps, func(i, j int) bool { return apps[i].Start.Before(apps[j].Start) })
+		next := 0
+		var reps []StepReport
+		for !eng.Done() {
+			var arr []core.AppDemand
+			for next < len(apps) && !apps[next].Start.After(eng.Now()) {
+				arr = append(arr, apps[next])
+				next++
+			}
+			rep, err := eng.Advance(arr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, rep)
+		}
+		events, err := obs.ReadEvents(&stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums := make([]StepReport, len(reps))
+		for _, e := range events {
+			if e.Step < 0 {
+				continue // forecast horizon switches carry no step
+			}
+			s := &sums[e.Step]
+			switch e.Type {
+			case obs.PlannedRealloc:
+				s.PlannedGB += e.GB
+				s.TransferGB += e.GB
+			case obs.ForcedMigration:
+				s.ForcedGB += e.GB
+				s.TransferGB += e.GB
+			case obs.StablePause:
+				s.PausedCoreSteps += e.Cores
+			case obs.Shortfall:
+				s.ShortfallCoreSteps += e.Cores
+			}
+		}
+		traffic := 0
+		for i, rep := range reps {
+			want := sums[i]
+			if rep.TransferGB > 0 {
+				traffic++
+			}
+			if rep.PlannedGB != want.PlannedGB || rep.ForcedGB != want.ForcedGB ||
+				rep.TransferGB != want.TransferGB || rep.PausedCoreSteps != want.PausedCoreSteps ||
+				rep.ShortfallCoreSteps != want.ShortfallCoreSteps {
+				t.Errorf("%v step %d: report planned=%v forced=%v transfer=%v paused=%v short=%v, events sum to %v %v %v %v %v",
+					pol, rep.Step, rep.PlannedGB, rep.ForcedGB, rep.TransferGB, rep.PausedCoreSteps, rep.ShortfallCoreSteps,
+					want.PlannedGB, want.ForcedGB, want.TransferGB, want.PausedCoreSteps, want.ShortfallCoreSteps)
+			}
+		}
+		if traffic == 0 {
+			t.Errorf("%v: no step moved traffic; the check is vacuous", pol)
 		}
 	}
 }

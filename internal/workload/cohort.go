@@ -91,13 +91,13 @@ func (s TraceSpec) Validate() error {
 	if s.Version != TraceSpecVersion {
 		return fmt.Errorf("workload: trace spec version %d, this build reads %d", s.Version, TraceSpecVersion)
 	}
-	if s.DurationHours <= 0 {
-		return fmt.Errorf("workload: non-positive spec duration %v h", s.DurationHours)
+	if !positiveFinite(s.DurationHours) {
+		return fmt.Errorf("workload: spec duration %v h is not positive and finite", s.DurationHours)
 	}
-	if s.AppsPerDay <= 0 {
-		return fmt.Errorf("workload: non-positive apps per day %v", s.AppsPerDay)
+	if !positiveFinite(s.AppsPerDay) {
+		return fmt.Errorf("workload: apps per day %v is not positive and finite", s.AppsPerDay)
 	}
-	if s.DiurnalAmplitude < 0 || s.DiurnalAmplitude >= 1 {
+	if !(s.DiurnalAmplitude >= 0 && s.DiurnalAmplitude < 1) {
 		return fmt.Errorf("workload: diurnal amplitude %v outside [0,1)", s.DiurnalAmplitude)
 	}
 	if len(s.Cohorts) == 0 {
@@ -116,8 +116,8 @@ func (s TraceSpec) Validate() error {
 		if _, err := ParseClass(c.Class); err != nil {
 			return fmt.Errorf("workload: cohort %q: %w", c.Name, err)
 		}
-		if c.RateShare <= 0 {
-			return fmt.Errorf("workload: cohort %q has non-positive rate share %v", c.Name, c.RateShare)
+		if !positiveFinite(c.RateShare) {
+			return fmt.Errorf("workload: cohort %q rate share %v is not positive and finite", c.Name, c.RateShare)
 		}
 		share += c.RateShare
 		switch c.Process {
@@ -125,26 +125,36 @@ func (s TraceSpec) Validate() error {
 		default:
 			return fmt.Errorf("workload: cohort %q: unknown process %q", c.Name, c.Process)
 		}
-		if c.Shape < 0 {
-			return fmt.Errorf("workload: cohort %q has negative shape %v", c.Name, c.Shape)
+		if !nonNegativeFinite(c.Shape) {
+			return fmt.Errorf("workload: cohort %q shape %v is not non-negative and finite", c.Name, c.Shape)
 		}
-		if c.MeanVMsPerApp < 0 || (c.MeanVMsPerApp > 0 && c.MeanVMsPerApp < 1) {
-			return fmt.Errorf("workload: cohort %q mean VMs per app %v must be >= 1 (or 0 for the default)", c.Name, c.MeanVMsPerApp)
+		if !(c.MeanVMsPerApp == 0 || c.MeanVMsPerApp >= 1 && c.MeanVMsPerApp <= maxMeanVMsPerApp) {
+			return fmt.Errorf("workload: cohort %q mean VMs per app %v outside [1, %g] (or 0 for the default)", c.Name, c.MeanVMsPerApp, maxMeanVMsPerApp)
 		}
 		switch c.SizeMix {
 		case "", "default", "small", "large":
 		default:
 			return fmt.Errorf("workload: cohort %q: unknown size mix %q", c.Name, c.SizeMix)
 		}
-		if c.MedianLifetimeHours < 0 {
-			return fmt.Errorf("workload: cohort %q has negative median lifetime", c.Name)
+		if !nonNegativeFinite(c.MedianLifetimeHours) {
+			return fmt.Errorf("workload: cohort %q median lifetime %v h is not non-negative and finite", c.Name, c.MedianLifetimeHours)
 		}
-		if c.LongRunningFraction < 0 || c.LongRunningFraction > 1 {
+		if !unitFraction(c.LongRunningFraction) {
 			return fmt.Errorf("workload: cohort %q long-running fraction %v outside [0,1]", c.Name, c.LongRunningFraction)
 		}
 	}
-	if share <= 0 {
+	if !positiveFinite(share) {
 		return fmt.Errorf("workload: cohort rate shares sum to %v", share)
+	}
+	// Expected VMs over the window: each cohort's share of the apps at its
+	// mean size.
+	var n float64
+	for _, c := range s.Cohorts {
+		n += s.AppsPerDay * s.DurationHours / 24 * c.RateShare / share * max(c.MeanVMsPerApp, 1)
+	}
+	if n > maxExpectedVMs {
+		return fmt.Errorf("workload: apps per day %v over a spec duration of %v h expects %.3g VMs, above the bound of %g",
+			s.AppsPerDay, s.DurationHours, n, maxExpectedVMs)
 	}
 	return nil
 }

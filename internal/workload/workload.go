@@ -115,6 +115,9 @@ func (c Config) Validate() error {
 	if !positiveFinite(c.MeanArrivalsPerHour) {
 		return fmt.Errorf("workload: MeanArrivalsPerHour %v is not positive and finite", c.MeanArrivalsPerHour)
 	}
+	if n := c.MeanArrivalsPerHour * c.Duration.Hours(); n > maxExpectedVMs {
+		return fmt.Errorf("workload: MeanArrivalsPerHour %v over %v expects %.3g VMs, above the bound of %g", c.MeanArrivalsPerHour, c.Duration, n, maxExpectedVMs)
+	}
 	if !unitFraction(c.StableFraction) {
 		return fmt.Errorf("workload: StableFraction %v outside [0,1]", c.StableFraction)
 	}
@@ -124,8 +127,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// maxExpectedVMs and maxMeanVMsPerApp bound what a generator may be asked
+// for. A finite rate near the float range clamps every gap between
+// arrivals to 1 ns, and a huge mean app size loops its geometric size draw
+// about that many times: either grows a trace until memory runs out. The
+// bounds sit far above every workload the experiments use: a 365-day
+// Fig 4 trace at 60 VMs/h expects about 0.53 M VMs, and the largest mean
+// app size is 80.
+const (
+	maxExpectedVMs   = 1e7
+	maxMeanVMsPerApp = 1e4
+)
+
 // positiveFinite reports whether x is positive and finite; NaN is not.
 func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// nonNegativeFinite reports whether x is zero or positive and finite; NaN
+// is not.
+func nonNegativeFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // unitFraction reports whether x lies in [0,1]; NaN does not.
 func unitFraction(x float64) bool { return x >= 0 && x <= 1 }
@@ -345,8 +364,12 @@ func (c AppConfig) Validate() error {
 	if !positiveFinite(c.MeanAppsPerDay) {
 		return fmt.Errorf("workload: MeanAppsPerDay %v is not positive and finite", c.MeanAppsPerDay)
 	}
-	if !(c.MeanVMsPerApp >= 1) || math.IsInf(c.MeanVMsPerApp, 1) {
-		return fmt.Errorf("workload: MeanVMsPerApp %v must be finite and >= 1", c.MeanVMsPerApp)
+	if !(c.MeanVMsPerApp >= 1 && c.MeanVMsPerApp <= maxMeanVMsPerApp) {
+		return fmt.Errorf("workload: MeanVMsPerApp %v outside [1, %g]", c.MeanVMsPerApp, maxMeanVMsPerApp)
+	}
+	if n := c.MeanAppsPerDay * c.Duration.Hours() / 24 * c.MeanVMsPerApp; n > maxExpectedVMs {
+		return fmt.Errorf("workload: MeanAppsPerDay %v over %v at %v VMs per app expects %.3g VMs, above the bound of %g",
+			c.MeanAppsPerDay, c.Duration, c.MeanVMsPerApp, n, maxExpectedVMs)
 	}
 	if !unitFraction(c.StableFraction) {
 		return fmt.Errorf("workload: StableFraction %v outside [0,1]", c.StableFraction)

@@ -62,6 +62,74 @@ func TestConfigValidate(t *testing.T) {
 
 var nonFinite = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 
+// TestValidateRefusesHugeWorkloads bounds what each generator may be asked
+// for. A finite rate near the float range clamps every gap to 1 ns and a
+// huge mean app size loops its size draw about that many times, so each
+// validator must refuse them by name, while the largest workloads the
+// experiments use stay valid. Only Validate runs: a generator at such a
+// rate would not return.
+func TestValidateRefusesHugeWorkloads(t *testing.T) {
+	year := Config{Duration: 365 * 24 * time.Hour, MeanArrivalsPerHour: 60, StableFraction: 0.7}
+	if err := year.Validate(); err != nil {
+		t.Errorf("a 365-day trace at 60 VMs/h: %v", err)
+	}
+	for _, rate := range []float64{1e300, 1e5} {
+		c := year
+		c.MeanArrivalsPerHour = rate
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "MeanArrivalsPerHour") {
+			t.Errorf("MeanArrivalsPerHour = %v: error %v, want one naming the field", rate, err)
+		}
+	}
+
+	week := AppConfig{Duration: 7 * 24 * time.Hour, MeanAppsPerDay: 6, MeanVMsPerApp: 80, StableFraction: 0.7}
+	if err := week.Validate(); err != nil {
+		t.Errorf("a week of 6 apps/day at 80 VMs: %v", err)
+	}
+	apps := map[string]func(*AppConfig){
+		"MeanAppsPerDay": func(c *AppConfig) { c.MeanAppsPerDay = 1e300 },
+		"MeanVMsPerApp":  func(c *AppConfig) { c.MeanVMsPerApp = 1e300 },
+	}
+	for name, set := range apps {
+		c := week
+		set(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s huge: error %v, want one naming the field", name, err)
+		}
+	}
+
+	if err := testSpec().Validate(); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	specs := map[string]func(*TraceSpec, float64){
+		"duration":          func(s *TraceSpec, x float64) { s.DurationHours = x },
+		"apps per day":      func(s *TraceSpec, x float64) { s.AppsPerDay = x },
+		"diurnal amplitude": func(s *TraceSpec, x float64) { s.DiurnalAmplitude = x },
+		"rate share":        func(s *TraceSpec, x float64) { s.Cohorts[1].RateShare = x },
+		"shape":             func(s *TraceSpec, x float64) { s.Cohorts[1].Shape = x },
+		"mean VMs per app":  func(s *TraceSpec, x float64) { s.Cohorts[1].MeanVMsPerApp = x },
+		"median lifetime":   func(s *TraceSpec, x float64) { s.Cohorts[1].MedianLifetimeHours = x },
+		"long-running":      func(s *TraceSpec, x float64) { s.Cohorts[1].LongRunningFraction = x },
+	}
+	for name, set := range specs {
+		for _, x := range nonFinite {
+			s := testSpec()
+			set(&s, x)
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("spec %s = %v: error %v, want one naming the field", name, x, err)
+			}
+		}
+	}
+	// Rate shares are normalized, so of the finite fields only these three
+	// scale the work a spec asks for.
+	for _, name := range []string{"duration", "apps per day", "mean VMs per app"} {
+		s := testSpec()
+		specs[name](&s, 1e300)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("spec %s = 1e300: error %v, want one naming the field", name, err)
+		}
+	}
+}
+
 // TestGeneratorsTinyRate pins that in all three generators a rate so small
 // that a gap overflows a Duration ends the trace: converting the gap would
 // wrap it to a negative Duration, which the 1 ns clamp turned into one

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
@@ -88,14 +87,7 @@ func main() {
 		for _, s := range fleet {
 			m.Fleet = append(m.Fleet, s.Name)
 		}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := m.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := m.WriteFile(*metricsOut); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -96,14 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if len(setup.Policies) == 1 {
 			m.Policy = setup.Policies[0].String()
 		}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := m.WriteJSON(f); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := m.WriteFile(*metricsOut); err != nil {
 			return err
 		}
 	}

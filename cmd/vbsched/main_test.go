@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/vbcloud/vb"
 )
 
 // TestStdoutIsReproducible holds vbsched's stdout to a function of its
@@ -37,5 +42,39 @@ func TestStdoutIsReproducible(t *testing.T) {
 		if !strings.Contains(gotErr, "solver:") {
 			t.Errorf("vbsched %v stderr %q lacks the solver latency line", extra, gotErr)
 		}
+	}
+}
+
+// TestMetricsManifestDecodes reads back the file a -metrics run writes: it
+// decodes as a RunManifest carrying the run's seed, policy and group, and
+// re-encoding the decoded manifest with WriteJSON reproduces the file byte
+// for byte.
+func TestMetricsManifestDecodes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-days", "2", "-policy", "MIP", "-metrics", path}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m vb.RunManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("decoding %s: %v", path, err)
+	}
+	if m.Seed != 42 || m.Policy != "MIP" ||
+		!reflect.DeepEqual(m.Fleet, []string{"NO-solar", "UK-wind", "PT-wind"}) {
+		t.Errorf("manifest seed %d, policy %q, fleet %v; want 42, MIP and the trio", m.Seed, m.Policy, m.Fleet)
+	}
+	if m.Counters["scheduler.placements"] == 0 || len(m.Events) == 0 {
+		t.Errorf("manifest holds no solver counters or event totals: %+v", m.RegistrySnapshot)
+	}
+	var again bytes.Buffer
+	if err := m.WriteJSON(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), raw) {
+		t.Errorf("re-encoded manifest differs from the written file:\n%s\nwritten:\n%s", again.Bytes(), raw)
 	}
 }

@@ -121,14 +121,7 @@ func main() {
 		m := reg.Manifest()
 		m.Seed = *seed
 		m.Fleet = []string{*sourceArg}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := m.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := m.WriteFile(*metricsOut); err != nil {
 			log.Fatal(err)
 		}
 	}

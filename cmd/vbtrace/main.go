@@ -93,14 +93,7 @@ func main() {
 		m := reg.Manifest()
 		m.Seed = *seed
 		m.Fleet = names
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := m.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := m.WriteFile(*metricsOut); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 )
 
 // Manifest is the JSON-serializable summary of one observed run: metadata
@@ -30,4 +31,18 @@ func (m Manifest) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
+}
+
+// WriteFile writes the manifest to path as indented JSON, creating or
+// truncating the file.
+func (m Manifest) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := m.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

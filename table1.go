@@ -158,10 +158,8 @@ func newScenario(s Table1Setup, group []SiteConfig, hourly []Series, apps []work
 func groupPower(s Table1Setup, start time.Time, group []SiteConfig) ([]Series, error) {
 	w := energy.NewWorld(s.Seed)
 	w.Obs = s.Obs
-	if s.Obs != nil {
-		for _, c := range group {
-			s.Obs.SetLabel("site."+c.Name, c.Source.String())
-		}
+	for _, c := range group {
+		s.Obs.SetLabel("site."+c.Name, c.Source.String())
 	}
 	return w.Generate(group, start, time.Hour, s.Days*24)
 }

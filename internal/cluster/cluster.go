@@ -205,6 +205,23 @@ func (s *Site) Utilization() float64 {
 	return float64(s.AllocatedCores()) / float64(s.cfg.TotalCores())
 }
 
+// Fragmentation scores how scattered the free cores are, powered or not:
+// 1 - (the most free cores on one server / all free cores). It is 0 when
+// all free capacity sits on one server and approaches 1 when free cores
+// are scattered in unusable slivers. Zero free cores score 0.
+func (s *Site) Fragmentation() float64 {
+	totalFree, maxFree := 0, 0
+	for i := range s.servers {
+		free := s.cfg.CoresPerServer - s.servers[i].allocCores
+		totalFree += free
+		maxFree = max(maxFree, free)
+	}
+	if totalFree == 0 {
+		return 0
+	}
+	return 1 - float64(maxFree)/float64(totalFree)
+}
+
 // floorEps truncates x to an integer the way int(x) does, except that a
 // product which float arithmetic landed a hair below an exact integer
 // (0.70 × 19600 = 13719.999999999998) is rescued onto it. The epsilon is

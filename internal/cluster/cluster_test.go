@@ -311,19 +311,12 @@ func TestSnapshotEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Snapshot()
-	if snap.Servers != 4 || snap.OccupiedServers != 0 {
-		t.Errorf("snapshot servers: %+v", snap)
-	}
-	if snap.AllocatedCores != 0 || snap.PoweredCores != 40 || snap.FreeCores != 40 {
-		t.Errorf("snapshot cores: %+v", snap)
-	}
-	if snap.MaxFreeCoresOneServer != 10 || snap.MaxFreeMemGBOneServer != 100 {
-		t.Errorf("snapshot per-server: %+v", snap)
+	if s.AllocatedCores() != 0 || s.PoweredCores() != 40 {
+		t.Errorf("cores: allocated %d, powered %d; want 0, 40", s.AllocatedCores(), s.PoweredCores())
 	}
 	// All free capacity spread over 4 servers: fragmentation 1 - 10/40.
-	if snap.Fragmentation != 0.75 {
-		t.Errorf("fragmentation = %v, want 0.75", snap.Fragmentation)
+	if f := s.Fragmentation(); f != 0.75 {
+		t.Errorf("fragmentation = %v, want 0.75", f)
 	}
 }
 
@@ -334,16 +327,12 @@ func TestSnapshotConsolidated(t *testing.T) {
 	}
 	// Fill one server completely; best-fit keeps others empty.
 	s.Step(t0, 1.0, []workload.VM{mkVM(1, 10, 50)})
-	snap := s.Snapshot()
-	if snap.OccupiedServers != 1 {
-		t.Errorf("occupied = %d, want 1", snap.OccupiedServers)
-	}
-	if snap.AllocatedCores != 10 {
-		t.Errorf("allocated = %d", snap.AllocatedCores)
+	if s.AllocatedCores() != 10 {
+		t.Errorf("allocated = %d", s.AllocatedCores())
 	}
 	// Free cores all on empty servers: 30 free, max single server 10.
-	if snap.Fragmentation <= 0.6 || snap.Fragmentation > 0.7 {
-		t.Errorf("fragmentation = %v, want 2/3", snap.Fragmentation)
+	if f := s.Fragmentation(); f <= 0.6 || f > 0.7 {
+		t.Errorf("fragmentation = %v, want 2/3", f)
 	}
 }
 
@@ -353,9 +342,12 @@ func TestSnapshotPowerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step(t0, 0.25, nil) // 10 powered cores
-	snap := s.Snapshot()
-	if snap.PoweredCores != 10 || snap.FreeCores != 10 {
-		t.Errorf("power-down snapshot: %+v", snap)
+	if s.PoweredCores() != 10 || s.AllocatedCores() != 0 {
+		t.Errorf("power-down: powered %d, allocated %d; want 10, 0", s.PoweredCores(), s.AllocatedCores())
+	}
+	// Fragmentation counts free cores on unpowered servers too.
+	if f := s.Fragmentation(); f != 0.75 {
+		t.Errorf("power-down fragmentation = %v, want 0.75", f)
 	}
 }
 

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +90,10 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if _, err := w.Generate(good, start, 0, 10); err == nil {
 		t.Error("zero step should error")
+	}
+	// One sample past the bound is refused before anything is allocated.
+	if _, err := w.Generate(good, start, time.Minute, maxSamples+1); err == nil || !strings.Contains(err.Error(), "sample count") {
+		t.Errorf("%d samples: err = %v, want the sample count refused", maxSamples+1, err)
 	}
 }
 
@@ -610,16 +615,15 @@ func TestFleetConstructors(t *testing.T) {
 }
 
 func TestAnchorWeightsUnitShare(t *testing.T) {
-	w := NewWorld(1)
 	cfgs := EuropeanFleet(6)
 	anchors := anchorGrid(cfgs)
 	for _, c := range cfgs {
-		ws := w.anchorWeights(c, anchors)
+		ws := anchorWeights(c, anchors)
 		var ss float64
 		for _, x := range ws {
 			ss += x * x
 		}
-		want := w.regionalShare() * w.regionalShare()
+		want := regionalShare * regionalShare
 		if math.Abs(ss-want) > 1e-9 {
 			t.Errorf("site %s: sum of squared weights = %v, want %v", c.Name, ss, want)
 		}

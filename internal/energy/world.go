@@ -22,35 +22,26 @@ import (
 type World struct {
 	// Seed drives all randomness.
 	Seed uint64
-	// CorrelationKM is the e-folding distance of inter-site weather
-	// correlation. Zero selects the default of 500 km.
-	CorrelationKM float64
-	// RegionalShare in [0, 1) is the fraction of a site's weather variance
-	// explained by regional (shared) drivers; the rest is micro-climate.
-	// Zero selects the default of 0.8.
-	RegionalShare float64
 	// Obs, when non-nil, receives trace-generation timings and sample
 	// counters. A nil registry is a no-op.
 	Obs *obs.Registry
 }
 
-// NewWorld returns a World with default correlation structure.
+// The weather correlation structure. Both constants are typed: an untyped
+// regionalShare*regionalShare folds to exactly 0.64 at compile time, one
+// ulp from the float64 product every generated trace is made with.
+const (
+	// correlationKM is the e-folding distance of inter-site weather
+	// correlation.
+	correlationKM float64 = 500
+	// regionalShare is the fraction of a site's weather variance explained
+	// by regional (shared) drivers; the rest is micro-climate.
+	regionalShare float64 = 0.8
+)
+
+// NewWorld returns a World drawing from seed.
 func NewWorld(seed uint64) *World {
-	return &World{Seed: seed, CorrelationKM: 500, RegionalShare: 0.8}
-}
-
-func (w *World) correlationKM() float64 {
-	if w.CorrelationKM <= 0 {
-		return 500
-	}
-	return w.CorrelationKM
-}
-
-func (w *World) regionalShare() float64 {
-	if w.RegionalShare <= 0 || w.RegionalShare >= 1 {
-		return 0.8
-	}
-	return w.RegionalShare
+	return &World{Seed: seed}
 }
 
 // subRNG returns a deterministic RNG stream namespaced by a label.
@@ -99,21 +90,19 @@ func anchorGrid(cfgs []SiteConfig) []anchor {
 // squared weight equals the regional share (so the site latent keeps unit
 // variance after adding sqrt(1-share^2) of local noise). Correlation between
 // two sites is share^2 times the cosine similarity of their loading vectors,
-// which decays with distance at the CorrelationKM scale.
-func (w *World) anchorWeights(cfg SiteConfig, anchors []anchor) []float64 {
-	scale := w.correlationKM()
+// which decays with distance at the correlationKM scale.
+func anchorWeights(cfg SiteConfig, anchors []anchor) []float64 {
 	raw := make([]float64, len(anchors))
 	var norm float64
 	for i, a := range anchors {
 		d := DistanceKM(cfg, SiteConfig{Latitude: a.lat, Longitude: a.lon})
-		raw[i] = corrWeight(d, scale)
+		raw[i] = corrWeight(d, correlationKM)
 		norm += raw[i] * raw[i]
 	}
 	norm = math.Sqrt(norm)
-	share := w.regionalShare()
 	for i := range raw {
 		if norm > 0 {
-			raw[i] = share * raw[i] / norm
+			raw[i] = regionalShare * raw[i] / norm
 		}
 	}
 	return raw
@@ -138,6 +127,12 @@ func stepsPerDay(step time.Duration) (int, error) {
 	return int(24 * time.Hour / step), nil
 }
 
+// maxSamples bounds the samples per site Generate may be asked for. Every
+// anchor draws two latent series of n samples before any site is
+// generated, so an unbounded n allocates until memory runs out. The bound
+// sits far above every use: a 365-day run at 15-minute steps draws 35,040.
+const maxSamples = 1 << 20
+
 // Generate produces one normalized power series (values in [0, 1], fraction
 // of nameplate capacity) per site, jointly so that the correlation structure
 // is consistent. All sites share the same time base.
@@ -154,6 +149,9 @@ func (w *World) Generate(cfgs []SiteConfig, start time.Time, step time.Duration,
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("energy: non-positive sample count %d", n)
+	}
+	if n > maxSamples {
+		return nil, fmt.Errorf("energy: sample count %d above the bound of %d", n, maxSamples)
 	}
 	spd, err := stepsPerDay(step)
 	if err != nil {
@@ -184,8 +182,8 @@ func (w *World) Generate(cfgs []SiteConfig, start time.Time, step time.Duration,
 	out := make([]trace.Series, len(cfgs))
 	err = par.ForEach(context.Background(), len(cfgs), func(si int) error {
 		cfg := cfgs[si]
-		weights := w.anchorWeights(cfg, anchors)
-		local := math.Sqrt(1 - w.regionalShare()*w.regionalShare())
+		weights := anchorWeights(cfg, anchors)
+		local := math.Sqrt(1 - regionalShare*regionalShare)
 		rng := w.subRNG("site/" + cfg.Name)
 		switch cfg.Source {
 		case Solar:

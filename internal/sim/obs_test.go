@@ -46,8 +46,9 @@ func TestObsEventReconciliation(t *testing.T) {
 		}
 	}
 	// The VM engine's stream reconciles the same way. Its plan_computed
-	// events count the admissions that got a plan plus the replans, which
-	// a streamed run of the same arrivals reports step by step.
+	// events count the admissions that got a plan plus the replans, and its
+	// vm_evicted events the evictions, which a streamed run of the same
+	// arrivals reports step by step.
 	vin, apps := vmLevelFixtures(t, 3)
 	for _, pol := range []core.Policy{core.Greedy, core.MIP} {
 		reg := obs.NewRegistry()
@@ -61,13 +62,6 @@ func TestObsEventReconciliation(t *testing.T) {
 		if got := tr.Stats(obs.VMMoved).GB; got != res.Transfer.Total() {
 			t.Errorf("%v: vm_moved event GB %v != result transfer %v", pol, got, res.Transfer.Total())
 		}
-		var evicted int
-		for _, n := range res.EvictionsByClass {
-			evicted += n
-		}
-		if got := tr.Stats(obs.VMEvicted).Count; got != int64(evicted) || evicted == 0 {
-			t.Errorf("%v: vm_evicted events %d != result evictions %d (want > 0)", pol, got, evicted)
-		}
 		if got := tr.Stats(obs.VMPlacementFail).Count; got != int64(res.FailedPlacements) {
 			t.Errorf("%v: vm_placement_failed events %d != result FailedPlacements %d", pol, got, res.FailedPlacements)
 		}
@@ -80,7 +74,7 @@ func TestObsEventReconciliation(t *testing.T) {
 		for _, d := range vin.Apps {
 			stable[d.ID] = d.StableCores > 0
 		}
-		var admissions, replans int
+		var admissions, replans, evicted int
 		for _, line := range stepReports(t, eng, vmBatchArrivals(vin, apps)) {
 			var rep VMStepReport
 			if err := json.Unmarshal(line, &rep); err != nil {
@@ -92,6 +86,10 @@ func TestObsEventReconciliation(t *testing.T) {
 				}
 			}
 			replans += rep.Replans
+			evicted += len(rep.Evicted)
+		}
+		if got := tr.Stats(obs.VMEvicted).Count; got != int64(evicted) || evicted == 0 {
+			t.Errorf("%v: vm_evicted events %d != streamed evictions %d (want > 0)", pol, got, evicted)
 		}
 		if got := tr.Stats(obs.PlanComputed).Count; got != int64(admissions+replans) || admissions == 0 {
 			t.Errorf("%v: plan events %d != %d admissions with a plan + %d replans", pol, got, admissions, replans)

@@ -145,11 +145,8 @@ func NewVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config) (*VMEngin
 		vmSite: map[int]int{},
 		fedVMs: map[int]bool{},
 		res: VMLevelResult{
-			Policy:           cfg.Policy,
-			Transfer:         trace.New(c.base.Start, c.base.Step, c.T),
-			MovesGBByClass:   make(map[workload.Class]float64),
-			EvictionsByClass: make(map[workload.Class]int),
-			FailedByClass:    make(map[workload.Class]int),
+			Policy:   cfg.Policy,
+			Transfer: trace.New(c.base.Start, c.base.Step, c.T),
 		},
 	}, nil
 }
@@ -274,7 +271,6 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 		for _, vm := range site.SetPowerEvict(e.in.Actual[sIdx].Values[t] * e.in.Faults.CapFactor(sIdx, t)) {
 			e.vmSite[vm.ID] = -1
 			rep.Evicted = append(rep.Evicted, VMEvent{VM: vm.ID, App: vm.AppID, Site: sIdx})
-			res.EvictionsByClass[vm.Class]++
 			addClass(&rep.EvictedByClass, vm.Class, 1)
 			e.reg.Emit(obs.Event{Type: obs.VMEvicted, Step: t, App: vm.AppID, Site: sIdx, Dst: -1,
 				VM: vm.ID, Cores: float64(vm.Cores), GB: float64(vm.MemoryGB)})
@@ -352,7 +348,6 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 				e.vmSite[vm.ID] = placed
 			} else {
 				res.FailedPlacements++
-				res.FailedByClass[vm.Class]++
 				addClass(&rep.FailedByClass, vm.Class, 1)
 				rep.Failed = append(rep.Failed, vm.ID)
 				e.reg.Inc("sim.vmlevel.failed_placements")
@@ -385,7 +380,7 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 	// Fragmentation bookkeeping.
 	var frag float64
 	for _, site := range e.sites {
-		frag += site.Snapshot().Fragmentation
+		frag += site.Fragmentation()
 	}
 	e.fragSum += frag / float64(e.numSites)
 	rep.Fragmentation = frag / float64(e.numSites)
@@ -452,7 +447,6 @@ func (e *VMEngine) recordMove(rep *VMStepReport, t int, vm workload.VM, src, dst
 	gb := float64(vm.MemoryGB)
 	e.res.Transfer.Values[t] += gb
 	e.res.Moves++
-	e.res.MovesGBByClass[vm.Class] += gb
 	addClass(&rep.MovesGBByClass, vm.Class, gb)
 	rep.Moves = append(rep.Moves, VMMove{VM: vm.ID, App: vm.AppID, From: src, To: dst, GB: gb, Reason: reason})
 	e.reg.Emit(obs.Event{Type: obs.VMMoved, Step: t, App: vm.AppID, Site: src, Dst: dst,
@@ -517,12 +511,6 @@ type vmEngineState struct {
 	Moves            int
 	FailedPlacements int
 	FragSum          float64
-
-	// Per-class counters (absent in pre-class snapshots; they decode to nil
-	// and restore as empty, losing only the pre-snapshot class breakdown).
-	MovesGBByClass   map[workload.Class]float64
-	EvictionsByClass map[workload.Class]int
-	FailedByClass    map[workload.Class]int
 }
 
 // Snapshot serializes the engine's complete decision state — streamed apps
@@ -548,9 +536,6 @@ func (e *VMEngine) Snapshot(w io.Writer) error {
 		Moves:            e.res.Moves,
 		FailedPlacements: e.res.FailedPlacements,
 		FragSum:          e.fragSum,
-		MovesGBByClass:   e.res.MovesGBByClass,
-		EvictionsByClass: e.res.EvictionsByClass,
-		FailedByClass:    e.res.FailedByClass,
 	}
 	for i, a := range e.order {
 		st.Apps[i] = vmAppWire{Demand: a.demand, Plan: a.plan, EndStep: a.endStep, Started: a.started, VMs: a.vms}
@@ -678,14 +663,5 @@ func RestoreVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config, r io.
 	e.res.Moves = st.Moves
 	e.res.FailedPlacements = st.FailedPlacements
 	e.fragSum = st.FragSum
-	if st.MovesGBByClass != nil {
-		e.res.MovesGBByClass = st.MovesGBByClass
-	}
-	if st.EvictionsByClass != nil {
-		e.res.EvictionsByClass = st.EvictionsByClass
-	}
-	if st.FailedByClass != nil {
-		e.res.FailedByClass = st.FailedByClass
-	}
 	return e, nil
 }

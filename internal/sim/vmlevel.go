@@ -26,15 +26,8 @@ type VMLevelResult struct {
 	// anywhere (fragmentation or true capacity shortage).
 	FailedPlacements int
 	// Fragmentation is the mean end-of-step fragmentation score across
-	// sites (see cluster.Snapshot).
+	// sites (see cluster.Site.Fragmentation).
 	Fragmentation float64
-	// Per-SLO-class disruption counters: migration traffic, evictions, and
-	// failed placements attributed to each VM's class. Legacy two-class runs
-	// record everything under workload.Stable. Snapshots taken before these
-	// counters existed restore with the pre-snapshot portion missing.
-	MovesGBByClass   map[workload.Class]float64
-	EvictionsByClass map[workload.Class]int
-	FailedByClass    map[workload.Class]int
 }
 
 // RunVMLevel simulates one policy at VM granularity. Apps supplies the

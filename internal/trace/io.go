@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -119,28 +118,4 @@ func ReadCSV(r io.Reader) ([]string, []Series, error) {
 		}
 	}
 	return names, series, nil
-}
-
-// seriesJSON is the JSON wire form of a Series.
-type seriesJSON struct {
-	Start  time.Time `json:"start"`
-	StepMS int64     `json:"step_ms"`
-	Values []float64 `json:"values"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (s Series) MarshalJSON() ([]byte, error) {
-	return json.Marshal(seriesJSON{Start: s.Start, StepMS: s.Step.Milliseconds(), Values: s.Values})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (s *Series) UnmarshalJSON(data []byte) error {
-	var sj seriesJSON
-	if err := json.Unmarshal(data, &sj); err != nil {
-		return err
-	}
-	s.Start = sj.Start
-	s.Step = time.Duration(sj.StepMS) * time.Millisecond
-	s.Values = sj.Values
-	return nil
 }

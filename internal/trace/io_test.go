@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"slices"
 	"strings"
@@ -124,31 +123,4 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	s := mkSeries(0.1, 0.9, 0)
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Series
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Step != s.Step || !got.Start.Equal(s.Start) || got.Len() != s.Len() {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	for i := range s.Values {
-		if got.Values[i] != s.Values[i] {
-			t.Fatalf("values[%d] = %v", i, got.Values[i])
-		}
-	}
-}
-
-func TestJSONUnmarshalBad(t *testing.T) {
-	var s Series
-	if err := json.Unmarshal([]byte(`{"start": 12`), &s); err == nil {
-		t.Error("bad JSON should error")
-	}
 }

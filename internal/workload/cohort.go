@@ -86,6 +86,11 @@ type TraceSpec struct {
 	Cohorts []CohortSpec `json:"cohorts"`
 }
 
+// maxDurationHours is the longest span, in whole hours, a time.Duration
+// holds. GenerateCohorts converts the spec's duration and median lifetimes
+// to Durations, and a longer span would overflow.
+const maxDurationHours = float64(math.MaxInt64 / time.Hour)
+
 // Validate reports spec errors.
 func (s TraceSpec) Validate() error {
 	if s.Version != TraceSpecVersion {
@@ -93,6 +98,9 @@ func (s TraceSpec) Validate() error {
 	}
 	if !positiveFinite(s.DurationHours) {
 		return fmt.Errorf("workload: spec duration %v h is not positive and finite", s.DurationHours)
+	}
+	if s.DurationHours > maxDurationHours {
+		return fmt.Errorf("workload: spec duration %v h is longer than a time.Duration holds (%v h)", s.DurationHours, maxDurationHours)
 	}
 	if !positiveFinite(s.AppsPerDay) {
 		return fmt.Errorf("workload: apps per day %v is not positive and finite", s.AppsPerDay)
@@ -138,6 +146,9 @@ func (s TraceSpec) Validate() error {
 		}
 		if !nonNegativeFinite(c.MedianLifetimeHours) {
 			return fmt.Errorf("workload: cohort %q median lifetime %v h is not non-negative and finite", c.Name, c.MedianLifetimeHours)
+		}
+		if c.MedianLifetimeHours > maxDurationHours {
+			return fmt.Errorf("workload: cohort %q median lifetime %v h is longer than a time.Duration holds (%v h)", c.Name, c.MedianLifetimeHours, maxDurationHours)
 		}
 		if !unitFraction(c.LongRunningFraction) {
 			return fmt.Errorf("workload: cohort %q long-running fraction %v outside [0,1]", c.Name, c.LongRunningFraction)

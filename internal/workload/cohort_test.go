@@ -47,6 +47,10 @@ func TestTraceSpecValidate(t *testing.T) {
 		func(s *TraceSpec) { s.Cohorts[0].SizeMix = "huge" },
 		func(s *TraceSpec) { s.Cohorts[0].MedianLifetimeHours = -2 },
 		func(s *TraceSpec) { s.Cohorts[0].LongRunningFraction = 1.5 },
+		// Spans longer than a time.Duration holds (about 2.56e6 h); the
+		// rate keeps the expected workload small.
+		func(s *TraceSpec) { s.DurationHours, s.AppsPerDay = 1e7, 1e-3 },
+		func(s *TraceSpec) { s.Cohorts[0].MedianLifetimeHours = 1e7 },
 	}
 	for i, mutate := range mutations {
 		s := testSpec()

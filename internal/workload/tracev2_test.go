@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -99,4 +100,60 @@ func TestReadTraceV2Rejections(t *testing.T) {
 	if len(apps) != 0 || h.Seed != 1 {
 		t.Errorf("empty trace parsed as %+v with %d apps", h, len(apps))
 	}
+}
+
+// FuzzReadTraceV2 holds the trace v2 decoder to its contract on any input:
+// GIVEN any bytes, WHEN ReadTraceV2 decodes them, THEN it returns an error
+// or a header and apps, never a panic; and WHEN WriteTraceV2 records that
+// result, THEN the recording replays and records to the same bytes again.
+func FuzzReadTraceV2(f *testing.F) {
+	record := func(h TraceHeader, apps []App) {
+		var rec bytes.Buffer
+		if err := WriteTraceV2(&rec, h, apps); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec.Bytes())
+	}
+	legacy, err := GenerateApps(AppConfig{
+		Seed: 3, Start: start, Duration: 24 * time.Hour,
+		MeanAppsPerDay: 4, MeanVMsPerApp: 3, StableFraction: 0.7,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	record(TraceHeader{Seed: 3}, legacy)
+	spec, err := LoadTraceSpec(filepath.Join("..", "..", "examples", "cohorts", "bursty.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	bursty, err := GenerateCohorts(*spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The first four apps (a batch app with a lifetime, stable and
+	// real-time apps) carry every field; the whole trace (24 apps, 1,280
+	// VMs) would only slow each run.
+	record(TraceHeader{Seed: spec.Seed, SpecHash: fmt.Sprintf("%016x", spec.Hash())}, bursty[:min(4, len(bursty))])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, apps, err := ReadTraceV2(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once bytes.Buffer
+		if err := WriteTraceV2(&once, h, apps); err != nil {
+			t.Fatalf("recording a decoded trace: %v", err)
+		}
+		h2, apps2, err := ReadTraceV2(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("replaying a recorded trace: %v\n%s", err, once.Bytes())
+		}
+		var twice bytes.Buffer
+		if err := WriteTraceV2(&twice, h2, apps2); err != nil {
+			t.Fatalf("recording a replayed trace: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("record, replay, record changed the bytes:\n%s\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
 }

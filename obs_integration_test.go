@@ -3,6 +3,11 @@ package vb
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -133,4 +138,54 @@ func TestFig4MigrationObs(t *testing.T) {
 	if h, ok := reg.Histogram("cluster.run"); !ok || h.Count != 1 {
 		t.Errorf("cluster.run span = %+v, %v; want one recording", h, ok)
 	}
+}
+
+// failingWriter fails every write with a numbered error.
+type failingWriter struct{ n int }
+
+func (w *failingWriter) Write([]byte) (int, error) {
+	w.n++
+	return 0, fmt.Errorf("write %d refused", w.n)
+}
+
+// TestFinishTraceSink drives the CLIs' guard against silently lost events
+// through both failure modes of a JSONL sink, and the unobserved run.
+func TestFinishTraceSink(t *testing.T) {
+	t.Run("write", func(t *testing.T) {
+		f, err := os.Create(filepath.Join(t.TempDir(), "trace.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewMetrics()
+		reg.Tracer().SetSink(&failingWriter{})
+		reg.Emit(TraceEvent{Type: EventPlanComputed})
+		reg.Emit(TraceEvent{Type: EventPlanComputed})
+		err = FinishTraceSink(reg, f)
+		if err == nil || !strings.HasPrefix(err.Error(), "trace sink write: ") || !strings.Contains(err.Error(), "write 1 refused") {
+			t.Errorf("err = %v, want the first write error as a trace sink write error", err)
+		}
+		if err := f.Close(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("sink file not closed: second Close = %v", err)
+		}
+	})
+	t.Run("close", func(t *testing.T) {
+		f, err := os.Create(filepath.Join(t.TempDir(), "trace.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewMetrics()
+		reg.Tracer().SetSink(f)
+		if err := f.Close(); err != nil { // the next Close fails
+			t.Fatal(err)
+		}
+		err = FinishTraceSink(reg, f)
+		if err == nil || !strings.HasPrefix(err.Error(), "trace sink close: ") || !errors.Is(err, os.ErrClosed) {
+			t.Errorf("err = %v, want a trace sink close error wrapping os.ErrClosed", err)
+		}
+	})
+	t.Run("nil", func(t *testing.T) {
+		if err := FinishTraceSink(nil, nil); err != nil {
+			t.Errorf("nil registry and file: err = %v, want nil", err)
+		}
+	})
 }

@@ -37,23 +37,12 @@ type PipelineResult struct {
 // (steps 2-4) — and contrast with the first latency-feasible group picked
 // without looking at variability.
 func FullPipeline(seed uint64) (PipelineResult, error) {
-	return FullPipelineObs(seed, nil)
-}
-
-// FullPipelineObs is FullPipeline observed by a metrics registry: trace
-// generation, clique ranking, forecasting, MIP solves and both scheduler
-// runs report timings, counters and events into reg. A nil registry is
-// free.
-func FullPipelineObs(seed uint64, reg *MetricsRegistry) (PipelineResult, error) {
-	defer TimeSpan(reg, "pipeline.full")()
 	// withDefaults maps seed 0 to DefaultSeed; the pipeline draws its power,
 	// forecasts and apps from the seed it was given.
-	s := Table1Setup{Obs: reg}.withDefaults()
+	s := Table1Setup{}.withDefaults()
 	s.Seed = seed
-	w := energy.NewWorld(seed)
-	w.Obs = reg
 	fleet := energy.EuropeanFleet(12)
-	fine, err := w.Generate(fleet, table1Start, time.Hour, s.Days*24)
+	fine, err := energy.NewWorld(seed).Generate(fleet, table1Start, time.Hour, s.Days*24)
 	if err != nil {
 		return PipelineResult{}, err
 	}
@@ -69,13 +58,10 @@ func FullPipelineObs(seed uint64, reg *MetricsRegistry) (PipelineResult, error) 
 	for i := range fleet {
 		powers[i] = fine[i].Scale(fleet[i].CapacityMW)
 	}
-	rankSpan := TimeSpan(reg, "pipeline.rank_cliques")
 	ranked, err := g.CandidateGroups(3, 3, 50, powers)
-	rankSpan()
 	if err != nil {
 		return PipelineResult{}, err
 	}
-	reg.SetGauge("pipeline.candidate_groups", float64(len(ranked)))
 	if len(ranked) == 0 {
 		return PipelineResult{}, fmt.Errorf("vb: no 3-cliques under 25 ms")
 	}
@@ -113,9 +99,8 @@ func FullPipelineObs(seed uint64, reg *MetricsRegistry) (PipelineResult, error) 
 	}
 
 	// The two scheduler runs are independent (separate forecast bundles,
-	// demands and engine state; the shared registry is concurrency-safe),
-	// so they execute concurrently with identical results to back-to-back
-	// serial runs.
+	// demands and engine state), so they execute concurrently with
+	// identical results to back-to-back serial runs.
 	type runOut struct{ totalGB, paused float64 }
 	groups := [][]int{best.Nodes, naive}
 	runs, err := par.Map(context.Background(), len(groups), func(i int) (runOut, error) {

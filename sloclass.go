@@ -47,18 +47,12 @@ type SLOClassSetup struct {
 	Seed uint64
 	// Days is the simulated span (0 = 7).
 	Days int
-	// AppsPerDay is the total application arrival rate across cohorts
-	// (0 = 6, the Table 1 rate).
-	AppsPerDay float64
-	// Spec overrides the cohort mix (nil = DefaultCohortSpec). A non-nil
-	// spec is used as given: its own seed, window and rate apply.
+	// Spec overrides the cohort mix (nil = DefaultCohortSpec at the Table 1
+	// rate). A non-nil spec is used as given: its own seed, window and rate
+	// apply.
 	Spec *TraceSpec
 	// Policies restricts which policies run (nil = all four).
 	Policies []Policy
-	// Faults, when non-nil, injects scripted faults into every policy run.
-	Faults *FaultScript
-	// Obs, when non-nil, observes the runs.
-	Obs *MetricsRegistry
 }
 
 // SLOClassRow is one (policy, class) cell: the class's demand, violations,
@@ -98,9 +92,6 @@ func (s SLOClassSetup) withDefaults() SLOClassSetup {
 	if s.Days == 0 {
 		s.Days = 7
 	}
-	if s.AppsPerDay == 0 {
-		s.AppsPerDay = 6
-	}
 	if s.Policies == nil {
 		s.Policies = core.AllPolicies()
 	}
@@ -112,7 +103,7 @@ func (s SLOClassSetup) spec() TraceSpec {
 	if s.Spec != nil {
 		return *s.Spec
 	}
-	return DefaultCohortSpec(s.Seed+1, table1Start, s.Days, s.AppsPerDay)
+	return DefaultCohortSpec(s.Seed+1, table1Start, s.Days, table1AppsPerDay)
 }
 
 // SLOClassComparison generates a cohort trace with mixed SLO classes and
@@ -143,7 +134,7 @@ func SLOClassReplay(setup SLOClassSetup, apps []App) (SLOClassResult, error) {
 // sloClassOverApps is the shared core: the Table 1 trio's power and
 // forecasts, the given applications, one run per policy, per-class rows.
 func sloClassOverApps(setup SLOClassSetup, spec TraceSpec, apps []workload.App) (SLOClassResult, error) {
-	ts := Table1Setup{Seed: setup.Seed, Days: setup.Days, Faults: setup.Faults, Obs: setup.Obs}
+	ts := Table1Setup{Seed: setup.Seed, Days: setup.Days}
 	trio := EuropeanTrio()
 	hourly, err := groupPower(ts, spec.Start, trio)
 	if err != nil {

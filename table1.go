@@ -55,8 +55,6 @@ type Table1Setup struct {
 	Days int
 	// AppsPerDay is the application arrival rate (0 = 6).
 	AppsPerDay float64
-	// MeanVMsPerApp is the mean application size (0 = 60).
-	MeanVMsPerApp float64
 	// UtilTarget is the admission utilization target (0 = 0.7).
 	UtilTarget float64
 	// MaxSitesPerApp bounds the per-app site spread (0 = 3).
@@ -88,16 +86,17 @@ func (s Table1Setup) withDefaults() Table1Setup {
 		s.Days = 7
 	}
 	if s.AppsPerDay == 0 {
-		s.AppsPerDay = 6
-	}
-	if s.MeanVMsPerApp == 0 {
-		s.MeanVMsPerApp = 60
+		s.AppsPerDay = table1AppsPerDay
 	}
 	if s.Policies == nil {
 		s.Policies = core.AllPolicies()
 	}
 	return s
 }
+
+// table1AppsPerDay is the Table 1 application arrival rate, which the
+// SLO-class runs share.
+const table1AppsPerDay = 6
 
 // table1Start anchors the scheduler experiment in early May, matching the
 // paper's ELIA sample period.
@@ -164,14 +163,15 @@ func groupPower(s Table1Setup, start time.Time, group []SiteConfig) ([]Series, e
 	return w.Generate(group, start, time.Hour, s.Days*24)
 }
 
-// table1Apps generates the Table 1 application stream.
+// table1Apps generates the Table 1 application stream: apps of 60 VMs on
+// average.
 func table1Apps(s Table1Setup, start time.Time) ([]workload.App, error) {
 	return workload.GenerateApps(workload.AppConfig{
 		Seed:           s.Seed + 1,
 		Start:          start,
 		Duration:       time.Duration(s.Days) * 24 * time.Hour,
 		MeanAppsPerDay: s.AppsPerDay,
-		MeanVMsPerApp:  s.MeanVMsPerApp,
+		MeanVMsPerApp:  60,
 		StableFraction: 0.7,
 	})
 }

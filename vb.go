@@ -390,7 +390,7 @@ func FinishTraceSink(reg *MetricsRegistry, f *os.File) error {
 	return nil
 }
 
-// NewWorld returns an energy world with default correlation structure.
+// NewWorld returns an energy world drawing from seed.
 func NewWorld(seed uint64) *World { return energy.NewWorld(seed) }
 
 // NewForecaster returns a forecaster with the given seed.

@@ -148,6 +148,42 @@ func TestFig4ReportGolden(t *testing.T) {
 	checkGolden(t, "fig4_seed.golden", b.String())
 }
 
+// TestRegistryDigestGolden pins what the engines record into a registry at
+// DefaultSeed: the counters, counter vecs and per-type event totals of a
+// 3-day Table 1 comparison, and of one VM-level run per policy on the same
+// scenario, each hashed by hashAll. Histograms hold wall-clock spans and
+// are left out.
+//
+// Regenerate (only for an intentional, reviewed behaviour change) with:
+//
+//	VB_UPDATE_GOLDEN=1 go test -run RegistryDigestGolden .
+func TestRegistryDigestGolden(t *testing.T) {
+	digest := func(reg *MetricsRegistry) string {
+		s := reg.Snapshot()
+		return hashAll([]any{s.Counters, s.CounterVecs, s.Events})
+	}
+	var b strings.Builder
+	reg := NewMetrics()
+	if _, err := Table1PolicyComparison(Table1Setup{Days: 3, Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "table1  sha256: %s\n", digest(reg))
+
+	reg = NewMetrics()
+	s := Table1Setup{Days: 3, Obs: reg}.withDefaults()
+	sc, err := table1Scenario(s, table1Start, EuropeanTrio())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range s.Policies {
+		if _, err := RunPolicyVMLevel(table1Config(s, pol), sc.in, sc.apps, DefaultClusterConfig()); err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
+	}
+	fmt.Fprintf(&b, "vmlevel sha256: %s\n", digest(reg))
+	checkGolden(t, "registry_seed.golden", b.String())
+}
+
 // TestExperimentsGolden pins every multi-VB experiment at DefaultSeed: the
 // whole figure/table suite, every ablation and the extensions that run the
 // Table 1 scenario. Each entry holds the result's report and the SHA-256 of

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,26 +34,13 @@ func main() {
 	)
 	flag.Parse()
 
-	var reg *vb.MetricsRegistry
-	if *metricsOut != "" || *listenAddr != "" {
-		reg = vb.NewMetrics()
+	o, err := vb.Observe("", *metricsOut, *listenAddr)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var telemetry *vb.TelemetryServer
-	if *listenAddr != "" {
-		srv, err := vb.ServeTelemetry(*listenAddr, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		telemetry = srv
-		log.Printf("telemetry on http://%s/ (/metrics /snapshot /events /debug/pprof/)", srv.Addr())
+	if addr := o.Addr(); addr != "" {
+		log.Printf("telemetry on http://%s/ (/metrics /snapshot /events /debug/pprof/)", addr)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := telemetry.Shutdown(ctx); err != nil {
-			log.Printf("telemetry shutdown: %v", err)
-		}
-	}()
 
 	fleet := vb.EuropeanFleet(0)
 	g, err := vb.NewGraph(fleet, *latency)
@@ -63,7 +49,7 @@ func main() {
 	}
 	start := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 	world := vb.NewWorld(*seed)
-	world.Obs = reg
+	world.Obs = o.Reg
 	powers, err := world.GeneratePower(fleet, start, time.Hour, *days*24)
 	if err != nil {
 		log.Fatal(err)
@@ -73,23 +59,20 @@ func main() {
 	if *kArg > 0 {
 		kMin, kMax = *kArg, *kArg
 	}
-	rankSpan := vb.TimeSpan(reg, "fleet.candidate_groups")
+	rankSpan := vb.TimeSpan(o.Reg, "fleet.candidate_groups")
 	groups, err := g.CandidateGroups(kMin, kMax, *top, powers)
 	rankSpan()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *metricsOut != "" {
-		reg.SetGauge("fleet.sites", float64(len(fleet)))
-		reg.SetGauge("fleet.groups", float64(len(groups)))
-		m := reg.Manifest()
-		m.Seed = *seed
-		for _, s := range fleet {
-			m.Fleet = append(m.Fleet, s.Name)
-		}
-		if err := m.WriteFile(*metricsOut); err != nil {
-			log.Fatal(err)
-		}
+	o.Reg.SetGauge("fleet.sites", float64(len(fleet)))
+	o.Reg.SetGauge("fleet.groups", float64(len(groups)))
+	names := make([]string, len(fleet))
+	for i, s := range fleet {
+		names[i] = s.Name
+	}
+	if err := o.Close(*seed, "", names); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("fleet of %d sites, %g ms threshold, ranked by cov of summed power (%d days)\n\n",

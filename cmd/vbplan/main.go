@@ -67,24 +67,15 @@ func main() {
 		log.Fatalf("reading apps: %v", err)
 	}
 
-	var reg *vb.MetricsRegistry
-	if *traceOut != "" || *metricsOut != "" {
-		reg = vb.NewMetrics()
-	}
-	var traceFile *os.File
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		traceFile = f
-		reg.Tracer().SetSink(f)
+	o, err := vb.Observe(*traceOut, *metricsOut, "")
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Real deployments have real forecasts; lacking them, synthesize
 	// day-ahead-quality forecasts around the supplied truth.
 	fc := vb.NewForecaster(*seed)
-	fc.Obs = reg
+	fc.Obs = o.Reg
 	bundles := make([]*vb.Bundle, len(series))
 	for i := range series {
 		b, err := fc.NewBundle(series[i], vb.Wind, names[i])
@@ -101,28 +92,19 @@ func main() {
 		Policy:     policy,
 		PlanStep:   series[0].Step,
 		UtilTarget: *util,
-		Obs:        reg,
+		Obs:        o.Reg,
 	}, vb.SimInput{
 		Actual:     series,
 		Bundles:    bundles,
 		TotalCores: *cores,
 		Apps:       apps,
-		Obs:        reg,
+		Obs:        o.Reg,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := vb.FinishTraceSink(reg, traceFile); err != nil {
-		log.Fatalf("trace sink failed, events lost: %v", err)
-	}
-	if *metricsOut != "" {
-		m := reg.Manifest()
-		m.Seed = *seed
-		m.Policy = policy.String()
-		m.Fleet = names
-		if err := m.WriteFile(*metricsOut); err != nil {
-			log.Fatal(err)
-		}
+	if err := o.Close(*seed, policy.String(), names); err != nil {
+		log.Fatal(err)
 	}
 
 	total, p99, peak, std, err := res.Summary()

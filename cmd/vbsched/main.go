@@ -49,20 +49,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	fs.Parse(args)
 
-	var reg *vb.MetricsRegistry
-	if *traceOut != "" || *metricsOut != "" {
-		reg = vb.NewMetrics()
-	}
-	var traceFile *os.File
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		traceFile = f
-		reg.Tracer().SetSink(f)
-	}
-
 	setup := vb.Table1Setup{
 		Seed:                   *seed,
 		Days:                   *days,
@@ -70,35 +56,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 		UtilTarget:             *util,
 		MaxSitesPerApp:         *maxSites,
 		LeadDependentForecasts: *leadFc,
-		Obs:                    reg,
 	}
+	var policy string
 	if *policyArg != "" {
 		p, err := vb.ParsePolicy(*policyArg)
 		if err != nil {
 			return err
 		}
 		setup.Policies = []vb.Policy{p}
+		policy = p.String()
 	}
+	o, err := vb.Observe(*traceOut, *metricsOut, "")
+	if err != nil {
+		return err
+	}
+	setup.Obs = o.Reg
 
 	res, err := vb.Table1PolicyComparison(setup)
 	if err != nil {
 		return err
 	}
-	if err := vb.FinishTraceSink(reg, traceFile); err != nil {
-		return fmt.Errorf("trace sink failed, events lost: %v", err)
+	var fleet []string
+	for _, s := range res.Group {
+		fleet = append(fleet, s.Name)
 	}
-	if *metricsOut != "" {
-		m := reg.Manifest()
-		m.Seed = *seed
-		for _, s := range res.Group {
-			m.Fleet = append(m.Fleet, s.Name)
-		}
-		if len(setup.Policies) == 1 {
-			m.Policy = setup.Policies[0].String()
-		}
-		if err := m.WriteFile(*metricsOut); err != nil {
-			return err
-		}
+	if err := o.Close(*seed, policy, fleet); err != nil {
+		return err
 	}
 	if *csvOut {
 		names := make([]string, 0, len(res.Rows))
@@ -110,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return vb.WriteCSV(stdout, names, series...)
 	}
 	fmt.Fprint(stdout, res.Report())
-	if h, ok := reg.Histogram("mip.solve"); ok && h.Count > 0 {
+	if h, ok := o.Reg.Histogram("mip.solve"); ok && h.Count > 0 {
 		fmt.Fprintf(stderr, "vbsched: solver: %d solves  p50=%.2fms  p95=%.2fms  p99=%.2fms  max=%.2fms\n",
 			h.Count, h.Quantile(0.50)*1e3, h.Quantile(0.95)*1e3, h.Quantile(0.99)*1e3, h.Max*1e3)
 	}

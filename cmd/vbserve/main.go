@@ -130,6 +130,12 @@ func buildScenario(seed uint64, days int, appsPerDay float64, policy vb.Policy, 
 	if days <= 0 {
 		return nil, fmt.Errorf("non-positive day count %d", days)
 	}
+	// Apps first: their generator's bound refuses an oversized run before
+	// any power is generated. The two draw from separate seeded streams.
+	apps, err := scenarioApps(seed, days, appsPerDay, workloadSpec)
+	if err != nil {
+		return nil, err
+	}
 	reg := vb.NewMetrics()
 	world := vb.NewWorld(seed)
 	world.Obs = reg
@@ -152,10 +158,6 @@ func buildScenario(seed uint64, days int, appsPerDay float64, policy vb.Policy, 
 		if err := bundles[i].UseFixedHorizon(vb.HorizonDay); err != nil {
 			return nil, err
 		}
-	}
-	apps, err := scenarioApps(seed, days, appsPerDay, workloadSpec)
-	if err != nil {
-		return nil, err
 	}
 	clusterCfg := vb.DefaultClusterConfig()
 	var arrivals []vb.AppArrival

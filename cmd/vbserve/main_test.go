@@ -320,6 +320,16 @@ func TestStateEndpoint(t *testing.T) {
 	}
 }
 
+// TestOversizedWorkloadRefusedBeforePower requires a scenario too long for
+// both generators' bounds to be refused by the workload's, which is checked
+// before any power is generated.
+func TestOversizedWorkloadRefusedBeforePower(t *testing.T) {
+	_, err := buildScenario(42, 50000, 6, vb.PolicyMIP, "")
+	if err == nil || !strings.HasPrefix(err.Error(), "workload: ") {
+		t.Fatalf("err = %v, want the workload bound's error", err)
+	}
+}
+
 // TestCohortScenarioCarriesClasses pins the class plumbing into the daemon:
 // a -workload cohort spec produces arrivals whose demands carry the
 // per-SLO-class core breakdown, and the breakdown survives the request-log

@@ -16,12 +16,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	vb "github.com/vbcloud/vb"
 )
@@ -47,21 +45,17 @@ func main() {
 	)
 	flag.Parse()
 
+	if (*workload != "" || *replay != "" || (*runAll && *faults == "")) &&
+		(*traceOut != "" || *metricsOut != "" || *listenAddr != "") {
+		log.Fatal("-trace, -metrics and -listen observe the Fig 4 and -faults runs only, not -all, -workload or -replay")
+	}
 	if *workload != "" || *replay != "" {
 		if err := runWorkload(*seed, *days, *workload, *record, *replay); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-
-	if *faults != "" {
-		if err := runFaulted(*seed, *days, *faults); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *runAll {
+	if *runAll && *faults == "" {
 		res, err := vb.RunAllExperiments(*seed)
 		if err != nil {
 			log.Fatal(err)
@@ -70,60 +64,42 @@ func main() {
 		return
 	}
 
+	var script *vb.FaultScript
 	var src vb.Source
-	switch *sourceArg {
-	case "wind":
+	switch {
+	case *faults != "":
+		var err error
+		if script, err = vb.ParseFaultArg(*faults); err != nil {
+			log.Fatal(err)
+		}
+	case *sourceArg == "wind":
 		src = vb.Wind
-	case "solar":
+	case *sourceArg == "solar":
 		src = vb.Solar
 	default:
 		log.Fatalf("unknown -source %q", *sourceArg)
 	}
 
-	var reg *vb.MetricsRegistry
-	if *traceOut != "" || *metricsOut != "" || *listenAddr != "" {
-		reg = vb.NewMetrics()
-	}
-	var traceFile *os.File
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		traceFile = f
-		reg.Tracer().SetSink(f)
-	}
-	var telemetry *vb.TelemetryServer
-	if *listenAddr != "" {
-		srv, err := vb.ServeTelemetry(*listenAddr, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		telemetry = srv
-		log.Printf("telemetry on http://%s/ (/metrics /snapshot /events /debug/pprof/)", srv.Addr())
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := telemetry.Shutdown(ctx); err != nil {
-			log.Printf("telemetry shutdown: %v", err)
-		}
-	}()
-
-	res, err := vb.Fig4MigrationObs(*seed, src, *days, reg)
+	o, err := vb.Observe(*traceOut, *metricsOut, *listenAddr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := vb.FinishTraceSink(reg, traceFile); err != nil {
-		log.Fatalf("trace sink failed, events lost: %v", err)
+	if addr := o.Addr(); addr != "" {
+		log.Printf("telemetry on http://%s/ (/metrics /snapshot /events /debug/pprof/)", addr)
 	}
-	if *metricsOut != "" {
-		m := reg.Manifest()
-		m.Seed = *seed
-		m.Fleet = []string{*sourceArg}
-		if err := m.WriteFile(*metricsOut); err != nil {
+	if script != nil {
+		if err := runFaulted(*seed, *days, script, o); err != nil {
 			log.Fatal(err)
 		}
+		return
+	}
+
+	res, err := vb.Fig4MigrationObs(*seed, src, *days, o.Reg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := o.Close(*seed, "", []string{*sourceArg}); err != nil {
+		log.Fatal(err)
 	}
 	if *csvOut {
 		if err := vb.WriteCSV(os.Stdout, []string{"power", "out_gb", "in_gb"},
@@ -148,7 +124,7 @@ func main() {
 	}
 	link := 200.0
 	fmt.Printf("  utilization mean: %.1f%%\n", res.Run.Utilization.Mean()*100)
-	if h, ok := reg.Histogram("cluster.step_out_gb"); ok && h.Count > 0 {
+	if h, ok := o.Reg.Histogram("cluster.step_out_gb"); ok && h.Count > 0 {
 		fmt.Printf("  per-step out-GB quantiles: p50=%.2f p95=%.2f p99=%.2f max=%.2f\n",
 			h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max)
 	}
@@ -222,14 +198,14 @@ func runWorkload(seed uint64, days int, specPath, recordPath, replayPath string)
 // runFaulted reruns the multi-site Table 1 policy comparison under a fault
 // script (site blackouts, brownouts, WAN cuts, forecast busts, solver
 // slowdowns) and reports the resulting migration overhead and availability
-// alongside the fault and degradation counters. The same seed plus the same
-// script always reproduces the same table.
-func runFaulted(seed uint64, days int, spec string) error {
-	script, err := vb.ParseFaultArg(spec)
-	if err != nil {
-		return err
+// alongside the fault and degradation counters, which it reads from the
+// observation's registry or, without one, from a registry of its own. The
+// same seed plus the same script always reproduces the same table.
+func runFaulted(seed uint64, days int, script *vb.FaultScript, o *vb.Observation) error {
+	reg := o.Reg
+	if reg == nil {
+		reg = vb.NewMetrics()
 	}
-	reg := vb.NewMetrics()
 	res, err := vb.Table1PolicyComparison(vb.Table1Setup{
 		Seed:   seed,
 		Days:   days,
@@ -237,6 +213,13 @@ func runFaulted(seed uint64, days int, spec string) error {
 		Obs:    reg,
 	})
 	if err != nil {
+		return err
+	}
+	var fleet []string
+	for _, s := range res.Group {
+		fleet = append(fleet, s.Name)
+	}
+	if err := o.Close(seed, "", fleet); err != nil {
 		return err
 	}
 	fmt.Printf("Faulted run: %d event(s), %d days\n", len(script.Events), days)

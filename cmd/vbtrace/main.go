@@ -38,6 +38,9 @@ func main() {
 	flag.Parse()
 
 	if *workload != "" {
+		if *metricsOut != "" {
+			log.Fatal("-metrics observes power generation only, not -workload")
+		}
 		if err := runWorkloadTrace(*workload, *format); err != nil {
 			log.Fatal(err)
 		}
@@ -58,14 +61,13 @@ func main() {
 		log.Fatalf("unknown -sites %q", *sitesArg)
 	}
 
-	var reg *vb.MetricsRegistry
-	if *metricsOut != "" {
-		reg = vb.NewMetrics()
+	o, err := vb.Observe("", *metricsOut, "")
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	n := int(time.Duration(*days) * 24 * time.Hour / *step)
 	world := vb.NewWorld(*seed)
-	world.Obs = reg
+	world.Obs = o.Reg
 	series, err := world.Generate(sites, start, *step, n)
 	if err != nil {
 		log.Fatal(err)
@@ -78,7 +80,7 @@ func main() {
 
 	if *fcH > 0 {
 		fc := vb.NewForecaster(*seed)
-		fc.Obs = reg
+		fc.Obs = o.Reg
 		for i, s := range sites {
 			f, err := fc.Forecast(series[i], s.Source, *fcH, s.Name)
 			if err != nil {
@@ -89,13 +91,8 @@ func main() {
 		}
 	}
 
-	if *metricsOut != "" {
-		m := reg.Manifest()
-		m.Seed = *seed
-		m.Fleet = names
-		if err := m.WriteFile(*metricsOut); err != nil {
-			log.Fatal(err)
-		}
+	if err := o.Close(*seed, "", names); err != nil {
+		log.Fatal(err)
 	}
 
 	switch *format {

@@ -33,6 +33,33 @@ func TestAppDemandPauseWeight(t *testing.T) {
 	}
 }
 
+// TestPauseWeightIgnoresMapOrder requires a demand with several firm
+// classes to weigh the same bits on every call: the sum in ladder order,
+// whatever order the ClassCores map iterates in.
+func TestPauseWeightIgnoresMapOrder(t *testing.T) {
+	d := AppDemand{ID: 1, Cores: 10, StableCores: 10, MemGBPerCore: 2,
+		ClassCores: map[workload.Class]float64{
+			workload.RealTime:    0.1,
+			workload.Interactive: 0.7,
+			workload.Batch:       3.3,
+			workload.Stable:      5.9,
+		}}
+	var wSum, cores float64
+	for _, c := range workload.AllClasses {
+		if n := d.ClassCores[c]; c.Firm() && n > 0 {
+			wSum += c.PauseWeight() * n
+			cores += n
+		}
+	}
+	want := wSum / cores
+	for i := 0; i < 100; i++ {
+		if w := d.PauseWeight(); math.Float64bits(w) != math.Float64bits(want) {
+			t.Fatalf("call %d: weight %v (bits %#x), want the ladder-order sum %v (bits %#x)",
+				i, w, math.Float64bits(w), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestAppDemandClassBreakdown(t *testing.T) {
 	legacy := AppDemand{ID: 1, Cores: 10, StableCores: 7, MemGBPerCore: 2}
 	got := legacy.ClassBreakdown()

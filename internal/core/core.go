@@ -169,13 +169,15 @@ type AppDemand struct {
 // PauseWeight returns the demand's pause-cost weight: the core-weighted mean
 // of its firm classes' pause weights. Legacy demands (nil ClassCores) weigh
 // exactly 1 — the Stable class weight — so the MIP objective is bit-identical
-// to the two-class scheduler's.
+// to the two-class scheduler's. The sum runs in workload.AllClasses order,
+// so the weight's bits do not depend on map iteration order.
 func (a AppDemand) PauseWeight() float64 {
 	if len(a.ClassCores) == 0 {
 		return 1
 	}
 	var wSum, cores float64
-	for c, n := range a.ClassCores {
+	for _, c := range workload.AllClasses {
+		n := a.ClassCores[c]
 		if !c.Firm() || n <= 0 {
 			continue
 		}

@@ -19,7 +19,7 @@ import (
 // bit-for-bit.
 type Engine struct {
 	stepper
-	vecs *simVecs
+	vecs simVecs
 
 	active []*appState
 	res    Result
@@ -298,11 +298,11 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 				for _, cs := range a.shares {
 					res.PausedByClass[cs.class] += rest * cs.frac
 					addClass(&rep.PausedByClass, cs.class, rest*cs.frac)
-					e.vecs.pauseClass(cs.class, rest*cs.frac)
+					e.vecs.pausedCls.Add(rest*cs.frac, e.vecs.policy, cs.class.String())
 				}
 				e.reg.Emit(obs.Event{Type: obs.StablePause, Step: t, App: a.demand.ID,
 					Site: s, Dst: -1, Cores: rest})
-				e.vecs.pause(s, rest)
+				e.vecs.paused.Add(rest, e.vecs.policy, e.vecs.sites[s])
 			}
 			over -= move
 		}
@@ -336,7 +336,7 @@ func (e *Engine) Advance(arrivals []core.AppDemand) (StepReport, error) {
 			for _, cs := range a.shares {
 				res.ShortfallByClass[cs.class] += gap * cs.frac
 				addClass(&rep.ShortfallByClass, cs.class, gap*cs.frac)
-				e.vecs.shortClass(cs.class, gap*cs.frac)
+				e.vecs.shortfallCls.Add(gap*cs.frac, e.vecs.policy, cs.class.String())
 			}
 			e.reg.Emit(obs.Event{Type: obs.Shortfall, Step: t, App: a.demand.ID,
 				Site: -1, Dst: -1, Cores: gap})
@@ -367,9 +367,11 @@ func (e *Engine) move(env *stepEnv, rep *StepReport, ty obs.EventType, a *appSta
 	env.wb.Consume(src, dst, gb)
 	res.Transfer.Values[t] += gb
 	res.PerApp[a.demand.ID] += gb
+	edge := e.vecs.planned
 	if ty == obs.ForcedMigration {
 		res.ForcedGB += gb
 		rep.ForcedGB += gb
+		edge = e.vecs.forced
 	} else {
 		res.PlannedGB += gb
 		rep.PlannedGB += gb
@@ -383,8 +385,8 @@ func (e *Engine) move(env *stepEnv, rep *StepReport, ty obs.EventType, a *appSta
 			res.TransferByClass[cs.class] = s
 		}
 		s.Values[t] += gb * cs.frac
-		e.vecs.transferClass(cs.class, gb*cs.frac)
+		e.vecs.transferByCls.Add(gb*cs.frac, e.vecs.policy, cs.class.String())
 	}
 	e.reg.Emit(obs.Event{Type: ty, Step: t, App: a.demand.ID, Site: src, Dst: dst, Cores: x, GB: gb})
-	e.vecs.move(ty, src, dst, gb)
+	edge.Add(gb, e.vecs.policy, e.vecs.sites[src], e.vecs.sites[dst])
 }

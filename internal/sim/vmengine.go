@@ -28,7 +28,7 @@ import (
 type VMEngine struct {
 	stepper
 	clusterCfg cluster.Config
-	vecs       *vmVecs
+	vecs       vmVecs
 	sites      []*cluster.Site
 
 	order  []*vmAppState
@@ -274,7 +274,8 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 			addClass(&rep.EvictedByClass, vm.Class, 1)
 			e.reg.Emit(obs.Event{Type: obs.VMEvicted, Step: t, App: vm.AppID, Site: sIdx, Dst: -1,
 				VM: vm.ID, Cores: float64(vm.Cores), GB: float64(vm.MemoryGB)})
-			e.vecs.evict(vm.Class, sIdx)
+			e.vecs.evicted.Inc(e.vecs.policy, e.vecs.sites[sIdx])
+			e.vecs.evictedCls.Inc(e.vecs.policy, vm.Class.String())
 		}
 	}
 
@@ -353,7 +354,7 @@ func (e *VMEngine) Advance(arrivals []AppArrival) (VMStepReport, error) {
 				e.reg.Inc("sim.vmlevel.failed_placements")
 				e.reg.Emit(obs.Event{Type: obs.VMPlacementFail, Step: t, App: vm.AppID, Site: -1, Dst: -1,
 					VM: vm.ID, Cores: float64(vm.Cores)})
-				e.vecs.fail(vm.Class)
+				e.vecs.failedCls.Inc(e.vecs.policy, vm.Class.String())
 			}
 		}
 	}
@@ -451,7 +452,8 @@ func (e *VMEngine) recordMove(rep *VMStepReport, t int, vm workload.VM, src, dst
 	rep.Moves = append(rep.Moves, VMMove{VM: vm.ID, App: vm.AppID, From: src, To: dst, GB: gb, Reason: reason})
 	e.reg.Emit(obs.Event{Type: obs.VMMoved, Step: t, App: vm.AppID, Site: src, Dst: dst,
 		VM: vm.ID, Cores: float64(vm.Cores), GB: gb, Detail: reason})
-	e.vecs.move(vm.Class, src, dst, gb)
+	e.vecs.moves.Add(gb, e.vecs.policy, e.vecs.site(src), e.vecs.sites[dst])
+	e.vecs.movesCls.Add(gb, e.vecs.policy, vm.Class.String())
 }
 
 // --- Snapshot / restore ---------------------------------------------------

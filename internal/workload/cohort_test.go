@@ -215,3 +215,31 @@ func TestTraceSpecHashSensitivity(t *testing.T) {
 		t.Error("different specs hash identically")
 	}
 }
+
+// TestLongMedianLifetimeSaturates requires a lifetime drawn near the
+// longest time.Duration to saturate there instead of wrapping negative and
+// landing on the one-minute floor: at a 1e6-hour median every app must
+// outlive a day.
+func TestLongMedianLifetimeSaturates(t *testing.T) {
+	spec := testSpec()
+	spec.DurationHours = 60 * 24
+	for i := range spec.Cohorts {
+		spec.Cohorts[i].MedianLifetimeHours = 1e6
+	}
+	apps, err := GenerateCohorts(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(apps) == 0 {
+		t.Fatal("no apps generated")
+	}
+	short := 0
+	for _, a := range apps {
+		if a.Duration <= 24*time.Hour {
+			short++
+		}
+	}
+	if short > 0 {
+		t.Errorf("%d of %d apps live a day or less at a 1e6-hour median lifetime", short, len(apps))
+	}
+}

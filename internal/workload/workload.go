@@ -243,11 +243,15 @@ func diurnalRate(t time.Time) float64 {
 func drawShape(rng *rand.Rand) shape { return drawShapeFrom(sizeMix, rng) }
 
 // drawLifetime samples a lognormal lifetime with the given median and a
-// heavy tail (sigma 1.4: p99 is ~26x the median).
+// heavy tail (sigma 1.4: p99 is ~26x the median). A draw past the longest
+// time.Duration saturates there: converting it would wrap negative.
 func drawLifetime(median time.Duration, rng *rand.Rand) time.Duration {
 	const sigma = 1.4
-	f := math.Exp(sigma * rng.NormFloat64())
-	d := time.Duration(float64(median) * f)
+	ns := float64(median) * math.Exp(sigma*rng.NormFloat64())
+	if ns >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	d := time.Duration(ns)
 	if d < time.Minute {
 		d = time.Minute
 	}

@@ -148,44 +148,77 @@ func (w *failingWriter) Write([]byte) (int, error) {
 	return 0, fmt.Errorf("write %d refused", w.n)
 }
 
-// TestFinishTraceSink drives the CLIs' guard against silently lost events
-// through both failure modes of a JSONL sink, and the unobserved run.
-func TestFinishTraceSink(t *testing.T) {
-	t.Run("write", func(t *testing.T) {
-		f, err := os.Create(filepath.Join(t.TempDir(), "trace.jsonl"))
+// TestObservationClose drives the commands' guard against silently lost
+// events through both failure modes of a JSONL sink, which also withhold
+// the manifest, then a whole observed run and the unobserved one.
+func TestObservationClose(t *testing.T) {
+	observe := func(t *testing.T, listen string) (*Observation, string) {
+		dir := t.TempDir()
+		manifest := filepath.Join(dir, "run.json")
+		o, err := Observe(filepath.Join(dir, "trace.jsonl"), manifest, listen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := NewMetrics()
-		reg.Tracer().SetSink(&failingWriter{})
-		reg.Emit(TraceEvent{Type: EventPlanComputed})
-		reg.Emit(TraceEvent{Type: EventPlanComputed})
-		err = FinishTraceSink(reg, f)
+		return o, manifest
+	}
+	noManifest := func(t *testing.T, path string) {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("manifest written after lost events: stat = %v", err)
+		}
+	}
+	t.Run("write", func(t *testing.T) {
+		o, manifest := observe(t, "")
+		o.Reg.Tracer().SetSink(&failingWriter{})
+		o.Reg.Emit(TraceEvent{Type: EventPlanComputed})
+		o.Reg.Emit(TraceEvent{Type: EventPlanComputed})
+		err := o.Close(1, "", nil)
 		if err == nil || !strings.HasPrefix(err.Error(), "trace sink write: ") || !strings.Contains(err.Error(), "write 1 refused") {
 			t.Errorf("err = %v, want the first write error as a trace sink write error", err)
 		}
-		if err := f.Close(); !errors.Is(err, os.ErrClosed) {
+		if err := o.trace.Close(); !errors.Is(err, os.ErrClosed) {
 			t.Errorf("sink file not closed: second Close = %v", err)
 		}
+		noManifest(t, manifest)
 	})
 	t.Run("close", func(t *testing.T) {
-		f, err := os.Create(filepath.Join(t.TempDir(), "trace.jsonl"))
-		if err != nil {
+		o, manifest := observe(t, "")
+		if err := o.trace.Close(); err != nil { // the next Close fails
 			t.Fatal(err)
 		}
-		reg := NewMetrics()
-		reg.Tracer().SetSink(f)
-		if err := f.Close(); err != nil { // the next Close fails
-			t.Fatal(err)
-		}
-		err = FinishTraceSink(reg, f)
+		err := o.Close(1, "", nil)
 		if err == nil || !strings.HasPrefix(err.Error(), "trace sink close: ") || !errors.Is(err, os.ErrClosed) {
 			t.Errorf("err = %v, want a trace sink close error wrapping os.ErrClosed", err)
 		}
+		noManifest(t, manifest)
+	})
+	t.Run("whole", func(t *testing.T) {
+		o, manifest := observe(t, "127.0.0.1:0")
+		if o.Addr() == "" {
+			t.Error("no telemetry address with a listen address")
+		}
+		o.Reg.Emit(TraceEvent{Type: EventPlanComputed})
+		if err := o.Close(7, "MIP", []string{"a", "b"}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m RunManifest
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Seed != 7 || m.Policy != "MIP" || strings.Join(m.Fleet, ",") != "a,b" || m.Events[EventPlanComputed].Count != 1 {
+			t.Errorf("manifest = %+v", m)
+		}
 	})
 	t.Run("nil", func(t *testing.T) {
-		if err := FinishTraceSink(nil, nil); err != nil {
-			t.Errorf("nil registry and file: err = %v, want nil", err)
+		o, err := Observe("", "", "")
+		if err != nil || o.Reg != nil {
+			t.Fatalf("Observe with no flags = %+v, %v; want no registry", o, err)
+		}
+		if err := o.Close(1, "", nil); err != nil {
+			t.Errorf("unobserved run: err = %v, want nil", err)
 		}
 	})
 }

@@ -192,11 +192,13 @@ func table1Scenario(s Table1Setup, start time.Time, group []SiteConfig) (scenari
 	if len(cl) == 0 {
 		return scenario{}, fmt.Errorf("vb: group is not a clique at 60 ms")
 	}
-	hourly, err := groupPower(s, start, group)
+	// Apps first: their generator's bound refuses an oversized run before
+	// any power is generated. The two draw from separate seeded streams.
+	apps, err := table1Apps(s, start)
 	if err != nil {
 		return scenario{}, err
 	}
-	apps, err := table1Apps(s, start)
+	hourly, err := groupPower(s, start, group)
 	if err != nil {
 		return scenario{}, err
 	}

@@ -16,6 +16,7 @@
 package vb
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -313,9 +314,6 @@ type (
 	TraceFlowKey = obs.FlowKey
 	// TraceParseError locates a truncated or corrupt JSONL trace record.
 	TraceParseError = obs.ParseError
-	// TelemetryServer serves a live registry over HTTP (/metrics,
-	// /snapshot, /events, pprof).
-	TelemetryServer = expo.Server
 )
 
 // Trace event types emitted by the simulation pipeline.
@@ -355,39 +353,81 @@ func ReadTraceEvents(r io.Reader) ([]TraceEvent, error) { return obs.ReadEvents(
 // reconcile bit-exactly with the live tracer's.
 func AnalyzeTrace(events []TraceEvent) *TraceAnalysis { return obs.Analyze(events) }
 
-// ServeTelemetry starts an HTTP telemetry server for reg on addr
-// (host:port; port 0 picks a free one), serving Prometheus text at
-// /metrics, the JSON registry snapshot at /snapshot, buffered trace
-// events at /events, and pprof under /debug/pprof/. Stop it with
-// Shutdown. The returned server reports its bound address via Addr.
-func ServeTelemetry(addr string, reg *MetricsRegistry) (*TelemetryServer, error) {
-	srv := expo.NewServer(reg)
-	if _, err := srv.Start(addr); err != nil {
-		return nil, err
-	}
-	return srv, nil
+// Observation is one command run's observability: the registry its
+// -trace, -metrics and -listen flags ask for, the JSONL trace sink, the
+// telemetry server and the manifest path. Observe opens it and Close
+// finishes it.
+type Observation struct {
+	// Reg is the run's registry, nil when no flag asked for one.
+	Reg *MetricsRegistry
+
+	trace       *os.File
+	metricsPath string
+	srv         *expo.Server
 }
 
-// FinishTraceSink closes a -trace sink file after surfacing both failure
-// modes a JSONL sink has: a write error latched by the tracer mid-run and
-// an error from the final Close (buffered data can fail to flush). Pass
-// the registry whose tracer wrote to f; either may be nil.
-func FinishTraceSink(reg *MetricsRegistry, f *os.File) error {
-	var tracerErr error
-	if reg != nil {
-		tracerErr = reg.Tracer().Err()
+// Observe opens the observation a command's flags ask for; an empty value
+// asks for nothing. It makes a registry when any value is set. With
+// listenAddr (host:port; port 0 picks a free one) it serves the registry
+// over HTTP: Prometheus text at /metrics, the JSON snapshot at /snapshot,
+// buffered trace events at /events and pprof under /debug/pprof/. It then
+// creates tracePath and attaches it as the tracer's JSONL sink, so a
+// failed listen leaves no file. Close writes the manifest to metricsPath.
+func Observe(tracePath, metricsPath, listenAddr string) (*Observation, error) {
+	o := &Observation{metricsPath: metricsPath}
+	if tracePath == "" && metricsPath == "" && listenAddr == "" {
+		return o, nil
 	}
-	var closeErr error
-	if f != nil {
-		closeErr = f.Close()
+	o.Reg = NewMetrics()
+	if listenAddr != "" {
+		o.srv = expo.NewServer(o.Reg)
+		if _, err := o.srv.Start(listenAddr); err != nil {
+			return nil, err
+		}
 	}
-	if tracerErr != nil {
-		return fmt.Errorf("trace sink write: %w", tracerErr)
+	if tracePath != "" {
+		f, err := os.Create(tracePath)
+		if err != nil {
+			_ = o.srv.Shutdown(context.Background()) // the create error is the one to report
+			return nil, err
+		}
+		o.trace = f
+		o.Reg.Tracer().SetSink(f)
 	}
-	if closeErr != nil {
-		return fmt.Errorf("trace sink close: %w", closeErr)
+	return o, nil
+}
+
+// Addr returns the telemetry server's bound address ("" without -listen).
+func (o *Observation) Addr() string { return o.srv.Addr() }
+
+// Close finishes the run's observation. It first surfaces both ways a JSONL
+// sink loses events: a write error the tracer latched mid-run, then an
+// error from closing the file (buffered data can fail to flush). Only when
+// the trace is whole does it write the manifest, naming seed, policy and
+// fleet. Last it stops the telemetry server, letting in-flight requests
+// drain for up to 5 s, and reports a shutdown error only when nothing
+// earlier failed.
+func (o *Observation) Close(seed uint64, policy string, fleet []string) error {
+	var err error
+	if o.trace != nil {
+		tracerErr, closeErr := o.Reg.Tracer().Err(), o.trace.Close()
+		if tracerErr != nil {
+			err = fmt.Errorf("trace sink write: %w", tracerErr)
+		} else if closeErr != nil {
+			err = fmt.Errorf("trace sink close: %w", closeErr)
+		}
 	}
-	return nil
+	if err == nil && o.metricsPath != "" {
+		m := o.Reg.Manifest()
+		m.Seed, m.Policy, m.Fleet = seed, policy, fleet
+		err = m.WriteFile(o.metricsPath)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if serr := o.srv.Shutdown(ctx); serr != nil && err == nil {
+		err = fmt.Errorf("telemetry shutdown: %w", serr)
+	}
+	return err
 }
 
 // NewWorld returns an energy world drawing from seed.

@@ -245,6 +245,16 @@ func TestTable1PolicyComparison(t *testing.T) {
 	}
 }
 
+// TestOversizedWorkloadRefusedBeforePower requires a run too long for both
+// generators' bounds to be refused by the workload's, which is checked
+// before any power is generated.
+func TestOversizedWorkloadRefusedBeforePower(t *testing.T) {
+	_, err := Table1PolicyComparison(Table1Setup{Days: 50000, Policies: []Policy{PolicyMIP}})
+	if err == nil || !strings.HasPrefix(err.Error(), "workload: ") {
+		t.Fatalf("err = %v, want the workload bound's error", err)
+	}
+}
+
 func TestTable1SetupDefaults(t *testing.T) {
 	s := Table1Setup{}.withDefaults()
 	if s.Seed != DefaultSeed || s.Days != 7 || s.AppsPerDay != 6 || len(s.Policies) != 4 {

@@ -230,6 +230,21 @@ func TestReplaySnapshotAfterResume(t *testing.T) {
 	}
 }
 
+// TestRequestLogLineTooLong: a request-log line past the reader's 16 MiB
+// line limit is an error naming the log and the line, not a bare scanner
+// error.
+func TestRequestLogLineTooLong(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "requests.jsonl")
+	long := append([]byte(`{"op":"step"}`+"\n"+`{"op":"step","pad":"`), bytes.Repeat([]byte("x"), 1<<24)...)
+	if err := os.WriteFile(logPath, append(long, `"}`+"\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := readRequestLog(logPath)
+	if want := logPath + " line 2: "; err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("reading a log with a 16 MiB line: %v, want an error containing %q and \"too long\"", err, want)
+	}
+}
+
 // TestReplaySnapshotAfterNeedsSnapshotPath: -snapshot-after without
 // -snapshot is refused before any decision is replayed or written.
 func TestReplaySnapshotAfterNeedsSnapshotPath(t *testing.T) {

@@ -79,7 +79,7 @@ func readRequestLog(path string) ([]requestOp, error) {
 		ops = append(ops, op)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s line %d: %w", path, line+1, err)
 	}
 	return ops, nil
 }

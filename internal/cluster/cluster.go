@@ -18,15 +18,18 @@
 // A site keeps every VM it holds, running or queued, in one slot table
 // (slots.go). Server lists and the pending queue name slots, so an
 // eviction or a relaunch moves a slot index: it copies no VM and touches
-// no map. One expiry heap over the held slots finds both the running VMs
-// that depart and the queued VMs that expire.
+// no map. A server's list is unsorted, so a VM joins it by an append and
+// leaves it by swapping the last entry into its place; the queue is one
+// linked list per VM shape threaded through the slots (pending.go). Each
+// eviction, relaunch and expiry looks its VM's slot up once and hands it
+// to every helper. One expiry heap over the held slots finds both the
+// running VMs that depart and the queued VMs that expire.
 package cluster
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"time"
 
 	"github.com/vbcloud/vb/internal/workload"
@@ -92,57 +95,53 @@ func (c Config) TotalCores() int { return c.Servers * c.CoresPerServer }
 type server struct {
 	allocCores int
 	allocMemGB int
-	// vms names the server's VMs sorted by ID: eviction takes vms[0], the
-	// smallest ID, and State copies the VMs in this order.
+	// vms names the server's running VMs in no particular order: eviction
+	// scans it for the smallest ID, and State sorts a copy by ID.
 	vms []runningVM
 }
 
-// runningVM is a running VM in its server's list: its ID, which orders the
-// list, and its slot.
+// runningVM is a running VM in its server's list: its ID, which decides
+// the eviction order, and its slot.
 type runningVM struct {
 	ID   int
 	slot int32
-}
-
-// find returns the position of ID id in a server's list, or where it would
-// go.
-func find(vms []runningVM, id int) int {
-	lo, hi := 0, len(vms)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if vms[m].ID < id {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }
 
 // freeIndex buckets servers by free cores. Bucket c is a bitset over server
 // indices with bit i set when server i has exactly c free cores, so walking
 // the buckets upward from a VM's core count, and each bucket's bits upward,
 // visits servers in best-fit order: fewest free cores first, lowest index
-// on a tie.
+// on a tie. A second bitset over the buckets marks the nonempty ones, so
+// the walk skips an empty bucket without loading it.
 type freeIndex struct {
-	words int      // uint64 words per bucket
-	bits  []uint64 // bucket c is bits[c*words : (c+1)*words]
-	n     []int    // servers per bucket, so empty buckets cost one load
+	words    int      // uint64 words per bucket
+	bits     []uint64 // bucket c is bits[c*words : (c+1)*words]
+	n        []int    // servers per bucket
+	nonempty []uint64 // bit c set when bucket c holds a server
 }
 
 func newFreeIndex(servers, cores int) freeIndex {
 	words := (servers + 63) / 64
-	return freeIndex{words: words, bits: make([]uint64, (cores+1)*words), n: make([]int, cores+1)}
+	return freeIndex{
+		words:    words,
+		bits:     make([]uint64, (cores+1)*words),
+		n:        make([]int, cores+1),
+		nonempty: make([]uint64, (cores+64)/64),
+	}
 }
 
 func (x *freeIndex) add(i, free int) {
 	x.bits[free*x.words+i/64] |= 1 << (i % 64)
-	x.n[free]++
+	if x.n[free]++; x.n[free] == 1 {
+		x.nonempty[free/64] |= 1 << (free % 64)
+	}
 }
 
 func (x *freeIndex) remove(i, free int) {
 	x.bits[free*x.words+i/64] &^= 1 << (i % 64)
-	x.n[free]--
+	if x.n[free]--; x.n[free] == 0 {
+		x.nonempty[free/64] &^= 1 << (free % 64)
+	}
 }
 
 // Site is a single VB site simulator. Create with New; the zero value is not
@@ -254,15 +253,16 @@ func (s *Site) fit(vm *workload.VM, limit int, dup bool) int {
 // vm.Cores must be positive.
 func (s *Site) bestFit(vm *workload.VM) int {
 	x := &s.free
-	for c := vm.Cores; c <= s.cfg.CoresPerServer; c++ {
-		if x.n[c] == 0 {
-			continue
-		}
-		for w, word := range x.bits[c*x.words : (c+1)*x.words] {
-			for ; word != 0; word &= word - 1 {
-				i := w*64 + bits.TrailingZeros64(word)
-				if vm.MemoryGB <= s.cfg.MemPerServerGB-s.servers[i].allocMemGB {
-					return i
+	mask := ^uint64(0) << (vm.Cores % 64)
+	for cw := vm.Cores / 64; cw < len(x.nonempty); cw, mask = cw+1, ^uint64(0) {
+		for buckets := x.nonempty[cw] & mask; buckets != 0; buckets &= buckets - 1 {
+			c := cw*64 + bits.TrailingZeros64(buckets)
+			for w, word := range x.bits[c*x.words : (c+1)*x.words] {
+				for ; word != 0; word &= word - 1 {
+					i := w*64 + bits.TrailingZeros64(word)
+					if vm.MemoryGB <= s.cfg.MemPerServerGB-s.servers[i].allocMemGB {
+						return i
+					}
 				}
 			}
 		}
@@ -280,10 +280,9 @@ func (s *Site) idRunning(id int) (owner int32, running bool) {
 	return o, s.slots.at(o).server >= 0
 }
 
-// own makes slot i the owner of its ID, taking the ID from owner, the slot
-// the index named before, or -1 if it named none.
-func (s *Site) own(i, owner int32) {
-	sl := s.slots.at(i)
+// own makes slot i, which is sl, the owner of its ID, taking the ID from
+// owner, the slot the index named before, or -1 if it named none.
+func (s *Site) own(i int32, sl *slot, owner int32) {
 	if sl.owner {
 		return
 	}
@@ -294,54 +293,57 @@ func (s *Site) own(i, owner int32) {
 	sl.owner = true
 }
 
-// run puts slot i, which owns its ID, on server best and charges it.
-func (s *Site) run(i int32, best int) {
-	sl := s.slots.at(i)
-	srv := &s.servers[best]
-	k := find(srv.vms, sl.vm.ID)
-	srv.vms = slices.Insert(srv.vms, k, runningVM{sl.vm.ID, i})
-	sl.server = int32(best)
+// run puts slot i, which is sl and owns its ID, on server b and charges
+// it.
+func (s *Site) run(i int32, sl *slot, b int) {
+	srv := &s.servers[b]
+	srv.vms = append(srv.vms, runningVM{sl.vm.ID, i})
+	sl.server = int32(b)
 	s.running++
-	s.charge(best, sl.vm.Cores, sl.vm.MemoryGB)
+	s.charge(b, srv, sl.vm.Cores, sl.vm.MemoryGB)
 }
 
-// charge adds cores and memGB (negative to release) to server i's
-// allocation and moves the server to its new free-core bucket.
-func (s *Site) charge(i, cores, memGB int) {
-	srv := &s.servers[i]
-	s.free.remove(i, s.cfg.CoresPerServer-srv.allocCores)
+// charge adds cores and memGB (negative to release) to the allocation of
+// server b, which is srv, and moves the server to its new free-core
+// bucket.
+func (s *Site) charge(b int, srv *server, cores, memGB int) {
+	s.free.remove(b, s.cfg.CoresPerServer-srv.allocCores)
 	srv.allocCores += cores
 	srv.allocMemGB += memGB
 	s.alloc += cores
-	s.free.add(i, s.cfg.CoresPerServer-srv.allocCores)
+	s.free.add(b, s.cfg.CoresPerServer-srv.allocCores)
 }
 
-// stopAt takes the VM at position k of server i's list off the server and
-// returns its slot, still held and still owning its ID.
-func (s *Site) stopAt(i, k int) int32 {
-	srv := &s.servers[i]
-	j := srv.vms[k].slot
-	srv.vms = slices.Delete(srv.vms, k, k+1)
-	sl := s.slots.at(j)
+// stopAt takes running slot sl, at position k of its server's list, off
+// the server: the list's last entry takes its place. The slot stays held
+// and keeps its ID.
+func (s *Site) stopAt(sl *slot, k int) {
+	b := int(sl.server)
+	srv := &s.servers[b]
+	last := len(srv.vms) - 1
+	srv.vms[k] = srv.vms[last]
+	srv.vms = srv.vms[:last]
 	sl.server = queuedSlot
 	s.running--
-	s.charge(i, -sl.vm.Cores, -sl.vm.MemoryGB)
-	return j
+	s.charge(b, srv, -sl.vm.Cores, -sl.vm.MemoryGB)
 }
 
-// stop takes running slot i off its server.
-func (s *Site) stop(i int32) {
-	sl := s.slots.at(i)
-	srv := int(sl.server)
-	s.stopAt(srv, find(s.servers[srv].vms, sl.vm.ID))
+// stop takes running slot i, which is sl, off its server.
+func (s *Site) stop(i int32, sl *slot) {
+	vms := s.servers[sl.server].vms
+	k := 0
+	for vms[k].slot != i {
+		k++
+	}
+	s.stopAt(sl, k)
 }
 
-// release lets go of slot i, which is neither running nor queued.
-func (s *Site) release(i int32) {
-	if sl := s.slots.at(i); sl.owner {
+// release lets go of slot i, which is sl and neither running nor queued.
+func (s *Site) release(i int32, sl *slot) {
+	if sl.owner {
 		delete(s.owners, sl.vm.ID)
 	}
-	s.slots.release(i)
+	s.slots.release(i, sl)
 }
 
 // Remove deletes a running VM (normal departure). It reports whether the VM
@@ -351,8 +353,9 @@ func (s *Site) Remove(vmID int) bool {
 	if !running {
 		return false
 	}
-	s.stop(i)
-	s.release(i)
+	sl := s.slots.at(i)
+	s.stop(i, sl)
+	s.release(i, sl)
 	return true
 }
 
@@ -391,9 +394,9 @@ func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) St
 	s.setPower(powerFrac)
 	// Evict while allocation exceeds powered cores: unallocated cores were
 	// implicitly powered down first (they are not counted in allocation).
-	s.evictDown(func(i int32) {
-		s.pending.push(&s.slots, i, true)
-		res.OutGB += float64(s.slots.at(i).vm.MemoryGB)
+	s.evictDown(func(i int32, sl *slot) {
+		s.pending.push(&s.slots, i, sl, true)
+		res.OutGB += float64(sl.vm.MemoryGB)
 		res.Evicted++
 	})
 
@@ -403,16 +406,16 @@ func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) St
 		vm := &arrivals[k]
 		o, dup := s.idRunning(vm.ID)
 		best := s.fit(vm, limit, dup)
-		i := s.slots.take(vm)
+		i, sl := s.slots.take(vm)
 		if best >= 0 {
-			s.own(i, o)
-			s.run(i, best)
+			s.own(i, sl, o)
+			s.run(i, sl, best)
 			continue
 		}
 		if o < 0 { // else another held VM has the ID: a guest
-			s.own(i, o)
+			s.own(i, sl, o)
 		}
-		s.pending.push(&s.slots, i, false)
+		s.pending.push(&s.slots, i, sl, false)
 		res.RejectedNew++
 	}
 
@@ -427,13 +430,14 @@ func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) St
 // does not depend on the order, so the expiry heap's order serves.
 func (s *Site) expire(now time.Time) (departed int) {
 	for i := s.slots.due(now); i >= 0; i = s.slots.due(now) {
-		if s.slots.at(i).server >= 0 {
-			s.stop(i)
+		sl := s.slots.at(i)
+		if sl.server >= 0 {
+			s.stop(i, sl)
 			departed++
 		} else {
-			s.pending.drop(&s.slots, i)
+			s.pending.drop(&s.slots, sl)
 		}
-		s.release(i)
+		s.release(i, sl)
 	}
 	return departed
 }
@@ -442,43 +446,47 @@ func (s *Site) expire(now time.Time) (departed int) {
 // launches what fits and keeps the rest in order. It returns the launched
 // memory and count.
 //
-// It merges the shapes' FIFOs by sequence number, and a refusal by
-// admission control or best fit ends that shape's turn: within the pass
-// placements only consume cores and memory and the limit is fixed, so
-// every later VM of the shape would be refused too, with no side effect.
-// A refusal that belongs to the VM, a non-positive size or an ID already
-// running here, does not end its shape. So every placement that can
-// succeed happens in queue order against the same site state as a walk
-// over the whole queue. An owner's ID cannot run here, so only a guest
-// looks its ID up.
+// It merges the shapes' lists by sequence number through a heap of each
+// shape's next untried slot, and a refusal by admission control or best
+// fit ends that shape's turn: within the pass placements only consume
+// cores and memory and the limit is fixed, so every later VM of the shape
+// would be refused too, with no side effect. A refusal that belongs to the
+// VM, a non-positive size or an ID already running here, does not end its
+// shape. So every placement that can succeed happens in queue order
+// against the same site state as a walk over the whole queue. A shape
+// whose turn goes on replaces its head in place, one sift per VM tried.
+// An owner's ID cannot run here, so only a guest looks its ID up.
 func (s *Site) launch(limit int) (inGB float64, launched int) {
 	p, t := &s.pending, &s.slots
 	h := p.heads[:0]
-	for si := range p.shapes {
-		if f := &p.shapes[si]; f.live > 0 {
-			h.push(shapeHead{f.q[f.head].seq, int32(si), int32(f.head)})
+	for _, l := range p.shapes {
+		if l.head >= 0 {
+			h.push(shapeHead{t.at(l.head).seq, l.head})
 		}
 	}
 	for len(h) > 0 {
-		x := h.pop()
-		i := p.shapes[x.shape].q[x.pos].slot
+		i := h[0].slot
 		sl := t.at(i)
+		next := sl.next
 		vm := &sl.vm
 		owner, dup := int32(-1), false
 		if !sl.owner {
 			owner, dup = s.idRunning(vm.ID)
 		}
 		if best := s.fit(vm, limit, dup); best >= 0 {
-			p.drop(t, i)
-			s.own(i, owner)
-			s.run(i, best)
+			p.drop(t, sl)
+			s.own(i, sl, owner)
+			s.run(i, sl, best)
 			inGB += float64(vm.MemoryGB)
 			launched++
 		} else if vm.Cores > 0 && vm.MemoryGB > 0 && !dup {
-			continue // the shape's turn is over
+			next = -1 // the shape's turn is over
 		}
-		if j := p.next(t, int(x.shape), int(x.pos)); j >= 0 {
-			h.push(shapeHead{p.shapes[x.shape].q[j].seq, x.shape, int32(j)})
+		if next >= 0 {
+			h[0] = shapeHead{t.at(next).seq, next}
+			h.down()
+		} else {
+			h.pop()
 		}
 	}
 	p.heads = h
@@ -486,8 +494,8 @@ func (s *Site) launch(limit int) (inGB float64, launched int) {
 }
 
 // evictDown migrates VMs out until the allocated cores fit under the
-// powered cores, handing each evicted slot to evict in eviction order.
-// Each server gives up its smallest ID.
+// powered cores, handing each evicted slot, still held, to evict in
+// eviction order. Each server gives up its smallest ID.
 //
 // The sweep is meant to be round robin over servers from the cursor, but
 // it is not: after each eviction the cursor moves past the server while the
@@ -496,7 +504,7 @@ func (s *Site) launch(limit int) (inGB float64, launched int) {
 // evictions come from servers 0, 2, 5, 1, 6, 4, 3, 3. The Fig 4 results
 // depend on this order. The sweep jumps over empty servers through the
 // free-core index and visits the others in exactly that order.
-func (s *Site) evictDown(evict func(int32)) {
+func (s *Site) evictDown(evict func(i int32, sl *slot)) {
 	n := len(s.servers)
 	for s.alloc > s.powered {
 		moved := false
@@ -511,7 +519,17 @@ func (s *Site) evictDown(evict func(int32)) {
 				break
 			}
 			// The smallest ID leaves first, for determinism.
-			evict(s.stopAt(idx, 0))
+			vms := s.servers[idx].vms
+			k, least := 0, vms[0].ID
+			for j, r := range vms {
+				if r.ID < least {
+					k, least = j, r.ID
+				}
+			}
+			i := vms[k].slot
+			sl := s.slots.at(i)
+			s.stopAt(sl, k)
+			evict(i, sl)
 			moved = true
 			s.evictCursor = (idx + 1) % n
 			if s.alloc <= s.powered {
@@ -565,9 +583,9 @@ func (s *Site) Admit(vm workload.VM) bool {
 	if best < 0 {
 		return false
 	}
-	i := s.slots.take(&vm)
-	s.own(i, owner)
-	s.run(i, best)
+	i, sl := s.slots.take(&vm)
+	s.own(i, sl, owner)
+	s.run(i, sl, best)
 	return true
 }
 
@@ -579,9 +597,9 @@ func (s *Site) Admit(vm workload.VM) bool {
 func (s *Site) SetPowerEvict(powerFrac float64) []workload.VM {
 	s.setPower(powerFrac)
 	evicted := make([]workload.VM, 0)
-	s.evictDown(func(i int32) {
-		evicted = append(evicted, s.slots.at(i).vm)
-		s.release(i)
+	s.evictDown(func(i int32, sl *slot) {
+		evicted = append(evicted, sl.vm)
+		s.release(i, sl)
 	})
 	return evicted
 }

@@ -142,8 +142,8 @@ func TestPowerDropEvictsRoundRobin(t *testing.T) {
 	// (All four servers held one VM each, so evicting two from one server
 	// is impossible here by construction; verify spread via remaining.)
 	nonEmpty := 0
-	for i := range s.servers {
-		if len(s.servers[i].vms) > 0 {
+	for _, vms := range s.State().Servers {
+		if len(vms) > 0 {
 			nonEmpty++
 		}
 	}
@@ -166,9 +166,9 @@ func TestPowerDropEvictsRoundRobin(t *testing.T) {
 		vms = append(vms, mkVM(id, 5, 10))
 	}
 	full.Step(t0, 1, vms)
-	for k := range full.servers {
-		if ids := []int{full.servers[k].vms[0].ID, full.servers[k].vms[1].ID}; ids[0] != 2*k+1 || ids[1] != 2*k+2 {
-			t.Fatalf("server %d holds %v, want [%d %d]", k, ids, 2*k+1, 2*k+2)
+	for k, vms := range full.State().Servers {
+		if len(vms) != 2 || vms[0].ID != 2*k+1 || vms[1].ID != 2*k+2 {
+			t.Fatalf("server %d holds %v, want VMs %d and %d", k, vms, 2*k+1, 2*k+2)
 		}
 	}
 	res = full.Step(t0.Add(15*time.Minute), 0.5, nil)
@@ -792,15 +792,16 @@ func (r *refSite) view() siteView {
 }
 
 // checkIndex verifies the Site's internal bookkeeping. Per-server sums
-// equal the VMs they hold, each list is sorted by ID and names slots that
+// equal the VMs they hold, each list names an ID once and names slots that
 // run on that server with that ID, every server sits in exactly the
-// free-core bucket its load names, and alloc and running are the sums over
-// servers. The slot table holds together: every held slot is referenced
-// exactly once, by one server list or one live queue entry, and a free
-// slot by neither; every running VM owns its ID, and every ID index entry
-// names a held slot with that ID; the expiry heap holds exactly the held
-// slots that have an end time, each at its recorded position, in heap
-// order.
+// free-core bucket its load names, the bitset of nonempty buckets marks
+// exactly the buckets that hold a server, and alloc and running are the
+// sums over servers. The slot table holds together: every held slot is
+// referenced exactly once, by one server list or one shape list of the
+// queue, and a free slot by neither; every running VM owns its ID, and
+// every ID index entry names a held slot with that ID; the expiry heap
+// holds exactly the held slots that have an end time, each at its
+// recorded position, in heap order.
 func checkIndex(t *testing.T, s *Site) {
 	t.Helper()
 	tb := &s.slots
@@ -811,10 +812,12 @@ func checkIndex(t *testing.T, s *Site) {
 	for i := range s.servers {
 		srv := &s.servers[i]
 		cores, mem := 0, 0
-		for k, r := range srv.vms {
-			if k > 0 && srv.vms[k-1].ID >= r.ID {
-				t.Fatalf("server %d: VM list not sorted by ID at %d", i, k)
+		ids := map[int]bool{}
+		for _, r := range srv.vms {
+			if ids[r.ID] {
+				t.Fatalf("server %d lists VM %d twice", i, r.ID)
 			}
+			ids[r.ID] = true
 			if !inTable(r.slot) {
 				t.Fatalf("server %d lists VM %d in slot %d, outside the table's %d", i, r.ID, r.slot, tb.n)
 			}
@@ -842,6 +845,15 @@ func checkIndex(t *testing.T, s *Site) {
 	if !slices.Equal(s.free.bits, want.bits) || !slices.Equal(s.free.n, want.n) {
 		t.Fatalf("free-core buckets disagree with server loads: counts %v, want %v", s.free.n, want.n)
 	}
+	if len(s.free.nonempty) != len(want.nonempty) {
+		t.Fatalf("bucket bitset has %d words, want %d", len(s.free.nonempty), len(want.nonempty))
+	}
+	for c := range 64 * len(s.free.nonempty) {
+		set := s.free.nonempty[c/64]>>(c%64)&1 == 1
+		if holds := c < len(want.n) && want.n[c] > 0; set != holds {
+			t.Fatalf("bucket bitset marks bucket %d %v, but the rebuilt bucket counts are %v", c, set, want.n)
+		}
+	}
 	if running != s.running {
 		t.Fatalf("servers hold %d VMs, running counts %d", running, s.running)
 	}
@@ -849,14 +861,12 @@ func checkIndex(t *testing.T, s *Site) {
 		t.Fatalf("alloc %d, servers sum to %d", s.alloc, alloc)
 	}
 
-	for _, f := range s.pending.shapes {
-		for _, e := range f.q {
-			if !inTable(e.slot) {
-				t.Fatalf("queue entry %d names slot %d, outside the table's %d", e.seq, e.slot, tb.n)
+	for si, l := range s.pending.shapes {
+		for i, steps := l.head, 0; i >= 0; i, steps = tb.at(i).next, steps+1 {
+			if !inTable(i) || steps > int(tb.n) {
+				t.Fatalf("shape list %d runs to slot %d after %d steps, outside the table's %d or round a loop", si, i, steps, tb.n)
 			}
-			if e.live(tb) {
-				refs[e.slot]++
-			}
+			refs[i]++
 		}
 	}
 	free := map[int32]bool{}

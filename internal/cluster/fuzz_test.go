@@ -42,7 +42,10 @@ func fuzzFrac(b int) float64 {
 // queue in order), and the Site's index and pending queue must stay
 // consistent. VMs come in a few shapes, so refusals end shapes and the
 // queue builds; some repeat an ID, have a non-positive size or ended
-// before they arrive.
+// before they arrive. Besides random inputs, the seeds hold three written
+// sequences on a site of one-core, 1 GB VMs, so that plain go test
+// unlinks queued VMs from the middle, the head and the tail of a shape's
+// list and replaces a launch pass's heap top after a refusal.
 func FuzzSiteMatchesOracle(f *testing.F) {
 	rng := rand.New(rand.NewPCG(20, 1))
 	for range 8 {
@@ -51,6 +54,33 @@ func FuzzSiteMatchesOracle(f *testing.F) {
 			seed[i] = byte(rng.Uint32())
 		}
 		f.Add(seed)
+	}
+	// Each Step below is k=0 (15 minutes on), its arrival count, each
+	// arrival's kind byte (64 a fresh ID, 0 then an index repeating an
+	// earlier ID) and lifetime byte (0 none, 1 fifteen minutes), then the
+	// power fraction byte (0 off, 50 a quarter, 200 full).
+	const site1, site4 = "\x00\x00\x7f\x63\x00\x00\x00", "\x00\x03\x7f\x63\x00\x00\x00"
+	for _, seed := range []string{
+		// One server of one core. Unpowered, VMs 1, 2 and 3 queue, and VM
+		// 2 ended as it arrived, so it expires from between the other two
+		// at the next step. At full power VM 1 launches from the head and
+		// VM 3's refusal by best fit ends the pass; VM 1 is removed, and
+		// VM 3 then launches as the list's only VM.
+		site1 + "\x00\x03\x40\x00\x40\x01\x40\x00\x00" + "\x00\x00\x00" + "\x00\x00\xc8" +
+			"\x05\x00" + "\x00\x00\xc8",
+		// One server of four cores. A second VM 1 queues as a guest behind
+		// the running VM 1 and is refused for its ID. A power cut evicts
+		// the owner behind the guest; at full power the guest launches and
+		// takes the ID over, and the old owner is refused for it.
+		site4 + "\x00\x01\x40\x00\xc8" + "\x00\x01\x00\x00\x00\xc8" + "\x00\x00\x00" + "\x00\x00\xc8",
+		// One server of four cores, VM 1 running. At a quarter of the
+		// power VM 2, a guest repeating ID 1 and VM 4 queue behind
+		// admission control. At full power VM 2 launches, the guest is
+		// refused for its own ID in the middle of the pass without ending
+		// its shape's turn, and VM 4 launches behind it from the tail.
+		site4 + "\x00\x01\x40\x00\xc8" + "\x00\x03\x40\x00\x00\x00\x00\x40\x00\x32" + "\x00\x00\xc8",
+	} {
+		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
@@ -147,53 +177,63 @@ func FuzzSiteMatchesOracle(f *testing.F) {
 	})
 }
 
-// checkQueue verifies the pending queue's bookkeeping: every live entry
-// names a queued slot of its FIFO's shape, each FIFO is in sequence order
-// with only dead entries before its head and a live entry at it, the live
-// counts add up, and every slot that has queued names the FIFO of its own
-// shape.
+// checkQueue verifies the pending queue's bookkeeping: every queued slot
+// is linked once, in the list of its own shape; along each list the
+// sequence numbers rise strictly and stay at or below the last one issued,
+// every slot's prev names the slot before it and the tail names the last;
+// the lists hold as many slots as the queue counts; a slot that is not
+// queued has no links and no sequence number; and every slot that has
+// queued names the list of its own shape.
 func checkQueue(t *testing.T, s *Site) {
 	t.Helper()
 	p, tb := &s.pending, &s.slots
 	if len(p.byShape) != len(p.shapes) {
-		t.Fatalf("%d shape keys for %d FIFOs", len(p.byShape), len(p.shapes))
+		t.Fatalf("%d shape keys for %d lists", len(p.byShape), len(p.shapes))
 	}
 	keys := make([]shapeKey, len(p.shapes))
+	linked := make([]bool, tb.n)
 	n := 0
 	for key, si := range p.byShape {
 		keys[si] = key
-		f := &p.shapes[si]
-		live := 0
-		for i, e := range f.q {
-			if i > 0 && f.q[i-1].seq >= e.seq || e.seq == 0 || e.seq > p.seq {
-				t.Fatalf("shape %v: sequence %d out of order at %d", key, e.seq, i)
+		l := p.shapes[si]
+		prev, seq := int32(-1), uint64(0)
+		for i := l.head; i >= 0; i = tb.at(i).next {
+			if i >= tb.n || linked[i] {
+				t.Fatalf("shape %v links slot %d twice or outside the table's %d", key, i, tb.n)
 			}
-			if !e.live(tb) {
-				continue
+			linked[i] = true
+			sl := tb.at(i)
+			if sl.server != queuedSlot || sl.shape != int32(si) {
+				t.Fatalf("shape %v links slot %d, on server %d in list %d", key, i, sl.server, sl.shape)
 			}
-			if i < f.head {
-				t.Fatalf("shape %v: live entry %d before head %d", key, i, f.head)
+			if sl.prev != prev {
+				t.Fatalf("shape %v: slot %d follows slot %d but links back to %d", key, i, prev, sl.prev)
 			}
-			if sl := tb.at(e.slot); sl.server != queuedSlot || sl.shape != int32(si) {
-				t.Fatalf("shape %v: live entry %d names slot %d, on server %d in FIFO %d", key, e.seq, e.slot, sl.server, sl.shape)
+			if sl.seq <= seq || sl.seq > p.seq {
+				t.Fatalf("shape %v: sequence %d follows %d (last issued %d)", key, sl.seq, seq, p.seq)
 			}
-			live++
+			prev, seq = i, sl.seq
+			n++
 		}
-		if live != f.live || live > 0 && !f.q[f.head].live(tb) {
-			t.Fatalf("shape %v: %d live entries, counted %d, head %d", key, live, f.live, f.head)
+		if l.tail != prev {
+			t.Fatalf("shape %v: tail %d, but the list ends at %d", key, l.tail, prev)
 		}
-		n += live
 	}
 	if n != p.n || n != s.Pending() {
-		t.Fatalf("%d live entries, queue counts %d", n, p.n)
+		t.Fatalf("%d linked slots, queue counts %d", n, p.n)
 	}
 	for i := int32(0); i < tb.n; i++ {
 		sl := tb.at(i)
+		if queued := sl.server == queuedSlot; queued != linked[i] {
+			t.Fatalf("slot %d (VM %d) on server %d is linked %v", i, sl.vm.ID, sl.server, linked[i])
+		} else if !queued && (sl.prev != -1 || sl.next != -1 || sl.seq != 0) {
+			t.Fatalf("slot %d on server %d keeps links %d, %d and sequence %d", i, sl.server, sl.prev, sl.next, sl.seq)
+		}
 		if sl.server == freeSlot || sl.shape < 0 {
 			continue
 		}
 		if k := keys[sl.shape]; sl.vm.Cores != k.cores || sl.vm.MemoryGB != k.memGB {
-			t.Fatalf("slot %d holds a %d-core %d GB VM in FIFO %v", i, sl.vm.Cores, sl.vm.MemoryGB, k)
+			t.Fatalf("slot %d holds a %d-core %d GB VM in list %v", i, sl.vm.Cores, sl.vm.MemoryGB, k)
 		}
 	}
 }

@@ -11,8 +11,10 @@ import (
 // takes a slot when the site first holds it (a Step arrival, a successful
 // Admit, NewFromState) and keeps it through every eviction, wait in the
 // queue and relaunch, until it departs, expires, or leaves by Remove or
-// SetPowerEvict. Server lists and queue entries name slots, so an eviction
-// or a relaunch moves a slot index, not a VM, and touches no map.
+// SetPowerEvict. Server lists and the queue's shape lists name slots, so
+// an eviction or a relaunch moves a slot index, not a VM, and touches no
+// map. A queued slot carries its own links in its shape's list, so joining
+// or leaving the queue touches only the slot and its two neighbours.
 //
 // The ID index (Site.owners) maps each ID to the slot that owns it, and a
 // running VM always owns its ID. A held VM that does not own its ID is a
@@ -32,14 +34,16 @@ const (
 type slot struct {
 	vm workload.VM
 	// seq is the VM's queue sequence number while it is queued and 0
-	// otherwise, so a queue entry is live exactly when its sequence number
-	// equals its slot's.
+	// otherwise.
 	seq uint64
 	// server is the VM's server while it runs, else queuedSlot or freeSlot.
 	server int32
-	// shape is the pending FIFO of the VM's shape, or -1 until it first
+	// shape is the pending list of the VM's shape, or -1 until it first
 	// queues.
 	shape int32
+	// prev and next are the slots before and after this one in its shape's
+	// list while it is queued, -1 at either end and when it is not queued.
+	prev, next int32
 	// pos is the VM's position in the expiry heap, or -1 when it has no
 	// end time.
 	pos     int32
@@ -93,8 +97,8 @@ func (t *slotTable) at(i int32) *slot {
 }
 
 // take stores vm in a free slot, queued for now, and enters it in the
-// expiry heap if it ends.
-func (t *slotTable) take(vm *workload.VM) int32 {
+// expiry heap if it ends. It returns the slot's index and the slot.
+func (t *slotTable) take(vm *workload.VM) (int32, *slot) {
 	var i int32
 	if n := len(t.free); n > 0 {
 		i = t.free[n-1]
@@ -107,19 +111,18 @@ func (t *slotTable) take(vm *workload.VM) int32 {
 		}
 	}
 	sl := t.at(i)
-	*sl = slot{vm: *vm, server: queuedSlot, shape: -1, pos: -1}
+	*sl = slot{vm: *vm, server: queuedSlot, shape: -1, prev: -1, next: -1, pos: -1}
 	if end := vm.End(); !end.IsZero() {
 		sl.pos = int32(len(t.ends))
 		t.ends = append(grow(t.ends), expiryAt(end, i))
 		t.up(len(t.ends) - 1)
 	}
-	return i
+	return i, sl
 }
 
-// release frees slot i, taking it out of the expiry heap. The caller has
-// taken it off its server or out of the queue.
-func (t *slotTable) release(i int32) {
-	sl := t.at(i)
+// release frees slot i, which is sl, taking it out of the expiry heap. The
+// caller has taken it off its server or out of the queue.
+func (t *slotTable) release(i int32, sl *slot) {
 	if k := int(sl.pos); k >= 0 {
 		last := len(t.ends) - 1
 		t.ends[k] = t.ends[last]

@@ -45,11 +45,12 @@ func (s *Site) State() SiteState {
 		Pending:     make([]PendingVMState, s.pending.n),
 	}
 	for i := range s.servers {
-		vms := s.servers[i].vms
-		st.Servers[i] = make([]workload.VM, len(vms))
-		for k, r := range vms {
-			st.Servers[i][k] = s.slots.at(r.slot).vm
+		vms := make([]workload.VM, len(s.servers[i].vms))
+		for k, r := range s.servers[i].vms {
+			vms[k] = s.slots.at(r.slot).vm
 		}
+		slices.SortFunc(vms, func(a, b workload.VM) int { return cmp.Compare(a.ID, b.ID) })
+		st.Servers[i] = vms
 	}
 	for k, i := range s.pending.inOrder(&s.slots) {
 		sl := s.slots.at(i)
@@ -93,25 +94,24 @@ func NewFromState(st SiteState) (*Site, error) {
 				return nil, fmt.Errorf("cluster: server %d over capacity in snapshot: VM %d (%d cores, %d GB) joins %d cores, %d GB",
 					i, vm.ID, vm.Cores, vm.MemoryGB, srv.allocCores, srv.allocMemGB)
 			}
-			j := s.slots.take(vm)
-			s.own(j, -1)
-			s.slots.at(j).server = int32(i)
+			j, sl := s.slots.take(vm)
+			s.own(j, sl, -1)
+			sl.server = int32(i)
 			srv.vms = append(srv.vms, runningVM{vm.ID, j})
 			srv.allocCores += vm.Cores
 			srv.allocMemGB += vm.MemoryGB
 		}
-		slices.SortFunc(srv.vms, func(a, b runningVM) int { return cmp.Compare(a.ID, b.ID) })
 		s.running += len(srv.vms)
 		s.alloc += srv.allocCores
 		s.free.add(i, st.Config.CoresPerServer-srv.allocCores)
 	}
 	for k := range st.Pending {
 		p := &st.Pending[k]
-		i := s.slots.take(&p.VM)
+		i, sl := s.slots.take(&p.VM)
 		if _, held := s.owners[p.VM.ID]; !held {
-			s.own(i, -1)
+			s.own(i, sl, -1)
 		}
-		s.pending.push(&s.slots, i, p.Evicted)
+		s.pending.push(&s.slots, i, sl, p.Evicted)
 	}
 	return s, nil
 }

@@ -140,6 +140,57 @@ func TestRestoreRejectsUnplannableApps(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsUnenqueueableApps re-encodes a good snapshot with app
+// 1 damaged in a way Enqueue refuses from a live caller: its first VM of
+// an unknown class, of no cores, or owned by app 0, or the app repeated
+// (without its VMs, so that no VM ID repeats). Each must be refused at
+// restore, naming the app, before any state is built.
+func TestRestoreRejectsUnenqueueableApps(t *testing.T) {
+	cfg, in, ccfg, data := corruptFixture(t)
+	cases := []struct {
+		name   string
+		mutate func(st *vmEngineState)
+		want   func(st *vmEngineState) string
+	}{
+		{"unknown class", func(st *vmEngineState) { st.Apps[1].VMs[0].Class = 99 },
+			func(st *vmEngineState) string {
+				return fmt.Sprintf("app %d VM 0 (ID %d): unknown class", st.Apps[1].Demand.ID, st.Apps[1].VMs[0].ID)
+			}},
+		{"no cores", func(st *vmEngineState) { st.Apps[1].VMs[0].Cores = 0 },
+			func(st *vmEngineState) string {
+				return fmt.Sprintf("app %d VM 0 (ID %d): non-positive size", st.Apps[1].Demand.ID, st.Apps[1].VMs[0].ID)
+			}},
+		{"VM of another app", func(st *vmEngineState) { st.Apps[1].VMs[0].AppID = st.Apps[0].Demand.ID },
+			func(st *vmEngineState) string {
+				return fmt.Sprintf("app %d VM 0 (ID %d) belongs to app %d", st.Apps[1].Demand.ID, st.Apps[1].VMs[0].ID, st.Apps[0].Demand.ID)
+			}},
+		{"repeated app", func(st *vmEngineState) {
+			again := st.Apps[1]
+			again.VMs = nil
+			st.Apps = append(st.Apps, again)
+		},
+			func(st *vmEngineState) string { return fmt.Sprintf("repeats app %d", st.Apps[1].Demand.ID) }},
+	}
+	for _, c := range cases {
+		var st vmEngineState
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Apps) < 2 || len(st.Apps[1].VMs) == 0 {
+			t.Fatalf("fixture snapshot's app 1 has no VMs (%d apps)", len(st.Apps))
+		}
+		c.mutate(&st)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		_, err := RestoreVMEngine(cfg, in, ccfg, &buf)
+		if want := c.want(&st); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: restore returned %v, want an error containing %q", c.name, err, want)
+		}
+	}
+}
+
 // TestRestoreTruncatedSnapshot sweeps truncation points across the whole
 // snapshot: every strict prefix must restore to a positioned error (the
 // byte offset where decoding died), never a panic and never silent success.

@@ -600,12 +600,18 @@ func RestoreVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config, r io.
 	if len(st.Sites) != e.numSites {
 		return nil, fmt.Errorf("sim: snapshot has %d sites, want %d", len(st.Sites), e.numSites)
 	}
+	apps := make(map[int]bool, len(st.Apps))
 	for _, a := range st.Apps {
 		// A replan uncommits the plan from the ledgers and places the
-		// demand again, so both must be what Place would accept.
-		if err := a.Demand.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: snapshot app %d demand: %w", a.Demand.ID, err)
+		// demand again, so both must be what Place would accept, and the
+		// app must be one Enqueue would have taken.
+		if err := (AppArrival{Demand: a.Demand, VMs: a.VMs}).Validate(); err != nil {
+			return nil, fmt.Errorf("sim: snapshot app %d: %w", a.Demand.ID, err)
 		}
+		if apps[a.Demand.ID] {
+			return nil, fmt.Errorf("sim: snapshot repeats app %d", a.Demand.ID)
+		}
+		apps[a.Demand.ID] = true
 		if a.Plan.Alloc == nil {
 			continue
 		}

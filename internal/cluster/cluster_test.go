@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -793,7 +794,8 @@ func (r *refSite) view() siteView {
 
 // checkIndex verifies the Site's internal bookkeeping. Per-server sums
 // equal the VMs they hold, each list names an ID once and names slots that
-// run on that server with that ID, every server sits in exactly the
+// run on that server with that ID, State lists each server's VMs in
+// ascending ID order (the wire form), every server sits in exactly the
 // free-core bucket its load names, the bitset of nonempty buckets marks
 // exactly the buckets that hold a server, and alloc and running are the
 // sums over servers. The slot table holds together: every held slot is
@@ -852,6 +854,11 @@ func checkIndex(t *testing.T, s *Site) {
 		set := s.free.nonempty[c/64]>>(c%64)&1 == 1
 		if holds := c < len(want.n) && want.n[c] > 0; set != holds {
 			t.Fatalf("bucket bitset marks bucket %d %v, but the rebuilt bucket counts are %v", c, set, want.n)
+		}
+	}
+	for i, vms := range s.State().Servers {
+		if !slices.IsSortedFunc(vms, func(a, b workload.VM) int { return cmp.Compare(a.ID, b.ID) }) {
+			t.Fatalf("State lists server %d's VMs out of ID order", i)
 		}
 	}
 	if running != s.running {

@@ -269,6 +269,49 @@ func TestReplaySnapshotAfterNeedsSnapshotPath(t *testing.T) {
 	}
 }
 
+// TestReplayRestoreShorterLog: restoring a snapshot taken after 5 steps and
+// replaying a request log of only 3 is an error naming both step counts,
+// refused before a decision log is created.
+func TestReplayRestoreShorterLog(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "requests.jsonl")
+	shortPath := filepath.Join(dir, "short.jsonl")
+	snapPath := filepath.Join(dir, "snap.bin")
+	decPath := filepath.Join(dir, "dec.jsonl")
+	var log bytes.Buffer
+	if err := writeRequestLog(&log, testScenario(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayLog(testScenario(t), logPath, filepath.Join(dir, "part1.jsonl"), snapPath, "", 5); err != nil {
+		t.Fatal(err)
+	}
+	// Keep the log up to its third step.
+	var short []byte
+	for steps := 0; steps < 3; {
+		line, err := log.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		short = append(short, line...)
+		if bytes.Contains(line, []byte(`"op":"step"`)) {
+			steps++
+		}
+	}
+	if err := os.WriteFile(shortPath, short, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := replayLog(testScenario(t), shortPath, decPath, "", snapPath, 0)
+	if err == nil || !strings.Contains(err.Error(), "3 steps") || !strings.Contains(err.Error(), "5") {
+		t.Fatalf("restore against a 3-step log: %v, want an error naming 3 steps and the snapshot's 5", err)
+	}
+	if _, err := os.Stat(decPath); !os.IsNotExist(err) {
+		t.Fatalf("refused replay still wrote a decision log (stat err %v)", err)
+	}
+}
+
 // TestReplaySnapshotAfterPastLogEnd: a -snapshot-after step the request
 // log never reaches is an error naming both step counts, not a silent
 // success with no snapshot.

@@ -86,10 +86,12 @@ func readRequestLog(path string) ([]requestOp, error) {
 
 // skipReplayed drops the prefix of ops a restored engine has already
 // consumed: the first `steps` step operations and every arrive operation
-// before them (their apps are part of the snapshot).
-func skipReplayed(ops []requestOp, steps int) []requestOp {
+// before them (their apps are part of the snapshot). A log with fewer
+// steps than that is not the log the snapshot was taken from: an error
+// naming both step counts.
+func skipReplayed(ops []requestOp, steps int) ([]requestOp, error) {
 	if steps <= 0 {
-		return ops
+		return ops, nil
 	}
 	seen := 0
 	for i, op := range ops {
@@ -98,10 +100,10 @@ func skipReplayed(ops []requestOp, steps int) []requestOp {
 		}
 		seen++
 		if seen == steps {
-			return ops[i+1:]
+			return ops[i+1:], nil
 		}
 	}
-	return nil
+	return nil, fmt.Errorf("request log has %d steps, fewer than the %d the restored snapshot has taken", seen, steps)
 }
 
 // replayLog drives the engine through a recorded request log, writing the
@@ -121,7 +123,9 @@ func replayLog(scn *scenario, logPath, decPath, snapPath, restorePath string, sn
 	if err != nil {
 		return err
 	}
-	ops = skipReplayed(ops, eng.Step())
+	if ops, err = skipReplayed(ops, eng.Step()); err != nil {
+		return err
+	}
 
 	var dec io.Writer = os.Stdout
 	if decPath != "" {

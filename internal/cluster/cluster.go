@@ -15,6 +15,11 @@
 //     counted as migrations into the site;
 //   - migration traffic is estimated by VM memory size.
 //
+// Run (Fig 4) steps a private site through a power trace and queues the
+// VMs it refuses or evicts; it checks the whole trace first, so every VM
+// it queues has a positive size and an ID of its own. A multi-site engine
+// calls Admit, Remove and SetPowerEvict instead, and its sites never queue.
+//
 // A site keeps every VM it holds, running or queued, in one slot table
 // (slots.go). Server lists and the pending queue name slots, so an
 // eviction or a relaunch moves a slot index: it copies no VM and touches
@@ -151,7 +156,7 @@ type Site struct {
 	servers []server
 	free    freeIndex     // servers by free cores, for best-fit placement
 	slots   slotTable     // every VM the site holds, and the expiry heap
-	owners  map[int]int32 // VM ID -> the slot that owns it (see slots.go)
+	byID    map[int]int32 // VM ID -> its slot, for every held VM
 	running int           // running VMs
 	powered int           // cores currently powered
 	alloc   int           // cores currently allocated (cached sum)
@@ -167,7 +172,7 @@ func newSite(cfg Config) *Site {
 		cfg:     cfg,
 		servers: make([]server, cfg.Servers),
 		free:    newFreeIndex(cfg.Servers, cfg.CoresPerServer),
-		owners:  make(map[int]int32),
+		byID:    make(map[int]int32),
 	}
 }
 
@@ -195,9 +200,6 @@ func (s *Site) PoweredCores() int { return s.powered }
 
 // Running returns the number of running VMs.
 func (s *Site) Running() int { return s.running }
-
-// Pending returns the number of VMs waiting for power.
-func (s *Site) Pending() int { return s.pending.n }
 
 // Utilization returns allocated cores over total cores.
 func (s *Site) Utilization() float64 {
@@ -239,11 +241,10 @@ func (s *Site) admissionLimit() int {
 // one with the fewest free cores that still fits it in cores and memory,
 // the lowest index on a tie. That is the most loaded server that fits,
 // maximizing consolidation as Azure's allocator does. limit is the
-// admission limit at the current power level, and dup says the VM's ID
-// already runs here. It returns -1 if admission control refuses, the VM
-// has a non-positive size or a running ID, or no server fits.
-func (s *Site) fit(vm *workload.VM, limit int, dup bool) int {
-	if s.alloc+vm.Cores > limit || vm.Cores <= 0 || vm.MemoryGB <= 0 || dup {
+// admission limit at the current power level. It returns -1 if admission
+// control refuses or no server fits. vm's size must be positive.
+func (s *Site) fit(vm *workload.VM, limit int) int {
+	if s.alloc+vm.Cores > limit {
 		return -1
 	}
 	return s.bestFit(vm)
@@ -270,31 +271,15 @@ func (s *Site) bestFit(vm *workload.VM) int {
 	return -1
 }
 
-// idRunning looks id up in the ID index: it returns the owning slot, or -1,
-// and whether that slot runs.
-func (s *Site) idRunning(id int) (owner int32, running bool) {
-	o, ok := s.owners[id]
-	if !ok {
-		return -1, false
-	}
-	return o, s.slots.at(o).server >= 0
+// hold stores vm in a slot, queued for now, and indexes its ID, which no
+// held VM may share. It returns the slot's index and the slot.
+func (s *Site) hold(vm *workload.VM) (int32, *slot) {
+	i, sl := s.slots.take(vm)
+	s.byID[vm.ID] = i
+	return i, sl
 }
 
-// own makes slot i, which is sl, the owner of its ID, taking the ID from
-// owner, the slot the index named before, or -1 if it named none.
-func (s *Site) own(i int32, sl *slot, owner int32) {
-	if sl.owner {
-		return
-	}
-	if owner >= 0 {
-		s.slots.at(owner).owner = false
-	}
-	s.owners[sl.vm.ID] = i
-	sl.owner = true
-}
-
-// run puts slot i, which is sl and owns its ID, on server b and charges
-// it.
+// run puts slot i, which is sl, on server b and charges it.
 func (s *Site) run(i int32, sl *slot, b int) {
 	srv := &s.servers[b]
 	srv.vms = append(srv.vms, runningVM{sl.vm.ID, i})
@@ -338,19 +323,18 @@ func (s *Site) stop(i int32, sl *slot) {
 	s.stopAt(sl, k)
 }
 
-// release lets go of slot i, which is sl and neither running nor queued.
+// release lets go of slot i, which is sl and neither running nor queued,
+// and its ID.
 func (s *Site) release(i int32, sl *slot) {
-	if sl.owner {
-		delete(s.owners, sl.vm.ID)
-	}
+	delete(s.byID, sl.vm.ID)
 	s.slots.release(i, sl)
 }
 
 // Remove deletes a running VM (normal departure). It reports whether the VM
 // was running.
 func (s *Site) Remove(vmID int) bool {
-	i, running := s.idRunning(vmID)
-	if !running {
+	i, held := s.byID[vmID]
+	if !held || s.slots.at(i).server < 0 {
 		return false
 	}
 	sl := s.slots.at(i)
@@ -375,13 +359,18 @@ type StepResult struct {
 	Departed    int
 }
 
-// Step advances the site to `now`: departs finished VMs, drops queued VMs
+// step advances the site to `now`: departs finished VMs, drops queued VMs
 // whose lifetime is over, applies the new power fraction (evicting if
 // needed), admits fresh arrivals, and launches pending VMs into any
 // remaining capacity. It copies each arrival into a slot and keeps no
-// reference to the arrivals slice, so the caller may reuse it once Step
+// reference to the arrivals slice, so the caller may reuse it once step
 // returns.
-func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) StepResult {
+//
+// RunObs is its only caller, and validateVMs has checked its whole trace:
+// every arrival has a positive size and a non-negative lifetime, and no
+// two VMs of the trace share an ID. So no arrival repeats an ID the site
+// holds, and neither does any queued VM.
+func (s *Site) step(now time.Time, powerFrac float64, arrivals []workload.VM) StepResult {
 	var res StepResult
 
 	// 1) Departures: running VMs whose lifetime ended, and queued VMs
@@ -395,7 +384,7 @@ func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) St
 	// Evict while allocation exceeds powered cores: unallocated cores were
 	// implicitly powered down first (they are not counted in allocation).
 	s.evictDown(func(i int32, sl *slot) {
-		s.pending.push(&s.slots, i, sl, true)
+		s.pending.push(&s.slots, i, sl)
 		res.OutGB += float64(sl.vm.MemoryGB)
 		res.Evicted++
 	})
@@ -404,18 +393,13 @@ func (s *Site) Step(now time.Time, powerFrac float64, arrivals []workload.VM) St
 	limit := s.admissionLimit()
 	for k := range arrivals {
 		vm := &arrivals[k]
-		o, dup := s.idRunning(vm.ID)
-		best := s.fit(vm, limit, dup)
-		i, sl := s.slots.take(vm)
+		best := s.fit(vm, limit)
+		i, sl := s.hold(vm)
 		if best >= 0 {
-			s.own(i, sl, o)
 			s.run(i, sl, best)
 			continue
 		}
-		if o < 0 { // else another held VM has the ID: a guest
-			s.own(i, sl, o)
-		}
-		s.pending.push(&s.slots, i, sl, false)
+		s.pending.push(&s.slots, i, sl)
 		res.RejectedNew++
 	}
 
@@ -447,15 +431,13 @@ func (s *Site) expire(now time.Time) (departed int) {
 // memory and count.
 //
 // It merges the shapes' lists by sequence number through a heap of each
-// shape's next untried slot, and a refusal by admission control or best
-// fit ends that shape's turn: within the pass placements only consume
+// shape's next untried slot, and a refusal, by admission control or best
+// fit, ends that shape's turn: within the pass placements only consume
 // cores and memory and the limit is fixed, so every later VM of the shape
-// would be refused too, with no side effect. A refusal that belongs to the
-// VM, a non-positive size or an ID already running here, does not end its
-// shape. So every placement that can succeed happens in queue order
-// against the same site state as a walk over the whole queue. A shape
-// whose turn goes on replaces its head in place, one sift per VM tried.
-// An owner's ID cannot run here, so only a guest looks its ID up.
+// would be refused too, with no side effect. So every placement that can
+// succeed happens in queue order against the same site state as a walk
+// over the whole queue. A shape whose turn goes on replaces its head in
+// place, one sift per VM tried.
 func (s *Site) launch(limit int) (inGB float64, launched int) {
 	p, t := &s.pending, &s.slots
 	h := p.heads[:0]
@@ -468,18 +450,12 @@ func (s *Site) launch(limit int) (inGB float64, launched int) {
 		i := h[0].slot
 		sl := t.at(i)
 		next := sl.next
-		vm := &sl.vm
-		owner, dup := int32(-1), false
-		if !sl.owner {
-			owner, dup = s.idRunning(vm.ID)
-		}
-		if best := s.fit(vm, limit, dup); best >= 0 {
+		if best := s.fit(&sl.vm, limit); best >= 0 {
 			p.drop(t, sl)
-			s.own(i, sl, owner)
 			s.run(i, sl, best)
-			inGB += float64(vm.MemoryGB)
+			inGB += float64(sl.vm.MemoryGB)
 			launched++
-		} else if vm.Cores > 0 && vm.MemoryGB > 0 && !dup {
+		} else {
 			next = -1 // the shape's turn is over
 		}
 		if next >= 0 {
@@ -566,34 +542,33 @@ func (s *Site) nextOccupied(i int) int {
 }
 
 // Admit places a VM immediately, respecting admission control and server
-// fit, without the pending-queue machinery of Step. It reports success.
-// Used by the VM-level multi-site engine, which decides itself where
-// rejected VMs go. Every refusal comes before the VM takes a slot, so a
-// refused VM costs no more than the tests that refuse it.
+// fit, without the pending queue of Run's steps. It reports success. Used
+// by the VM-level multi-site engine, which decides itself where rejected
+// VMs go. It refuses a non-positive size and an ID the site holds, running
+// or queued. Every refusal comes before the VM takes a slot, so a refused
+// VM costs no more than the tests that refuse it.
 func (s *Site) Admit(vm workload.VM) bool {
 	// Admission and size refusals need no ID lookup.
 	if s.alloc+vm.Cores > s.admissionLimit() || vm.Cores <= 0 || vm.MemoryGB <= 0 {
 		return false
 	}
-	owner, dup := s.idRunning(vm.ID)
-	if dup {
+	if _, held := s.byID[vm.ID]; held {
 		return false
 	}
 	best := s.bestFit(&vm)
 	if best < 0 {
 		return false
 	}
-	i, sl := s.slots.take(&vm)
-	s.own(i, sl, owner)
+	i, sl := s.hold(&vm)
 	s.run(i, sl, best)
 	return true
 }
 
-// SetPowerEvict applies a new power fraction and evicts VMs in Step's
-// sweep order until the allocation fits under the powered cores, returning
-// the evicted VMs. Unlike Step, evicted VMs are NOT queued for relaunch
-// here — the caller (e.g. a multi-site engine) decides where they go, and
-// the site lets go of them.
+// SetPowerEvict applies a new power fraction and evicts VMs in the sweep
+// order of Run's steps until the allocation fits under the powered cores,
+// returning the evicted VMs. Unlike a step, it does NOT queue evicted VMs
+// for relaunch — the caller (e.g. a multi-site engine) decides where they
+// go, and the site lets go of them.
 func (s *Site) SetPowerEvict(powerFrac float64) []workload.VM {
 	s.setPower(powerFrac)
 	evicted := make([]workload.VM, 0)

@@ -74,7 +74,7 @@ func TestPlacementAndAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 40 total cores, powered 40, admission limit 28.
-	res := s.Step(t0, 1.0, []workload.VM{mkVM(1, 10, 50), mkVM(2, 10, 50), mkVM(3, 8, 40)})
+	res := s.step(t0, 1.0, []workload.VM{mkVM(1, 10, 50), mkVM(2, 10, 50), mkVM(3, 8, 40)})
 	if res.RejectedNew != 0 {
 		t.Fatalf("rejected %d, want 0", res.RejectedNew)
 	}
@@ -82,9 +82,9 @@ func TestPlacementAndAdmission(t *testing.T) {
 		t.Fatalf("alloc=%d running=%d", s.AllocatedCores(), s.Running())
 	}
 	// Admission control: 28/40 = 70% reached; next VM must be rejected.
-	res = s.Step(t0.Add(time.Minute), 1.0, []workload.VM{mkVM(4, 1, 1)})
-	if res.RejectedNew != 1 || s.Pending() != 1 {
-		t.Fatalf("rejected=%d pending=%d, want 1,1", res.RejectedNew, s.Pending())
+	res = s.step(t0.Add(time.Minute), 1.0, []workload.VM{mkVM(4, 1, 1)})
+	if res.RejectedNew != 1 || s.pending.n != 1 {
+		t.Fatalf("rejected=%d pending=%d, want 1,1", res.RejectedNew, s.pending.n)
 	}
 }
 
@@ -93,10 +93,10 @@ func TestBestFitConsolidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Step(t0, 1.0, []workload.VM{mkVM(1, 6, 10)})
+	s.step(t0, 1.0, []workload.VM{mkVM(1, 6, 10)})
 	// Second small VM should land on the same server (best fit), not an
 	// empty one.
-	s.Step(t0.Add(time.Minute), 1.0, []workload.VM{mkVM(2, 4, 10)})
+	s.step(t0.Add(time.Minute), 1.0, []workload.VM{mkVM(2, 4, 10)})
 	if where := whereOf(s); where[1] != where[2] {
 		t.Errorf("best fit should consolidate: VM1 on %d, VM2 on %d", where[1], where[2])
 	}
@@ -107,7 +107,7 @@ func TestPlacementRespectsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Step(t0, 1.0, []workload.VM{mkVM(1, 1, 90), mkVM(2, 1, 20)})
+	res := s.step(t0, 1.0, []workload.VM{mkVM(1, 1, 90), mkVM(2, 1, 20)})
 	if res.RejectedNew != 1 {
 		t.Errorf("memory-full server should reject: rejected=%d", res.RejectedNew)
 	}
@@ -119,14 +119,14 @@ func TestPowerDropEvictsRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill to 28 cores over 4 servers.
-	s.Step(t0, 1.0, []workload.VM{
+	s.step(t0, 1.0, []workload.VM{
 		mkVM(1, 7, 70), mkVM(2, 7, 70), mkVM(3, 7, 70), mkVM(4, 7, 70),
 	})
 	if s.AllocatedCores() != 28 {
 		t.Fatalf("alloc = %d", s.AllocatedCores())
 	}
 	// Drop power to 50% = 20 powered cores; must evict 2 VMs (28->14).
-	res := s.Step(t0.Add(15*time.Minute), 0.5, nil)
+	res := s.step(t0.Add(15*time.Minute), 0.5, nil)
 	if res.Evicted != 2 {
 		t.Fatalf("evicted = %d, want 2", res.Evicted)
 	}
@@ -136,8 +136,8 @@ func TestPowerDropEvictsRoundRobin(t *testing.T) {
 	if s.AllocatedCores() > 20 {
 		t.Errorf("alloc %d exceeds powered 20", s.AllocatedCores())
 	}
-	if s.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", s.Pending())
+	if s.pending.n != 2 {
+		t.Errorf("pending = %d, want 2", s.pending.n)
 	}
 	// Round-robin: the two evictions come from different servers.
 	// (All four servers held one VM each, so evicting two from one server
@@ -166,17 +166,14 @@ func TestPowerDropEvictsRoundRobin(t *testing.T) {
 	for id := 1; id <= 16; id++ {
 		vms = append(vms, mkVM(id, 5, 10))
 	}
-	full.Step(t0, 1, vms)
+	full.step(t0, 1, vms)
 	for k, vms := range full.State().Servers {
 		if len(vms) != 2 || vms[0].ID != 2*k+1 || vms[1].ID != 2*k+2 {
 			t.Fatalf("server %d holds %v, want VMs %d and %d", k, vms, 2*k+1, 2*k+2)
 		}
 	}
-	res = full.Step(t0.Add(15*time.Minute), 0.5, nil)
-	var got []int
-	for _, p := range full.State().Pending {
-		got = append(got, p.VM.ID)
-	}
+	res = full.step(t0.Add(15*time.Minute), 0.5, nil)
+	got := queueOrder(full)
 	if want := []int{1, 5, 11, 3, 13, 9, 7, 8}; res.Evicted != 8 || !slices.Equal(got, want) || full.evictCursor != 4 {
 		t.Errorf("evicted %d VMs %v, cursor %d; want 8 VMs %v (servers 0, 2, 5, 1, 6, 4, 3, 3), cursor 4",
 			res.Evicted, got, full.evictCursor, want)
@@ -188,18 +185,18 @@ func TestPowerRecoveryRelaunches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Step(t0, 1.0, []workload.VM{mkVM(1, 7, 70), mkVM(2, 7, 70), mkVM(3, 7, 70), mkVM(4, 7, 70)})
-	s.Step(t0.Add(15*time.Minute), 0.5, nil)
+	s.step(t0, 1.0, []workload.VM{mkVM(1, 7, 70), mkVM(2, 7, 70), mkVM(3, 7, 70), mkVM(4, 7, 70)})
+	s.step(t0.Add(15*time.Minute), 0.5, nil)
 	// Restore full power: both pending VMs relaunch; traffic counted in.
-	res := s.Step(t0.Add(30*time.Minute), 1.0, nil)
+	res := s.step(t0.Add(30*time.Minute), 1.0, nil)
 	if res.Launched != 2 {
 		t.Fatalf("launched = %d, want 2", res.Launched)
 	}
 	if res.InGB != 140 {
 		t.Errorf("in traffic = %v, want 140", res.InGB)
 	}
-	if s.Running() != 4 || s.Pending() != 0 {
-		t.Errorf("running=%d pending=%d", s.Running(), s.Pending())
+	if s.Running() != 4 || s.pending.n != 0 {
+		t.Errorf("running=%d pending=%d", s.Running(), s.pending.n)
 	}
 }
 
@@ -209,8 +206,8 @@ func TestPowerAbsorbedByHeadroom(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 14 cores allocated of 40; a drop to 50% (20 powered) costs nothing.
-	s.Step(t0, 1.0, []workload.VM{mkVM(1, 7, 70), mkVM(2, 7, 70)})
-	res := s.Step(t0.Add(15*time.Minute), 0.5, nil)
+	s.step(t0, 1.0, []workload.VM{mkVM(1, 7, 70), mkVM(2, 7, 70)})
+	res := s.step(t0.Add(15*time.Minute), 0.5, nil)
 	if res.Evicted != 0 || res.OutGB != 0 {
 		t.Errorf("headroom should absorb drop: %+v", res)
 	}
@@ -223,11 +220,11 @@ func TestDepartures(t *testing.T) {
 	}
 	vm := mkVM(1, 5, 50)
 	vm.Lifetime = 10 * time.Minute
-	s.Step(t0, 1.0, []workload.VM{vm})
+	s.step(t0, 1.0, []workload.VM{vm})
 	if s.Running() != 1 {
 		t.Fatal("VM should be running")
 	}
-	res := s.Step(t0.Add(15*time.Minute), 1.0, nil)
+	res := s.step(t0.Add(15*time.Minute), 1.0, nil)
 	if res.Departed != 1 || s.Running() != 0 {
 		t.Errorf("departed=%d running=%d", res.Departed, s.Running())
 	}
@@ -241,14 +238,14 @@ func TestPendingExpires(t *testing.T) {
 	// Zero power: arrival goes pending.
 	vm := mkVM(1, 5, 50)
 	vm.Lifetime = 10 * time.Minute
-	s.Step(t0, 0, []workload.VM{vm})
-	if s.Pending() != 1 {
+	s.step(t0, 0, []workload.VM{vm})
+	if s.pending.n != 1 {
 		t.Fatal("VM should be pending")
 	}
 	// By the time power returns the lifetime has passed: dropped, no
 	// phantom launch.
-	res := s.Step(t0.Add(30*time.Minute), 1.0, nil)
-	if res.Launched != 0 || s.Pending() != 0 || s.Running() != 0 {
+	res := s.step(t0.Add(30*time.Minute), 1.0, nil)
+	if res.Launched != 0 || s.pending.n != 0 || s.Running() != 0 {
 		t.Errorf("expired pending VM mishandled: %+v", res)
 	}
 }
@@ -268,15 +265,15 @@ func TestPowerFracClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Step(t0, -0.5, nil)
+	s.step(t0, -0.5, nil)
 	if s.PoweredCores() != 0 {
 		t.Errorf("negative power should clamp to 0, got %d", s.PoweredCores())
 	}
-	s.Step(t0.Add(time.Minute), 2.0, nil)
+	s.step(t0.Add(time.Minute), 2.0, nil)
 	if s.PoweredCores() != 40 {
 		t.Errorf("overpower should clamp to total, got %d", s.PoweredCores())
 	}
-	s.Step(t0.Add(2*time.Minute), math.NaN(), nil)
+	s.step(t0.Add(2*time.Minute), math.NaN(), nil)
 	if s.PoweredCores() != 0 {
 		t.Errorf("NaN power should count as a blackout, got %d", s.PoweredCores())
 	}
@@ -287,8 +284,8 @@ func TestZeroPowerEvictsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Step(t0, 1.0, []workload.VM{mkVM(1, 7, 70), mkVM(2, 7, 70)})
-	res := s.Step(t0.Add(15*time.Minute), 0, nil)
+	s.step(t0, 1.0, []workload.VM{mkVM(1, 7, 70), mkVM(2, 7, 70)})
+	res := s.step(t0.Add(15*time.Minute), 0, nil)
 	if res.Evicted != 2 || s.Running() != 0 {
 		t.Errorf("zero power should evict all: evicted=%d running=%d", res.Evicted, s.Running())
 	}
@@ -327,7 +324,7 @@ func TestSnapshotConsolidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill one server completely; best-fit keeps others empty.
-	s.Step(t0, 1.0, []workload.VM{mkVM(1, 10, 50)})
+	s.step(t0, 1.0, []workload.VM{mkVM(1, 10, 50)})
 	if s.AllocatedCores() != 10 {
 		t.Errorf("allocated = %d", s.AllocatedCores())
 	}
@@ -342,7 +339,7 @@ func TestSnapshotPowerDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Step(t0, 0.25, nil) // 10 powered cores
+	s.step(t0, 0.25, nil) // 10 powered cores
 	if s.PoweredCores() != 10 || s.AllocatedCores() != 0 {
 		t.Errorf("power-down: powered %d, allocated %d; want 10, 0", s.PoweredCores(), s.AllocatedCores())
 	}
@@ -443,14 +440,12 @@ func TestSetPowerEvictNonFinite(t *testing.T) {
 	}
 }
 
-// TestBadVMsLeakNoCapacity pins the accounting fix for malformed VMs: a VM
-// whose ID already runs on the site, or whose size is not positive, is
-// refused, so it can neither orphan cores nor drive allocation negative.
+// TestBadVMsLeakNoCapacity pins the accounting fix for malformed VMs: Admit
+// refuses a VM whose ID the site already holds, running or queued, or whose
+// size is not positive, so it can neither orphan cores nor drive
+// allocation negative. (Run refuses such VMs in its trace before its first
+// step; TestRunRejectsBadVMs checks that.)
 func TestBadVMsLeakNoCapacity(t *testing.T) {
-	withLife := func(vm workload.VM, d time.Duration) workload.VM {
-		vm.Lifetime = d
-		return vm
-	}
 	cases := []struct {
 		name     string
 		run      func(t *testing.T, s *Site)
@@ -458,15 +453,6 @@ func TestBadVMsLeakNoCapacity(t *testing.T) {
 		running  int
 		serverVM int // VMs across State().Servers
 	}{
-		{"duplicate arrival departs clean", func(t *testing.T, s *Site) {
-			s.Step(t0, 1, []workload.VM{withLife(mkVM(7, 3, 8), 10*time.Minute), withLife(mkVM(7, 3, 8), 10*time.Minute)})
-			s.Step(t0.Add(15*time.Minute), 1, nil)
-		}, 0, 0, 0},
-		{"duplicate arrival is queued, not placed", func(t *testing.T, s *Site) {
-			if res := s.Step(t0, 1, []workload.VM{mkVM(7, 3, 8), mkVM(7, 3, 8)}); res.RejectedNew != 1 {
-				t.Error("second VM 7 was not refused")
-			}
-		}, 3, 1, 1},
 		{"duplicate admit", func(t *testing.T, s *Site) {
 			s.Admit(mkVM(7, 3, 8))
 			if s.Admit(mkVM(7, 3, 8)) {
@@ -478,8 +464,15 @@ func TestBadVMsLeakNoCapacity(t *testing.T) {
 			s.Admit(mkVM(7, 3, 8))
 			s.Remove(7)
 		}, 0, 0, 0},
+		{"admit of a queued ID", func(t *testing.T, s *Site) {
+			s.step(t0, 0, []workload.VM{mkVM(7, 3, 8)})
+			s.SetPowerEvict(1) // full power, and VM 7 still queued
+			if s.pending.n != 1 || s.Admit(mkVM(7, 3, 8)) {
+				t.Errorf("Admit accepted the ID of a queued VM (%d queued)", s.pending.n)
+			}
+		}, 0, 0, 0},
 		{"negative cores", func(t *testing.T, s *Site) { s.Admit(mkVM(1, -2, 8)) }, 0, 0, 0},
-		{"zero cores", func(t *testing.T, s *Site) { s.Step(t0, 1, []workload.VM{mkVM(1, 0, 8)}) }, 0, 0, 0},
+		{"zero cores", func(t *testing.T, s *Site) { s.Admit(mkVM(1, 0, 8)) }, 0, 0, 0},
 		{"zero memory", func(t *testing.T, s *Site) { s.Admit(mkVM(1, 2, 0)) }, 0, 0, 0},
 		{"negative memory", func(t *testing.T, s *Site) { s.Admit(mkVM(1, 2, -5)) }, 0, 0, 0},
 	}
@@ -500,92 +493,10 @@ func TestBadVMsLeakNoCapacity(t *testing.T) {
 	}
 }
 
-// TestDuplicateIDOwnerAndGuest follows one ID held twice. The owner is
-// evicted; a second VM with the same ID arrives and runs, taking the ID
-// over; the first VM's relaunch is then refused because its ID runs here,
-// which must not end its shape's turn, so the VM queued behind it of the
-// same shape still launches; once the second VM departs, the first
-// relaunches and owns the ID again. The oracle, checkIndex and checkQueue
-// follow every step.
-func TestDuplicateIDOwnerAndGuest(t *testing.T) {
-	cfg := Config{Servers: 2, CoresPerServer: 10, MemPerServerGB: 100, TargetUtilization: 1}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefSite(cfg)
-	owner := mkVM(7, 4, 10)
-	behind := mkVM(8, 4, 10)
-	guest := mkVM(7, 2, 5)
-	guest.Lifetime = 15 * time.Minute
-	step := func(k int, frac float64, arr ...workload.VM) StepResult {
-		t.Helper()
-		now := t0.Add(time.Duration(k) * 15 * time.Minute)
-		for i := range arr {
-			arr[i].Arrival = now
-		}
-		got, want := s.Step(now, frac, arr), ref.step(now, frac, arr)
-		if got != want {
-			t.Fatalf("step %d: site %+v, oracle %+v", k, got, want)
-		}
-		if !reflect.DeepEqual(viewOf(s), ref.view()) {
-			t.Fatalf("step %d: site and oracle states diverge", k)
-		}
-		checkIndex(t, s)
-		checkQueue(t, s)
-		return got
-	}
-	slotOf := func(id int) (running, queued []*slot) {
-		for i := int32(0); i < s.slots.n; i++ {
-			if sl := s.slots.at(i); sl.server != freeSlot && sl.vm.ID == id {
-				if sl.server >= 0 {
-					running = append(running, sl)
-				} else {
-					queued = append(queued, sl)
-				}
-			}
-		}
-		return running, queued
-	}
-
-	step(0, 1, owner)
-	if res := step(1, 0, behind); res.Evicted != 1 || res.RejectedNew != 1 || s.Pending() != 2 {
-		t.Fatalf("owner not evicted behind a queued VM: %+v, pending %d", res, s.Pending())
-	}
-	if _, q := slotOf(7); len(q) != 1 || !q[0].owner || !q[0].evicted {
-		t.Fatalf("the evicted VM 7 should be queued and own its ID")
-	}
-	res := step(2, 1, guest)
-	if res.RejectedNew != 0 || res.Launched != 1 || s.Running() != 2 || s.Pending() != 1 {
-		t.Fatalf("second VM 7 should run and VM 8 launch past the refused first VM 7: %+v, running %d, pending %d",
-			res, s.Running(), s.Pending())
-	}
-	r, q := slotOf(7)
-	if len(r) != 1 || len(q) != 1 || r[0].vm.Cores != guest.Cores || !r[0].owner || q[0].owner {
-		t.Fatalf("the running VM 7 should own the ID and the queued one be its guest")
-	}
-	if _, ok := whereOf(s)[8]; !ok || s.State().Pending[0].VM.ID != 7 {
-		t.Fatalf("VM 8 should run and the first VM 7 wait: pending %+v", s.State().Pending)
-	}
-	res = step(3, 1)
-	if res.Departed != 1 || res.Launched != 1 || s.Running() != 2 || s.Pending() != 0 {
-		t.Fatalf("first VM 7 should relaunch once the second departs: %+v", res)
-	}
-	if r, q := slotOf(7); len(r) != 1 || len(q) != 0 || r[0].vm.Cores != owner.Cores || !r[0].owner {
-		t.Fatalf("the relaunched VM 7 should run and own its ID")
-	}
-}
-
-// pendingVM is a VM waiting for power in the oracle's queue: either
-// rejected at arrival or evicted by a power drop.
-type pendingVM struct {
-	vm      workload.VM
-	evicted bool
-}
-
 // refSite is the packing oracle the indexed Site must reproduce decision
 // for decision: a map of VMs per server, a linear best-fit scan over every
-// server, and separate expiry and launch passes over the pending queue.
+// server, and separate expiry and launch passes over the pending queue,
+// which holds the VMs refused at arrival or evicted by a power drop.
 type refSite struct {
 	cfg     Config
 	servers []refServer
@@ -593,7 +504,7 @@ type refSite struct {
 	powered int
 	alloc   int
 	cursor  int
-	pending []pendingVM
+	pending []workload.VM
 }
 
 type refServer struct {
@@ -623,11 +534,21 @@ func (r *refSite) linearBestFit(vm workload.VM) int {
 	return best
 }
 
-func (r *refSite) place(vm workload.VM) bool {
-	if r.alloc+vm.Cores > floorEps(r.cfg.TargetUtilization*float64(r.powered)) {
+// admit is Admit: it refuses a non-positive size and an ID the site holds,
+// running or queued, and otherwise places vm.
+func (r *refSite) admit(vm workload.VM) bool {
+	_, running := r.where[vm.ID]
+	queued := slices.ContainsFunc(r.pending, func(p workload.VM) bool { return p.ID == vm.ID })
+	if running || queued || vm.Cores <= 0 || vm.MemoryGB <= 0 {
 		return false
 	}
-	if _, dup := r.where[vm.ID]; dup || vm.Cores <= 0 || vm.MemoryGB <= 0 {
+	return r.place(vm)
+}
+
+// place runs vm on the best-fit server if admission control allows it and
+// a server fits it.
+func (r *refSite) place(vm workload.VM) bool {
+	if r.alloc+vm.Cores > floorEps(r.cfg.TargetUtilization*float64(r.powered)) {
 		return false
 	}
 	best := r.linearBestFit(vm)
@@ -680,7 +601,7 @@ func (r *refSite) evictDown() (outGB float64, evicted int) {
 			}
 			vm := srv.vms[id]
 			r.remove(id)
-			r.pending = append(r.pending, pendingVM{vm: vm, evicted: true})
+			r.pending = append(r.pending, vm)
 			outGB += float64(vm.MemoryGB)
 			evicted++
 			moved = true
@@ -709,9 +630,9 @@ func (r *refSite) step(now time.Time, frac float64, arrivals []workload.VM) Step
 		res.Departed++
 	}
 	kept := r.pending[:0]
-	for _, p := range r.pending {
-		if end := p.vm.End(); end.IsZero() || end.After(now) {
-			kept = append(kept, p)
+	for _, vm := range r.pending {
+		if end := vm.End(); end.IsZero() || end.After(now) {
+			kept = append(kept, vm)
 		}
 	}
 	r.pending = kept
@@ -719,17 +640,17 @@ func (r *refSite) step(now time.Time, frac float64, arrivals []workload.VM) Step
 	res.OutGB, res.Evicted = r.evictDown()
 	for _, vm := range arrivals {
 		if !r.place(vm) {
-			r.pending = append(r.pending, pendingVM{vm: vm})
+			r.pending = append(r.pending, vm)
 			res.RejectedNew++
 		}
 	}
 	still := r.pending[:0]
-	for _, p := range r.pending {
-		if r.place(p.vm) {
-			res.InGB += float64(p.vm.MemoryGB)
+	for _, vm := range r.pending {
+		if r.place(vm) {
+			res.InGB += float64(vm.MemoryGB)
 			res.Launched++
 		} else {
-			still = append(still, p)
+			still = append(still, vm)
 		}
 	}
 	r.pending = still
@@ -740,32 +661,18 @@ func (r *refSite) setPowerEvict(frac float64) []workload.VM {
 	r.setPower(frac)
 	before := len(r.pending)
 	r.evictDown()
-	out := []workload.VM{}
-	for _, p := range r.pending[before:] {
-		out = append(out, p.vm)
-	}
+	out := append([]workload.VM{}, r.pending[before:]...)
 	r.pending = r.pending[:before]
 	return out
 }
 
 // siteView is the decision-relevant state two site models must share:
 // power, allocation, the eviction cursor, the server of every running VM
-// and the pending queue (ID*2 + evicted, in order).
+// and the IDs of the pending queue in order.
 type siteView struct {
 	powered, alloc, cursor int
 	where                  map[int]int
 	pending                []int
-}
-
-func pendingIDs(q []pendingVM) []int {
-	ids := make([]int, len(q))
-	for i, p := range q {
-		ids[i] = 2 * p.vm.ID
-		if p.evicted {
-			ids[i]++
-		}
-	}
-	return ids
 }
 
 // whereOf maps every running VM's ID to its server, read from the server
@@ -780,16 +687,33 @@ func whereOf(s *Site) map[int]int {
 	return where
 }
 
-func viewOf(s *Site) siteView {
-	var q []pendingVM
-	for _, i := range s.pending.inOrder(&s.slots) {
-		q = append(q, pendingVM{s.slots.at(i).vm, s.slots.at(i).evicted})
+// queueOrder returns the IDs of the queued VMs in queue order: every shape
+// list's slots, sorted by sequence number.
+func queueOrder(s *Site) []int {
+	var q []*slot
+	for _, l := range s.pending.shapes {
+		for i := l.head; i >= 0; i = s.slots.at(i).next {
+			q = append(q, s.slots.at(i))
+		}
 	}
-	return siteView{s.powered, s.alloc, s.evictCursor, whereOf(s), pendingIDs(q)}
+	slices.SortFunc(q, func(a, b *slot) int { return cmp.Compare(a.seq, b.seq) })
+	ids := make([]int, len(q))
+	for k, sl := range q {
+		ids[k] = sl.vm.ID
+	}
+	return ids
+}
+
+func viewOf(s *Site) siteView {
+	return siteView{s.powered, s.alloc, s.evictCursor, whereOf(s), queueOrder(s)}
 }
 
 func (r *refSite) view() siteView {
-	return siteView{r.powered, r.alloc, r.cursor, r.where, pendingIDs(r.pending)}
+	ids := make([]int, len(r.pending))
+	for k, vm := range r.pending {
+		ids[k] = vm.ID
+	}
+	return siteView{r.powered, r.alloc, r.cursor, r.where, ids}
 }
 
 // checkIndex verifies the Site's internal bookkeeping. Per-server sums
@@ -800,8 +724,8 @@ func (r *refSite) view() siteView {
 // exactly the buckets that hold a server, and alloc and running are the
 // sums over servers. The slot table holds together: every held slot is
 // referenced exactly once, by one server list or one shape list of the
-// queue, and a free slot by neither; every running VM owns its ID, and
-// every ID index entry names a held slot with that ID; the expiry heap
+// queue, and a free slot by neither; the ID index names exactly the held
+// slots, each under its own ID; the expiry heap
 // holds exactly the held slots that have an end time, each at its
 // recorded position, in heap order.
 func checkIndex(t *testing.T, s *Site) {
@@ -827,9 +751,6 @@ func checkIndex(t *testing.T, s *Site) {
 			sl := tb.at(r.slot)
 			if sl.server != int32(i) || sl.vm.ID != r.ID {
 				t.Fatalf("server %d lists VM %d in slot %d, which holds VM %d on server %d", i, r.ID, r.slot, sl.vm.ID, sl.server)
-			}
-			if !sl.owner {
-				t.Fatalf("server %d: running VM %d does not own its ID", i, r.ID)
 			}
 			cores += sl.vm.Cores
 			mem += sl.vm.MemoryGB
@@ -887,9 +808,9 @@ func checkIndex(t *testing.T, s *Site) {
 	for i := int32(0); i < tb.n; i++ {
 		sl := tb.at(i)
 		if free[i] {
-			if refs[i] != 0 || sl.server != freeSlot || sl.seq != 0 || sl.pos != -1 || sl.owner {
-				t.Fatalf("free slot %d: %d references, server %d, sequence %d, heap position %d, owner %v",
-					i, refs[i], sl.server, sl.seq, sl.pos, sl.owner)
+			if refs[i] != 0 || sl.server != freeSlot || sl.seq != 0 || sl.pos != -1 {
+				t.Fatalf("free slot %d: %d references, server %d, sequence %d, heap position %d",
+					i, refs[i], sl.server, sl.seq, sl.pos)
 			}
 			continue
 		}
@@ -897,8 +818,8 @@ func checkIndex(t *testing.T, s *Site) {
 		if refs[i] != 1 || sl.server == freeSlot || (sl.server >= 0) != (sl.seq == 0) {
 			t.Fatalf("held slot %d (VM %d): %d references, server %d, sequence %d", i, sl.vm.ID, refs[i], sl.server, sl.seq)
 		}
-		if o, ok := s.owners[sl.vm.ID]; sl.owner != (ok && o == i) {
-			t.Fatalf("slot %d (VM %d): owner %v, but the index names %d (%v)", i, sl.vm.ID, sl.owner, o, ok)
+		if o, ok := s.byID[sl.vm.ID]; !ok || o != i {
+			t.Fatalf("held slot %d (VM %d): the index names slot %d (%v) for its ID", i, sl.vm.ID, o, ok)
 		}
 		if end := sl.vm.End(); end.IsZero() {
 			if sl.pos != -1 {
@@ -914,10 +835,8 @@ func checkIndex(t *testing.T, s *Site) {
 	if held != s.running+s.pending.n {
 		t.Fatalf("%d held slots for %d running and %d queued VMs", held, s.running, s.pending.n)
 	}
-	for id, o := range s.owners {
-		if !inTable(o) || free[o] || tb.at(o).vm.ID != id {
-			t.Fatalf("the index names slot %d for ID %d, which is free or holds another ID", o, id)
-		}
+	if len(s.byID) != held {
+		t.Fatalf("the ID index has %d entries for %d held slots", len(s.byID), held)
 	}
 	if ends != len(tb.ends) {
 		t.Fatalf("expiry heap holds %d keys for %d held slots that end", len(tb.ends), ends)
@@ -931,13 +850,18 @@ func checkIndex(t *testing.T, s *Site) {
 
 // TestIndexMatchesLinearScan drives the indexed Site, the linear-scan
 // oracle and a State→NewFromState copy of the Site through the same seeded
-// random sequence of Step, Admit, Remove and SetPowerEvict calls. Every
+// random sequence of step, Admit, Remove and SetPowerEvict calls. Every
 // call must return the same result on all three and leave every VM on the
 // oracle's server, and the Site's index must stay consistent throughout.
-// The memory-bound config makes memory, not cores, the binding fit. The
-// queue-heavy config runs 130 servers (three occupancy words, the last one
-// partial) through bursts of three shapes, so the pending queue must pass
-// minQueue VMs, with repeated IDs among them.
+// Step arrivals get fresh IDs and positive sizes, as Run gives them; Admit
+// and Remove also get repeated IDs and non-positive sizes. Every 25
+// operations, and at each operation after until the copy is replaced, the
+// Site's state must restore to the same state. State leaves the queue out,
+// so the restored site replaces the copy only when the queue is empty;
+// otherwise the copy steps on in lockstep. The memory-bound config makes
+// memory, not cores, the binding fit. The queue-heavy config runs 130
+// servers (three occupancy words, the last one partial) through bursts of
+// three shapes, so the pending queue must pass minQueue VMs.
 func TestIndexMatchesLinearScan(t *testing.T) {
 	configs := []struct {
 		name     string
@@ -975,15 +899,19 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			cp := s
 			var ids []int // every ID issued so far
 			now, peak := t0, 0
-			newVM := func() workload.VM {
+			// newVM returns a VM with a fresh ID and a positive size,
+			// or, if bad, one that may repeat an ID or have a
+			// non-positive size.
+			newVM := func(bad bool) workload.VM {
 				cores, mem := c.vm(rng)
 				id := len(ids) + 1
-				switch rng.IntN(40) {
-				case 0:
+				switch k := rng.IntN(40); {
+				case !bad:
+				case k == 0:
 					cores = -rng.IntN(3)
-				case 1:
+				case k == 1:
 					mem = 0
-				case 2, 3:
+				case k < 4:
 					if len(ids) > 0 {
 						id = ids[rng.IntN(len(ids))] // often running or queued: refused
 					}
@@ -995,16 +923,24 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				}
 				return vm
 			}
+			due := false
 			for op := 0; op < c.ops; op++ {
-				if op%25 == 0 {
+				if due = due || op%25 == 0; due {
 					// Restore from lists in reverse: the wire order of a
 					// server's VMs must not matter.
 					st := s.State()
 					for _, vms := range st.Servers {
 						slices.Reverse(vms)
 					}
-					if cp, err = NewFromState(st); err != nil {
+					r, err := NewFromState(st)
+					if err != nil {
 						t.Fatalf("op %d: restoring state: %v", op, err)
+					}
+					if !reflect.DeepEqual(r.State(), s.State()) {
+						t.Fatalf("op %d: the restored site's state differs", op)
+					}
+					if s.pending.n == 0 {
+						cp, due = r, false
 					}
 				}
 				var got, gotCopy, want any
@@ -1016,15 +952,15 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 					}
 					arr := make([]workload.VM, rng.IntN(c.burst+1))
 					for i := range arr {
-						arr[i] = newVM()
+						arr[i] = newVM(false)
 					}
 					now = now.Add(15 * time.Minute)
-					got, gotCopy, want = s.Step(now, frac, arr), cp.Step(now, frac, arr), ref.step(now, frac, arr)
+					got, gotCopy, want = s.step(now, frac, arr), cp.step(now, frac, arr), ref.step(now, frac, arr)
 				case k < 8:
-					vm := newVM()
+					vm := newVM(true)
 					oracle := ref.linearBestFit(vm)
 					ok := s.Admit(vm)
-					got, gotCopy, want = ok, cp.Admit(vm), ref.place(vm)
+					got, gotCopy, want = ok, cp.Admit(vm), ref.admit(vm)
 					if at := whereOf(s)[vm.ID]; ok && at != oracle {
 						t.Fatalf("op %d: VM %d placed on server %d, linear scan picks %d", op, vm.ID, at, oracle)
 					}
@@ -1048,7 +984,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				checkIndex(t, cp)
 				checkQueue(t, s)
 				checkQueue(t, cp)
-				peak = max(peak, s.Pending())
+				peak = max(peak, s.pending.n)
 			}
 			if ref.alloc == 0 || len(ref.pending) == 0 {
 				t.Errorf("sequence never loaded the site: alloc %d, pending %d", ref.alloc, len(ref.pending))

@@ -33,19 +33,23 @@ func fuzzFrac(b int) float64 {
 }
 
 // FuzzSiteMatchesOracle decodes a small site (1 to 130 servers) and a
-// sequence of operations from the bytes: Step with arrivals and a power
+// sequence of operations from the bytes: step with arrivals and a power
 // fraction, Admit, Remove, SetPowerEvict, and a State→NewFromState round
 // trip with every server's list reversed. It drives the Site, its restored
-// copy and the linear-scan oracle refSite through the sequence. Every
-// operation must return the same result on all three and leave the same
-// view (power, allocation, cursor, the server of every VM and the pending
-// queue in order), and the Site's index and pending queue must stay
-// consistent. VMs come in a few shapes, so refusals end shapes and the
-// queue builds; some repeat an ID, have a non-positive size or ended
-// before they arrive. Besides random inputs, the seeds hold three written
-// sequences on a site of one-core, 1 GB VMs, so that plain go test
-// unlinks queued VMs from the middle, the head and the tail of a shape's
-// list and replaces a launch pass's heap top after a refusal.
+// copy and the linear-scan oracle refSite through the sequence. State
+// leaves the queue out, so the round trip replaces the copy only when the
+// queue is empty; otherwise the copy steps on in lockstep. Every operation
+// must return the same result on all three and leave the same view (power,
+// allocation, cursor, the server of every VM and the pending queue in
+// order), and the Site's index and pending queue must stay consistent. VMs
+// come in a few shapes, so refusals end shapes and the queue builds. Step
+// arrivals have fresh IDs and positive sizes, as Run gives them, and some
+// ended before they arrive; an Admitted VM may also repeat an ID or have a
+// non-positive size. Besides random inputs, the seeds hold three written
+// sequences, so that plain go test unlinks queued VMs from the middle, the
+// head and the tail of a shape's list, and ends a shape's turn mid-pass on
+// a refusal by admission control and on one by best fit, each followed by
+// a launch of another shape.
 func FuzzSiteMatchesOracle(f *testing.F) {
 	rng := rand.New(rand.NewPCG(20, 1))
 	for range 8 {
@@ -55,30 +59,35 @@ func FuzzSiteMatchesOracle(f *testing.F) {
 		}
 		f.Add(seed)
 	}
-	// Each Step below is k=0 (15 minutes on), its arrival count, each
-	// arrival's kind byte (64 a fresh ID, 0 then an index repeating an
-	// earlier ID) and lifetime byte (0 none, 1 fifteen minutes), then the
-	// power fraction byte (0 off, 50 a quarter, 200 full).
-	const site1, site4 = "\x00\x00\x7f\x63\x00\x00\x00", "\x00\x03\x7f\x63\x00\x00\x00"
+	// Each written site below is its server count, cores, memory (128 GB)
+	// and target (1) bytes, then its shapes: a count byte and each shape's
+	// cores and memory bytes. Each step is k=0 (15 minutes on), its arrival
+	// count, each arrival's kind byte (64 plus its shape) and lifetime byte
+	// (0 none, 1 fifteen minutes), then the power fraction byte (0 off, 150
+	// three quarters, 200 full).
 	for _, seed := range []string{
-		// One server of one core. Unpowered, VMs 1, 2 and 3 queue, and VM
-		// 2 ended as it arrived, so it expires from between the other two
-		// at the next step. At full power VM 1 launches from the head and
-		// VM 3's refusal by best fit ends the pass; VM 1 is removed, and
-		// VM 3 then launches as the list's only VM.
-		site1 + "\x00\x03\x40\x00\x40\x01\x40\x00\x00" + "\x00\x00\x00" + "\x00\x00\xc8" +
-			"\x05\x00" + "\x00\x00\xc8",
-		// One server of four cores. A second VM 1 queues as a guest behind
-		// the running VM 1 and is refused for its ID. A power cut evicts
-		// the owner behind the guest; at full power the guest launches and
-		// takes the ID over, and the old owner is refused for it.
-		site4 + "\x00\x01\x40\x00\xc8" + "\x00\x01\x00\x00\x00\xc8" + "\x00\x00\x00" + "\x00\x00\xc8",
-		// One server of four cores, VM 1 running. At a quarter of the
-		// power VM 2, a guest repeating ID 1 and VM 4 queue behind
-		// admission control. At full power VM 2 launches, the guest is
-		// refused for its own ID in the middle of the pass without ending
-		// its shape's turn, and VM 4 launches behind it from the tail.
-		site4 + "\x00\x01\x40\x00\xc8" + "\x00\x03\x40\x00\x00\x00\x00\x40\x00\x32" + "\x00\x00\xc8",
+		// One server of one core, one shape of one core. Unpowered, VMs 1,
+		// 2 and 3 queue, and VM 2 ended as it arrived, so it expires from
+		// between the other two at the next step. At full power VM 1
+		// launches from the head and VM 3's refusal ends the pass; VM 1 is
+		// removed, and VM 3 then launches as the list's only VM.
+		"\x00\x00\x7f\x63\x00\x00\x00" + "\x00\x03\x40\x00\x40\x01\x40\x00\x00" + "\x00\x00\x00" +
+			"\x00\x00\xc8" + "\x05\x00" + "\x00\x00\xc8",
+		// One server of four cores; shape A has two cores, B one. Unpowered,
+		// A1, A2, B, A3 and A4 queue, and A4 ended as it arrived, so it
+		// expires from the tail behind A3 at the next step. At three
+		// quarters of the power (limit 3 cores) A1 launches, admission
+		// control refuses A2, which ends A's turn before A3, and B
+		// launches behind it.
+		"\x00\x03\x7f\x63\x01\x01\x00\x00\x00" + "\x00\x05\x40\x00\x40\x00\x41\x00\x40\x00\x40\x01\x00" +
+			"\x00\x00\x96",
+		// Three servers of four cores; shape A has three cores, B one.
+		// Unpowered, A1 to A4, B and A5 queue. At full power (limit 12
+		// cores) A1 to A3 launch, one per server; A4 passes admission
+		// control but no server fits it, which ends A's turn before A5,
+		// and B launches behind it.
+		"\x02\x03\x7f\x63\x01\x02\x00\x00\x00" +
+			"\x00\x06\x40\x00\x40\x00\x40\x00\x40\x00\x41\x00\x40\x00\x00" + "\x00\x00\xc8",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -106,16 +115,19 @@ func FuzzSiteMatchesOracle(f *testing.F) {
 		lifetimes := []time.Duration{0, 15 * time.Minute, 30 * time.Minute, time.Hour, 3 * time.Hour}
 		var ids []int // every ID issued so far
 		now := t0
-		newVM := func() workload.VM {
+		// newVM decodes a VM of one of the shapes with a fresh ID or, if
+		// bad, one that may repeat an ID or have a non-positive size.
+		newVM := func(bad bool) workload.VM {
 			b := in.next()
 			shape := shapes[b%len(shapes)]
 			id := len(ids) + 1
-			switch b >> 5 {
-			case 0:
+			switch {
+			case !bad:
+			case b>>5 == 0:
 				if len(ids) > 0 {
 					id = ids[in.next()%len(ids)] // often running or queued
 				}
-			case 1:
+			case b>>5 == 1:
 				shape[b>>4&1] = -(b >> 3 & 1) // zero or negative cores or memory
 			}
 			ids = append(ids, id)
@@ -132,16 +144,16 @@ func FuzzSiteMatchesOracle(f *testing.F) {
 			case 0, 1, 2, 3:
 				arr := make([]workload.VM, in.next()%33)
 				for i := range arr {
-					arr[i] = newVM()
+					arr[i] = newVM(false)
 				}
 				frac := fuzzFrac(in.next())
 				now = now.Add(time.Duration(1+k/8%4) * 15 * time.Minute)
-				got, gotCopy, want = s.Step(now, frac, arr), cp.Step(now, frac, arr), ref.step(now, frac, arr)
+				got, gotCopy, want = s.step(now, frac, arr), cp.step(now, frac, arr), ref.step(now, frac, arr)
 			case 4:
-				vm := newVM()
+				vm := newVM(true)
 				oracle := ref.linearBestFit(vm)
 				ok := s.Admit(vm)
-				got, gotCopy, want = ok, cp.Admit(vm), ref.place(vm)
+				got, gotCopy, want = ok, cp.Admit(vm), ref.admit(vm)
 				if at := whereOf(s)[vm.ID]; ok && at != oracle {
 					t.Fatalf("op %d: VM %d placed on server %d, linear scan picks %d", op, vm.ID, at, oracle)
 				}
@@ -155,6 +167,9 @@ func FuzzSiteMatchesOracle(f *testing.F) {
 				frac := fuzzFrac(in.next())
 				got, gotCopy, want = s.SetPowerEvict(frac), cp.SetPowerEvict(frac), ref.setPowerEvict(frac)
 			case 7:
+				if s.pending.n > 0 {
+					break
+				}
 				st := s.State()
 				for _, vms := range st.Servers {
 					slices.Reverse(vms)
@@ -219,7 +234,7 @@ func checkQueue(t *testing.T, s *Site) {
 			t.Fatalf("shape %v: tail %d, but the list ends at %d", key, l.tail, prev)
 		}
 	}
-	if n != p.n || n != s.Pending() {
+	if n != p.n {
 		t.Fatalf("%d linked slots, queue counts %d", n, p.n)
 	}
 	for i := int32(0); i < tb.n; i++ {
@@ -240,11 +255,10 @@ func checkQueue(t *testing.T, s *Site) {
 
 // decodeSiteState decodes a small SiteState for FuzzNewFromState: a config
 // that is small, at the free-core index bound or just past it; a power
-// level and eviction cursor that may fall outside their ranges; server
+// level and eviction cursor that may fall outside their ranges; and server
 // lists, sometimes one too few, holding up to 15 VMs that may repeat IDs,
 // have non-positive sizes, absurd core counts or negative lifetimes, or
-// overfill their server; and a pending queue whose VMs may repeat the IDs
-// of running or queued ones.
+// overfill their server.
 func decodeSiteState(in *fuzzBytes) SiteState {
 	var st SiteState
 	switch in.next() % 8 {
@@ -295,17 +309,14 @@ func decodeSiteState(in *fuzzBytes) SiteState {
 			st.Servers[i] = append(st.Servers[i], vm())
 		}
 	}
-	for range in.next() % 16 {
-		st.Pending = append(st.Pending, PendingVMState{VM: vm(), Evicted: in.next()%2 == 0})
-	}
 	return st
 }
 
 // FuzzNewFromState decodes a site state (decodeSiteState) and requires
 // NewFromState either to refuse it or to return a site that passes
-// checkIndex and checkQueue, holds exactly the running VMs and queue the
-// state names, and whose own State() restores to the same view. One Step
-// on both sites must then agree and keep both consistent. The seeds are
+// checkIndex and checkQueue, holds exactly the running VMs the state names
+// and an empty queue, and whose own State() restores to the same view. One
+// step on both sites must then agree and keep both consistent. The seeds are
 // random inputs chosen so that most of them restore, one of them at the
 // index bound.
 func FuzzNewFromState(f *testing.F) {
@@ -337,18 +348,13 @@ func FuzzNewFromState(f *testing.F) {
 		}
 		checkIndex(t, s)
 		checkQueue(t, s)
-		want := siteView{st.Powered, 0, st.EvictCursor, map[int]int{}, nil}
-		var q []pendingVM
+		want := siteView{st.Powered, 0, st.EvictCursor, map[int]int{}, []int{}}
 		for i, vms := range st.Servers {
 			for _, vm := range vms {
 				want.where[vm.ID] = i
 				want.alloc += vm.Cores
 			}
 		}
-		for _, p := range st.Pending {
-			q = append(q, pendingVM{p.VM, p.Evicted})
-		}
-		want.pending = pendingIDs(q)
 		if v := viewOf(s); !reflect.DeepEqual(v, want) {
 			t.Fatalf("restored view %+v, state names %+v", v, want)
 		}
@@ -362,7 +368,7 @@ func FuzzNewFromState(f *testing.F) {
 			t.Fatalf("restoring a restored site's state changes it")
 		}
 		now, frac := t0.Add(time.Duration(in.next())*time.Minute), fuzzFrac(in.next())
-		if got, again := s.Step(now, frac, nil), cp.Step(now, frac, nil); got != again {
+		if got, again := s.step(now, frac, nil), cp.step(now, frac, nil); got != again {
 			t.Fatalf("step after restore: %+v, then %+v from the round trip", got, again)
 		}
 		checkIndex(t, s)

@@ -1,10 +1,5 @@
 package cluster
 
-import (
-	"cmp"
-	"slices"
-)
-
 // The pending queue holds the VMs waiting for power in queue order, stored
 // so that a step pays for the VMs it launches or drops rather than for the
 // VMs it holds. Every queued VM takes the next sequence number and joins
@@ -14,7 +9,9 @@ import (
 // sequence number, so it tries VMs in queue order, and a shape's turn ends
 // at its first refusal by admission control or best fit. Leaving the queue
 // needs no search: a launch or an expiry holds the slot, the slot names its
-// shape and its neighbours, and unlinking it touches nothing else.
+// shape and its neighbours, and unlinking it touches nothing else. Only
+// Run's steps queue VMs, arrivals they refuse and VMs they evict, so the
+// queue belongs to Run and State leaves it out.
 
 // shapeList is the queued VMs of one shape in sequence order: the first
 // and last slot, or -1 for both when none of the shape is queued.
@@ -40,7 +37,7 @@ type shapeHead struct {
 }
 
 // push queues slot i, which is sl, behind every VM queued so far.
-func (p *pendingQueue) push(t *slotTable, i int32, sl *slot, evicted bool) {
+func (p *pendingQueue) push(t *slotTable, i int32, sl *slot) {
 	if sl.shape < 0 {
 		key := shapeKey{sl.vm.Cores, sl.vm.MemoryGB}
 		si, ok := p.byShape[key]
@@ -56,7 +53,7 @@ func (p *pendingQueue) push(t *slotTable, i int32, sl *slot, evicted bool) {
 	}
 	p.seq++
 	p.n++
-	sl.seq, sl.server, sl.evicted = p.seq, queuedSlot, evicted
+	sl.seq, sl.server = p.seq, queuedSlot
 	l := &p.shapes[sl.shape]
 	sl.prev, sl.next = l.tail, -1
 	if l.tail >= 0 {
@@ -82,18 +79,6 @@ func (p *pendingQueue) drop(t *slotTable, sl *slot) {
 	}
 	sl.seq, sl.prev, sl.next = 0, -1, -1
 	p.n--
-}
-
-// inOrder returns the queued slots in queue order.
-func (p *pendingQueue) inOrder(t *slotTable) []int32 {
-	out := make([]int32, 0, p.n)
-	for _, l := range p.shapes {
-		for i := l.head; i >= 0; i = t.at(i).next {
-			out = append(out, i)
-		}
-	}
-	slices.SortFunc(out, func(a, b int32) int { return cmp.Compare(t.at(a).seq, t.at(b).seq) })
-	return out
 }
 
 // headHeap is a binary min-heap of shape heads by sequence number; the

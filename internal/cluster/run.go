@@ -129,7 +129,7 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 		widest = max(widest, off[k+1]-off[k])
 	}
 	// Each step's arrivals are copied into one buffer, refilled before
-	// every Step: Step copies each arrival into a slot and keeps nothing
+	// every step: step copies each arrival into a slot and keeps nothing
 	// of the slice.
 	arrivals := make([]workload.VM, 0, widest)
 
@@ -163,7 +163,7 @@ func RunObs(cfg Config, power trace.Series, vms []workload.VM, warmup int, reg *
 		for _, x := range order[off[i]:off[i+1]] {
 			arrivals = append(arrivals, vms[x])
 		}
-		step := site.Step(now, frac, arrivals)
+		step := site.step(now, frac, arrivals)
 		if i >= warmup {
 			j := i - warmup
 			res.Steps[j] = step

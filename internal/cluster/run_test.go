@@ -95,7 +95,7 @@ func refRun(cfg Config, power trace.Series, vms []workload.VM, warmup int) (RunR
 		if i >= warmup {
 			frac = power.Values[i-warmup]
 		}
-		step := site.Step(warmStart.Add(time.Duration(i)*power.Step), frac, b)
+		step := site.step(warmStart.Add(time.Duration(i)*power.Step), frac, b)
 		if i >= warmup {
 			j := i - warmup
 			res.Steps[j] = step

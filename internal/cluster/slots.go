@@ -8,7 +8,7 @@ import (
 )
 
 // The slot table holds every VM the site holds, running or queued. A VM
-// takes a slot when the site first holds it (a Step arrival, a successful
+// takes a slot when the site first holds it (a step arrival, a successful
 // Admit, NewFromState) and keeps it through every eviction, wait in the
 // queue and relaunch, until it departs, expires, or leaves by Remove or
 // SetPowerEvict. Server lists and the queue's shape lists name slots, so
@@ -16,13 +16,12 @@ import (
 // map. A queued slot carries its own links in its shape's list, so joining
 // or leaving the queue touches only the slot and its two neighbours.
 //
-// The ID index (Site.owners) maps each ID to the slot that owns it, and a
-// running VM always owns its ID. A held VM that does not own its ID is a
-// guest: it repeats the ID of another held VM, which Step accepts (Run
-// refuses such lists up front). An owner's ID cannot run under another
-// slot, so only a guest looks its ID up to learn whether the ID runs
-// here. A VM that starts to run takes its ID over, and an owner that
-// leaves deletes the entry, leaving any guests unowned until one runs.
+// The ID index (Site.byID) maps the ID of every held VM to its slot: one
+// slot per ID. No two held VMs share an ID, because Run refuses a trace
+// that repeats one before its first step, Admit refuses an ID the site
+// holds and NewFromState refuses a repeated one. Site.hold enters a slot's
+// ID as the slot is taken and Site.release deletes it; only Admit and
+// Remove look an ID up.
 
 // Values of slot.server that name no server.
 const (
@@ -46,9 +45,7 @@ type slot struct {
 	prev, next int32
 	// pos is the VM's position in the expiry heap, or -1 when it has no
 	// end time.
-	pos     int32
-	owner   bool // the ID index names this slot
-	evicted bool // queued by an eviction rather than a refused arrival
+	pos int32
 }
 
 // Slots live in fixed-size pages, so the table never copies a slot as it
@@ -135,7 +132,7 @@ func (t *slotTable) release(i int32, sl *slot) {
 	}
 	// The VM stays until take overwrites it: clearing it would cost a
 	// write barrier per pointer word while the collector runs.
-	sl.seq, sl.server, sl.shape, sl.pos, sl.owner = 0, freeSlot, -1, -1, false
+	sl.seq, sl.server, sl.shape, sl.pos = 0, freeSlot, -1, -1
 	t.free = append(grow(t.free), i)
 }
 

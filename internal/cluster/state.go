@@ -9,19 +9,17 @@ import (
 )
 
 // Site state export for daemon crash recovery. Placement is stateful in
-// three ways that a restore must reproduce exactly: which server each VM
-// sits on (best-fit consolidation depends on current per-server load), the
-// pending queue order (launch order is oldest-first), and the eviction
-// cursor. Serializing only "which VMs run here" would drift from
-// the uninterrupted process on the first power drop.
+// two ways that a restore must reproduce exactly: which server each VM
+// sits on (best-fit consolidation depends on current per-server load) and
+// the eviction cursor. Serializing only "which VMs run here" would drift
+// from the uninterrupted process on the first power drop.
+//
+// The state holds no pending queue: only Run's steps queue VMs, and Run
+// never hands its site out, so every site a caller can capture has an
+// empty queue.
 
-// PendingVMState is one queued VM in wire form.
-type PendingVMState struct {
-	VM      workload.VM
-	Evicted bool
-}
-
-// SiteState is the complete serializable state of a Site. It is a plain
+// SiteState is the complete serializable state of a Site that Run does
+// not drive: its config, power, eviction cursor and servers. It is a plain
 // exported struct so callers can gob- or JSON-encode it as part of a larger
 // snapshot.
 type SiteState struct {
@@ -31,8 +29,6 @@ type SiteState struct {
 	// Servers[i] holds the VMs on server i, sorted by ID so the encoding
 	// is deterministic.
 	Servers [][]workload.VM
-	// Pending preserves queue order (launches are oldest-first).
-	Pending []PendingVMState
 }
 
 // State captures the site's current state.
@@ -42,7 +38,6 @@ func (s *Site) State() SiteState {
 		Powered:     s.powered,
 		EvictCursor: s.evictCursor,
 		Servers:     make([][]workload.VM, len(s.servers)),
-		Pending:     make([]PendingVMState, s.pending.n),
 	}
 	for i := range s.servers {
 		vms := make([]workload.VM, len(s.servers[i].vms))
@@ -52,17 +47,12 @@ func (s *Site) State() SiteState {
 		slices.SortFunc(vms, func(a, b workload.VM) int { return cmp.Compare(a.ID, b.ID) })
 		st.Servers[i] = vms
 	}
-	for k, i := range s.pending.inOrder(&s.slots) {
-		sl := s.slots.at(i)
-		st.Pending[k] = PendingVMState{VM: sl.vm, Evicted: sl.evicted}
-	}
 	return st
 }
 
 // NewFromState rebuilds a Site from a captured state, revalidating server
 // capacities and VM uniqueness so a corrupt snapshot fails loudly instead
-// of producing an over-packed site. Every VM takes a slot; running VMs own
-// their IDs, and a queued VM owns its ID unless an earlier VM holds it.
+// of producing an over-packed site. Every VM takes a slot under its ID.
 func NewFromState(st SiteState) (*Site, error) {
 	if err := st.Config.Validate(); err != nil {
 		return nil, err
@@ -86,7 +76,7 @@ func NewFromState(st SiteState) (*Site, error) {
 			if vm.Cores <= 0 || vm.MemoryGB <= 0 {
 				return nil, fmt.Errorf("cluster: VM %d on server %d has non-positive size", vm.ID, i)
 			}
-			if _, dup := s.owners[vm.ID]; dup {
+			if _, dup := s.byID[vm.ID]; dup {
 				return nil, fmt.Errorf("cluster: VM %d appears twice in snapshot", vm.ID)
 			}
 			// Each VM must fit what is left, so the sums cannot overflow.
@@ -94,8 +84,7 @@ func NewFromState(st SiteState) (*Site, error) {
 				return nil, fmt.Errorf("cluster: server %d over capacity in snapshot: VM %d (%d cores, %d GB) joins %d cores, %d GB",
 					i, vm.ID, vm.Cores, vm.MemoryGB, srv.allocCores, srv.allocMemGB)
 			}
-			j, sl := s.slots.take(vm)
-			s.own(j, sl, -1)
+			j, sl := s.hold(vm)
 			sl.server = int32(i)
 			srv.vms = append(srv.vms, runningVM{vm.ID, j})
 			srv.allocCores += vm.Cores
@@ -104,14 +93,6 @@ func NewFromState(st SiteState) (*Site, error) {
 		s.running += len(srv.vms)
 		s.alloc += srv.allocCores
 		s.free.add(i, st.Config.CoresPerServer-srv.allocCores)
-	}
-	for k := range st.Pending {
-		p := &st.Pending[k]
-		i, sl := s.slots.take(&p.VM)
-		if _, held := s.owners[p.VM.ID]; !held {
-			s.own(i, sl, -1)
-		}
-		s.pending.push(&s.slots, i, sl, p.Evicted)
 	}
 	return s, nil
 }

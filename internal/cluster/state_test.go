@@ -2,17 +2,18 @@ package cluster
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/vbcloud/vb/internal/workload"
 )
 
-// TestSiteStateRoundTrip drives a site through a churny history (arrivals,
-// power drops, relaunches, departures), snapshots it, rebuilds from the
-// snapshot, and then runs both copies forward through the same future:
-// every StepResult must match exactly, which only happens if server
-// placement, pending-queue order, and the eviction cursor all survived.
+// TestSiteStateRoundTrip drives a site through a churny history of the
+// calls a snapshotted site sees (a multi-site engine's Admit, Remove and
+// SetPowerEvict), snapshots it, rebuilds from the snapshot, and then plays
+// the same future on both copies: every result and view must match, which
+// only happens if server placement and the eviction cursor both survived.
 func TestSiteStateRoundTrip(t *testing.T) {
 	cfg := Config{Servers: 12, CoresPerServer: 40, MemPerServerGB: 512, TargetUtilization: 0.7}
 	s, err := New(cfg)
@@ -20,62 +21,61 @@ func TestSiteStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(5, 17))
-	nextID := 1
-	now := t0
-	step := func(site *Site, frac float64, arr []workload.VM) StepResult {
-		return site.Step(now, frac, arr)
-	}
-	fracs := []float64{1, 0.8, 0.3, 0.55, 0.2, 0.9, 0.6}
-	for _, f := range fracs {
-		var arr []workload.VM
-		for i := 0; i < 5+rng.IntN(6); i++ {
+	nextID, evicted := 1, 0
+	// call makes one random engine call on every site and returns their
+	// results.
+	call := func(sites ...*Site) []any {
+		var out []any
+		switch k := rng.IntN(10); {
+		case k < 6:
 			vm := workload.VM{
 				ID: nextID, Cores: 1 + rng.IntN(12), MemoryGB: 4 + rng.IntN(60),
-				Arrival: now, Lifetime: time.Duration(1+rng.IntN(5)) * time.Hour,
-			}
-			if rng.IntN(4) == 0 {
-				vm.Lifetime = 0 // immortal
+				Arrival: t0, Lifetime: time.Duration(rng.IntN(5)) * time.Hour,
 			}
 			nextID++
-			arr = append(arr, vm)
+			for _, site := range sites {
+				out = append(out, site.Admit(vm))
+			}
+		case k < 8:
+			id := 1 + rng.IntN(nextID)
+			for _, site := range sites {
+				out = append(out, site.Remove(id))
+			}
+		default:
+			frac := rng.Float64()
+			for _, site := range sites {
+				ev := site.SetPowerEvict(frac)
+				evicted += len(ev)
+				out = append(out, ev)
+			}
 		}
-		step(s, f, arr)
-		now = now.Add(time.Hour)
+		return out
+	}
+	for range 300 {
+		call(s)
+	}
+	if s.Running() == 0 || evicted == 0 {
+		t.Fatalf("history left %d VMs running after %d evictions", s.Running(), evicted)
 	}
 
 	restored, err := NewFromState(s.State())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.AllocatedCores() != s.AllocatedCores() ||
-		restored.PoweredCores() != s.PoweredCores() ||
-		restored.Running() != s.Running() ||
-		restored.Pending() != s.Pending() {
-		t.Fatalf("restored site summary differs: alloc %d/%d powered %d/%d running %d/%d pending %d/%d",
-			restored.AllocatedCores(), s.AllocatedCores(),
-			restored.PoweredCores(), s.PoweredCores(),
-			restored.Running(), s.Running(),
-			restored.Pending(), s.Pending())
+	if !reflect.DeepEqual(restored.State(), s.State()) || !reflect.DeepEqual(viewOf(restored), viewOf(s)) ||
+		restored.Running() != s.Running() {
+		t.Fatalf("restored site differs: running %d/%d", restored.Running(), s.Running())
 	}
 
-	// Identical futures must produce identical step results.
-	future := []float64{0.25, 0.7, 0.15, 1, 0.4, 0.85}
-	for i, f := range future {
-		var arr []workload.VM
-		for j := 0; j < 4; j++ {
-			vm := workload.VM{
-				ID: nextID, Cores: 1 + rng.IntN(12), MemoryGB: 4 + rng.IntN(60),
-				Arrival: now, Lifetime: time.Duration(1+rng.IntN(4)) * time.Hour,
-			}
-			nextID++
-			arr = append(arr, vm)
+	// Identical futures must produce identical results and views.
+	for i := range 300 {
+		got := call(s, restored)
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("future call %d diverges: %+v vs %+v", i, got[0], got[1])
 		}
-		ra := step(s, f, arr)
-		rb := step(restored, f, arr)
-		if ra != rb {
-			t.Fatalf("future step %d diverges: %+v vs %+v", i, ra, rb)
+		if !reflect.DeepEqual(viewOf(restored), viewOf(s)) {
+			t.Fatalf("future call %d leaves the two sites apart", i)
 		}
-		now = now.Add(time.Hour)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestNewFromStateRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Step(t0, 1.0, []workload.VM{mkVM(1, 4, 16), mkVM(2, 4, 16)})
+	s.step(t0, 1.0, []workload.VM{mkVM(1, 4, 16), mkVM(2, 4, 16)})
 	good := s.State()
 
 	cases := []struct {

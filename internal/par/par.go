@@ -7,7 +7,8 @@
 //   - ordered results: Map writes result i to slot i, so output is
 //     independent of goroutine scheduling;
 //   - first-error semantics: the error of the lowest-indexed failing task is
-//     returned and later work is skipped;
+//     returned, every task below it runs, and tasks above it may be
+//     skipped;
 //   - context cancellation: a cancelled ctx stops dispatching new tasks;
 //   - a worker cap: at most min(GOMAXPROCS, n) tasks run concurrently, so
 //     GOMAXPROCS=1 runs every task inline on the calling goroutine.
@@ -28,9 +29,13 @@ import (
 
 // ForEach runs fn(i) for every i in [0, n) on at most min(GOMAXPROCS, n)
 // concurrent goroutines. It returns the error of the lowest-indexed failing
-// task, or ctx.Err() when the context is cancelled first; once either
-// happens, unstarted tasks are skipped. With one worker it runs inline on
-// the calling goroutine.
+// task, or ctx.Err() when the context is cancelled first. Workers claim
+// indices in order, and a worker runs every index it claims below the
+// lowest failing index so far, so every task below the reported one runs
+// and the result does not depend on timing. Unstarted tasks above the
+// lowest failing index are skipped, and so is every unstarted task once
+// ctx is cancelled. With one worker it runs inline on the calling
+// goroutine.
 func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -48,35 +53,33 @@ func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 		return nil
 	}
 
-	inner, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
 		next     atomic.Int64 // next task index to claim
-		mu       sync.Mutex
+		failed   atomic.Int64 // index of the lowest failing task so far, or n
+		mu       sync.Mutex   // guards firstErr and lowering failed
 		firstErr error
-		errIdx   = n // index of the lowest failing task so far
 		wg       sync.WaitGroup
 	)
+	failed.Store(int64(n))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
+				// Every index below a failing one was claimed before it,
+				// so a claim above the lowest failure ends the worker's
+				// share without skipping a task the result depends on.
+				i := next.Add(1) - 1
+				if i >= int64(n) || i > failed.Load() || ctx.Err() != nil {
 					return
 				}
-				if inner.Err() != nil {
-					return // a task failed or the caller cancelled: stop claiming
-				}
-				if err := fn(i); err != nil {
+				if err := fn(int(i)); err != nil {
 					mu.Lock()
-					if i < errIdx {
-						errIdx, firstErr = i, err
+					if i < failed.Load() {
+						failed.Store(i)
+						firstErr = err
 					}
 					mu.Unlock()
-					cancel()
 					return
 				}
 			}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/vbcloud/vb/internal/cluster"
 	"github.com/vbcloud/vb/internal/core"
+	"github.com/vbcloud/vb/internal/workload"
 )
 
 // corruptFixture builds a small mid-run engine snapshot to damage.
@@ -186,6 +187,68 @@ func TestRestoreRejectsUnenqueueableApps(t *testing.T) {
 		}
 		_, err := RestoreVMEngine(cfg, in, ccfg, &buf)
 		if want := c.want(&st); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: restore returned %v, want an error containing %q", c.name, err, want)
+		}
+	}
+}
+
+// TestRestoreRejectsDisagreeingVMLocations re-encodes a good snapshot with
+// its VM location table at odds with the sites: a VM that site s runs
+// marked displaced, so that a later step launches it at a second site; its
+// entry moved to another site; an entry for a VM that no app holds, which
+// would count as running forever; and a VM located at a site that no
+// longer runs it. Each must be refused, naming the VM and the site.
+func TestRestoreRejectsDisagreeingVMLocations(t *testing.T) {
+	cfg, in, ccfg, data := corruptFixture(t)
+	// running finds, in a decoded snapshot, the first VM of a server's
+	// list, that list and the site s that runs it.
+	running := func(st *vmEngineState) (id int, list *[]workload.VM, s int) {
+		for s, site := range st.Sites {
+			for k, vms := range site.Servers {
+				if len(vms) > 0 {
+					return vms[0].ID, &site.Servers[k], s
+				}
+			}
+		}
+		t.Fatal("fixture snapshot runs no VM")
+		return 0, nil, 0
+	}
+	cases := []struct {
+		name   string
+		mutate func(st *vmEngineState) string // returns the wanted error text
+	}{
+		{"running VM marked displaced", func(st *vmEngineState) string {
+			id, _, s := running(st)
+			st.VMSite[id] = -1
+			return fmt.Sprintf("site %d runs VM %d", s, id)
+		}},
+		{"running VM located at another site", func(st *vmEngineState) string {
+			id, _, s := running(st)
+			st.VMSite[id] = (s + 1) % len(st.Sites)
+			return fmt.Sprintf("site %d runs VM %d", s, id)
+		}},
+		{"VM of no app", func(st *vmEngineState) string {
+			st.VMSite[1<<40] = -1
+			return fmt.Sprintf("locates VM %d at site -1, but no snapshot app holds it", 1<<40)
+		}},
+		{"located VM its site does not run", func(st *vmEngineState) string {
+			id, list, s := running(st)
+			*list = (*list)[1:]
+			return fmt.Sprintf("locates VM %d at site %d, which does not run it", id, s)
+		}},
+	}
+	for _, c := range cases {
+		var st vmEngineState
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		want := c.mutate(&st)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		_, err := RestoreVMEngine(cfg, in, ccfg, &buf)
+		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: restore returned %v, want an error containing %q", c.name, err, want)
 		}
 	}

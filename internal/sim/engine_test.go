@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/vbcloud/vb/internal/cluster"
 	"github.com/vbcloud/vb/internal/core"
@@ -150,16 +151,21 @@ func TestStepReportsSumTheirEvents(t *testing.T) {
 // both engines: an engine accepts an empty Input.Apps (demands arrive via
 // Advance) but still rejects malformed inputs and demands. A refused batch
 // leaves the engine unchanged, so a retry admits each app exactly once, and
-// an app already fed is refused at a later step.
+// an app already fed is refused at a later step. An app whose End precedes
+// the timeline is accepted but never placed.
 func TestEngineStreamingValidation(t *testing.T) {
 	in, apps := vmLevelFixtures(t, 2)
 	var good []AppArrival
 	for _, arr := range vmBatchArrivals(in, apps) {
-		if arr.Demand.StableCores > 0 && len(good) < 2 {
+		if arr.Demand.StableCores > 0 && len(good) < 3 {
 			arr.Demand.Start = t0
 			good = append(good, arr)
 		}
 	}
+	// The third app starts with the timeline but ended an hour before it.
+	past := good[2]
+	past.Demand.End = t0.Add(-time.Hour)
+	good = good[:2]
 	wantIDs := []int{good[0].Demand.ID, good[1].Demand.ID}
 	streaming := in
 	streaming.Apps = nil
@@ -215,6 +221,9 @@ func TestEngineStreamingValidation(t *testing.T) {
 		}
 		if got := e.state(); got != before {
 			t.Errorf("%s: refused repeat changed the engine", e.name)
+		}
+		if admitted, err := e.advance([]AppArrival{past}); err != nil || len(admitted) != 0 {
+			t.Errorf("%s: an app that ended before the timeline: admitted %v (err %v), want none", e.name, admitted, err)
 		}
 	}
 	bad := streaming

@@ -248,10 +248,14 @@ func (c *stepper) replanDue(t int) bool {
 }
 
 // endStep maps d's End to the exclusive bound of its active window: the
-// step after the one holding End, or the timeline's end when End is unset
-// or outside the timeline.
+// step after the one holding End, 0 when End precedes the timeline, so
+// that no step schedules the app, or the timeline's end when End is unset
+// or after the timeline.
 func (c *stepper) endStep(d core.AppDemand) int {
 	if !d.End.IsZero() {
+		if d.End.Before(c.base.Start) {
+			return 0
+		}
 		if idx := c.base.IndexAt(d.End); idx >= 0 {
 			return idx + 1
 		}

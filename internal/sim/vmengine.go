@@ -662,6 +662,29 @@ func RestoreVMEngine(cfg core.Config, in Input, clusterCfg cluster.Config, r io.
 			e.fedVMs[vm.ID] = true
 		}
 	}
+	// The location table must agree with the sites: a site's VMs are
+	// located at it, every entry names a VM of a snapshot app, and a VM
+	// located at a site runs there. Otherwise a VM could run at two sites
+	// at once, at a site the engine does not know, or count forever.
+	runs := make(map[int]bool)
+	for i, siteState := range st.Sites {
+		for _, vms := range siteState.Servers {
+			for _, vm := range vms {
+				if s, ok := st.VMSite[vm.ID]; !ok || s != i {
+					return nil, fmt.Errorf("sim: snapshot site %d runs VM %d, which the location table does not put there", i, vm.ID)
+				}
+				runs[vm.ID] = true
+			}
+		}
+	}
+	for id, s := range st.VMSite {
+		if !e.fedVMs[id] {
+			return nil, fmt.Errorf("sim: snapshot locates VM %d at site %d, but no snapshot app holds it", id, s)
+		}
+		if s >= 0 && !runs[id] {
+			return nil, fmt.Errorf("sim: snapshot locates VM %d at site %d, which does not run it", id, s)
+		}
+	}
 	e.vmSite = st.VMSite
 	if e.vmSite == nil {
 		e.vmSite = map[int]int{}

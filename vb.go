@@ -153,7 +153,10 @@ func ReadAppTrace(r io.Reader) (TraceHeader, []App, error) { return workload.Rea
 type (
 	// ClusterConfig describes one VB site's hardware.
 	ClusterConfig = cluster.Config
-	// ClusterSite simulates one power-tracking site.
+	// ClusterSite simulates one power-tracking site that its caller drives
+	// VM by VM (Admit, Remove, SetPowerEvict), as the multi-site engine
+	// does; it queues nothing. RunCluster drives a site of its own through
+	// a power trace, queueing the VMs it refuses or evicts.
 	ClusterSite = cluster.Site
 	// ClusterRunResult is the outcome of driving a site through a power
 	// trace.
